@@ -1,9 +1,9 @@
 """Performance-trajectory harness: pinned kernel snapshots.
 
-``repro bench snapshot`` runs a fixed suite of kernels (interference
-build, MCS, greedy colouring, conservative coalescing) on fixed-seed
-instances, in both the dense-bitset and dict-of-set backends, and
-writes a schema-versioned ``BENCH_<rev>.json``: wall-times plus the
+``repro bench snapshot`` runs a fixed suite of dense kernels
+(interference build, MCS, greedy colouring, live intervals, linear
+scan, conservative coalescing) on fixed-seed instances and writes a
+schema-versioned ``BENCH_<rev>.json``: wall-times plus the
 *exact* :data:`~repro.obs.names.KERNEL_WORK_COUNTERS`.  Committed
 snapshots form the repo's recorded perf trajectory; ``repro bench
 compare`` is the regression gate CI runs against the committed
@@ -11,6 +11,7 @@ baseline.  See ``docs/PERFORMANCE.md``.
 """
 
 from .snapshot import (
+    BACKEND,
     SCHEMA_VERSION,
     TOLERANCE_DEFAULT,
     compare_snapshots,
@@ -21,6 +22,7 @@ from .snapshot import (
 )
 
 __all__ = [
+    "BACKEND",
     "SCHEMA_VERSION",
     "TOLERANCE_DEFAULT",
     "compare_snapshots",

@@ -1,9 +1,8 @@
 """The pinned kernel suite behind ``repro bench snapshot``.
 
-Every case runs the *same algorithm* in two backends — ``dense``
-(:mod:`repro.graphs.dense` bitset kernels) and ``dict`` (the
-dict-of-set reference implementations) — on fixed-seed instances, so a
-snapshot records two things per row:
+Every case runs one dense kernel (the :mod:`repro.graphs.dense` bitset
+kernels and the mask-based liveness/interval builders) on a fixed-seed
+instance, so a snapshot records two things per row:
 
 * **wall_ms** — the minimum wall time over ``repeats`` untraced runs
   (minimum, because the interesting quantity is the cost of the work,
@@ -14,10 +13,12 @@ snapshot records two things per row:
   regenerating a snapshot on any machine reproduces them bit-for-bit,
   and the regression gate can demand equality instead of a tolerance.
 
-:func:`run_snapshot` also enforces the dense claim itself: for every
-(kernel, instance) pair the dense backend's total work (elements
-scanned + words merged) must be strictly below the dict backend's.  A
-snapshot that cannot prove the win fails instead of recording it.
+Rows carry ``"backend": "dense"``.  Snapshots committed before the
+dict-of-set references moved to ``tests/reference/`` also hold
+``"dict"`` rows; :func:`compare_snapshots` skips those, since the code
+they measured no longer ships.  The claim that each dense kernel does
+strictly less work than its reference is a test
+(``tests/test_dense.py``), not part of a snapshot run.
 
 Schema (``SCHEMA_VERSION = 1``)::
 
@@ -46,8 +47,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..challenge.generator import pressure_instance
 from ..coalescing.conservative import conservative_coalesce
 from ..graphs import dense as _dense
-from ..graphs.chordal import maximum_cardinality_search_dict
-from ..graphs.coloring import greedy_coloring_dict
 from ..graphs.dense import DenseGraph
 from ..graphs.generators import random_chordal_graph, random_graph
 from ..ir.generators import GeneratorConfig, random_function
@@ -55,6 +54,12 @@ from ..ir.interference import chaitin_interference
 from ..obs import KERNEL_WORK_COUNTERS, NULL_TRACER, Tracer
 
 SCHEMA_VERSION = 1
+
+#: The ``backend`` field of every row this module writes.
+BACKEND = "dense"
+
+#: The fields :func:`load_snapshot` requires in every row.
+ROW_FIELDS = ("kernel", "instance", "backend", "wall_ms", "counters")
 
 #: Default wall-time regression band for :func:`compare_snapshots`:
 #: a candidate row may be at most (1 + tolerance) × the baseline.
@@ -80,15 +85,23 @@ def _git_rev() -> str:
 def pinned_suite() -> List[Dict[str, object]]:
     """The fixed-seed benchmark cases.
 
-    Returns a list of ``{"kernel", "instance", "runners"}`` dicts where
-    ``runners`` maps backend name to a callable taking ``tracer=``.
-    Instances are chosen dense enough that the bitset kernels win on
-    *work*, not only on constant factors: for a graph kernel the dict
-    baseline scans ~2·E adjacency elements while the dense kernel scans
-    ~E elements plus O(words·V) word operations, so E must comfortably
+    Returns a list of ``{"kernel", "instance", "args", "run"}`` dicts:
+    ``run`` is a callable taking ``tracer`` that executes the dense
+    kernel, and ``args`` is the case's input as the positional
+    arguments of the kernel's public entry point, so tests can replay
+    the same instance through a reference implementation.  Instances
+    are chosen dense enough that the bitset kernels win on *work*, not
+    only on constant factors: for a graph kernel a dict-of-set scan
+    touches ~2·E adjacency elements while the dense kernel scans ~E
+    elements plus O(words·V) word operations, so E must comfortably
     exceed words·V (see docs/PERFORMANCE.md).
     """
     cases: List[Dict[str, object]] = []
+
+    def case(kernel: str, instance: str, args: tuple, run: Runner) -> None:
+        cases.append({
+            "kernel": kernel, "instance": instance, "args": args, "run": run,
+        })
 
     # --- interference-graph build (liveness + Chaitin walk) ----------
     build_cfg = GeneratorConfig(
@@ -96,177 +109,103 @@ def pinned_suite() -> List[Dict[str, object]]:
     )
     for seed in (6, 10):
         func = random_function(seed=seed, config=build_cfg)
-        cases.append({
-            "kernel": "build",
-            "instance": f"fn-{seed}",
-            "runners": {
-                "dense": lambda t, f=func: chaitin_interference(
-                    f, backend="dense", tracer=t
-                ),
-                "dict": lambda t, f=func: chaitin_interference(
-                    f, backend="dict", tracer=t
-                ),
-            },
-        })
+        case("build", f"fn-{seed}", (func,),
+             lambda t, f=func: chaitin_interference(f, tracer=t))
 
     # --- interference build on a real frontend-lowered function -----
-    # interp.ll is a dispatch loop with many small blocks: the dict
-    # baseline pays for the liveness fixpoint element by element, while
-    # 41 variables fit one bitset word.  (A straight-line block would
-    # NOT qualify here — with trivial liveness both backends' work is
-    # edge-dominated and the dense word merges are pure overhead.)
+    # interp.ll is a dispatch loop with many small blocks: a set-based
+    # liveness fixpoint pays element by element, while 41 variables fit
+    # one bitset word.  (A straight-line block would NOT qualify here —
+    # with trivial liveness the work is edge-dominated and the dense
+    # word merges are pure overhead.)
     from ..frontend.corpus import corpus_dir, load_functions
 
     with open(corpus_dir() / "interp.ll") as stream:
         ll_func = load_functions(stream.read())[0]
-    cases.append({
-        "kernel": "build",
-        "instance": "ll-interp",
-        "runners": {
-            "dense": lambda t, f=ll_func: chaitin_interference(
-                f, backend="dense", tracer=t
-            ),
-            "dict": lambda t, f=ll_func: chaitin_interference(
-                f, backend="dict", tracer=t
-            ),
-        },
-    })
+    case("build", "ll-interp", (ll_func,),
+         lambda t, f=ll_func: chaitin_interference(f, tracer=t))
 
     # --- MCS and greedy colouring on synthetic graphs ----------------
+    # The dense runners take the graph already interned, so the rows
+    # time the kernels alone.
     graphs = [
         ("er-192", random_graph(192, 0.15, seed=11)),
         ("chordal-160", random_chordal_graph(160, 24, seed=7)),
     ]
     for name, graph in graphs:
         dense_graph = DenseGraph.from_graph(graph)
-        cases.append({
-            "kernel": "mcs",
-            "instance": name,
-            "runners": {
-                "dense": lambda t, d=dense_graph: _dense.mcs_order(
-                    d, tracer=t
-                ),
-                "dict": lambda t, g=graph: maximum_cardinality_search_dict(
-                    g, tracer=t
-                ),
-            },
-        })
-        cases.append({
-            "kernel": "color",
-            "instance": name,
-            "runners": {
-                "dense": lambda t, d=dense_graph: _dense.greedy_coloring(
-                    d, tracer=t
-                ),
-                "dict": lambda t, g=graph: greedy_coloring_dict(g, tracer=t),
-            },
-        })
+        case("mcs", name, (graph,),
+             lambda t, d=dense_graph: _dense.mcs_order(d, tracer=t))
+        case("color", name, (graph,),
+             lambda t, d=dense_graph: _dense.greedy_coloring(d, tracer=t))
 
     # --- live-interval construction (liveness + point walk) ----------
-    # The builders share the RANGES_BUILT output counter (identical by
-    # construction); the dense/dict contrast is the liveness fixpoint
-    # plus the per-point mask-vs-set occupancy algebra.
-    from ..intervals.model import build_intervals, build_intervals_dict
+    from ..intervals.model import build_intervals
 
     fn6 = random_function(seed=6, config=build_cfg)
     for label, ifunc in (("fn-6", fn6), ("ll-interp", ll_func)):
-        cases.append({
-            "kernel": "intervals",
-            "instance": label,
-            "runners": {
-                "dense": lambda t, f=ifunc: build_intervals(f, tracer=t),
-                "dict": lambda t, f=ifunc: build_intervals_dict(
-                    f, tracer=t
-                ),
-            },
-        })
+        case("intervals", label, (ifunc,),
+             lambda t, f=ifunc: build_intervals(f, tracer=t))
 
-    # --- linear scan end to end (build + scan, backend-switched) -----
+    # --- linear scan end to end (build + scan) -----------------------
     # Second-chance at k = Maxlive: a pure scan (no spill rounds), so
-    # the row isolates the interval-construction backends under the
-    # allocator's real access pattern.
+    # the row measures interval construction under the allocator's
+    # real access pattern.
     from ..intervals.linear_scan import linear_scan_allocate
     from ..ir.liveness import maxlive as _maxlive
 
     with open(corpus_dir() / "interp.ll") as stream:
         scan_func = load_functions(stream.read())[0]
     scan_k = _maxlive(scan_func)
-    cases.append({
-        "kernel": "linscan",
-        "instance": "ll-interp",
-        "runners": {
-            backend: lambda t, f=scan_func, kk=scan_k, b=backend: (
-                linear_scan_allocate(
-                    f, kk, variant="second-chance", backend=b, tracer=t
-                )
-            )
-            for backend in ("dense", "dict")
-        },
-    })
+    case("linscan", "ll-interp", (scan_func, scan_k),
+         lambda t, f=scan_func, kk=scan_k: linear_scan_allocate(
+             f, kk, variant="second-chance", tracer=t
+         ))
 
     # --- conservative coalescing (briggs_george worklist) ------------
     for k, rounds, seed in ((12, 20, 5), (16, 16, 13)):
         inst = pressure_instance(
             k, rounds, rng=random.Random(seed), name=f"pressure-k{k}"
         )
-        cases.append({
-            "kernel": "coalesce",
-            "instance": f"pressure-k{k}",
-            "runners": {
-                backend: lambda t, g=inst.graph, kk=k, b=backend: (
-                    conservative_coalesce(
-                        g, kk, test="briggs_george", check_input=False,
-                        tracer=t, backend=b,
-                    )
-                )
-                for backend in ("dense", "dict")
-            },
-        })
+        case("coalesce", f"pressure-k{k}", (inst.graph, k),
+             lambda t, g=inst.graph, kk=k: conservative_coalesce(
+                 g, kk, test="briggs_george", check_input=False, tracer=t
+             ))
     return cases
 
 
 def run_snapshot(
-    repeats: int = 5, rev: Optional[str] = None, enforce: bool = True
+    repeats: int = 5, rev: Optional[str] = None
 ) -> Dict[str, object]:
     """Execute the pinned suite and return the snapshot document.
 
     One traced run per row collects the exact work counters; ``repeats``
-    untraced runs collect the minimum wall time.  With ``enforce`` (the
-    default), raises ``RuntimeError`` if any (kernel, instance) pair
-    fails the dense-does-less-work claim.
+    untraced runs collect the minimum wall time.
     """
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     rows: List[Dict[str, object]] = []
     for case in pinned_suite():
-        runners: Dict[str, Runner] = case["runners"]  # type: ignore[assignment]
-        for backend in ("dense", "dict"):
-            run = runners[backend]
-            tracer = Tracer()
-            run(tracer)
-            counters = {
-                name: int(tracer.counters.get(name, 0))
-                for name in KERNEL_WORK_COUNTERS
-            }
-            best = float("inf")
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                run(NULL_TRACER)
-                best = min(best, time.perf_counter() - t0)
-            rows.append({
-                "kernel": case["kernel"],
-                "instance": case["instance"],
-                "backend": backend,
-                "wall_ms": round(best * 1e3, 4),
-                "counters": counters,
-                "work": sum(counters.values()),
-            })
-    if enforce:
-        problems = work_reduction_problems(rows)
-        if problems:
-            raise RuntimeError(
-                "dense backend did not reduce work: " + "; ".join(problems)
-            )
+        run: Runner = case["run"]  # type: ignore[assignment]
+        tracer = Tracer()
+        run(tracer)
+        counters = {
+            name: int(tracer.counters.get(name, 0))
+            for name in KERNEL_WORK_COUNTERS
+        }
+        best = float("inf")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            run(NULL_TRACER)
+            best = min(best, time.perf_counter() - t0)
+        rows.append({
+            "kernel": case["kernel"],
+            "instance": case["instance"],
+            "backend": BACKEND,
+            "wall_ms": round(best * 1e3, 4),
+            "counters": counters,
+            "work": sum(counters.values()),
+        })
     return {
         "schema_version": SCHEMA_VERSION,
         "rev": rev or _git_rev(),
@@ -274,27 +213,6 @@ def run_snapshot(
         "repeats": repeats,
         "rows": rows,
     }
-
-
-def work_reduction_problems(rows: List[Dict[str, object]]) -> List[str]:
-    """Check dense < dict total work for every (kernel, instance).
-
-    Returns human-readable violations (empty = the claim holds).
-    """
-    by_key: Dict[Tuple[str, str], Dict[str, int]] = {}
-    for row in rows:
-        key = (str(row["kernel"]), str(row["instance"]))
-        by_key.setdefault(key, {})[str(row["backend"])] = int(row["work"])  # type: ignore[arg-type]
-    problems: List[str] = []
-    for (kernel, instance), works in sorted(by_key.items()):
-        if "dense" not in works or "dict" not in works:
-            problems.append(f"{kernel}/{instance}: missing a backend row")
-        elif works["dense"] >= works["dict"]:
-            problems.append(
-                f"{kernel}/{instance}: dense work {works['dense']} >= "
-                f"dict work {works['dict']}"
-            )
-    return problems
 
 
 def compare_snapshots(
@@ -308,8 +226,10 @@ def compare_snapshots(
     comparison — the counters are deterministic) or its wall time
     exceeds ``(1 + tolerance)`` times the baseline.  Rows present only
     in the candidate are fine (new kernels extend the trajectory); rows
-    that disappeared are reported.  Returns the list of problems (empty
-    = gate passes).
+    that disappeared are reported.  Baseline rows of any backend other
+    than :data:`BACKEND` are skipped: they measured the dict-of-set
+    references, which now live in ``tests/reference/``.  Returns the
+    list of problems (empty = gate passes).
     """
     problems: List[str] = []
     if baseline.get("schema_version") != candidate.get("schema_version"):
@@ -329,6 +249,8 @@ def compare_snapshots(
     base_rows = rows_by_key(baseline)
     cand_rows = rows_by_key(candidate)
     for key, base in sorted(base_rows.items()):
+        if key[2] != BACKEND:
+            continue
         label = "/".join(key)
         cand = cand_rows.get(key)
         if cand is None:
@@ -357,7 +279,12 @@ def write_snapshot(snapshot: Dict[str, object], path: str) -> None:
 
 
 def load_snapshot(path: str) -> Dict[str, object]:
-    """Load a snapshot document, validating the schema version."""
+    """Load a snapshot document, validating its shape.
+
+    Raises ``ValueError`` unless the document has the supported schema
+    version and a ``rows`` list whose every entry is an object with the
+    :data:`ROW_FIELDS`, ``counters`` itself an object.
+    """
     with open(path) as stream:
         doc = json.load(stream)
     if not isinstance(doc, dict) or "rows" not in doc:
@@ -367,4 +294,15 @@ def load_snapshot(path: str) -> Dict[str, object]:
             f"{path}: schema_version {doc.get('schema_version')!r} "
             f"(this tool reads {SCHEMA_VERSION})"
         )
+    rows = doc["rows"]
+    if not isinstance(rows, list):
+        raise ValueError(f"{path}: 'rows' must be a list")
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise ValueError(f"{path}: row {i} is not an object")
+        missing = [name for name in ROW_FIELDS if name not in row]
+        if missing:
+            raise ValueError(f"{path}: row {i} lacks {', '.join(missing)}")
+        if not isinstance(row["counters"], dict):
+            raise ValueError(f"{path}: row {i} 'counters' is not an object")
     return doc

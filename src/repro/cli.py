@@ -47,11 +47,12 @@ Commands
     diagnostic codes.
 
 ``bench {snapshot,compare} [BASELINE] [--repeats N] [--tolerance T]``
-    Run the pinned kernel suite (interference build, MCS, greedy
-    colouring, conservative coalescing; dense and dict backends) and
-    write a schema-versioned ``BENCH_<rev>.json`` with wall-times and
-    exact work counters — or compare a fresh run against a committed
-    baseline as the CI regression gate.  See ``docs/PERFORMANCE.md``.
+    Run the pinned dense-kernel suite (interference build, MCS, greedy
+    colouring, live intervals, linear scan, conservative coalescing)
+    and write a schema-versioned ``BENCH_<rev>.json`` with wall-times
+    and exact work counters — or compare a fresh run against a
+    committed baseline as the CI regression gate.  A malformed
+    snapshot file exits 2.  See ``docs/PERFORMANCE.md``.
 
 ``serve [--port P] [--workers N] [--cache-dir DIR] [--batch-window S]``
     Run the resident :mod:`repro.serve` service: an asyncio HTTP API
@@ -955,6 +956,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     """Run or compare pinned kernel snapshots (repro.bench)."""
     from .bench import (
+        BACKEND,
         compare_snapshots,
         load_snapshot,
         run_snapshot,
@@ -962,11 +964,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     )
 
     if args.action == "snapshot":
-        try:
-            snapshot = run_snapshot(repeats=args.repeats, rev=args.rev)
-        except RuntimeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        snapshot = run_snapshot(repeats=args.repeats, rev=args.rev)
         print(f"{'kernel':<10} {'instance':<16} {'backend':<7} "
               f"{'wall_ms':>9} {'work':>9}")
         for row in snapshot["rows"]:
@@ -988,24 +986,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
             candidate = load_snapshot(args.candidate)
         else:
             candidate = run_snapshot(repeats=args.repeats)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     problems = compare_snapshots(baseline, candidate, tolerance=args.tolerance)
     if problems:
         print(f"REGRESSION vs {args.baseline}:")
         for problem in problems:
             print(f"  {problem}")
         return 1
+    gated = sum(row["backend"] == BACKEND for row in baseline["rows"])
     print(f"ok: no regression vs {args.baseline} "
-          f"(tolerance {args.tolerance:.0%}, "
-          f"{len(baseline['rows'])} rows)")
+          f"(tolerance {args.tolerance:.0%}, {gated} {BACKEND} rows)")
     return 0
 
 

@@ -7,9 +7,9 @@ textual subset of LLVM IR — functions, basic blocks, ``br``/``ret``/
 ``switch`` terminators, φ-nodes, integer arithmetic, compares,
 ``select``, ``call``, and opaque memory operations — and lowers each
 function onto the :mod:`repro.ir` CFG/SSA substrate, so liveness,
-interference-graph construction (dict and dense backends), every
-coalescing strategy, the allocators, and the :mod:`repro.analysis`
-translation validation all run unchanged on compiler-shaped code.
+interference-graph construction, every coalescing strategy, the
+allocators, and the :mod:`repro.analysis` translation validation all
+run unchanged on compiler-shaped code.
 
 Pipeline: :mod:`repro.frontend.tokens` (tokenizer) →
 :mod:`repro.frontend.parser` (recursive-descent parser, module AST) →

@@ -22,7 +22,6 @@ from .chordal import (
     make_chordal,
     maximal_cliques_chordal,
     maximum_cardinality_search,
-    maximum_cardinality_search_dict,
     perfect_elimination_ordering,
     simplicial_vertices,
     verify_clique_tree,
@@ -31,7 +30,6 @@ from .coloring import (
     chromatic_number,
     dsatur_coloring,
     greedy_coloring,
-    greedy_coloring_dict,
     is_k_colorable,
     k_coloring_exact,
     verify_coloring,
@@ -40,10 +38,8 @@ from .greedy import (
     coloring_number,
     dense_subgraph_witness,
     greedy_elimination_order,
-    greedy_elimination_order_dict,
     greedy_k_coloring,
     is_greedy_k_colorable,
-    is_greedy_k_colorable_dict,
     smallest_last_order,
 )
 from . import dense, generators, interval, io, perfect
@@ -64,24 +60,20 @@ __all__ = [
     "make_chordal",
     "maximal_cliques_chordal",
     "maximum_cardinality_search",
-    "maximum_cardinality_search_dict",
     "perfect_elimination_ordering",
     "simplicial_vertices",
     "verify_clique_tree",
     "chromatic_number",
     "dsatur_coloring",
     "greedy_coloring",
-    "greedy_coloring_dict",
     "is_k_colorable",
     "k_coloring_exact",
     "verify_coloring",
     "coloring_number",
     "dense_subgraph_witness",
     "greedy_elimination_order",
-    "greedy_elimination_order_dict",
     "greedy_k_coloring",
     "is_greedy_k_colorable",
-    "is_greedy_k_colorable_dict",
     "smallest_last_order",
     "dense",
     "generators",

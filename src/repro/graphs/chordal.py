@@ -22,11 +22,10 @@ Algorithms here:
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..obs import EDGES_SCANNED, NULL_TRACER, Tracer
+from ..obs import NULL_TRACER, Tracer
 from .dense import DenseGraph
 from .dense import mcs_order as _dense_mcs_order
 from .graph import Graph, Vertex
@@ -40,47 +39,11 @@ def maximum_cardinality_search(
     Repeatedly pick an unvisited vertex with the most visited neighbours.
     For chordal graphs the *reverse* of this order is a perfect
     elimination ordering.  Runs on the dense bitset kernel
-    (:func:`repro.graphs.dense.mcs_order`), which produces the exact
-    order of the dict reference implementation
-    (:func:`maximum_cardinality_search_dict`) — same lazy heap, same
-    insertion-order tie-break — at a fraction of the scan work.
+    (:func:`repro.graphs.dense.mcs_order`): a lazy heap with an
+    insertion-order tie-break.
     """
     dense = DenseGraph.from_graph(graph)
     return [dense.names[i] for i in _dense_mcs_order(dense, tracer=tracer)]
-
-
-def maximum_cardinality_search_dict(
-    graph: Graph, tracer: Tracer = NULL_TRACER
-) -> List[Vertex]:
-    """The dict-of-set MCS reference implementation.
-
-    Kept as the benchmark baseline (``repro bench snapshot``) and the
-    equivalence oracle for the dense kernel.  O((V+E) log V) with a
-    lazy heap.
-    """
-    counting = tracer.enabled
-    weight: Dict[Vertex, int] = {v: 0 for v in graph.vertices}
-    # heap of (-weight, tiebreak, vertex); lazy deletion via weight check
-    heap: List[Tuple[int, int, Vertex]] = []
-    order_index: Dict[Vertex, int] = {}
-    for i, v in enumerate(graph.vertices):
-        heapq.heappush(heap, (0, i, v))
-        order_index[v] = i
-    visited: Set[Vertex] = set()
-    order: List[Vertex] = []
-    while heap:
-        neg_w, _, v = heapq.heappop(heap)
-        if v in visited or -neg_w != weight[v]:
-            continue
-        visited.add(v)
-        order.append(v)
-        if counting:
-            tracer.count(EDGES_SCANNED, graph.degree(v))
-        for u in graph.neighbors_view(v):
-            if u not in visited:
-                weight[u] += 1
-                heapq.heappush(heap, (-weight[u], order_index[u], u))
-    return order
 
 
 def is_perfect_elimination_ordering(graph: Graph, order: Sequence[Vertex]) -> bool:

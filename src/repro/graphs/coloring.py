@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..obs import EDGES_SCANNED, NULL_TRACER, Tracer
+from ..obs import NULL_TRACER, Tracer
 from .dense import DenseGraph
 from .dense import greedy_coloring as _dense_greedy_coloring
 from .graph import Graph, Vertex
@@ -34,39 +34,12 @@ def greedy_coloring(
     """First-fit colouring along ``order`` (default: insertion order).
 
     Routed through the dense bitset kernel
-    (:func:`repro.graphs.dense.greedy_coloring`); first-fit along a
-    fixed order is deterministic, so the colours are identical to the
-    dict reference :func:`greedy_coloring_dict`.
+    (:func:`repro.graphs.dense.greedy_coloring`).
     """
     dense = DenseGraph.from_graph(graph)
     idx_order = None if order is None else [dense.index[v] for v in order]
     colors = _dense_greedy_coloring(dense, order=idx_order, tracer=tracer)
     return {dense.names[i]: c for i, c in colors.items()}
-
-
-def greedy_coloring_dict(
-    graph: Graph,
-    order: Optional[Sequence[Vertex]] = None,
-    tracer: Tracer = NULL_TRACER,
-) -> Dict[Vertex, int]:
-    """The dict-of-set first-fit reference implementation.
-
-    Kept as the benchmark baseline (``repro bench snapshot``) and the
-    equivalence oracle for the dense kernel.
-    """
-    counting = tracer.enabled
-    if order is None:
-        order = list(graph.vertices)
-    coloring: Dict[Vertex, int] = {}
-    for v in order:
-        if counting:
-            tracer.count(EDGES_SCANNED, graph.degree(v))
-        used = {coloring[u] for u in graph.neighbors_view(v) if u in coloring}
-        c = 0
-        while c in used:
-            c += 1
-        coloring[v] = c
-    return coloring
 
 
 def dsatur_coloring(graph: Graph) -> Dict[Vertex, int]:

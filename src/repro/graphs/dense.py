@@ -12,18 +12,20 @@ operation — and ``popcount`` replaces per-element counting.
 
 Everything here is lossless with respect to the dict representation:
 :meth:`DenseGraph.from_graph` / :meth:`DenseGraph.to_graph` round-trip
-exactly, and each kernel is the *same algorithm* as its dict reference
-(same tie-breaking, same verdicts), so the public dict-based API can
-route through this module without changing observable results.  The
-equivalence is enforced by property tests (``tests/test_dense.py``).
+exactly, and each kernel is the *same algorithm* as a dict-of-set
+reference kept in ``tests/reference/`` (same tie-breaking, same
+verdicts), so the public dict-based API routes through this module
+without changing observable results.  The equivalence is enforced by
+property tests (``tests/test_dense.py``).
 
 Work accounting: kernels count :data:`~repro.obs.names.EDGES_SCANNED`
 for every adjacency element actually visited and
 :data:`~repro.obs.names.WORDS_MERGED` for every machine word processed
 by a mask operation.  Counts measure the size of data consumed — never
 early exits — so they are exact across runs; ``repro bench snapshot``
-uses them to prove the dense kernels do strictly less work than the
-dict baselines (see ``docs/PERFORMANCE.md``).
+records them and ``tests/test_dense.py`` checks that the dense kernels
+do strictly less work than the references (see
+``docs/PERFORMANCE.md``).
 """
 
 from __future__ import annotations
@@ -197,8 +199,7 @@ def mcs_order(dense: DenseGraph, tracer: Tracer = NULL_TRACER) -> List[int]:
     """Maximum-cardinality search over the dense graph.
 
     Same lazy-heap algorithm and tie-break (max visited-neighbour count,
-    then smallest interned index) as the dict reference
-    :func:`repro.graphs.chordal.maximum_cardinality_search_dict`, so the
+    then smallest interned index) as the dict-of-set reference, so the
     two produce *identical* orders.  The bitset win: each visit scans
     only the still-unvisited neighbours (``adj[v] & ~visited``), so
     every edge is walked once instead of twice.
@@ -236,8 +237,7 @@ def greedy_coloring(
 ) -> Dict[int, int]:
     """First-fit colouring along ``order`` (default: index order).
 
-    Identical colours to the dict reference
-    :func:`repro.graphs.coloring.greedy_coloring_dict` on the same
+    Identical colours to the dict-of-set reference on the same
     order.  Only already-coloured neighbours are visited — the
     ``adj[v] & colored`` mask prunes the rest word-wise — so the scan
     work is E instead of 2E.
@@ -270,8 +270,7 @@ def greedy_elimination_order(
 ) -> Tuple[List[int], bool]:
     """Chaitin's elimination scheme with threshold ``k`` (Section 2.2).
 
-    Returns ``(order, success)`` like the dict reference
-    :func:`repro.graphs.greedy.greedy_elimination_order_dict`; success
+    Returns ``(order, success)`` like the dict-of-set reference; success
     is identical (the scheme is confluent), the order may differ in
     tie-breaking.  Each removal scans only the *remaining* neighbours.
     """

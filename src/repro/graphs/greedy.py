@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..obs import EDGES_SCANNED, NULL_TRACER, Tracer
+from ..obs import NULL_TRACER, Tracer
 from . import dense as _dense
 from .dense import DenseGraph
 from .graph import Graph, Vertex
@@ -29,45 +29,12 @@ def greedy_elimination_order(
     Returns ``(order, success)``: the vertices removed, in removal order,
     and whether the graph was fully eliminated.  The order in which
     candidates are picked does not affect success (the scheme is
-    confluent — Section 2.2).  Routed through the dense bitset kernel
-    (:func:`repro.graphs.dense.greedy_elimination_order`); the dict
-    reference :func:`greedy_elimination_order_dict` remains the
-    benchmark baseline.
+    confluent — Section 2.2).  Runs on the dense bitset kernel
+    (:func:`repro.graphs.dense.greedy_elimination_order`).
     """
     dg = DenseGraph.from_graph(graph)
     order, success = _dense.greedy_elimination_order(dg, k, tracer=tracer)
     return [dg.names[i] for i in order], success
-
-
-def greedy_elimination_order_dict(
-    graph: Graph, k: int, tracer: Tracer = NULL_TRACER
-) -> Tuple[List[Vertex], bool]:
-    """The dict-of-set elimination reference implementation, O(V+E).
-
-    Kept as the benchmark baseline (``repro bench snapshot``) and the
-    equivalence oracle for the dense kernel.
-    """
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
-    counting = tracer.enabled
-    degree: Dict[Vertex, int] = {v: graph.degree(v) for v in graph.vertices}
-    removed: Dict[Vertex, bool] = {v: False for v in graph.vertices}
-    worklist: List[Vertex] = [v for v, d in degree.items() if d < k]
-    order: List[Vertex] = []
-    while worklist:
-        v = worklist.pop()
-        if removed[v] or degree[v] >= k:
-            continue
-        removed[v] = True
-        order.append(v)
-        if counting:
-            tracer.count(EDGES_SCANNED, graph.degree(v))
-        for u in graph.neighbors_view(v):
-            if not removed[u]:
-                degree[u] -= 1
-                if degree[u] == k - 1:
-                    worklist.append(u)
-    return order, len(order) == len(graph)
 
 
 def is_greedy_k_colorable(
@@ -75,18 +42,9 @@ def is_greedy_k_colorable(
 ) -> bool:
     """True iff the elimination scheme with threshold ``k`` empties G.
 
-    Runs on the dense bitset kernel; by confluence the verdict is
-    identical to the dict reference (:func:`is_greedy_k_colorable_dict`).
+    Runs on the dense bitset kernel.
     """
     _, success = greedy_elimination_order(graph, k, tracer=tracer)
-    return success
-
-
-def is_greedy_k_colorable_dict(
-    graph: Graph, k: int, tracer: Tracer = NULL_TRACER
-) -> bool:
-    """Dict-of-set reference for :func:`is_greedy_k_colorable`."""
-    _, success = greedy_elimination_order_dict(graph, k, tracer=tracer)
     return success
 
 

@@ -22,7 +22,6 @@ from .model import (
     ProgramPoints,
     Ranges,
     build_intervals,
-    build_intervals_dict,
     interval_stats,
     merge_ranges,
     number_points,
@@ -38,7 +37,6 @@ __all__ = [
     "ranges_intersect",
     "merge_ranges",
     "build_intervals",
-    "build_intervals_dict",
     "interval_stats",
     "VARIANTS",
     "LinearScanResult",

@@ -50,21 +50,12 @@ from ..ir.instructions import Var
 from ..ir.interference import set_frequencies_from_loops
 from ..obs import NULL_TRACER
 from ..obs.tracer import Tracer
-from .model import (
-    IntervalSet,
-    LiveInterval,
-    build_intervals,
-    build_intervals_dict,
-)
+from .model import IntervalSet, LiveInterval, build_intervals
 
 __all__ = ["VARIANTS", "LinearScanResult", "linear_scan_allocate"]
 
 #: The allocator variants ``linear_scan_allocate`` accepts.
 VARIANTS = ("classic", "second-chance")
-
-#: Interval-construction backends (the dict one is the benchmark
-#: reference; see ``docs/PERFORMANCE.md``).
-BACKENDS = ("dense", "dict")
 
 
 @dataclass
@@ -203,28 +194,23 @@ def linear_scan_allocate(
     k: int,
     variant: str = "classic",
     max_rounds: int = 64,
-    backend: str = "dense",
     tracer: Tracer = NULL_TRACER,
 ) -> LinearScanResult:
     """Allocate ``k`` registers for ``func`` by linear scan.
 
-    Builds live intervals (``backend`` selects the dense mask walk or
-    the dict reference — identical output), scans them in deterministic
-    ``(start, end, name)`` order, and on victims rewrites the code with
+    Builds live intervals, scans them in deterministic ``(start, end,
+    name)`` order, and on victims rewrites the code with
     :func:`repro.allocator.spill.spill_everywhere` and rescans, up to
     ``max_rounds`` times.  Returns a :class:`LinearScanResult` whose
     final function is the rewritten code; ``coalesced_moves`` counts
     copies whose operands ended up sharing a register.  Raises
-    ``ValueError`` on a bad ``variant``/``backend``/``k`` and
-    ``RuntimeError`` if spilling cannot converge.
+    ``ValueError`` on a bad ``variant``/``k`` and ``RuntimeError`` if
+    spilling cannot converge.
     """
     if k <= 0:
         raise ValueError(f"need at least one register, got k={k}")
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected {VARIANTS}")
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; expected {BACKENDS}")
-    build = build_intervals if backend == "dense" else build_intervals_dict
     scan = _scan_classic if variant == "classic" else _scan_second_chance
     if not func.frequency:
         set_frequencies_from_loops(func)
@@ -239,7 +225,7 @@ def linear_scan_allocate(
                 "spill rounds"
             )
         with tracer.span("linscan/build"):
-            iset: IntervalSet = build(work, tracer=tracer)
+            iset: IntervalSet = build_intervals(work, tracer=tracer)
         order = sorted(
             (
                 interval

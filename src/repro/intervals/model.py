@@ -35,11 +35,9 @@ follow by construction and are enforced by the test suite and the
   (``live_out`` covered at block end, ``live_in ∪ φ-targets`` at
   entry).
 
-Two builders produce bit-identical intervals: :func:`build_intervals`
-walks the dense liveness masks word-wise (``WORDS_MERGED``), while
-:func:`build_intervals_dict` is the dict-of-set reference
-(``EDGES_SCANNED``).  Both count the shared output-size counter
-:data:`repro.obs.names.RANGES_BUILT`.
+:func:`build_intervals` walks the dense liveness masks word-wise
+(``WORDS_MERGED``) and counts the emitted ``(variable, point)``
+liveness units as :data:`repro.obs.names.RANGES_BUILT`.
 """
 
 from __future__ import annotations
@@ -50,8 +48,8 @@ from typing import Dict, Iterator, List, Tuple
 from ..graphs.dense import WORD_BITS
 from ..ir.cfg import Function
 from ..ir.instructions import Var
-from ..ir.liveness import compute_liveness_dict, liveness_masks, maxlive
-from ..obs import EDGES_SCANNED, NULL_TRACER, RANGES_BUILT, WORDS_MERGED
+from ..ir.liveness import liveness_masks, maxlive
+from ..obs import NULL_TRACER, RANGES_BUILT, WORDS_MERGED
 from ..obs.tracer import Tracer
 
 __all__ = [
@@ -63,7 +61,6 @@ __all__ = [
     "ranges_intersect",
     "merge_ranges",
     "build_intervals",
-    "build_intervals_dict",
     "interval_stats",
 ]
 
@@ -288,7 +285,7 @@ def build_intervals(
     One backward walk per block over ``liveness_masks`` output, all
     occupancy sets held as int bitmasks.  ``WORDS_MERGED`` counts the
     word-wise mask operations, ``RANGES_BUILT`` the emitted liveness
-    units (identical to the dict builder's).
+    units.
     """
     variables, _, out_masks = liveness_masks(func, tracer=tracer)
     points = number_points(func)
@@ -338,59 +335,6 @@ def build_intervals(
             intervals[var] = LiveInterval(
                 var=var, ranges=_ranges_from_points(live_points[i])
             )
-    return IntervalSet(points=points, intervals=intervals)
-
-
-def build_intervals_dict(
-    func: Function, tracer: Tracer = NULL_TRACER
-) -> IntervalSet:
-    """The dict-of-set interval builder (equivalence reference).
-
-    Same walk as :func:`build_intervals` over
-    :func:`repro.ir.liveness.compute_liveness_dict` sets;
-    ``EDGES_SCANNED`` counts every set element consumed.  Produces
-    intervals bit-identical to the dense builder.
-    """
-    info = compute_liveness_dict(func, tracer=tracer)
-    points = number_points(func)
-    counting = tracer.enabled
-    live_points: Dict[Var, List[int]] = {}
-    for name in points.order:
-        block = func.blocks[name]
-        occupancy: List[Tuple[int, frozenset]] = []
-        live = set(info.live_out[name])
-        occupancy.append((points.block_end(name), frozenset(live)))
-        if counting:
-            tracer.count(EDGES_SCANNED, len(live))
-        for i in range(len(block.instrs) - 1, -1, -1):
-            instr = block.instrs[i]
-            defs = set(instr.defs)
-            uses = set(instr.uses)
-            occupancy.append(
-                (points.instr_point(name, i), frozenset(live | defs))
-            )
-            live -= defs
-            live |= uses
-            if counting:
-                tracer.count(
-                    EDGES_SCANNED, len(live) + 2 * len(defs) + len(uses)
-                )
-        phi_targets = {phi.target for phi in block.phis}
-        occupancy.append(
-            (points.block_entry(name), frozenset(live | phi_targets))
-        )
-        if counting:
-            tracer.count(EDGES_SCANNED, len(live) + len(phi_targets))
-        for point, occupants in reversed(occupancy):
-            if counting and occupants:
-                tracer.count(RANGES_BUILT, len(occupants))
-            for var in occupants:
-                live_points.setdefault(var, []).append(point)
-    intervals: Dict[Var, LiveInterval] = {}
-    for var in sorted(live_points):
-        intervals[var] = LiveInterval(
-            var=var, ranges=_ranges_from_points(live_points[var])
-        )
     return IntervalSet(points=points, intervals=intervals)
 
 

@@ -15,7 +15,6 @@ from .liveness import (
     LivenessInfo,
     check_strict,
     compute_liveness,
-    compute_liveness_dict,
     live_at_points,
     liveness_masks,
     maxlive,
@@ -30,7 +29,6 @@ from .out_of_ssa import (
 )
 from .interference import (
     chaitin_interference,
-    chaitin_interference_dict,
     intersection_interference,
     set_frequencies_from_loops,
 )
@@ -67,7 +65,6 @@ __all__ = [
     "LivenessInfo",
     "check_strict",
     "compute_liveness",
-    "compute_liveness_dict",
     "live_at_points",
     "liveness_masks",
     "maxlive",
@@ -80,7 +77,6 @@ __all__ = [
     "phi_webs",
     "sequentialize_parallel_copy",
     "chaitin_interference",
-    "chaitin_interference_dict",
     "intersection_interference",
     "set_frequencies_from_loops",
     "GeneratorConfig",

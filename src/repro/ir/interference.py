@@ -22,20 +22,13 @@ these are the moves an out-of-SSA translation would insert).
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List
 
 from ..graphs.interference import InterferenceGraph
 from ..obs import EDGES_SCANNED, NULL_TRACER, WORDS_MERGED, Tracer
 from .cfg import Function
 from .dominance import loop_depths
-from .instructions import Var
-from .liveness import (
-    LivenessInfo,
-    compute_liveness,
-    compute_liveness_dict,
-    live_at_points,
-    liveness_masks,
-)
+from .liveness import live_at_points, liveness_masks
 
 _WORD_BITS = 64
 
@@ -52,7 +45,6 @@ def chaitin_interference(
     move_affinities: bool = True,
     phi_affinities: bool = True,
     weighted: bool = True,
-    backend: str = "dense",
     tracer: Tracer = NULL_TRACER,
 ) -> InterferenceGraph:
     """The interference graph under Chaitin's definition.
@@ -64,23 +56,11 @@ def chaitin_interference(
     interfere unless genuinely simultaneously live — this is what makes
     φ affinities coalescable and the SSA graph chordal, Theorem 1).
 
-    ``backend="dense"`` (the default) accumulates interference as
-    bitmasks — each definition absorbs the whole live-after mask in one
-    word-wise OR instead of one ``add_edge`` per live variable — and
-    materializes the dict graph once at the end.  ``backend="dict"``
-    is the reference builder (:func:`chaitin_interference_dict`); both
-    return identical graphs and affinity ledgers.
+    Interference accumulates as bitmasks — each definition absorbs the
+    whole live-after mask in one word-wise OR instead of one
+    ``add_edge`` per live variable — and the dict graph is materialized
+    once at the end.
     """
-    if backend == "dict":
-        return chaitin_interference_dict(
-            func,
-            move_affinities=move_affinities,
-            phi_affinities=phi_affinities,
-            weighted=weighted,
-            tracer=tracer,
-        )
-    if backend != "dense":
-        raise ValueError(f"unknown backend {backend!r}; choose 'dense' or 'dict'")
     counting = tracer.enabled
     variables, _in_masks, out_masks = liveness_masks(func, tracer=tracer)
     index = {v: i for i, v in enumerate(variables)}
@@ -145,67 +125,6 @@ def chaitin_interference(
             low = row & -row
             g.add_edge(vi, variables[low.bit_length() - 1])
             row ^= low
-    return g
-
-
-def chaitin_interference_dict(
-    func: Function,
-    move_affinities: bool = True,
-    phi_affinities: bool = True,
-    weighted: bool = True,
-    tracer: Tracer = NULL_TRACER,
-) -> InterferenceGraph:
-    """The dict-of-set reference builder for Chaitin interference.
-
-    One ``add_edge`` per (definition, live-after variable) pair — the
-    classic backward walk.  Kept as the benchmark baseline
-    (``repro bench snapshot``) and the equivalence oracle for the dense
-    builder; the tracer counts :data:`~repro.obs.names.EDGES_SCANNED`
-    for every live-set element consumed.
-    """
-    counting = tracer.enabled
-    info = compute_liveness_dict(func, tracer=tracer)
-    g = InterferenceGraph(vertices=sorted(func.variables()))
-    reachable = func.reachable()
-    # insertion-order walk, mirroring chaitin_interference
-    for name in func.reachable_order():
-        block = func.blocks[name]
-        freq = func.block_frequency(name) if weighted else 1.0
-        live: Set[Var] = set(info.live_out[name])
-        for instr in reversed(block.instrs):
-            # see chaitin_interference for the move rationale
-            for d in instr.defs:
-                if counting:
-                    tracer.count(EDGES_SCANNED, len(live))
-                for other in live:
-                    if other != d:
-                        g.add_edge(d, other)
-            for d1, d2 in combinations(instr.defs, 2):
-                if d1 != d2:
-                    g.add_edge(d1, d2)
-            if instr.is_move and move_affinities:
-                dst, src = instr.defs[0], instr.uses[0]
-                if dst != src:
-                    g.add_affinity(dst, src, freq)
-            if counting:
-                tracer.count(EDGES_SCANNED, len(instr.defs) + len(instr.uses))
-            live -= set(instr.defs)
-            live |= set(instr.uses)
-        # φs execute in parallel at block top; 'live' is now the live set
-        # just after them
-        phi_targets = {phi.target for phi in block.phis}
-        for t in phi_targets:
-            if counting:
-                tracer.count(EDGES_SCANNED, len(live))
-            for other in live:
-                if other != t:
-                    g.add_edge(t, other)
-        if phi_affinities:
-            for phi in block.phis:
-                for pred, v in phi.args.items():
-                    if pred in reachable and v != phi.target:
-                        w = func.block_frequency(pred) if weighted else 1.0
-                        g.add_affinity(phi.target, v, w)
     return g
 
 

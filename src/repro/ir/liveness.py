@@ -20,9 +20,9 @@ and equals ω(G) under strict SSA (Theorem 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
-from ..obs import EDGES_SCANNED, NULL_TRACER, Tracer
+from ..obs import NULL_TRACER, Tracer
 from .cfg import Function
 from .instructions import Var
 
@@ -63,10 +63,9 @@ def liveness_masks(
     indices.  :func:`compute_liveness` materializes these masks back to
     the classic per-block sets; the interference builder
     (:func:`repro.ir.interference.chaitin_interference`) consumes them
-    directly.  Results are bit-identical to the dict reference
-    (:func:`compute_liveness_dict`) — the fixpoint of a monotone
-    framework is unique — while the engine's worklist does strictly
-    less transfer work than the old round-robin sweep loop.
+    directly.  The fixpoint of a monotone framework is unique, so the
+    worklist engine reaches the same sets as a round-robin sweep while
+    doing strictly less transfer work.
     """
     from ..analysis.dataflow import liveness_problem as _problem
     from ..analysis.dataflow import solve as _solve
@@ -80,9 +79,7 @@ def compute_liveness(func: Function, tracer: Tracer = NULL_TRACER) -> LivenessIn
     """Fixed-point backward liveness over reachable blocks.
 
     Runs on the bitmask transfer kernel (:func:`liveness_masks`) and
-    materializes the per-block sets; the result is identical to the
-    dict-of-set reference :func:`compute_liveness_dict`, which remains
-    the benchmark baseline.
+    materializes the per-block sets.
     """
     variables, in_masks, out_masks = liveness_masks(func, tracer=tracer)
 
@@ -98,72 +95,6 @@ def compute_liveness(func: Function, tracer: Tracer = NULL_TRACER) -> LivenessIn
         live_in={b: to_set(m) for b, m in in_masks.items()},
         live_out={b: to_set(m) for b, m in out_masks.items()},
     )
-
-
-def compute_liveness_dict(
-    func: Function, tracer: Tracer = NULL_TRACER
-) -> LivenessInfo:
-    """The dict-of-set liveness reference implementation.
-
-    Kept as the benchmark baseline (``repro bench snapshot``) and the
-    equivalence oracle for :func:`liveness_masks`.  The tracer counts
-    :data:`~repro.obs.names.EDGES_SCANNED` for every set element
-    consumed by a transfer evaluation.
-    """
-    counting = tracer.enabled
-    reachable = func.reachable()
-    use: Dict[str, Set[Var]] = {}
-    defs: Dict[str, Set[Var]] = {}
-    phi_uses_out: Dict[str, Set[Var]] = {b: set() for b in reachable}
-    phi_defs: Dict[str, Set[Var]] = {b: set() for b in reachable}
-
-    for name in reachable:
-        block = func.blocks[name]
-        upward: Set[Var] = set()
-        defined: Set[Var] = set()
-        for instr in block.instrs:
-            upward.update(v for v in instr.uses if v not in defined)
-            defined.update(instr.defs)
-        use[name] = upward
-        defs[name] = defined
-        for phi in block.phis:
-            phi_defs[name].add(phi.target)
-            for pred, v in phi.args.items():
-                if pred in reachable:
-                    phi_uses_out[pred].add(v)
-
-    info = LivenessInfo(
-        live_in={b: set() for b in reachable},
-        live_out={b: set() for b in reachable},
-    )
-    # iterate in postorder (against the flow) until stable
-    order = func.postorder()
-    changed = True
-    while changed:
-        changed = False
-        for b in order:
-            out: Set[Var] = set(phi_uses_out[b])
-            for s in func.successors(b):
-                if s not in reachable:
-                    continue
-                # live-in of successor minus its φ-targets, since those
-                # are defined at the join
-                out |= info.live_in[s]
-                if counting:
-                    tracer.count(EDGES_SCANNED, len(info.live_in[s]))
-            # φ-targets are defined at the block top, so they are not
-            # live-in even when used by the block's own instructions.
-            new_in = (use[b] | (out - defs[b])) - phi_defs[b]
-            if counting:
-                tracer.count(
-                    EDGES_SCANNED,
-                    len(phi_uses_out[b]) + len(use[b]) + len(out),
-                )
-            if out != info.live_out[b] or new_in != info.live_in[b]:
-                info.live_out[b] = out
-                info.live_in[b] = new_in
-                changed = True
-    return info
 
 
 def live_at_points(func: Function, info: LivenessInfo | None = None) -> Dict[Tuple[str, int], Set[Var]]:

@@ -1,12 +1,12 @@
 """Canonical counter names for kernel work accounting.
 
-The dense-vs-dict kernel comparison (see ``docs/PERFORMANCE.md``) only
-means something if every layer agrees on what "work" is called.  These
-constants are the single source of truth for the two kernel-work
+Kernel work comparisons (see ``docs/PERFORMANCE.md``) only mean
+something if every layer agrees on what "work" is called.  These
+constants are the single source of truth for the kernel-work
 counters; the benchmark snapshot harness (:mod:`repro.bench.snapshot`),
-the dense kernels (:mod:`repro.graphs.dense`), the dict reference
-kernels, and the service ``/metrics`` endpoint all import them instead
-of spelling the strings out.
+the dense kernels (:mod:`repro.graphs.dense`), the test suite's
+dict-of-set reference kernels, and the service ``/metrics`` endpoint
+all import them instead of spelling the strings out.
 
 Accounting convention (documented in ``docs/OBSERVABILITY.md``): both
 counters record the *size of the data consumed* by an operation —
@@ -21,15 +21,15 @@ never data-dependent early exits.
   operation (AND/OR/ANDNOT or popcount over a full mask).
 * ``RANGES_BUILT`` — per-output work of the live-interval builders
   (:mod:`repro.intervals.model`): one unit for each ``(variable,
-  program point)`` liveness unit emitted into an interval.  Both the
-  dense and the dict builder produce identical intervals, so the
-  counter is backend-independent by construction — it measures the
-  *output* size while the other two measure the *input* consumed.
+  program point)`` liveness unit emitted into an interval.  It
+  measures the *output* size, so any builder of the same intervals
+  counts the same value, while the other two measure the *input*
+  consumed.
 """
 
 from __future__ import annotations
 
-#: Counter name for per-element adjacency work (dict-of-set kernels).
+#: Counter name for per-element adjacency work.
 EDGES_SCANNED = "kernel.edges_scanned"
 
 #: In-memory LRU tier: record answered without touching the disk.

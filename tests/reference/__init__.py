@@ -1,0 +1,298 @@
+"""Dict-of-set reference kernels: the test oracles for ``repro``.
+
+Plain set-algebra versions of the kernels ``src/repro`` runs on bitsets.
+The tests check that the bitset kernels give identical results and do
+strictly less traced work (counted as in :mod:`repro.obs.names`).
+"""
+
+from __future__ import annotations
+
+import heapq
+from itertools import combinations
+from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+from repro.coalescing.base import affinities_by_weight
+from repro.coalescing.conservative import TESTS
+from repro.graphs.graph import Graph, Vertex
+from repro.graphs.interference import Coalescing, InterferenceGraph
+from repro.intervals.model import IntervalSet, LiveInterval, number_points
+from repro.intervals.model import _ranges_from_points
+from repro.ir.cfg import Function
+from repro.ir.instructions import Var
+from repro.ir.liveness import LivenessInfo
+from repro.obs import EDGES_SCANNED, NULL_TRACER, RANGES_BUILT, Tracer
+
+
+def maximum_cardinality_search(
+    graph: Graph, tracer: Tracer = NULL_TRACER
+) -> List[Vertex]:
+    """MCS with a lazy heap, O((V+E) log V); ties go to insertion order."""
+    counting = tracer.enabled
+    weight: Dict[Vertex, int] = {v: 0 for v in graph.vertices}
+    # heap of (-weight, tiebreak, vertex); lazy deletion via weight check
+    heap: List[Tuple[int, int, Vertex]] = []
+    order_index: Dict[Vertex, int] = {}
+    for i, v in enumerate(graph.vertices):
+        heapq.heappush(heap, (0, i, v))
+        order_index[v] = i
+    visited: Set[Vertex] = set()
+    order: List[Vertex] = []
+    while heap:
+        neg_w, _, v = heapq.heappop(heap)
+        if v in visited or -neg_w != weight[v]:
+            continue
+        visited.add(v)
+        order.append(v)
+        if counting:
+            tracer.count(EDGES_SCANNED, graph.degree(v))
+        for u in graph.neighbors_view(v):
+            if u not in visited:
+                weight[u] += 1
+                heapq.heappush(heap, (-weight[u], order_index[u], u))
+    return order
+
+
+def greedy_coloring(
+    graph: Graph,
+    order: Optional[Sequence[Vertex]] = None,
+    tracer: Tracer = NULL_TRACER,
+) -> Dict[Vertex, int]:
+    """First-fit colouring along ``order`` (default: insertion order)."""
+    counting = tracer.enabled
+    if order is None:
+        order = list(graph.vertices)
+    coloring: Dict[Vertex, int] = {}
+    for v in order:
+        if counting:
+            tracer.count(EDGES_SCANNED, graph.degree(v))
+        used = {coloring[u] for u in graph.neighbors_view(v) if u in coloring}
+        c = 0
+        while c in used:
+            c += 1
+        coloring[v] = c
+    return coloring
+
+
+def greedy_elimination_order(
+    graph: Graph, k: int, tracer: Tracer = NULL_TRACER
+) -> Tuple[List[Vertex], bool]:
+    """Chaitin's elimination scheme: ``(order, success)``, O(V+E)."""
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
+    counting = tracer.enabled
+    degree: Dict[Vertex, int] = {v: graph.degree(v) for v in graph.vertices}
+    removed: Dict[Vertex, bool] = {v: False for v in graph.vertices}
+    worklist: List[Vertex] = [v for v, d in degree.items() if d < k]
+    order: List[Vertex] = []
+    while worklist:
+        v = worklist.pop()
+        if removed[v] or degree[v] >= k:
+            continue
+        removed[v] = True
+        order.append(v)
+        if counting:
+            tracer.count(EDGES_SCANNED, graph.degree(v))
+        for u in graph.neighbors_view(v):
+            if not removed[u]:
+                degree[u] -= 1
+                if degree[u] == k - 1:
+                    worklist.append(u)
+    return order, len(order) == len(graph)
+
+
+def compute_liveness(
+    func: Function, tracer: Tracer = NULL_TRACER
+) -> LivenessInfo:
+    """Round-robin backward liveness over reachable blocks."""
+    counting = tracer.enabled
+    reachable = func.reachable()
+    use: Dict[str, Set[Var]] = {}
+    defs: Dict[str, Set[Var]] = {}
+    phi_uses_out: Dict[str, Set[Var]] = {b: set() for b in reachable}
+    phi_defs: Dict[str, Set[Var]] = {b: set() for b in reachable}
+
+    for name in reachable:
+        block = func.blocks[name]
+        upward: Set[Var] = set()
+        defined: Set[Var] = set()
+        for instr in block.instrs:
+            upward.update(v for v in instr.uses if v not in defined)
+            defined.update(instr.defs)
+        use[name] = upward
+        defs[name] = defined
+        for phi in block.phis:
+            phi_defs[name].add(phi.target)
+            for pred, v in phi.args.items():
+                if pred in reachable:
+                    phi_uses_out[pred].add(v)
+
+    info = LivenessInfo(
+        live_in={b: set() for b in reachable},
+        live_out={b: set() for b in reachable},
+    )
+    # iterate in postorder (against the flow) until stable
+    order = func.postorder()
+    changed = True
+    while changed:
+        changed = False
+        for b in order:
+            out: Set[Var] = set(phi_uses_out[b])
+            for s in func.successors(b):
+                if s not in reachable:
+                    continue
+                # live-in of successor minus its φ-targets, since those
+                # are defined at the join
+                out |= info.live_in[s]
+                if counting:
+                    tracer.count(EDGES_SCANNED, len(info.live_in[s]))
+            # φ-targets are defined at the block top, so they are not
+            # live-in even when used by the block's own instructions.
+            new_in = (use[b] | (out - defs[b])) - phi_defs[b]
+            if counting:
+                tracer.count(
+                    EDGES_SCANNED,
+                    len(phi_uses_out[b]) + len(use[b]) + len(out),
+                )
+            if out != info.live_out[b] or new_in != info.live_in[b]:
+                info.live_out[b] = out
+                info.live_in[b] = new_in
+                changed = True
+    return info
+
+
+def chaitin_interference(
+    func: Function,
+    move_affinities: bool = True,
+    phi_affinities: bool = True,
+    weighted: bool = True,
+    tracer: Tracer = NULL_TRACER,
+) -> InterferenceGraph:
+    """Chaitin interference: one ``add_edge`` per def × live-after pair."""
+    counting = tracer.enabled
+    info = compute_liveness(func, tracer=tracer)
+    g = InterferenceGraph(vertices=sorted(func.variables()))
+    reachable = func.reachable()
+    # insertion-order walk, mirroring repro.ir.interference
+    for name in func.reachable_order():
+        block = func.blocks[name]
+        freq = func.block_frequency(name) if weighted else 1.0
+        live: Set[Var] = set(info.live_out[name])
+        for instr in reversed(block.instrs):
+            # see repro.ir.interference for the move rationale
+            for d in instr.defs:
+                if counting:
+                    tracer.count(EDGES_SCANNED, len(live))
+                for other in live:
+                    if other != d:
+                        g.add_edge(d, other)
+            for d1, d2 in combinations(instr.defs, 2):
+                if d1 != d2:
+                    g.add_edge(d1, d2)
+            if instr.is_move and move_affinities:
+                dst, src = instr.defs[0], instr.uses[0]
+                if dst != src:
+                    g.add_affinity(dst, src, freq)
+            if counting:
+                tracer.count(EDGES_SCANNED, len(instr.defs) + len(instr.uses))
+            live -= set(instr.defs)
+            live |= set(instr.uses)
+        # φs execute in parallel at block top; 'live' is now the live set
+        # just after them
+        phi_targets = {phi.target for phi in block.phis}
+        for t in phi_targets:
+            if counting:
+                tracer.count(EDGES_SCANNED, len(live))
+            for other in live:
+                if other != t:
+                    g.add_edge(t, other)
+        if phi_affinities:
+            for phi in block.phis:
+                for pred, v in phi.args.items():
+                    if pred in reachable and v != phi.target:
+                        w = func.block_frequency(pred) if weighted else 1.0
+                        g.add_affinity(phi.target, v, w)
+    return g
+
+
+def build_intervals(
+    func: Function, tracer: Tracer = NULL_TRACER
+) -> IntervalSet:
+    """The dense builder's point walk over reference liveness sets."""
+    info = compute_liveness(func, tracer=tracer)
+    points = number_points(func)
+    counting = tracer.enabled
+    live_points: Dict[Var, List[int]] = {}
+    for name in points.order:
+        block = func.blocks[name]
+        occupancy: List[Tuple[int, frozenset]] = []
+        live = set(info.live_out[name])
+        occupancy.append((points.block_end(name), frozenset(live)))
+        if counting:
+            tracer.count(EDGES_SCANNED, len(live))
+        for i in range(len(block.instrs) - 1, -1, -1):
+            instr = block.instrs[i]
+            defs = set(instr.defs)
+            uses = set(instr.uses)
+            occupancy.append(
+                (points.instr_point(name, i), frozenset(live | defs))
+            )
+            live -= defs
+            live |= uses
+            if counting:
+                tracer.count(
+                    EDGES_SCANNED, len(live) + 2 * len(defs) + len(uses)
+                )
+        phi_targets = {phi.target for phi in block.phis}
+        occupancy.append(
+            (points.block_entry(name), frozenset(live | phi_targets))
+        )
+        if counting:
+            tracer.count(EDGES_SCANNED, len(live) + len(phi_targets))
+        for point, occupants in reversed(occupancy):
+            if counting and occupants:
+                tracer.count(RANGES_BUILT, len(occupants))
+            for var in occupants:
+                live_points.setdefault(var, []).append(point)
+    intervals: Dict[Var, LiveInterval] = {}
+    for var in sorted(live_points):
+        intervals[var] = LiveInterval(
+            var=var, ranges=_ranges_from_points(live_points[var])
+        )
+    return IntervalSet(points=points, intervals=intervals)
+
+
+def conservative_coalesce(
+    graph: InterferenceGraph, k: int, test: str = "briggs_george",
+    tracer: Tracer = NULL_TRACER,
+) -> Coalescing:
+    """The conservative fixed point with the dict ``TESTS``; returns the
+    final partition."""
+    test_fn = TESTS[test]
+    coalescing = Coalescing(graph)
+    work = graph.copy()
+    # map each union-find representative to its vertex name in `work`
+    # (stale entries for superseded representatives are harmless)
+    rep_name = {v: v for v in graph.vertices}
+    progress = True
+    while progress:
+        progress = False
+        tracer.count("conservative.rounds")
+        for u, v, w in affinities_by_weight(graph):
+            wu = rep_name[coalescing.find(u)]
+            wv = rep_name[coalescing.find(v)]
+            if wu == wv:
+                continue
+            tracer.count("queries.interference")
+            if work.has_edge(wu, wv):
+                tracer.count("moves.constrained")
+                continue
+            tracer.count("moves.attempted")
+            if test_fn(work, wu, wv, k, tracer=tracer):
+                work.merge_in_place(wu, wv)
+                coalescing.union(u, v)
+                rep_name[coalescing.find(u)] = wu
+                progress = True
+                tracer.count("moves.coalesced")
+            else:
+                tracer.count("moves.rejected")
+    return coalescing

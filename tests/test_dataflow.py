@@ -3,7 +3,8 @@
 Covers the engine itself (validation, determinism, optimistic
 initialization for must-problems, the work accounting) and the three
 shipped instances, proven bit-exact against the independent
-implementations they replaced: dense/dict liveness, the CHK
+implementations they replaced: the dense liveness and the reference
+liveness of ``tests/reference``, the CHK
 :class:`~repro.ir.dominance.DominatorTree`, and the ad-hoc strictness
 walk — on hand-built CFGs, fuzz-generated programs, and the whole
 ``examples``/``examples/llvm`` corpus.
@@ -27,12 +28,9 @@ from repro.ir.cfg import Function
 from repro.ir.dominance import DominatorTree
 from repro.ir.generators import GeneratorConfig, random_function
 from repro.ir.instructions import Instr, Phi
-from repro.ir.liveness import (
-    check_strict,
-    compute_liveness,
-    compute_liveness_dict,
-)
+from repro.ir.liveness import check_strict, compute_liveness
 from repro.obs import WORDS_MERGED, Tracer
+from tests import reference as ref
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
@@ -209,10 +207,10 @@ def test_worklist_beats_round_robin_on_evaluations():
 def _assert_liveness_equivalent(func):
     result = solve(func, liveness_problem(func))
     dense = compute_liveness(func)
-    as_dict = compute_liveness_dict(func)
+    reference = ref.compute_liveness(func)
     for b in func.reachable():
-        assert result.in_set(b) == dense.live_in[b] == as_dict.live_in[b]
-        assert result.out_set(b) == dense.live_out[b] == as_dict.live_out[b]
+        assert result.in_set(b) == dense.live_in[b] == reference.live_in[b]
+        assert result.out_set(b) == dense.live_out[b] == reference.live_out[b]
 
 
 def _assert_dominators_equivalent(func):

@@ -1,10 +1,11 @@
-"""Dense bitset kernels: equivalence with the dict references.
+"""Dense bitset kernels: equivalence with the dict-of-set references.
 
 The dense layer (:mod:`repro.graphs.dense`) promises *identical
-observable results* to the dict-of-set implementations it replaces —
-same MCS orders, same colours, same conservative verdicts, same
-coalescing partitions — at strictly less kernel work.  These tests pin
-both promises, plus the snapshot harness that records them.
+observable results* to the dict-of-set references in
+``tests/reference/`` — same MCS orders, same colours, same conservative
+verdicts, same coalescing partitions — at strictly less kernel work.
+These tests pin both promises, plus the snapshot harness that records
+the dense kernels' work.
 """
 
 import json
@@ -13,24 +14,20 @@ import random
 import pytest
 
 from repro.graphs import dense as dn
-from repro.graphs.chordal import (
-    maximum_cardinality_search,
-    maximum_cardinality_search_dict,
-)
-from repro.graphs.coloring import greedy_coloring, greedy_coloring_dict
+from repro.graphs.chordal import maximum_cardinality_search
+from repro.graphs.coloring import greedy_coloring
 from repro.graphs.dense import DenseGraph
 from repro.graphs.generators import random_chordal_graph, random_graph
 from repro.graphs.graph import Graph
 from repro.graphs.greedy import (
     coloring_number,
     greedy_elimination_order,
-    greedy_elimination_order_dict,
     is_greedy_k_colorable,
-    is_greedy_k_colorable_dict,
 )
 from repro.graphs.interference import InterferenceGraph
 from repro.coalescing.conservative import TESTS, conservative_coalesce
 from repro.obs import EDGES_SCANNED, KERNEL_WORK_COUNTERS, WORDS_MERGED, Tracer
+from tests import reference as ref
 
 
 def fuzz_graphs(count=40, max_n=18):
@@ -118,30 +115,28 @@ class TestKernelEquivalence:
     def test_mcs_orders_identical(self):
         for g in fuzz_graphs():
             assert (maximum_cardinality_search(g)
-                    == maximum_cardinality_search_dict(g))
+                    == ref.maximum_cardinality_search(g))
 
     def test_mcs_chordal_graphs(self):
         for seed in range(8):
             g = random_chordal_graph(30, 6, seed=seed)
             assert (maximum_cardinality_search(g)
-                    == maximum_cardinality_search_dict(g))
+                    == ref.maximum_cardinality_search(g))
 
     def test_greedy_coloring_identical(self):
         for g in fuzz_graphs():
-            assert greedy_coloring(g) == greedy_coloring_dict(g)
+            assert greedy_coloring(g) == ref.greedy_coloring(g)
             order = list(reversed(list(g.vertices)))
             assert (greedy_coloring(g, order=order)
-                    == greedy_coloring_dict(g, order=order))
+                    == ref.greedy_coloring(g, order=order))
 
     def test_elimination_verdicts_identical(self):
         for g in fuzz_graphs():
             cn = coloring_number(g)
             for k in (max(0, cn - 1), cn, cn + 1):
-                assert (is_greedy_k_colorable(g, k)
-                        == is_greedy_k_colorable_dict(g, k))
                 order, ok = greedy_elimination_order(g, k)
-                order_d, ok_d = greedy_elimination_order_dict(g, k)
-                assert ok == ok_d
+                order_d, ok_d = ref.greedy_elimination_order(g, k)
+                assert is_greedy_k_colorable(g, k) == ok == ok_d
                 if ok:
                     assert sorted(map(str, order)) == sorted(map(str, order_d))
 
@@ -150,7 +145,7 @@ class TestKernelEquivalence:
         with pytest.raises(ValueError):
             greedy_elimination_order(g, -1)
         with pytest.raises(ValueError):
-            greedy_elimination_order_dict(g, -1)
+            ref.greedy_elimination_order(g, -1)
 
     def test_conservative_verdicts_identical(self):
         """Each dense test agrees with its dict twin on every
@@ -187,32 +182,28 @@ class TestConservativeBackends:
                                      rng=rng)
             for test in TESTS:
                 td, te = Tracer(), Tracer()
-                rd = conservative_coalesce(inst.graph, inst.k, test=test,
-                                           tracer=td, backend="dict")
+                rd = ref.conservative_coalesce(inst.graph, inst.k, test=test,
+                                               tracer=td)
                 re_ = conservative_coalesce(inst.graph, inst.k, test=test,
-                                            tracer=te, backend="dense")
-                assert sorted(rd.coalesced) == sorted(re_.coalesced)
-                assert sorted(rd.given_up) == sorted(re_.given_up)
+                                            tracer=te)
+                assert rd.as_mapping() == re_.coalescing.as_mapping()
+                assert rd.uncoalesced_affinities() == re_.given_up
                 for counter in ("conservative.rounds", "moves.attempted",
                                 "moves.coalesced", "moves.rejected",
                                 "moves.constrained", "queries.interference"):
                     assert (td.counters.get(counter, 0)
                             == te.counters.get(counter, 0)), (test, counter)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            conservative_coalesce(InterferenceGraph(), 2, backend="numpy")
-
 
 class TestBuildBackends:
     def test_liveness_identical(self):
         from repro.ir.generators import random_function
-        from repro.ir.liveness import compute_liveness, compute_liveness_dict
+        from repro.ir.liveness import compute_liveness
 
         for seed in range(25):
             f = random_function(seed=seed)
             a = compute_liveness(f)
-            b = compute_liveness_dict(f)
+            b = ref.compute_liveness(f)
             assert a.live_in == b.live_in
             assert a.live_out == b.live_out
 
@@ -222,19 +213,12 @@ class TestBuildBackends:
 
         for seed in range(25):
             f = random_function(seed=seed)
-            gd = chaitin_interference(f, backend="dense")
-            gr = chaitin_interference(f, backend="dict")
+            gd = chaitin_interference(f)
+            gr = ref.chaitin_interference(f)
             assert set(gd.vertices) == set(gr.vertices)
             assert ({frozenset(e) for e in gd.edges()}
                     == {frozenset(e) for e in gr.edges()})
             assert sorted(gd.affinities()) == sorted(gr.affinities())
-
-    def test_unknown_backend_rejected(self):
-        from repro.ir.generators import random_function
-        from repro.ir.interference import chaitin_interference
-
-        with pytest.raises(ValueError):
-            chaitin_interference(random_function(seed=0), backend="numpy")
 
 
 class TestWorkCounters:
@@ -244,8 +228,8 @@ class TestWorkCounters:
         g = random_graph(96, 0.3, seed=2)
         d = DenseGraph.from_graph(g)
         for dense_fn, dict_fn in (
-            (dn.mcs_order, maximum_cardinality_search_dict),
-            (dn.greedy_coloring, greedy_coloring_dict),
+            (dn.mcs_order, ref.maximum_cardinality_search),
+            (dn.greedy_coloring, ref.greedy_coloring),
         ):
             td, tr = Tracer(), Tracer()
             dense_fn(d, tracer=td)
@@ -323,16 +307,53 @@ class TestSnapshotHarness:
                    for p in compare_snapshots(base, {"schema_version": 2}))
 
     def test_work_reduction_enforcement(self):
-        from repro.bench.snapshot import work_reduction_problems
+        """Every pinned dense kernel does strictly less traced work than
+        its ``tests/reference`` twin on the same instance.  The linear
+        scan row has no reference allocator: its work is exactly the
+        interval build's, so the intervals pair covers it."""
+        from repro.bench import pinned_suite
 
-        rows = [
-            {"kernel": "mcs", "instance": "g", "backend": "dense", "work": 10},
-            {"kernel": "mcs", "instance": "g", "backend": "dict", "work": 20},
-            {"kernel": "color", "instance": "g", "backend": "dense", "work": 30},
-            {"kernel": "color", "instance": "g", "backend": "dict", "work": 30},
-        ]
-        problems = work_reduction_problems(rows)
-        assert len(problems) == 1 and "color/g" in problems[0]
+        reference = {
+            "build": ref.chaitin_interference,
+            "mcs": ref.maximum_cardinality_search,
+            "color": ref.greedy_coloring,
+            "intervals": ref.build_intervals,
+            "coalesce": ref.conservative_coalesce,
+        }
+
+        def work(tracer):
+            return sum(tracer.counters.get(c, 0) for c in KERNEL_WORK_COUNTERS)
+
+        dense_work = {}
+        for case in pinned_suite():
+            key = (case["kernel"], case["instance"])
+            tracer = Tracer()
+            case["run"](tracer)
+            dense_work[key] = work(tracer)
+            if case["kernel"] == "linscan":
+                continue
+            tracer = Tracer()
+            reference[case["kernel"]](*case["args"], tracer=tracer)
+            assert dense_work[key] < work(tracer), (key, work(tracer))
+        assert (dense_work[("linscan", "ll-interp")]
+                == dense_work[("intervals", "ll-interp")])
+
+    def test_compare_skips_dict_rows(self):
+        """Baselines recorded before the references moved to tests/
+        carry dict rows; the gate ignores them and still gates dense."""
+        from repro.bench import compare_snapshots
+
+        def row(backend, edges):
+            return {"kernel": "mcs", "instance": "g", "backend": backend,
+                    "wall_ms": 1.0, "counters": {EDGES_SCANNED: edges}}
+
+        base = {"schema_version": 1,
+                "rows": [row("dense", 10), row("dict", 20)]}
+        assert compare_snapshots(
+            base, {"schema_version": 1, "rows": [row("dense", 10)]}) == []
+        problems = compare_snapshots(
+            base, {"schema_version": 1, "rows": [row("dense", 11)]})
+        assert len(problems) == 1 and "mcs/g/dense" in problems[0]
 
     def test_write_load_roundtrip(self, tmp_path):
         from repro.bench import load_snapshot, run_snapshot, write_snapshot
@@ -345,6 +366,24 @@ class TestSnapshotHarness:
         bad.write_text("{\"schema_version\": 99, \"rows\": []}\n")
         with pytest.raises(ValueError):
             load_snapshot(str(bad))
+
+    @pytest.mark.parametrize("rows", [[{"kernel": "mcs"}], 5, [7],
+                                      [{"kernel": "mcs", "instance": "g",
+                                        "backend": "dense", "wall_ms": 1.0,
+                                        "counters": 3}]])
+    def test_load_rejects_malformed_rows(self, tmp_path, capsys, rows):
+        """A malformed snapshot is a ValueError, and ``bench compare``
+        reports it as an error with exit 2 instead of a traceback."""
+        from repro.bench import load_snapshot
+        from repro.cli import main
+
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"schema_version": 1, "rows": rows}))
+        with pytest.raises(ValueError):
+            load_snapshot(str(bad))
+        assert main(["bench", "compare", str(bad),
+                     "--candidate", str(bad)]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_committed_baseline_gate(self):
         """The committed BENCH_*.json must pass the counter gate against

@@ -2,9 +2,9 @@
 
 The frontend is the door for real programs, so these tests hold it to
 the same contract as the generators: everything it lowers must
-validate, pass the analysis passes, and behave identically across the
-dense/dict backends (the corpus-wide properties live in
-``test_fuzz_invariants.py``).
+validate, pass the analysis passes, and give the same results as the
+dict-of-set references in ``tests/reference`` (the corpus-wide
+properties live in ``test_fuzz_invariants.py``).
 """
 
 import json

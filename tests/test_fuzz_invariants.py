@@ -19,6 +19,7 @@ from repro.graphs.greedy import (
     is_greedy_k_colorable,
 )
 from repro.graphs.interference import Coalescing, InterferenceGraph
+from tests import reference as ref
 
 NAMES = [f"n{i}" for i in range(10)]
 
@@ -164,7 +165,7 @@ def test_fuzz_merge_preserves_coloring_semantics(seed):
 
 
 # ---------------------------------------------------------------------------
-# dense bitset backend vs dict reference
+# dense bitset kernels vs the dict-of-set references in tests/reference
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=60, deadline=None)
@@ -201,27 +202,24 @@ def test_fuzz_dense_roundtrip_and_merge(seed):
 def test_fuzz_dense_kernels_match_dict(seed):
     """MCS orders, greedy colourings, and k-colorability verdicts are
     identical between the dense kernels and the dict references."""
-    from repro.graphs.chordal import (
-        maximum_cardinality_search,
-        maximum_cardinality_search_dict,
-    )
-    from repro.graphs.coloring import greedy_coloring, greedy_coloring_dict
-    from repro.graphs.greedy import is_greedy_k_colorable_dict
+    from repro.graphs.chordal import maximum_cardinality_search
+    from repro.graphs.coloring import greedy_coloring
 
     rng = random.Random(seed)
     g = random_graph(rng.randint(0, 16), rng.uniform(0.05, 0.8), rng)
     assert (maximum_cardinality_search(g)
-            == maximum_cardinality_search_dict(g))
-    assert greedy_coloring(g) == greedy_coloring_dict(g)
+            == ref.maximum_cardinality_search(g))
+    assert greedy_coloring(g) == ref.greedy_coloring(g)
     k = rng.randint(0, 8)
-    assert is_greedy_k_colorable(g, k) == is_greedy_k_colorable_dict(g, k)
+    _, success = ref.greedy_elimination_order(g, k)
+    assert is_greedy_k_colorable(g, k) == success
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000))
 def test_fuzz_dense_conservative_tests_match_dict(seed):
     """Briggs/George (and friends) return the same verdict on every
-    candidate pair in both backends."""
+    candidate pair on the dense and the dict-of-set graph."""
     from repro.coalescing.conservative import TESTS
     from repro.graphs.dense import DENSE_TESTS, DenseGraph
 
@@ -243,8 +241,8 @@ def test_fuzz_dense_conservative_tests_match_dict(seed):
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10_000))
 def test_fuzz_conservative_backends_agree(seed):
-    """Both conservative_coalesce backends produce the same partition
-    and the same move ledger on fuzz pressure instances."""
+    """conservative_coalesce and the reference rounds produce the same
+    partition and the same move ledger on fuzz pressure instances."""
     from repro.challenge.generator import pressure_instance
     from repro.coalescing.conservative import conservative_coalesce
 
@@ -252,30 +250,28 @@ def test_fuzz_conservative_backends_agree(seed):
     inst = pressure_instance(rng.randint(3, 6), rng.randint(3, 6),
                              rng=rng, name=f"fuzz-{seed}")
     test = rng.choice(["briggs", "george", "briggs_george"])
-    r_dict = conservative_coalesce(inst.graph, inst.k, test=test,
-                                   backend="dict")
-    r_dense = conservative_coalesce(inst.graph, inst.k, test=test,
-                                    backend="dense")
-    assert sorted(r_dict.coalesced) == sorted(r_dense.coalesced)
-    assert sorted(r_dict.given_up) == sorted(r_dense.given_up)
+    r_dict = ref.conservative_coalesce(inst.graph, inst.k, test=test)
+    r_dense = conservative_coalesce(inst.graph, inst.k, test=test)
+    assert r_dict.as_mapping() == r_dense.coalescing.as_mapping()
+    assert r_dict.uncoalesced_affinities() == r_dense.given_up
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_fuzz_build_backends_agree(seed):
     """Liveness sets and interference graphs (edges + affinities) are
-    identical between the mask-based and dict-based builders."""
+    identical between the mask-based and the reference builders."""
     from repro.ir.generators import random_function
     from repro.ir.interference import chaitin_interference
-    from repro.ir.liveness import compute_liveness, compute_liveness_dict
+    from repro.ir.liveness import compute_liveness
 
     func = random_function(seed)
     dense_live = compute_liveness(func)
-    dict_live = compute_liveness_dict(func)
+    dict_live = ref.compute_liveness(func)
     assert dense_live.live_in == dict_live.live_in
     assert dense_live.live_out == dict_live.live_out
-    g_dense = chaitin_interference(func, backend="dense")
-    g_dict = chaitin_interference(func, backend="dict")
+    g_dense = chaitin_interference(func)
+    g_dict = ref.chaitin_interference(func)
     assert set(g_dense.vertices) == set(g_dict.vertices)
     assert ({frozenset(e) for e in g_dense.edges()}
             == {frozenset(e) for e in g_dict.edges()})
@@ -362,19 +358,19 @@ def _corpus_cases():
 
 @pytest.mark.parametrize("func", _corpus_cases())
 def test_corpus_backends_agree(func):
-    """Dense and dict liveness + interference builders agree on every
-    real, frontend-lowered corpus function (not only on generated
+    """Dense and reference liveness + interference builders agree on
+    every real, frontend-lowered corpus function (not only on generated
     programs — the corpus exercises shapes the generators never emit:
     switch fan-out, critical self-loops, φ'd constant materialization)."""
     from repro.ir.interference import chaitin_interference
-    from repro.ir.liveness import compute_liveness, compute_liveness_dict
+    from repro.ir.liveness import compute_liveness
 
     dense_live = compute_liveness(func)
-    dict_live = compute_liveness_dict(func)
+    dict_live = ref.compute_liveness(func)
     assert dense_live.live_in == dict_live.live_in
     assert dense_live.live_out == dict_live.live_out
-    g_dense = chaitin_interference(func, backend="dense")
-    g_dict = chaitin_interference(func, backend="dict")
+    g_dense = chaitin_interference(func)
+    g_dict = ref.chaitin_interference(func)
     assert set(g_dense.vertices) == set(g_dict.vertices)
     assert ({frozenset(e) for e in g_dense.edges()}
             == {frozenset(e) for e in g_dict.edges()})

@@ -3,10 +3,10 @@
 The load-bearing invariants, each cross-checked against an
 independent implementation:
 
-* the dense and dict interval builders agree bit-exactly, on fuzzed
-  programs and on the whole LLVM corpus;
-* the boundary occupancy sets reproduce ``compute_liveness`` (both
-  backends) at block entries and ends;
+* the dense and the reference interval builders agree bit-exactly, on
+  fuzzed programs and on the whole LLVM corpus;
+* the boundary occupancy sets reproduce ``compute_liveness`` (and the
+  reference liveness) at block entries and ends;
 * ``IntervalSet.max_overlap() == maxlive(func)`` — the occupancy
   convention *is* the register-pressure convention;
 * Chaitin interference implies interval intersection (intervals
@@ -29,7 +29,6 @@ from repro.intervals import (
     IntervalSet,
     LiveInterval,
     build_intervals,
-    build_intervals_dict,
     function_interval_coalesce,
     interval_coalesce,
     interval_stats,
@@ -40,8 +39,9 @@ from repro.intervals import (
 )
 from repro.ir import GeneratorConfig, construct_ssa, random_function
 from repro.ir.interference import chaitin_interference
-from repro.ir.liveness import compute_liveness, compute_liveness_dict, maxlive
+from repro.ir.liveness import compute_liveness, maxlive
 from repro.obs import RANGES_BUILT, Tracer
+from tests import reference as ref
 
 
 FUZZ_SEEDS = range(12)
@@ -116,12 +116,12 @@ class TestBuilders:
     def test_dense_matches_dict_fuzz(self, seed):
         func = _fuzz_func(seed)
         assert build_intervals(func).intervals == \
-            build_intervals_dict(func).intervals
+            ref.build_intervals(func).intervals
 
     def test_dense_matches_dict_corpus(self):
         for name, func in _corpus_functions():
             dense = build_intervals(func)
-            assert dense.intervals == build_intervals_dict(func).intervals, \
+            assert dense.intervals == ref.build_intervals(func).intervals, \
                 name
 
     @pytest.mark.parametrize("seed", [0, 3, 7])
@@ -129,7 +129,7 @@ class TestBuilders:
         func = _fuzz_func(seed)
         iset = build_intervals(func)
         points = iset.points
-        for info in (compute_liveness(func), compute_liveness_dict(func)):
+        for info in (compute_liveness(func), ref.compute_liveness(func)):
             for name in points.order:
                 block = func.blocks[name]
                 end = points.block_end(name)
@@ -164,7 +164,7 @@ class TestBuilders:
         func = _fuzz_func(1)
         dense_tracer, dict_tracer = Tracer(), Tracer()
         build_intervals(func, tracer=dense_tracer)
-        build_intervals_dict(func, tracer=dict_tracer)
+        ref.build_intervals(func, tracer=dict_tracer)
         dense_ranges = dense_tracer.report()["counters"][RANGES_BUILT]
         assert dense_ranges == dict_tracer.report()["counters"][RANGES_BUILT]
         assert dense_ranges > 0
@@ -252,8 +252,6 @@ class TestLinearScan:
         func = _fuzz_func(0)
         with pytest.raises(ValueError):
             linear_scan_allocate(func, 4, variant="no-such-variant")
-        with pytest.raises(ValueError):
-            linear_scan_allocate(func, 4, backend="no-such-backend")
         with pytest.raises(ValueError):
             linear_scan_allocate(func, 0)
 

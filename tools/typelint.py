@@ -15,22 +15,12 @@ and are not descended into):
 * TL004 — public functions and classes carry a docstring (dunder
   methods excluded: their contracts are the language's).
 
-One architectural rule rides along:
-
-* TL005 — the dict-of-sets reference kernels (public ``*_dict``
-  functions defined under ``repro/graphs`` and ``repro/ir``) are only
-  referenced from their home packages, the equivalence/bench harnesses
-  (``tests/``, ``bench/snapshot.py``), and the ``repro.ir`` façade.
-  Everything else must go through the dense bitset kernels — the
-  reference implementations exist to be differential-tested against,
-  not to be called.
-
 Exit status: 0 when clean, 1 when any finding, 2 on usage errors —
 the same scheme as the ``repro`` CLI (see docs/ANALYSIS.md).
 
 Usage::
 
-    python tools/typelint.py src/repro tools [more roots...]
+    python tools/typelint.py src/repro tools tests/reference [more roots...]
 """
 
 from __future__ import annotations
@@ -45,20 +35,6 @@ FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 #: Parameter names that never need annotations.
 IMPLICIT_PARAMS = frozenset({"self", "cls"})
-
-#: Packages whose public ``*_dict`` defs count as reference kernels.
-KERNEL_HOMES = ("repro/graphs/", "repro/ir/", "repro/intervals/")
-
-#: Path fragments allowed to reference dict kernels (TL005).
-DICT_KERNEL_ALLOWED = (
-    "repro/graphs/",
-    "tests/",
-    "repro/ir/liveness.py",
-    "repro/ir/interference.py",
-    "repro/ir/__init__.py",
-    "repro/bench/snapshot.py",
-    "repro/intervals/",
-)
 
 
 def iter_sources(roots: List[str]) -> Iterator[Path]:
@@ -131,62 +107,7 @@ def _check_body(
                 _check_function(path, node, findings)
 
 
-def collect_dict_kernels(sources: List[Path]) -> frozenset:
-    """The public ``*_dict`` function names defined in kernel homes.
-
-    Only ``repro/graphs`` and ``repro/ir`` host reference kernels;
-    ``as_dict``-style serialization helpers elsewhere keep their names
-    without tripping TL005.
-    """
-    names = set()
-    for path in sources:
-        posix = path.as_posix()
-        if not any(home in posix for home in KERNEL_HOMES):
-            continue
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and node.name.endswith("_dict")
-                    and not node.name.startswith("_")):
-                names.add(node.name)
-    return frozenset(names)
-
-
-def _check_dict_kernel_refs(
-    path: Path, tree: ast.Module, kernels: frozenset,
-    findings: List[Finding],
-) -> None:
-    """Append TL005 findings: dict-kernel references outside the
-    allowed equivalence/bench surface."""
-    posix = path.as_posix()
-    if any(fragment in posix for fragment in DICT_KERNEL_ALLOWED):
-        return
-    for node in ast.walk(tree):
-        name = None
-        if isinstance(node, ast.Name) and node.id in kernels:
-            name = node.id
-        elif isinstance(node, ast.Attribute) and node.attr in kernels:
-            name = node.attr
-        elif isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                if alias.name in kernels:
-                    findings.append((
-                        str(path), node.lineno, "TL005",
-                        f"dict kernel {alias.name!r} imported outside "
-                        "the equivalence/bench surface — use the dense "
-                        "bitset kernel",
-                    ))
-            continue
-        if name is not None:
-            findings.append((
-                str(path), node.lineno, "TL005",
-                f"dict kernel {name!r} referenced outside the "
-                "equivalence/bench surface — use the dense bitset "
-                "kernel",
-            ))
-
-
-def check_module(path: Path, kernels: frozenset = frozenset()) -> List[Finding]:
+def check_module(path: Path) -> List[Finding]:
     """Lint one module; return its findings."""
     source = path.read_text()
     tree = ast.parse(source, filename=str(path))
@@ -210,7 +131,6 @@ def check_module(path: Path, kernels: frozenset = frozenset()) -> List[Finding]:
             "'from __future__ import annotations'",
         ))
     _check_body(path, tree.body, findings)
-    _check_dict_kernel_refs(path, tree, kernels, findings)
     return findings
 
 
@@ -225,10 +145,9 @@ def main(argv: List[str]) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    kernels = collect_dict_kernels(sources)
     findings: List[Finding] = []
     for path in sources:
-        findings.extend(check_module(path, kernels))
+        findings.extend(check_module(path))
     for path, line, code, message in findings:
         print(f"{path}:{line}: {code} {message}")
     print(
