@@ -68,7 +68,7 @@ __all__ = [
 
 #: Code-version tag mixed into every task hash.  Bump it whenever task
 #: execution semantics change, so stale cached results are never reused.
-ENGINE_VERSION = "1"
+ENGINE_VERSION = "2"
 
 #: Built-in instance generators (see :func:`_generate_instance`).
 INSTANCE_GENERATORS = ("pressure", "program", "llvm")

@@ -11,10 +11,10 @@ Algorithms here:
 * maximum-cardinality search (MCS) producing a perfect elimination
   ordering when the graph is chordal — O(V+E);
 * chordality test by verifying the MCS order is a PEO — O(V+E);
-* maximal cliques of a chordal graph from a PEO — O(V+E) cliques;
-* clique tree: a tree on the maximal cliques such that for every vertex
-  the cliques containing it form a subtree (the representation used by
-  Theorem 5);
+* maximal cliques of a chordal graph and its clique tree — a tree on
+  the maximal cliques such that for every vertex the cliques containing
+  it form a subtree (the representation used by Theorem 5) — from one
+  walk along the PEO, O(V+E) (Blair & Peyton 1993);
 * simplicial vertices;
 * optimal colouring of a chordal graph (greedy along the reverse PEO),
   which uses exactly ω(G) colours.
@@ -39,8 +39,8 @@ def maximum_cardinality_search(
     Repeatedly pick an unvisited vertex with the most visited neighbours.
     For chordal graphs the *reverse* of this order is a perfect
     elimination ordering.  Runs on the dense bitset kernel
-    (:func:`repro.graphs.dense.mcs_order`): a lazy heap with an
-    insertion-order tie-break.
+    (:func:`repro.graphs.dense.mcs_order`): one bitmask bucket per
+    visited-neighbour count, ties going to insertion order.
     """
     dense = DenseGraph.from_graph(graph)
     return [dense.names[i] for i in _dense_mcs_order(dense, tracer=tracer)]
@@ -103,35 +103,59 @@ def simplicial_vertices(graph: Graph) -> List[Vertex]:
     return [v for v in graph.vertices if graph.is_clique(graph.neighbors_view(v))]
 
 
-def maximal_cliques_chordal(graph: Graph) -> List[FrozenSet[Vertex]]:
-    """The maximal cliques of a chordal graph.
+def _clique_walk(
+    graph: Graph,
+) -> Tuple[List[FrozenSet[Vertex]], List[Tuple[int, int]]]:
+    """Maximal cliques in PEO order and the clique-tree edges, in one
+    pass (Blair & Peyton 1993).
 
-    From a PEO: the candidate cliques are v plus its later neighbours;
-    keep those not strictly contained in another candidate.  A chordal
-    graph has at most |V| maximal cliques.  Raises ``ValueError`` on a
-    non-chordal input.
+    Walks the PEO backwards, which is the MCS order it came from; the
+    new-clique test below holds only for an MCS order.  Vertex v starts
+    a new clique exactly when its count of already-visited neighbours
+    (``later(v)``) does not grow over its predecessor's; otherwise it
+    joins the current clique.  A new clique hangs off the clique of
+    ``min(later(v))``, the earliest of them in the PEO, which holds all
+    of ``later(v)``.  Cliques come out last-to-first and are reversed,
+    so ``cliques[i]`` is the clique whose earliest PEO vertex comes
+    i-th.  O(V+E).  Raises ``ValueError`` on a non-chordal input.
     """
     order = perfect_elimination_ordering(graph)
     if order is None:
         raise ValueError("graph is not chordal")
     position = {v: i for i, v in enumerate(order)}
-    later: Dict[Vertex, List[Vertex]] = {
-        v: [u for u in graph.neighbors_view(v) if position[u] > position[v]]
-        for v in order
-    }
-    # Blair–Peyton criterion: the candidate {v} ∪ later(v) is NOT maximal
-    # iff some earlier u has v = min(later(u)) and |later(u)| - 1 ≥
-    # |later(v)| (then later(u) \ {v} ⊆ later(v) forces containment).
-    not_maximal: Set[Vertex] = set()
-    for u in order:
-        if not later[u]:
-            continue
-        first = min(later[u], key=position.__getitem__)
-        if len(later[u]) - 1 >= len(later[first]):
-            not_maximal.add(first)
-    return [
-        frozenset({v} | set(later[v])) for v in order if v not in not_maximal
-    ]
+    later: Dict[Vertex, List[Vertex]] = {}
+    clique_of: Dict[Vertex, int] = {}
+    reps: List[Vertex] = []  # per walked clique, its latest joiner so far
+    parents: List[int] = []
+    prev_card = 0
+    for v in reversed(order):
+        pv = position[v]
+        lv = [u for u in graph.neighbors_view(v) if position[u] > pv]
+        later[v] = lv
+        if len(lv) <= prev_card:  # always true for the first vertex
+            parents.append(
+                clique_of[min(lv, key=position.__getitem__)] if lv else -1
+            )
+            reps.append(v)
+        else:
+            reps[-1] = v
+        clique_of[v] = len(reps) - 1
+        prev_card = len(lv)
+    last = len(reps) - 1
+    cliques = [frozenset({v} | set(later[v])) for v in reversed(reps)]
+    edges = [(last - s, last - p) for s, p in enumerate(parents) if p >= 0]
+    return cliques, edges
+
+
+def maximal_cliques_chordal(graph: Graph) -> List[FrozenSet[Vertex]]:
+    """The maximal cliques of a chordal graph.
+
+    Each maximal clique is ``{v} ∪ later(v)`` for exactly one vertex v of
+    the PEO (its earliest member); cliques are listed in the PEO order of
+    those vertices.  A chordal graph has at most |V| maximal cliques.
+    Raises ``ValueError`` on a non-chordal input.
+    """
+    return _clique_walk(graph)[0]
 
 
 def clique_number_chordal(graph: Graph) -> int:
@@ -213,44 +237,17 @@ class CliqueTree:
 
 
 def clique_tree(graph: Graph) -> CliqueTree:
-    """Build a clique tree of a chordal graph.
+    """Build a clique tree of a chordal graph in O(V+E).
 
-    Maximum-weight spanning tree on the clique-intersection graph, where
-    the weight of (C_i, C_j) is |C_i ∩ C_j|; by the classical result this
-    yields a tree with the induced-subtree property for every vertex.
-    Raises ``ValueError`` on a non-chordal input.
+    The Blair–Peyton construction from a perfect elimination ordering
+    (see :func:`_clique_walk`): every clique but the first of each
+    component gets one edge, to the clique holding its separator.  The
+    result is a maximum-weight spanning tree of the clique-intersection
+    graph, so every vertex's cliques form a subtree.  ``cliques`` is in
+    :func:`maximal_cliques_chordal` order.  Raises ``ValueError`` on a
+    non-chordal input.
     """
-    cliques = maximal_cliques_chordal(graph)
-    n = len(cliques)
-    if n == 0:
-        return CliqueTree(cliques=[], edges=[])
-    # candidate edges between cliques sharing at least one vertex
-    by_vertex: Dict[Vertex, List[int]] = {}
-    for i, clique in enumerate(cliques):
-        for v in clique:
-            by_vertex.setdefault(v, []).append(i)
-    candidates: Dict[Tuple[int, int], int] = {}
-    for indices in by_vertex.values():
-        for a in range(len(indices)):
-            for b in range(a + 1, len(indices)):
-                i, j = indices[a], indices[b]
-                key = (i, j) if i < j else (j, i)
-                candidates[key] = candidates.get(key, 0) + 1
-    # Kruskal on -weight
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edges: List[Tuple[int, int]] = []
-    for (i, j), _w in sorted(candidates.items(), key=lambda kv: -kv[1]):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            edges.append((i, j))
+    cliques, edges = _clique_walk(graph)
     return CliqueTree(cliques=cliques, edges=edges)
 
 

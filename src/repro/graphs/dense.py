@@ -12,7 +12,7 @@ operation — and ``popcount`` replaces per-element counting.
 
 Everything here is lossless with respect to the dict representation:
 :meth:`DenseGraph.from_graph` / :meth:`DenseGraph.to_graph` round-trip
-exactly, and each kernel is the *same algorithm* as a dict-of-set
+exactly, and each kernel computes the *same results* as a dict-of-set
 reference kept in ``tests/reference/`` (same tie-breaking, same
 verdicts), so the public dict-based API routes through this module
 without changing observable results.  The equivalence is enforced by
@@ -30,7 +30,6 @@ do strictly less work than the references (see
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..obs import NULL_TRACER, Tracer
@@ -198,35 +197,48 @@ class DenseGraph:
 def mcs_order(dense: DenseGraph, tracer: Tracer = NULL_TRACER) -> List[int]:
     """Maximum-cardinality search over the dense graph.
 
-    Same lazy-heap algorithm and tie-break (max visited-neighbour count,
-    then smallest interned index) as the dict-of-set reference, so the
-    two produce *identical* orders.  The bitset win: each visit scans
-    only the still-unvisited neighbours (``adj[v] & ~visited``), so
-    every edge is walked once instead of twice.
+    One bitmask bucket per visited-neighbour count: the next vertex is
+    the lowest set bit of the highest non-empty bucket.  That is the
+    dict-of-set reference's tie-break (max count, then smallest
+    interned index), so the two produce *identical* orders.  Each visit
+    scans only the still-unvisited neighbours (``adj[v] & ~visited``),
+    so every edge is walked once instead of twice, and promotes them
+    one bucket up with a mask operation per occupied bucket.
     """
     counting = tracer.enabled
-    weight = [0] * dense.n
-    heap: List[Tuple[int, int]] = [(0, i) for i in _iter_bits(dense.alive)]
-    heapq.heapify(heap)
+    buckets = [0] * (dense.n + 1)  # a count never exceeds n - 1
+    buckets[0] = dense.alive
+    top = 0
     visited = 0
     order: List[int] = []
     adj = dense.adj
     words = dense.words
-    while heap:
-        neg_w, v = heapq.heappop(heap)
-        bv = 1 << v
-        if visited & bv or -neg_w != weight[v]:
+    while top >= 0:
+        bucket = buckets[top]
+        if not bucket:
+            top -= 1
             continue
-        visited |= bv
+        low = bucket & -bucket
+        buckets[top] = bucket ^ low
+        v = low.bit_length() - 1
+        visited |= low
         order.append(v)
         fresh = adj[v] & ~visited
         if counting:
             tracer.count(WORDS_MERGED, 2 * words)
             tracer.count(EDGES_SCANNED, _popcount(fresh))
-        for u in _iter_bits(fresh):
-            w = weight[u] + 1
-            weight[u] = w
-            heapq.heappush(heap, (-w, u))
+        # promote fresh neighbours one bucket up, highest bucket first so
+        # nothing moves twice
+        w = top
+        while fresh:
+            moved = buckets[w] & fresh
+            if moved:
+                buckets[w] ^= moved
+                buckets[w + 1] |= moved
+                fresh ^= moved
+            w -= 1
+        if buckets[top + 1]:
+            top += 1
     return order
 
 
@@ -237,31 +249,35 @@ def greedy_coloring(
 ) -> Dict[int, int]:
     """First-fit colouring along ``order`` (default: index order).
 
-    Identical colours to the dict-of-set reference on the same
-    order.  Only already-coloured neighbours are visited — the
-    ``adj[v] & colored`` mask prunes the rest word-wise — so the scan
-    work is E instead of 2E.
+    ``order`` lists distinct vertices.  Keeps one bitmask per colour
+    class, so first-fit is the first class with ``cls & adj[v] == 0``;
+    colours are identical to the dict-of-set reference on the same
+    order.  The work counted is the already-coloured neighbourhood
+    (``adj[v] & colored``): E elements instead of 2E.
     """
     counting = tracer.enabled
     if order is None:
         order = list(_iter_bits(dense.alive))
-    color = [0] * dense.n
+    classes: List[int] = []
     colored = 0
     adj = dense.adj
     words = dense.words
     out: Dict[int, int] = {}
     for v in order:
-        nb = adj[v] & colored
+        av = adj[v]
         if counting:
             tracer.count(WORDS_MERGED, words)
-            tracer.count(EDGES_SCANNED, _popcount(nb))
-        used = 0
-        for u in _iter_bits(nb):
-            used |= 1 << color[u]
-        c = ((used + 1) & ~used).bit_length() - 1
-        color[v] = c
+            tracer.count(EDGES_SCANNED, _popcount(av & colored))
+            colored |= 1 << v
+        c = 0
+        for cls in classes:
+            if not cls & av:
+                break
+            c += 1
+        else:
+            classes.append(0)
+        classes[c] |= 1 << v
         out[v] = c
-        colored |= 1 << v
     return out
 
 

@@ -3,16 +3,21 @@
 Plain set-algebra versions of the kernels ``src/repro`` runs on bitsets.
 The tests check that the bitset kernels give identical results and do
 strictly less traced work (counted as in :mod:`repro.obs.names`).
+:func:`maximal_cliques_chordal` (the Blair–Peyton containment test) and
+:func:`clique_tree` (the Kruskal maximum-weight spanning tree on those
+cliques) are what the O(V+E) clique-tree walk of
+:mod:`repro.graphs.chordal` is checked against.
 """
 
 from __future__ import annotations
 
 import heapq
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.coalescing.base import affinities_by_weight
 from repro.coalescing.conservative import TESTS
+from repro.graphs.chordal import CliqueTree, perfect_elimination_ordering
 from repro.graphs.graph import Graph, Vertex
 from repro.graphs.interference import Coalescing, InterferenceGraph
 from repro.intervals.model import IntervalSet, LiveInterval, number_points
@@ -98,6 +103,62 @@ def greedy_elimination_order(
                 if degree[u] == k - 1:
                     worklist.append(u)
     return order, len(order) == len(graph)
+
+
+def maximal_cliques_chordal(graph: Graph) -> List[FrozenSet[Vertex]]:
+    """Maximal cliques of a chordal graph: the candidates {v} ∪ later(v)
+    along the PEO that no other candidate contains, in PEO order."""
+    order = perfect_elimination_ordering(graph)
+    if order is None:
+        raise ValueError("graph is not chordal")
+    position = {v: i for i, v in enumerate(order)}
+    later: Dict[Vertex, List[Vertex]] = {
+        v: [u for u in graph.neighbors_view(v) if position[u] > position[v]]
+        for v in order
+    }
+    # Blair–Peyton criterion: the candidate {v} ∪ later(v) is NOT maximal
+    # iff some earlier u has v = min(later(u)) and |later(u)| - 1 ≥
+    # |later(v)| (then later(u) \ {v} ⊆ later(v) forces containment).
+    not_maximal: Set[Vertex] = set()
+    for u in order:
+        if not later[u]:
+            continue
+        first = min(later[u], key=position.__getitem__)
+        if len(later[u]) - 1 >= len(later[first]):
+            not_maximal.add(first)
+    return [
+        frozenset({v} | set(later[v])) for v in order if v not in not_maximal
+    ]
+
+
+def clique_tree(graph: Graph) -> CliqueTree:
+    """Kruskal maximum-weight spanning tree on the clique-intersection
+    graph, weight |C_i ∩ C_j|; Θ(Σ_v |T_v|²) candidate pairs."""
+    cliques = maximal_cliques_chordal(graph)
+    by_vertex: Dict[Vertex, List[int]] = {}
+    for i, clique in enumerate(cliques):
+        for v in clique:
+            by_vertex.setdefault(v, []).append(i)
+    candidates: Dict[Tuple[int, int], int] = {}
+    for indices in by_vertex.values():
+        for i, j in combinations(indices, 2):
+            key = (i, j) if i < j else (j, i)
+            candidates[key] = candidates.get(key, 0) + 1
+    parent = list(range(len(cliques)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    edges: List[Tuple[int, int]] = []
+    for (i, j), _w in sorted(candidates.items(), key=lambda kv: -kv[1]):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            edges.append((i, j))
+    return CliqueTree(cliques=cliques, edges=edges)
 
 
 def compute_liveness(

@@ -27,6 +27,7 @@ from repro.graphs.generators import (
     random_interval_graph,
 )
 from repro.graphs.graph import Graph
+from tests import reference as ref
 
 
 class TestChordalityKnownGraphs:
@@ -108,6 +109,25 @@ class TestSimplicial:
         assert simplicial_vertices(cycle_graph(5)) == []
 
 
+def all_maximal_cliques(g):
+    """Every maximal clique of ``g`` by Bron–Kerbosch with pivoting."""
+    found = set()
+
+    def expand(r, p, x):
+        if not p and not x:
+            found.add(frozenset(r))
+            return
+        pivot = max(p | x, key=lambda u: len(p & g.neighbors_view(u)))
+        for v in list(p - g.neighbors_view(pivot)):
+            nb = g.neighbors_view(v)
+            expand(r | {v}, p & nb, x & nb)
+            p = p - {v}
+            x = x | {v}
+
+    expand(set(), set(g.vertices), set())
+    return found
+
+
 class TestMaximalCliques:
     def test_triangle(self):
         cliques = maximal_cliques_chordal(complete_graph(3))
@@ -130,6 +150,9 @@ class TestMaximalCliques:
         for seed in range(10):
             g = random_chordal_graph(14, 4, random.Random(seed))
             cliques = maximal_cliques_chordal(g)
+            # complete and duplicate-free: exactly the Bron–Kerbosch set
+            assert len(set(cliques)) == len(cliques)
+            assert set(cliques) == all_maximal_cliques(g)
             for c in cliques:
                 assert g.is_clique(c)
                 # maximality: no vertex outside adjacent to all of c
@@ -178,6 +201,56 @@ class TestCliqueTree:
     def test_empty_graph(self):
         t = clique_tree(Graph())
         assert t.cliques == []
+
+
+def tree_weight(tree):
+    """Total intersection weight Σ |C_i ∩ C_j| over the tree's edges."""
+    return sum(len(tree.cliques[a] & tree.cliques[b]) for a, b in tree.edges)
+
+
+def assert_clique_tree_matches_reference(g):
+    """The O(V+E) tree is a valid clique tree, lists its cliques in the
+    order of the reference containment test, spans every component, and
+    is a maximum-weight spanning tree like the Kruskal reference."""
+    tree = clique_tree(g)
+    kruskal = ref.clique_tree(g)
+    assert verify_clique_tree(g, tree)
+    assert tree.cliques == maximal_cliques_chordal(g)
+    assert tree.cliques == ref.maximal_cliques_chordal(g) == kruskal.cliques
+    components = sum(1 for _ in g.connected_components())
+    assert len(tree.edges) == len(tree.cliques) - components
+    assert len({frozenset(e) for e in tree.edges}) == len(tree.edges)
+    assert tree_weight(tree) == tree_weight(kruskal)
+
+
+def _corpus_graphs():
+    from repro.frontend import corpus_functions
+    from repro.ir.interference import chaitin_interference
+
+    return [
+        pytest.param(chaitin_interference(func).structural_graph(),
+                     id=f"{path.stem}:{func.name}")
+        for path, func in corpus_functions()
+    ]
+
+
+class TestCliqueTreeAgainstReference:
+    def test_random_chordal_graphs(self):
+        for seed in range(60):
+            rng = random.Random(seed)
+            g = random_chordal_graph(rng.randint(1, 40), rng.randint(1, 8),
+                                     rng)
+            assert_clique_tree_matches_reference(g)
+            assert set(clique_tree(g).cliques) == all_maximal_cliques(g)
+
+    def test_disconnected_and_isolated(self):
+        g = Graph(vertices=["z"], edges=[("a", "b"), ("b", "c"), ("a", "c"),
+                                         ("c", "d"), ("e", "f")])
+        assert_clique_tree_matches_reference(g)
+
+    @pytest.mark.parametrize("g", _corpus_graphs())
+    def test_corpus_interference_graphs(self, g):
+        assert_clique_tree_matches_reference(g)
 
 
 class TestChordalColoring:

@@ -124,11 +124,55 @@ class TestKernelEquivalence:
                     == ref.maximum_cardinality_search(g))
 
     def test_greedy_coloring_identical(self):
-        for g in fuzz_graphs():
+        rng = random.Random(1)
+        for g in fuzz_graphs() + [random_chordal_graph(40, 8, seed=3)]:
             assert greedy_coloring(g) == ref.greedy_coloring(g)
             order = list(reversed(list(g.vertices)))
-            assert (greedy_coloring(g, order=order)
-                    == ref.greedy_coloring(g, order=order))
+            shuffled = rng.sample(order, len(order))
+            for o in (order, shuffled):
+                assert (greedy_coloring(g, order=o)
+                        == ref.greedy_coloring(g, order=o))
+
+    def test_kernels_on_merged_graphs(self):
+        """Dense MCS and colouring skip dead slots and still match the
+        references on the surviving graph, for the default, a shuffled
+        and a partial order."""
+        rng = random.Random(5)
+        for g in fuzz_graphs(count=30, max_n=24):
+            d = DenseGraph.from_graph(g)
+            for _ in range(len(g) // 3):
+                i, j = rng.sample(range(d.n), 2)
+                if (d.alive >> i & 1 and d.alive >> j & 1
+                        and not d.has_edge(i, j)):
+                    d.merge_in_place(i, j)
+            alive = d.to_graph()
+            names = d.names
+            assert ([names[i] for i in dn.mcs_order(d)]
+                    == ref.maximum_cardinality_search(alive))
+            order = list(alive.vertices)
+            for o in (None, rng.sample(order, len(order)), order[::2]):
+                idx = None if o is None else [d.index[v] for v in o]
+                got = {names[i]: c
+                       for i, c in dn.greedy_coloring(d, order=idx).items()}
+                assert got == ref.greedy_coloring(alive, order=o)
+
+    def test_mcs_color_counters_are_closed_form(self):
+        """MCS and first-fit each count every edge once and a fixed
+        number of words per visit — independent of how the kernel finds
+        its next vertex or colour, so these counters never drift."""
+        for g in fuzz_graphs() + [random_chordal_graph(60, 10, seed=2)]:
+            d = DenseGraph.from_graph(g)
+            e = sum(1 for _ in g.edges())
+            tm, tc, to = Tracer(), Tracer(), Tracer()
+            dn.mcs_order(d, tracer=tm)
+            dn.greedy_coloring(d, tracer=tc)
+            order = list(reversed(range(d.n)))
+            dn.greedy_coloring(d, order=order, tracer=to)
+            assert tm.counters.get(WORDS_MERGED, 0) == 2 * d.words * len(g)
+            assert tm.counters.get(EDGES_SCANNED, 0) == e
+            for t in (tc, to):
+                assert t.counters.get(WORDS_MERGED, 0) == d.words * len(g)
+                assert t.counters.get(EDGES_SCANNED, 0) == e
 
     def test_elimination_verdicts_identical(self):
         for g in fuzz_graphs():

@@ -11,15 +11,17 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.coalescing import incremental
 from repro.coalescing.incremental import (
     chordal_incremental_coalescible,
     chordal_incremental_coloring,
     incremental_coalescible_exact,
 )
-from repro.graphs.chordal import clique_number_chordal
+from repro.graphs.chordal import clique_number_chordal, clique_tree
 from repro.graphs.coloring import verify_coloring
 from repro.graphs.generators import random_chordal_graph
 from repro.graphs.graph import Graph
+from tests import reference as ref
 
 
 def path_graph(*names):
@@ -159,3 +161,70 @@ def test_property_theorem5_matches_exact(seed):
     fast = chordal_incremental_coalescible(g, x, y, k).mergeable
     exact = incremental_coalescible_exact(g, x, y, k) is not None
     assert fast == exact
+
+
+# ---------------------------------------------------------------------------
+# the O(V+E) clique tree against the Kruskal reference tree
+# ---------------------------------------------------------------------------
+
+def assert_same_verdicts(monkeypatch, g, pairs):
+    """Both trees give the same ``mergeable`` verdicts at k = ω and ω+1."""
+    w = clique_number_chordal(g)
+    answers = []
+    for tree in (clique_tree(g), ref.clique_tree(g)):
+        monkeypatch.setattr(incremental, "clique_tree",
+                            lambda graph, tree=tree: tree)
+        answers.append([
+            chordal_incremental_coalescible(g, x, y, k).mergeable
+            for k in (w, w + 1) for x, y in pairs
+        ])
+    assert answers[0] == answers[1]
+
+
+def non_adjacent_pairs(g):
+    return [(a, b) for a, b in itertools.combinations(list(g.vertices), 2)
+            if not g.has_edge(a, b)]
+
+
+class TestCliqueTreeVerdicts:
+    def test_random_chordal_every_pair(self, monkeypatch):
+        for seed in range(40):
+            rng = random.Random(seed)
+            g = random_chordal_graph(rng.randint(2, 24), rng.randint(1, 6),
+                                     rng)
+            assert_same_verdicts(monkeypatch, g, non_adjacent_pairs(g))
+
+    def test_corpus_functions(self, monkeypatch):
+        """Every non-adjacent pair of every corpus interference graph,
+        except chacha_mix (19k pairs): there, all affinities plus a
+        fixed sample of 300 pairs."""
+        from repro.frontend import corpus_functions
+        from repro.ir.interference import chaitin_interference
+
+        for _path, func in corpus_functions():
+            ig = chaitin_interference(func)
+            g = ig.structural_graph()
+            pairs = non_adjacent_pairs(g)
+            if len(pairs) > 1000:
+                sample = random.Random(0).sample(pairs, 300)
+                pairs = sample + [(u, v) for u, v, _w in ig.affinities()
+                                  if not g.has_edge(u, v)]
+            assert_same_verdicts(monkeypatch, g, pairs)
+
+    def test_chacha_mix_chordal_outcome(self):
+        """The ``chordal`` task on chacha_mix at k = Maxlive, as the
+        engine runs it.  Witness chains depend on the clique tree's
+        shape; this one coalesces 18 affinities."""
+        from repro.coalescing.chordal_strategy import (
+            chordal_incremental_coalesce,
+        )
+        from repro.frontend import corpus_functions
+        from repro.frontend.corpus import function_instance
+
+        func = next(f for _p, f in corpus_functions()
+                    if f.name == "chacha_mix")
+        inst = function_instance(func)
+        result = chordal_incremental_coalesce(inst.graph, inst.k)
+        assert result.num_coalesced == 18
+        assert result.coalesced_weight == 171
+        assert result.residual_weight == 16

@@ -9,12 +9,13 @@ the colourability-preserving ones — a greedy-k-colorable quotient.
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.allocator.irc import irc_coalescing_result
 from repro.challenge.generator import pressure_instance
 from repro.coalescing import (
     aggressive_coalesce,
+    aggressive_coalesce_exact,
     biased_coloring_result,
     conservative_coalesce,
     optimistic_coalesce,
@@ -151,13 +152,16 @@ def test_biased_invariants(seed):
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10_000))
+@example(4914)  # heuristic aggressive leaves 22 here, brute leaves 20
 def test_aggressive_dominates_all(seed):
-    """Aggressive coalescing is a lower bound on residual weight for
-    every colourability-respecting strategy."""
+    """Optimal aggressive coalescing is a lower bound on residual weight
+    for every colourability-respecting strategy.  Only the *exact*
+    optimum bounds every valid partition; the greedy heuristic
+    ``aggressive_coalesce`` can leave more than a conservative test."""
     graph, k = random_instance(seed)
     if not is_greedy_k_colorable(graph, k):
         return
-    floor = aggressive_coalesce(graph).residual_weight
+    floor = aggressive_coalesce_exact(graph).residual_weight
     for test in ("briggs", "brute"):
         r = conservative_coalesce(graph, k, test=test)
         assert r.residual_weight >= floor - 1e-9
