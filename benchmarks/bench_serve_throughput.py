@@ -1,27 +1,19 @@
-"""S1 — serving throughput: micro-batching and cache-aware admission.
+"""S1 — serving throughput: pool dispatch vs the result cache.
 
-The serving layer (:mod:`repro.serve`) claims two amortizations over
-naive request-at-a-time dispatch: **micro-batching** coalesces
-homogeneous requests into one worker dispatch (paying the fixed
-dispatch cost — pipe round trip, worker checkout, cache write — once
-per batch instead of once per request), and the **content-addressed
+The serving layer (:mod:`repro.serve`) runs each request as one
+dispatch on a persistent worker pool, and its **content-addressed
 cache** answers repeats without touching a worker at all.  This bench
-regenerates both effects as a table: closed-loop load through a real
+regenerates that effect as a table: closed-loop load through a real
 service on an ephemeral port with one persistent subprocess worker,
-under three configurations:
+under two configurations:
 
-* ``unbatched`` — ``batch_window=0``: every request is its own
+* ``unbatched``     — no cache: every request pays its own pool
   dispatch (the baseline);
-* ``batched``  — a 20 ms window with ``batch_max`` matched to the
-  client concurrency, so a full wave of concurrent requests flushes
-  as one dispatch the moment it is complete; throughput must be at
-  least the unbatched run's;
-* ``cached``   — the batched run replayed against the warm cache:
+* ``cached replay`` — the same load replayed against a warm cache:
   every request is a cache hit.
 
 The tracer report attached alongside shows the serving counters
-(``serve.batches``, ``serve.batch_coalesced``, ``serve.cache_hit``)
-behind the table.
+(``serve.requests``, ``serve.cache_hit``) behind the table.
 
 The second table is the **shard scaling curve**: the same closed-loop
 client driven through a :class:`repro.serve.router.Router` fronting
@@ -63,7 +55,6 @@ from repro.serve import (
 
 REQUESTS = 96
 CONCURRENCY = 8
-WINDOW = 0.02
 K = 6
 ROUNDS = 5
 
@@ -75,13 +66,10 @@ ARTIFACT = Path(__file__).resolve().parent.parent / "artifacts" \
     / "serve_scaling.json"
 
 
-async def _measure(batch_window, cache_dir, passes=1):
+async def _measure(cache_dir, passes=1):
     """Start a one-worker service, run ``passes`` closed-loop load
     passes, and return the last pass's report plus the tracer."""
-    service = Service(ServeConfig(
-        port=0, workers=1, cache_dir=cache_dir,
-        batch_window=batch_window, batch_max=CONCURRENCY,
-    ))
+    service = Service(ServeConfig(port=0, workers=1, cache_dir=cache_dir))
     port = await service.start()
     try:
         report = None
@@ -105,13 +93,11 @@ async def _measure(batch_window, cache_dir, passes=1):
 
 
 def _row(label, report):
-    batch = report.get("batch", {})
     return [
         label,
         report["throughput_rps"],
         report["latency_ms"]["p50"],
         report["latency_ms"]["p99"],
-        batch.get("mean_size", 1.0),
         report["cache_hits"],
     ]
 
@@ -121,14 +107,14 @@ async def _start_cluster(shards):
 
     Each shard is a full one-worker service (its pool worker is a real
     subprocess, so compute parallelism is genuine); only the asyncio
-    front ends share this event loop.  Batching and caching are off so
-    every request pays the full dispatch path.
+    front ends share this event loop.  Caching is off so every request
+    pays the full dispatch path.
     """
     services = []
     urls = []
     for _ in range(shards):
         service = Service(ServeConfig(
-            port=0, workers=1, cache_dir=None, batch_window=0.0,
+            port=0, workers=1, cache_dir=None,
             heavy_queue=4 * SCALE_CONCURRENCY,
             heavy_concurrency=SCALE_CONCURRENCY,
             light_queue=4 * SCALE_CONCURRENCY,
@@ -253,30 +239,20 @@ def test_serve_shard_scaling(benchmark):
 def test_serve_throughput(benchmark):
     cache_root = tempfile.mkdtemp(prefix="bench-serve-")
     try:
-        unbatched, _ = asyncio.run(_measure(0.0, None))
-        batched, tracer = asyncio.run(_measure(WINDOW, None))
+        unbatched, tracer = asyncio.run(_measure(None))
         cached, cached_tracer = asyncio.run(
-            _measure(WINDOW, cache_root, passes=2)
-        )
-
-        # the central claims, asserted rather than eyeballed
-        assert batched["throughput_rps"] >= unbatched["throughput_rps"], (
-            "micro-batching must not lose throughput on a homogeneous "
-            "closed-loop workload"
+            _measure(cache_root, passes=2)
         )
         assert cached["cache_hits"] == REQUESTS
-        assert tracer.counters.get("serve.batch_coalesced", 0) > 0
 
-        benchmark(lambda: asyncio.run(_measure(WINDOW, None)))
+        benchmark(lambda: asyncio.run(_measure(None)))
         emit(
             benchmark,
-            "S1: serving throughput — unbatched vs batched vs warm cache "
+            "S1: serving throughput — pool dispatch vs warm cache "
             f"({REQUESTS} requests, concurrency {CONCURRENCY}, 1 worker)",
-            ["configuration", "rps", "p50 ms", "p99 ms",
-             "mean batch", "cache hits"],
+            ["configuration", "rps", "p50 ms", "p99 ms", "cache hits"],
             [
-                _row("unbatched (window=0)", unbatched),
-                _row(f"batched (window={WINDOW * 1e3:g}ms)", batched),
+                _row("unbatched", unbatched),
                 _row("cached replay", cached),
             ],
         )

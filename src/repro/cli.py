@@ -54,12 +54,13 @@ Commands
     committed baseline as the CI regression gate.  A malformed
     snapshot file exits 2.  See ``docs/PERFORMANCE.md``.
 
-``serve [--port P] [--workers N] [--cache-dir DIR] [--batch-window S]``
+``serve [--port P] [--workers N] [--cache-dir DIR] [--mem-entries N]``
     Run the resident :mod:`repro.serve` service: an asyncio HTTP API
-    that executes task requests on a persistent worker pool with
-    micro-batching, bounded-queue backpressure, and cache-aware
-    admission.  Runs until a client POSTs ``/drain`` (or Ctrl-C,
-    which drains gracefully).  See ``docs/SERVING.md``.
+    that executes each task request as one dispatch on a persistent
+    worker pool, with bounded-queue backpressure and a two-tier result
+    cache.  Runs until a client POSTs ``/drain`` (or Ctrl-C, which
+    drains gracefully).  A numeric flag out of range exits 2.  See
+    ``docs/SERVING.md``.
 
 ``client [--url U] [--requests N] [--mode closed|open] [--json]``
     Drive a running service with generated task load and report
@@ -724,6 +725,24 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from .serve import ServeConfig, Service
 
+    for flag, value, low in (
+        ("--workers", args.workers, 0),
+        ("--light-queue", args.light_queue, 1),
+        ("--light-concurrency", args.light_concurrency, 1),
+        ("--heavy-queue", args.heavy_queue, 1),
+        ("--heavy-concurrency", args.heavy_concurrency, 1),
+        ("--mem-entries", args.mem_entries, 1),
+        ("--shards", args.shards, 0),
+    ):
+        if value < low:
+            print(f"error: {flag} must be >= {low}, got {value}",
+                  file=sys.stderr)
+            return 2
+    if args.timeout is not None and args.timeout <= 0:
+        print(f"error: --timeout must be > 0, got {args.timeout:g}",
+              file=sys.stderr)
+        return 2
+
     if args.shards:
         from .serve.router import serve_sharded
 
@@ -746,8 +765,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         cache_dir=args.cache_dir or None,
         verify_default=args.verify,
-        batch_window=args.batch_window,
-        batch_max=args.batch_max,
         light_queue=args.light_queue,
         light_concurrency=args.light_concurrency,
         heavy_queue=args.heavy_queue,
@@ -761,7 +778,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         port = await service.start()
         print(f"repro serve listening on http://{config.host}:{port} "
               f"(workers={config.workers}, "
-              f"batch window={config.batch_window*1e3:g} ms, "
               f"cache={'on: ' + str(config.cache_dir) if config.cache_dir else 'off'})",
               flush=True)
         await service.serve_until_drained()
@@ -842,9 +858,6 @@ def cmd_client(args: argparse.Namespace) -> int:
         print(f"  http statuses    {report['http_statuses']}")
         print(f"  record statuses  {report['record_statuses']}")
         print(f"  cache hits       {report['cache_hits']}")
-        if report.get("batch"):
-            print(f"  batch            mean={report['batch']['mean_size']:g} "
-                  f"max={report['batch']['max_size']}")
         if report.get("drain"):
             print(f"  drained          {report['drain']['drained']}")
     failures = report["transport_errors"] + sum(
@@ -897,7 +910,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
     """Inspect or compact a result-cache directory (repro.engine.cache)."""
     import os
 
-    from .engine import CacheIndex, ResultCache
+    from .engine import ResultCache, compact_cache
 
     if not os.path.isdir(args.cache_dir):
         print(f"cache directory {args.cache_dir!r} does not exist",
@@ -936,9 +949,8 @@ def cmd_cache(args: argparse.Namespace) -> int:
         print("compact needs --max-entries and/or --max-bytes",
               file=sys.stderr)
         return 2
-    index = CacheIndex(cache).load()
-    report = index.compact(
-        max_entries=args.max_entries, max_bytes=args.max_bytes
+    report = compact_cache(
+        cache, max_entries=args.max_entries, max_bytes=args.max_bytes
     )
     report["cache_dir"] = args.cache_dir
     if args.json:
@@ -946,7 +958,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
         sys.stdout.write("\n")
     else:
         print(f"cache {args.cache_dir}: evicted {report['evicted']} "
-              f"LRU entries "
+              f"least-recently-written entries "
               f"({report['entries_before']} -> {report['entries_after']} "
               f"entries, {report['bytes_before']} -> "
               f"{report['bytes_after']} bytes)")
@@ -1207,11 +1219,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shared result cache directory ('' disables)")
     p.add_argument("--verify", action="store_true",
                    help="certify every result through the analysis passes")
-    p.add_argument("--batch-window", type=float, default=0.005,
-                   help="micro-batch collection window in seconds "
-                   "(0 disables batching)")
-    p.add_argument("--batch-max", type=int, default=16,
-                   help="max tasks per micro-batch dispatch")
     p.add_argument("--light-queue", type=int, default=128,
                    help="max in-flight light-class requests before 429")
     p.add_argument("--light-concurrency", type=int, default=8,
@@ -1224,7 +1231,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-task wall-clock kill timeout in seconds")
     p.add_argument("--mem-entries", type=int, default=1024,
                    help="in-memory LRU cache tier capacity in records "
-                   "(0 disables the tier)")
+                   "(>= 1)")
     p.add_argument("--shards", type=int, default=0,
                    help="spawn N worker services on port+1..port+N and "
                    "consistent-hash-route tasks across them from the "
@@ -1243,7 +1250,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "this running service's /metrics")
     p.add_argument("--max-entries", type=int, default=None,
                    help="compact: keep at most this many records "
-                   "(LRU eviction)")
+                   "(oldest-written evicted first)")
     p.add_argument("--max-bytes", type=int, default=None,
                    help="compact: shrink the store below this many bytes")
     p.add_argument("--json", action="store_true",

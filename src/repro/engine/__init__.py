@@ -15,8 +15,8 @@ The pieces (one module each):
 * :mod:`repro.engine.cache` — the JSON result store
   (:class:`ResultCache`) plus its scaling companions: the in-memory
   LRU tier (:class:`MemoryCache`), the serving composition
-  (:class:`TieredCache`), and the eviction/compaction index
-  (:class:`CacheIndex`);
+  (:class:`TieredCache`), and mtime-ordered compaction
+  (:func:`compact_cache`);
 * :mod:`repro.engine.campaign` — orchestration, tracer-report merging,
   and the summary artifact (:func:`run_campaign`).
 
@@ -33,7 +33,7 @@ from .tasks import (
     run_task,
     task_hash,
 )
-from .cache import CacheIndex, MemoryCache, ResultCache, TieredCache
+from .cache import MemoryCache, ResultCache, TieredCache, compact_cache
 from .pool import PersistentPool, run_tasks
 from .campaign import (
     Campaign,
@@ -53,7 +53,7 @@ __all__ = [
     "ResultCache",
     "MemoryCache",
     "TieredCache",
-    "CacheIndex",
+    "compact_cache",
     "run_tasks",
     "PersistentPool",
     "Campaign",

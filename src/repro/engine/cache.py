@@ -27,10 +27,9 @@ Three companions scale the store up and out:
 * :class:`TieredCache` — the serving composition: memory in front of
   the file store, promoting file hits into memory so repeats skip the
   filesystem entirely;
-* :class:`CacheIndex` — a persisted recency/size index over the file
-  store (``<root>/index.json``) supporting LRU **eviction and
-  compaction** (``repro cache compact``) so a content-addressed
-  directory can grow to millions of entries and still be bounded.
+* :func:`compact_cache` — **eviction and compaction** of the file
+  store (``repro cache compact``), least-recently-written first by
+  file mtime, so a content-addressed directory stays bounded.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import time
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -53,7 +51,7 @@ from ..obs import (
     Tracer,
 )
 
-__all__ = ["ResultCache", "MemoryCache", "TieredCache", "CacheIndex"]
+__all__ = ["ResultCache", "MemoryCache", "TieredCache", "compact_cache"]
 
 
 class ResultCache:
@@ -117,14 +115,9 @@ class ResultCache:
             return False
 
     def keys(self) -> Iterator[str]:
-        """All task keys currently stored."""
-        if not self.root.is_dir():
-            return
-        for shard in sorted(self.root.iterdir()):
-            if not (shard.is_dir() and len(shard.name) == 2):
-                continue
-            for entry in sorted(shard.glob("*.json")):
-                yield entry.stem
+        """All task keys currently stored, in key order."""
+        for key, _path in self.entry_files():
+            yield key
 
     def __len__(self) -> int:
         return sum(1 for _ in self.keys())
@@ -268,139 +261,46 @@ class TieredCache:
         return stats
 
 
-class CacheIndex:
-    """A recency/size index over a :class:`ResultCache` directory.
+def compact_cache(
+    cache: ResultCache,
+    max_entries: Optional[int] = None,
+    max_bytes: Optional[int] = None,
+) -> Dict[str, Any]:
+    """Evict least-recently-written records until both bounds hold.
 
-    The index is what makes the content-addressed store *bounded*: it
-    knows every entry's size and last-use time, persists itself as
-    ``<root>/index.json``, and :meth:`compact` evicts least-recently
-    used records until the store fits ``max_entries`` / ``max_bytes``.
-
-    :meth:`load` merges the persisted index with a directory scan, so
-    records written by processes that never touched the index (pool
-    workers, other shards) are still indexed — their file mtime stands
-    in for last use until a :meth:`touch` refreshes it.  Losing or
-    deleting ``index.json`` therefore loses nothing but recency hints.
+    Records are ordered by file mtime, key breaking ties, so the order
+    needs no state beyond the directory itself: a rewritten record is
+    young again, and records written by any process (pool workers,
+    other shards) are ordered alike.  Deletes go through the cache, so
+    a racing reader simply misses.  Returns what happened.
     """
-
-    INDEX_NAME = "index.json"
-
-    def __init__(self, cache: ResultCache) -> None:
-        self.cache = cache
-        self.entries: Dict[str, Dict[str, float]] = {}
-
-    @property
-    def path(self) -> Path:
-        """Where the index persists (inside the cache root)."""
-        return self.cache.root / self.INDEX_NAME
-
-    def load(self) -> "CacheIndex":
-        """Populate from the persisted index merged with a scan."""
-        saved: Dict[str, Dict[str, float]] = {}
+    order: List[Tuple[float, str, int]] = []
+    for key, path in cache.entry_files():
         try:
-            with open(self.path) as stream:
-                data = json.load(stream)
-            if isinstance(data, dict) and isinstance(
-                data.get("entries"), dict
-            ):
-                saved = data["entries"]
-        except (OSError, ValueError):
-            saved = {}
-        self.entries = {}
-        for key, file_path in self.cache.entry_files():
-            try:
-                stat = file_path.stat()
-            except OSError:
-                continue
-            known = saved.get(key)
-            last_used = (
-                float(known["last_used"])
-                if isinstance(known, dict) and "last_used" in known
-                else stat.st_mtime
-            )
-            self.entries[key] = {
-                "bytes": float(stat.st_size),
-                "last_used": last_used,
-            }
-        return self
-
-    def save(self) -> None:
-        """Persist atomically next to the records it indexes."""
-        self.cache.root.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=self.cache.root, prefix=".index.", suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as stream:
-                json.dump({"entries": self.entries}, stream,
-                          sort_keys=True)
-                stream.write("\n")
-            os.replace(tmp, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def touch(self, key: str, now: Optional[float] = None) -> None:
-        """Refresh ``key``'s recency (a read or write just happened)."""
-        entry = self.entries.get(key)
-        stamp = time.time() if now is None else now
-        if entry is None:
-            try:
-                size = float(self.cache.path(key).stat().st_size)
-            except OSError:
-                return
-            self.entries[key] = {"bytes": size, "last_used": stamp}
-        else:
-            entry["last_used"] = stamp
-
-    def total_bytes(self) -> int:
-        """Sum of indexed record sizes."""
-        return int(sum(e["bytes"] for e in self.entries.values()))
-
-    def compact(
-        self,
-        max_entries: Optional[int] = None,
-        max_bytes: Optional[int] = None,
-    ) -> Dict[str, Any]:
-        """Evict least-recently-used records until both bounds hold.
-
-        Deletes the record files through the cache (so a racing reader
-        simply misses), drops them from the index, and persists the
-        compacted index.  Returns what happened.
-        """
-        before = len(self.entries)
-        before_bytes = self.total_bytes()
-        # oldest first; key is the tiebreak so compaction is stable
-        order = sorted(
-            self.entries.items(),
-            key=lambda item: (item[1]["last_used"], item[0]),
-        )
-        evicted: List[str] = []
-        remaining = before
-        remaining_bytes = before_bytes
-        for key, entry in order:
-            over_entries = (
-                max_entries is not None and remaining > max_entries
-            )
-            over_bytes = (
-                max_bytes is not None and remaining_bytes > max_bytes
-            )
-            if not (over_entries or over_bytes):
-                break
-            self.cache.delete(key)
-            del self.entries[key]
-            remaining -= 1
-            remaining_bytes -= int(entry["bytes"])
-            evicted.append(key)
-        self.save()
-        return {
-            "entries_before": before,
-            "entries_after": remaining,
-            "bytes_before": before_bytes,
-            "bytes_after": remaining_bytes,
-            "evicted": len(evicted),
-            "evicted_keys": evicted,
-        }
+            stat = path.stat()
+        except OSError:
+            continue
+        order.append((stat.st_mtime, key, stat.st_size))
+    order.sort()
+    before = len(order)
+    before_bytes = sum(size for _mtime, _key, size in order)
+    evicted: List[str] = []
+    remaining = before
+    remaining_bytes = before_bytes
+    for _mtime, key, size in order:
+        over_entries = max_entries is not None and remaining > max_entries
+        over_bytes = max_bytes is not None and remaining_bytes > max_bytes
+        if not (over_entries or over_bytes):
+            break
+        cache.delete(key)
+        remaining -= 1
+        remaining_bytes -= size
+        evicted.append(key)
+    return {
+        "entries_before": before,
+        "entries_after": remaining,
+        "bytes_before": before_bytes,
+        "bytes_after": remaining_bytes,
+        "evicted": len(evicted),
+        "evicted_keys": evicted,
+    }

@@ -293,7 +293,7 @@ def run_campaign_remote(
     Each of ``workers`` dispatchers holds one keep-alive connection to
     the service (a single shard or a :mod:`repro.serve.router` front
     end) and POSTs the campaign's tasks to ``/v1/task`` in task order.
-    Caching, batching, admission control, and verification upgrades
+    Caching, admission control, and verification upgrades
     all happen **server-side**; this client only aggregates what the
     service reports.  ``campaign.retries`` bounds re-sends after
     transport failures or 429 backpressure (with ``campaign.backoff``

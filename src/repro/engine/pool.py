@@ -273,10 +273,10 @@ def run_tasks(
 # persistent pool (the serving-layer execution surface)
 # ----------------------------------------------------------------------
 def _persistent_worker(conn: Any) -> None:
-    """Long-lived subprocess loop: recv a dispatch, run it, send records.
+    """Long-lived subprocess loop: recv a dispatch, run it, send the record.
 
-    A dispatch is ``{"specs": [...], "deadlines": [...], "verify": b}``;
-    ``None`` asks the worker to exit.  Each spec runs under its own
+    A dispatch is ``{"spec": {...}, "deadline": d, "verify": b}``;
+    ``None`` asks the worker to exit.  The spec runs under its
     remaining-deadline budget (see :func:`repro.engine.tasks.run_task`).
     """
     while True:
@@ -286,16 +286,13 @@ def _persistent_worker(conn: Any) -> None:
             break
         if message is None:
             break
-        records = []
-        deadlines = message.get("deadlines") or [None] * len(message["specs"])
-        for spec_dict, deadline in zip(message["specs"], deadlines):
-            records.append(_guarded_run(
-                TaskSpec.from_dict(spec_dict),
-                verify=bool(message.get("verify", False)),
-                deadline=deadline,
-            ))
+        record = _guarded_run(
+            TaskSpec.from_dict(message["spec"]),
+            verify=message["verify"],
+            deadline=message["deadline"],
+        )
         try:
-            conn.send(records)
+            conn.send(record)
         except (BrokenPipeError, OSError):
             break
     conn.close()
@@ -335,12 +332,11 @@ class PersistentPool:
     not per request.  :meth:`submit` is **thread-safe and blocking**:
     any number of dispatcher threads may call it concurrently; each
     call checks out one idle worker (blocking until one frees up),
-    ships a whole batch of specs in a single round trip, and returns
-    one record per spec in input order.
+    ships one spec in a single round trip, and returns its record.
 
     Containment matches the batch pool: a dispatch that overruns
-    ``timeout`` gets its worker killed (records: ``timeout``), a worker
-    that dies mid-dispatch is detected as a closed pipe (records:
+    ``timeout`` gets its worker killed (record: ``timeout``), a worker
+    that dies mid-dispatch is detected as a closed pipe (record:
     ``crashed``), and either way a fresh worker replaces the dead one,
     so pool capacity never decays.  With ``workers=0`` dispatches run
     inline in the calling thread — no subprocesses, no kill-based
@@ -351,13 +347,11 @@ class PersistentPool:
     def __init__(
         self,
         workers: int = 1,
-        verify: bool = False,
         tracer: Tracer = NULL_TRACER,
     ) -> None:
         if workers < 0:
             raise ValueError("workers must be >= 0")
         self.workers = workers
-        self.verify = verify
         self.tracer = tracer
         self._closed = False
         self._lock = threading.Lock()
@@ -373,65 +367,49 @@ class PersistentPool:
     # ------------------------------------------------------------------
     def submit(
         self,
-        specs: Sequence[TaskSpec],
-        deadlines: Optional[Sequence[Optional[float]]] = None,
-        verify: Optional[bool] = None,
+        spec: TaskSpec,
+        deadline: Optional[float] = None,
+        verify: bool = False,
         timeout: Optional[float] = None,
-    ) -> List[Dict[str, Any]]:
-        """Run a batch of specs on one worker; records in input order.
+    ) -> Dict[str, Any]:
+        """Run one spec on one worker and return its record.
 
-        ``deadlines`` gives each spec its remaining wall-clock seconds
-        (None = unlimited) — forwarded into the task's cooperative
-        budget.  ``timeout`` bounds the whole dispatch from outside: on
-        overrun the worker is killed and every spec in the batch gets a
-        ``timeout`` record (callers batching independent requests keep
-        batches homogeneous and small for exactly this blast-radius
-        reason).
+        ``deadline`` is the spec's remaining wall-clock seconds (None =
+        unlimited), forwarded into the task's cooperative budget.
+        ``timeout`` bounds the dispatch from outside: on overrun the
+        worker is killed and the record is ``timeout``.
         """
         if self._closed:
             raise RuntimeError("pool is closed")
-        verify = self.verify if verify is None else verify
         if self.workers == 0:
-            return [
-                _guarded_run(spec, verify=verify, deadline=deadline)
-                for spec, deadline in zip(
-                    specs, deadlines or [None] * len(specs)
-                )
-            ]
+            return _guarded_run(spec, verify=verify, deadline=deadline)
         worker = self._idle.get()
         try:
             worker.conn.send({
-                "specs": [spec.as_dict() for spec in specs],
-                "deadlines": list(deadlines) if deadlines else None,
+                "spec": spec.as_dict(),
+                "deadline": deadline,
                 "verify": verify,
             })
             if worker.conn.poll(timeout):
-                records = worker.conn.recv()
+                record = worker.conn.recv()
                 self._idle.put(worker)
-                return records
-            # overrun: kill, replace, synthesize timeout records
+                return record
+            # overrun: kill, replace, synthesize a timeout record
             self.tracer.count("engine.timeouts")
             worker.kill()
             self._respawn()
-            return [
-                _failure_record(
-                    spec, "timeout",
-                    error=f"persistent-pool dispatch exceeded {timeout}s",
-                    seconds=timeout or 0.0,
-                )
-                for spec in specs
-            ]
+            return _failure_record(
+                spec, "timeout",
+                error=f"persistent-pool dispatch exceeded {timeout}s",
+                seconds=timeout or 0.0,
+            )
         except (EOFError, BrokenPipeError, OSError):
             self.tracer.count("engine.crashes")
             worker.kill()
             self._respawn()
-            return [
-                _failure_record(
-                    spec, "crashed",
-                    error="worker process died mid-dispatch",
-                )
-                for spec in specs
-            ]
+            return _failure_record(
+                spec, "crashed", error="worker process died mid-dispatch",
+            )
 
     def _respawn(self) -> None:
         """Replace a killed worker so capacity never decays."""

@@ -7,15 +7,11 @@ reproduction *resident*: an :mod:`asyncio` HTTP service (stdlib only)
 that answers JSON task requests — coalescing strategies, allocators,
 reductions, analysis checks, anything a
 :class:`repro.engine.tasks.TaskSpec` can express — from a persistent
-worker pool, fronted by the serving-stack trio the roadmap's
-production goals require:
+worker pool, fronted by three serving mechanisms:
 
 * **admission control** (:mod:`repro.serve.admission`) — bounded
   per-class queues with explicit 429/503 backpressure and deadline
   propagation into :mod:`repro.budget`;
-* **micro-batching** (:mod:`repro.serve.batcher`) — homogeneous
-  requests coalesce into one worker dispatch inside a configurable
-  time/size window;
 * **cache-aware routing** (:mod:`repro.serve.service`) — a two-tier
   result cache (in-memory LRU in front of the engine's
   content-addressed file store) answers repeats without touching a
@@ -23,8 +19,8 @@ production goals require:
   reuse;
 * **sharding** (:mod:`repro.serve.router`) — ``repro serve --shards N``
   spawns N supervised worker services and consistent-hash-routes each
-  task to the shard owning its content address, preserving cache and
-  batching affinity while scaling throughput across processes.
+  task to the shard owning its content address, preserving cache
+  affinity while scaling throughput across processes.
 
 Operational surface: ``/healthz``, ``/metrics`` (Prometheus text),
 ``/drain`` (plus ``/shards`` on the router).  Entry points:
@@ -33,9 +29,8 @@ Operational surface: ``/healthz``, ``/metrics`` (Prometheus text),
 """
 
 from .admission import AdmissionController, ClassLimit
-from .batcher import MicroBatcher
 from .client import LoadConfig, run_load
-from .protocol import TaskRequest, batch_key, parse_task_request
+from .protocol import TaskRequest, parse_task_request
 from .router import (
     HashRing,
     Router,
@@ -49,11 +44,9 @@ from .service import ServeConfig, Service
 __all__ = [
     "AdmissionController",
     "ClassLimit",
-    "MicroBatcher",
     "LoadConfig",
     "run_load",
     "TaskRequest",
-    "batch_key",
     "parse_task_request",
     "HashRing",
     "Router",

@@ -2,7 +2,7 @@
 
 ``repro client`` drives a running ``repro serve`` instance and reports
 what the service actually delivered: throughput, latency percentiles,
-cache and batching behaviour, and every backpressure response it
+cache hits, and every backpressure response it
 received.  Two load models:
 
 * **closed loop** (default) — ``concurrency`` virtual clients each
@@ -174,7 +174,6 @@ class _Collector:
         self.http_statuses: Dict[str, int] = {}
         self.record_statuses: Dict[str, int] = {}
         self.cache_hits = 0
-        self.batch_sizes: List[int] = []
         self.transport_errors = 0
 
     def note(self, status: int, document: Any, seconds: float) -> None:
@@ -193,8 +192,6 @@ class _Collector:
                 )
             if served.get("cache") == "hit":
                 self.cache_hits += 1
-            if served.get("batch_size"):
-                self.batch_sizes.append(served["batch_size"])
 
     def note_transport_error(self) -> None:
         """Record a connection-level failure (no HTTP response)."""
@@ -305,11 +302,4 @@ async def run_load(config: LoadConfig) -> Dict[str, Any]:
     }
     if config.mode == "open":
         report["offered_rate_rps"] = config.rate
-    if collector.batch_sizes:
-        report["batch"] = {
-            "mean_size": round(
-                sum(collector.batch_sizes) / len(collector.batch_sizes), 3
-            ),
-            "max_size": max(collector.batch_sizes),
-        }
     return report

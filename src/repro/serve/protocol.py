@@ -18,10 +18,7 @@ substrate.
 :func:`parse_task_request` validates the document into a
 :class:`TaskRequest`; validation failures raise
 :class:`repro.serve.http.HttpError` (status 400) with a message naming
-the offending field.  :func:`batch_key` gives the micro-batcher its
-homogeneity key: everything about the task *except its seed*, plus the
-verify flag — tasks differing only by seed run identically shaped work
-and can share one worker dispatch.
+the offending field.
 
 Admission classes: :func:`request_class` maps a spec onto ``"light"``
 (polynomial heuristics) or ``"heavy"`` (exponential exact solvers and
@@ -34,7 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Tuple
+from typing import Any, Mapping, Optional
 
 from ..engine.tasks import TaskSpec, task_hash
 from .http import HttpError
@@ -42,7 +39,6 @@ from .http import HttpError
 __all__ = [
     "TaskRequest",
     "parse_task_request",
-    "batch_key",
     "request_class",
     "CACHE_MODES",
     "HEAVY_STRATEGIES",
@@ -87,20 +83,6 @@ def request_class(spec: TaskSpec) -> str:
     if spec.generator in ("sleep", "crash"):
         return HEAVY
     return LIGHT
-
-
-def batch_key(spec: TaskSpec, verify: bool) -> Tuple[Any, ...]:
-    """Micro-batching homogeneity key: the spec minus its seed.
-
-    Two requests share a dispatch iff they run the same generator,
-    strategy, ``k``, parameters, and budget caps, and agree on
-    verification — i.e. they are the same *workload*, differing only in
-    which instance (seed) they touch.
-    """
-    return (
-        spec.generator, spec.k, spec.strategy, spec.params,
-        spec.max_steps, spec.max_seconds, bool(verify),
-    )
 
 
 def parse_task_request(document: Any) -> TaskRequest:

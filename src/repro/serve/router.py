@@ -2,8 +2,8 @@
 
 ``repro serve --shards N`` turns the single-process service into a
 small cluster: N worker services (each a full
-:class:`~repro.serve.service.Service` — admission, batching, pool,
-tiered cache) listen on ``port+1 .. port+N``, and one :class:`Router`
+:class:`~repro.serve.service.Service` — admission, pool, tiered
+cache) listen on ``port+1 .. port+N``, and one :class:`Router`
 on the public port fans ``POST /v1/task`` across them by
 **consistent-hashing the task's content address**
 (:func:`repro.engine.tasks.task_hash`).
@@ -11,7 +11,7 @@ on the public port fans ``POST /v1/task`` across them by
 Hashing on the content address gives three properties for free:
 
 * **cache affinity** — a task key always lands on the same shard, so
-  each shard's in-memory LRU tier and micro-batcher see *all* repeats
+  each shard's in-memory LRU tier sees *all* repeats
   of their key subset instead of 1/N of them;
 * **restart stability** — the ring is derived purely from the shard
   ids, so the same spec routes to the same shard across router
@@ -620,8 +620,6 @@ def _shard_argv(args: Any, url: str) -> List[str]:
         "--port", str(parts.port),
         "--workers", str(args.workers),
         "--cache-dir", args.cache_dir or "",
-        "--batch-window", str(args.batch_window),
-        "--batch-max", str(args.batch_max),
         "--light-queue", str(args.light_queue),
         "--light-concurrency", str(args.light_concurrency),
         "--heavy-queue", str(args.heavy_queue),

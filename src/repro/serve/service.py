@@ -2,11 +2,10 @@
 
 One resident process turns the batch-oriented engine into a query
 surface: requests arrive as JSON over HTTP/1.1
-(:mod:`repro.serve.http`), pass **cache-aware admission**, are
-**micro-batched** with homogeneous peers, and execute on a
-**persistent worker pool** (:class:`repro.engine.pool.PersistentPool`)
-that amortizes process spawn and import cost across the service's
-lifetime.
+(:mod:`repro.serve.http`), pass **cache-aware admission**, and each
+execute as one dispatch on a **persistent worker pool**
+(:class:`repro.engine.pool.PersistentPool`) that amortizes process
+spawn and import cost across the service's lifetime.
 
 Request lifecycle (``POST /v1/task``):
 
@@ -22,19 +21,18 @@ Request lifecycle (``POST /v1/task``):
    one the record lacks; ``cache: "bypass"/"refresh"`` opt out;
 3. **admission** — bounded per-class queues reject overload with 429
    and drain with 503 (:mod:`repro.serve.admission`);
-4. **micro-batch** — the request joins its homogeneity batch
-   (:mod:`repro.serve.batcher`) and the batch executes as one pool
-   dispatch, each task under its remaining request deadline;
+4. **dispatch** — the request takes a dispatch slot of its class and
+   runs as one pool dispatch under its remaining request deadline;
 5. the record is written back to the cache (``ok`` always;
    ``budget_exceeded`` only when no request deadline tightened the
    task's own budget, so a deadline can never poison the cache for
    deadline-free callers) and the response carries the record plus
-   serving metadata (cache disposition, batch size, queue time).
+   serving metadata (cache disposition, queue time).
 
 Operational endpoints: ``GET /healthz`` (200, or 503 while draining),
 ``GET /metrics`` (Prometheus text,
 :func:`repro.obs.export.to_prometheus`), ``POST /drain`` (stop
-admitting, flush batches, finish in-flight work, then report drained —
+admitting, finish in-flight work, then report drained —
 the CLI exits at that point).  Failure semantics and tuning knobs are
 documented in ``docs/SERVING.md``.
 """
@@ -44,13 +42,12 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from ..engine.cache import MemoryCache, ResultCache, TieredCache
 from ..engine.pool import PersistentPool
 from ..obs import Tracer, to_prometheus
 from .admission import AdmissionController, ClassLimit
-from .batcher import MicroBatcher
 from .http import (
     DEFAULT_MAX_BODY,
     HttpError,
@@ -59,7 +56,7 @@ from .http import (
     read_request,
     render_response,
 )
-from .protocol import HEAVY, LIGHT, TaskRequest, batch_key, parse_task_request
+from .protocol import HEAVY, LIGHT, TaskRequest, parse_task_request
 
 __all__ = ["ServeConfig", "Service", "REUSABLE_STATUSES"]
 
@@ -87,34 +84,18 @@ class ServeConfig:
     workers: int = 1
     cache_dir: Optional[str] = None
     verify_default: bool = False
-    batch_window: float = 0.005
-    batch_max: int = 16
     light_queue: int = 128
     light_concurrency: int = 8
     heavy_queue: int = 16
     heavy_concurrency: int = 2
     task_timeout: Optional[float] = None
     max_body: int = DEFAULT_MAX_BODY
-    #: in-memory LRU tier capacity in records; 0 disables the tier and
-    #: every probe goes straight to the file cache
+    #: in-memory LRU tier capacity in records (>= 1)
     mem_entries: int = 1024
 
 
-class _Pending:
-    """One admitted request awaiting its record."""
-
-    __slots__ = ("request", "future", "entered_at", "batch_size")
-
-    def __init__(self, request: TaskRequest,
-                 future: "asyncio.Future[Dict[str, Any]]") -> None:
-        self.request = request
-        self.future = future
-        self.entered_at = time.monotonic()
-        self.batch_size = 1
-
-
 class Service:
-    """The serving stack: admission → batcher → pool → cache → response."""
+    """The serving stack: cache → admission → pool → cache → response."""
 
     def __init__(
         self,
@@ -125,23 +106,14 @@ class Service:
         self.tracer = tracer if tracer is not None else Tracer()
         # Two-tier result store: a synchronous in-memory LRU answers
         # repeats without leaving the event loop; the file tier backs
-        # it and survives restarts.  ``mem_entries == 0`` falls back to
-        # the bare file cache (both expose get/put, so the hot path is
-        # agnostic).
-        self.cache: Any = None
+        # it and survives restarts.
+        self.cache: Optional[TieredCache] = None
         if config.cache_dir:
-            file_cache = ResultCache(config.cache_dir)
-            if config.mem_entries > 0:
-                self.cache = TieredCache(
-                    file_cache,
-                    MemoryCache(config.mem_entries, tracer=self.tracer),
-                    tracer=self.tracer,
-                )
-            else:
-                self.cache = file_cache
-        self.pool = PersistentPool(
-            workers=config.workers, tracer=self.tracer
-        )
+            self.cache = TieredCache(
+                ResultCache(config.cache_dir),
+                MemoryCache(config.mem_entries, tracer=self.tracer),
+                tracer=self.tracer,
+            )
         self.admission = AdmissionController(
             {
                 LIGHT: ClassLimit(config.light_queue,
@@ -151,10 +123,9 @@ class Service:
             },
             tracer=self.tracer,
         )
-        self.batcher = MicroBatcher(
-            self._run_batch,
-            window=config.batch_window,
-            max_batch=config.batch_max,
+        # spawned last, so an invalid limit above leaves no workers
+        self.pool = PersistentPool(
+            workers=config.workers, tracer=self.tracer
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._started_at = time.monotonic()
@@ -184,7 +155,6 @@ class Service:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        await self.batcher.join()
         await asyncio.to_thread(self.pool.close)
 
     async def serve_until_drained(self) -> None:
@@ -291,19 +261,17 @@ class Service:
         """The cache-tier block of the healthz document."""
         if self.cache is None:
             return {"enabled": False}
-        if isinstance(self.cache, TieredCache):
-            return {
-                "enabled": True,
-                "tiers": ["memory", "file"],
-                "memory_entries": len(self.cache.memory),
-                "memory_capacity": self.cache.memory.capacity,
-            }
-        return {"enabled": True, "tiers": ["file"]}
+        return {
+            "enabled": True,
+            "tiers": ["memory", "file"],
+            "memory_entries": len(self.cache.memory),
+            "memory_capacity": self.cache.memory.capacity,
+        }
 
     def _handle_metrics(self, keep_alive: bool) -> bytes:
         """``GET /metrics`` — counters/spans/gauges as Prometheus text."""
         gauges = self.admission.gauges()
-        if isinstance(self.cache, TieredCache):
+        if self.cache is not None:
             gauges["serve_cache_memory_entries"] = float(
                 len(self.cache.memory)
             )
@@ -311,7 +279,6 @@ class Service:
                 self.cache.memory.capacity
             )
         gauges["serve_pool_workers"] = float(self.config.workers)
-        gauges["serve_batch_pending"] = float(self.batcher.pending())
         gauges["serve_uptime_seconds"] = (
             time.monotonic() - self._started_at
         )
@@ -326,9 +293,7 @@ class Service:
         """``POST /drain`` — stop admitting, finish in-flight, report."""
         already = self.admission.draining
         self.admission.start_drain()
-        self.batcher.flush_all()
         await self.admission.wait_drained()
-        await self.batcher.join()
         payload = {
             "drained": True,
             "already_draining": already,
@@ -359,8 +324,7 @@ class Service:
         if cached is not None:
             self.tracer.count("serve.cache_hit")
             return self._record_response(
-                cached, served={"cache": "hit", "batch_size": 0,
-                                "queue_seconds": 0.0,
+                cached, served={"cache": "hit", "queue_seconds": 0.0,
                                 "class": task_request.admission_class},
                 keep_alive=keep,
             )
@@ -374,23 +338,17 @@ class Service:
             return json_response(
                 status, {"error": reason, "class": cls}, keep_alive=keep
             )
-        pending = _Pending(
-            task_request, asyncio.get_running_loop().create_future()
-        )
+        entered_at = time.monotonic()
         try:
-            self.batcher.submit(
-                batch_key(task_request.spec, task_request.verify), pending
-            )
-            record = await pending.future
+            record = await self._dispatch(task_request, entered_at)
         finally:
             self.admission.leave(cls)
-        queue_seconds = time.monotonic() - pending.entered_at
+        queue_seconds = time.monotonic() - entered_at
         return self._record_response(
             record,
             served={
                 "cache": task_request.cache_mode
                 if task_request.cache_mode != "use" else "miss",
-                "batch_size": pending.batch_size,
                 "queue_seconds": round(queue_seconds, 6),
                 "class": cls,
             },
@@ -412,18 +370,12 @@ class Service:
         """
         if self.cache is None or task_request.cache_mode != "use":
             return None
-        record: Optional[Dict[str, Any]] = None
-        if isinstance(self.cache, TieredCache):
-            # the memory tier is a dict lookup — probe it on the event
-            # loop; only a miss pays the thread hop to the file tier
-            record = self.cache.get_memory(task_request.key)
-            if record is None:
-                record = await asyncio.to_thread(
-                    self.cache.get_file, task_request.key
-                )
-        else:
+        # the memory tier is a dict lookup — probe it on the event
+        # loop; only a miss pays the thread hop to the file tier
+        record = self.cache.get_memory(task_request.key)
+        if record is None:
             record = await asyncio.to_thread(
-                self.cache.get, task_request.key
+                self.cache.get_file, task_request.key
             )
         if record is None or record.get("status") not in REUSABLE_STATUSES:
             return None
@@ -454,49 +406,27 @@ class Service:
         if cacheable:
             self.cache.put(task_request.key, record)
 
-    async def _run_batch(self, items: List[_Pending]) -> None:
-        """Execute one homogeneous batch as a single pool dispatch."""
-        cls = items[0].request.admission_class
-        verify = items[0].request.verify
-        now = time.monotonic()
-        specs = [item.request.spec for item in items]
-        deadlines: List[Optional[float]] = []
-        for item in items:
-            if item.request.deadline is None:
-                deadlines.append(None)
-            else:
-                deadlines.append(
-                    item.request.deadline - (now - item.entered_at)
+    async def _dispatch(
+        self, task_request: TaskRequest, entered_at: float
+    ) -> Dict[str, Any]:
+        """Run one admitted request as a single pool dispatch and write
+        its record back to the cache."""
+        async with self.admission.slot(task_request.admission_class):
+            deadline = task_request.deadline
+            if deadline is not None:
+                deadline -= time.monotonic() - entered_at
+            with self.tracer.span("serve/dispatch"):
+                record = await asyncio.to_thread(
+                    self.pool.submit, task_request.spec, deadline,
+                    task_request.verify, self.config.task_timeout,
                 )
-        timeout = (
-            None if self.config.task_timeout is None
-            else self.config.task_timeout * len(items)
-        )
-        self.tracer.count("serve.batches")
-        self.tracer.count("serve.batched_tasks", len(items))
-        if len(items) > 1:
-            self.tracer.count("serve.batch_coalesced", len(items) - 1)
+        if record.get("trace"):
+            self.tracer.absorb(record["trace"])
         try:
-            async with self.admission.slot(cls):
-                with self.tracer.span("serve/dispatch"):
-                    records = await asyncio.to_thread(
-                        self.pool.submit, specs, deadlines, verify, timeout
-                    )
-        except Exception as exc:
-            for item in items:
-                if not item.future.done():
-                    item.future.set_exception(exc)
-            return
-        for item, record in zip(items, records):
-            item.batch_size = len(items)
-            if record.get("trace"):
-                self.tracer.absorb(record["trace"])
-            try:
-                self._cache_write(item.request, record)
-            except OSError:
-                self.tracer.count("serve.cache_write_errors")
-            if not item.future.done():
-                item.future.set_result(record)
+            self._cache_write(task_request, record)
+        except OSError:
+            self.tracer.count("serve.cache_write_errors")
+        return record
 
     def _record_response(
         self,

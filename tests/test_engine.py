@@ -299,16 +299,15 @@ class TestPool:
 # persistent pool (the serving substrate)
 # ----------------------------------------------------------------------
 class TestPersistentPool:
-    def _specs(self, n):
-        return [TaskSpec(generator="pressure", seed=s, k=6,
-                         strategy="briggs", params={"rounds": 4})
-                for s in range(n)]
+    def _spec(self, seed=0):
+        return TaskSpec(generator="pressure", seed=seed, k=6,
+                        strategy="briggs", params={"rounds": 4})
 
     def test_inline_batch_in_order(self):
         from repro.engine import PersistentPool
 
         with PersistentPool(workers=0) as pool:
-            records = pool.submit(self._specs(4))
+            records = [pool.submit(self._spec(s)) for s in range(4)]
         assert [r["status"] for r in records] == ["ok"] * 4
         assert [r["task"]["seed"] for r in records] == list(range(4))
 
@@ -316,40 +315,49 @@ class TestPersistentPool:
         from repro.engine import PersistentPool
 
         with PersistentPool(workers=1) as pool:
-            first = pool.submit(self._specs(2), timeout=60)
-            second = pool.submit(self._specs(2), timeout=60)
-        assert [r["status"] for r in first + second] == ["ok"] * 4
+            first = pool.submit(self._spec(0), timeout=60)
+            second = pool.submit(self._spec(1), timeout=60)
+        assert [first["status"], second["status"]] == ["ok", "ok"]
+        assert second["task"]["seed"] == 1
+
+    def test_verify_reaches_the_worker(self):
+        from repro.engine import PersistentPool
+
+        with PersistentPool(workers=1) as pool:
+            plain = pool.submit(self._spec(), timeout=60)
+            verified = pool.submit(self._spec(), verify=True, timeout=60)
+        assert "verification" not in plain
+        assert verified["verification"]["status"] == "certified"
 
     def test_crash_contained_and_pool_recovers(self):
         from repro.engine import PersistentPool
 
-        crash = [TaskSpec(generator="crash", seed=0)]
         with PersistentPool(workers=1) as pool:
-            [record] = pool.submit(crash, timeout=30)
+            record = pool.submit(TaskSpec(generator="crash", seed=0),
+                                 timeout=30)
             assert record["status"] == "crashed"
             # the dead worker was replaced; the pool still serves
-            [ok] = pool.submit(self._specs(1), timeout=60)
-            assert ok["status"] == "ok"
+            assert pool.submit(self._spec(), timeout=60)["status"] == "ok"
 
     def test_timeout_kills_and_respawns(self):
         from repro.engine import PersistentPool
 
-        sleep = [TaskSpec(generator="sleep", seed=0,
-                          params={"seconds": 30.0})]
+        sleep = TaskSpec(generator="sleep", seed=0,
+                         params={"seconds": 30.0})
         tracer = Tracer()
         with PersistentPool(workers=1, tracer=tracer) as pool:
-            [record] = pool.submit(sleep, timeout=0.3)
+            record = pool.submit(sleep, timeout=0.3)
             assert record["status"] == "timeout"
-            [ok] = pool.submit(self._specs(1), timeout=60)
-            assert ok["status"] == "ok"
+            assert tracer.counters["engine.timeouts"] == 1
+            assert pool.submit(self._spec(), timeout=60)["status"] == "ok"
 
     def test_deadlines_feed_cooperative_budgets(self):
         from repro.engine import PersistentPool
 
-        sleep = [TaskSpec(generator="sleep", seed=0,
-                          params={"seconds": 30.0})]
+        sleep = TaskSpec(generator="sleep", seed=0,
+                         params={"seconds": 30.0})
         with PersistentPool(workers=0) as pool:
-            [record] = pool.submit(sleep, deadlines=[-1.0])
+            record = pool.submit(sleep, deadline=-1.0)
         assert record["status"] == "budget_exceeded"
         assert record["payload"]["reason"] == "deadline"
 
@@ -359,7 +367,7 @@ class TestPersistentPool:
         pool = PersistentPool(workers=0)
         pool.close()
         with pytest.raises(RuntimeError):
-            pool.submit(self._specs(1))
+            pool.submit(self._spec())
 
 
 # ----------------------------------------------------------------------

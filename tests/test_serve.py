@@ -1,23 +1,23 @@
-"""Tests for repro.serve: HTTP codec, micro-batcher window logic,
-admission control, request schema, the load-generator helpers, and
-end-to-end service behaviour on an ephemeral port (single requests,
-batched bursts, cache-hit replay, backpressure, deadlines, drain)."""
+"""Tests for repro.serve: HTTP codec, admission control, request
+schema, the load-generator helpers, ``repro serve`` flag validation,
+and end-to-end service behaviour on an ephemeral port (single
+requests, concurrent bursts, cache-hit replay, backpressure,
+deadlines, drain)."""
 
 import asyncio
 import json
 
 import pytest
 
+from repro.cli import main
 from repro.engine.cache import ResultCache
 from repro.engine.tasks import TaskSpec, task_hash
 from repro.serve import (
     AdmissionController,
     ClassLimit,
     LoadConfig,
-    MicroBatcher,
     ServeConfig,
     Service,
-    batch_key,
     parse_task_request,
     run_load,
 )
@@ -161,98 +161,6 @@ class TestHttpCodec:
 
 
 # ----------------------------------------------------------------------
-# micro-batcher
-# ----------------------------------------------------------------------
-class TestMicroBatcher:
-    def test_flushes_when_batch_fills(self):
-        async def body():
-            batches = []
-
-            async def dispatch(items):
-                batches.append(items)
-
-            batcher = MicroBatcher(dispatch, window=10.0, max_batch=3)
-            for i in range(3):
-                batcher.submit("k", i)
-            assert batcher.pending() == 0  # flushed at max_batch
-            await batcher.join()
-            assert batches == [[0, 1, 2]]
-        run(body())
-
-    def test_window_flushes_partial_batch(self):
-        async def body():
-            batches = []
-
-            async def dispatch(items):
-                batches.append(items)
-
-            batcher = MicroBatcher(dispatch, window=0.02, max_batch=100)
-            batcher.submit("k", "a")
-            batcher.submit("k", "b")
-            assert batcher.pending() == 2
-            await asyncio.sleep(0.1)
-            await batcher.join()
-            assert batches == [["a", "b"]]
-        run(body())
-
-    def test_zero_window_disables_coalescing(self):
-        async def body():
-            batches = []
-
-            async def dispatch(items):
-                batches.append(items)
-
-            batcher = MicroBatcher(dispatch, window=0.0, max_batch=100)
-            batcher.submit("k", 1)
-            batcher.submit("k", 2)
-            await batcher.join()
-            assert batches == [[1], [2]]
-        run(body())
-
-    def test_keys_do_not_mix(self):
-        async def body():
-            batches = []
-
-            async def dispatch(items):
-                batches.append(sorted(items))
-
-            batcher = MicroBatcher(dispatch, window=10.0, max_batch=2)
-            batcher.submit("x", 1)
-            batcher.submit("y", 10)
-            batcher.submit("x", 2)
-            batcher.submit("y", 20)
-            await batcher.join()
-            assert sorted(batches) == [[1, 2], [10, 20]]
-        run(body())
-
-    def test_flush_all_drains_buffers(self):
-        async def body():
-            batches = []
-
-            async def dispatch(items):
-                batches.append(items)
-
-            batcher = MicroBatcher(dispatch, window=10.0, max_batch=100)
-            batcher.submit("x", 1)
-            batcher.submit("y", 2)
-            assert batcher.pending() == 2
-            batcher.flush_all()
-            assert batcher.pending() == 0
-            await batcher.join()
-            assert sorted(batches) == [[1], [2]]
-        run(body())
-
-    def test_validation(self):
-        async def dispatch(items):  # pragma: no cover - never called
-            pass
-
-        with pytest.raises(ValueError):
-            MicroBatcher(dispatch, window=-1.0)
-        with pytest.raises(ValueError):
-            MicroBatcher(dispatch, max_batch=0)
-
-
-# ----------------------------------------------------------------------
 # admission control
 # ----------------------------------------------------------------------
 class TestAdmission:
@@ -380,17 +288,6 @@ class TestProtocol:
             parse_task_request(document)
         assert exc.value.status == 400
 
-    def test_batch_key_ignores_seed_only(self):
-        a = TaskSpec(generator="pressure", seed=1, k=5, strategy="briggs",
-                     params={"rounds": 4})
-        b = TaskSpec(generator="pressure", seed=2, k=5, strategy="briggs",
-                     params={"rounds": 4})
-        c = TaskSpec(generator="pressure", seed=1, k=5, strategy="brute",
-                     params={"rounds": 4})
-        assert batch_key(a, False) == batch_key(b, False)
-        assert batch_key(a, False) != batch_key(c, False)
-        assert batch_key(a, False) != batch_key(a, True)
-
     def test_request_class(self):
         light = TaskSpec(generator="pressure", seed=1, k=5,
                          strategy="briggs")
@@ -400,6 +297,33 @@ class TestProtocol:
         assert request_class(light) == LIGHT
         assert request_class(exact) == HEAVY
         assert request_class(fault) == HEAVY
+
+
+# ----------------------------------------------------------------------
+# ``repro serve`` flag validation
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("flags", [
+    ["--workers", "-1"],
+    ["--light-queue", "0"],
+    ["--heavy-concurrency", "0"],
+    ["--mem-entries", "0"],
+    ["--mem-entries", "-1"],
+    ["--timeout", "0"],
+    ["--shards", "2", "--workers", "-1"],
+])
+def test_serve_rejects_bad_numeric_flags(flags, monkeypatch, capsys):
+    import repro.serve
+    import repro.serve.router
+
+    def never(*args, **kwargs):
+        raise AssertionError("repro serve started despite a bad flag")
+
+    # validation must come before anything binds or spawns, sharded or not
+    monkeypatch.setattr(repro.serve, "Service", never)
+    monkeypatch.setattr(repro.serve.router, "serve_sharded", never)
+    assert main(["serve", "--port", "8080", "--cache-dir", "", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flags[-2] in err, err
 
 
 # ----------------------------------------------------------------------
@@ -450,23 +374,19 @@ class TestServiceEndToEnd:
                 await service.stop()
         run(body())
 
-    def test_burst_is_batched(self):
+    def test_concurrent_burst_gets_own_records(self):
         async def body():
-            service, url = await _start(batch_window=0.05, batch_max=16)
+            service, url = await _start()
             try:
                 responses = await asyncio.gather(*[
                     request_once(url, "POST", "/v1/task", _task_doc(seed=s))
                     for s in range(6)
                 ])
                 assert [r.status for r in responses] == [200] * 6
-                sizes = [r.json()["served"]["batch_size"]
+                # everyone got *their* record, in request order
+                seeds = [r.json()["record"]["task"]["seed"]
                          for r in responses]
-                assert max(sizes) >= 2  # coalesced into a shared dispatch
-                assert service.tracer.counters["serve.batch_coalesced"] >= 1
-                seeds = sorted(
-                    r.json()["record"]["task"]["seed"] for r in responses
-                )
-                assert seeds == list(range(6))  # everyone got *their* record
+                assert seeds == list(range(6))
             finally:
                 await service.stop()
         run(body())
@@ -522,7 +442,7 @@ class TestServiceEndToEnd:
     def test_backpressure_429_under_burst(self):
         async def body():
             service, url = await _start(
-                heavy_queue=1, heavy_concurrency=1, batch_window=0.0,
+                heavy_queue=1, heavy_concurrency=1,
             )
             try:
                 doc = {"task": {"generator": "sleep", "seed": 0,
@@ -546,13 +466,23 @@ class TestServiceEndToEnd:
     def test_expired_deadline_is_budget_exceeded(self, tmp_path):
         async def body():
             service, url = await _start(
-                cache_dir=str(tmp_path / "c"), batch_window=0.01,
+                cache_dir=str(tmp_path / "c"), heavy_concurrency=1,
             )
             try:
+                # hold the only heavy dispatch slot, so the deadline is
+                # spent while the request waits for it
+                blocker = asyncio.ensure_future(request_once(
+                    url, "POST", "/v1/task",
+                    {"task": {"generator": "sleep", "seed": 1,
+                              "params": {"seconds": 0.2}}},
+                ))
+                while service.admission.in_system(HEAVY) == 0:
+                    await asyncio.sleep(0.005)
                 doc = {"task": {"generator": "sleep", "seed": 0,
                                 "params": {"seconds": 30.0}},
                        "deadline": 0.001}
                 response = await request_once(url, "POST", "/v1/task", doc)
+                assert (await blocker).status == 200
                 assert response.status == 200
                 record = response.json()["record"]
                 assert record["status"] == "budget_exceeded"

@@ -2,20 +2,21 @@
 consistent-hash ring stability and rebalancing, router end-to-end
 behaviour over in-process shard services, the in-memory LRU tier
 (eviction order, counter exactness, write-through, promotion), cache
-index compaction, and remote campaign dispatch."""
+compaction, and remote campaign dispatch."""
 
 import asyncio
 import json
+import os
 import threading
 
 import pytest
 
 from repro.engine import (
     Campaign,
-    CacheIndex,
     MemoryCache,
     ResultCache,
     TieredCache,
+    compact_cache,
     run_campaign,
     run_campaign_remote,
 )
@@ -200,17 +201,19 @@ class TestResultCacheOverwrite:
         assert cache.put("other", {"status": "ok"}) is False
 
 
-class TestCacheIndex:
-    def test_compaction_evicts_lru_first(self, tmp_path):
+def _put_aged(cache, key, mtime, **fields):
+    """Write one record and stamp its file with ``mtime``."""
+    cache.put(key, {"key": key, "status": "ok", **fields})
+    os.utime(cache.path(key), (mtime, mtime))
+
+
+class TestCacheCompaction:
+    def test_compaction_evicts_oldest_write_first(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         for i in range(6):
-            cache.put(f"key-{i}", {"key": f"key-{i}",
-                                   "status": "ok", "i": i})
-        index = CacheIndex(cache).load()
-        for i in range(6):
-            index.touch(f"key-{i}", now=1000.0 + i)
-        index.touch("key-0", now=2000.0)  # key-0 becomes most recent
-        report = index.compact(max_entries=3)
+            _put_aged(cache, f"key-{i}", 1000.0 + i)
+        os.utime(cache.path("key-0"), (2000.0, 2000.0))  # newest now
+        report = compact_cache(cache, max_entries=3)
         assert report["entries_after"] == 3
         assert report["evicted_keys"] == ["key-1", "key-2", "key-3"]
         assert cache.get("key-0") is not None
@@ -220,23 +223,32 @@ class TestCacheIndex:
     def test_compaction_by_bytes(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         for i in range(8):
-            cache.put(f"key-{i}", {"key": f"key-{i}",
-                                   "status": "ok", "pad": "x" * 64})
-        index = CacheIndex(cache).load()
-        total = index.total_bytes()
-        report = index.compact(max_bytes=total // 2)
+            _put_aged(cache, f"key-{i}", 1000.0 + i, pad="x" * 64)
+        total = cache.stats()["bytes"]
+        report = compact_cache(cache, max_bytes=total // 2)
+        assert report["bytes_before"] == total
         assert report["bytes_after"] <= total // 2
         assert report["evicted"] > 0
+        assert report["evicted_keys"][0] == "key-0"
         assert len(cache) == report["entries_after"]
 
-    def test_index_persists_across_loads(self, tmp_path):
+    def test_rewritten_record_is_not_evicted(self, tmp_path, capsys):
+        # a compaction must not remember recency from an earlier one:
+        # rewriting k0 makes it the newest entry
+        from repro.cli import main
+
         cache = ResultCache(str(tmp_path))
-        cache.put("key-a", {"key": "key-a", "status": "ok"})
-        index = CacheIndex(cache).load()
-        index.touch("key-a", now=123.0)
-        index.save()
-        reloaded = CacheIndex(cache).load()
-        assert reloaded.entries["key-a"]["last_used"] == 123.0
+        for i in range(4):
+            _put_aged(cache, f"k{i}", 1000.0 + i)
+        argv = ["cache", "compact", "--cache-dir", str(tmp_path), "--json"]
+        assert main(argv + ["--max-entries", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["evicted"] == 0
+        cache.put("k0", {"key": "k0", "status": "ok", "v": 2})
+        assert main(argv + ["--max-entries", "3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["evicted_keys"] == ["k1"]
+        assert cache.get("k0")["v"] == 2
+        assert sorted(cache.keys()) == ["k0", "k2", "k3"]
 
 
 # ----------------------------------------------------------------------
@@ -249,7 +261,7 @@ async def _start_shards(count, **overrides):
     urls = []
     for _ in range(count):
         service = Service(ServeConfig(
-            port=0, workers=0, batch_window=0.0, **overrides,
+            port=0, workers=0, **overrides,
         ))
         port = await service.start()
         services.append(service)
@@ -448,7 +460,7 @@ class TestServiceMemoryTier:
     def test_second_pass_hits_memory_tier(self, tmp_path):
         async def body():
             service = Service(ServeConfig(
-                port=0, workers=0, batch_window=0.0,
+                port=0, workers=0,
                 cache_dir=str(tmp_path), mem_entries=32,
             ))
             port = await service.start()
@@ -480,7 +492,7 @@ class TestServiceMemoryTier:
             # and promotes it so the next repeat is a memory hit
             spec = TaskSpec.from_dict(_task_document(3)["task"])
             warm = Service(ServeConfig(
-                port=0, workers=0, batch_window=0.0,
+                port=0, workers=0,
                 cache_dir=str(tmp_path),
             ))
             port = await warm.start()
@@ -492,7 +504,7 @@ class TestServiceMemoryTier:
                 await warm.stop()
 
             cold = Service(ServeConfig(
-                port=0, workers=0, batch_window=0.0,
+                port=0, workers=0,
                 cache_dir=str(tmp_path),
             ))
             port = await cold.start()
@@ -507,14 +519,6 @@ class TestServiceMemoryTier:
             finally:
                 await cold.stop()
         run(body())
-
-    def test_mem_entries_zero_disables_tier(self, tmp_path):
-        service = Service(ServeConfig(
-            port=0, workers=0, cache_dir=str(tmp_path), mem_entries=0,
-        ))
-        assert isinstance(service.cache, ResultCache)
-        health = service._cache_health()
-        assert health["tiers"] == ["file"]
 
 
 # ----------------------------------------------------------------------
@@ -557,7 +561,7 @@ class TestRemoteCampaign:
             campaign, ResultCache(str(tmp_path / "local")), workers=0,
         )
         url, thread = _serve_in_thread(ServeConfig(
-            port=0, workers=0, batch_window=0.0,
+            port=0, workers=0,
             cache_dir=str(tmp_path / "remote"),
         ))
         try:
