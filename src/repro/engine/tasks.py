@@ -288,6 +288,24 @@ def _resolve_dotted(path: str) -> Callable:
     return getattr(module, attr)
 
 
+def _corpus_path(params: Mapping[str, Any]) -> Any:
+    """The ``.ll`` file an ``"llvm"`` spec names in ``params["path"]``."""
+    import os
+
+    from ..frontend.corpus import corpus_dir
+
+    path = params.get("path")
+    if path is None:
+        raise ValueError("the llvm generator requires params['path']")
+    if not os.path.exists(path):
+        # bare file names resolve against the checked-in corpus, so
+        # campaign specs stay portable across working directories
+        candidate = corpus_dir() / path
+        if candidate.exists():
+            return candidate
+    return path
+
+
 def _generate_instance(spec: TaskSpec) -> ChallengeInstance:
     params = spec.params_dict()
     if spec.generator == "pressure":
@@ -307,21 +325,10 @@ def _generate_instance(spec: TaskSpec) -> ChallengeInstance:
             name=f"program-s{spec.seed}",
         )
     if spec.generator == "llvm":
-        import os
+        from ..frontend.corpus import instance_from_path
 
-        from ..frontend.corpus import corpus_dir, instance_from_path
-
-        path = params.get("path")
-        if path is None:
-            raise ValueError("the llvm generator requires params['path']")
-        if not os.path.exists(path):
-            # bare file names resolve against the checked-in corpus, so
-            # campaign specs stay portable across working directories
-            candidate = corpus_dir() / path
-            if candidate.exists():
-                path = candidate
         return instance_from_path(
-            path,
+            _corpus_path(params),
             k=spec.k,
             function=params.get("function"),
             sha256=params.get("sha256"),
@@ -351,22 +358,15 @@ def _load_task_function(spec: TaskSpec) -> Tuple[Any, int]:
             f"'llvm' generator (got {spec.generator!r}): graph "
             "generators carry no code to allocate"
         )
-    import os
-
-    from ..frontend.corpus import corpus_dir, function_from_path
+    from ..frontend.corpus import function_from_path
     from ..ir.interference import set_frequencies_from_loops
     from ..ir.liveness import maxlive
 
     params = spec.params_dict()
-    path = params.get("path")
-    if path is None:
-        raise ValueError("the llvm generator requires params['path']")
-    if not os.path.exists(path):
-        candidate = corpus_dir() / path
-        if candidate.exists():
-            path = candidate
     func = function_from_path(
-        path, function=params.get("function"), sha256=params.get("sha256")
+        _corpus_path(params),
+        function=params.get("function"),
+        sha256=params.get("sha256"),
     )
     set_frequencies_from_loops(func)
     k = spec.k if spec.k > 0 else maxlive(func)

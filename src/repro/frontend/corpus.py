@@ -20,6 +20,7 @@ parse, lower, and pass ``repro check`` clean — CI enforces this.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 from pathlib import Path
@@ -46,16 +47,33 @@ __all__ = [
 ]
 
 
+#: How many parsed modules :func:`parse_path` keeps per process.
+_PARSE_MEMO_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_PARSE_MEMO_SIZE)
+def _parse_memo(path: str, text: str) -> LLModule:
+    module = parse_module(text)
+    module.source = path
+    return module
+
+
 def parse_path(path: "str | os.PathLike") -> LLModule:
     """Read and parse one ``.ll`` file into its module AST.
 
     Stamps the module's ``source`` with the path so lowered functions
     carry file provenance into diagnostics and SARIF locations.
+
+    The file is read on every call, but the parse is memoised per
+    process under ``(path, text)`` — the full text, so a hit is exact
+    and an edited file is parsed afresh — for the last
+    ``_PARSE_MEMO_SIZE`` distinct keys.  Syntax errors are not cached.
+    The returned module is shared between callers: treat it as
+    read-only (lowering builds fresh functions from it).
     """
     with open(path) as stream:
-        module = parse_module(stream.read())
-    module.source = str(path)
-    return module
+        text = stream.read()
+    return _parse_memo(str(path), text)
 
 
 def load_functions(text: str) -> List[Function]:

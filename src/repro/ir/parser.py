@@ -144,8 +144,26 @@ def parse_function(text: str, offset: int = 0) -> Function:
     for block, value in pending_freq:
         func.frequency[block] = value
     func.source_line = source_line
-    func.validate()
+    try:
+        func.validate()
+    except ValueError as exc:
+        raise IRSyntaxError(_invalid_line(func), str(exc)) from exc
     return func
+
+
+def _invalid_line(func: Function) -> int:
+    """Source line of the φ that :meth:`Function.validate` rejects.
+
+    That is the first φ whose arguments do not match its block's
+    predecessors, the one check parsed text can fail; else the entry
+    block's line.
+    """
+    for name, block in func.blocks.items():
+        preds = set(func.predecessors(name))
+        for phi in block.phis:
+            if set(phi.args) != preds:
+                return phi.line
+    return func.blocks[func.entry].line
 
 
 def format_function(func: Function, header: bool = True) -> str:

@@ -25,7 +25,8 @@ from repro.frontend import (
     parse_module,
     tokenize,
 )
-from repro.frontend.corpus import cfg_dot, corpus_dir
+from repro.frontend import corpus
+from repro.frontend.corpus import cfg_dot, corpus_dir, parse_path
 from repro.frontend.parser import parse_module as _parse
 
 GCD = """
@@ -305,6 +306,83 @@ class TestCorpus:
         assert weights[frozenset(("x", "y"))] > weights[frozenset(("x", "a"))]
 
 
+class TestParseMemo:
+    """``parse_path`` memoises the parse of identical text per process."""
+
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        corpus._parse_memo.cache_clear()
+
+    def test_unchanged_content_returns_the_same_module(self, ll_file):
+        first = parse_path(ll_file)
+        assert parse_path(ll_file) is first
+        assert first.source == ll_file
+
+    def test_rewritten_file_is_parsed_again(self, tmp_path):
+        path = tmp_path / "f.ll"
+        path.write_text(GCD)
+        first = parse_path(path)
+        path.write_text(GCD.replace("@gcd", "@gcd2"))
+        second = parse_path(path)
+        assert second is not first
+        assert [f.name for f in second.functions] == ["gcd2"]
+        assert [f.name for f in first.functions] == ["gcd"]
+
+    def test_sha256_pin_still_checked_when_warm(self):
+        path = corpus_dir() / "loops.ll"
+        parse_path(path)
+        with pytest.raises(ValueError, match="sha256"):
+            instance_from_path(path, sha256="0" * 64)
+
+    @pytest.mark.parametrize("strategy", ["briggs", "linear-scan"])
+    def test_verified_task_parses_once(self, strategy, monkeypatch):
+        from repro.engine.tasks import TaskSpec, run_task
+
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return _parse(text)
+
+        monkeypatch.setattr(corpus, "parse_module", counting)
+        spec = TaskSpec(generator="llvm", seed=0, k=0, strategy=strategy,
+                        params={"path": "loops.ll", "function": "gcd"})
+        record = run_task(spec, verify=True)
+        assert record["verification"]["status"] == "certified"
+        assert len(calls) == 1
+
+    def test_tasks_leave_the_shared_module_untouched(self):
+        """Every e2ebench task shape, verified, on the two largest files:
+        the memoised module still equals a fresh parse of its text."""
+        from repro.engine.tasks import TaskSpec, run_task
+        from repro.ir.liveness import maxlive
+
+        strategies = (
+            "briggs", "george", "briggs_george", "george_extended",
+            "brute", "aggressive", "optimistic", "biased", "chordal",
+            "irc", "interval",
+        )
+        for name in ("chacha_block.ll", "interp.ll"):
+            path = corpus_dir() / name
+            module = parse_path(path)
+            for func in lower_module(module):
+                ml = maxlive(func)
+                tasks = [(s, 0) for s in strategies]
+                for allocator in ("linear-scan", "second-chance"):
+                    tasks.append((allocator, 0))
+                    if ml - 1 >= 2:
+                        tasks.append((allocator, ml - 1))
+                for strategy, k in tasks:
+                    spec = TaskSpec(
+                        generator="llvm", seed=0, k=k, strategy=strategy,
+                        params={"path": name, "function": func.name})
+                    assert run_task(spec, verify=True)["status"] == "ok"
+            assert parse_path(path) is module
+            fresh = _parse(path.read_text())
+            fresh.source = str(path)
+            assert module == fresh
+
+
 # ---------------------------------------------------------------------------
 # engine integration
 # ---------------------------------------------------------------------------
@@ -408,6 +486,17 @@ class TestCLI:
         path.write_text("func f\ne:\n  x = phi(no-colon)\n")
         assert main(["check", str(path)]) == 2
         assert f"{path}:3: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["check"], ["allocate", "--k", "3"]])
+    def test_ir_cfg_error_reports_file_line(self, argv, tmp_path, capsys):
+        path = tmp_path / "bad.ir"
+        path.write_text(
+            "func f entry entry\nentry:\n  x = const\n  -> join\n"
+            "join:\n  y = phi(entry: x, ghost: x)\n  ret y\n")
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:6: " in err
+        assert "predecessors are ['entry']" in err
 
     def test_empty_ll_file(self, tmp_path, capsys):
         path = tmp_path / "empty.ll"
