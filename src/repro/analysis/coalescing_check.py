@@ -248,12 +248,6 @@ def check_coalescing_conservative(
 # ----------------------------------------------------------------------
 # allocation results
 # ----------------------------------------------------------------------
-def _is_memory_slot(v: Any) -> bool:
-    from ..allocator.spill import is_memory_slot
-
-    return is_memory_slot(v)
-
-
 @analysis_pass(
     "allocation-validity", "allocation",
     codes=("ALLOC001", "ALLOC002", "ALLOC003"),
@@ -262,13 +256,18 @@ def check_allocation_validity(
     result: Any, ctx: AnalysisContext
 ) -> Iterator[Diagnostic]:
     """The assignment is a valid coloring of the final code's graph."""
+    # bound once per run: ``allocator`` imports ``analysis.debug``, so this
+    # cannot be a module-level import, and an import statement per edge
+    # costs a trip through importlib
+    from ..allocator.spill import is_memory_slot
+
     func = result.function
     assignment = result.assignment
     k = result.k
     graph = chaitin_interference(func, weighted=False)
     for u, v in graph.edges():
         ctx.check_budget()
-        if _is_memory_slot(u) or _is_memory_slot(v):
+        if is_memory_slot(u) or is_memory_slot(v):
             continue
         cu, cv = assignment.get(u), assignment.get(v)
         if cu is None or cv is None:
@@ -303,6 +302,8 @@ def check_allocation_spill(
 ) -> Iterator[Diagnostic]:
     """Spill bookkeeping: spilled variables rewritten away, memory
     slots never in registers."""
+    from ..allocator.spill import is_memory_slot
+
     func = result.function
     ctx.check_budget()
     final_vars = func.variables()
@@ -315,7 +316,7 @@ def check_allocation_spill(
                 where=str(v), obj=func.name, detail={"vertex": str(v)},
             )
     for v in result.assignment:
-        if _is_memory_slot(v):
+        if is_memory_slot(v):
             yield Diagnostic(
                 "ALLOC004", "error",
                 f"memory slot {v} was assigned a register",

@@ -85,17 +85,20 @@ class DenseGraph:
     # ------------------------------------------------------------------
     @classmethod
     def from_graph(cls, graph: Graph) -> "DenseGraph":
-        """Intern ``graph`` (insertion order) into a dense twin."""
-        dense = cls(list(graph.vertices))
-        index = dense.index
-        adj = dense.adj
-        for v in graph.vertices:
-            i = index[v]
-            mask = 0
-            for u in graph.neighbors_view(v):
-                mask |= 1 << index[u]
-            adj[i] = mask
-            dense.deg[i] = _popcount(mask)
+        """Intern ``graph`` (insertion order) into a dense twin.
+
+        Each row is one ``sum`` over a precomputed ``{vertex: 1 << i}``
+        map (the bits are distinct, so the sum is their OR) and its
+        degree the neighbour-set size, with no per-neighbour shift.
+        """
+        names = list(graph.vertices)
+        dense = cls(names)
+        bit = {v: 1 << i for i, v in enumerate(names)}.__getitem__
+        adj, deg = dense.adj, dense.deg
+        for i, v in enumerate(names):
+            nbrs = graph.neighbors_view(v)
+            adj[i] = sum(map(bit, nbrs))
+            deg[i] = len(nbrs)
         return dense
 
     def to_graph(self) -> Graph:
@@ -310,7 +313,9 @@ def greedy_elimination_order(
         if counting:
             tracer.count(WORDS_MERGED, 2 * words)
             tracer.count(EDGES_SCANNED, _popcount(nb))
-        for u in _iter_bits(nb):
+        while nb:
+            u = (nb & -nb).bit_length() - 1
+            nb &= nb - 1
             d = degree[u] - 1
             degree[u] = d
             if d == k - 1:

@@ -12,7 +12,7 @@ degree queries, edge tests, and vertex merging.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, Optional, Sequence, Set, Tuple
 
 Vertex = Hashable
 Edge = Tuple[Vertex, Vertex]
@@ -54,6 +54,30 @@ class Graph:
         self.add_vertex(v)
         self._adj[u].add(v)
         self._adj[v].add(u)
+
+    def add_edge_rows(self, names: Sequence[Vertex], rows: Iterable[int]) -> None:
+        """Add the edges of bitmask rows over ``names`` in one pass.
+
+        Bit ``j`` of ``rows[i]`` is the edge ``(names[i], names[j])``.
+        Rows may be asymmetric (an edge set in either row is added in
+        both directions), which is how bitmask builders such as
+        :func:`repro.ir.interference.chaitin_interference` accumulate
+        them.  Every name becomes a vertex, in order, if not already
+        present.  A set diagonal bit is a self-loop: ``ValueError``.
+        """
+        for v in names:
+            self.add_vertex(v)
+        sets = [self._adj[v] for v in names]
+        for i, row in enumerate(rows):
+            vi = names[i]
+            if row >> i & 1:
+                raise ValueError(f"self-loop on {vi!r} is not allowed")
+            mine = sets[i]
+            while row:
+                j = (row & -row).bit_length() - 1
+                mine.add(names[j])
+                sets[j].add(vi)
+                row &= row - 1
 
     def remove_vertex(self, v: Vertex) -> None:
         """Remove ``v`` and all incident edges."""
@@ -147,16 +171,21 @@ class Graph:
         return g
 
     def subgraph(self, keep: Iterable[Vertex]) -> "Graph":
-        """The induced subgraph on ``keep``."""
+        """The induced subgraph on ``keep``.
+
+        Vertices keep this graph's insertion order (not the order of
+        ``keep``); each row is one set intersection.  A vertex of
+        ``keep`` that is not in the graph raises ``KeyError``.
+        """
         keep_set = set(keep)
+        missing = keep_set - self._adj.keys()
+        if missing:
+            v = min(missing, key=str)
+            raise KeyError(f"vertex {v!r} not in graph")
         g = Graph()
-        for v in keep_set:
-            if v not in self._adj:
-                raise KeyError(f"vertex {v!r} not in graph")
-            g.add_vertex(v)
-        for v in keep_set:
-            for u in self._adj[v] & keep_set:
-                g.add_edge(u, v)
+        g._adj = {
+            v: nbrs & keep_set for v, nbrs in self._adj.items() if v in keep_set
+        }
         return g
 
     def merged(self, u: Vertex, v: Vertex, into: Optional[Vertex] = None) -> "Graph":

@@ -284,20 +284,32 @@ class Coalescing:
         between two classes iff some pair across them interferes, and an
         affinity (with accumulated weight) iff some uncoalesced affinity
         crosses them.
+
+        Built row-wise: each class's neighbour set is the union of its
+        members' neighbourhoods mapped through the representative map,
+        so no edge is visited one ``add_edge`` call at a time.  Vertices
+        come in order of their class's first member.  A class that
+        lands in its own neighbour set means two interfering vertices
+        share it; only then are the edges rescanned, in
+        :meth:`~repro.graphs.graph.Graph.edges` order, to name the first
+        such pair in the ``ValueError``.
         """
-        g = InterferenceGraph()
+        graph = self.graph
         rep = self.as_mapping()
-        for v in self.graph.vertices:
-            g.add_vertex(rep[v])
-        for u, v in self.graph.edges():
-            ru, rv = rep[u], rep[v]
-            if ru == rv:
-                raise ValueError(
-                    f"invalid coalescing: {u!r} and {v!r} interfere "
-                    "but share a class"
-                )
-            g.add_edge(ru, rv)
-        for u, v, w in self.graph.affinities():
+        to_rep = rep.__getitem__
+        g = InterferenceGraph()
+        rows = g._adj
+        for v in graph.vertices:
+            rows.setdefault(to_rep(v), set()).update(
+                map(to_rep, graph.neighbors_view(v)))
+        if any(r in row for r, row in rows.items()):
+            for u, v in graph.edges():
+                if rep[u] == rep[v]:
+                    raise ValueError(
+                        f"invalid coalescing: {u!r} and {v!r} interfere "
+                        "but share a class"
+                    )
+        for u, v, w in graph.affinities():
             ru, rv = rep[u], rep[v]
             if ru != rv and not g.has_edge(ru, rv):
                 g.add_affinity(ru, rv, w)

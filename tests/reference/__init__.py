@@ -6,7 +6,9 @@ strictly less traced work (counted as in :mod:`repro.obs.names`).
 :func:`maximal_cliques_chordal` (the Blair–Peyton containment test) and
 :func:`clique_tree` (the Kruskal maximum-weight spanning tree on those
 cliques) are what the O(V+E) clique-tree walk of
-:mod:`repro.graphs.chordal` is checked against.
+:mod:`repro.graphs.chordal` is checked against, and
+:func:`coalesced_graph` (one ``add_edge`` per edge) is the oracle for
+the row-wise quotient build.
 """
 
 from __future__ import annotations
@@ -357,3 +359,26 @@ def conservative_coalesce(
             else:
                 tracer.count("moves.rejected")
     return coalescing
+
+
+def coalesced_graph(coalescing: Coalescing) -> InterferenceGraph:
+    """The quotient :math:`G_f` built one ``add_edge`` per edge, walking
+    :meth:`~repro.graphs.graph.Graph.edges` (the oracle for the
+    row-wise :meth:`~repro.graphs.interference.Coalescing.coalesced_graph`)."""
+    g = InterferenceGraph()
+    rep = coalescing.as_mapping()
+    for v in coalescing.graph.vertices:
+        g.add_vertex(rep[v])
+    for u, v in coalescing.graph.edges():
+        ru, rv = rep[u], rep[v]
+        if ru == rv:
+            raise ValueError(
+                f"invalid coalescing: {u!r} and {v!r} interfere "
+                "but share a class"
+            )
+        g.add_edge(ru, rv)
+    for u, v, w in coalescing.graph.affinities():
+        ru, rv = rep[u], rep[v]
+        if ru != rv and not g.has_edge(ru, rv):
+            g.add_affinity(ru, rv, w)
+    return g

@@ -290,6 +290,84 @@ def test_alloc004_spill_bookkeeping():
     assert "ALLOC004" in _codes(check_allocation(result))
 
 
+def _linear_scan(k_offset=0):
+    """Classic linear scan of ``loops.ll``/``gcd`` at k = Maxlive + offset
+    (Maxlive 3: no spill at offset 0, three memory slots at -1)."""
+    from repro.frontend.corpus import corpus_dir, parse_path
+    from repro.frontend.lower import lower_module
+    from repro.intervals.linear_scan import linear_scan_allocate
+    from repro.ir.liveness import maxlive
+
+    (func,) = [f for f in lower_module(parse_path(corpus_dir() / "loops.ll"))
+               if f.name == "gcd"]
+    return linear_scan_allocate(func, maxlive(func) + k_offset)
+
+
+def _interfering_pair(result):
+    from repro.allocator.spill import is_memory_slot
+
+    graph = chaitin_interference(result.function, weighted=False)
+    return next((u, v) for u, v in graph.edges()
+                if not is_memory_slot(u) and not is_memory_slot(v))
+
+
+def test_intv002_shared_register_on_intersecting_intervals():
+    from repro.intervals.model import build_intervals
+
+    result = _linear_scan()
+    assert result.interval_variant == "classic" and not result.spilled
+    assert not {"INTV001", "INTV002"} & _codes(check_allocation(result))
+    intervals = build_intervals(result.function).intervals
+    u, v = _interfering_pair(result)
+    assert intervals[u].intersects(intervals[v])
+    result.assignment[v] = result.assignment[u]
+    codes = _codes(check_allocation(result))
+    assert "INTV002" in codes and "ALLOC001" in codes
+
+
+def test_intv001_interval_missing_an_interference(monkeypatch):
+    import repro.intervals.model as model
+    from repro.intervals.model import IntervalSet, LiveInterval
+
+    result = _linear_scan()
+    u, _ = _interfering_pair(result)
+    real = model.build_intervals
+
+    def emptied(func, *args, **kwargs):
+        iset = real(func, *args, **kwargs)
+        intervals = dict(iset.intervals)
+        intervals[u] = LiveInterval(var=u, ranges=())
+        return IntervalSet(points=iset.points, intervals=intervals)
+
+    monkeypatch.setattr(model, "build_intervals", emptied)
+    hits = [d for d in check_allocation(result) if d.code == "INTV001"]
+    assert hits and all(u in d.detail["edge"] for d in hits)
+
+
+def test_memory_slots_skipped_by_validity_and_flagged_in_registers():
+    from repro.allocator.spill import is_memory_slot
+
+    result = _linear_scan(-1)
+    graph = chaitin_interference(result.function, weighted=False)
+    slot_edges = [(u, v) for u, v in graph.edges()
+                  if is_memory_slot(u) or is_memory_slot(v)]
+    assert slot_edges
+    # the slots interfere but hold no register: no ALLOC003 for them
+    assert not any(
+        c.startswith("ALLOC") for c in _codes(check_allocation(result)))
+    # a slot given its neighbour's register is ALLOC004, never ALLOC001
+    slot, other = next(
+        (u, v) if is_memory_slot(u) else (v, u) for u, v in slot_edges
+        if not (is_memory_slot(u) and is_memory_slot(v))
+        and (v if is_memory_slot(u) else u) in result.assignment
+    )
+    result.assignment[slot] = result.assignment[other]
+    diagnostics = check_allocation(result)
+    assert [d.detail["vertex"] for d in diagnostics
+            if d.code == "ALLOC004"] == [slot]
+    assert not {"ALLOC001", "ALLOC002", "ALLOC003"} & _codes(diagnostics)
+
+
 # ---------------------------------------------------------------------------
 # engine record mutations
 # ---------------------------------------------------------------------------

@@ -423,6 +423,67 @@ class TestEngine:
         llvm = [s for s in campaign.tasks if s.generator == "llvm"]
         assert len(llvm) == 6 * len(corpus_functions())
 
+    def test_task_shapes_independent_of_hash_seed(self):
+        """Every e2ebench task shape (eleven strategies, both allocators
+        at k = Maxlive and Maxlive - 1), verified, on the largest corpus
+        function and on interp.ll: result_hash and verification status
+        are identical under three PYTHONHASHSEED values, so no set
+        iteration order leaks into a result."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        probe = (
+            "import json\n"
+            "from repro.engine.tasks import TaskSpec, run_task\n"
+            "from repro.frontend.corpus import corpus_dir, parse_path\n"
+            "from repro.frontend.lower import lower_module\n"
+            "from repro.ir.liveness import maxlive\n"
+            "strategies = ('briggs', 'george', 'briggs_george',\n"
+            "    'george_extended', 'brute', 'aggressive', 'optimistic',\n"
+            "    'biased', 'chordal', 'irc', 'interval')\n"
+            "out = []\n"
+            "for name, function in (('chacha_block.ll', 'chacha_mix'),\n"
+            "                       ('interp.ll', 'interp_run')):\n"
+            "    module = parse_path(corpus_dir() / name)\n"
+            "    (func,) = [f for f in lower_module(module)\n"
+            "               if f.name == function]\n"
+            "    ml = maxlive(func)\n"
+            "    tasks = [(s, 0) for s in strategies]\n"
+            "    for allocator in ('linear-scan', 'second-chance'):\n"
+            "        tasks += [(allocator, 0), (allocator, ml - 1)]\n"
+            "    for strategy, k in tasks:\n"
+            "        spec = TaskSpec(generator='llvm', seed=0, k=k,\n"
+            "            strategy=strategy,\n"
+            "            params={'path': name, 'function': function})\n"
+            "        rec = run_task(spec, verify=True)\n"
+            "        out.append([name, strategy, k, rec['status'],\n"
+            "                    rec['result_hash'],\n"
+            "                    rec['verification']['status']])\n"
+            "print(json.dumps(out))\n"
+        )
+        root = Path(__file__).resolve().parent.parent
+        outputs = set()
+        for seed in ("0", "42", "1337"):
+            proc = subprocess.run(
+                [sys.executable, "-c", probe],
+                capture_output=True, text=True, cwd=str(root),
+                env={"PYTHONHASHSEED": seed,
+                     "PYTHONPATH": str(root / "src"),
+                     "REPRO_LLVM_CORPUS": str(corpus_dir()),
+                     "PATH": "/usr/bin:/bin"},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
+        records = json.loads(outputs.pop())
+        assert len(records) == 2 * (11 + 4)
+        assert all(r[3] == "ok" for r in records)
+        # the two known COAL004 failures (ROADMAP); every other certifies
+        failed = {(r[0], r[1]) for r in records if r[5] != "certified"}
+        assert failed == {("chacha_block.ll", "biased"),
+                          ("chacha_block.ll", "chordal")}
+
 
 # ---------------------------------------------------------------------------
 # CLI

@@ -165,6 +165,64 @@ class TestDerived:
         with pytest.raises(KeyError):
             triangle.subgraph(["a", "zz"])
 
+    def test_subgraph_keeps_insertion_order(self):
+        names = [f"v{i}" for i in range(8)]
+        g = Graph(vertices=names, edges=[(names[i], names[i + 1])
+                                         for i in range(7)])
+        assert list(g.subgraph(names).vertices) == names
+        assert list(g.subgraph(reversed(names[2:6])).vertices) == names[2:6]
+        s = g.subgraph(["v5", "v3", "v4"])
+        assert list(s.vertices) == ["v3", "v4", "v5"]
+        assert sorted(map(sorted, s.edges())) == [["v3", "v4"], ["v4", "v5"]]
+
+    def test_subgraph_order_independent_of_hash_seed(self):
+        """Subgraph vertex order (which DenseGraph interns by) is the
+        parent's insertion order under every PYTHONHASHSEED."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        probe = (
+            "from repro.graphs.graph import Graph\n"
+            "from repro.graphs.interference import InterferenceGraph\n"
+            "names = [f'v{i}' for i in range(8)]\n"
+            "g = InterferenceGraph(vertices=names,\n"
+            "    edges=[(names[i], names[(i * 3) % 8]) for i in range(1, 8)\n"
+            "           if i != (i * 3) % 8],\n"
+            "    affinities=[('v0', 'v1'), ('v2', 'v6')])\n"
+            "print(list(Graph(vertices=names).subgraph(names).vertices))\n"
+            "s = g.subgraph(reversed(names[1:7]))\n"
+            "print(list(s.vertices), list(s.edges()), list(s.affinities()))\n"
+        )
+        outputs = set()
+        for seed in ("0", "42", "1337"):
+            proc = subprocess.run(
+                [sys.executable, "-c", probe],
+                capture_output=True, text=True,
+                env={"PYTHONHASHSEED": seed,
+                     "PYTHONPATH": str(Path(__file__).resolve().parent.parent
+                                       / "src"),
+                     "PATH": "/usr/bin:/bin"},
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(proc.stdout)
+        assert len(outputs) == 1
+
+    def test_add_edge_rows(self):
+        g = Graph(vertices=["z"])
+        # asymmetric rows: a-b only in a's row, b-c in both, c-a in c's
+        g.add_edge_rows(["a", "b", "c"], [0b010, 0b100, 0b011])
+        assert list(g.vertices) == ["z", "a", "b", "c"]
+        assert g == Graph(vertices=["z"], edges=[("a", "b"), ("b", "c"),
+                                                 ("a", "c")])
+        g.add_edge_rows(["c", "z"], [0b10, 0])
+        assert g.has_edge("z", "c") and g.num_edges() == 4
+
+    def test_add_edge_rows_rejects_self_loop(self):
+        g = Graph()
+        with pytest.raises(ValueError, match="self-loop"):
+            g.add_edge_rows(["a", "b"], [0b10, 0b10])
+
     def test_complement(self):
         g = Graph(vertices=["a", "b", "c"], edges=[("a", "b")])
         c = g.complement()

@@ -1,12 +1,18 @@
 """Unit tests for InterferenceGraph and Coalescing."""
 
-import pytest
+import random
+from itertools import combinations
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.graphs.dense import DenseGraph
 from repro.graphs.interference import (
     Coalescing,
     InterferenceGraph,
     coalescing_from_mapping,
 )
+from tests import reference as ref
 
 
 @pytest.fixture
@@ -192,3 +198,70 @@ class TestCoalescingFromMapping:
             coalescing_from_mapping(
                 small, {"a": 0, "b": 0, "c": 1, "d": 2}
             )
+
+
+def _random_coalesced_instance(seed):
+    """A random interference graph with affinities (shuffled insertion
+    order, mixed str/int vertices, fractional weights) and a random
+    valid coalescing of it."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 14)
+    names = [f"v{i}" if i % 3 else i for i in range(n)]
+    rng.shuffle(names)
+    g = InterferenceGraph(vertices=names)
+    p = rng.uniform(0.05, 0.7)
+    for u, v in combinations(names, 2):
+        if rng.random() < p:
+            g.add_edge(u, v)
+    for _ in range(rng.randint(0, 2 * n) if n > 1 else 0):
+        u, v = rng.sample(names, 2)
+        g.add_affinity(u, v, rng.choice((1.0, 0.5, 10.0, 3.25)))
+    c = Coalescing(g)
+    pairs = list(combinations(names, 2))
+    rng.shuffle(pairs)
+    for u, v in pairs[:rng.randint(0, len(pairs))]:
+        if c.can_union(u, v):
+            c.union(u, v)
+    return rng, g, c
+
+
+def _assert_dense_interning(graph):
+    d = DenseGraph.from_graph(graph)
+    assert d.names == list(graph.vertices)
+    assert d.index == {v: i for i, v in enumerate(d.names)}
+    assert all(d.deg[i] == d.adj[i].bit_count() for i in range(d.n))
+    assert d.to_graph() == graph
+
+
+class TestQuotientAgainstReference:
+    """The row-wise quotient equals the per-edge oracle exactly."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_identical_quotient(self, seed):
+        _, g, c = _random_coalesced_instance(seed)
+        want, got = ref.coalesced_graph(c), c.coalesced_graph()
+        assert list(got.vertices) == list(want.vertices)
+        assert got == want
+        assert list(got.edges()) == list(want.edges())
+        assert list(got.affinities()) == list(want.affinities())
+        _assert_dense_interning(g)
+        _assert_dense_interning(got)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_invalid_partition_identical_error(self, seed):
+        rng, g, c = _random_coalesced_instance(seed)
+        inside = [pair for cls in c.classes()
+                  for pair in combinations(sorted(cls, key=str), 2)]
+        if not inside:
+            return
+        # interferences added after the unions make the partition invalid
+        for u, v in rng.sample(inside, rng.randint(1, len(inside))):
+            g.add_edge(u, v)
+        with pytest.raises(ValueError) as want:
+            ref.coalesced_graph(c)
+        with pytest.raises(ValueError) as got:
+            c.coalesced_graph()
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("invalid coalescing: ")
