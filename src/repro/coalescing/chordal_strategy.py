@@ -28,14 +28,15 @@ others in ``benchmarks/bench_ablation_strategies.py``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
-from ..graphs.chordal import clique_number_chordal, is_chordal
+from ..graphs.chordal import dense_clique_tree
+from ..graphs.dense import DenseGraph
 from ..graphs.graph import Vertex
 from ..graphs.interference import Coalescing, InterferenceGraph
 from ..obs import NULL_TRACER, Tracer
 from .base import CoalescingResult, affinities_by_weight
-from .incremental import chordal_incremental_coalescible
+from .incremental import dense_incremental_coalescible
 
 
 def chordal_incremental_coalesce(
@@ -47,34 +48,41 @@ def chordal_incremental_coalesce(
     Raises ``ValueError`` if the input graph is not chordal or its
     clique number exceeds ``k``.  The result's quotient is chordal with
     ω ≤ k — hence greedy-k-colorable (Property 1).
+
+    The work graph is one :class:`DenseGraph`: each merged group takes
+    a fresh last slot (:meth:`DenseGraph.add_vertex` then
+    :meth:`DenseGraph.merge_group`), and its clique tree
+    (:func:`dense_clique_tree`) is rebuilt only after a merge, so
+    rejected affinities reuse it.
     """
-    structural = graph.structural_graph()
-    if not is_chordal(structural):
+    work = DenseGraph.from_graph(graph)
+    tree = dense_clique_tree(work)
+    if tree is None:
         raise ValueError("input graph must be chordal")
-    if len(structural) and clique_number_chordal(structural) > k:
+    if len(graph) and tree.clique_number() > k:
         raise ValueError("input graph has a clique larger than k")
 
-    work = graph.copy()
     coalescing = Coalescing(graph)
-    # each vertex of `work` stands for one coalescing class; `owner`
-    # maps it to a representative original vertex of that class
-    owner: Dict[Vertex, Vertex] = {v: v for v in graph.vertices}
-    rep_name: Dict[Vertex, Vertex] = {v: v for v in graph.vertices}
+    # each live slot of `work` stands for one coalescing class; `owner`
+    # maps it to an original vertex of that class, `slot` maps a class
+    # representative to its slot
+    owner: List[Vertex] = list(work.names)
+    slot: Dict[Vertex, int] = dict(work.index)
 
     tracer.count("affinities.total", graph.num_affinities())
     with tracer.span("chordal-incremental"):
         for u, v, w in affinities_by_weight(graph):
-            wu = rep_name[coalescing.find(u)]
-            wv = rep_name[coalescing.find(v)]
-            if wu == wv:
+            su = slot[coalescing.find(u)]
+            sv = slot[coalescing.find(v)]
+            if su == sv:
                 continue
             tracer.count("queries.interference")
-            if work.has_edge(wu, wv):
+            if work.has_edge(su, sv):
                 tracer.count("moves.constrained")
                 continue
             tracer.count("moves.attempted")
-            witness = chordal_incremental_coalescible(
-                work, wu, wv, k, tracer=tracer
+            witness = dense_incremental_coalescible(
+                work, tree, su, sv, k, tracer=tracer
             )
             if not witness.mergeable:
                 tracer.count("moves.rejected")
@@ -83,15 +91,16 @@ def chordal_incremental_coalesce(
             tracer.count("chordal.chain_merges", len(witness.chain))
             # merge x, y and the witness chain so the graph stays chordal
             # with unchanged clique number (the proof's construction)
-            group = [wu, *witness.chain, wv]
-            merged = group[0]
+            group = [su, *witness.chain, sv]
             for member in group[1:]:
-                coalescing.union(owner[group[0]], owner[member])
-                merged = work.merge_in_place(merged, member)
-                owner.pop(member, None)
-            rep = coalescing.find(u)
-            rep_name[rep] = merged
-            owner[merged] = owner[group[0]] if group[0] in owner else u
+                coalescing.union(owner[su], owner[member])
+            merged = work.add_vertex(work.names[su])
+            work.merge_group([merged, *group])
+            owner.append(owner[su])
+            slot[coalescing.find(u)] = merged
+            tree = dense_clique_tree(work)
+            if tree is None:
+                raise AssertionError("witness merge broke chordality")
 
     # final ledger from the partition itself: witness-chain merges can
     # union the endpoints of affinities decided earlier

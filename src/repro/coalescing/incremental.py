@@ -21,15 +21,15 @@ recovered (``chordal_incremental_coloring``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..graphs.chordal import (
-    CliqueTree,
+    DenseCliqueTree,
     chordal_coloring,
     clique_tree,
-    is_chordal,
 )
 from ..graphs.coloring import k_coloring_exact
+from ..graphs.dense import DenseGraph
 from ..graphs.graph import Graph, Vertex
 from ..obs import NULL_TRACER, Tracer
 
@@ -80,12 +80,47 @@ def chordal_incremental_coalescible(
        disjoint contiguous intervals from ``I_x`` to ``I_y`` covering P
        — found by a left-to-right marking in O(|V| · ω(G)).
 
-    ``tracer`` counts calls/verdicts and times the clique-tree and
-    marking phases.
+    Steps 2–5 run on clique bitmasks (:func:`dense_incremental_coalescible`
+    is the same test on a :class:`DenseGraph`).  ``tracer`` counts
+    calls/verdicts and times the clique-tree and marking phases.
     """
+    return _counted(tracer, lambda: _coalescible_impl(graph, x, y, k, tracer))
+
+
+def dense_incremental_coalescible(
+    dense: DenseGraph,
+    tree: DenseCliqueTree,
+    i: int,
+    j: int,
+    k: int,
+    tracer: Tracer = NULL_TRACER,
+) -> IntervalWitness:
+    """Theorem 5 on a chordal :class:`DenseGraph`.
+
+    ``tree`` is :func:`dense_clique_tree` of ``dense``.  Same steps and
+    verdicts as :func:`chordal_incremental_coalescible`; ``chain``
+    holds dense indices.  Callers merging many affinities keep ``tree``
+    until the graph changes.
+    """
+
+    def impl() -> IntervalWitness:
+        if k <= 0:
+            return IntervalWitness(False, [], [])
+        tracer.count("queries.interference")
+        if dense.has_edge(i, j):
+            return IntervalWitness(False, [], [])
+        return _theorem5(tree.cliques, tree.edges, i, j, k, tracer)
+
+    return _counted(tracer, impl)
+
+
+def _counted(
+    tracer: Tracer, impl: Callable[[], IntervalWitness]
+) -> IntervalWitness:
+    """Run one Theorem 5 test under the ``incremental.*`` counters."""
     tracer.count("incremental.calls")
     with tracer.span("incremental-test"):
-        witness = _coalescible_impl(graph, x, y, k, tracer)
+        witness = impl()
     if witness.mergeable:
         tracer.count("incremental.mergeable")
     else:
@@ -104,54 +139,75 @@ def _coalescible_impl(
         return IntervalWitness(False, [], [])
     with tracer.span("clique-tree"):
         tree = clique_tree(graph)
-    if tree.cliques and max(len(c) for c in tree.cliques) > k:
+    names = list(graph.vertices)
+    index = {v: i for i, v in enumerate(names)}
+    bit = {v: 1 << i for v, i in index.items()}.__getitem__
+    cliques = [sum(map(bit, c)) for c in tree.cliques]
+    # a missing vertex gets an index no clique holds: _theorem5 raises
+    witness = _theorem5(
+        cliques, tree.edges, index.get(x, len(names)),
+        index.get(y, len(names)), k, tracer,
+    )
+    witness.chain = [names[v] for v in witness.chain]
+    return witness
+
+
+def _theorem5(
+    cliques: Sequence[int],
+    edges: Sequence[Tuple[int, int]],
+    x: int,
+    y: int,
+    k: int,
+    tracer: Tracer,
+) -> IntervalWitness:
+    """Steps 1–5 for non-adjacent indices ``x`` and ``y`` of a clique
+    tree whose cliques are bitmasks."""
+    if max(map(int.bit_count, cliques), default=0) > k:
         return IntervalWitness(False, [], [])
-
-    x_nodes = tree.subtree.get(x, set())
-    y_nodes = tree.subtree.get(y, set())
-    if not x_nodes or not y_nodes:
-        raise KeyError("x and y must be vertices of the graph")
-    if x_nodes & y_nodes:
-        # same maximal clique but no edge is impossible
-        raise AssertionError("non-adjacent vertices share a maximal clique")
-
-    path = _tree_path_between(tree, x_nodes, y_nodes)
+    bx, by = 1 << x, 1 << y
+    path = _tree_path_between(cliques, edges, bx, by)
     if path is None:
         # different connected components: colour them independently
         return IntervalWitness(True, [], [])
-
-    # 3. project subtrees onto the path
-    pos = {node: i for i, node in enumerate(path)}
+    masks = [cliques[t] for t in path]
     n = len(path)
-    intervals: Dict[Vertex, Tuple[int, int]] = {}
-    for v, nodes in tree.subtree.items():
-        hit = [pos[t] for t in nodes if t in pos]
-        if hit:
-            lo, hi = min(hit), max(hit)
-            intervals[v] = (lo, hi)
-    ix = intervals[x]
-    iy = intervals[y]
-    if ix != (0, 0) or iy != (n - 1, n - 1):
+    if n < 2:
+        raise AssertionError("non-adjacent vertices share a maximal clique")
+
+    # 3. project subtrees onto the path: a vertex's interval opens where
+    # it enters a path clique and closes where it leaves the path
+    hi_of: Dict[int, int] = {}
+    for p in range(n):
+        leaving = masks[p] & ~masks[p + 1] if p + 1 < n else masks[p]
+        while leaving:
+            low = leaving & -leaving
+            hi_of[low.bit_length() - 1] = p
+            leaving ^= low
+    if hi_of[x] != 0 or hi_of[y] != n - 1:
         raise AssertionError("path trimming failed")
 
-    # 4. how many fresh single-node intervals fit at each node
-    load = [0] * n
-    for lo, hi in intervals.values():
-        for i in range(lo, hi + 1):
-            load[i] += 1
-    slack = [k - c for c in load]
-    if any(s < 0 for s in slack):
-        raise AssertionError("clique larger than k survived the ω check")
+    # 4. how many fresh single-node intervals fit at each node: every
+    # member of a path clique has an interval through it
+    slack = [k - m.bit_count() for m in masks]
 
-    # 5. marking: reached[p] = a disjoint chain from I_x ends exactly at p
-    by_lo: Dict[int, List[Tuple[int, Vertex]]] = {}
-    for v, (lo, hi) in intervals.items():
-        if v in (x, y):
-            continue
-        by_lo.setdefault(lo, []).append((hi, v))
-    parent: Dict[int, Tuple[int, Optional[Vertex]]] = {}
+    # 5. marking: reached[p] = a disjoint chain from I_x ends exactly at
+    # p; real intervals other than I_x, I_y listed by their first node
+    by_lo: List[List[Tuple[int, int]]] = []
+    prev = bx | by
+    for m in masks:
+        starts = m & ~prev
+        row: List[Tuple[int, int]] = []
+        while starts:
+            low = starts & -starts
+            v = low.bit_length() - 1
+            row.append((hi_of[v], v))
+            starts ^= low
+        by_lo.append(row)
+        prev = m | bx | by
+    parent: Dict[int, Tuple[int, int]] = {}
     frontier = [0]
-    reached: Set[int] = {0}
+    reached = [False] * n
+    reached[0] = True
     with tracer.span("marking"):
         while frontier:
             p = frontier.pop()
@@ -159,68 +215,69 @@ def _coalescible_impl(
             if nxt > n - 1:
                 continue
             # fresh single-node interval at nxt
-            if slack[nxt] > 0 and nxt not in reached and nxt != n - 1:
-                reached.add(nxt)
-                parent[nxt] = (p, None)
+            if slack[nxt] > 0 and not reached[nxt] and nxt != n - 1:
+                reached[nxt] = True
+                parent[nxt] = (p, -1)
                 frontier.append(nxt)
-            for hi, v in by_lo.get(nxt, ()):  # real intervals starting at nxt
-                if hi <= n - 2 and hi not in reached:
-                    reached.add(hi)
+            for hi, v in by_lo[nxt]:  # real intervals starting at nxt
+                if hi <= n - 2 and not reached[hi]:
+                    reached[hi] = True
                     parent[hi] = (p, v)
                     frontier.append(hi)
-    # the chain must hand over to I_y = [n-1, n-1]; n ≥ 2 here because
-    # x and y never share a maximal clique
-    if (n - 2) not in reached:
+    # the chain must hand over to I_y = [n-1, n-1]
+    if not reached[n - 2]:
         return IntervalWitness(False, [], path)
 
     # reconstruct the chain of real vertices
-    chain: List[Vertex] = []
+    chain: List[int] = []
     p = n - 2
     while p != 0:
-        prev, v = parent[p]
-        if v is not None:
+        p, v = parent[p]
+        if v >= 0:
             chain.append(v)
-        p = prev
     chain.reverse()
     return IntervalWitness(True, chain, path)
 
 
 def _tree_path_between(
-    tree: CliqueTree, from_nodes: Set[int], to_nodes: Set[int]
+    cliques: Sequence[int], edges: Sequence[Tuple[int, int]], bx: int, by: int
 ) -> Optional[List[int]]:
-    """The clique-tree path from ``from_nodes`` to ``to_nodes``, trimmed
-    so only its endpoints belong to the respective subtrees.  None when
-    they lie in different components."""
-    adj = tree.adjacency()
-    prev: Dict[int, int] = {s: s for s in from_nodes}
-    queue = list(from_nodes)
-    end: Optional[int] = None
-    for q in queue:
-        if q in to_nodes:
-            end = q
+    """The clique-tree path from ``T_x`` to ``T_y`` (the cliques holding
+    bit ``bx``, resp. ``by``), trimmed so only its endpoints belong to
+    the respective subtrees.  None when they lie in different
+    components.
+
+    Breadth-first from one clique of ``T_x`` to the nearest clique of
+    ``T_y``; in a tree the path meets each subtree in a contiguous run,
+    so cutting it at its last ``T_x`` clique leaves the bridge.
+    """
+    start = next((t for t, c in enumerate(cliques) if c & bx), -1)
+    if start < 0 or not any(c & by for c in cliques):
+        raise KeyError("x and y must be vertices of the graph")
+    adj: List[List[int]] = [[] for _ in cliques]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    prev = [-1] * len(cliques)
+    prev[start] = start
+    queue = [start]
+    end = -1
+    for node in queue:
+        if cliques[node] & by:
+            end = node
             break
-    i = 0
-    while end is None and i < len(queue):
-        node = queue[i]
-        i += 1
         for t in adj[node]:
-            if t not in prev:
+            if prev[t] < 0:
                 prev[t] = node
-                if t in to_nodes:
-                    end = t
-                    break
                 queue.append(t)
-    if end is None:
+    if end < 0:
         return None
     path = [end]
     while prev[path[-1]] != path[-1]:
         path.append(prev[path[-1]])
     path.reverse()
-    # path now runs from some node of from_nodes to the first node of
-    # to_nodes; trim the front so only path[0] is in from_nodes
-    last_from = max(i for i, t in enumerate(path) if t in from_nodes)
-    path = path[last_from:]
-    return path
+    last_from = max(i for i, t in enumerate(path) if cliques[t] & bx)
+    return path[last_from:]
 
 
 def chordal_incremental_coloring(

@@ -19,16 +19,16 @@ reduction from vertex cover), so the library provides:
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..analysis.debug import maybe_check_coalescing_result
+from ..graphs.dense import DenseGraph, brute_force_test, greedy_elimination_order
 from ..graphs.graph import Vertex
-from ..graphs.greedy import dense_subgraph_witness, is_greedy_k_colorable
+from ..graphs.greedy import is_greedy_k_colorable
 from ..graphs.interference import Coalescing, InterferenceGraph
 from ..obs import NULL_TRACER, Tracer
 from .aggressive import aggressive_coalesce
 from .base import CoalescingResult, affinities_by_weight
-from .conservative import brute_force_test
 
 
 def optimistic_coalesce(
@@ -47,36 +47,48 @@ def optimistic_coalesce(
     affinity with the brute-force conservative test — Park and Moon's
     refinement that recovers moves the coarse dissolution gave up
     needlessly.
+
+    Everything runs on one :class:`DenseGraph` of ``graph``: each round
+    copies its rows and merges every class into its first member's
+    slot, so live slots come in :meth:`Coalescing.coalesced_graph`
+    vertex order and the witness — the k-core left by the dense
+    elimination — lists blockers in the same order.  Re-coalescing
+    uses the dense brute-force test, whose verdicts equal the dict
+    test's because greedy success does not depend on elimination order.
     """
     aggressive = aggressive_coalesce(graph, tracer=tracer)
     classes: List[Set[Vertex]] = [set(c) for c in aggressive.coalescing.classes()]
-    dissolved_pairs: List[Tuple[Vertex, Vertex]] = []
+    dissolved_pairs: Set[Tuple[Vertex, Vertex]] = set()
+    base = DenseGraph.from_graph(graph)
+    index = base.index
+    affinities = list(graph.affinities())
 
-    def build(coal_classes: Sequence[Set[Vertex]]) -> Coalescing:
-        c = Coalescing(graph)
-        for group in coal_classes:
-            members = sorted(group, key=str)
-            for other in members[1:]:
-                c.union(members[0], other)
-        return c
+    def internal_weight(group: Set[Vertex]) -> float:
+        return sum(w for u, v, w in affinities if u in group and v in group)
 
     with tracer.span("optimistic/decoalesce"):
         while True:
             tracer.count("optimistic.witness_checks")
-            coalescing = build(classes)
-            quotient = coalescing.coalesced_graph()
-            witness = dense_subgraph_witness(quotient, k)
-            if witness is None:
-                break
-            rep_to_class: Dict[Vertex, Set[Vertex]] = {}
+            quotient = base.copy()
+            class_at: Dict[int, Set[Vertex]] = {}
             for group in classes:
-                rep = coalescing.find(next(iter(group)))
-                rep_to_class[rep] = group
-            blockers = [
-                rep_to_class[r]
-                for r in witness
-                if r in rep_to_class and len(rep_to_class[r]) > 1
-            ]
+                if len(group) > 1:
+                    slots = sorted(index[v] for v in group)
+                    quotient.merge_group(slots)
+                    class_at[slots[0]] = group
+            order, success = greedy_elimination_order(quotient, k)
+            if success:
+                break
+            core = quotient.alive
+            for v in order:
+                core ^= 1 << v
+            blockers = []
+            while core:
+                low = core & -core
+                group = class_at.get(low.bit_length() - 1)
+                if group is not None:
+                    blockers.append(group)
+                core ^= low
             if not blockers:
                 # every witness vertex is primitive: the original graph is
                 # itself not greedy-k-colorable
@@ -84,45 +96,47 @@ def optimistic_coalesce(
                     "input graph is not greedy-k-colorable; optimistic "
                     "coalescing cannot fix spills"
                 )
-            cheapest = min(blockers, key=lambda c: _internal_weight(graph, c))
+            cheapest = min(blockers, key=internal_weight)
             classes.remove(cheapest)
             for v in cheapest:
                 classes.append({v})
-            before = len(dissolved_pairs)
-            dissolved_pairs.extend(
-                (u, v)
-                for u, v, _ in graph.affinities()
-                if u in cheapest and v in cheapest
-            )
+            dissolved = [
+                (u, v) for u, v, _ in affinities if u in cheapest and v in cheapest
+            ]
+            dissolved_pairs.update(dissolved)
             tracer.count("optimistic.dissolved_classes")
-            tracer.count(
-                "optimistic.dissolved_pairs", len(dissolved_pairs) - before
-            )
+            tracer.count("optimistic.dissolved_pairs", len(dissolved))
             tracer.event(
                 "optimistic.dissolve",
                 size=len(cheapest),
-                weight=_internal_weight(graph, cheapest),
+                weight=internal_weight(cheapest),
             )
 
-    coalescing = build(classes)
+    coalescing = Coalescing(graph)
+    for group in classes:
+        members = sorted(group, key=str)
+        for other in members[1:]:
+            coalescing.union(members[0], other)
     if recoalesce and dissolved_pairs:
         with tracer.span("optimistic/recoalesce"):
-            work = coalescing.coalesced_graph()
-            rep_name = {v: coalescing.find(v) for v in graph.vertices}
+            # `quotient` is the last round's, the greedy-k-colorable one;
+            # map each class representative to its slot
+            slot = {coalescing.find(v): i for v, i in index.items()
+                    if quotient.alive >> i & 1}
             for u, v, _ in affinities_by_weight(graph):
                 if (u, v) not in dissolved_pairs and (v, u) not in dissolved_pairs:
                     continue
-                wu, wv = rep_name[coalescing.find(u)], rep_name[coalescing.find(v)]
-                if wu == wv:
+                su, sv = slot[coalescing.find(u)], slot[coalescing.find(v)]
+                if su == sv:
                     continue
                 tracer.count("queries.interference")
-                if work.has_edge(wu, wv):
+                if quotient.has_edge(su, sv):
                     continue
                 tracer.count("optimistic.recoalesce_attempted")
-                if brute_force_test(work, wu, wv, k):
-                    work.merge_in_place(wu, wv)
+                if brute_force_test(quotient, su, sv, k):
+                    quotient.merge_in_place(su, sv)
                     coalescing.union(u, v)
-                    rep_name[coalescing.find(u)] = wu
+                    slot[coalescing.find(u)] = su
                     tracer.count("optimistic.recoalesced")
 
     coalesced = [
@@ -144,12 +158,6 @@ def optimistic_coalesce(
     )
     maybe_check_coalescing_result(result, k=k)
     return result
-
-
-def _internal_weight(graph: InterferenceGraph, group: Set[Vertex]) -> float:
-    return sum(
-        w for u, v, w in graph.affinities() if u in group and v in group
-    )
 
 
 def decoalesce_minimum(

@@ -10,11 +10,12 @@ Algorithms here:
 
 * maximum-cardinality search (MCS) producing a perfect elimination
   ordering when the graph is chordal — O(V+E);
-* chordality test by verifying the MCS order is a PEO — O(V+E);
-* maximal cliques of a chordal graph and its clique tree — a tree on
-  the maximal cliques such that for every vertex the cliques containing
-  it form a subtree (the representation used by Theorem 5) — from one
-  walk along the PEO, O(V+E) (Blair & Peyton 1993);
+* one bitmask walk along the MCS order (:func:`dense_clique_tree`)
+  that checks the order is a PEO and yields the maximal cliques and
+  the clique tree — a tree on the maximal cliques such that for every
+  vertex the cliques containing it form a subtree (the representation
+  used by Theorem 5) — (Blair & Peyton 1993).  Chordality, ω, the PEO,
+  the maximal cliques and the clique tree all come from this walk;
 * simplicial vertices;
 * optimal colouring of a chordal graph (greedy along the reverse PEO),
   which uses exactly ω(G) colours.
@@ -82,16 +83,21 @@ def is_perfect_elimination_ordering(graph: Graph, order: Sequence[Vertex]) -> bo
 
 
 def perfect_elimination_ordering(graph: Graph) -> Optional[List[Vertex]]:
-    """A PEO of ``graph``, or None if the graph is not chordal."""
-    order = list(reversed(maximum_cardinality_search(graph)))
-    if is_perfect_elimination_ordering(graph, order):
-        return order
-    return None
+    """A PEO of ``graph``, or None if the graph is not chordal.
+
+    The PEO is the reverse of the MCS order :func:`dense_clique_tree`
+    walked and checked.
+    """
+    dense = DenseGraph.from_graph(graph)
+    tree = dense_clique_tree(dense)
+    if tree is None:
+        return None
+    return [dense.names[i] for i in reversed(tree.order)]
 
 
 def is_chordal(graph: Graph) -> bool:
     """True iff every cycle of length ≥ 4 has a chord."""
-    return perfect_elimination_ordering(graph) is not None
+    return dense_clique_tree(DenseGraph.from_graph(graph)) is not None
 
 
 def simplicial_vertices(graph: Graph) -> List[Vertex]:
@@ -103,48 +109,104 @@ def simplicial_vertices(graph: Graph) -> List[Vertex]:
     return [v for v in graph.vertices if graph.is_clique(graph.neighbors_view(v))]
 
 
-def _clique_walk(
-    graph: Graph,
-) -> Tuple[List[FrozenSet[Vertex]], List[Tuple[int, int]]]:
-    """Maximal cliques in PEO order and the clique-tree edges, in one
-    pass (Blair & Peyton 1993).
+@dataclass
+class DenseCliqueTree:
+    """The clique tree of a chordal :class:`DenseGraph`, as bitmasks.
 
-    Walks the PEO backwards, which is the MCS order it came from; the
-    new-clique test below holds only for an MCS order.  Vertex v starts
-    a new clique exactly when its count of already-visited neighbours
-    (``later(v)``) does not grow over its predecessor's; otherwise it
-    joins the current clique.  A new clique hangs off the clique of
-    ``min(later(v))``, the earliest of them in the PEO, which holds all
-    of ``later(v)``.  Cliques come out last-to-first and are reversed,
-    so ``cliques[i]`` is the clique whose earliest PEO vertex comes
-    i-th.  O(V+E).  Raises ``ValueError`` on a non-chordal input.
+    ``order`` is the MCS order the walk followed (its reverse is a
+    PEO); ``cliques[i]`` is the i-th maximal clique as a bitmask over
+    dense indices, listed in PEO order of each clique's earliest member
+    (the :func:`maximal_cliques_chordal` order); ``edges`` are the tree
+    edges over clique indices, in :func:`clique_tree` order.
     """
-    order = perfect_elimination_ordering(graph)
-    if order is None:
-        raise ValueError("graph is not chordal")
-    position = {v: i for i, v in enumerate(order)}
-    later: Dict[Vertex, List[Vertex]] = {}
-    clique_of: Dict[Vertex, int] = {}
-    reps: List[Vertex] = []  # per walked clique, its latest joiner so far
+
+    order: List[int]
+    cliques: List[int]
+    edges: List[Tuple[int, int]]
+
+    def clique_number(self) -> int:
+        """ω of the graph: the largest clique's size (0 when empty)."""
+        return max(map(int.bit_count, self.cliques), default=0)
+
+
+def dense_clique_tree(dense: DenseGraph) -> Optional[DenseCliqueTree]:
+    """PEO check, maximal cliques and clique tree in one bitmask walk.
+
+    Follows the MCS order (Blair & Peyton 1993); None if ``dense`` is
+    not chordal.  With ``prefix[t]`` the mask of the first ``t`` MCS vertices,
+    ``later(v)`` — v's neighbours after it in the PEO — is
+    ``adj[v] & prefix[t]``.  Its earliest PEO member ``p`` (the last of
+    them MCS visited) comes from a binary search for the shortest
+    prefix holding all of ``later(v)``; the order is a PEO iff every
+    ``later(v) \\ {p}`` lies inside ``adj[p]``, one mask test per
+    vertex.  Vertex v starts a new clique exactly when ``|later(v)|``
+    does not grow over its predecessor's (this holds only for an MCS
+    order); otherwise it joins the current clique.  A new clique hangs
+    off the clique of ``p``, which holds all of ``later(v)``.  Cliques
+    come out last-to-first and are reversed.  Dead slots are skipped.
+    """
+    order = _dense_mcs_order(dense)
+    adj = dense.adj
+    prefix = [0]
+    seen = 0
+    for v in order:
+        seen |= 1 << v
+        prefix.append(seen)
+    clique_of = [-1] * dense.n
+    walked: List[int] = []  # per walked clique, {v} ∪ later(v) of its latest joiner
     parents: List[int] = []
     prev_card = 0
-    for v in reversed(order):
-        pv = position[v]
-        lv = [u for u in graph.neighbors_view(v) if position[u] > pv]
-        later[v] = lv
-        if len(lv) <= prev_card:  # always true for the first vertex
-            parents.append(
-                clique_of[min(lv, key=position.__getitem__)] if lv else -1
-            )
-            reps.append(v)
+    for t, v in enumerate(order):
+        lv = adj[v] & prefix[t]
+        card = lv.bit_count()
+        p = -1
+        if lv:
+            lo, hi = 1, t  # smallest s with later(v) ⊆ prefix[s]
+            while lo < hi:
+                mid = (lo + hi) >> 1
+                if lv & ~prefix[mid]:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            p = order[lo - 1]
+            if lv & ~adj[p] & ~(1 << p):
+                return None
+        if card <= prev_card:  # always true for the first vertex
+            parents.append(clique_of[p] if p >= 0 else -1)
+            walked.append(lv | 1 << v)
         else:
-            reps[-1] = v
-        clique_of[v] = len(reps) - 1
-        prev_card = len(lv)
-    last = len(reps) - 1
-    cliques = [frozenset({v} | set(later[v])) for v in reversed(reps)]
+            walked[-1] = lv | 1 << v
+        clique_of[v] = len(walked) - 1
+        prev_card = card
+    last = len(walked) - 1
+    walked.reverse()
     edges = [(last - s, last - p) for s, p in enumerate(parents) if p >= 0]
-    return cliques, edges
+    return DenseCliqueTree(order=order, cliques=walked, edges=edges)
+
+
+def _chordal_walk(graph: Graph) -> Tuple[List[Vertex], DenseCliqueTree]:
+    """The dense walk of ``graph`` and its interning; ``ValueError`` on
+    a non-chordal input."""
+    dense = DenseGraph.from_graph(graph)
+    tree = dense_clique_tree(dense)
+    if tree is None:
+        raise ValueError("graph is not chordal")
+    return dense.names, tree
+
+
+def _clique_sets(
+    names: Sequence[Vertex], cliques: Sequence[int]
+) -> List[FrozenSet[Vertex]]:
+    """Clique bitmasks as frozensets of vertex names."""
+    out: List[FrozenSet[Vertex]] = []
+    for mask in cliques:
+        members = []
+        while mask:
+            low = mask & -mask
+            members.append(names[low.bit_length() - 1])
+            mask ^= low
+        out.append(frozenset(members))
+    return out
 
 
 def maximal_cliques_chordal(graph: Graph) -> List[FrozenSet[Vertex]]:
@@ -155,14 +217,16 @@ def maximal_cliques_chordal(graph: Graph) -> List[FrozenSet[Vertex]]:
     those vertices.  A chordal graph has at most |V| maximal cliques.
     Raises ``ValueError`` on a non-chordal input.
     """
-    return _clique_walk(graph)[0]
+    names, tree = _chordal_walk(graph)
+    return _clique_sets(names, tree.cliques)
 
 
 def clique_number_chordal(graph: Graph) -> int:
-    """ω(G) for a chordal graph (0 for the empty graph)."""
-    if len(graph) == 0:
-        return 0
-    return max(len(c) for c in maximal_cliques_chordal(graph))
+    """ω(G) for a chordal graph (0 for the empty graph).
+
+    Raises ``ValueError`` on a non-chordal input.
+    """
+    return _chordal_walk(graph)[1].clique_number()
 
 
 def chordal_coloring(graph: Graph) -> Dict[Vertex, int]:
@@ -240,15 +304,15 @@ def clique_tree(graph: Graph) -> CliqueTree:
     """Build a clique tree of a chordal graph in O(V+E).
 
     The Blair–Peyton construction from a perfect elimination ordering
-    (see :func:`_clique_walk`): every clique but the first of each
+    (see :func:`dense_clique_tree`): every clique but the first of each
     component gets one edge, to the clique holding its separator.  The
     result is a maximum-weight spanning tree of the clique-intersection
     graph, so every vertex's cliques form a subtree.  ``cliques`` is in
     :func:`maximal_cliques_chordal` order.  Raises ``ValueError`` on a
     non-chordal input.
     """
-    cliques, edges = _clique_walk(graph)
-    return CliqueTree(cliques=cliques, edges=edges)
+    names, tree = _chordal_walk(graph)
+    return CliqueTree(cliques=_clique_sets(names, tree.cliques), edges=tree.edges)
 
 
 def verify_clique_tree(graph: Graph, tree: CliqueTree) -> bool:

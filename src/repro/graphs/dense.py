@@ -64,7 +64,8 @@ class DenseGraph:
     is the neighbourhood of ``i`` as a bitmask, ``deg[i]`` a maintained
     popcount of it, and ``alive`` the bitmask of vertices not yet
     removed by a merge (merging never reindexes — the dead slot just
-    empties, keeping indices stable for the whole run).
+    empties, keeping indices stable for the whole run; a new vertex
+    takes the next slot).
     """
 
     __slots__ = ("names", "index", "adj", "deg", "alive", "words")
@@ -192,6 +193,59 @@ class DenseGraph:
         deg[j] = 0
         self.alive &= ~bj
         return common
+
+    def add_vertex(self, name: Vertex) -> int:
+        """Append an isolated live vertex named ``name``; return its index.
+
+        A merged class re-entering last, as :meth:`Graph.merge_in_place`
+        puts it, is ``add_vertex`` then :meth:`merge_group` into the new
+        slot.  ``index`` maps ``name`` to the new slot.  ``names`` and
+        ``index`` are replaced, not mutated, so copies sharing them are
+        unaffected.
+        """
+        s = len(self.names)
+        self.names = self.names + [name]
+        self.index = {**self.index, name: s}
+        self.adj.append(0)
+        self.deg.append(0)
+        self.alive |= 1 << s
+        self.words = max(1, (s + WORD_BITS) // WORD_BITS)
+        return s
+
+    def merge_group(self, members: Sequence[int]) -> None:
+        """Merge the live, pairwise non-adjacent ``members`` into
+        ``members[0]``; the others die.
+
+        One pass over the group's merged neighbourhood: each neighbour
+        swaps its bits of the group for ``members[0]``'s, so a class of
+        any size costs one row update per neighbour.
+        """
+        adj, deg = self.adj, self.deg
+        keep = 1 << members[0]
+        group = 0
+        row = 0
+        for m in members:
+            group |= 1 << m
+            row |= adj[m]
+        if group & ~self.alive:
+            raise KeyError("every member must be alive")
+        if row & group:
+            raise ValueError("cannot merge interfering vertices")
+        absorbed = group ^ keep
+        rest = row
+        while rest:
+            low = rest & -rest
+            w = low.bit_length() - 1
+            rest ^= low
+            a = adj[w]
+            adj[w] = (a & ~absorbed) | keep
+            deg[w] += 1 - _popcount(a & group)
+        for m in members[1:]:
+            adj[m] = 0
+            deg[m] = 0
+        adj[members[0]] = row
+        deg[members[0]] = _popcount(row)
+        self.alive &= ~absorbed
 
 
 # ----------------------------------------------------------------------

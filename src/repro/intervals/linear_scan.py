@@ -136,31 +136,31 @@ def _scan_second_chance(
     costs: Dict[Var, float],
     tracer: Tracer,
 ) -> Tuple[Dict[Var, int], List[Var]]:
-    """One hole-aware scan: range conflicts, cost-based eviction."""
+    """One hole-aware scan: range conflicts, cost-based eviction.
+
+    Each register keeps the OR of its residents' point masks; residents
+    never intersect, so placing is one AND against it and evicting one
+    XOR out of it.
+    """
     assignment: Dict[Var, int] = {}
     victims: List[Var] = []
     residents: List[List[LiveInterval]] = [[] for _ in range(k)]
+    occupied: List[int] = [0] * k
     for interval in order:
-        placed = False
-        for register in range(k):
-            if all(
-                not interval.intersects(res) for res in residents[register]
-            ):
-                residents[register].append(interval)
-                assignment[interval.var] = register
-                placed = True
-                break
-        if placed:
+        mask = interval.mask
+        register = next(
+            (r for r, occ in enumerate(occupied) if not occ & mask), -1
+        )
+        if register >= 0:
+            residents[register].append(interval)
+            occupied[register] |= mask
+            assignment[interval.var] = register
             continue
         tracer.count("linscan.pressure_events")
         # cheapest eviction set among the registers, if any is legal
         best: Optional[Tuple[float, int, List[LiveInterval]]] = None
         for register in range(k):
-            conflicts = [
-                res
-                for res in residents[register]
-                if interval.intersects(res)
-            ]
+            conflicts = [res for res in residents[register] if res.mask & mask]
             if any(is_spill_temp(res.var) for res in conflicts):
                 continue
             cost = sum(costs.get(res.var, 1.0) for res in conflicts)
@@ -175,9 +175,11 @@ def _scan_second_chance(
             cost, register, conflicts = best
             for res in conflicts:
                 residents[register].remove(res)
+                occupied[register] ^= res.mask
                 del assignment[res.var]
                 victims.append(res.var)
             residents[register].append(interval)
+            occupied[register] |= mask
             assignment[interval.var] = register
         elif own_cost < float("inf"):
             victims.append(interval.var)

@@ -36,13 +36,16 @@ follow by construction and are enforced by the test suite and the
   entry).
 
 :func:`build_intervals` walks the dense liveness masks word-wise
-(``WORDS_MERGED``) and counts the emitted ``(variable, point)``
-liveness units as :data:`repro.obs.names.RANGES_BUILT`.
+(``WORDS_MERGED``), cuts ranges at the transitions between consecutive
+points' occupancy masks, and counts the ``(variable, point)`` liveness
+units as :data:`repro.obs.names.RANGES_BUILT`.  Each
+:class:`LiveInterval` carries a bitmask of its points, so the
+intersection tests of the allocators and checkers are one AND.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Tuple
 
 from ..graphs.dense import WORD_BITS
@@ -123,11 +126,19 @@ class LiveInterval:
     ``ranges`` is a tuple of ``(start, end)`` point pairs, ascending,
     pairwise disjoint and non-adjacent — gaps between ranges are the
     interval's *holes* (the hole-aware second-chance allocator packs
-    other intervals into them).
+    other intervals into them).  ``mask`` is derived from ``ranges``:
+    bit ``p`` is set iff the variable is live at point ``p``, so
+    intersection is one AND.
     """
 
     var: Var
     ranges: Tuple[Tuple[int, int], ...]
+    mask: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "mask", sum(
+            (1 << (end + 1)) - (1 << start) for start, end in self.ranges
+        ))
 
     @property
     def start(self) -> int:
@@ -151,26 +162,17 @@ class LiveInterval:
 
     def covers(self, point: int) -> bool:
         """True iff the variable is live at ``point``."""
-        lo, hi = 0, len(self.ranges) - 1
-        while lo <= hi:
-            mid = (lo + hi) // 2
-            start, end = self.ranges[mid]
-            if point < start:
-                hi = mid - 1
-            elif point > end:
-                lo = mid + 1
-            else:
-                return True
-        return False
+        return point >= 0 and bool(self.mask >> point & 1)
 
     def intersects(self, other: "LiveInterval") -> bool:
         """True iff some point is covered by both intervals.
 
         Hole-aware: envelopes may overlap while the ranges do not —
         that is exactly the case interval coalescing and second-chance
-        packing exploit.
+        packing exploit.  One AND of the point masks; agrees with
+        :func:`ranges_intersect` on the ranges.
         """
-        return ranges_intersect(self.ranges, other.ranges)
+        return bool(self.mask & other.mask)
 
 
 def ranges_intersect(a: Ranges, b: Ranges) -> bool:
@@ -263,42 +265,33 @@ def number_points(func: Function) -> ProgramPoints:
     return ProgramPoints(order=order, entry=entry, sizes=sizes, total=next_point)
 
 
-def _ranges_from_points(live_points: List[int]) -> Tuple[Tuple[int, int], ...]:
-    """Compress an ascending point list into closed disjoint ranges."""
-    ranges: List[Tuple[int, int]] = []
-    start = prev = live_points[0]
-    for point in live_points[1:]:
-        if point == prev + 1:
-            prev = point
-        else:
-            ranges.append((start, prev))
-            start = prev = point
-    ranges.append((start, prev))
-    return tuple(ranges)
-
-
 def build_intervals(
     func: Function, tracer: Tracer = NULL_TRACER
 ) -> IntervalSet:
     """Build live intervals from the dense liveness masks.
 
     One backward walk per block over ``liveness_masks`` output, all
-    occupancy sets held as int bitmasks.  ``WORDS_MERGED`` counts the
-    word-wise mask operations, ``RANGES_BUILT`` the emitted liveness
-    units.
+    occupancy sets held as int bitmasks.  Points are then visited in
+    ascending order and ranges come from the transitions between
+    consecutive occupancy masks: ``mask & ~prev`` opens a range at the
+    point, ``prev & ~mask`` closes one at the point before, so the work
+    is per range, not per ``(variable, point)``.  ``WORDS_MERGED``
+    counts the word-wise mask operations, ``RANGES_BUILT`` the
+    ``(variable, point)`` liveness units (each point's popcount).
     """
     variables, _, out_masks = liveness_masks(func, tracer=tracer)
     points = number_points(func)
     index = {var: i for i, var in enumerate(variables)}
     words = max(1, (len(variables) + WORD_BITS - 1) // WORD_BITS)
     counting = tracer.enabled
-    live_points: List[List[int]] = [[] for _ in variables]
+    starts: List[List[int]] = [[] for _ in variables]
+    ends: List[List[int]] = [[] for _ in variables]
+    prev = 0
     for name in points.order:
         block = func.blocks[name]
         # occupancy per point, built backward from live_out
-        occupancy: List[Tuple[int, int]] = []
+        occupancy: List[int] = [out_masks[name]]
         live = out_masks[name]
-        occupancy.append((points.block_end(name), live))
         for i in range(len(block.instrs) - 1, -1, -1):
             instr = block.instrs[i]
             def_mask = 0
@@ -307,7 +300,7 @@ def build_intervals(
             use_mask = 0
             for var in instr.uses:
                 use_mask |= 1 << index[var]
-            occupancy.append((points.instr_point(name, i), live | def_mask))
+            occupancy.append(live | def_mask)
             live = (live & ~def_mask) | use_mask
             if counting:
                 # occupancy OR, transfer ANDNOT + OR
@@ -315,25 +308,37 @@ def build_intervals(
         phi_mask = 0
         for phi in block.phis:
             phi_mask |= 1 << index[phi.target]
-        occupancy.append((points.block_entry(name), live | phi_mask))
+        occupancy.append(live | phi_mask)
         if counting:
             # entry OR plus the block-end mask copy
             tracer.count(WORDS_MERGED, 2 * words)
-        for point, mask in reversed(occupancy):
-            emitted = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                live_points[low.bit_length() - 1].append(point)
-                rest ^= low
-                emitted += 1
-            if counting and emitted:
-                tracer.count(RANGES_BUILT, emitted)
+        # the block's points, entry to end, are the next ones in order
+        point = points.block_entry(name)
+        for mask in reversed(occupancy):
+            if mask != prev:
+                opened = mask & ~prev
+                while opened:
+                    low = opened & -opened
+                    starts[low.bit_length() - 1].append(point)
+                    opened ^= low
+                closed = prev & ~mask
+                while closed:
+                    low = closed & -closed
+                    ends[low.bit_length() - 1].append(point - 1)
+                    closed ^= low
+                prev = mask
+            if counting and mask:
+                tracer.count(RANGES_BUILT, mask.bit_count())
+            point += 1
+    while prev:
+        low = prev & -prev
+        ends[low.bit_length() - 1].append(points.total - 1)
+        prev ^= low
     intervals: Dict[Var, LiveInterval] = {}
     for i, var in enumerate(variables):
-        if live_points[i]:
+        if starts[i]:
             intervals[var] = LiveInterval(
-                var=var, ranges=_ranges_from_points(live_points[i])
+                var=var, ranges=tuple(zip(starts[i], ends[i]))
             )
     return IntervalSet(points=points, intervals=intervals)
 

@@ -8,7 +8,12 @@ strictly less traced work (counted as in :mod:`repro.obs.names`).
 cliques) are what the O(V+E) clique-tree walk of
 :mod:`repro.graphs.chordal` is checked against, and
 :func:`coalesced_graph` (one ``add_edge`` per edge) is the oracle for
-the row-wise quotient build.
+the row-wise quotient build.  :func:`optimistic_coalesce` is the
+de-coalescing loop on dict quotients that the single-DenseGraph
+:func:`repro.coalescing.optimistic.optimistic_coalesce` must match
+partition for partition, and :func:`scan_second_chance` (resident
+lists, two-pointer range tests) the oracle for the occupancy-mask
+second-chance scan.
 """
 
 from __future__ import annotations
@@ -17,13 +22,20 @@ import heapq
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from repro.coalescing.aggressive import aggressive_coalesce
 from repro.coalescing.base import affinities_by_weight
 from repro.coalescing.conservative import TESTS
 from repro.graphs.chordal import CliqueTree, perfect_elimination_ordering
 from repro.graphs.graph import Graph, Vertex
+from repro.graphs.greedy import dense_subgraph_witness
 from repro.graphs.interference import Coalescing, InterferenceGraph
-from repro.intervals.model import IntervalSet, LiveInterval, number_points
-from repro.intervals.model import _ranges_from_points
+from repro.allocator.spill import is_spill_temp
+from repro.intervals.model import (
+    IntervalSet,
+    LiveInterval,
+    number_points,
+    ranges_intersect,
+)
 from repro.ir.cfg import Function
 from repro.ir.instructions import Var
 from repro.ir.liveness import LivenessInfo
@@ -277,10 +289,26 @@ def chaitin_interference(
     return g
 
 
+def ranges_from_points(live_points: List[int]) -> Tuple[Tuple[int, int], ...]:
+    """Compress an ascending point list into closed disjoint ranges."""
+    ranges: List[Tuple[int, int]] = []
+    start = prev = live_points[0]
+    for point in live_points[1:]:
+        if point == prev + 1:
+            prev = point
+        else:
+            ranges.append((start, prev))
+            start = prev = point
+    ranges.append((start, prev))
+    return tuple(ranges)
+
+
 def build_intervals(
     func: Function, tracer: Tracer = NULL_TRACER
 ) -> IntervalSet:
-    """The dense builder's point walk over reference liveness sets."""
+    """One append per ``(variable, point)`` over reference liveness
+    sets, then :func:`ranges_from_points` (the oracle for the
+    transition-built ranges of :func:`repro.intervals.model.build_intervals`)."""
     info = compute_liveness(func, tracer=tracer)
     points = number_points(func)
     counting = tracer.enabled
@@ -319,7 +347,7 @@ def build_intervals(
     intervals: Dict[Var, LiveInterval] = {}
     for var in sorted(live_points):
         intervals[var] = LiveInterval(
-            var=var, ranges=_ranges_from_points(live_points[var])
+            var=var, ranges=ranges_from_points(live_points[var])
         )
     return IntervalSet(points=points, intervals=intervals)
 
@@ -382,3 +410,116 @@ def coalesced_graph(coalescing: Coalescing) -> InterferenceGraph:
         if ru != rv and not g.has_edge(ru, rv):
             g.add_affinity(ru, rv, w)
     return g
+
+
+def optimistic_coalesce(
+    graph: InterferenceGraph, k: int, recoalesce: bool = True
+) -> Coalescing:
+    """The de-coalescing loop on dict quotients: rebuild the partition,
+    take its quotient and the k-core witness of that quotient, dissolve
+    the cheapest blocking class; then re-coalesce dissolved affinities
+    with the dict brute-force test on :meth:`Graph.merge_in_place`
+    copies.  Returns the final partition."""
+    aggressive = aggressive_coalesce(graph)
+    classes: List[Set[Vertex]] = [set(c) for c in aggressive.coalescing.classes()]
+    dissolved_pairs: List[Tuple[Vertex, Vertex]] = []
+
+    def build(coal_classes: Sequence[Set[Vertex]]) -> Coalescing:
+        c = Coalescing(graph)
+        for group in coal_classes:
+            members = sorted(group, key=str)
+            for other in members[1:]:
+                c.union(members[0], other)
+        return c
+
+    def internal_weight(group: Set[Vertex]) -> float:
+        return sum(
+            w for u, v, w in graph.affinities() if u in group and v in group
+        )
+
+    while True:
+        coalescing = build(classes)
+        quotient = coalescing.coalesced_graph()
+        witness = dense_subgraph_witness(quotient, k)
+        if witness is None:
+            break
+        rep_to_class: Dict[Vertex, Set[Vertex]] = {}
+        for group in classes:
+            rep_to_class[coalescing.find(next(iter(group)))] = group
+        blockers = [
+            rep_to_class[r]
+            for r in witness
+            if r in rep_to_class and len(rep_to_class[r]) > 1
+        ]
+        if not blockers:
+            raise ValueError("input graph is not greedy-k-colorable")
+        cheapest = min(blockers, key=internal_weight)
+        classes.remove(cheapest)
+        for v in cheapest:
+            classes.append({v})
+        dissolved_pairs.extend(
+            (u, v) for u, v, _ in graph.affinities()
+            if u in cheapest and v in cheapest
+        )
+
+    coalescing = build(classes)
+    if recoalesce and dissolved_pairs:
+        work = coalescing.coalesced_graph()
+        rep_name = {v: coalescing.find(v) for v in graph.vertices}
+        for u, v, _ in affinities_by_weight(graph):
+            if (u, v) not in dissolved_pairs and (v, u) not in dissolved_pairs:
+                continue
+            wu, wv = rep_name[coalescing.find(u)], rep_name[coalescing.find(v)]
+            if wu == wv or work.has_edge(wu, wv):
+                continue
+            if TESTS["brute"](work, wu, wv, k):
+                work.merge_in_place(wu, wv)
+                coalescing.union(u, v)
+                rep_name[coalescing.find(u)] = wu
+    return coalescing
+
+
+def scan_second_chance(
+    order: List[LiveInterval], k: int, costs: Dict[Var, float]
+) -> Tuple[Dict[Var, int], List[Var]]:
+    """The hole-aware scan with resident lists and two-pointer
+    :func:`~repro.intervals.model.ranges_intersect` tests (the oracle
+    for the occupancy-mask scan of :mod:`repro.intervals.linear_scan`)."""
+    assignment: Dict[Var, int] = {}
+    victims: List[Var] = []
+    residents: List[List[LiveInterval]] = [[] for _ in range(k)]
+
+    def meets(a: LiveInterval, b: LiveInterval) -> bool:
+        return ranges_intersect(a.ranges, b.ranges)
+
+    for interval in order:
+        free = [r for r in range(k)
+                if not any(meets(interval, res) for res in residents[r])]
+        if free:
+            residents[free[0]].append(interval)
+            assignment[interval.var] = free[0]
+            continue
+        best: Optional[Tuple[float, int, List[LiveInterval]]] = None
+        for register in range(k):
+            conflicts = [res for res in residents[register]
+                         if meets(interval, res)]
+            if any(is_spill_temp(res.var) for res in conflicts):
+                continue
+            cost = sum(costs.get(res.var, 1.0) for res in conflicts)
+            if best is None or cost < best[0]:
+                best = (cost, register, conflicts)
+        own_cost = (float("inf") if is_spill_temp(interval.var)
+                    else costs.get(interval.var, 1.0))
+        if best is not None and best[0] < own_cost:
+            _, register, conflicts = best
+            for res in conflicts:
+                residents[register].remove(res)
+                del assignment[res.var]
+                victims.append(res.var)
+            residents[register].append(interval)
+            assignment[interval.var] = register
+        elif own_cost < float("inf"):
+            victims.append(interval.var)
+        else:
+            raise RuntimeError("reload temporaries conflict in every register")
+    return assignment, victims

@@ -122,7 +122,11 @@ def test_program_instance_independent_of_hash_seed():
 
     This extends the `repro check` hash-invariance discipline to the
     "program" cohort: graph content, affinity *order*, and strategy
-    outcomes all have to match across PYTHONHASHSEED values.
+    outcomes all have to match across PYTHONHASHSEED values.  The
+    seed-19 spec runs every coalescing strategy of the end-to-end
+    benchmark, verified: the chordal strategy's witness chain once
+    followed frozenset iteration order, so its ``result_hash`` moved
+    with the hash seed while both records certified.
     """
     import subprocess
     import sys
@@ -149,6 +153,17 @@ def test_program_instance_independent_of_hash_seed():
         "                'status': rec['status'],\n"
         "                'coalesced': rec['payload']['coalesced'],\n"
         "                'residual': rec['payload']['residual_weight']})\n"
+        "for strategy in ('briggs', 'george', 'briggs_george',\n"
+        "                 'george_extended', 'brute', 'aggressive',\n"
+        "                 'optimistic', 'biased', 'chordal', 'irc',\n"
+        "                 'interval'):\n"
+        "    rec = run_task(TaskSpec(generator='program', seed=19, k=8,\n"
+        "                            strategy=strategy,\n"
+        "                            params={'num_vars': 24}), verify=True)\n"
+        "    out.append({'key': rec['key'],\n"
+        "                'result_hash': rec['result_hash'],\n"
+        "                'status': rec['status'],\n"
+        "                'verification': rec['verification']['status']})\n"
         "print(json.dumps(out, sort_keys=True))\n"
     )
     outputs = set()

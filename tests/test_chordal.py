@@ -5,10 +5,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.coalescing.incremental import (
+    chordal_incremental_coalescible,
+    dense_incremental_coalescible,
+)
 from repro.graphs.chordal import (
+    CliqueTree,
     chordal_coloring,
     clique_number_chordal,
     clique_tree,
+    dense_clique_tree,
     is_chordal,
     is_perfect_elimination_ordering,
     make_chordal,
@@ -19,6 +25,7 @@ from repro.graphs.chordal import (
     verify_clique_tree,
 )
 from repro.graphs.coloring import verify_coloring
+from repro.graphs.dense import DenseGraph
 from repro.graphs.generators import (
     complete_graph,
     cycle_graph,
@@ -308,3 +315,79 @@ def test_property_chordality_matches_networkx(seed):
     nxg.add_nodes_from(g.vertices)
     nxg.add_edges_from(g.edges())
     assert is_chordal(g) == nx.is_chordal(nxg)
+
+
+# ---------------------------------------------------------------------------
+# the one-walk dense clique tree, on merged work graphs too
+# ---------------------------------------------------------------------------
+
+def _walk_as_tree(dense):
+    """``dense_clique_tree(dense)`` with cliques as name sets, plus the
+    dict graph of the live slots."""
+    walk = dense_clique_tree(dense)
+    assert walk is not None
+    cliques = [frozenset(dense.names[i] for i in range(dense.n)
+                         if mask >> i & 1) for mask in walk.cliques]
+    return walk, CliqueTree(cliques=cliques, edges=list(walk.edges)), \
+        dense.to_graph()
+
+
+class TestDenseCliqueTree:
+    def test_non_chordal_is_none(self):
+        assert dense_clique_tree(DenseGraph.from_graph(cycle_graph(4))) is None
+        for seed in range(40):
+            rng = random.Random(seed)
+            g = random_graph(rng.randint(2, 14), rng.uniform(0.1, 0.6), rng)
+            walk = dense_clique_tree(DenseGraph.from_graph(g))
+            peo = list(reversed(ref.maximum_cardinality_search(g)))
+            assert (walk is not None) == \
+                is_perfect_elimination_ordering(g, peo)
+
+    def test_order_is_mcs_and_cliques_are_the_walk(self):
+        for seed in range(30):
+            rng = random.Random(seed)
+            g = random_chordal_graph(rng.randint(1, 30), rng.randint(1, 6),
+                                     rng)
+            dense = DenseGraph.from_graph(g)
+            walk = dense_clique_tree(dense)
+            assert [dense.names[i] for i in walk.order] == \
+                ref.maximum_cardinality_search(g)
+            assert walk.clique_number() == clique_number_chordal(g)
+            _, tree, _ = _walk_as_tree(dense)
+            assert tree.cliques == ref.maximal_cliques_chordal(g)
+
+    def test_matches_reference_after_chain_merges(self):
+        """Run the chordal strategy's merge step — Theorem 5 witness,
+        group merged into a fresh last slot — and check every
+        intermediate walk against the reference cliques, the subtree
+        property and the Kruskal tree's weight."""
+        merges = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            g = random_chordal_graph(rng.randint(4, 28), rng.randint(2, 6),
+                                     rng)
+            dense = DenseGraph.from_graph(g)
+            k = clique_number_chordal(g) + rng.randint(0, 1)
+            for _step in range(6):
+                walk, tree, h = _walk_as_tree(dense)
+                assert tree.cliques == ref.maximal_cliques_chordal(h)
+                assert verify_clique_tree(h, tree)
+                assert tree_weight(tree) == tree_weight(ref.clique_tree(h))
+                assert walk.clique_number() <= k
+                live = [i for i in range(dense.n) if dense.alive >> i & 1]
+                pairs = [(i, j) for i in live for j in live
+                         if i < j and not dense.has_edge(i, j)]
+                if not pairs:
+                    break
+                i, j = rng.choice(pairs)
+                witness = dense_incremental_coalescible(dense, walk, i, j, k)
+                graph_level = chordal_incremental_coalescible(
+                    h, dense.names[i], dense.names[j], k)
+                assert graph_level.mergeable == witness.mergeable
+                assert graph_level.chain == [dense.names[v]
+                                             for v in witness.chain]
+                if witness.mergeable:
+                    merged = dense.add_vertex(dense.names[i])
+                    dense.merge_group([merged, i, *witness.chain, j])
+                    merges += 1
+        assert merges > 40

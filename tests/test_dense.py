@@ -110,6 +110,70 @@ class TestDenseGraph:
         assert d.to_graph() == g
         assert c.names is d.names  # interning is shared
 
+    @staticmethod
+    def _random_group(d, rng):
+        """Pairwise non-adjacent live vertices, in random order."""
+        live = [i for i in range(d.n) if d.alive >> i & 1]
+        rng.shuffle(live)
+        group = []
+        for i in live:
+            if all(not d.has_edge(i, j) for j in group):
+                group.append(i)
+            if len(group) == rng.randint(2, 4):
+                break
+        return group
+
+    def test_merge_group_matches_successive_merges(self):
+        for seed, g in enumerate(fuzz_graphs(60)):
+            rng = random.Random(seed)
+            d = DenseGraph.from_graph(g)
+            pairwise = d.copy()
+            for _ in range(3):
+                group = self._random_group(d, rng)
+                if len(group) < 2:
+                    break
+                d.merge_group(group)
+                for j in group[1:]:
+                    pairwise.merge_in_place(group[0], j)
+                assert d.adj == pairwise.adj and d.deg == pairwise.deg
+                assert d.alive == pairwise.alive
+                assert all(d.deg[i] == d.adj[i].bit_count()
+                           for i in range(d.n))
+
+    def test_add_vertex_then_merge_group_is_a_fresh_last_slot(self):
+        """The merged vertex re-enters last, as Graph.merge_in_place
+        puts it: same vertex order, same adjacency."""
+        for seed, g in enumerate(fuzz_graphs(60)):
+            rng = random.Random(seed)
+            d = DenseGraph.from_graph(g)
+            shared = d.copy()
+            h = g.copy()
+            for _ in range(3):
+                group = self._random_group(d, rng)
+                if len(group) < 2:
+                    break
+                names = [d.names[i] for i in group]
+                merged = d.add_vertex(names[0])
+                d.merge_group([merged, *group])
+                assert merged == d.n - 1 and d.index[names[0]] == merged
+                for other in names[1:]:
+                    h.merge_in_place(names[0], other)
+                assert list(d.to_graph().vertices) == list(h.vertices)
+                assert d.to_graph() == h
+                assert all(d.deg[i] == d.adj[i].bit_count()
+                           for i in range(d.n))
+            assert shared.to_graph() == g  # copies keep their interning
+
+    def test_merge_group_errors(self):
+        g = Graph(vertices=["a", "b", "c", "x"])
+        g.add_edge("a", "b")
+        d = DenseGraph.from_graph(g)
+        with pytest.raises(ValueError):
+            d.merge_group([0, 2, 1])  # a and b interfere
+        d.merge_group([0, 2])
+        with pytest.raises(KeyError):
+            d.merge_group([3, 2])  # c is dead
+
 
 class TestKernelEquivalence:
     def test_mcs_orders_identical(self):

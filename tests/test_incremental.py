@@ -15,9 +15,15 @@ from repro.coalescing import incremental
 from repro.coalescing.incremental import (
     chordal_incremental_coalescible,
     chordal_incremental_coloring,
+    dense_incremental_coalescible,
     incremental_coalescible_exact,
 )
-from repro.graphs.chordal import clique_number_chordal, clique_tree
+from repro.graphs.chordal import (
+    clique_number_chordal,
+    clique_tree,
+    dense_clique_tree,
+)
+from repro.graphs.dense import DenseGraph
 from repro.graphs.coloring import verify_coloring
 from repro.graphs.generators import random_chordal_graph
 from repro.graphs.graph import Graph
@@ -228,3 +234,56 @@ class TestCliqueTreeVerdicts:
         assert result.num_coalesced == 18
         assert result.coalesced_weight == 171
         assert result.residual_weight == 16
+
+
+# ---------------------------------------------------------------------------
+# the dense Theorem 5 test on merged work graphs, against the exact oracle
+# ---------------------------------------------------------------------------
+
+class TestDenseTheorem5:
+    def test_every_pair_matches_exact_through_merges(self):
+        """Every non-adjacent pair of small random chordal graphs at
+        k = ω and ω + 1, re-asked after each witness merge: the dense
+        verdict equals the exact colouring oracle's, and a merged
+        witness group keeps the graph chordal with ω ≤ k."""
+        asked = merges = 0
+        for seed in range(30):
+            rng = random.Random(seed)
+            g = random_chordal_graph(rng.randint(3, 9), rng.randint(2, 4), rng)
+            k = clique_number_chordal(g) + seed % 2
+            dense = DenseGraph.from_graph(g)
+            for _step in range(3):
+                tree = dense_clique_tree(dense)
+                assert tree is not None and tree.clique_number() <= k
+                h = dense.to_graph()
+                live = [i for i in range(dense.n) if dense.alive >> i & 1]
+                pairs = [(i, j) for i, j in itertools.combinations(live, 2)
+                         if not dense.has_edge(i, j)]
+                if not pairs:
+                    break
+                for i, j in pairs:
+                    fast = dense_incremental_coalescible(dense, tree, i, j, k)
+                    exact = incremental_coalescible_exact(
+                        h, dense.names[i], dense.names[j], k)
+                    assert fast.mergeable == (exact is not None), (seed, i, j)
+                    asked += 1
+                mergeable = [
+                    (i, j, w) for i, j in pairs
+                    for w in [dense_incremental_coalescible(dense, tree, i, j, k)]
+                    if w.mergeable
+                ]
+                if not mergeable:
+                    break
+                i, j, w = rng.choice(mergeable)
+                merged = dense.add_vertex(dense.names[i])
+                dense.merge_group([merged, i, *w.chain, j])
+                merges += 1
+        assert asked > 300 and merges > 20
+
+    def test_interfering_pair_and_empty_palette(self):
+        dense = DenseGraph.from_graph(path_graph("x", "a", "y"))
+        tree = dense_clique_tree(dense)
+        x, a, y = (dense.index[v] for v in "xay")
+        assert not dense_incremental_coalescible(dense, tree, x, a, 2).mergeable
+        assert not dense_incremental_coalescible(dense, tree, x, y, 0).mergeable
+        assert dense_incremental_coalescible(dense, tree, x, y, 2).mergeable

@@ -85,6 +85,38 @@ class TestRangeAlgebra:
         assert iv.intersects(LiveInterval(var="y", ranges=((5, 8),)))
         assert not iv.intersects(LiveInterval(var="y", ranges=((5, 7),)))
 
+    def test_point_mask(self):
+        iv = LiveInterval(var="x", ranges=((2, 4), (8, 8), (12, 15)))
+        assert iv.mask == sum(1 << p for p in (2, 3, 4, 8, 12, 13, 14, 15))
+        assert LiveInterval(var="e", ranges=()).mask == 0
+        # derived, so equality still means same variable and ranges
+        assert iv == LiveInterval(var="x", ranges=iv.ranges)
+
+    def test_intersects_matches_ranges_intersect(self):
+        import random
+
+        rng = random.Random(0)
+
+        def random_ranges():
+            ranges, point = [], rng.randint(0, 6)
+            for _ in range(rng.randint(0, 5)):
+                end = point + rng.randint(0, 5)
+                ranges.append((point, end))
+                point = end + rng.randint(2, 6)  # keep the normal form
+            return tuple(ranges)
+
+        seen = set()
+        for _ in range(3000):
+            a, b = random_ranges(), random_ranges()
+            expected = ranges_intersect(a, b)
+            seen.add(expected)
+            ia = LiveInterval(var="a", ranges=a)
+            ib = LiveInterval(var="b", ranges=b)
+            assert ia.intersects(ib) == ib.intersects(ia) == expected, (a, b)
+            assert all(ia.covers(p) == any(s <= p <= e for s, e in a)
+                       for p in range(-1, 60))
+        assert seen == {True, False}
+
 
 class TestProgramPoints:
     def test_block_windows_are_contiguous_rpo(self):
@@ -123,6 +155,28 @@ class TestBuilders:
             dense = build_intervals(func)
             assert dense.intervals == ref.build_intervals(func).intervals, \
                 name
+
+    def test_transitions_match_point_walk_after_spilling(self):
+        """Spill rewriting leaves many short ranges and holes: the
+        transition-built ranges, their point masks and RANGES_BUILT
+        still equal the reference's per-point walk."""
+        from repro.allocator.spill import spill_everywhere
+
+        for seed in range(8):
+            func = _fuzz_func(seed, num_vars=14)
+            victims = sorted(build_intervals(func).intervals)[::3]
+            for f in (func, spill_everywhere(func, set(victims))):
+                fast_tracer, ref_tracer = Tracer(), Tracer()
+                fast = build_intervals(f, tracer=fast_tracer).intervals
+                expected = ref.build_intervals(f, tracer=ref_tracer).intervals
+                assert fast == expected, seed
+                assert list(fast) == list(expected)
+                for iv in fast.values():
+                    assert iv.mask == sum(1 << p for start, end in iv.ranges
+                                          for p in range(start, end + 1))
+                counters = fast_tracer.report()["counters"]
+                assert counters[RANGES_BUILT] == \
+                    ref_tracer.report()["counters"][RANGES_BUILT]
 
     @pytest.mark.parametrize("seed", [0, 3, 7])
     def test_boundaries_reproduce_liveness(self, seed):
@@ -216,6 +270,31 @@ class TestLinearScan:
             errors = [d for d in diagnostics if d.severity == "error"]
             assert errors == [], (name, variant, errors)
             assert any(d.code == "INTV003" for d in diagnostics), name
+
+    def test_second_chance_scan_matches_range_scan(self):
+        """One scan round per function and k, on the corpus and fuzzed
+        programs at and below Maxlive: the occupancy-mask scan assigns
+        and evicts exactly like the resident-list scan over ranges."""
+        from repro.allocator.spill import is_memory_slot, spill_costs
+        from repro.intervals.linear_scan import _scan_second_chance
+
+        functions = list(_corpus_functions()) + [
+            (f"fuzz{seed}", _fuzz_func(seed, num_vars=14))
+            for seed in range(12)]
+        victims = 0
+        for name, func in functions:
+            iset = build_intervals(func)
+            order = sorted(
+                (iv for var, iv in iset.intervals.items()
+                 if not is_memory_slot(var)),
+                key=lambda iv: (iv.start, iv.end, str(iv.var)))
+            costs = spill_costs(func)
+            for k in range(max(1, maxlive(func) - 3), maxlive(func) + 1):
+                expected = ref.scan_second_chance(order, k, costs)
+                got = _scan_second_chance(order, k, costs, Tracer())
+                assert got == expected, (name, k)
+                victims += len(got[1])
+        assert victims > 50
 
     def test_second_chance_needs_no_spill_at_maxlive(self):
         # the classic envelope can spill even at k = Maxlive; the

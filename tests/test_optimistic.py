@@ -15,6 +15,7 @@ from repro.graphs.generators import (
 )
 from repro.graphs.greedy import is_greedy_k_colorable
 from repro.graphs.interference import Coalescing, InterferenceGraph
+from tests import reference as ref
 
 
 class TestOptimisticCoalesce:
@@ -132,3 +133,93 @@ class TestDecoalesceMinimum:
                 if sizes:
                     break
             assert sizes and sizes[0] == len(best), seed
+
+
+# ---------------------------------------------------------------------------
+# the single-DenseGraph loop against the dict-quotient reference
+# ---------------------------------------------------------------------------
+
+def _same_partition(graph, k):
+    """Both loops raise alike or give the same partition, class
+    representatives included."""
+    try:
+        expected = ref.optimistic_coalesce(graph, k)
+    except ValueError:
+        with pytest.raises(ValueError):
+            optimistic_coalesce(graph, k)
+        return False
+    result = optimistic_coalesce(graph, k)
+    assert result.coalescing.as_mapping() == expected.as_mapping()
+    return True
+
+
+class TestAgainstReference:
+    def test_corpus(self):
+        from repro.frontend import corpus_functions
+        from repro.frontend.corpus import function_instance
+
+        checked = 0
+        for _path, func in corpus_functions():
+            inst = function_instance(func)
+            for k in (inst.k, inst.k + 1):
+                checked += _same_partition(inst.graph, k)
+        assert checked > 20
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_pressure_instances(self, seed):
+        rng = random.Random(seed)
+        k = rng.randint(3, 6)
+        inst = pressure_instance(k, rng.randint(4, 9),
+                                 margin=rng.randint(0, 1), rng=rng)
+        assert _same_partition(inst.graph, inst.k)
+
+    @pytest.mark.parametrize("seed,k,num_vars", [
+        (0, 4, 12), (3, 5, 24), (7, 6, 40),
+        # these three dissolve classes and re-coalesce some of them
+        (12, 5, 12), (26, 6, 24), (26, 8, 24),
+    ])
+    def test_program_instances(self, seed, k, num_vars):
+        from repro.challenge.generator import program_instance
+
+        inst = program_instance(seed, k, num_vars=num_vars)
+        assert _same_partition(inst.graph, inst.k)
+
+    def test_random_graphs_that_dissolve(self):
+        """Random graphs at their colouring number with random
+        affinities; vertex names mix str and int in shuffled order, so
+        slot order is not name order."""
+        from repro.graphs.greedy import coloring_number
+        from repro.obs import Tracer
+
+        dissolving = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            n = rng.randint(8, 30)
+            names = [f"v{i}" if i % 3 else i for i in range(n)]
+            rng.shuffle(names)
+            g = InterferenceGraph(vertices=names)
+            p = rng.uniform(0.1, 0.4)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < p:
+                        g.add_edge(names[i], names[j])
+            for _ in range(rng.randint(n // 2, 2 * n)):
+                a, b = rng.sample(names, 2)
+                if not g.has_edge(a, b):
+                    g.add_affinity(a, b, rng.choice([0.5, 1.0, 2.0, 3.0]))
+            k = coloring_number(g)
+            assert _same_partition(g, k), seed
+            tracer = Tracer()
+            optimistic_coalesce(g, k, tracer=tracer)
+            counters = tracer.report()["counters"]
+            dissolving += counters.get("optimistic.dissolved_classes", 0) > 0
+        assert dissolving >= 20
+
+    def test_without_recoalescing(self):
+        for seed in range(6):
+            inst = pressure_instance(5, 8, rng=random.Random(seed))
+            expected = ref.optimistic_coalesce(inst.graph, inst.k,
+                                               recoalesce=False)
+            result = optimistic_coalesce(inst.graph, inst.k,
+                                         recoalesce=False)
+            assert result.coalescing.as_mapping() == expected.as_mapping()
