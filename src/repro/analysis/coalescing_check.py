@@ -40,11 +40,13 @@ Allocation (kind ``allocation``, duck-typed subject with ``function``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
-from ..graphs.greedy import greedy_elimination_order
+from ..graphs.greedy import greedy_elimination_order, is_greedy_k_colorable
 from ..graphs.interference import Coalescing, InterferenceGraph
-from ..ir.interference import chaitin_interference
+from ..ir.interference import interference_rows
 from .certificates import verify_elimination_order
 from .diagnostics import Diagnostic
 from .registry import AnalysisContext, analysis_pass
@@ -205,8 +207,7 @@ def check_coalescing_conservative(
     ctx.check_budget()
     # conservativeness is a *preservation* contract: it only promises a
     # greedy-k-colorable quotient when the input graph was one
-    _, input_ok = greedy_elimination_order(claim.graph, k)
-    if not input_ok:
+    if not is_greedy_k_colorable(claim.graph, k):
         yield Diagnostic(
             "COAL004", "info",
             f"input graph is not greedy-{k}-colorable, so the "
@@ -248,6 +249,52 @@ def check_coalescing_conservative(
 # ----------------------------------------------------------------------
 # allocation results
 # ----------------------------------------------------------------------
+def _row_pairs(
+    rows: Sequence[int],
+    nonslot: int,
+    ctx: AnalysisContext,
+    offending: Callable[[int, int], int],
+) -> List[Tuple[int, int]]:
+    """Walk the interference rows of the non-slot variables.
+
+    Charges one budget step per row bit (in one bulk charge per row)
+    and asks ``offending(i, row)`` for the bits of ``row`` (already
+    restricted to ``nonslot``) that clash with variable ``i``.  Returns
+    the clashing pairs as ``(lower, higher)`` interned indices, each
+    once and in ascending order — the order
+    :meth:`~repro.graphs.graph.Graph.edges` visits them in, since the
+    rows of :func:`~repro.ir.interference.interference_rows` may hold an
+    edge on one side or on both.
+    """
+    pairs = set()
+    rest = nonslot
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        i = low.bit_length() - 1
+        row = rows[i] & nonslot
+        if not row:
+            continue
+        ctx.check_budget(row.bit_count())
+        bad = offending(i, row)
+        while bad:
+            bit = bad & -bad
+            bad ^= bit
+            j = bit.bit_length() - 1
+            pairs.add((i, j) if i < j else (j, i))
+    return sorted(pairs)
+
+
+def _nonslot_mask(variables: Sequence[Any]) -> int:
+    """Bitmask of the interned variables that are not memory slots."""
+    # ``allocator`` imports ``analysis.debug``: no module-level import
+    from ..allocator.spill import is_memory_slot
+
+    return sum(
+        1 << i for i, v in enumerate(variables) if not is_memory_slot(v)
+    )
+
+
 @analysis_pass(
     "allocation-validity", "allocation",
     codes=("ALLOC001", "ALLOC002", "ALLOC003"),
@@ -255,22 +302,36 @@ def check_coalescing_conservative(
 def check_allocation_validity(
     result: Any, ctx: AnalysisContext
 ) -> Iterator[Diagnostic]:
-    """The assignment is a valid coloring of the final code's graph."""
-    # bound once per run: ``allocator`` imports ``analysis.debug``, so this
-    # cannot be a module-level import, and an import statement per edge
-    # costs a trip through importlib
-    from ..allocator.spill import is_memory_slot
+    """The assignment is a valid coloring of the final code's graph.
 
+    Walks the interference rows over the non-slot mask: a row's clashes
+    are ``row & unassigned`` (ALLOC003) and ``row & same_register``
+    (ALLOC001), whole-row masks, so only offending pairs cost Python
+    work.
+    """
     func = result.function
     assignment = result.assignment
     k = result.k
-    graph = chaitin_interference(func, weighted=False)
-    for u, v in graph.edges():
-        ctx.check_budget()
-        if is_memory_slot(u) or is_memory_slot(v):
-            continue
-        cu, cv = assignment.get(u), assignment.get(v)
-        if cu is None or cv is None:
+    variables, rows = interference_rows(func)
+    register = [assignment.get(v) for v in variables]
+    unassigned = 0
+    by_register: Dict[Any, int] = {}
+    for i, c in enumerate(register):
+        if c is None:
+            unassigned |= 1 << i
+        else:
+            by_register[c] = by_register.get(c, 0) | 1 << i
+
+    def offending(i: int, row: int) -> int:
+        c = register[i]
+        if c is None:
+            return row
+        return row & (unassigned | by_register[c])
+
+    for lo, hi in _row_pairs(rows, _nonslot_mask(variables), ctx, offending):
+        u, v = variables[lo], variables[hi]
+        cu = register[lo]
+        if cu is None or register[hi] is None:
             missing = u if cu is None else v
             yield Diagnostic(
                 "ALLOC003", "error",
@@ -278,7 +339,7 @@ def check_allocation_validity(
                 where=str(missing), obj=func.name,
                 detail={"vertex": str(missing)},
             )
-        elif cu == cv:
+        else:
             a, b = sorted((str(u), str(v)))
             yield Diagnostic(
                 "ALLOC001", "error",

@@ -22,6 +22,13 @@ scratch on the result's final code:
   function's Maxlive, certifying that the interval and set views of
   register pressure coincide on this exact code.
 
+INTV001 walks the rows of :func:`~repro.ir.interference.
+interference_rows` over the non-slot mask, one AND of the two point
+masks per row bit; INTV002 accumulates one point-mask union per
+register and enumerates that register's pairs only when a member meets
+the union.  Both report each offending pair exactly as a per-edge and
+per-pair loop would.
+
 The pass guards on the ``interval_variant`` marker of
 :class:`~repro.intervals.linear_scan.LinearScanResult` and skips
 silently for graph-based allocators, so ``repro check`` and the
@@ -33,6 +40,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List
 
+from .coalescing_check import _nonslot_mask, _row_pairs
 from .diagnostics import Diagnostic
 from .registry import AnalysisContext, analysis_pass
 
@@ -46,45 +54,73 @@ __all__ = ["check_interval_allocation"]
 def check_interval_allocation(
     result: Any, ctx: AnalysisContext
 ) -> Iterator[Diagnostic]:
-    """Interval-derived assignments are interference-valid."""
+    """Interval-derived assignments are interference-valid.
+
+    One budget step per row bit walked and per same-register pair,
+    charged in bulk per row and per register.
+    """
     if not getattr(result, "interval_variant", ""):
         return
     from ..allocator.spill import is_memory_slot
     from ..intervals.model import build_intervals
-    from ..ir.interference import chaitin_interference
+    from ..ir.interference import interference_rows
     from ..ir.liveness import maxlive
 
     func = result.function
     iset = build_intervals(func)
     intervals = iset.intervals
-    graph = chaitin_interference(func, weighted=False)
-    for u, v in graph.edges():
-        ctx.check_budget()
-        if is_memory_slot(u) or is_memory_slot(v):
-            continue
-        iu, iv = intervals.get(u), intervals.get(v)
-        if iu is None or iv is None or not iu.intersects(iv):
-            a, b = sorted((str(u), str(v)))
-            yield Diagnostic(
-                "INTV001", "error",
-                f"{a} and {b} interfere but their live intervals do "
-                "not intersect — the interval abstraction missed an "
-                "interference",
-                where=f"{a}--{b}", obj=func.name,
-                detail={"edge": [a, b]},
-            )
+    variables, rows = interference_rows(func)
+    points = [
+        intervals[v].mask if v in intervals else 0 for v in variables
+    ]
+
+    def offending(i: int, row: int) -> int:
+        mine = points[i]
+        if not mine:
+            return row
+        bad = 0
+        while row:
+            bit = row & -row
+            row ^= bit
+            if not mine & points[bit.bit_length() - 1]:
+                bad |= bit
+        return bad
+
+    for lo, hi in _row_pairs(rows, _nonslot_mask(variables), ctx, offending):
+        a, b = sorted((str(variables[lo]), str(variables[hi])))
+        yield Diagnostic(
+            "INTV001", "error",
+            f"{a} and {b} interfere but their live intervals do "
+            "not intersect — the interval abstraction missed an "
+            "interference",
+            where=f"{a}--{b}", obj=func.name,
+            detail={"edge": [a, b]},
+        )
     by_register: Dict[int, List[str]] = {}
     for var, register in result.assignment.items():
         if not is_memory_slot(var):
             by_register.setdefault(register, []).append(var)
     for register in sorted(by_register):
         members = sorted(by_register[register])
+        # one union-accumulate per register; pairs only on a clash
+        union = 0
+        clash = False
+        pairs = 0
+        for n, var in enumerate(members, 1):
+            interval = intervals.get(var)
+            if interval is None:
+                continue
+            pairs += len(members) - n
+            clash = clash or bool(union & interval.mask)
+            union |= interval.mask
+        ctx.check_budget(pairs)
+        if not clash:
+            continue
         for i, a in enumerate(members):
             ia = intervals.get(a)
             if ia is None:
                 continue
             for b in members[i + 1:]:
-                ctx.check_budget()
                 ib = intervals.get(b)
                 if ib is not None and ia.intersects(ib):
                     yield Diagnostic(

@@ -69,10 +69,10 @@ class AnalysisContext:
     obj: str = ""
     params: Dict[str, Any] = field(default_factory=dict)
 
-    def check_budget(self) -> None:
-        """Account one unit of analysis work against the budget."""
+    def check_budget(self, steps: int = 1) -> None:
+        """Account ``steps`` units of analysis work against the budget."""
         if self.budget is not None:
-            self.budget.check()
+            self.budget.check(steps)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from typing import Optional
 
 __all__ = ["Budget", "BudgetExceeded"]
 
-#: How many :meth:`Budget.check` calls pass between wall-clock reads.
+#: How many :meth:`Budget.check` steps pass between wall-clock reads.
 #: Reading the clock costs far more than the step bookkeeping, so the
 #: deadline is only polled every ``_CLOCK_MASK + 1`` steps.
 _CLOCK_MASK = 0xFF
@@ -61,9 +61,10 @@ class Budget:
     """A step-count and/or wall-clock limit checked cooperatively.
 
     Either limit may be ``None`` (unlimited).  ``check()`` is designed
-    to sit inside hot search loops: it increments a counter, compares
-    it against ``max_steps``, and reads the clock only once every
-    ``_CLOCK_MASK + 1`` calls.
+    to sit inside hot search loops: it adds to a counter, compares it
+    against ``max_steps``, and reads the clock only once every
+    ``_CLOCK_MASK + 1`` steps.  ``check(n)`` charges ``n`` steps at once,
+    for loops that account whole rows or batches.
     """
 
     __slots__ = ("max_steps", "max_seconds", "steps", "_t0", "_deadline")
@@ -111,17 +112,24 @@ class Budget:
         """Seconds since the budget was created."""
         return time.monotonic() - self._t0
 
-    def check(self) -> None:
-        """Account one search step; raise :exc:`BudgetExceeded` if spent."""
-        self.steps += 1
-        if self.max_steps is not None and self.steps > self.max_steps:
-            raise BudgetExceeded("steps", self.steps, self.elapsed())
+    def check(self, steps: int = 1) -> None:
+        """Account ``steps`` search steps; raise :exc:`BudgetExceeded`
+        if spent.
+
+        A bulk charge raises exactly when the same number of single
+        checks would have, and polls the deadline whenever it crosses a
+        multiple of ``_CLOCK_MASK + 1``, not only when it lands on one.
+        """
+        before = self.steps
+        self.steps = after = before + steps
+        if self.max_steps is not None and after > self.max_steps:
+            raise BudgetExceeded("steps", after, self.elapsed())
         if (
             self._deadline is not None
-            and (self.steps & _CLOCK_MASK) == 0
+            and (before | _CLOCK_MASK) < after
             and time.monotonic() > self._deadline
         ):
-            raise BudgetExceeded("deadline", self.steps, self.elapsed())
+            raise BudgetExceeded("deadline", after, self.elapsed())
 
     def exhausted(self) -> bool:
         """True iff a limit is already over (without raising)."""

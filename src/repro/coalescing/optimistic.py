@@ -22,7 +22,7 @@ from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..analysis.debug import maybe_check_coalescing_result
-from ..graphs.dense import DenseGraph, brute_force_test, greedy_elimination_order
+from ..graphs.dense import DenseGraph, brute_force_test, greedy_core
 from ..graphs.graph import Vertex
 from ..graphs.greedy import is_greedy_k_colorable
 from ..graphs.interference import Coalescing, InterferenceGraph
@@ -52,7 +52,8 @@ def optimistic_coalesce(
     copies its rows and merges every class into its first member's
     slot, so live slots come in :meth:`Coalescing.coalesced_graph`
     vertex order and the witness — the k-core left by the dense
-    elimination — lists blockers in the same order.  Re-coalescing
+    peel (:func:`~repro.graphs.dense.greedy_core`) — lists blockers in
+    the same order.  Re-coalescing
     uses the dense brute-force test, whose verdicts equal the dict
     test's because greedy success does not depend on elimination order.
     """
@@ -76,12 +77,9 @@ def optimistic_coalesce(
                     slots = sorted(index[v] for v in group)
                     quotient.merge_group(slots)
                     class_at[slots[0]] = group
-            order, success = greedy_elimination_order(quotient, k)
-            if success:
+            core = greedy_core(quotient, k)
+            if not core:
                 break
-            core = quotient.alive
-            for v in order:
-                core ^= 1 << v
             blockers = []
             while core:
                 low = core & -core

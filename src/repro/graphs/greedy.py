@@ -42,10 +42,9 @@ def is_greedy_k_colorable(
 ) -> bool:
     """True iff the elimination scheme with threshold ``k`` empties G.
 
-    Runs on the dense bitset kernel.
+    Runs on the dense k-core peel (:func:`repro.graphs.dense.greedy_core`).
     """
-    _, success = greedy_elimination_order(graph, k, tracer=tracer)
-    return success
+    return _dense.greedy_core(DenseGraph.from_graph(graph), k, tracer=tracer) == 0
 
 
 def greedy_k_coloring(graph: Graph, k: int) -> Optional[Dict[Vertex, int]]:
@@ -117,10 +116,10 @@ def dense_subgraph_witness(graph: Graph, k: int) -> Optional[List[Vertex]]:
 
     Returns the vertex set left over by the elimination scheme: a
     subgraph in which every vertex has degree ≥ k (the characterization
-    at the end of Section 2.2).
+    at the end of Section 2.2), in insertion order.
     """
-    order, success = greedy_elimination_order(graph, k)
-    if success:
+    dg = DenseGraph.from_graph(graph)
+    core = _dense.greedy_core(dg, k)
+    if not core:
         return None
-    eliminated = set(order)
-    return [v for v in graph.vertices if v not in eliminated]
+    return [v for i, v in enumerate(dg.names) if core >> i & 1]

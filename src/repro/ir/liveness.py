@@ -127,19 +127,30 @@ def maxlive(func: Function) -> int:
     live-after set united with its definitions; φ-targets all count at
     the block top, where they are defined in parallel.  With this
     convention ω(G) = Maxlive for strict SSA (Theorem 1).
+
+    Walks the :func:`liveness_masks` output backward, one popcount of
+    ``live | defs`` per instruction.
     """
-    info = compute_liveness(func)
+    variables, _, out_masks = liveness_masks(func)
+    bit = {v: 1 << i for i, v in enumerate(variables)}
     best = 0
-    for name in func.reachable():
+    for name, live in out_masks.items():
         block = func.blocks[name]
-        live = set(info.live_out[name])
-        best = max(best, len(live))
+        best = max(best, live.bit_count())
         for instr in reversed(block.instrs):
-            best = max(best, len(live | set(instr.defs)))
-            live -= set(instr.defs)
-            live |= set(instr.uses)
-        phi_targets = {phi.target for phi in block.phis}
-        best = max(best, len(live | phi_targets))
+            defs = 0
+            for d in instr.defs:
+                defs |= bit[d]
+            pressure = (live | defs).bit_count()
+            if pressure > best:
+                best = pressure
+            live &= ~defs
+            for u in instr.uses:
+                live |= bit[u]
+        targets = 0
+        for phi in block.phis:
+            targets |= bit[phi.target]
+        best = max(best, (live | targets).bit_count())
     return best
 
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..graphs.graph import Graph, Vertex
-from ..graphs.greedy import is_greedy_k_colorable
+from ..graphs.greedy import dense_subgraph_witness, is_greedy_k_colorable
 from ..graphs.interference import Coalescing, InterferenceGraph
 
 K = 4  # the fixed register count of Theorem 6
@@ -183,10 +183,7 @@ def structure_properties() -> Dict[str, bool]:
         return g
 
     def survivors(g: InterferenceGraph) -> Set[Vertex]:
-        from ..graphs.greedy import greedy_elimination_order
-
-        order, _ = greedy_elimination_order(g, K)
-        return set(g.vertices) - set(order)
+        return set(dense_subgraph_witness(g, K) or ())
 
     # R1: coalesced heart + all ports occupied -> fully rigid
     g = make(3, True)

@@ -13,14 +13,17 @@ de-coalescing loop on dict quotients that the single-DenseGraph
 :func:`repro.coalescing.optimistic.optimistic_coalesce` must match
 partition for partition, and :func:`scan_second_chance` (resident
 lists, two-pointer range tests) the oracle for the occupancy-mask
-second-chance scan.
+second-chance scan.  :func:`check_allocation_validity` and
+:func:`check_interval_allocation` are the per-edge and per-pair loops
+the row-mask allocation certificates must match diagnostic for
+diagnostic, and :func:`maxlive` the set-based pressure walk.
 """
 
 from __future__ import annotations
 
 import heapq
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.coalescing.aggressive import aggressive_coalesce
 from repro.coalescing.base import affinities_by_weight
@@ -29,7 +32,9 @@ from repro.graphs.chordal import CliqueTree, perfect_elimination_ordering
 from repro.graphs.graph import Graph, Vertex
 from repro.graphs.greedy import dense_subgraph_witness
 from repro.graphs.interference import Coalescing, InterferenceGraph
-from repro.allocator.spill import is_spill_temp
+from repro.allocator.spill import is_memory_slot, is_spill_temp
+from repro.analysis.diagnostics import Diagnostic
+from repro.analysis.registry import AnalysisContext
 from repro.intervals.model import (
     IntervalSet,
     LiveInterval,
@@ -523,3 +528,138 @@ def scan_second_chance(
         else:
             raise RuntimeError("reload temporaries conflict in every register")
     return assignment, victims
+
+
+def maxlive(func: Function) -> int:
+    """Maxlive from per-instruction Python sets (the oracle for the
+    popcount walk of :func:`repro.ir.liveness.maxlive`)."""
+    info = compute_liveness(func)
+    best = 0
+    for name in func.reachable():
+        block = func.blocks[name]
+        live = set(info.live_out[name])
+        best = max(best, len(live))
+        for instr in reversed(block.instrs):
+            best = max(best, len(live | set(instr.defs)))
+            live -= set(instr.defs)
+            live |= set(instr.uses)
+        phi_targets = {phi.target for phi in block.phis}
+        best = max(best, len(live | phi_targets))
+    return best
+
+
+def check_allocation_validity(
+    result: Any, ctx: AnalysisContext
+) -> Iterator[Diagnostic]:
+    """ALLOC001–003 by one walk over the edges of the reference graph
+    (the oracle for the row-mask pass of
+    :mod:`repro.analysis.coalescing_check`)."""
+    func = result.function
+    assignment = result.assignment
+    k = result.k
+    graph = chaitin_interference(func, weighted=False)
+    for u, v in graph.edges():
+        ctx.check_budget()
+        if is_memory_slot(u) or is_memory_slot(v):
+            continue
+        cu, cv = assignment.get(u), assignment.get(v)
+        if cu is None or cv is None:
+            missing = u if cu is None else v
+            yield Diagnostic(
+                "ALLOC003", "error",
+                f"interfering variable {missing} has no register",
+                where=str(missing), obj=func.name,
+                detail={"vertex": str(missing)},
+            )
+        elif cu == cv:
+            a, b = sorted((str(u), str(v)))
+            yield Diagnostic(
+                "ALLOC001", "error",
+                f"{a} and {b} interfere but share register r{cu}",
+                where=f"{a}--{b}", obj=func.name,
+                detail={"edge": [a, b], "register": cu},
+            )
+    for v, c in assignment.items():
+        if not isinstance(c, int) or not 0 <= c < k:
+            yield Diagnostic(
+                "ALLOC002", "error",
+                f"{v} got out-of-range register r{c}",
+                where=str(v), obj=func.name,
+                detail={"vertex": str(v), "register": c, "k": k},
+            )
+
+
+def check_interval_allocation(
+    result: Any, ctx: AnalysisContext
+) -> Iterator[Diagnostic]:
+    """INTV001–003 by one walk per edge and one range test per
+    same-register pair (the oracle for the row-mask pass of
+    :mod:`repro.analysis.interval_check`).  Intervals come from
+    ``repro.intervals.model.build_intervals``, looked up at call time,
+    so a test that patches it mutates both sides alike."""
+    if not getattr(result, "interval_variant", ""):
+        return
+    from repro.intervals import model
+
+    func = result.function
+    iset = model.build_intervals(func)
+    intervals = iset.intervals
+    graph = chaitin_interference(func, weighted=False)
+
+    def meets(a: Optional[LiveInterval], b: Optional[LiveInterval]) -> bool:
+        return a is not None and b is not None \
+            and ranges_intersect(a.ranges, b.ranges)
+
+    for u, v in graph.edges():
+        ctx.check_budget()
+        if is_memory_slot(u) or is_memory_slot(v):
+            continue
+        if not meets(intervals.get(u), intervals.get(v)):
+            a, b = sorted((str(u), str(v)))
+            yield Diagnostic(
+                "INTV001", "error",
+                f"{a} and {b} interfere but their live intervals do "
+                "not intersect — the interval abstraction missed an "
+                "interference",
+                where=f"{a}--{b}", obj=func.name,
+                detail={"edge": [a, b]},
+            )
+    by_register: Dict[int, List[str]] = {}
+    for var, register in result.assignment.items():
+        if not is_memory_slot(var):
+            by_register.setdefault(register, []).append(var)
+    for register in sorted(by_register):
+        members = sorted(by_register[register])
+        for i, a in enumerate(members):
+            ia = intervals.get(a)
+            if ia is None:
+                continue
+            for b in members[i + 1:]:
+                ctx.check_budget()
+                if meets(ia, intervals.get(b)):
+                    yield Diagnostic(
+                        "INTV002", "error",
+                        f"{a} and {b} share register r{register} but "
+                        "their live intervals intersect",
+                        where=f"{a}--{b}", obj=func.name,
+                        detail={"pair": [a, b], "register": register},
+                    )
+    ctx.check_budget()
+    overlap = iset.max_overlap()
+    pressure = maxlive(func)
+    if overlap == pressure:
+        yield Diagnostic(
+            "INTV003", "info",
+            f"max simultaneous interval overlap {overlap} == Maxlive "
+            "— the interval and set pressure views agree",
+            obj=func.name,
+            detail={"max_overlap": overlap, "maxlive": pressure},
+        )
+    else:
+        yield Diagnostic(
+            "INTV003", "error",
+            f"max simultaneous interval overlap {overlap} != Maxlive "
+            f"{pressure}",
+            obj=func.name,
+            detail={"max_overlap": overlap, "maxlive": pressure},
+        )

@@ -8,6 +8,7 @@ diagnostic catalog in ``docs/ANALYSIS.md``: a code that stops firing on
 its canonical trigger breaks a test here by name.
 """
 
+import json
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from repro.ir.cfg import Function
 from repro.ir.gadget_programs import phi_merge_diamond, rotation_loop
 from repro.ir.instructions import Instr
 from repro.ir.interference import chaitin_interference
+from tests import reference as ref
 
 load_all_passes()
 
@@ -251,6 +253,24 @@ def test_coal005_aggregate_mismatch():
 # allocation mutations
 # ---------------------------------------------------------------------------
 
+def _checked(result):
+    """``check_allocation(result)``, after asserting that the row-mask
+    ALLOC001–003 and INTV passes report exactly what the per-edge
+    oracles in ``tests/reference`` report (as sorted lists)."""
+    def key(d):
+        return (d.code, d.severity, d.where, d.message,
+                json.dumps(d.detail, sort_keys=True, default=str))
+
+    diagnostics = check_allocation(result)
+    mine = [d for d in diagnostics
+            if d.passname in ("allocation-validity", "allocation-intervals")]
+    ctx = AnalysisContext(k=result.k)
+    oracle = (list(ref.check_allocation_validity(result, ctx))
+              + list(ref.check_interval_allocation(result, ctx)))
+    assert sorted(map(key, mine)) == sorted(map(key, oracle))
+    return diagnostics
+
+
 def _allocation():
     from repro.allocator.chaitin import chaitin_allocate
 
@@ -265,21 +285,21 @@ def test_alloc001_shared_register():
         if u is not v and graph.has_edge(u, v)
     )
     result.assignment[v] = result.assignment[u]
-    assert "ALLOC001" in _codes(check_allocation(result))
+    assert "ALLOC001" in _codes(_checked(result))
 
 
 def test_alloc002_register_out_of_range():
     result = _allocation()
     v = sorted(result.assignment, key=str)[0]
     result.assignment[v] = result.k + 3
-    assert "ALLOC002" in _codes(check_allocation(result))
+    assert "ALLOC002" in _codes(_checked(result))
 
 
 def test_alloc003_unassigned_variable():
     result = _allocation()
     v = sorted(result.assignment, key=str)[0]
     del result.assignment[v]
-    assert "ALLOC003" in _codes(check_allocation(result))
+    assert "ALLOC003" in _codes(_checked(result))
 
 
 def test_alloc004_spill_bookkeeping():
@@ -287,7 +307,7 @@ def test_alloc004_spill_bookkeeping():
     # claim a live variable was spilled away
     v = sorted(result.assignment, key=str)[0]
     result.spilled.append(v)
-    assert "ALLOC004" in _codes(check_allocation(result))
+    assert "ALLOC004" in _codes(_checked(result))
 
 
 def _linear_scan(k_offset=0):
@@ -316,12 +336,12 @@ def test_intv002_shared_register_on_intersecting_intervals():
 
     result = _linear_scan()
     assert result.interval_variant == "classic" and not result.spilled
-    assert not {"INTV001", "INTV002"} & _codes(check_allocation(result))
+    assert not {"INTV001", "INTV002"} & _codes(_checked(result))
     intervals = build_intervals(result.function).intervals
     u, v = _interfering_pair(result)
     assert intervals[u].intersects(intervals[v])
     result.assignment[v] = result.assignment[u]
-    codes = _codes(check_allocation(result))
+    codes = _codes(_checked(result))
     assert "INTV002" in codes and "ALLOC001" in codes
 
 
@@ -340,7 +360,7 @@ def test_intv001_interval_missing_an_interference(monkeypatch):
         return IntervalSet(points=iset.points, intervals=intervals)
 
     monkeypatch.setattr(model, "build_intervals", emptied)
-    hits = [d for d in check_allocation(result) if d.code == "INTV001"]
+    hits = [d for d in _checked(result) if d.code == "INTV001"]
     assert hits and all(u in d.detail["edge"] for d in hits)
 
 
@@ -354,7 +374,7 @@ def test_memory_slots_skipped_by_validity_and_flagged_in_registers():
     assert slot_edges
     # the slots interfere but hold no register: no ALLOC003 for them
     assert not any(
-        c.startswith("ALLOC") for c in _codes(check_allocation(result)))
+        c.startswith("ALLOC") for c in _codes(_checked(result)))
     # a slot given its neighbour's register is ALLOC004, never ALLOC001
     slot, other = next(
         (u, v) if is_memory_slot(u) else (v, u) for u, v in slot_edges
@@ -362,7 +382,7 @@ def test_memory_slots_skipped_by_validity_and_flagged_in_registers():
         and (v if is_memory_slot(u) else u) in result.assignment
     )
     result.assignment[slot] = result.assignment[other]
-    diagnostics = check_allocation(result)
+    diagnostics = _checked(result)
     assert [d.detail["vertex"] for d in diagnostics
             if d.code == "ALLOC004"] == [slot]
     assert not {"ALLOC001", "ALLOC002", "ALLOC003"} & _codes(diagnostics)

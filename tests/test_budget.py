@@ -85,6 +85,76 @@ class TestFromDeadline:
             Budget.from_deadline(seconds)
 
 
+class TestBulkCharges:
+    """``check(n)`` is n single checks, accounted at once."""
+
+    def test_raises_at_the_same_total_as_single_checks(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            limit = rng.randint(1, 60)
+            charges = [rng.randint(0, 9) for _ in range(30)]
+            bulk = Budget(max_steps=limit)
+            single = Budget(max_steps=limit)
+            for n in charges:
+                bulk_raised = single_raised = False
+                try:
+                    bulk.check(n)
+                except BudgetExceeded as exc:
+                    bulk_raised = True
+                    assert exc.reason == "steps"
+                for _ in range(n):
+                    try:
+                        single.check()
+                    except BudgetExceeded:
+                        single_raised = True
+                        break
+                assert bulk_raised == single_raised, (limit, charges)
+                if bulk_raised:
+                    assert bulk.steps > limit >= bulk.steps - n
+                    break
+
+    def test_deadline_polled_when_a_charge_crosses_the_clock_mask(self):
+        budget = Budget(max_seconds=0.01)
+        time.sleep(0.02)
+        # 100 and 200 stay below the first multiple of 256: no clock read
+        budget.check(100)
+        budget.check(100)
+        # 300 crosses 256 without landing on it: the clock is read
+        with pytest.raises(BudgetExceeded) as exc:
+            budget.check(100)
+        assert exc.value.reason == "deadline"
+        assert exc.value.steps == 300
+
+    def test_context_charges_in_bulk(self):
+        from repro.analysis import AnalysisContext
+
+        ctx = AnalysisContext(budget=Budget(max_steps=10))
+        ctx.check_budget(4)
+        ctx.check_budget()
+        assert ctx.budget.steps == 5
+        with pytest.raises(BudgetExceeded):
+            ctx.check_budget(6)
+        AnalysisContext().check_budget(10**9)  # no budget, no limit
+
+    def test_small_verify_budget_on_chacha_mix_allocation(self):
+        """A ``VERIFY_MAX_STEPS``-style step budget far below one row
+        walk still ends the certificate ``budget_exceeded``."""
+        from repro.analysis.engine_check import verify_record
+        from repro.engine.tasks import TaskSpec, run_task
+
+        spec = TaskSpec(generator="llvm", seed=0, k=0,
+                        strategy="linear-scan",
+                        params={"path": "chacha_block.ll",
+                                "function": "chacha_mix"})
+        record = run_task(spec)
+        assert record["status"] == "ok"
+        verification = verify_record(spec, record,
+                                     budget=Budget(max_steps=500))
+        assert verification["status"] == "budget_exceeded"
+        assert "BUDGET001" in {d["code"] for d in verification["diagnostics"]}
+        assert verify_record(spec, record)["status"] == "certified"
+
+
 class TestSolverHooks:
     def test_exact_coalescing_budget(self):
         inst = pressure_instance(5, 7, rng=random.Random(3))
