@@ -22,8 +22,9 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional
+from collections import Counter
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs import Tracer
 from .cache import ResultCache
@@ -165,6 +166,58 @@ def _verification_block(records: List[Dict[str, Any]]) -> Dict[str, Any]:
     return certification
 
 
+def _summarize(
+    campaign: Campaign,
+    records: List[Dict[str, Any]],
+    tracer: Tracer,
+    workers: int,
+    cache_hits: int,
+    executed: int,
+    t0: float,
+    verify: bool,
+) -> Dict[str, Any]:
+    """The summary both campaign paths return: per-status counts, the
+    failed keys, summed payload fields, the result hash and the merged
+    trace of ``records`` (in task order)."""
+    by_status: Dict[str, int] = {}
+    aggregate = {"coalesced": 0, "coalesced_weight": 0.0,
+                 "residual_weight": 0.0, "vertices": 0}
+    failed: List[str] = []
+    task_seconds = 0.0
+    for record in records:
+        status = record.get("status", "unknown")
+        by_status[status] = by_status.get(status, 0) + 1
+        if status not in REUSABLE_STATUSES:
+            failed.append(record["key"])
+        task_seconds += record.get("seconds") or 0.0
+        if record.get("trace"):
+            tracer.absorb(record["trace"])
+        payload = record.get("payload")
+        if status == "ok" and isinstance(payload, dict):
+            for field_name in aggregate:
+                value = payload.get(field_name)
+                if isinstance(value, (int, float)):
+                    aggregate[field_name] += value
+    summary = {
+        "campaign": campaign.name,
+        "engine_version": ENGINE_VERSION,
+        "total_tasks": len(campaign.tasks),
+        "workers": workers,
+        "cache_hits": cache_hits,
+        "executed": executed,
+        "by_status": dict(sorted(by_status.items())),
+        "failed_tasks": failed,
+        "wall_seconds": round(time.perf_counter() - t0, 6),
+        "task_seconds": round(task_seconds, 6),
+        "result_hash": _campaign_result_hash(records),
+        "aggregate": aggregate,
+        "trace": tracer.report(),
+    }
+    if verify:
+        summary["verification"] = _verification_block(records)
+    return summary
+
+
 def run_campaign(
     campaign: Campaign,
     cache: ResultCache,
@@ -231,43 +284,11 @@ def run_campaign(
     for i, record in zip(to_run, fresh):
         records[i] = record
     final: List[Dict[str, Any]] = [r for r in records if r is not None]
-
-    by_status: Dict[str, int] = {}
-    aggregate = {"coalesced": 0, "coalesced_weight": 0.0,
-                 "residual_weight": 0.0, "vertices": 0}
-    failed: List[str] = []
-    task_seconds = 0.0
-    for record in final:
-        status = record.get("status", "unknown")
-        by_status[status] = by_status.get(status, 0) + 1
-        if status not in REUSABLE_STATUSES:
-            failed.append(record["key"])
-        task_seconds += record.get("seconds") or 0.0
-        if record.get("trace"):
-            tracer.absorb(record["trace"])
-        payload = record.get("payload")
-        if status == "ok" and isinstance(payload, dict):
-            for field_name in aggregate:
-                value = payload.get(field_name)
-                if isinstance(value, (int, float)):
-                    aggregate[field_name] += value
-    summary = {
-        "campaign": campaign.name,
-        "engine_version": ENGINE_VERSION,
-        "total_tasks": len(campaign.tasks),
-        "workers": workers,
-        "cache_hits": int(tracer.counters.get("engine.cache_hits", 0)),
-        "executed": len(to_run),
-        "by_status": dict(sorted(by_status.items())),
-        "failed_tasks": failed,
-        "wall_seconds": round(time.perf_counter() - t0, 6),
-        "task_seconds": round(task_seconds, 6),
-        "result_hash": _campaign_result_hash(final),
-        "aggregate": aggregate,
-        "trace": tracer.report(),
-    }
-    if verify:
-        summary["verification"] = _verification_block(final)
+    summary = _summarize(
+        campaign, final, tracer, workers=workers,
+        cache_hits=int(tracer.counters.get("engine.cache_hits", 0)),
+        executed=len(to_run), t0=t0, verify=verify,
+    )
     if write_summary:
         path = cache.summary_path(campaign.name)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -290,15 +311,18 @@ def run_campaign_remote(
     """Execute a campaign *through a running service* instead of a
     local pool (``repro campaign run --remote URL``).
 
-    Each of ``workers`` dispatchers holds one keep-alive connection to
-    the service (a single shard or a :mod:`repro.serve.router` front
-    end) and POSTs the campaign's tasks to ``/v1/task`` in task order.
+    Up to ``workers`` dispatches are in flight at once, over one
+    keep-alive :class:`~repro.serve.client.HttpClient` to the service (a
+    single shard or a :mod:`repro.serve.router` front end); they POST
+    the campaign's tasks to ``/v1/task`` in task order.
     Caching, admission control, and verification upgrades
     all happen **server-side**; this client only aggregates what the
     service reports.  ``campaign.retries`` bounds re-sends after
-    transport failures or 429 backpressure (with ``campaign.backoff``
-    sleeps); a task that still has no usable response is recorded with
-    status ``unreachable`` and fails the campaign.
+    transport failures or 429/503 backpressure (with
+    ``campaign.backoff`` sleeps); a task that still has no usable
+    response is recorded with status ``unreachable``, and a reply that
+    is not a task record with status ``error``; either fails the
+    campaign.
 
     The summary has the shape of :func:`run_campaign` — same
     ``result_hash`` construction, same ``verification`` block — plus
@@ -307,154 +331,82 @@ def run_campaign_remote(
     """
     import asyncio
 
-    from ..serve.client import _split_url, wait_healthy
-    from ..serve.http import HttpError, read_response, render_request
+    from ..serve.client import HttpClient, wait_healthy
+    from ..serve.http import HttpError
 
     tracer = tracer if tracer is not None else Tracer()
     concurrency = campaign.workers if workers is None else workers
     concurrency = max(1, concurrency)
     want_verify = campaign.verify if verify is None else verify
     retries = max(0, campaign.retries)
-    host, port = _split_url(url)
     t0 = time.perf_counter()
 
-    documents: List[Dict[str, Any]] = []
-    for spec in campaign.tasks:
+    async def send(
+        client: HttpClient, slots: asyncio.Semaphore, spec: TaskSpec
+    ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+        """One task's record and serving metadata, after up to
+        ``retries`` re-sends on transport failures and 429/503."""
         document: Dict[str, Any] = {"task": spec.as_dict()}
         if want_verify:
             document["verify"] = True
         if deadline is not None:
             document["deadline"] = deadline
-        documents.append(document)
+        body = json.dumps(document).encode()
+        status, last_error = "unreachable", "no attempt made"
+        async with slots:
+            for attempt in range(retries + 1):
+                if attempt:
+                    await asyncio.sleep(campaign.backoff * attempt)
+                try:
+                    response = await client.request(
+                        "POST", "/v1/task", body
+                    )
+                except ConnectionError as exc:
+                    last_error = str(exc)
+                    tracer.count("engine.remote_transport_errors")
+                    continue
+                tracer.count("engine.remote_requests")
+                if response.status in (429, 503):
+                    last_error = f"HTTP {response.status}"
+                    tracer.count("engine.remote_rejected")
+                    continue
+                try:
+                    reply = response.json()
+                except HttpError:
+                    reply = None
+                if isinstance(reply, dict) and isinstance(
+                    reply.get("record"), dict
+                ):
+                    return reply["record"], reply.get("served") or {}
+                status = "error"
+                last_error = f"malformed response (HTTP {response.status})"
+                break
+        return {"key": task_hash(spec), "status": status,
+                "error": last_error}, {}
 
-    records: List[Optional[Dict[str, Any]]] = [None] * len(documents)
-    served: List[Optional[Dict[str, Any]]] = [None] * len(documents)
-
-    async def dispatch_all() -> None:
+    async def dispatch_all() -> List[Tuple[Dict[str, Any], Dict[str, Any]]]:
         await wait_healthy(url, timeout=wait)
-        queue: "asyncio.Queue[int]" = asyncio.Queue()
-        for i in range(len(documents)):
-            queue.put_nowait(i)
+        client = HttpClient(url, pool_size=concurrency)
+        slots = asyncio.Semaphore(concurrency)
+        try:
+            return await asyncio.gather(
+                *[send(client, slots, spec) for spec in campaign.tasks]
+            )
+        finally:
+            await client.close()
 
-        async def worker() -> None:
-            reader = writer = None
-            try:
-                while True:
-                    try:
-                        index = queue.get_nowait()
-                    except asyncio.QueueEmpty:
-                        return
-                    body = json.dumps(documents[index]).encode()
-                    last_error = "no attempt made"
-                    for attempt in range(retries + 1):
-                        if attempt:
-                            await asyncio.sleep(
-                                campaign.backoff * attempt
-                            )
-                        try:
-                            if writer is None:
-                                reader, writer = (
-                                    await asyncio.open_connection(
-                                        host, port
-                                    )
-                                )
-                            writer.write(render_request(
-                                "POST", "/v1/task", body, host=host,
-                            ))
-                            await writer.drain()
-                            response = await read_response(reader)
-                            if response is None:
-                                raise HttpError(
-                                    400, "connection closed mid-response"
-                                )
-                        except (OSError, HttpError,
-                                asyncio.IncompleteReadError) as exc:
-                            last_error = str(exc) or type(exc).__name__
-                            tracer.count("engine.remote_transport_errors")
-                            if writer is not None:
-                                writer.close()
-                            reader = writer = None
-                            continue
-                        tracer.count("engine.remote_requests")
-                        if response.status in (429, 503):
-                            last_error = f"HTTP {response.status}"
-                            tracer.count("engine.remote_rejected")
-                            continue
-                        document = response.json()
-                        if isinstance(document, dict) and isinstance(
-                            document.get("record"), dict
-                        ):
-                            records[index] = document["record"]
-                            served[index] = document.get("served") or {}
-                        else:
-                            records[index] = {
-                                "key": task_hash(campaign.tasks[index]),
-                                "status": "error",
-                                "error": f"malformed response "
-                                         f"(HTTP {response.status})",
-                            }
-                        break
-                    else:
-                        records[index] = {
-                            "key": task_hash(campaign.tasks[index]),
-                            "status": "unreachable",
-                            "error": last_error,
-                        }
-            finally:
-                if writer is not None:
-                    writer.close()
-
-        await asyncio.gather(*[worker() for _ in range(concurrency)])
-
-    asyncio.run(dispatch_all())
-
-    final: List[Dict[str, Any]] = [
-        r if r is not None
-        else {"key": task_hash(campaign.tasks[i]),
-              "status": "unreachable", "error": "not dispatched"}
-        for i, r in enumerate(records)
-    ]
-    by_status: Dict[str, int] = {}
-    dispositions: Dict[str, int] = {}
-    aggregate = {"coalesced": 0, "coalesced_weight": 0.0,
-                 "residual_weight": 0.0, "vertices": 0}
-    failed: List[str] = []
-    task_seconds = 0.0
-    cache_hits = 0
-    for record, serve_info in zip(final, served):
-        status = record.get("status", "unknown")
-        by_status[status] = by_status.get(status, 0) + 1
-        if status not in REUSABLE_STATUSES:
-            failed.append(record["key"])
-        task_seconds += record.get("seconds") or 0.0
-        disposition = (serve_info or {}).get("cache", "unknown")
-        dispositions[disposition] = dispositions.get(disposition, 0) + 1
-        if disposition == "hit":
-            cache_hits += 1
-            tracer.count("engine.cache_hits")
-        payload = record.get("payload")
-        if status == "ok" and isinstance(payload, dict):
-            for field_name in aggregate:
-                value = payload.get(field_name)
-                if isinstance(value, (int, float)):
-                    aggregate[field_name] += value
-    summary = {
-        "campaign": campaign.name,
-        "engine_version": ENGINE_VERSION,
-        "remote": url,
-        "total_tasks": len(campaign.tasks),
-        "workers": concurrency,
-        "cache_hits": cache_hits,
-        "executed": len(final) - cache_hits,
-        "served": dict(sorted(dispositions.items())),
-        "by_status": dict(sorted(by_status.items())),
-        "failed_tasks": failed,
-        "wall_seconds": round(time.perf_counter() - t0, 6),
-        "task_seconds": round(task_seconds, 6),
-        "result_hash": _campaign_result_hash(final),
-        "aggregate": aggregate,
-        "trace": tracer.report(),
-    }
-    if want_verify:
-        summary["verification"] = _verification_block(final)
+    outcomes = asyncio.run(dispatch_all())
+    dispositions = Counter(
+        served.get("cache", "unknown") for _, served in outcomes
+    )
+    cache_hits = dispositions["hit"]
+    if cache_hits:
+        tracer.count("engine.cache_hits", cache_hits)
+    summary = _summarize(
+        campaign, [record for record, _ in outcomes], tracer,
+        workers=concurrency, cache_hits=cache_hits,
+        executed=len(outcomes) - cache_hits, t0=t0, verify=want_verify,
+    )
+    summary["remote"] = url
+    summary["served"] = dict(sorted(dispositions.items()))
     return summary

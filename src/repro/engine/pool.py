@@ -1,16 +1,18 @@
 """Fault-tolerant worker pool: per-task timeout, retry, crash isolation.
 
-:func:`run_tasks` executes a list of :class:`~repro.engine.tasks.TaskSpec`
-on up to ``workers`` concurrent **one-task processes**.  One process per
-task (rather than a long-lived pool) is what makes the failure
-semantics simple and airtight:
+:class:`PersistentPool` keeps ``workers`` **long-lived** subprocesses
+and runs one :class:`~repro.engine.tasks.TaskSpec` per dispatch, so
+spawn and import cost is paid once per pool, not per task.  Both the
+service (:mod:`repro.serve`) and batch campaigns (:func:`run_tasks`)
+execute on it, with one set of failure semantics:
 
-* a task that overruns its wall-clock ``timeout`` is *terminated* and
-  the rest of the campaign never notices (status ``timeout``);
+* a dispatch that overruns its wall-clock ``timeout`` has its worker
+  *killed* and replaced, and the rest of the campaign never notices
+  (status ``timeout``);
 * a worker that dies — segfault, ``os._exit``, OOM kill — is detected
-  as a closed pipe (status ``crashed``);
-* both are *retryable*: the task is re-queued with linear backoff up to
-  ``retries`` extra attempts before its status sticks;
+  as a closed pipe and replaced (status ``crashed``);
+* :func:`run_tasks` retries both with linear backoff, up to
+  ``retries`` extra attempts, before the status sticks;
 * an exception raised by the task itself is deterministic, so it is
   recorded as ``error`` immediately, with no retry;
 * :exc:`~repro.budget.BudgetExceeded` is a *result*, not a failure —
@@ -26,39 +28,28 @@ workers.
 Progress counters are threaded through a :class:`repro.obs.Tracer`:
 ``engine.tasks_run``, ``engine.timeouts``, ``engine.crashes``,
 ``engine.retries``, ``engine.errors`` (see ``docs/OBSERVABILITY.md``).
-
-:class:`PersistentPool` is the second execution surface: **long-lived**
-worker processes that amortize process spawn and import cost across
-many dispatches — what an always-on service needs, where
-:func:`run_tasks`'s process-per-task model is the right shape for
-batch campaigns.  It keeps the same containment guarantees (a hung
-dispatch is killed on its deadline, a dead worker is detected as a
-closed pipe and respawned) and the same record vocabulary.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import multiprocessing.connection
 import queue as queue_mod
 import threading
 import time
 import traceback
-from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from ..budget import BudgetExceeded
 from ..obs import NULL_TRACER, Tracer
-from .tasks import TaskSpec, run_task, task_hash
+from .tasks import ENGINE_VERSION, TaskSpec, run_task, task_hash
 
 __all__ = ["run_tasks", "PersistentPool", "RETRYABLE_STATUSES"]
 
 #: Statuses caused by the environment rather than the task itself —
 #: the only ones worth retrying.
 RETRYABLE_STATUSES = frozenset({"timeout", "crashed"})
-
-#: How long the event loop sleeps waiting for worker messages.
-_POLL_SECONDS = 0.05
 
 
 def _guarded_run(
@@ -84,8 +75,6 @@ def _failure_record(
     error: Optional[str] = None,
     seconds: float = 0.0,
 ) -> Dict[str, Any]:
-    from .tasks import ENGINE_VERSION
-
     return {
         "schema": 1,
         "engine": ENGINE_VERSION,
@@ -99,37 +88,6 @@ def _failure_record(
         "seconds": seconds,
         "trace": None,
     }
-
-
-def _worker(conn, spec_dict: Dict[str, Any], verify: bool = False) -> None:
-    """Subprocess entry point: run the task, ship the record, exit."""
-    record = _guarded_run(TaskSpec.from_dict(spec_dict), verify=verify)
-    conn.send(record)
-    conn.close()
-
-
-class _Running:
-    """Bookkeeping for one in-flight worker process."""
-
-    __slots__ = ("index", "spec", "attempt", "proc", "conn", "deadline", "t0")
-
-    def __init__(
-        self,
-        index: int,
-        spec: TaskSpec,
-        attempt: int,
-        proc: Any,
-        conn: Any,
-        deadline: Optional[float],
-        t0: float,
-    ) -> None:
-        self.index = index
-        self.spec = spec
-        self.attempt = attempt
-        self.proc = proc
-        self.conn = conn
-        self.deadline = deadline
-        self.t0 = t0
 
 
 def run_tasks(
@@ -155,118 +113,30 @@ def run_tasks(
     """
     if workers < 0:
         raise ValueError("workers must be >= 0")
-    results: List[Optional[Dict[str, Any]]] = [None] * len(specs)
+    settled = threading.Lock()
 
-    def finalize(index: int, record: Dict[str, Any], attempt: int) -> None:
+    def settle(pool: "PersistentPool", spec: TaskSpec) -> Dict[str, Any]:
+        attempt = 1
+        record = pool.submit(spec, verify=verify, timeout=timeout)
+        while record["status"] in RETRYABLE_STATUSES and attempt <= retries:
+            tracer.count("engine.retries")
+            time.sleep(backoff * attempt)
+            attempt += 1
+            record = pool.submit(spec, verify=verify, timeout=timeout)
         record["attempts"] = attempt
-        results[index] = record
         tracer.count("engine.tasks_run")
         if record["status"] == "error":
             tracer.count("engine.errors")
         if on_record is not None:
-            on_record(record)
+            with settled:
+                on_record(record)
+        return record
 
-    if workers == 0:
-        for index, spec in enumerate(specs):
-            finalize(index, _guarded_run(spec, verify=verify), attempt=1)
-        return [r for r in results if r is not None]
-
-    ctx = multiprocessing.get_context(
-        "fork"
-        if "fork" in multiprocessing.get_all_start_methods()
-        else "spawn"
-    )
-    # queue entries: (index, spec, attempt, not_before)
-    pending = deque((i, spec, 1, 0.0) for i, spec in enumerate(specs))
-    running: List[_Running] = []
-
-    def launch(index: int, spec: TaskSpec, attempt: int) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_worker,
-            args=(child_conn, spec.as_dict(), verify),
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()
-        now = time.monotonic()
-        deadline = None if timeout is None else now + timeout
-        running.append(
-            _Running(index, spec, attempt, proc, parent_conn, deadline, now)
-        )
-
-    def settle_failure(state: _Running, status: str) -> None:
-        """A timeout or crash: retry with backoff, or finalize."""
-        if status == "timeout":
-            tracer.count("engine.timeouts")
-        else:
-            tracer.count("engine.crashes")
-        elapsed = time.monotonic() - state.t0
-        if state.attempt <= retries:
-            tracer.count("engine.retries")
-            pending.append(
-                (state.index, state.spec, state.attempt + 1,
-                 time.monotonic() + backoff * state.attempt)
-            )
-            return
-        record = _failure_record(
-            state.spec, status,
-            error=f"{status} after {state.attempt} attempts",
-            seconds=elapsed,
-        )
-        finalize(state.index, record, state.attempt)
-
-    def reap(state: _Running) -> None:
-        state.conn.close()
-        state.proc.join(timeout=1.0)
-        if state.proc.is_alive():
-            state.proc.kill()
-            state.proc.join()
-        running.remove(state)
-
-    while pending or running:
-        now = time.monotonic()
-        # launch ready work into free slots
-        for _ in range(len(pending)):
-            if len(running) >= workers:
-                break
-            index, spec, attempt, not_before = pending[0]
-            if not_before > now:
-                pending.rotate(-1)
-                continue
-            pending.popleft()
-            launch(index, spec, attempt)
-        if not running:
-            time.sleep(_POLL_SECONDS)
-            continue
-        ready = multiprocessing.connection.wait(
-            [state.conn for state in running], timeout=_POLL_SECONDS
-        )
-        for conn in ready:
-            state = next(s for s in running if s.conn is conn)
-            try:
-                record = conn.recv()
-            except (EOFError, OSError):
-                # the pipe closed without a record: the worker died
-                reap(state)
-                settle_failure(state, "crashed")
-                continue
-            reap(state)
-            finalize(state.index, record, state.attempt)
-        now = time.monotonic()
-        for state in list(running):
-            if state.deadline is not None and now > state.deadline:
-                state.proc.terminate()
-                reap(state)
-                settle_failure(state, "timeout")
-            elif not state.proc.is_alive():
-                # died without a message and without closing the pipe
-                # cleanly enough for wait() to notice yet
-                if state.conn.poll():
-                    continue  # a record is waiting; next loop reads it
-                reap(state)
-                settle_failure(state, "crashed")
-    return [r for r in results if r is not None]
+    with PersistentPool(min(workers, len(specs)), tracer=tracer) as pool:
+        if pool.workers == 0:
+            return [settle(pool, spec) for spec in specs]
+        with ThreadPoolExecutor(pool.workers) as dispatchers:
+            return list(dispatchers.map(partial(settle, pool), specs))
 
 
 # ----------------------------------------------------------------------
@@ -325,17 +195,16 @@ class _PoolWorker:
 class PersistentPool:
     """A fixed-size pool of long-lived worker processes.
 
-    Unlike :func:`run_tasks` (one process per task, ideal for batch
-    campaigns), a :class:`PersistentPool` keeps ``workers`` subprocesses
-    alive across dispatches, so an always-on caller — the
-    :mod:`repro.serve` service — pays process spawn and import cost once,
-    not per request.  :meth:`submit` is **thread-safe and blocking**:
-    any number of dispatcher threads may call it concurrently; each
-    call checks out one idle worker (blocking until one frees up),
-    ships one spec in a single round trip, and returns its record.
+    The pool keeps ``workers`` subprocesses alive across dispatches, so
+    its callers — the :mod:`repro.serve` service and :func:`run_tasks`
+    — pay process spawn and import cost once, not per task.
+    :meth:`submit` is **thread-safe and blocking**: any number of
+    dispatcher threads may call it concurrently; each call checks out
+    one idle worker (blocking until one frees up), ships one spec in a
+    single round trip, and returns its record.
 
-    Containment matches the batch pool: a dispatch that overruns
-    ``timeout`` gets its worker killed (record: ``timeout``), a worker
+    A dispatch that overruns ``timeout`` gets its worker killed
+    (record: ``timeout``), a worker
     that dies mid-dispatch is detected as a closed pipe (record:
     ``crashed``), and either way a fresh worker replaces the dead one,
     so pool capacity never decays.  With ``workers=0`` dispatches run

@@ -29,13 +29,12 @@ Operational surface: ``/healthz``, ``/metrics`` (Prometheus text),
 """
 
 from .admission import AdmissionController, ClassLimit
-from .client import LoadConfig, run_load
+from .client import HttpClient, LoadConfig, ShardClient, run_load
 from .protocol import TaskRequest, parse_task_request
 from .router import (
     HashRing,
     Router,
     RouterConfig,
-    ShardClient,
     ShardSupervisor,
     shard_urls,
 )
@@ -44,6 +43,7 @@ from .service import ServeConfig, Service
 __all__ = [
     "AdmissionController",
     "ClassLimit",
+    "HttpClient",
     "LoadConfig",
     "run_load",
     "TaskRequest",

@@ -19,8 +19,10 @@ Each request is a task from a deterministic seed cycle
 command against a warm cache demonstrates content-addressed serving:
 the second pass reports ``cache_hits == requests``.
 
-All helpers speak the same minimal HTTP codec as the server
-(:mod:`repro.serve.http`) — no third-party client stack.
+Every request here — the load loops, the router's forwarding and a
+remote campaign's dispatches — goes through one keep-alive client,
+:class:`HttpClient`, over the same minimal HTTP codec as the server
+(:mod:`repro.serve.http`); there is no third-party client stack.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from urllib.parse import urlsplit
 from .http import HttpError, Response, read_response, render_request
 
 __all__ = [
+    "HttpClient",
+    "ShardClient",
     "LoadConfig",
     "run_load",
     "request_once",
@@ -104,6 +108,102 @@ def _split_url(url: str) -> Tuple[str, int]:
     return host, port
 
 
+class HttpClient:
+    """A keep-alive connection pool to one service (every client here).
+
+    :meth:`request` borrows a pooled connection (opening one when none
+    is free), sends, reads, and returns the connection to the pool.  A
+    failure on a *pooled* connection is retried once on a fresh one,
+    which absorbs a server that closed an idle connection or restarted
+    between requests; a failure on a fresh connection is not retried.
+    Every connection-level fault — refused, reset, closed mid-response,
+    a malformed head — raises :exc:`ConnectionError`; an expired
+    ``timeout`` raises :exc:`asyncio.TimeoutError`.  With
+    ``pool_size=0`` no connection is kept and each request says
+    ``Connection: close``.
+    """
+
+    def __init__(self, url: str, pool_size: int = 32) -> None:
+        self.url = url
+        self.host, self.port = _split_url(url)
+        self.pool_size = pool_size
+        self._free: List[Tuple[asyncio.StreamReader,
+                               asyncio.StreamWriter]] = []
+
+    async def request(
+        self,
+        method: str,
+        path: str,
+        body: bytes = b"",
+        timeout: Optional[float] = None,
+    ) -> Response:
+        """One exchange (``timeout`` None waits for ever)."""
+        pooled = self._free.pop() if self._free else None
+        try:
+            return await self._exchange(pooled, method, path, body, timeout)
+        except ConnectionError:
+            if pooled is None:
+                raise
+        return await self._exchange(None, method, path, body, timeout)
+
+    async def _exchange(
+        self,
+        connection: Optional[Tuple[asyncio.StreamReader,
+                                   asyncio.StreamWriter]],
+        method: str,
+        path: str,
+        body: bytes,
+        timeout: Optional[float],
+    ) -> Response:
+        """Send one request on ``connection`` (None: a new one)."""
+        try:
+            reader, writer = connection or await asyncio.open_connection(
+                self.host, self.port
+            )
+        except OSError as exc:
+            raise ConnectionError(
+                f"{self.url} unreachable: {str(exc) or type(exc).__name__}"
+            ) from exc
+        try:
+            writer.write(render_request(
+                method, path, body, host=self.host,
+                keep_alive=self.pool_size > 0,
+            ))
+            await writer.drain()
+            response = await asyncio.wait_for(read_response(reader), timeout)
+        except asyncio.TimeoutError:  # before OSError: one on 3.11+
+            writer.close()
+            raise
+        except (OSError, HttpError) as exc:
+            writer.close()
+            raise ConnectionError(
+                f"{self.url}: {str(exc) or type(exc).__name__}"
+            ) from exc
+        if response is None:
+            writer.close()
+            raise ConnectionError(f"{self.url}: closed mid-response")
+        if (len(self._free) < self.pool_size
+                and response.headers.get("connection") != "close"):
+            self._free.append((reader, writer))
+        else:
+            writer.close()
+        return response
+
+    async def close(self) -> None:
+        """Close every pooled connection."""
+        while self._free:
+            _reader, writer = self._free.pop()
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except OSError:
+                pass
+
+
+#: The router's per-shard pool is the same client.
+ShardClient = HttpClient
+
+
 async def request_once(
     url: str,
     method: str,
@@ -111,25 +211,14 @@ async def request_once(
     payload: Optional[Any] = None,
     timeout: float = 60.0,
 ) -> Response:
-    """One request on a fresh connection; raises on connect failure."""
-    host, port = _split_url(url)
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        body = b"" if payload is None else json.dumps(payload).encode()
-        writer.write(render_request(
-            method, path, body, host=host, keep_alive=False,
-        ))
-        await writer.drain()
-        response = await asyncio.wait_for(read_response(reader), timeout)
-        if response is None:
-            raise HttpError(400, "server closed connection mid-response")
-        return response
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
+    """One request on a fresh connection, closed after the response.
+
+    Transport faults raise :exc:`ConnectionError` (see
+    :class:`HttpClient`)."""
+    body = b"" if payload is None else json.dumps(payload).encode()
+    return await HttpClient(url, pool_size=0).request(
+        method, path, body, timeout=timeout
+    )
 
 
 async def wait_healthy(
@@ -202,44 +291,26 @@ async def _closed_loop(
     config: LoadConfig, collector: _Collector
 ) -> None:
     """``concurrency`` clients, each sequential on one connection."""
-    host, port = _split_url(config.url)
-    counter = iter(range(config.requests))
-    lock = asyncio.Lock()
+    client = HttpClient(config.url, pool_size=config.concurrency)
+    indices = iter(range(config.requests))
 
     async def worker() -> None:
-        reader = writer = None
-        try:
-            while True:
-                async with lock:
-                    index = next(counter, None)
-                if index is None:
-                    return
-                if writer is None:
-                    reader, writer = await asyncio.open_connection(
-                        host, port
-                    )
-                body = json.dumps(config.task_document(index)).encode()
-                t0 = time.monotonic()
-                try:
-                    writer.write(render_request(
-                        "POST", "/v1/task", body, host=host,
-                    ))
-                    await writer.drain()
-                    response = await read_response(reader)
-                    if response is None:
-                        raise HttpError(400, "connection closed")
-                    collector.note(response.status, response.json(),
-                                   time.monotonic() - t0)
-                except (OSError, HttpError, asyncio.IncompleteReadError):
-                    collector.note_transport_error()
-                    if writer is not None:
-                        writer.close()
-                    reader = writer = None
-        finally:
-            if writer is not None:
-                writer.close()
+        for index in indices:
+            body = json.dumps(config.task_document(index)).encode()
+            t0 = time.monotonic()
+            try:
+                response = await client.request("POST", "/v1/task", body)
+                collector.note(response.status, response.json(),
+                               time.monotonic() - t0)
+            except (ConnectionError, HttpError):
+                collector.note_transport_error()
 
-    await asyncio.gather(*[worker() for _ in range(config.concurrency)])
+    try:
+        await asyncio.gather(
+            *[worker() for _ in range(config.concurrency)]
+        )
+    finally:
+        await client.close()
 
 
 async def _open_loop(

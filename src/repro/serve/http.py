@@ -14,16 +14,27 @@ Limits are explicit and small: request line and headers are capped at
 :data:`DEFAULT_MAX_BODY` by default).  ``Transfer-Encoding: chunked``
 is not implemented and is rejected with 501 — every client this
 service speaks to sends ``Content-Length``.
+
+:class:`HttpServer` is the one server loop over the codec: the
+keep-alive read → route → write cycle, the listener lifecycle and the
+404/405/500 mapping, driven by a ``{(method, path): handler}`` table.
+The shard service and the router each supply only their table.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import time
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import (
+    Any, Awaitable, Callable, Dict, Mapping, Optional, Tuple,
+)
+
+from ..obs import Tracer, to_prometheus
 
 __all__ = [
+    "HttpServer",
     "HttpError",
     "Request",
     "Response",
@@ -67,8 +78,23 @@ class HttpError(Exception):
         self.status = status
 
 
+class _JsonBody:
+    """The JSON decoding shared by requests and responses."""
+
+    body: bytes
+
+    def json(self) -> Any:
+        """The body decoded as JSON (:class:`HttpError` 400 on failure)."""
+        if not self.body:
+            return None
+        try:
+            return json.loads(self.body)
+        except ValueError as exc:
+            raise HttpError(400, f"invalid JSON body: {exc}") from exc
+
+
 @dataclass
-class Request:
+class Request(_JsonBody):
     """One parsed HTTP request."""
 
     method: str
@@ -77,15 +103,6 @@ class Request:
     headers: Dict[str, str]
     body: bytes
 
-    def json(self) -> Any:
-        """The body decoded as JSON (:class:`HttpError` 400 on failure)."""
-        if not self.body:
-            return None
-        try:
-            return json.loads(self.body)
-        except ValueError as exc:
-            raise HttpError(400, f"invalid JSON body: {exc}") from exc
-
     @property
     def keep_alive(self) -> bool:
         """Whether the connection should stay open after the response."""
@@ -93,21 +110,12 @@ class Request:
 
 
 @dataclass
-class Response:
+class Response(_JsonBody):
     """One parsed HTTP response (the client side of the codec)."""
 
     status: int
     headers: Dict[str, str]
     body: bytes
-
-    def json(self) -> Any:
-        """The body decoded as JSON (:class:`HttpError` 400 on failure)."""
-        if not self.body:
-            return None
-        try:
-            return json.loads(self.body)
-        except ValueError as exc:
-            raise HttpError(400, f"invalid JSON body: {exc}") from exc
 
 
 async def _read_head(
@@ -258,3 +266,154 @@ def json_response(
     """Render a JSON payload as a complete response message."""
     body = json.dumps(payload, sort_keys=True).encode()
     return render_response(status, body, keep_alive=keep_alive)
+
+
+#: An endpoint: the parsed request in, a complete response message out.
+Handler = Callable[[Request], Awaitable[bytes]]
+
+
+class HttpServer:
+    """One keep-alive HTTP listener: the connection loop and lifecycle.
+
+    ``routes`` maps ``(method, path)`` to a :data:`Handler`.  Each
+    connection is read request by request until the client closes it
+    or sends ``Connection: close``; a known path under another method
+    answers 405, an unknown path 404, a handler's :class:`HttpError`
+    its status, and any other handler exception 500 (counted as
+    ``{counter_prefix}.errors``; every parsed request counts as
+    ``{counter_prefix}.http_requests``).  :meth:`serve_until_drained`
+    returns once a handler sets ``_drain_done`` and the listener and
+    :meth:`_close`'s resources are shut.
+    """
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        max_body: int,
+        tracer: Tracer,
+        routes: Mapping[Tuple[str, str], Handler],
+        counter_prefix: str,
+    ) -> None:
+        self.tracer = tracer
+        self.port: Optional[int] = None
+        self._bind = (host, port)
+        self._max_body = max_body
+        self._routes = dict(routes)
+        self._paths = {path for _, path in self._routes}
+        self._counter_prefix = counter_prefix
+        self._server: Optional[asyncio.AbstractServer] = None
+        self._started_at = time.monotonic()
+        self._drain_done = asyncio.Event()
+
+    async def start(self) -> int:
+        """Bind and start accepting; returns the actual port (ephemeral
+        ports resolve here)."""
+        self._server = await asyncio.start_server(
+            self._handle_connection, *self._bind
+        )
+        self._started_at = time.monotonic()
+        self.port = self._server.sockets[0].getsockname()[1]
+        return self.port
+
+    async def wait_drained(self) -> None:
+        """Resolve after a ``/drain`` has finished all in-flight work."""
+        await self._drain_done.wait()
+
+    async def stop(self) -> None:
+        """Close the listener, then :meth:`_close` (idempotent)."""
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+            self._server = None
+        await self._close()
+
+    async def _close(self) -> None:
+        """Release what the subclass holds behind the listener."""
+
+    async def serve_until_drained(self) -> None:
+        """Run until a client drains the server (the CLI entry point)."""
+        if self._server is None:
+            await self.start()
+        try:
+            await self.wait_drained()
+            # let final responses flush before tearing the listener down
+            await asyncio.sleep(0.05)
+        finally:
+            await self.stop()
+
+    def _metrics_response(
+        self, request: Request, gauges: Dict[str, float]
+    ) -> bytes:
+        """``GET /metrics``: the tracer plus ``gauges`` and the uptime,
+        as Prometheus text."""
+        gauges[f"{self._counter_prefix}_uptime_seconds"] = (
+            time.monotonic() - self._started_at
+        )
+        body = to_prometheus(self.tracer, gauges=gauges).encode()
+        return render_response(
+            200, body,
+            content_type="text/plain; version=0.0.4; charset=utf-8",
+            keep_alive=request.keep_alive,
+        )
+
+    async def _handle_connection(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+    ) -> None:
+        """Serve one keep-alive connection until close or error."""
+        try:
+            while True:
+                try:
+                    request = await read_request(
+                        reader, max_body=self._max_body
+                    )
+                except HttpError as exc:
+                    writer.write(json_response(
+                        exc.status, {"error": str(exc)}, keep_alive=False,
+                    ))
+                    await writer.drain()
+                    return
+                if request is None:
+                    return
+                self.tracer.count(f"{self._counter_prefix}.http_requests")
+                writer.write(await self._route(request))
+                await writer.drain()
+                if not request.keep_alive:
+                    return
+        except (ConnectionResetError, BrokenPipeError):
+            pass
+        finally:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except OSError:
+                pass
+
+    async def _route(self, request: Request) -> bytes:
+        """Dispatch one parsed request to its handler."""
+        keep = request.keep_alive
+        handler = self._routes.get((request.method, request.path))
+        if handler is None:
+            if request.path in self._paths:
+                return json_response(
+                    405, {"error": f"method {request.method} not allowed "
+                                   f"on {request.path}"},
+                    keep_alive=keep,
+                )
+            return json_response(
+                404, {"error": f"unknown path {request.path}"},
+                keep_alive=keep,
+            )
+        try:
+            return await handler(request)
+        except HttpError as exc:
+            return json_response(
+                exc.status, {"error": str(exc)}, keep_alive=keep
+            )
+        except Exception as exc:  # a handler bug must not kill the server
+            self.tracer.count(f"{self._counter_prefix}.errors")
+            return json_response(
+                500, {"error": f"internal error: {exc}"}, keep_alive=keep
+            )

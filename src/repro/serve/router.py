@@ -21,10 +21,11 @@ Hashing on the content address gives three properties for free:
   so a scale-up does not cold-start every cache.
 
 The router holds a small keep-alive connection pool per shard
-(:class:`ShardClient`), aggregates ``/healthz`` across shards, exposes
-its own counters on ``/metrics`` plus a ``/shards`` inventory, and
-``POST /drain`` drains **every shard first** (each finishes its
-in-flight work) before the router itself reports drained.
+(:class:`~repro.serve.client.HttpClient`), aggregates ``/healthz``
+across shards, exposes its own counters on ``/metrics`` plus a
+``/shards`` inventory, and ``POST /drain`` drains **every shard
+first** (each finishes its in-flight work) before the router itself
+reports drained.
 
 :class:`ShardSupervisor` owns the worker processes for the CLI mode:
 it spawns each shard as a ``python -m repro serve`` subprocess, waits
@@ -43,18 +44,15 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..obs import Tracer, to_prometheus
-from .client import wait_healthy
+from ..obs import Tracer
+from .client import HttpClient, wait_healthy
 from .http import (
     DEFAULT_MAX_BODY,
     HttpError,
+    HttpServer,
     Request,
     Response,
     json_response,
-    read_request,
-    read_response,
-    render_request,
-    render_response,
 )
 from .protocol import parse_task_request
 
@@ -62,7 +60,6 @@ __all__ = [
     "HashRing",
     "RouterConfig",
     "Router",
-    "ShardClient",
     "ShardSupervisor",
     "serve_sharded",
     "shard_urls",
@@ -139,92 +136,7 @@ class RouterConfig:
     forward_timeout: float = 300.0
 
 
-class ShardClient:
-    """A keep-alive connection pool to one shard service.
-
-    ``request`` borrows a pooled connection (opening one when none is
-    free), sends, reads, and returns the connection to the pool.  A
-    transport failure discards the connection and retries once on a
-    fresh one — which cleanly absorbs a shard restart between
-    requests.
-    """
-
-    def __init__(self, url: str, pool_size: int = 32) -> None:
-        from .client import _split_url
-
-        self.url = url
-        self.host, self.port = _split_url(url)
-        self.pool_size = pool_size
-        self._free: List[Tuple[asyncio.StreamReader,
-                               asyncio.StreamWriter]] = []
-
-    async def _acquire(
-        self,
-    ) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        while self._free:
-            reader, writer = self._free.pop()
-            if not writer.is_closing():
-                return reader, writer
-            writer.close()
-        return await asyncio.open_connection(self.host, self.port)
-
-    def _release(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter) -> None:
-        if len(self._free) < self.pool_size and not writer.is_closing():
-            self._free.append((reader, writer))
-        else:
-            writer.close()
-
-    async def request(
-        self,
-        method: str,
-        path: str,
-        body: bytes = b"",
-        timeout: float = 300.0,
-    ) -> Response:
-        """One proxied exchange; retries once on a dead pooled
-        connection, then lets transport errors propagate."""
-        for attempt in (0, 1):
-            reader, writer = await self._acquire()
-            try:
-                writer.write(render_request(
-                    method, path, body, host=self.host, keep_alive=True,
-                ))
-                await writer.drain()
-                response = await asyncio.wait_for(
-                    read_response(reader), timeout
-                )
-                if response is None:
-                    raise ConnectionResetError(
-                        "shard closed connection mid-response"
-                    )
-            except (OSError, asyncio.IncompleteReadError) as exc:
-                writer.close()
-                if attempt == 0:
-                    continue
-                raise ConnectionError(
-                    f"shard {self.url} unreachable: "
-                    f"{exc or type(exc).__name__}"
-                ) from exc
-            except (HttpError, asyncio.TimeoutError):
-                writer.close()
-                raise
-            self._release(reader, writer)
-            return response
-        raise ConnectionError(f"shard {self.url} unreachable")
-
-    async def close(self) -> None:
-        """Close every pooled connection."""
-        while self._free:
-            _reader, writer = self._free.pop()
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-
-
-class Router:
+class Router(HttpServer):
     """The shard-routing front end (one asyncio process, no pool).
 
     Task requests are parsed only far enough to learn their content
@@ -241,127 +153,31 @@ class Router:
     ) -> None:
         if not config.shards:
             raise ValueError("Router needs at least one shard URL")
+        super().__init__(
+            config.host, config.port, config.max_body,
+            tracer if tracer is not None else Tracer(),
+            {
+                ("POST", "/v1/task"): self._handle_task,
+                ("GET", "/healthz"): self._handle_healthz,
+                ("GET", "/metrics"): self._handle_metrics,
+                ("GET", "/shards"): self._handle_shards,
+                ("POST", "/drain"): self._handle_drain,
+            },
+            counter_prefix="router",
+        )
         self.config = config
-        self.tracer = tracer if tracer is not None else Tracer()
         self.shard_ids = [f"shard-{i}" for i in range(len(config.shards))]
         self.ring = HashRing(self.shard_ids)
         self.clients = {
-            sid: ShardClient(url, pool_size=config.pool_size)
+            sid: HttpClient(url, pool_size=config.pool_size)
             for sid, url in zip(self.shard_ids, config.shards)
         }
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._started_at = time.monotonic()
         self._draining = False
-        self._drain_done = asyncio.Event()
-        self.port: Optional[int] = None
 
-    # ------------------------------------------------------------------
-    # lifecycle (mirrors Service)
-    # ------------------------------------------------------------------
-    async def start(self) -> int:
-        """Bind the public listener; returns the resolved port."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
-        self._started_at = time.monotonic()
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self.port
-
-    async def wait_drained(self) -> None:
-        """Resolve after ``/drain`` has drained every shard."""
-        await self._drain_done.wait()
-
-    async def stop(self) -> None:
-        """Close the listener and the shard connection pools."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+    async def _close(self) -> None:
+        """Close the shard connection pools after the listener."""
         for client in self.clients.values():
             await client.close()
-
-    async def serve_until_drained(self) -> None:
-        """Run until a client drains the deployment."""
-        if self._server is None:
-            await self.start()
-        try:
-            await self.wait_drained()
-            await asyncio.sleep(0.05)
-        finally:
-            await self.stop()
-
-    # ------------------------------------------------------------------
-    # connection + routing
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        """Serve one keep-alive client connection."""
-        try:
-            while True:
-                try:
-                    request = await read_request(
-                        reader, max_body=self.config.max_body
-                    )
-                except HttpError as exc:
-                    writer.write(json_response(
-                        exc.status, {"error": str(exc)}, keep_alive=False,
-                    ))
-                    await writer.drain()
-                    return
-                if request is None:
-                    return
-                response = await self._route(request)
-                writer.write(response)
-                await writer.drain()
-                if not request.keep_alive:
-                    return
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-
-    async def _route(self, request: Request) -> bytes:
-        """Dispatch one parsed request."""
-        keep = request.keep_alive
-        route = (request.method, request.path)
-        try:
-            if route == ("POST", "/v1/task"):
-                return await self._handle_task(request)
-            if route == ("GET", "/healthz"):
-                return await self._handle_healthz(keep)
-            if route == ("GET", "/metrics"):
-                return self._handle_metrics(keep)
-            if route == ("GET", "/shards"):
-                return await self._handle_shards(keep)
-            if route == ("POST", "/drain"):
-                return await self._handle_drain(keep)
-            if request.path in ("/v1/task", "/healthz", "/metrics",
-                                "/shards", "/drain"):
-                return json_response(
-                    405, {"error": f"method {request.method} not allowed "
-                                   f"on {request.path}"},
-                    keep_alive=keep,
-                )
-            return json_response(
-                404, {"error": f"unknown path {request.path}"},
-                keep_alive=keep,
-            )
-        except HttpError as exc:
-            return json_response(
-                exc.status, {"error": str(exc)}, keep_alive=keep
-            )
-        except Exception as exc:  # a handler bug must not kill the router
-            self.tracer.count("router.errors")
-            return json_response(
-                500, {"error": f"internal error: {exc}"}, keep_alive=keep
-            )
 
     # ------------------------------------------------------------------
     # endpoints
@@ -384,13 +200,12 @@ class Router:
                 "POST", "/v1/task", request.body,
                 timeout=self.config.forward_timeout,
             )
-        except (ConnectionError, OSError, asyncio.TimeoutError,
-                HttpError) as exc:
+        except (ConnectionError, asyncio.TimeoutError) as exc:
             self.tracer.count("router.shard_errors")
             status = 504 if isinstance(exc, asyncio.TimeoutError) else 503
             return json_response(
                 status,
-                {"error": f"{shard}: {exc or type(exc).__name__}",
+                {"error": f"{shard}: {str(exc) or type(exc).__name__}",
                  "shard": shard},
                 keep_alive=keep,
             )
@@ -424,13 +239,12 @@ class Router:
                 document = {"status": "bad-response"}
             document["healthy"] = response.status == 200
             return document
-        except (ConnectionError, OSError, asyncio.TimeoutError,
-                HttpError) as exc:
+        except (ConnectionError, asyncio.TimeoutError, HttpError) as exc:
             return {"status": "unreachable",
                     "error": str(exc) or type(exc).__name__,
                     "healthy": False}
 
-    async def _handle_healthz(self, keep_alive: bool) -> bytes:
+    async def _handle_healthz(self, request: Request) -> bytes:
         """Aggregate health: 200 iff every shard answers healthy."""
         healths = await asyncio.gather(
             *[self._shard_health(sid) for sid in self.shard_ids]
@@ -449,25 +263,16 @@ class Router:
             "total_shards": len(self.shard_ids),
         }
         status = 200 if all_healthy and not draining else 503
-        return json_response(status, payload, keep_alive=keep_alive)
+        return json_response(status, payload, keep_alive=request.keep_alive)
 
-    def _handle_metrics(self, keep_alive: bool) -> bytes:
+    async def _handle_metrics(self, request: Request) -> bytes:
         """The router's own counters as Prometheus text (each shard
         serves its own ``/metrics`` on its own port)."""
-        gauges = {
-            "router_shards": float(len(self.shard_ids)),
-            "router_uptime_seconds": (
-                time.monotonic() - self._started_at
-            ),
-        }
-        body = to_prometheus(self.tracer, gauges=gauges).encode()
-        return render_response(
-            200, body,
-            content_type="text/plain; version=0.0.4; charset=utf-8",
-            keep_alive=keep_alive,
+        return self._metrics_response(
+            request, {"router_shards": float(len(self.shard_ids))}
         )
 
-    async def _handle_shards(self, keep_alive: bool) -> bytes:
+    async def _handle_shards(self, request: Request) -> bytes:
         """Inventory: shard ids, URLs, and live health."""
         healths = await asyncio.gather(
             *[self._shard_health(sid) for sid in self.shard_ids]
@@ -479,9 +284,9 @@ class Router:
             ],
             "ring_replicas": self.ring.replicas,
         }
-        return json_response(200, payload, keep_alive=keep_alive)
+        return json_response(200, payload, keep_alive=request.keep_alive)
 
-    async def _handle_drain(self, keep_alive: bool) -> bytes:
+    async def _handle_drain(self, request: Request) -> bytes:
         """Drain every shard (each finishes its in-flight work), then
         report the deployment drained."""
         already = self._draining
@@ -496,7 +301,7 @@ class Router:
                 return document if isinstance(document, dict) else {
                     "drained": False, "error": "bad drain response"
                 }
-            except (ConnectionError, OSError, asyncio.TimeoutError,
+            except (ConnectionError, asyncio.TimeoutError,
                     HttpError) as exc:
                 return {"drained": False,
                         "error": str(exc) or type(exc).__name__}
@@ -515,7 +320,7 @@ class Router:
             "already_draining": already,
             "shards": shards,
         }
-        response = json_response(200, payload, keep_alive=keep_alive)
+        response = json_response(200, payload, keep_alive=request.keep_alive)
         self._drain_done.set()
         return response
 

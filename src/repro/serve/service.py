@@ -45,24 +45,19 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from ..engine.cache import MemoryCache, ResultCache, TieredCache
+from ..engine.campaign import REUSABLE_STATUSES
 from ..engine.pool import PersistentPool
-from ..obs import Tracer, to_prometheus
+from ..obs import Tracer
 from .admission import AdmissionController, ClassLimit
 from .http import (
     DEFAULT_MAX_BODY,
-    HttpError,
+    HttpServer,
     Request,
     json_response,
-    read_request,
-    render_response,
 )
 from .protocol import HEAVY, LIGHT, TaskRequest, parse_task_request
 
 __all__ = ["ServeConfig", "Service", "REUSABLE_STATUSES"]
-
-#: Record statuses a cache probe may answer with (deterministic
-#: outcomes, matching :data:`repro.engine.campaign.REUSABLE_STATUSES`).
-REUSABLE_STATUSES = frozenset({"ok", "budget_exceeded"})
 
 #: HTTP status for each record status (the record itself is always in
 #: the body; budget_exceeded is a *result*, not a failure).
@@ -94,7 +89,7 @@ class ServeConfig:
     mem_entries: int = 1024
 
 
-class Service:
+class Service(HttpServer):
     """The serving stack: cache → admission → pool → cache → response."""
 
     def __init__(
@@ -102,8 +97,18 @@ class Service:
         config: ServeConfig,
         tracer: Optional[Tracer] = None,
     ) -> None:
+        super().__init__(
+            config.host, config.port, config.max_body,
+            tracer if tracer is not None else Tracer(),
+            {
+                ("POST", "/v1/task"): self._handle_task,
+                ("GET", "/healthz"): self._handle_healthz,
+                ("GET", "/metrics"): self._handle_metrics,
+                ("POST", "/drain"): self._handle_drain,
+            },
+            counter_prefix="serve",
+        )
         self.config = config
-        self.tracer = tracer if tracer is not None else Tracer()
         # Two-tier result store: a synchronous in-memory LRU answers
         # repeats without leaving the event loop; the file tier backs
         # it and survives restarts.
@@ -127,122 +132,15 @@ class Service:
         self.pool = PersistentPool(
             workers=config.workers, tracer=self.tracer
         )
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._started_at = time.monotonic()
-        self._drain_done = asyncio.Event()
-        self.port: Optional[int] = None
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    async def start(self) -> int:
-        """Bind and start accepting; returns the actual port (ephemeral
-        ports resolve here)."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
-        self._started_at = time.monotonic()
-        self.port = self._server.sockets[0].getsockname()[1]
-        return self.port
-
-    async def wait_drained(self) -> None:
-        """Resolve after a ``/drain`` has finished all in-flight work."""
-        await self._drain_done.wait()
-
-    async def stop(self) -> None:
-        """Close the listener and the worker pool (idempotent)."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+    async def _close(self) -> None:
+        """Shut the worker pool down after the listener."""
         await asyncio.to_thread(self.pool.close)
-
-    async def serve_until_drained(self) -> None:
-        """Run until a client drains the service (the CLI entry point)."""
-        if self._server is None:
-            await self.start()
-        try:
-            await self.wait_drained()
-            # let final responses flush before tearing the listener down
-            await asyncio.sleep(0.05)
-        finally:
-            await self.stop()
-
-    # ------------------------------------------------------------------
-    # connection + routing
-    # ------------------------------------------------------------------
-    async def _handle_connection(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        """Serve one keep-alive connection until close or error."""
-        try:
-            while True:
-                try:
-                    request = await read_request(
-                        reader, max_body=self.config.max_body
-                    )
-                except HttpError as exc:
-                    writer.write(json_response(
-                        exc.status, {"error": str(exc)}, keep_alive=False,
-                    ))
-                    await writer.drain()
-                    return
-                if request is None:
-                    return
-                self.tracer.count("serve.http_requests")
-                response = await self._route(request)
-                writer.write(response)
-                await writer.drain()
-                if not request.keep_alive:
-                    return
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, OSError):
-                pass
-
-    async def _route(self, request: Request) -> bytes:
-        """Dispatch one parsed request to its endpoint handler."""
-        keep = request.keep_alive
-        route = (request.method, request.path)
-        try:
-            if route == ("POST", "/v1/task"):
-                return await self._handle_task(request)
-            if route == ("GET", "/healthz"):
-                return self._handle_healthz(keep)
-            if route == ("GET", "/metrics"):
-                return self._handle_metrics(keep)
-            if route == ("POST", "/drain"):
-                return await self._handle_drain(keep)
-            if request.path in ("/v1/task", "/healthz", "/metrics", "/drain"):
-                return json_response(
-                    405, {"error": f"method {request.method} not allowed "
-                                   f"on {request.path}"},
-                    keep_alive=keep,
-                )
-            return json_response(
-                404, {"error": f"unknown path {request.path}"},
-                keep_alive=keep,
-            )
-        except HttpError as exc:
-            return json_response(
-                exc.status, {"error": str(exc)}, keep_alive=keep
-            )
-        except Exception as exc:  # a handler bug must not kill the server
-            self.tracer.count("serve.errors")
-            return json_response(
-                500, {"error": f"internal error: {exc}"}, keep_alive=keep
-            )
 
     # ------------------------------------------------------------------
     # endpoints
     # ------------------------------------------------------------------
-    def _handle_healthz(self, keep_alive: bool) -> bytes:
+    async def _handle_healthz(self, request: Request) -> bytes:
         """``GET /healthz`` — liveness + readiness in one document."""
         draining = self.admission.draining
         payload = {
@@ -255,7 +153,7 @@ class Service:
             "cache": self._cache_health(),
         }
         return json_response(503 if draining else 200, payload,
-                             keep_alive=keep_alive)
+                             keep_alive=request.keep_alive)
 
     def _cache_health(self) -> Dict[str, Any]:
         """The cache-tier block of the healthz document."""
@@ -268,7 +166,7 @@ class Service:
             "memory_capacity": self.cache.memory.capacity,
         }
 
-    def _handle_metrics(self, keep_alive: bool) -> bytes:
+    async def _handle_metrics(self, request: Request) -> bytes:
         """``GET /metrics`` — counters/spans/gauges as Prometheus text."""
         gauges = self.admission.gauges()
         if self.cache is not None:
@@ -279,17 +177,9 @@ class Service:
                 self.cache.memory.capacity
             )
         gauges["serve_pool_workers"] = float(self.config.workers)
-        gauges["serve_uptime_seconds"] = (
-            time.monotonic() - self._started_at
-        )
-        body = to_prometheus(self.tracer, gauges=gauges).encode()
-        return render_response(
-            200, body,
-            content_type="text/plain; version=0.0.4; charset=utf-8",
-            keep_alive=keep_alive,
-        )
+        return self._metrics_response(request, gauges)
 
-    async def _handle_drain(self, keep_alive: bool) -> bytes:
+    async def _handle_drain(self, request: Request) -> bytes:
         """``POST /drain`` — stop admitting, finish in-flight, report."""
         already = self.admission.draining
         self.admission.start_drain()
@@ -299,7 +189,7 @@ class Service:
             "already_draining": already,
             "in_system": self.admission.in_system(),
         }
-        response = json_response(200, payload, keep_alive=keep_alive)
+        response = json_response(200, payload, keep_alive=request.keep_alive)
         self._drain_done.set()
         return response
 

@@ -34,6 +34,13 @@ def row_task(seed, k, params, tracer, budget):
     return {"seed": seed, "k": k, "value": seed * 10 + params.get("off", 0)}
 
 
+def pid_task(seed, k, params, tracer, budget):
+    """Custom task reporting the process that ran it."""
+    import os
+
+    return {"pid": os.getpid()}
+
+
 def spin_task(seed, k, params, tracer, budget):
     """Custom task that burns budget cooperatively until it raises."""
     import time
@@ -286,6 +293,17 @@ class TestPool:
         assert [r["status"] for r in records] == ["crashed", "ok", "ok"]
         assert records[0]["attempts"] == 2
         assert tracer.counters["engine.crashes"] == 2
+
+    def test_workers_persist_across_tasks(self):
+        import os
+
+        specs = [TaskSpec(generator="tests.test_engine:pid_task",
+                          strategy="call", seed=s) for s in range(6)]
+        records = run_tasks(specs, workers=2, timeout=60)
+        pids = {record["payload"]["pid"] for record in records}
+        assert [r["status"] for r in records] == ["ok"] * 6
+        assert os.getpid() not in pids
+        assert len(pids) <= 2
 
     def test_records_come_back_in_input_order(self):
         specs = [TaskSpec(generator="pressure", seed=s, k=6,

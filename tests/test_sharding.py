@@ -2,12 +2,19 @@
 consistent-hash ring stability and rebalancing, router end-to-end
 behaviour over in-process shard services, the in-memory LRU tier
 (eviction order, counter exactness, write-through, promotion), cache
-compaction, and remote campaign dispatch."""
+compaction, remote campaign dispatch, and fault injection on the served
+path (truncated cache entries, a killed shard, malformed or cut-off
+replies)."""
 
 import asyncio
 import json
 import os
+import re
+import signal
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +27,7 @@ from repro.engine import (
     run_campaign,
     run_campaign_remote,
 )
-from repro.engine.tasks import TaskSpec, task_hash
+from repro.engine.tasks import TaskSpec, run_task, task_hash
 from repro.obs import (
     CACHE_FILE_HITS,
     CACHE_FILE_MISSES,
@@ -40,6 +47,7 @@ from repro.serve import (
     shard_urls,
 )
 from repro.serve.client import drain, request_once
+from repro.serve.http import json_response, read_request, render_response
 
 TIMEOUT = 60.0
 
@@ -632,3 +640,195 @@ class TestCacheCli:
         }))
         assert main(["campaign", "status", str(spec),
                      "--remote", "http://127.0.0.1:1"]) == 2
+
+
+# ----------------------------------------------------------------------
+# fault injection on the served path
+# ----------------------------------------------------------------------
+def _fake_in_thread(answer):
+    """Serve ``answer(request)`` — response bytes, or None to close the
+    connection unanswered — on a loopback port from a daemon thread;
+    returns (url, stop)."""
+    box = {}
+    started = threading.Event()
+
+    async def handle(reader, writer):
+        try:
+            while True:
+                request = await read_request(reader)
+                reply = None if request is None else answer(request)
+                if reply is None:
+                    return
+                writer.write(reply)
+                await writer.drain()
+        finally:
+            writer.close()
+
+    async def main():
+        server = await asyncio.start_server(handle, "127.0.0.1", 0)
+        box["port"] = server.sockets[0].getsockname()[1]
+        box["loop"] = asyncio.get_running_loop()
+        box["stop"] = asyncio.Event()
+        started.set()
+        async with server:
+            await box["stop"].wait()
+
+    thread = threading.Thread(target=lambda: asyncio.run(main()),
+                              daemon=True)
+    thread.start()
+    assert started.wait(TIMEOUT), "fake server failed to start"
+
+    def stop():
+        box["loop"].call_soon_threadsafe(box["stop"].set)
+        thread.join(TIMEOUT)
+
+    return f"http://127.0.0.1:{box['port']}", stop
+
+
+def _computed(request):
+    """A well-formed ``/v1/task`` reply computed in-process."""
+    record = run_task(TaskSpec.from_dict(request.json()["task"]))
+    return json_response(200, {"record": record,
+                               "served": {"cache": "miss"}})
+
+
+def _spawn_shard():
+    """A ``python -m repro serve`` shard in its own session (so its
+    pool workers die with it); returns (process, url)."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--workers", "1", "--cache-dir", ""],
+        cwd=root, env=env, stdout=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    match = re.search(r"http://[^\s]+:\d+", proc.stdout.readline())
+    assert match, "repro serve did not report its address"
+    return proc, match.group(0)
+
+
+def _seed_on(router, shard, generator="pressure", **params):
+    """The first seed whose task the router places on ``shard``."""
+    for seed in range(200):
+        document = _task_document(seed, generator=generator)
+        document["task"]["params"].update(params)
+        spec = TaskSpec.from_dict(document["task"])
+        if router.ring.route(task_hash(spec)) == shard:
+            return document
+    raise AssertionError(f"no seed lands on {shard}")
+
+
+class TestServedFaults:
+    def test_truncated_file_entry_is_recomputed(self, tmp_path):
+        async def body():
+            service = Service(ServeConfig(
+                port=0, workers=0, cache_dir=str(tmp_path), mem_entries=1,
+            ))
+            url = f"http://127.0.0.1:{await service.start()}"
+            try:
+                document = _task_document(0)
+                key = task_hash(TaskSpec.from_dict(document["task"]))
+                first = (await request_once(
+                    url, "POST", "/v1/task", document)).json()
+                # a second key pushes the first out of the memory tier
+                await request_once(url, "POST", "/v1/task",
+                                   _task_document(1))
+                assert key not in service.cache.memory
+                entry = service.cache.file.path(key)
+                entry.write_bytes(entry.read_bytes()[:40])
+
+                response = await request_once(
+                    url, "POST", "/v1/task", document)
+                assert response.status == 200
+                again = response.json()
+                assert again["served"]["cache"] == "miss"
+                assert again["record"]["result_hash"] == (
+                    first["record"]["result_hash"])
+                rewritten = ResultCache(str(tmp_path)).get(key)
+                assert rewritten["result_hash"] == (
+                    first["record"]["result_hash"])
+            finally:
+                await service.stop()
+        run(body())
+
+    def test_shard_killed_mid_request_is_an_explicit_status(self):
+        proc, shard_url = _spawn_shard()
+
+        async def body():
+            service = Service(ServeConfig(port=0, workers=0))
+            local_url = f"http://127.0.0.1:{await service.start()}"
+            router = Router(RouterConfig(shards=[shard_url, local_url],
+                                         port=0))
+            url = f"http://127.0.0.1:{await router.start()}"
+            try:
+                sleeper = _seed_on(router, "shard-0", generator="sleep",
+                                   seconds=30.0)
+                pending = asyncio.ensure_future(
+                    request_once(url, "POST", "/v1/task", sleeper))
+                while (await request_once(shard_url, "GET", "/healthz")
+                       ).json()["in_system"] == 0:
+                    await asyncio.sleep(0.02)
+                os.killpg(proc.pid, signal.SIGKILL)
+                response = await pending
+                assert response.status in (503, 504)
+                assert response.json()["shard"] == "shard-0"
+                alive = await request_once(
+                    url, "POST", "/v1/task", _seed_on(router, "shard-1"))
+                assert alive.status == 200
+            finally:
+                await router.stop()
+                await service.stop()
+
+        try:
+            run(body())
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait(TIMEOUT)
+            proc.stdout.close()
+
+    def test_non_json_reply_fails_only_its_task(self):
+        tasks = [TaskSpec(generator="pressure", seed=seed, k=4,
+                          strategy="briggs", params=(("rounds", 3),))
+                 for seed in range(4)]
+        bad = task_hash(tasks[1])
+
+        def answer(request):
+            if request.path == "/healthz":
+                return json_response(200, {"status": "ok"})
+            if task_hash(TaskSpec.from_dict(request.json()["task"])) == bad:
+                return render_response(502, b"<html>bad gateway</html>",
+                                       content_type="text/html")
+            return _computed(request)
+
+        url, stop = _fake_in_thread(answer)
+        try:
+            summary = run_campaign_remote(
+                Campaign(name="html", tasks=tasks, workers=2, retries=0),
+                url,
+            )
+        finally:
+            stop()
+        assert summary["by_status"] == {"error": 1, "ok": 3}
+        assert summary["failed_tasks"] == [bad]
+
+    def test_client_drain_cut_off_exits_2(self, capsys):
+        from repro.cli import main
+
+        def answer(request):
+            if request.path == "/healthz":
+                return json_response(200, {"status": "ok"})
+            if request.path == "/drain":
+                return None
+            return _computed(request)
+
+        url, stop = _fake_in_thread(answer)
+        try:
+            code = main(["client", "--url", url, "--requests", "2",
+                         "--concurrency", "1", "--strategy", "briggs",
+                         "--k", "4", "--drain"])
+        finally:
+            stop()
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
