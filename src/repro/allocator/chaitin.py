@@ -13,15 +13,19 @@ for the "interplay of spilling and coalescing" discussion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from ..analysis.debug import maybe_check_allocation
+from ..graphs.dense import (
+    DENSE_TESTS,
+    DenseGraph,
+    briggs_george_test,
+    is_greedy_k_colorable,
+)
 from ..graphs.interference import InterferenceGraph
 from ..ir.cfg import Function
 from ..ir.interference import chaitin_interference, set_frequencies_from_loops
 from ..ir.instructions import Var
-from ..coalescing.conservative import TESTS, brute_force_test
-from ..graphs.greedy import is_greedy_k_colorable
 from ..obs import NULL_TRACER, Tracer
 from .spill import is_memory_slot, is_spill_temp, spill_costs, spill_everywhere
 
@@ -85,9 +89,9 @@ def chaitin_allocate(
 
     Iterates build → simplify/coalesce/freeze/spill → select; on actual
     spills the code is rewritten (spill everywhere) and the loop
-    restarts.  Raises ``RuntimeError`` if spilling fails to converge
-    (cannot happen while each round spills at least one variable with a
-    live range longer than a point, but guarded anyway).
+    restarts.  Raises ``RuntimeError`` when a round's actual spills
+    are all reload temporaries (k is below what one instruction needs),
+    or when spilling does not converge in ``max_iterations`` rounds.
 
     ``spill_metric`` picks the potential-spill heuristic: Chaitin's
     classic cost/degree ratio (default), plain minimum cost, or maximum
@@ -97,7 +101,11 @@ def chaitin_allocate(
         raise ValueError("need at least one register")
     if spill_metric not in SPILL_METRICS:
         raise ValueError(f"unknown spill metric {spill_metric!r}")
-    test_fn = TESTS[coalesce_test]
+    if coalesce_test not in DENSE_TESTS:
+        raise KeyError(
+            f"unknown coalesce test {coalesce_test!r}; "
+            f"choose from {sorted(DENSE_TESTS)}"
+        )
     if not func.frequency:
         set_frequencies_from_loops(func)
     work_func = func
@@ -110,7 +118,7 @@ def chaitin_allocate(
             costs = spill_costs(work_func)
         with tracer.span("chaitin/color"):
             assignment, coalesced, actual_spills = _color_round(
-                graph, k, test_fn, costs, spill_metric, tracer=tracer
+                graph, k, coalesce_test, costs, spill_metric, tracer=tracer
             )
         if not actual_spills:
             result = AllocationResult(
@@ -123,6 +131,12 @@ def chaitin_allocate(
             )
             maybe_check_allocation(result)
             return result
+        if all(is_spill_temp(v) for v in actual_spills):
+            # re-spilling a reload temporary cannot reduce pressure
+            raise RuntimeError(
+                "register pressure cannot be reduced below k: a single "
+                "instruction keeps more than k reload temporaries live"
+            )
         total_spilled.extend(actual_spills)
         tracer.count("chaitin.actual_spills", len(actual_spills))
         with tracer.span("chaitin/spill-rewrite"):
@@ -135,43 +149,54 @@ def chaitin_allocate(
 def _color_round(
     graph: InterferenceGraph,
     k: int,
-    test_fn,
+    test: str,
     costs: Dict[Var, float],
     spill_metric: str = "cost_degree",
     tracer: Tracer = NULL_TRACER,
 ) -> Tuple[Dict[Var, int], int, List[Var]]:
-    """One simplify/coalesce/freeze/spill/select round.
+    """One simplify/coalesce/freeze/spill/select round on one
+    :class:`DenseGraph` work graph, with the tests of
+    :data:`~repro.graphs.dense.DENSE_TESTS`.
 
-    Returns (assignment over merged classes expanded to variables,
-    number of coalesced moves, actual spills).
+    Vertices are visited in slot order.  A coalesced pair re-enters
+    last under its ``str``-smaller name (``add_vertex`` then
+    ``merge_group``); its affinities fold with summed weights and a
+    frozen move stays frozen on that surviving endpoint.  Returns
+    (assignment over merged classes expanded to variables, number of
+    coalesced moves, actual spills).
     """
-    work = graph.copy()
-    # members of each current vertex (for expanding colours at the end)
-    members: Dict[Var, Set[Var]] = {v: {v} for v in work.vertices}
-    stack: List[Tuple[Var, bool]] = []  # (vertex, is_potential_spill)
+    test_fn = DENSE_TESTS[test]
+    work = DenseGraph.from_graph(graph)
+    adj, deg = work.adj, work.deg
+    rows = list(adj)  # the build graph, for select
+    origin = work.index  # variable -> its row in `rows`
+    label = [str(v) for v in work.names]
+    members: Dict[int, Set[Var]] = {i: {v} for i, v in enumerate(work.names)}
+    # affinities by slot pair, in the build graph's order
+    moves: Dict[FrozenSet[int], float] = {
+        frozenset((origin[u], origin[v])): w for u, v, w in graph.affinities()
+    }
+    frozen: Set[FrozenSet[int]] = set()
+    stack: List[int] = []  # removal order
     coalesced_moves = 0
-    frozen: Set[frozenset] = set()
 
-    def move_related(v: Var) -> bool:
-        return any(
-            frozenset((a, b)) not in frozen
-            for a, b, _ in work.affinities()
-            if v in (a, b)
-        )
+    def remove(i: int) -> None:
+        nonlocal moves
+        work.remove_vertex(i)
+        moves = {key: w for key, w in moves.items() if i not in key}
+        stack.append(i)
 
-    while len(work):
+    while work.alive:
+        high = work.high_degree_mask(k)
         # 1. simplify: a non-move-related vertex of low degree
-        candidate = next(
-            (
-                v
-                for v in work.vertices
-                if work.degree(v) < k and not move_related(v)
-            ),
-            None,
-        )
-        if candidate is not None:
-            stack.append((candidate, False))
-            work.remove_vertex(candidate)
+        related = 0
+        for key in moves:
+            if key not in frozen:
+                for x in key:
+                    related |= 1 << x
+        low = work.alive & ~high & ~related
+        if low:
+            remove((low & -low).bit_length() - 1)
             tracer.count("chaitin.simplified")
             continue
         # 2. coalesce: a conservative move.  The brute-force test is an
@@ -180,18 +205,32 @@ def _color_round(
         # paper's setting of coalescing after spilling.  Mid-spill we
         # fall back to the relative Briggs+George rules.
         round_test = test_fn
-        if test_fn is brute_force_test and not is_greedy_k_colorable(work, k):
-            round_test = TESTS["briggs_george"]
+        if test == "brute" and not is_greedy_k_colorable(work, k):
+            round_test = briggs_george_test
+        pairs = [
+            (w, *sorted(key, key=label.__getitem__)) for key, w in moves.items()
+        ]
+        pairs.sort(key=lambda t: (-t[0], label[t[1]], label[t[2]]))
         merged = False
-        for a, b, _ in sorted(
-            work.affinities(), key=lambda t: (-t[2], str(t[0]), str(t[1]))
-        ):
-            if frozenset((a, b)) in frozen or work.has_edge(a, b):
+        for _, a, b in pairs:
+            pair = frozenset((a, b))
+            if pair in frozen or adj[a] >> b & 1:
                 continue
             tracer.count("moves.attempted")
-            if round_test(work, a, b, k):
-                work.merge_in_place(a, b)
-                members[a] = members[a] | members.pop(b)
+            if round_test(work, a, b, k, high=high):
+                s = work.add_vertex(work.names[a])
+                work.merge_group([s, a, b])
+                label.append(label[a])
+                members[s] = members.pop(a) | members.pop(b)
+                old, moves = moves, {}
+                for key, w in old.items():
+                    if key != pair:
+                        key = frozenset(s if x in pair else x for x in key)
+                        moves[key] = moves.get(key, 0.0) + w
+                frozen = {
+                    frozenset(s if x == a else x for x in key)
+                    for key in frozen if b not in key
+                }
                 coalesced_moves += 1
                 merged = True
                 tracer.count("moves.coalesced")
@@ -200,56 +239,50 @@ def _color_round(
         if merged:
             continue
         # 3. freeze: give up the cheapest move of a low-degree vertex
-        freeze_candidate = next(
+        freeze = next(
             (
-                (a, b)
-                for a, b, _ in sorted(work.affinities(), key=lambda t: t[2])
-                if frozenset((a, b)) not in frozen
-                and (work.degree(a) < k or work.degree(b) < k)
+                key
+                for key, _ in sorted(moves.items(), key=lambda t: t[1])
+                if key not in frozen and any(deg[x] < k for x in key)
             ),
             None,
         )
-        if freeze_candidate is not None:
-            frozen.add(frozenset(freeze_candidate))
+        if freeze is not None:
+            frozen.add(freeze)
             tracer.count("chaitin.frozen_moves")
             continue
         # 4. potential spill: cheapest cost / degree ratio; reload
         # temporaries last (re-spilling them cannot reduce pressure)
-        def spill_key(v: Var):
-            temp = all(is_spill_temp(m) for m in members[v])
-            cost = sum(costs.get(m, 1.0) for m in members[v])
+        def spill_key(i: int) -> Tuple[bool, float, str]:
+            temp = all(is_spill_temp(m) for m in members[i])
+            cost = sum(costs.get(m, 1.0) for m in members[i])
             if spill_metric == "cost":
                 metric = cost
             elif spill_metric == "degree":
-                metric = -work.degree(v)
+                metric = -deg[i]
             else:  # cost/degree, Chaitin's classic
-                metric = cost / max(1, work.degree(v))
-            return (temp, metric, str(v))
+                metric = cost / max(1, deg[i])
+            return (temp, metric, label[i])
 
-        spill_v = min(work.vertices, key=spill_key)
-        stack.append((spill_v, True))
-        work.remove_vertex(spill_v)
+        alive = (i for i in range(work.n) if work.alive >> i & 1)
+        remove(min(alive, key=spill_key))
         tracer.count("chaitin.potential_spills")
 
-    # select: colour merged classes in reverse removal order; a class's
-    # forbidden colours come from any member adjacent to any coloured
-    # member
-    owner = {m: rep for rep, ms in members.items() for m in ms}
+    # select: colour merged classes in reverse removal order; a class
+    # may not take a register held by a build-graph neighbour of any
+    # of its members
+    holders = [0] * k  # per register, the build-graph rows holding it
     assignment: Dict[Var, int] = {}
     actual_spills: List[Var] = []
-    colored: Dict[Var, int] = {}
-    for v, _potential in reversed(stack):
-        used: Set[int] = set()
-        for m in members[v]:
-            for u in graph.neighbors_view(m):
-                rep = owner[u]
-                if rep in colored:
-                    used.add(colored[rep])
-        c = next((c for c in range(k) if c not in used), None)
+    for i in reversed(stack):
+        near = 0
+        for m in members[i]:
+            near |= rows[origin[m]]
+        c = next((c for c in range(k) if not holders[c] & near), None)
         if c is None:
-            actual_spills.extend(members[v])
+            actual_spills.extend(members[i])
             continue
-        colored[v] = c
-        for m in members[v]:
+        for m in members[i]:
+            holders[c] |= 1 << origin[m]
             assignment[m] = c
     return assignment, coalesced_moves, actual_spills

@@ -93,14 +93,14 @@ from typing import List, Optional
 
 from .challenge.format import dump_instance, load_instances
 from .challenge.generator import pressure_instance, program_instance
-from .coalescing import TESTS
 from .engine.tasks import execute_strategy as _run_strategy
 from .graphs.chordal import is_chordal
+from .graphs.dense import DENSE_TESTS
 from .graphs.greedy import coloring_number, is_greedy_k_colorable
 from .graphs.io import read_dimacs, to_dot
 from .obs import NULL_TRACER, Tracer, merged_report
 
-STRATEGIES = sorted(TESTS) + [
+STRATEGIES = sorted(DENSE_TESTS) + [
     "aggressive", "optimistic", "biased", "chordal", "irc", "interval",
 ]
 
@@ -354,6 +354,14 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     """Register-allocate the IR (or ``.ll``) functions in a file."""
     from .allocator import chaitin_allocate, ssa_allocate
 
+    if args.allocator == "chaitin" and args.coalescing not in DENSE_TESTS:
+        print(
+            f"error: --allocator chaitin coalesces with a conservative "
+            f"test; --coalescing {args.coalescing!r} is not one of "
+            f"{', '.join(sorted(DENSE_TESTS))}",
+            file=sys.stderr,
+        )
+        return 2
     try:
         functions = _load_ir_functions(args.file)
     except _InputError as exc:
@@ -366,9 +374,7 @@ def cmd_allocate(args: argparse.Namespace) -> int:
         try:
             if args.allocator == "chaitin":
                 result = chaitin_allocate(
-                    func, args.k, coalesce_test=args.coalescing
-                    if args.coalescing in TESTS else "briggs_george",
-                    tracer=tracer,
+                    func, args.k, coalesce_test=args.coalescing, tracer=tracer
                 )
                 extra = ""
             elif args.allocator in ("linear-scan", "second-chance"):

@@ -6,8 +6,9 @@ practice and an exact baseline for small instances:
 =====================  ==============================================
 aggressive             :func:`aggressive_coalesce`,
                        :func:`aggressive_coalesce_exact`  (Theorem 2)
-conservative           :func:`conservative_coalesce` with Briggs /
-                       George / brute-force tests,
+conservative           :func:`conservative_coalesce` with the Briggs /
+                       George / brute-force tests of
+                       :data:`repro.graphs.dense.DENSE_TESTS`,
                        :func:`optimal_conservative_coalescing`
                        (Theorem 3)
 incremental            :func:`chordal_incremental_coalescible`
@@ -21,17 +22,7 @@ optimistic             :func:`optimistic_coalesce`,
 
 from .base import CoalescingResult, affinities_by_weight, empty_coalescing
 from .aggressive import aggressive_coalesce, aggressive_coalesce_exact
-from .conservative import (
-    TESTS,
-    briggs_george_test,
-    briggs_test,
-    brute_force_test,
-    conservative_coalesce,
-    george_extended_test,
-    george_extended_test_both,
-    george_test,
-    george_test_both,
-)
+from .conservative import conservative_coalesce
 from .incremental import (
     IntervalWitness,
     chordal_incremental_coalescible,
@@ -50,12 +41,6 @@ __all__ = [
     "empty_coalescing",
     "aggressive_coalesce",
     "aggressive_coalesce_exact",
-    "TESTS",
-    "briggs_test",
-    "george_test",
-    "george_test_both",
-    "briggs_george_test",
-    "brute_force_test",
     "conservative_coalesce",
     "IntervalWitness",
     "chordal_incremental_coalescible",
@@ -64,8 +49,6 @@ __all__ = [
     "optimistic_coalesce",
     "decoalesce_minimum",
     "optimal_conservative_coalescing",
-    "george_extended_test",
-    "george_extended_test_both",
     "chordal_incremental_coalesce",
     "biased_coloring_result",
     "biased_greedy_coloring",

@@ -45,12 +45,13 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 from ..budget import Budget, BudgetExceeded
 from ..challenge.format import ChallengeInstance
 from ..challenge.generator import pressure_instance, program_instance
-from ..coalescing import TESTS, conservative_coalesce, optimistic_coalesce
+from ..coalescing import conservative_coalesce, optimistic_coalesce
 from ..coalescing.aggressive import aggressive_coalesce
 from ..coalescing.base import CoalescingResult
 from ..coalescing.biased import biased_coloring_result
 from ..coalescing.chordal_strategy import chordal_incremental_coalesce
 from ..coalescing.exact import optimal_conservative_coalescing
+from ..graphs.dense import DENSE_TESTS
 from ..obs import NULL_TRACER, Tracer
 
 __all__ = [
@@ -68,7 +69,7 @@ __all__ = [
 
 #: Code-version tag mixed into every task hash.  Bump it whenever task
 #: execution semantics change, so stale cached results are never reused.
-ENGINE_VERSION = "2"
+ENGINE_VERSION = "3"
 
 #: Built-in instance generators (see :func:`_generate_instance`).
 INSTANCE_GENERATORS = ("pressure", "program", "llvm")
@@ -77,8 +78,9 @@ INSTANCE_GENERATORS = ("pressure", "program", "llvm")
 FAULT_GENERATORS = ("sleep", "crash")
 
 #: Strategies the executor understands, beyond the conservative tests
-#: of :data:`repro.coalescing.TESTS`.  ``"call"`` marks a custom task
-#: whose generator is a dotted callable returning the payload directly.
+#: of :data:`repro.graphs.dense.DENSE_TESTS`.  ``"call"`` marks a
+#: custom task whose generator is a dotted callable returning the
+#: payload directly.
 EXTRA_STRATEGIES = (
     "aggressive", "optimistic", "biased", "chordal", "irc",
     "exact", "exact-kcolorable", "interval",
@@ -91,7 +93,7 @@ EXTRA_STRATEGIES = (
 #: produce an allocation payload (see :func:`_allocation_payload`).
 ALLOCATION_STRATEGIES = ("linear-scan", "second-chance")
 
-STRATEGIES = tuple(sorted(TESTS)) + EXTRA_STRATEGIES
+STRATEGIES = tuple(sorted(DENSE_TESTS)) + EXTRA_STRATEGIES
 
 
 @dataclass(frozen=True)

@@ -194,6 +194,19 @@ class DenseGraph:
         self.alive &= ~bj
         return common
 
+    def remove_vertex(self, i: int) -> None:
+        """Remove live vertex ``i`` with its edges; its slot empties."""
+        bi = 1 << i
+        if not self.alive & bi:
+            raise KeyError(f"vertex index {i} is not alive")
+        adj, deg = self.adj, self.deg
+        for w in _iter_bits(adj[i]):
+            adj[w] &= ~bi
+            deg[w] -= 1
+        adj[i] = 0
+        deg[i] = 0
+        self.alive &= ~bi
+
     def add_vertex(self, name: Vertex) -> int:
         """Append an isolated live vertex named ``name``; return its index.
 
@@ -531,11 +544,14 @@ def george_extended_test(
     high: Optional[int] = None,
     tracer: Tracer = NULL_TRACER,
 ) -> bool:
-    """The Section-4 extension of George's rule, dense flavour.
+    """The Section-4 extension of George's rule (merge ``i`` into ``j``).
 
     A blocker ``t`` (high-degree neighbour of ``i`` unknown to ``j``)
-    is forgiven when it is itself removable — fewer than ``k`` of *its*
-    neighbours are high-degree, one popcount per blocker.
+    is forgiven when it is itself removable: fewer than ``k`` of *its*
+    neighbours are high-degree in the merged graph.  There the merged
+    vertex, of degree |N(i) ∪ N(j) \\ {i, j}|, stands in ``i``'s place,
+    so ``t`` counts ``i`` as significant iff that merged degree is ≥ k —
+    one popcount per blocker.
     """
     counting = tracer.enabled
     adj, words = dense.adj, dense.words
@@ -550,10 +566,16 @@ def george_extended_test(
     if counting:
         tracer.count(WORDS_MERGED, 3 * words)
         tracer.count(EDGES_SCANNED, _popcount(blockers))
+    if not blockers:
+        return True
+    if counting:
+        tracer.count(WORDS_MERGED, 2 * words)
+    merged_high = _popcount((adj[i] | adj[j]) & ~(bi | bj)) >= k
+    others = high & ~bi
     for t in _iter_bits(blockers):
         if counting:
             tracer.count(WORDS_MERGED, words)
-        if _popcount(adj[t] & high) >= k:
+        if _popcount(adj[t] & others) + merged_high >= k:
             return False
     return True
 
@@ -609,8 +631,9 @@ def brute_force_test(
     return is_greedy_k_colorable(merged, k, tracer=tracer)
 
 
-#: Dense conservative tests by name — mirrors
-#: :data:`repro.coalescing.conservative.TESTS`.
+#: The conservative tests by name: the one table behind
+#: :func:`~repro.coalescing.conservative.conservative_coalesce`, the
+#: Chaitin allocator and the strategy names of the CLI and the engine.
 DENSE_TESTS: Dict[str, Callable[..., bool]] = {
     "briggs": briggs_test,
     "george": george_test_both,

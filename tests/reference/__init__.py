@@ -17,20 +17,24 @@ second-chance scan.  :func:`check_allocation_validity` and
 :func:`check_interval_allocation` are the per-edge and per-pair loops
 the row-mask allocation certificates must match diagnostic for
 diagnostic, and :func:`maxlive` the set-based pressure walk.
+:data:`TESTS` holds the dict conservative tests that
+:data:`repro.graphs.dense.DENSE_TESTS` must match verdict for verdict,
+and :func:`chaitin_color_round` the Chaitin round on a copied dict
+graph that :mod:`repro.allocator.chaitin` must match allocation for
+allocation.
 """
 
 from __future__ import annotations
 
 import heapq
 from itertools import combinations
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.coalescing.aggressive import aggressive_coalesce
 from repro.coalescing.base import affinities_by_weight
-from repro.coalescing.conservative import TESTS
 from repro.graphs.chordal import CliqueTree, perfect_elimination_ordering
 from repro.graphs.graph import Graph, Vertex
-from repro.graphs.greedy import dense_subgraph_witness
+from repro.graphs.greedy import dense_subgraph_witness, is_greedy_k_colorable
 from repro.graphs.interference import Coalescing, InterferenceGraph
 from repro.allocator.spill import is_memory_slot, is_spill_temp
 from repro.analysis.diagnostics import Diagnostic
@@ -357,6 +361,176 @@ def build_intervals(
     return IntervalSet(points=points, intervals=intervals)
 
 
+def briggs_test(
+    graph: InterferenceGraph,
+    u: Vertex,
+    v: Vertex,
+    k: int,
+    tracer: Tracer = NULL_TRACER,
+) -> bool:
+    """Briggs' conservative test on the *current* graph.
+
+    The merged vertex's neighbourhood is N(u) ∪ N(v) \\ {u, v}; a common
+    neighbour's degree drops by one in the merged graph.  Safe when
+    fewer than k of those neighbours have (merged-graph) degree ≥ k.
+    """
+    if graph.has_edge(u, v):
+        return False
+    nu, nv = graph.neighbors_view(u), graph.neighbors_view(v)
+    if tracer.enabled:
+        # cost of building the union, independent of early exits
+        tracer.count(EDGES_SCANNED, len(nu) + len(nv))
+    significant = 0
+    for w in (nu | nv) - {u, v}:
+        degree = graph.degree(w)
+        if w in nu and w in nv:
+            degree -= 1  # its two edges to u and v become one
+        if degree >= k:
+            significant += 1
+            if significant >= k:
+                return False
+    return True
+
+
+def george_test(
+    graph: InterferenceGraph,
+    u: Vertex,
+    v: Vertex,
+    k: int,
+    tracer: Tracer = NULL_TRACER,
+) -> bool:
+    """George's test: merge ``u`` into ``v``.
+
+    Safe when every neighbour of ``u`` either has degree < k or is
+    already a neighbour of ``v``.  Asymmetric: callers may also try the
+    swapped direction.
+    """
+    if graph.has_edge(u, v):
+        return False
+    nv = graph.neighbors_view(v)
+    if tracer.enabled:
+        tracer.count(EDGES_SCANNED, graph.degree(u))
+    return all(
+        graph.degree(t) < k or t in nv
+        for t in graph.neighbors_view(u)
+        if t != v
+    )
+
+
+def george_test_both(
+    graph: InterferenceGraph,
+    u: Vertex,
+    v: Vertex,
+    k: int,
+    tracer: Tracer = NULL_TRACER,
+) -> bool:
+    """George's test tried in both directions (the paper's suggestion
+    when spilling has been done first, so any two vertices qualify)."""
+    return george_test(graph, u, v, k, tracer=tracer) or george_test(
+        graph, v, u, k, tracer=tracer
+    )
+
+
+def george_extended_test(
+    graph: InterferenceGraph,
+    u: Vertex,
+    v: Vertex,
+    k: int,
+    tracer: Tracer = NULL_TRACER,
+) -> bool:
+    """The extension of George's rule mentioned in Section 4.
+
+    A neighbour ``t`` of ``u`` need not be a neighbour of ``v`` when
+    ``t`` itself has at most (k − 1) neighbours of degree ≥ k in the
+    merged graph — such a ``t`` is always removable by the greedy
+    scheme once its low-degree neighbours are gone (the Briggs argument
+    applied to ``t``), so it cannot block the merged vertex.  In the
+    merged graph the merged vertex, of degree |N(u) ∪ N(v) \\ {u, v}|,
+    stands in ``u``'s place among ``t``'s neighbours.  Costlier to
+    evaluate (degree inspection of the neighbours' neighbours), as the
+    paper notes.
+    """
+    if graph.has_edge(u, v):
+        return False
+    nu, nv = graph.neighbors_view(u), graph.neighbors_view(v)
+    # materialize the potential blockers first: the high-degree
+    # neighbours of u unknown to v.  The blocker *set* is deterministic
+    # (unlike the set-iteration order), so counting its scan costs
+    # upfront keeps the work counters exact across runs.
+    blockers = [
+        t for t in nu if t != v and t not in nv and graph.degree(t) >= k
+    ]
+    if tracer.enabled:
+        tracer.count(EDGES_SCANNED, graph.degree(u))
+        for t in blockers:
+            tracer.count(EDGES_SCANNED, graph.degree(t))
+    merged_high = len((nu | nv) - {u, v}) >= k
+
+    def removable(t: Vertex) -> bool:
+        significant = int(merged_high)
+        for s in graph.neighbors_view(t):
+            if s != u and graph.degree(s) >= k:
+                significant += 1
+        return significant < k
+
+    return all(removable(t) for t in blockers)
+
+
+def george_extended_test_both(
+    graph: InterferenceGraph,
+    u: Vertex,
+    v: Vertex,
+    k: int,
+    tracer: Tracer = NULL_TRACER,
+) -> bool:
+    """The extended George test in both directions."""
+    return george_extended_test(
+        graph, u, v, k, tracer=tracer
+    ) or george_extended_test(graph, v, u, k, tracer=tracer)
+
+
+def briggs_george_test(
+    graph: InterferenceGraph,
+    u: Vertex,
+    v: Vertex,
+    k: int,
+    tracer: Tracer = NULL_TRACER,
+) -> bool:
+    """The combined rule used by iterated register coalescing."""
+    return briggs_test(graph, u, v, k, tracer=tracer) or george_test_both(
+        graph, u, v, k, tracer=tracer
+    )
+
+
+def brute_force_test(
+    graph: InterferenceGraph,
+    u: Vertex,
+    v: Vertex,
+    k: int,
+    tracer: Tracer = NULL_TRACER,
+) -> bool:
+    """Merge ``u`` and ``v`` on a copy and re-check
+    greedy-k-colorability of the whole graph (linear time)."""
+    if graph.has_edge(u, v):
+        return False
+    if tracer.enabled:
+        # cost of cloning the adjacency structure for the trial merge
+        tracer.count(EDGES_SCANNED, 2 * graph.num_edges())
+    merged = graph.merged(u, v)
+    return is_greedy_k_colorable(merged, k, tracer=tracer)
+
+
+#: The dict conservative tests by name, the oracles for
+#: :data:`repro.graphs.dense.DENSE_TESTS`.
+TESTS: Dict[str, Callable[..., bool]] = {
+    "briggs": briggs_test,
+    "george": george_test_both,
+    "george_extended": george_extended_test_both,
+    "briggs_george": briggs_george_test,
+    "brute": brute_force_test,
+}
+
+
 def conservative_coalesce(
     graph: InterferenceGraph, k: int, test: str = "briggs_george",
     tracer: Tracer = NULL_TRACER,
@@ -663,3 +837,126 @@ def check_interval_allocation(
             obj=func.name,
             detail={"max_overlap": overlap, "maxlive": pressure},
         )
+
+
+def chaitin_color_round(
+    graph: InterferenceGraph,
+    k: int,
+    test: str,
+    costs: Dict[Var, float],
+    spill_metric: str = "cost_degree",
+    tracer: Tracer = NULL_TRACER,
+) -> Tuple[Dict[Var, int], int, List[Var]]:
+    """One simplify/coalesce/freeze/spill/select round on a copied
+    dict graph (the oracle for the :class:`~repro.graphs.dense.DenseGraph`
+    round of :mod:`repro.allocator.chaitin`).
+
+    Returns (assignment over merged classes expanded to variables,
+    number of coalesced moves, actual spills).
+    """
+    test_fn = TESTS[test]
+    work = graph.copy()
+    # members of each current vertex (for expanding colours at the end)
+    members: Dict[Var, Set[Var]] = {v: {v} for v in work.vertices}
+    stack: List[Tuple[Var, bool]] = []  # (vertex, is_potential_spill)
+    coalesced_moves = 0
+    frozen: Set[FrozenSet[Var]] = set()
+
+    def move_related(v: Var) -> bool:
+        return any(
+            frozenset((a, b)) not in frozen
+            for a, b, _ in work.affinities()
+            if v in (a, b)
+        )
+
+    while len(work):
+        # 1. simplify: a non-move-related vertex of low degree
+        candidate = next(
+            (
+                v
+                for v in work.vertices
+                if work.degree(v) < k and not move_related(v)
+            ),
+            None,
+        )
+        if candidate is not None:
+            stack.append((candidate, False))
+            work.remove_vertex(candidate)
+            tracer.count("chaitin.simplified")
+            continue
+        # 2. coalesce: a conservative move; brute falls back to the
+        # relative Briggs+George rules mid-spill
+        round_test = test_fn
+        if test == "brute" and not is_greedy_k_colorable(work, k):
+            round_test = TESTS["briggs_george"]
+        merged = False
+        for a, b, _ in sorted(
+            work.affinities(), key=lambda t: (-t[2], str(t[0]), str(t[1]))
+        ):
+            if frozenset((a, b)) in frozen or work.has_edge(a, b):
+                continue
+            tracer.count("moves.attempted")
+            if round_test(work, a, b, k):
+                work.merge_in_place(a, b)
+                members[a] = members[a] | members.pop(b)
+                coalesced_moves += 1
+                merged = True
+                tracer.count("moves.coalesced")
+                break
+            tracer.count("moves.rejected")
+        if merged:
+            continue
+        # 3. freeze: give up the cheapest move of a low-degree vertex
+        freeze_candidate = next(
+            (
+                (a, b)
+                for a, b, _ in sorted(work.affinities(), key=lambda t: t[2])
+                if frozenset((a, b)) not in frozen
+                and (work.degree(a) < k or work.degree(b) < k)
+            ),
+            None,
+        )
+        if freeze_candidate is not None:
+            frozen.add(frozenset(freeze_candidate))
+            tracer.count("chaitin.frozen_moves")
+            continue
+        # 4. potential spill: cheapest cost / degree ratio; reload
+        # temporaries last (re-spilling them cannot reduce pressure)
+        def spill_key(v: Var) -> Tuple[bool, float, str]:
+            temp = all(is_spill_temp(m) for m in members[v])
+            cost = sum(costs.get(m, 1.0) for m in members[v])
+            if spill_metric == "cost":
+                metric = cost
+            elif spill_metric == "degree":
+                metric = -work.degree(v)
+            else:  # cost/degree, Chaitin's classic
+                metric = cost / max(1, work.degree(v))
+            return (temp, metric, str(v))
+
+        spill_v = min(work.vertices, key=spill_key)
+        stack.append((spill_v, True))
+        work.remove_vertex(spill_v)
+        tracer.count("chaitin.potential_spills")
+
+    # select: colour merged classes in reverse removal order; a class's
+    # forbidden colours come from any member adjacent to any coloured
+    # member
+    owner = {m: rep for rep, ms in members.items() for m in ms}
+    assignment: Dict[Var, int] = {}
+    actual_spills: List[Var] = []
+    colored: Dict[Var, int] = {}
+    for v, _potential in reversed(stack):
+        used: Set[int] = set()
+        for m in members[v]:
+            for u in graph.neighbors_view(m):
+                rep = owner[u]
+                if rep in colored:
+                    used.add(colored[rep])
+        c = next((c for c in range(k) if c not in used), None)
+        if c is None:
+            actual_spills.extend(members[v])
+            continue
+        colored[v] = c
+        for m in members[v]:
+            assignment[m] = c
+    return assignment, coalesced_moves, actual_spills

@@ -1,15 +1,25 @@
 """End-to-end tests for both register allocators."""
 
 import random
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.allocator import chaitin_allocate, ssa_allocate
+from repro.allocator import chaitin, chaitin_allocate, ssa_allocate
 from repro.allocator.ssa_allocator import _pressure_maxlive, spill_to_pressure
+from repro.frontend import corpus_functions
+from repro.graphs.dense import DENSE_TESTS
 from repro.ir.builder import FunctionBuilder
 from repro.ir.generators import GeneratorConfig, random_function
+from repro.ir.liveness import maxlive
 from repro.ir.out_of_ssa import eliminate_phis
+from repro.ir.parser import parse_functions
 from repro.ir.ssa import construct_ssa
+from tests import reference as ref
+
+GADGETS = Path(__file__).resolve().parents[1] / "examples" / "gadgets.ir"
 
 
 def phi_free(seed, **kw):
@@ -69,6 +79,56 @@ class TestChaitin:
             total_briggs += a.coalesced_moves
             total_brute += b.coalesced_moves
         assert total_brute >= total_briggs
+
+
+    def test_fails_fast_when_reload_temporaries_exceed_k(self):
+        # `ret x1.1, x2.1, x3.1, x4.1` needs four registers at once
+        with open(GADGETS) as stream:
+            (rotate4,) = [f for f in parse_functions(stream) if f.name == "rotate4"]
+        with pytest.raises(RuntimeError, match="cannot be reduced below k"):
+            chaitin_allocate(rotate4, 3)
+
+
+def _outcome(func, k, test, oracle=False):
+    """What chaitin_allocate returns (or the error it raises), on the
+    DenseGraph round or, with ``oracle``, on the dict round."""
+    round_fn = ref.chaitin_color_round if oracle else chaitin._color_round
+    try:
+        with mock.patch.object(chaitin, "_color_round", round_fn):
+            r = chaitin_allocate(func, k, coalesce_test=test)
+    except RuntimeError as exc:
+        return str(exc)
+    return r.assignment, r.spilled, r.coalesced_moves, r.iterations
+
+
+def _assert_matches_oracle(func, k):
+    for test in DENSE_TESTS:
+        expected = _outcome(func, k, test, oracle=True)
+        assert _outcome(func, k, test) == expected, (func.name, k, test)
+
+
+class TestChaitinMatchesDictRound:
+    """The DenseGraph round gives the dict round's allocation exactly:
+    same assignment, spills, coalesced moves and iterations."""
+
+    def test_corpus(self):
+        for _, func in corpus_functions():
+            lowered = eliminate_phis(func)
+            pressure = maxlive(lowered)
+            for k in (pressure, pressure - 1):
+                if k > 0:
+                    _assert_matches_oracle(lowered, k)
+
+    def test_bench_allocators_programs(self):
+        config = GeneratorConfig(num_vars=10, max_stmts=7, move_fraction=0.3)
+        for seed in range(8):
+            func = eliminate_phis(construct_ssa(random_function(seed, config)))
+            _assert_matches_oracle(func, 4)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(2, 5))
+    def test_random_programs(self, seed, k):
+        _assert_matches_oracle(random_function(seed), k)
 
 
 class TestSpillToPressure:

@@ -122,6 +122,26 @@ class TestAllocate:
         ) == 0
         assert "OK" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("strategy", ["bogus", "aggressive"])
+    def test_chaitin_rejects_non_conservative_coalescing(
+        self, ir_file, capsys, strategy
+    ):
+        assert main(
+            ["allocate", ir_file, "--k", "4", "--allocator", "chaitin",
+             "--coalescing", strategy]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "briggs, briggs_george, brute, george, george_extended" in (
+            captured.err
+        )
+
+    def test_ssa_allocator_accepts_any_coalescing(self, ir_file, capsys):
+        assert main(
+            ["allocate", ir_file, "--k", "4", "--coalescing", "optimistic"]
+        ) == 0
+        assert capsys.readouterr().out.count("OK") == 2
+
 
 class TestGenerate:
     def test_pressure_to_file(self, tmp_path, capsys):

@@ -5,14 +5,7 @@ import random
 
 import pytest
 
-from repro.coalescing.conservative import (
-    briggs_george_test,
-    briggs_test,
-    brute_force_test,
-    conservative_coalesce,
-    george_test,
-    george_test_both,
-)
+from repro.coalescing.conservative import conservative_coalesce
 from repro.graphs.generators import (
     complete_graph,
     incremental_trap_gadget,
@@ -21,6 +14,13 @@ from repro.graphs.generators import (
 )
 from repro.graphs.greedy import is_greedy_k_colorable
 from repro.graphs.interference import InterferenceGraph
+from tests.reference import (
+    briggs_george_test,
+    briggs_test,
+    brute_force_test,
+    george_test,
+    george_test_both,
+)
 
 
 def star_graph():

@@ -25,7 +25,7 @@ from repro.graphs.greedy import (
     is_greedy_k_colorable,
 )
 from repro.graphs.interference import InterferenceGraph
-from repro.coalescing.conservative import TESTS, conservative_coalesce
+from repro.coalescing.conservative import conservative_coalesce
 from repro.obs import EDGES_SCANNED, KERNEL_WORK_COUNTERS, WORDS_MERGED, Tracer
 from tests import reference as ref
 
@@ -164,6 +164,22 @@ class TestDenseGraph:
                            for i in range(d.n))
             assert shared.to_graph() == g  # copies keep their interning
 
+    def test_remove_vertex_matches_graph(self):
+        for seed, g in enumerate(fuzz_graphs(30)):
+            if not len(g):
+                continue
+            rng = random.Random(seed)
+            d = DenseGraph.from_graph(g)
+            h = g.copy()
+            for v in rng.sample(list(g.vertices), rng.randint(1, len(g))):
+                d.remove_vertex(d.index[v])
+                h.remove_vertex(v)
+                assert d.to_graph() == h
+                assert all(d.deg[i] == d.adj[i].bit_count()
+                           for i in range(d.n))
+            with pytest.raises(KeyError):
+                d.remove_vertex(d.index[v])
+
     def test_merge_group_errors(self):
         g = Graph(vertices=["a", "b", "c", "x"])
         g.add_edge("a", "b")
@@ -268,7 +284,7 @@ class TestKernelEquivalence:
             k = rng.randint(1, 6)
             high = d.high_degree_mask(k)
             names = list(ig.vertices)
-            for name, dict_fn in TESTS.items():
+            for name, dict_fn in ref.TESTS.items():
                 dense_fn = dn.DENSE_TESTS[name]
                 for u in names:
                     for v in names:
@@ -288,7 +304,7 @@ class TestConservativeBackends:
             rng = random.Random(seed)
             inst = pressure_instance(rng.randint(3, 6), rng.randint(3, 6),
                                      rng=rng)
-            for test in TESTS:
+            for test in ref.TESTS:
                 td, te = Tracer(), Tracer()
                 rd = ref.conservative_coalesce(inst.graph, inst.k, test=test,
                                                tracer=td)

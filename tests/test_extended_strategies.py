@@ -13,9 +13,6 @@ from repro.coalescing import (
     biased_greedy_coloring,
     chordal_incremental_coalesce,
     conservative_coalesce,
-    george_extended_test,
-    george_extended_test_both,
-    george_test_both,
 )
 from repro.graphs.chordal import clique_number_chordal, is_chordal
 from repro.graphs.coloring import verify_coloring
@@ -27,6 +24,12 @@ from repro.graphs.generators import (
 from repro.graphs.greedy import is_greedy_k_colorable
 from repro.graphs.interference import InterferenceGraph
 from repro.ir import GeneratorConfig, random_function
+from tests.reference import (
+    george_extended_test,
+    george_extended_test_both,
+    george_test,
+    george_test_both,
+)
 
 
 def chordal_instance(seed: int, num_affinities: int = 6):
@@ -64,8 +67,6 @@ class TestExtendedGeorge:
         # t has degree >= k but fewer than k significant neighbours:
         # plain George (u into v) refuses since t is not adjacent to v,
         # while the extended rule accepts
-        from repro.coalescing import george_test
-
         g = InterferenceGraph()
         g.add_edge("u", "t")
         g.add_edge("t", "p1")

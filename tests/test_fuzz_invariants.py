@@ -220,8 +220,8 @@ def test_fuzz_dense_kernels_match_dict(seed):
 def test_fuzz_dense_conservative_tests_match_dict(seed):
     """Briggs/George (and friends) return the same verdict on every
     candidate pair on the dense and the dict-of-set graph."""
-    from repro.coalescing.conservative import TESTS
     from repro.graphs.dense import DENSE_TESTS, DenseGraph
+    from tests.reference import TESTS
 
     rng = random.Random(seed)
     g = random_graph(rng.randint(2, 10), rng.uniform(0.1, 0.6), rng)

@@ -93,6 +93,13 @@ def test_aggressive_invariants(seed):
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from(CONSERVATIVE))
+# the extended George rule once counted a blocker's merged neighbour
+# with the old degree and broke greedy-k-colourability on these seeds
+@example(125, "george_extended")
+@example(178, "george_extended")
+@example(220, "george_extended")
+@example(398, "george_extended")
+@example(472, "george_extended")
 def test_conservative_invariants(seed, test):
     graph, k = random_instance(seed)
     if not is_greedy_k_colorable(graph, k):
@@ -100,6 +107,37 @@ def test_conservative_invariants(seed, test):
     result = conservative_coalesce(graph, k, test=test)
     check_ledger(graph, result)
     assert is_greedy_k_colorable(result.coalesced_graph(), k)
+
+
+def test_conservative_quotients_sweep():
+    """Every conservative rule keeps the quotient greedy-k-colourable
+    on each of seeds 0–2999."""
+    failures = []
+    for seed in range(3000):
+        graph, k = random_instance(seed)
+        if not is_greedy_k_colorable(graph, k):
+            continue
+        for test in CONSERVATIVE:
+            result = conservative_coalesce(graph, k, test=test)
+            if not is_greedy_k_colorable(result.coalesced_graph(), k):
+                failures.append((seed, test))
+    assert failures == []
+
+
+def test_george_extended_counts_the_merged_vertex():
+    """Seed 125, minimised: merging u into v (k = 3) gives a K4.  The
+    blocker t has only two significant neighbours before the merge,
+    but the merged vertex of degree 3 is a third one."""
+    g = InterferenceGraph(edges=[
+        ("v", "a"), ("v", "b"), ("u", "t"),
+        ("t", "a"), ("t", "b"), ("a", "b"),
+    ])
+    g.add_affinity("u", "v")
+    assert is_greedy_k_colorable(g, 3)
+    assert not is_greedy_k_colorable(g.merged("u", "v"), 3)
+    result = conservative_coalesce(g, 3, test="george_extended")
+    assert result.coalesced == []
+    assert is_greedy_k_colorable(result.coalesced_graph(), 3)
 
 
 @settings(max_examples=25, deadline=None)
