@@ -1,16 +1,30 @@
 """Campaign-time verification: certify engine task records.
 
 :func:`verify_record` is the bridge between the campaign engine and
-the analysis passes.  Given a task spec and its record, it regenerates
-the instance **from the spec's seed** (the same path the worker took),
-rebuilds the claimed coalescing from the payload's ``coalesced_pairs``,
-and translation-validates it: merged classes never interfere
-(``COAL001``/``COAL002``), the recorded aggregates match the partition
-(``COAL005``), and — for conservative strategies — the quotient is
-greedy-k-colorable, re-certified through an explicit elimination-order
-witness (``COAL004``).  A payload that cannot be reconciled with the
-regenerated instance at all (unknown vertices, wrong sizes) is
-``ENG001``.
+the analysis passes.  The subject of a record — the instance a
+coalescing strategy ran on, or the input function and the allocation
+of an allocator — comes from one of two sources:
+
+* **handed** — :func:`repro.engine.tasks.run_task` passes what it
+  built (``built=``, a :class:`repro.engine.tasks.Built`).  Its input
+  was fingerprinted before the strategy ran; if the fingerprint has
+  changed the strategy mutated its input, which is ``ENG002`` and the
+  record is not certified;
+* **regenerated** — without ``built=`` (cache-hit verification
+  upgrades, replays) the instance is rebuilt **from the spec's seed**
+  and an allocation is re-run, as the worker did.
+
+Either way the same routines certify it.  A coalescing payload's
+partition is rebuilt from its ``coalesced_pairs`` and
+translation-validated (:func:`certify_payload`): merged classes never
+interfere (``COAL001``/``COAL002``), the recorded aggregates match the
+partition (``COAL005``), and — for conservative strategies — the
+quotient is greedy-k-colorable, re-certified through an explicit
+elimination-order witness (``COAL004``).  An allocation's final code is
+rebuilt from its input and its per-round spill decisions and the
+payload's assignment is checked over it (:func:`certify_allocation`).
+A payload that cannot be reconciled with its subject at all (unknown
+vertices, wrong sizes, differing fields) is ``ENG001``.
 
 Verification runs under a deterministic step :class:`~repro.budget.
 Budget` (:data:`VERIFY_MAX_STEPS`), so a pathological instance degrades
@@ -45,6 +59,7 @@ __all__ = [
     "VERIFY_MAX_STEPS",
     "verify_record",
     "certify_payload",
+    "certify_allocation",
     "certify_allocation_payload",
 ]
 
@@ -52,7 +67,6 @@ __all__ = [
 #: budget, not a wall-clock one) so cache-verification outcomes are
 #: reproducible across machines.
 VERIFY_MAX_STEPS = 2_000_000
-
 
 
 def _diag_dicts(diagnostics: List[Diagnostic]) -> List[Dict[str, Any]]:
@@ -69,14 +83,32 @@ def certify_payload(
 ) -> List[Diagnostic]:
     """Re-validate a coalescing task payload against its instance.
 
-    Rebuilds the partition implied by ``payload["coalesced_pairs"]``
-    and runs the ``coalescing`` passes on it with the payload's
-    aggregates as the claimed ledger.
+    Checks the payload's instance-shape fields (``instance``,
+    ``vertices``, ``edges``, ``affinities``) against ``instance``
+    (``ENG001``), rebuilds the partition implied by
+    ``payload["coalesced_pairs"]``, and runs the ``coalescing`` passes
+    on it with the payload's aggregates as the claimed ledger.
     """
     graph = instance.graph
+    out: List[Diagnostic] = []
+    shape = {
+        "instance": instance.name,
+        "vertices": len(graph),
+        "edges": graph.num_edges(),
+        "affinities": graph.num_affinities(),
+    }
+    for key, actual in shape.items():
+        if key in payload and payload[key] != actual:
+            out.append(Diagnostic(
+                "ENG001", "error",
+                f"payload says {key} is {payload[key]!r} but the "
+                f"instance has {actual!r}",
+                obj=instance.name,
+                detail={"field": key, "claimed": payload[key],
+                        "actual": actual},
+            ))
     by_name = {str(v): v for v in graph.vertices}
     coalescing = Coalescing(graph)
-    out: List[Diagnostic] = []
     for pair in payload.get("coalesced_pairs", ()):
         u_name, v_name = str(pair[0]), str(pair[1])
         u, v = by_name.get(u_name), by_name.get(v_name)
@@ -85,7 +117,7 @@ def certify_payload(
             out.append(Diagnostic(
                 "ENG001", "error",
                 f"payload coalesces {missing}, which is not a vertex of "
-                "the regenerated instance",
+                "the instance",
                 where=missing, obj=instance.name,
                 detail={"vertex": missing, "pair": [u_name, v_name]},
             ))
@@ -117,23 +149,88 @@ def certify_payload(
     return out
 
 
+def certify_allocation(
+    func: Any,
+    result: Any,
+    payload: Mapping[str, Any],
+    budget: Optional[Budget] = None,
+    tracer: Tracer = NULL_TRACER,
+) -> List[Diagnostic]:
+    """Certify an allocation payload from the allocator's decisions.
+
+    ``func`` is the input code and ``result`` the
+    :class:`~repro.intervals.linear_scan.LinearScanResult` that claims
+    to allocate it.  The result is a certificate, not trusted: an
+    allocation is its spill choices plus a colouring of the rewritten
+    code.  So the final code is rebuilt by replaying
+    :func:`repro.allocator.spill.spill_everywhere` on ``func`` once per
+    entry of ``result.spill_rounds`` (``ENG001`` if it differs from
+    ``result.function``), every payload field is compared with the one
+    ``result`` yields (``ENG001`` per differing field), and the
+    ``allocation`` passes (``ALLOC*``/``INTV*``) run on the *payload's*
+    assignment and spill list over the rebuilt code.
+    """
+    from ..allocator.spill import spill_everywhere
+    from ..engine.tasks import _allocation_payload
+    from ..intervals.linear_scan import LinearScanResult
+
+    out: List[Diagnostic] = []
+    expected = _allocation_payload(result)
+    for key in sorted(set(expected) | set(payload)):
+        if expected.get(key) != payload.get(key):
+            out.append(Diagnostic(
+                "ENG001", "error",
+                f"allocation payload field {key!r} is "
+                f"{payload.get(key)!r} but the allocation yields "
+                f"{expected.get(key)!r}",
+                obj=func.name,
+                detail={"field": key},
+            ))
+    rebuilt = func
+    for victims in result.spill_rounds:
+        rebuilt = spill_everywhere(rebuilt, set(victims))
+    if rebuilt is not result.function \
+            and rebuilt.fingerprint() != result.function.fingerprint():
+        out.append(Diagnostic(
+            "ENG001", "error",
+            "the allocation's final code is not its input rewritten by "
+            f"its {len(result.spill_rounds)} recorded spill round(s)",
+            obj=func.name,
+            detail={"field": "function"},
+        ))
+    try:
+        assignment = {str(v): r for v, r in payload.get("assignment", ())}
+        spilled = [str(v) for v in payload.get("spilled", ())]
+    except (TypeError, ValueError):
+        return out  # unreadable fields: already ENG001 above
+    claim = LinearScanResult(
+        function=rebuilt,
+        assignment=assignment,
+        k=result.k,
+        spilled=spilled,
+        interval_variant=result.interval_variant,
+    )
+    ctx = AnalysisContext(k=result.k, budget=budget, tracer=tracer,
+                          obj=func.name)
+    out.extend(run_passes(claim, "allocation", ctx))
+    return out
+
+
 def certify_allocation_payload(
     spec: Any,
     payload: Mapping[str, Any],
     budget: Optional[Budget] = None,
     tracer: Tracer = NULL_TRACER,
 ) -> List[Diagnostic]:
-    """Re-validate an allocation task payload (linear-scan family).
+    """Certify an allocation payload (linear-scan family) from its spec.
 
-    Allocation tasks are deterministic given the spec, so the verifier
-    simply *re-runs* the allocator on the freshly loaded function,
-    rebuilds the reference payload, and reports every differing field
-    as ``ENG001`` — then runs the ``allocation`` analysis passes
-    (``ALLOC*``/``INTV*``) on the re-derived result, so the recorded
-    assignment is certified against recomputed interference *and* the
-    interval abstraction, not trusted.
+    The regenerating source for :func:`certify_allocation`: the
+    payload carries no per-round spill sets, so the function is loaded
+    afresh and the allocator — deterministic given the spec — is re-run
+    to recover them; the re-run result then goes through the same
+    certificate checks as a handed one.
     """
-    from ..engine.tasks import _allocation_payload, _load_task_function
+    from ..engine.tasks import _load_task_function
     from ..intervals.linear_scan import linear_scan_allocate
 
     func, k = _load_task_function(spec)
@@ -141,42 +238,58 @@ def certify_allocation_payload(
         "classic" if spec.strategy == "linear-scan" else "second-chance"
     )
     result = linear_scan_allocate(func, k, variant=variant)
-    expected = _allocation_payload(spec, result)
-    out: List[Diagnostic] = []
-    for key in sorted(set(expected) | set(payload)):
-        if expected.get(key) != payload.get(key):
-            out.append(Diagnostic(
-                "ENG001", "error",
-                f"allocation payload field {key!r} is "
-                f"{payload.get(key)!r} but deterministic re-execution "
-                f"yields {expected.get(key)!r}",
-                obj=func.name,
-                detail={"field": key},
-            ))
-    ctx = AnalysisContext(k=k, budget=budget, tracer=tracer, obj=func.name)
-    out.extend(run_passes(result, "allocation", ctx))
-    return out
+    return certify_allocation(func, result, payload, budget=budget,
+                              tracer=tracer)
+
+
+def _certify(
+    spec: Any,
+    payload: Mapping[str, Any],
+    budget: Budget,
+    tracer: Tracer,
+    built: Any,
+) -> List[Diagnostic]:
+    from ..engine.tasks import ALLOCATION_STRATEGIES, _generate_instance
+
+    if built is not None and not built.intact():
+        return [Diagnostic(
+            "ENG002", "error",
+            f"strategy {spec.strategy!r} mutated its input instance: the "
+            "graph or function it was handed changed while it ran",
+            detail={"strategy": spec.strategy},
+        )]
+    if spec.strategy in ALLOCATION_STRATEGIES:
+        if built is None:
+            return certify_allocation_payload(spec, payload, budget=budget,
+                                              tracer=tracer)
+        return certify_allocation(built.source, built.result, payload,
+                                  budget=budget, tracer=tracer)
+    instance = _generate_instance(spec) if built is None else built.source
+    return certify_payload(
+        instance, payload, spec.strategy, spec.k or instance.k,
+        budget=budget, tracer=tracer,
+    )
 
 
 def verify_record(
     spec: Any,
     record: Mapping[str, Any],
+    *,
     budget: Optional[Budget] = None,
     tracer: Tracer = NULL_TRACER,
+    built: Any = None,
 ) -> Dict[str, Any]:
     """Certify one task record; return the verification dict.
 
     Fault-injection tasks, custom ``call`` tasks (opaque payloads), and
     records without an ``ok`` status are skipped, not failed.
-    Allocation tasks route through
-    :func:`certify_allocation_payload`; everything else is a coalescing
+    ``built`` is what :func:`repro.engine.tasks.run_task` built for the
+    record (a :class:`repro.engine.tasks.Built`); without it the
+    subject is regenerated from the spec.  Allocation tasks then route
+    through :func:`certify_allocation`; everything else is a coalescing
     task and routes through :func:`certify_payload`.
     """
-    from ..engine.tasks import (
-        ALLOCATION_STRATEGIES,
-        FAULT_GENERATORS,
-        _generate_instance,
-    )
+    from ..engine.tasks import FAULT_GENERATORS
 
     status = record.get("status")
     if status != "ok":
@@ -203,37 +316,8 @@ def verify_record(
     if budget is None:
         budget = Budget(max_steps=VERIFY_MAX_STEPS)
     tracer.count("analysis.records_verified")
-    if spec.strategy in ALLOCATION_STRATEGIES:
-        with tracer.span("analysis/verify-record"):
-            diagnostics = certify_allocation_payload(
-                spec, payload, budget=budget, tracer=tracer
-            )
-        if any(d.code == "BUDGET001" for d in diagnostics):
-            status_out = "budget_exceeded"
-        elif any(d.severity == "error" for d in diagnostics):
-            status_out = "failed"
-        else:
-            status_out = "certified"
-        reported = [d for d in diagnostics if d.severity != "info"]
-        return {"status": status_out, "diagnostics": _diag_dicts(reported)}
     with tracer.span("analysis/verify-record"):
-        instance = _generate_instance(spec)
-        diagnostics: List[Diagnostic] = []
-        claimed_vertices = payload.get("vertices")
-        if claimed_vertices is not None \
-                and claimed_vertices != len(instance.graph):
-            diagnostics.append(Diagnostic(
-                "ENG001", "error",
-                f"payload says {claimed_vertices} vertices but the "
-                f"regenerated instance has {len(instance.graph)}",
-                obj=instance.name,
-                detail={"claimed": claimed_vertices,
-                        "regenerated": len(instance.graph)},
-            ))
-        diagnostics.extend(certify_payload(
-            instance, payload, spec.strategy, spec.k or instance.k,
-            budget=budget, tracer=tracer,
-        ))
+        diagnostics = _certify(spec, payload, budget, tracer, built)
     if any(d.code == "BUDGET001" for d in diagnostics):
         status_out = "budget_exceeded"
     elif any(d.severity == "error" for d in diagnostics):

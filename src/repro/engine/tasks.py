@@ -39,7 +39,7 @@ import importlib
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..budget import Budget, BudgetExceeded
@@ -61,6 +61,7 @@ __all__ = [
     "expand_grid",
     "execute_strategy",
     "run_task",
+    "Built",
     "INSTANCE_GENERATORS",
     "FAULT_GENERATORS",
     "STRATEGIES",
@@ -375,12 +376,13 @@ def _load_task_function(spec: TaskSpec) -> Tuple[Any, int]:
     return func, k
 
 
-def _allocation_payload(spec: TaskSpec, result: Any) -> Dict[str, Any]:
+def _allocation_payload(result: Any) -> Dict[str, Any]:
     """The semantic payload of an allocation task (hash-covered).
 
-    Everything here is deterministic given the spec — the verifier
-    re-runs the allocator and cross-checks field by field (``ENG001``
-    on any mismatch).
+    Everything here is deterministic given the spec; the verifier
+    re-derives it from the allocation it certifies and cross-checks
+    field by field (``ENG001`` on any mismatch).  The per-round spill
+    sets stay out, so they never move ``result_hash``.
     """
     return {
         "function": result.function.name,
@@ -415,6 +417,40 @@ def _coalesce_payload(
     }
 
 
+def _fingerprint(source: Any) -> Any:
+    if isinstance(source, ChallengeInstance):
+        return source.graph.fingerprint()
+    return source.fingerprint()
+
+
+@dataclass(frozen=True)
+class Built:
+    """What :func:`run_task` built for one task, handed to the verifier.
+
+    ``source`` is the :class:`ChallengeInstance` a coalescing strategy
+    ran on, or the input :class:`~repro.ir.cfg.Function` an allocator
+    ran on; ``result`` is the allocator's
+    :class:`~repro.intervals.linear_scan.LinearScanResult` (``None``
+    for coalescing).  ``fingerprint`` is the source's fingerprint taken
+    before the strategy ran: :meth:`intact` re-takes it, so the
+    verifier certifies against the input the strategy saw and never
+    against one the strategy changed.
+    """
+
+    source: Any
+    fingerprint: Any
+    result: Any = None
+
+    @classmethod
+    def before(cls, source: Any) -> "Built":
+        """Fingerprint ``source`` now, before the strategy runs."""
+        return cls(source, _fingerprint(source))
+
+    def intact(self) -> bool:
+        """True iff the source still has its pre-strategy fingerprint."""
+        return _fingerprint(self.source) == self.fingerprint
+
+
 def _result_hash(payload: Any) -> str:
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
@@ -447,7 +483,11 @@ def run_task(
     With ``verify=True`` an ``ok`` record is certified through
     :func:`repro.analysis.engine_check.verify_record` and the
     verification dict is attached under ``record["verification"]``
-    (metadata only — it never enters ``result_hash``).
+    (metadata only — it never enters ``result_hash``).  The verifier
+    gets what this run built (:class:`Built`: the instance, or the
+    input function and the allocation) instead of rebuilding it from
+    the spec; the input is fingerprinted before the strategy runs, so
+    a strategy that mutates it fails verification with ``ENG002``.
     """
     key = task_hash(spec)
     tracer = Tracer()
@@ -464,6 +504,7 @@ def run_task(
         "attempts": 1,
         "error": None,
     }
+    built: Optional[Built] = None
     try:
         budget = None
         max_seconds = spec.max_seconds
@@ -499,13 +540,19 @@ def run_task(
                 "classic" if spec.strategy == "linear-scan"
                 else "second-chance"
             )
+            if verify:
+                built = Built.before(func)
             with tracer.span("engine-task"):
                 alloc = linear_scan_allocate(
                     func, k, variant=variant, tracer=tracer
                 )
-            payload = _allocation_payload(spec, alloc)
+            if built is not None:
+                built = replace(built, result=alloc)
+            payload = _allocation_payload(alloc)
         else:
             instance = _generate_instance(spec)
+            if verify:
+                built = Built.before(instance)
             with tracer.span("engine-task"):
                 result = execute_strategy(
                     instance.graph, spec.k or instance.k, spec.strategy,
@@ -535,6 +582,8 @@ def run_task(
     if verify:
         from ..analysis.engine_check import verify_record
 
-        record["verification"] = verify_record(spec, record, tracer=tracer)
+        record["verification"] = verify_record(
+            spec, record, tracer=tracer, built=built
+        )
     record["trace"] = tracer.report()
     return record

@@ -12,7 +12,7 @@ degree queries, edge tests, and vertex merging.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, Hashable, Iterable, Iterator, Optional, Sequence, Set, Tuple
 
 Vertex = Hashable
 Edge = Tuple[Vertex, Vertex]
@@ -252,6 +252,16 @@ class Graph:
                 if v not in self._adj[u]:
                     g.add_edge(u, v)
         return g
+
+    def fingerprint(self) -> Tuple[Any, ...]:
+        """An exact snapshot of the adjacency, vertex order included.
+
+        Two fingerprints compare equal iff the graphs had the same
+        vertices in the same order with the same neighbourhoods; taken
+        before and after handing the graph to code that should only
+        read it, they prove it was not mutated.
+        """
+        return tuple(self._adj), tuple(map(frozenset, self._adj.values()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

@@ -14,7 +14,7 @@ vertices.  ``coalesced_graph`` builds :math:`G_f`.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from .graph import Graph, Vertex
 
@@ -115,6 +115,11 @@ class InterferenceGraph(Graph):
         self._affinities = {
             key: w for key, w in self._affinities.items() if v not in key
         }
+
+    def fingerprint(self) -> Tuple[Any, ...]:
+        """:meth:`Graph.fingerprint` plus the affinities with their
+        weights, in insertion order."""
+        return (super().fingerprint(), tuple(self._affinities.items()))
 
     def copy(self) -> "InterferenceGraph":
         """An independent deep copy (adjacency and affinities)."""

@@ -34,7 +34,7 @@ whole LLVM corpus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..allocator.chaitin import AllocationResult
@@ -68,12 +68,18 @@ class LinearScanResult(AllocationResult):
     the final, possibly spill-rewritten code).  The non-empty
     ``interval_variant`` marker is what routes the result through the
     ``allocation-intervals`` analysis pass.
+
+    ``spill_rounds`` holds the victims of each restart, in order: the
+    final code is ``spill_everywhere`` applied to the input once per
+    entry, which is how a verifier rebuilds it from these decisions
+    (:func:`repro.analysis.engine_check.certify_allocation`).
     """
 
     interval_variant: str = ""
     rounds: int = 1
     num_intervals: int = 0
     max_overlap: int = 0
+    spill_rounds: List[List[Var]] = field(default_factory=list)
 
 
 def _scan_classic(
@@ -217,7 +223,7 @@ def linear_scan_allocate(
     if not func.frequency:
         set_frequencies_from_loops(func)
     work = func
-    spilled: List[Var] = []
+    spill_rounds: List[List[Var]] = []
     rounds = 0
     while True:
         rounds += 1
@@ -241,7 +247,7 @@ def linear_scan_allocate(
             assignment, victims = scan(order, k, costs, tracer)
         if not victims:
             break
-        spilled.extend(victims)
+        spill_rounds.append(victims)
         tracer.count("linscan.spill_rounds")
         tracer.count("linscan.spilled_intervals", len(victims))
         with tracer.span("linscan/spill-rewrite"):
@@ -259,13 +265,14 @@ def linear_scan_allocate(
         function=work,
         assignment=assignment,
         k=k,
-        spilled=spilled,
+        spilled=[v for victims in spill_rounds for v in victims],
         coalesced_moves=coalesced,
         iterations=rounds,
         interval_variant=variant,
         rounds=rounds,
         num_intervals=len(iset),
         max_overlap=iset.max_overlap(),
+        spill_rounds=spill_rounds,
     )
     maybe_check_allocation(result)
     return result

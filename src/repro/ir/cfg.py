@@ -9,7 +9,7 @@ conditional branches, not for the allocator).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .instructions import Instr, Phi, Var
 
@@ -118,6 +118,33 @@ class Function:
             for i, instr in enumerate(block.instrs):
                 if instr.is_move:
                     yield (name, i, instr)
+
+    def fingerprint(self) -> Tuple[Any, ...]:
+        """An exact snapshot of the code: name, entry, every block's
+        φs, instructions and successors in order, and the block
+        frequencies.
+
+        Two functions have equal fingerprints iff they are the same
+        code; source lines are provenance and stay out, as they stay
+        out of instruction equality.
+        """
+        return (
+            self.name,
+            self.entry,
+            tuple(
+                (
+                    name,
+                    tuple(
+                        (phi.target, tuple(sorted(phi.args.items())))
+                        for phi in block.phis
+                    ),
+                    tuple((i.op, i.defs, i.uses) for i in block.instrs),
+                    tuple(self._succs[name]),
+                )
+                for name, block in self.blocks.items()
+            ),
+            tuple(sorted(self.frequency.items())),
+        )
 
     def block_frequency(self, name: str) -> float:
         """Static execution frequency estimate for a block (default 1)."""

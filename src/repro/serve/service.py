@@ -274,7 +274,7 @@ class Service(HttpServer):
 
             record["verification"] = await asyncio.to_thread(
                 verify_record, task_request.spec, record,
-                None, self.tracer,
+                tracer=self.tracer,
             )
             self.tracer.count("serve.verify_upgrades")
             await asyncio.to_thread(

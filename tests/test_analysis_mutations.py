@@ -418,6 +418,40 @@ def test_eng001_vertex_count_mismatch():
     assert outcome["status"] == "failed"
 
 
+def _verify_both_ways(field, tamper):
+    """Tamper one payload field; verify it regenerated and handed."""
+    from repro.analysis.engine_check import verify_record
+    from repro.engine.tasks import (
+        Built,
+        _coalesce_payload,
+        _generate_instance,
+        execute_strategy,
+    )
+
+    spec, record = _ok_record()
+    record["payload"][field] = tamper(record["payload"][field])
+    instance = _generate_instance(spec)
+    built = Built.before(instance)
+    result = execute_strategy(instance.graph, spec.k, spec.strategy)
+    handed = {"status": "ok", "payload": _coalesce_payload(instance, result)}
+    handed["payload"][field] = record["payload"][field]
+    return [verify_record(spec, record),
+            verify_record(spec, handed, built=built)]
+
+
+@pytest.mark.parametrize("field,tamper", [
+    ("vertices", lambda n: n + 1),
+    ("edges", lambda n: n + 1),
+    ("affinities", lambda n: n - 1),
+    ("instance", lambda name: name + "-x"),
+])
+def test_eng001_instance_shape_field_mismatch(field, tamper):
+    for outcome in _verify_both_ways(field, tamper):
+        assert outcome["status"] == "failed"
+        assert [d["detail"]["field"] for d in outcome["diagnostics"]
+                if d["code"] == "ENG001"] == [field]
+
+
 def test_coal005_engine_ledger_drift():
     from repro.analysis.engine_check import verify_record
 

@@ -591,3 +591,195 @@ class TestVerify:
         )
         summary = run_campaign(campaign, cache, write_summary=False)
         assert summary["verification"]["certified"] == 2
+
+
+# ---------------------------------------------------------------------------
+# verification of what run_task built (``verify_record(..., built=)``)
+# ---------------------------------------------------------------------------
+_E2E_STRATEGIES = (
+    "briggs", "george", "briggs_george", "george_extended", "brute",
+    "aggressive", "optimistic", "biased", "chordal", "irc", "interval",
+)
+
+
+def _corpus_task_list():
+    """Every corpus function with the eleven coalescing strategies at
+    k = Maxlive, plus both allocators at Maxlive and Maxlive - 1."""
+    from repro.frontend.corpus import corpus_functions
+    from repro.ir.liveness import maxlive
+
+    specs = []
+    for path, func in corpus_functions():
+        params = {"path": path.name, "function": func.name}
+        ks = [0] + ([maxlive(func) - 1] if maxlive(func) - 1 >= 2 else [])
+        specs += [TaskSpec(generator="llvm", seed=0, k=0, strategy=s,
+                           params=params) for s in _E2E_STRATEGIES]
+        specs += [TaskSpec(generator="llvm", seed=0, k=k, strategy=s,
+                           params=params)
+                  for s in ("linear-scan", "second-chance") for k in ks]
+    return specs
+
+
+def _handed_allocation(spec):
+    """An allocation record plus the ``Built`` run_task would hand over."""
+    from dataclasses import replace
+
+    from repro.engine.tasks import (
+        Built,
+        _allocation_payload,
+        _load_task_function,
+    )
+    from repro.intervals.linear_scan import linear_scan_allocate
+
+    func, k = _load_task_function(spec)
+    built = Built.before(func)
+    variant = "classic" if spec.strategy == "linear-scan" else "second-chance"
+    result = linear_scan_allocate(func, k, variant=variant)
+    record = {"status": "ok", "payload": _allocation_payload(result)}
+    return record, replace(built, result=result)
+
+
+def _chacha_allocation(strategy="linear-scan"):
+    """chacha_mix at Maxlive - 1: an allocation that spills (linear-scan
+    in two rounds)."""
+    from repro.frontend.corpus import corpus_dir, function_from_path
+    from repro.ir.liveness import maxlive
+
+    func = function_from_path(corpus_dir() / "chacha_block.ll",
+                              function="chacha_mix")
+    return TaskSpec(generator="llvm", seed=0, k=maxlive(func) - 1,
+                    strategy=strategy,
+                    params={"path": "chacha_block.ll",
+                            "function": "chacha_mix"})
+
+
+class TestHandedVerification:
+    def test_handed_and_regenerated_verdicts_agree(self):
+        """Over the corpus task list, the verification run_task attaches
+        (handed path) equals a regenerating ``verify_record``,
+        diagnostics included — the two known COAL004 failures too."""
+        from repro.analysis.engine_check import verify_record
+
+        failed = []
+        for spec in _corpus_task_list():
+            record = run_task(spec, verify=True)
+            assert record["status"] == "ok"
+            handed = record["verification"]
+            assert handed == verify_record(spec, record), spec
+            if handed["status"] != "certified":
+                failed.append((spec.params_dict()["function"],
+                               spec.strategy,
+                               {d["code"] for d in handed["diagnostics"]}))
+        assert sorted(failed) == [("chacha_mix", "biased", {"COAL004"}),
+                                  ("chacha_mix", "chordal", {"COAL004"})]
+
+    def test_allocations_record_their_spill_rounds(self):
+        from repro.allocator.spill import spill_everywhere
+
+        record, built = _handed_allocation(_chacha_allocation())
+        result = built.result
+        assert len(result.spill_rounds) == result.rounds - 1 == 2
+        assert sorted(map(str, result.spilled)) == sorted(
+            str(v) for victims in result.spill_rounds for v in victims)
+        rebuilt = built.source
+        for victims in result.spill_rounds:
+            rebuilt = spill_everywhere(rebuilt, set(victims))
+        assert rebuilt.fingerprint() == result.function.fingerprint()
+        assert "spill_rounds" not in record["payload"]
+
+    def test_strategy_mutating_its_input_is_eng002(self, monkeypatch):
+        import repro.engine.tasks as tasks
+
+        original = tasks.execute_strategy
+
+        def mutating(graph, k, strategy, **kwargs):
+            u = next(iter(graph.vertices))
+            v = next(x for x in graph.vertices
+                     if x != u and not graph.has_edge(u, x))
+            graph.add_edge(u, v)
+            return original(graph, k, strategy, **kwargs)
+
+        monkeypatch.setattr(tasks, "execute_strategy", mutating)
+        spec = TaskSpec(generator="pressure", seed=11, k=5, strategy="brute")
+        record = run_task(spec, verify=True)
+        assert record["status"] == "ok"
+        assert record["verification"]["status"] == "failed"
+        assert [d["code"] for d in record["verification"]["diagnostics"]] \
+            == ["ENG002"]
+
+    def test_allocator_mutating_its_input_is_eng002(self, monkeypatch):
+        import repro.intervals.linear_scan as linear_scan
+        from repro.ir.instructions import Instr
+
+        original = linear_scan.linear_scan_allocate
+
+        def mutating(func, k, **kwargs):
+            func.blocks[func.entry].instrs.insert(0, Instr("nop"))
+            return original(func, k, **kwargs)
+
+        monkeypatch.setattr(linear_scan, "linear_scan_allocate", mutating)
+        record = run_task(_chacha_allocation(), verify=True)
+        assert record["verification"]["status"] == "failed"
+        assert [d["code"] for d in record["verification"]["diagnostics"]] \
+            == ["ENG002"]
+
+    @pytest.mark.parametrize("strategy", ["linear-scan", "second-chance"])
+    def test_swapped_registers_fail(self, strategy):
+        from repro.analysis.engine_check import verify_record
+
+        spec = _chacha_allocation(strategy)
+        record, built = _handed_allocation(spec)
+        assignment = record["payload"]["assignment"]
+        first = assignment[0]
+        other = next(p for p in assignment if p[1] != first[1])
+        first[1], other[1] = other[1], first[1]
+        outcome = verify_record(spec, record, built=built)
+        assert outcome["status"] == "failed"
+        assert {"field": "assignment"} in [
+            d["detail"] for d in outcome["diagnostics"] if d["code"] == "ENG001"]
+        # the passes check the payload's assignment, not the allocator's
+        assert "ALLOC001" in {d["code"] for d in outcome["diagnostics"]}
+
+    def test_dropped_spill_fails(self):
+        from repro.analysis.engine_check import verify_record
+
+        spec = _chacha_allocation()
+        record, built = _handed_allocation(spec)
+        assert record["payload"]["spilled"]
+        record["payload"]["spilled"].pop()
+        outcome = verify_record(spec, record, built=built)
+        assert outcome["status"] == "failed"
+        assert [d["detail"] for d in outcome["diagnostics"]] \
+            == [{"field": "spilled"}]
+
+    def test_tampered_final_code_is_eng001(self):
+        from repro.analysis.engine_check import verify_record
+        from repro.ir.instructions import Instr
+
+        spec = _chacha_allocation()
+        record, built = _handed_allocation(spec)
+        final = built.result.function
+        assert final is not built.source
+        final.blocks[final.entry].instrs.insert(0, Instr("nop"))
+        outcome = verify_record(spec, record, built=built)
+        assert outcome["status"] == "failed"
+        assert {"field": "function"} in [
+            d["detail"] for d in outcome["diagnostics"] if d["code"] == "ENG001"]
+
+    def test_unreadable_assignment_is_eng001(self):
+        from repro.analysis.engine_check import verify_record
+
+        spec = _chacha_allocation()
+        record, built = _handed_allocation(spec)
+        record["payload"]["assignment"] = None
+        outcome = verify_record(spec, record, built=built)
+        assert outcome["status"] == "failed"
+        assert [d["detail"] for d in outcome["diagnostics"]] \
+            == [{"field": "assignment"}]
+
+    def test_verify_record_options_are_keyword_only(self):
+        from repro.analysis.engine_check import verify_record
+
+        spec = TaskSpec(generator="pressure", seed=1, k=5, strategy="brute")
+        with pytest.raises(TypeError):
+            verify_record(spec, run_task(spec), None, Tracer())
