@@ -11,8 +11,10 @@ of an allocator — comes from one of two sources:
   changed the strategy mutated its input, which is ``ENG002`` and the
   record is not certified;
 * **regenerated** — without ``built=`` (cache-hit verification
-  upgrades, replays) the instance is rebuilt **from the spec's seed**
-  and an allocation is re-run, as the worker did.
+  upgrades, replays) the instance is regenerated **from the spec**
+  through the same loaders as the worker (an ``"llvm"`` input comes
+  from the engine's per-process build memo) and an allocation is
+  re-run, as the worker did.
 
 Either way the same routines certify it.  A coalescing payload's
 partition is rebuilt from its ``coalesced_pairs`` and
@@ -226,14 +228,15 @@ def certify_allocation_payload(
 
     The regenerating source for :func:`certify_allocation`: the
     payload carries no per-round spill sets, so the function is loaded
-    afresh and the allocator — deterministic given the spec — is re-run
+    (through the engine's per-process build memo, as ``run_task`` loads
+    it) and the allocator — deterministic given the spec — is re-run
     to recover them; the re-run result then goes through the same
     certificate checks as a handed one.
     """
     from ..engine.tasks import _load_task_function
     from ..intervals.linear_scan import linear_scan_allocate
 
-    func, k = _load_task_function(spec)
+    func, k, _ = _load_task_function(spec)
     variant = (
         "classic" if spec.strategy == "linear-scan" else "second-chance"
     )
@@ -264,7 +267,10 @@ def _certify(
                                               tracer=tracer)
         return certify_allocation(built.source, built.result, payload,
                                   budget=budget, tracer=tracer)
-    instance = _generate_instance(spec) if built is None else built.source
+    if built is None:
+        instance, _ = _generate_instance(spec)
+    else:
+        instance = built.source
     return certify_payload(
         instance, payload, spec.strategy, spec.k or instance.k,
         budget=budget, tracer=tracer,

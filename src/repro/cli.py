@@ -86,6 +86,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -149,6 +150,8 @@ def _load_ir_functions(path: str):
             functions = parse_functions(stream)
     except OSError as exc:
         raise _InputError(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{path}: {exc}") from exc
     except IRSyntaxError as exc:
         raise _syntax_error(path, exc) from exc
     if not functions:
@@ -496,8 +499,6 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def cmd_campaign(args: argparse.Namespace) -> int:
     """Run, resume, or inspect an experiment campaign (repro.engine)."""
-    import os
-
     from .engine import (
         ResultCache,
         campaign_status,
@@ -613,18 +614,22 @@ def _sniff_format(path: str) -> str:
     line: ``llvm`` (``.ll``), ``ir``, ``dimacs``, or ``challenge``."""
     if path.endswith(".ll"):
         return "llvm"
-    with open(path) as stream:
-        for line in stream:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if line.startswith(";") or line.startswith(_LLVM_LEADS):
-                return "llvm"
-            if line.startswith("func "):
-                return "ir"
-            if line.startswith(("c ", "c\t", "p ", "p\t")) or line == "c":
-                return "dimacs"
-            return "challenge"
+    try:
+        with open(path) as stream:
+            for line in stream:
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if line.startswith(";") or line.startswith(_LLVM_LEADS):
+                    return "llvm"
+                if line.startswith("func "):
+                    return "ir"
+                if line.startswith(("c ", "c\t", "p ", "p\t")) \
+                        or line == "c":
+                    return "dimacs"
+                return "challenge"
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{path}: {exc}") from exc
     raise _InputError(f"{path}: file is empty")
 
 
@@ -914,8 +919,6 @@ def _tier_hit_rates(url: str) -> Optional[dict]:
 
 def cmd_cache(args: argparse.Namespace) -> int:
     """Inspect or compact a result-cache directory (repro.engine.cache)."""
-    import os
-
     from .engine import ResultCache, compact_cache
 
     if not os.path.isdir(args.cache_dir):
@@ -1305,9 +1308,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit status."""
+    """CLI entry point; returns the process exit status.
+
+    A reader that closes standard output early (``repro ... | head``)
+    ends the command with status 141 (128 + SIGPIPE) and nothing on
+    standard error.
+    """
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the recipe of Python's signal docs: point stdout at devnull so
+        # the interpreter's final flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
+    return status
 
 
 if __name__ == "__main__":

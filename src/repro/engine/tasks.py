@@ -38,6 +38,7 @@ import hashlib
 import importlib
 import json
 import random
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
@@ -309,7 +310,102 @@ def _corpus_path(params: Mapping[str, Any]) -> Any:
     return path
 
 
-def _generate_instance(spec: TaskSpec) -> ChallengeInstance:
+#: How many built ``"llvm"`` inputs — lowered functions and instances —
+#: :func:`_recall` keeps per process.
+_BUILD_MEMO_SIZE = 64
+
+#: ``key -> (source, fingerprint, extra)``, least recently used first.
+_build_memo: Dict[Tuple[Any, ...], Tuple[Any, Any, Any]] = {}
+_build_memo_lock = threading.Lock()
+
+
+def _recall(
+    key: Tuple[Any, ...], build: Callable[[], Tuple[Any, Any]]
+) -> Tuple[Any, Any, Any]:
+    """``(source, fingerprint, extra)`` for ``key``, from the memo when
+    it holds the key, else built by ``build()``.
+
+    A hit re-takes the stored source's fingerprint; if it differs from
+    the one taken at build time, some caller mutated the shared source,
+    so the entry is dropped and rebuilt.  ``build()`` returns
+    ``(source, extra)``, which is fingerprinted and stored, evicting the
+    least recently used entry beyond :data:`_BUILD_MEMO_SIZE`.  A
+    ``build()`` that raises stores nothing.
+    """
+    with _build_memo_lock:
+        entry = _build_memo.get(key)
+    if entry is not None and _fingerprint(entry[0]) == entry[1]:
+        with _build_memo_lock:
+            _build_memo[key] = _build_memo.pop(key, entry)
+        return entry
+    source, extra = build()
+    entry = (source, _fingerprint(source), extra)
+    with _build_memo_lock:
+        _build_memo.pop(key, None)
+        _build_memo[key] = entry
+        while len(_build_memo) > _BUILD_MEMO_SIZE:
+            del _build_memo[next(iter(_build_memo))]
+    return entry
+
+
+def _llvm_source(params: Mapping[str, Any]) -> Tuple[Any, Tuple[Any, ...]]:
+    """The ``.ll`` file an ``"llvm"`` spec names and its memo key:
+    ``(path, content, function, sha256)``.  The content is read on every
+    call, so an edited file misses."""
+    path = _corpus_path(params)
+    with open(path, "rb") as stream:
+        data = stream.read()
+    return path, (str(path), data, params.get("function"),
+                  params.get("sha256"))
+
+
+def _llvm_function(path: Any, key: Tuple[Any, ...]) -> Tuple[Any, Any, int]:
+    """``(function, fingerprint, maxlive)``: the lowered function with
+    loop-depth block frequencies set, memoised."""
+    from ..frontend.corpus import _function_from_bytes
+    from ..ir.interference import set_frequencies_from_loops
+    from ..ir.liveness import maxlive
+
+    def build() -> Tuple[Any, int]:
+        func = _function_from_bytes(path, key[1], function=key[2],
+                                    sha256=key[3])
+        set_frequencies_from_loops(func)
+        return func, maxlive(func)
+
+    return _recall(("function",) + key, build)
+
+
+def _llvm_instance(
+    params: Mapping[str, Any], k: int
+) -> Tuple[ChallengeInstance, Any]:
+    """``(instance, fingerprint)``, memoised and built from the memoised
+    function, as :func:`repro.frontend.corpus.instance_from_path`
+    builds it."""
+    from pathlib import Path
+
+    from ..ir.interference import chaitin_interference
+
+    path, key = _llvm_source(params)
+
+    def build() -> Tuple[ChallengeInstance, None]:
+        func, _, ml = _llvm_function(path, key)
+        graph = chaitin_interference(func, weighted=True)
+        name = f"{Path(path).stem}:{func.name}"
+        return ChallengeInstance(name=name, k=k if k > 0 else ml,
+                                 graph=graph), None
+
+    instance, fingerprint, _ = _recall(("instance", k) + key, build)
+    return instance, fingerprint
+
+
+def _generate_instance(spec: TaskSpec) -> Tuple[ChallengeInstance, Any]:
+    """``(instance, fingerprint)`` of a coalescing task's input.
+
+    ``"llvm"`` instances come from the per-process build memo
+    (:func:`_recall`), shared between tasks and so read-only, with the
+    fingerprint its hit check just took; every other generator builds
+    a fresh instance and returns ``None`` for the fingerprint.
+    """
     params = spec.params_dict()
     if spec.generator == "pressure":
         return pressure_instance(
@@ -319,23 +415,16 @@ def _generate_instance(spec: TaskSpec) -> ChallengeInstance:
             copy_fraction=float(params.get("copy_fraction", 0.8)),
             rng=random.Random(spec.seed),
             name=f"pressure-s{spec.seed}",
-        )
+        ), None
     if spec.generator == "program":
         return program_instance(
             spec.seed,
             spec.k,
             num_vars=int(params.get("num_vars", 12)),
             name=f"program-s{spec.seed}",
-        )
+        ), None
     if spec.generator == "llvm":
-        from ..frontend.corpus import instance_from_path
-
-        return instance_from_path(
-            _corpus_path(params),
-            k=spec.k,
-            function=params.get("function"),
-            sha256=params.get("sha256"),
-        )
+        return _llvm_instance(params, spec.k)
     fn = _resolve_dotted(spec.generator)
     instance = fn(seed=spec.seed, k=spec.k, **params)
     if not isinstance(instance, ChallengeInstance):
@@ -343,17 +432,20 @@ def _generate_instance(spec: TaskSpec) -> ChallengeInstance:
             f"{spec.generator} returned {type(instance).__name__}, "
             "expected ChallengeInstance"
         )
-    return instance
+    return instance, None
 
 
-def _load_task_function(spec: TaskSpec) -> Tuple[Any, int]:
+def _load_task_function(spec: TaskSpec) -> Tuple[Any, int, Any]:
     """Resolve the lowered function behind an allocation task.
 
     Allocation strategies need real code, so only the ``"llvm"``
-    generator is accepted.  Returns ``(function, k)`` with loop-depth
-    block frequencies set and ``k`` defaulted to the function's
-    Maxlive when the spec says ``k <= 0`` — the same convention as
-    :func:`repro.frontend.corpus.function_instance`.
+    generator is accepted.  Returns ``(function, k, fingerprint)`` with
+    loop-depth block frequencies set and ``k`` defaulted to the
+    function's Maxlive when the spec says ``k <= 0`` — the same
+    convention as :func:`repro.frontend.corpus.function_instance`.  The
+    function comes from the per-process build memo (:func:`_recall`),
+    shared between tasks and so read-only; ``fingerprint`` is the one
+    its hit check just took.
     """
     if spec.generator != "llvm":
         raise ValueError(
@@ -361,19 +453,8 @@ def _load_task_function(spec: TaskSpec) -> Tuple[Any, int]:
             f"'llvm' generator (got {spec.generator!r}): graph "
             "generators carry no code to allocate"
         )
-    from ..frontend.corpus import function_from_path
-    from ..ir.interference import set_frequencies_from_loops
-    from ..ir.liveness import maxlive
-
-    params = spec.params_dict()
-    func = function_from_path(
-        _corpus_path(params),
-        function=params.get("function"),
-        sha256=params.get("sha256"),
-    )
-    set_frequencies_from_loops(func)
-    k = spec.k if spec.k > 0 else maxlive(func)
-    return func, k
+    func, fingerprint, ml = _llvm_function(*_llvm_source(spec.params_dict()))
+    return func, spec.k if spec.k > 0 else ml, fingerprint
 
 
 def _allocation_payload(result: Any) -> Dict[str, Any]:
@@ -419,7 +500,7 @@ def _coalesce_payload(
 
 def _fingerprint(source: Any) -> Any:
     if isinstance(source, ChallengeInstance):
-        return source.graph.fingerprint()
+        return source.name, source.k, source.graph.fingerprint()
     return source.fingerprint()
 
 
@@ -442,9 +523,12 @@ class Built:
     result: Any = None
 
     @classmethod
-    def before(cls, source: Any) -> "Built":
-        """Fingerprint ``source`` now, before the strategy runs."""
-        return cls(source, _fingerprint(source))
+    def before(cls, source: Any, fingerprint: Any = None) -> "Built":
+        """Fingerprint ``source`` now, before the strategy runs —
+        unless ``fingerprint`` is one just taken (the build memo's)."""
+        if fingerprint is None:
+            fingerprint = _fingerprint(source)
+        return cls(source, fingerprint)
 
     def intact(self) -> bool:
         """True iff the source still has its pre-strategy fingerprint."""
@@ -488,6 +572,14 @@ def run_task(
     input function and the allocation) instead of rebuilding it from
     the spec; the input is fingerprinted before the strategy runs, so
     a strategy that mutates it fails verification with ``ENG002``.
+
+    An ``"llvm"`` spec's lowered function and instance come from a
+    per-process memo keyed by the file's path and content, the
+    function, the ``sha256`` pin and (instances) ``k``: each corpus
+    function is lowered, and its interference graph built, once per
+    process.  Every hit re-takes the stored fingerprint and rebuilds on
+    a mismatch, so an input a strategy mutated never reaches a later
+    task; the fingerprint it took is the one ``Built`` starts from.
     """
     key = task_hash(spec)
     tracer = Tracer()
@@ -535,13 +627,13 @@ def run_task(
         elif spec.strategy in ALLOCATION_STRATEGIES:
             from ..intervals.linear_scan import linear_scan_allocate
 
-            func, k = _load_task_function(spec)
+            func, k, fingerprint = _load_task_function(spec)
             variant = (
                 "classic" if spec.strategy == "linear-scan"
                 else "second-chance"
             )
             if verify:
-                built = Built.before(func)
+                built = Built.before(func, fingerprint)
             with tracer.span("engine-task"):
                 alloc = linear_scan_allocate(
                     func, k, variant=variant, tracer=tracer
@@ -550,9 +642,9 @@ def run_task(
                 built = replace(built, result=alloc)
             payload = _allocation_payload(alloc)
         else:
-            instance = _generate_instance(spec)
+            instance, fingerprint = _generate_instance(spec)
             if verify:
-                built = Built.before(instance)
+                built = Built.before(instance, fingerprint)
             with tracer.span("engine-task"):
                 result = execute_strategy(
                     instance.graph, spec.k or instance.k, spec.strategy,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import io
 import os
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -124,16 +125,30 @@ def function_from_path(
     records the digest can never silently run against an edited corpus
     file — the cache key covers only the spec, so the spec must cover
     the data.  Shared by :func:`instance_from_path` and the engine's
-    allocation strategies (which need the code itself, not a graph).
+    ``"llvm"`` generator (which memoises what it builds).
     """
+    return _function_from_bytes(path, Path(path).read_bytes(),
+                                function=function, sha256=sha256)
+
+
+def _function_from_bytes(
+    path: "str | os.PathLike",
+    data: bytes,
+    function: Optional[str] = None,
+    sha256: Optional[str] = None,
+) -> Function:
+    """:func:`function_from_path` over ``data``, the file's content as
+    already read: the digest check and the parse see the same bytes."""
     if sha256 is not None:
-        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        digest = hashlib.sha256(data).hexdigest()
         if digest != sha256:
             raise ValueError(
                 f"{path}: content digest {digest} does not match the "
                 f"spec's pinned sha256 {sha256}"
             )
-    module = parse_path(path)
+    # decoded as ``open(path).read()`` decodes, so the parse memo key
+    # is the one parse_path uses
+    module = _parse_memo(str(path), io.TextIOWrapper(io.BytesIO(data)).read())
     if not module.functions:
         raise ValueError(f"{path}: no functions found")
     source = module.function(function) if function else module.functions[0]

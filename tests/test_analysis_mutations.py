@@ -430,7 +430,7 @@ def _verify_both_ways(field, tamper):
 
     spec, record = _ok_record()
     record["payload"][field] = tamper(record["payload"][field])
-    instance = _generate_instance(spec)
+    instance, _ = _generate_instance(spec)
     built = Built.before(instance)
     result = execute_strategy(instance.graph, spec.k, spec.strategy)
     handed = {"status": "ok", "payload": _coalesce_payload(instance, result)}

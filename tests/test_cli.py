@@ -254,6 +254,41 @@ class TestExitCodes:
     def test_score_missing_files(self, tmp_path, capsys):
         assert main(["score", "nope.txt", str(tmp_path / "sol.txt")]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["check"], ["allocate", "--k", "4"], ["info"],
+        ["coalesce", "--strategy", "briggs"], ["dot"],
+    ])
+    @pytest.mark.parametrize("name,content", [
+        ("bin.ll", b"\xff\xfe"),
+        ("chal.txt", b"graph g 3\nnode a\xff\n"),
+    ])
+    def test_undecodable_file_exit_two(self, tmp_path, capsys, argv, name,
+                                       content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        assert main(argv + [str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert err.count("\n") == 1
+
+    def test_closed_stdout_exits_141_quietly(self):
+        import subprocess
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "generate", "--kind", "program",
+             "--count", "2000", "--k", "4", "--seed", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={"PYTHONPATH": str(root / "src"), "PATH": "/usr/bin:/bin"},
+        )
+        with proc.stdout, proc.stderr:
+            assert proc.stdout.readline().startswith(b"graph ")
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+        assert err == b""
+
 
 class TestCampaignVerify:
     def test_verify_flag_records_certification(self, tmp_path, capsys):

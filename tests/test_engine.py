@@ -631,8 +631,8 @@ def _handed_allocation(spec):
     )
     from repro.intervals.linear_scan import linear_scan_allocate
 
-    func, k = _load_task_function(spec)
-    built = Built.before(func)
+    func, k, fingerprint = _load_task_function(spec)
+    built = Built.before(func, fingerprint)
     variant = "classic" if spec.strategy == "linear-scan" else "second-chance"
     result = linear_scan_allocate(func, k, variant=variant)
     record = {"status": "ok", "payload": _allocation_payload(result)}
@@ -783,3 +783,247 @@ class TestHandedVerification:
         spec = TaskSpec(generator="pressure", seed=1, k=5, strategy="brute")
         with pytest.raises(TypeError):
             verify_record(spec, run_task(spec), None, Tracer())
+
+
+# ---------------------------------------------------------------------------
+# the per-process build memo of "llvm" inputs
+# ---------------------------------------------------------------------------
+def _llvm_spec(strategy="briggs", k=0, **params):
+    params.setdefault("path", "loops.ll")
+    params.setdefault("function", "gcd")
+    return TaskSpec(generator="llvm", seed=0, k=k, strategy=strategy,
+                    params=params)
+
+
+class TestBuildMemo:
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        from repro.engine import tasks
+
+        tasks._build_memo.clear()
+
+    @pytest.fixture
+    def build_calls(self, monkeypatch):
+        """Counts of ``lower_module`` and ``chaitin_interference`` calls."""
+        import repro.ir.interference as interference
+        from repro.frontend import corpus
+
+        calls = {"lower": 0, "interference": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(corpus, "lower_module",
+                            counting("lower", corpus.lower_module))
+        monkeypatch.setattr(
+            interference, "chaitin_interference",
+            counting("interference", interference.chaitin_interference))
+        return calls
+
+    def test_warm_hit_builds_nothing(self, build_calls):
+        from repro.engine.tasks import _generate_instance, _load_task_function
+
+        spec = _llvm_spec()
+        instance, _ = _generate_instance(spec)
+        func, _, _ = _load_task_function(_llvm_spec("linear-scan"))
+        assert build_calls == {"lower": 1, "interference": 1}
+        assert _generate_instance(spec)[0] is instance
+        assert _load_task_function(_llvm_spec("linear-scan"))[0] is func
+        for strategy in ("briggs", "george", "linear-scan"):
+            record = run_task(_llvm_spec(strategy), verify=True)
+            assert record["verification"]["status"] == "certified"
+        assert build_calls == {"lower": 1, "interference": 1}
+
+    def test_memo_keys_on_k(self, build_calls):
+        from repro.engine.tasks import _generate_instance
+
+        at_maxlive, _ = _generate_instance(_llvm_spec())
+        wider, _ = _generate_instance(_llvm_spec(k=at_maxlive.k + 1))
+        assert wider.k == at_maxlive.k + 1
+        assert wider.graph is not at_maxlive.graph
+        assert build_calls == {"lower": 1, "interference": 2}
+
+    def test_rewritten_file_misses(self, tmp_path):
+        from repro.engine.tasks import _generate_instance
+        from repro.frontend.corpus import corpus_dir
+
+        path = tmp_path / "f.ll"
+        text = (corpus_dir() / "loops.ll").read_text()
+        path.write_text(text)
+        spec = _llvm_spec(path=str(path))
+        first, _ = _generate_instance(spec)
+        assert _generate_instance(spec)[0] is first
+        path.write_text(text.replace("@gcd", "@gcd2"))
+        with pytest.raises(KeyError):
+            _generate_instance(spec)  # no function gcd any more
+        renamed, _ = _generate_instance(_llvm_spec(path=str(path),
+                                                   function="gcd2"))
+        assert renamed.name == "f:gcd2"
+        path.write_text(text + "\n; edited\n")
+        edited, _ = _generate_instance(spec)
+        assert edited is not first
+        assert edited.graph.fingerprint() == first.graph.fingerprint()
+
+    def test_wrong_sha256_raises_when_warm(self):
+        import hashlib
+
+        from repro.engine.tasks import _generate_instance, _load_task_function
+        from repro.frontend.corpus import corpus_dir
+
+        digest = hashlib.sha256(
+            (corpus_dir() / "loops.ll").read_bytes()).hexdigest()
+        for sha in (None, digest):
+            _generate_instance(_llvm_spec(sha256=sha))
+            _load_task_function(_llvm_spec("linear-scan", sha256=sha))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="sha256"):
+                _generate_instance(_llvm_spec(sha256="0" * 64))
+            with pytest.raises(ValueError, match="sha256"):
+                _load_task_function(_llvm_spec("linear-scan",
+                                               sha256="0" * 64))
+
+    def test_errors_are_not_cached(self, tmp_path):
+        from repro.engine.tasks import _build_memo, _generate_instance
+        from repro.frontend import FrontendSyntaxError
+
+        path = tmp_path / "bad.ll"
+        path.write_text("define i32 @f( {\n")
+        for _ in range(2):
+            with pytest.raises(FrontendSyntaxError):
+                _generate_instance(_llvm_spec(path=str(path), function="f"))
+        assert _build_memo == {}
+
+    @pytest.mark.parametrize("verify", [True, False])
+    def test_mutated_input_never_reaches_a_later_task(self, monkeypatch,
+                                                      verify):
+        import repro.engine.tasks as tasks
+        from repro.frontend.corpus import corpus_dir, instance_from_path
+
+        spec = _llvm_spec("brute", path="chacha_block.ll",
+                          function="chacha_mix")
+        shared, _ = tasks._generate_instance(spec)
+        original = tasks.execute_strategy
+
+        def mutating(graph, k, strategy, **kwargs):
+            u = next(iter(graph.vertices))
+            v = next(x for x in graph.vertices
+                     if x != u and not graph.has_edge(u, x))
+            graph.add_edge(u, v)
+            return original(graph, k, strategy, **kwargs)
+
+        monkeypatch.setattr(tasks, "execute_strategy", mutating)
+        poisoned = run_task(spec, verify=verify)
+        if verify:
+            assert [d["code"] for d in
+                    poisoned["verification"]["diagnostics"]] == ["ENG002"]
+        monkeypatch.setattr(tasks, "execute_strategy", original)
+        record = run_task(spec, verify=True)
+        assert record["verification"]["status"] == "certified"
+        rebuilt, _ = tasks._generate_instance(spec)
+        assert rebuilt is not shared
+        fresh = instance_from_path(corpus_dir() / "chacha_block.ll",
+                                   function="chacha_mix")
+        assert rebuilt.graph.fingerprint() == fresh.graph.fingerprint()
+        assert record["payload"]["edges"] == fresh.graph.num_edges()
+
+    def test_mutated_function_is_rebuilt(self, monkeypatch):
+        import repro.intervals.linear_scan as linear_scan
+        from repro.engine.tasks import _load_task_function
+        from repro.ir.instructions import Instr
+
+        spec = _chacha_allocation()
+        shared, _, _ = _load_task_function(spec)
+        original = linear_scan.linear_scan_allocate
+
+        def mutating(func, k, **kwargs):
+            func.blocks[func.entry].instrs.insert(0, Instr("nop"))
+            return original(func, k, **kwargs)
+
+        monkeypatch.setattr(linear_scan, "linear_scan_allocate", mutating)
+        record = run_task(spec, verify=True)
+        assert [d["code"] for d in
+                record["verification"]["diagnostics"]] == ["ENG002"]
+        monkeypatch.setattr(linear_scan, "linear_scan_allocate", original)
+        assert run_task(spec, verify=True)["verification"]["status"] \
+            == "certified"
+        assert _load_task_function(spec)[0] is not shared
+
+    def test_memo_is_bounded(self, monkeypatch):
+        from repro.engine import tasks
+
+        monkeypatch.setattr(tasks, "_BUILD_MEMO_SIZE", 3)
+        for name in ("gcd", "sum_squares", "popcount"):
+            tasks._generate_instance(_llvm_spec(function=name))
+        assert [(key[0], key[-2]) for key in tasks._build_memo] == [
+            ("instance", "sum_squares"),
+            ("function", "popcount"),
+            ("instance", "popcount"),
+        ]
+
+    def test_threads_share_a_churning_memo(self, monkeypatch):
+        """Eight threads, three functions, room for two entries: every
+        lookup evicts or rebuilds, and none may fail or see a wrong
+        instance."""
+        import sys
+        import threading
+
+        from repro.engine import tasks
+
+        monkeypatch.setattr(tasks, "_BUILD_MEMO_SIZE", 2)
+        specs = [_llvm_spec(function=name)
+                 for name in ("gcd", "sum_squares", "popcount")]
+        expected = [tasks._fingerprint(tasks._generate_instance(spec)[0])
+                    for spec in specs]
+        errors = []
+
+        def work(offset):
+            try:
+                for i in range(30):
+                    n = (offset + i) % len(specs)
+                    instance, fingerprint = tasks._generate_instance(specs[n])
+                    assert fingerprint == expected[n]
+                    assert tasks._fingerprint(instance) == expected[n]
+            except Exception as exc:  # threads cannot raise into the test
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(t,))
+                   for t in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(tasks._build_memo) <= 2
+
+    def test_warm_and_cold_runs_agree(self):
+        """Every e2ebench task shape on the two largest files: a warm
+        memo and a memo cleared before each task give the same
+        payload, result_hash and verification."""
+        from repro.engine import tasks
+
+        specs = [spec for spec in _corpus_task_list()
+                 if spec.params_dict()["path"] in ("chacha_block.ll",
+                                                   "interp.ll")]
+        assert len(specs) > 26
+
+        def outcome(spec):
+            record = run_task(spec, verify=True)
+            return (record["payload"], record["result_hash"],
+                    record["verification"])
+
+        cold = []
+        for spec in specs:
+            tasks._build_memo.clear()
+            cold.append(outcome(spec))
+        tasks._build_memo.clear()
+        warm = [outcome(spec) for spec in specs + specs]
+        assert warm == cold + cold

@@ -311,7 +311,10 @@ class TestParseMemo:
 
     @pytest.fixture(autouse=True)
     def cold_memo(self):
+        from repro.engine import tasks
+
         corpus._parse_memo.cache_clear()
+        tasks._build_memo.clear()
 
     def test_unchanged_content_returns_the_same_module(self, ll_file):
         first = parse_path(ll_file)
