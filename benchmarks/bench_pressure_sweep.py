@@ -23,6 +23,8 @@ from repro.coalescing.conservative import conservative_coalesce
 from repro.challenge.generator import pressure_instance
 from repro.allocator import spill_costs, ssa_allocate
 from repro.allocator.spill import is_spill_temp
+from repro.analysis import filter_diagnostics
+from repro.analysis.runner import check_allocation
 from repro.intervals import linear_scan_allocate
 from repro.ir import GeneratorConfig, construct_ssa, random_function
 from repro.ir.liveness import maxlive
@@ -131,7 +133,8 @@ def test_joint_spill_coalesce(benchmark):
                     )
                 else:
                     result = linear_scan_allocate(func, k, variant=variant)
-                assert not result.verify(), (label, deficit, func.name)
+                errors = filter_diagnostics(check_allocation(result), "error")
+                assert not errors, (label, deficit, func.name)
                 cost += _spilled_cost(result.spilled, costs)
                 spilled += len(result.spilled)
                 coalesced += result.coalesced_moves

@@ -27,7 +27,8 @@ MODULES = [
     "repro.graphs.coloring", "repro.graphs.greedy", "repro.graphs.generators",
     "repro.graphs.perfect", "repro.graphs.interval", "repro.graphs.io",
     "repro.ir.instructions", "repro.ir.cfg", "repro.ir.builder",
-    "repro.ir.dominance", "repro.ir.liveness", "repro.ir.ssa",
+    "repro.ir.dominance", "repro.ir.dataflow", "repro.ir.liveness",
+    "repro.ir.ssa",
     "repro.ir.out_of_ssa", "repro.ir.interference", "repro.ir.generators",
     "repro.ir.gadget_programs", "repro.ir.parser", "repro.ir.interp",
     "repro.ir.rename",
@@ -58,13 +59,12 @@ MODULES = [
     "repro.challenge.format", "repro.challenge.generator",
     "repro.challenge.scoring",
     "repro.analysis.diagnostics", "repro.analysis.registry",
-    "repro.analysis.dataflow", "repro.analysis.flow_check",
+    "repro.analysis.flow_check",
     "repro.analysis.provenance", "repro.analysis.sarif",
     "repro.analysis.ssa_check", "repro.analysis.liveness_check",
     "repro.analysis.certificates", "repro.analysis.coalescing_check",
     "repro.analysis.runner", "repro.analysis.engine_check",
     "repro.analysis.interval_check",
-    "repro.analysis.debug",
     "repro.cli",
 ]
 

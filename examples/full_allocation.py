@@ -8,6 +8,8 @@ Run:  python examples/full_allocation.py [k]
 import sys
 
 from repro.allocator import chaitin_allocate, ssa_allocate
+from repro.analysis import filter_diagnostics
+from repro.analysis.runner import check_allocation
 from repro.ir import (
     GeneratorConfig,
     construct_ssa,
@@ -28,7 +30,7 @@ def main(k: int = 4) -> None:
     print("== Chaitin-Briggs (integrated) ==")
     phi_free = eliminate_phis(ssa)
     result = chaitin_allocate(phi_free, k, coalesce_test="briggs_george")
-    assert result.verify() == []
+    assert filter_diagnostics(check_allocation(result), "error") == []
     print(f"iterations:       {result.iterations}")
     print(f"spilled:          {len(result.spilled)} -> {result.spilled[:6]}"
           f"{'...' if len(result.spilled) > 6 else ''}")
@@ -39,7 +41,7 @@ def main(k: int = 4) -> None:
     print("== two-phase SSA allocator (spill first, then colour+coalesce) ==")
     for strategy in ("briggs", "brute", "optimistic"):
         result, stats = ssa_allocate(func, k, coalescing=strategy)
-        assert result.verify() == []
+        assert filter_diagnostics(check_allocation(result), "error") == []
         residual = (
             stats.coalescing.residual_weight if stats.coalescing else 0.0
         )

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Set, Tuple
 
-from ..analysis.debug import maybe_check_allocation
 from ..graphs.dense import (
     DENSE_TESTS,
     DenseGraph,
@@ -50,23 +49,6 @@ class AllocationResult:
             if self.assignment.get(dst) != self.assignment.get(src):
                 count += 1
         return count
-
-    def verify(self) -> List[str]:
-        """Check the assignment against the final interference graph."""
-        problems: List[str] = []
-        graph = chaitin_interference(self.function, weighted=False)
-        for u, v in graph.edges():
-            if is_memory_slot(u) or is_memory_slot(v):
-                continue
-            cu, cv = self.assignment.get(u), self.assignment.get(v)
-            if cu is None or cv is None:
-                problems.append(f"unassigned interfering variable {u} / {v}")
-            elif cu == cv:
-                problems.append(f"{u} and {v} interfere but share r{cu}")
-        for v, c in self.assignment.items():
-            if not 0 <= c < self.k:
-                problems.append(f"{v} got out-of-range register r{c}")
-        return problems
 
 
 def _strip_slots(graph: InterferenceGraph) -> None:
@@ -121,7 +103,7 @@ def chaitin_allocate(
                 graph, k, coalesce_test, costs, spill_metric, tracer=tracer
             )
         if not actual_spills:
-            result = AllocationResult(
+            return AllocationResult(
                 function=work_func,
                 assignment=assignment,
                 k=k,
@@ -129,8 +111,6 @@ def chaitin_allocate(
                 coalesced_moves=coalesced,
                 iterations=iteration,
             )
-            maybe_check_allocation(result)
-            return result
         if all(is_spill_temp(v) for v in actual_spills):
             # re-spilling a reload temporary cannot reduce pressure
             raise RuntimeError(

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..analysis.debug import maybe_check_allocation
 from ..coalescing.base import CoalescingResult
 from ..coalescing.conservative import conservative_coalesce
 from ..coalescing.optimistic import optimistic_coalesce
@@ -69,7 +68,6 @@ def _pressure_maxlive(func: Function) -> int:
 def spill_to_pressure(
     func: Function,
     k: int,
-    max_rounds: int = 64,
     tracer: Tracer = NULL_TRACER,
 ) -> Tuple[Function, List[Var], int]:
     """Phase 1: spill everywhere until Maxlive ≤ k.
@@ -79,14 +77,19 @@ def spill_to_pressure(
     cost).  Simple and effective for the study; the paper's companion
     work treats optimal spilling separately.
 
+    Each round spills a distinct variable of ``func`` (never a reload
+    temporary, and :func:`spill_everywhere` rewrites the victim away),
+    so the loop ends within ``len(func.variables())`` rounds.
+
     Returns (rewritten function, spilled variables, rounds).
     """
     work = func
     spilled: List[Var] = []
     rounds = 0
+    limit = len(func.variables())
     while _pressure_maxlive(work) > k:
         rounds += 1
-        if rounds > max_rounds:
+        if rounds > limit:
             raise RuntimeError("pressure spilling did not converge")
         info = compute_liveness(work)
         costs = spill_costs(work)
@@ -192,7 +195,7 @@ def ssa_allocate(
             raise AssertionError(
                 "phase-2 graph not greedy-k-colorable despite Maxlive ≤ k"
             )
-        result = AllocationResult(
+        return AllocationResult(
             function=lowered,
             assignment=dict(coloring),
             k=k,
@@ -202,9 +205,7 @@ def ssa_allocate(
                 for u, v, _ in graph.affinities()
                 if coloring[u] == coloring[v]
             ),
-        )
-        maybe_check_allocation(result)
-        return result, stats
+        ), stats
     else:
         with tracer.span("ssa/coalesce"):
             if coalescing == "optimistic":
@@ -231,12 +232,10 @@ def ssa_allocate(
             "phase-2 graph not greedy-k-colorable despite Maxlive ≤ k"
         )
     assignment = {v: coloring[mapping[v]] for v in graph.vertices}
-    result = AllocationResult(
+    return AllocationResult(
         function=lowered,
         assignment=assignment,
         k=k,
         spilled=spilled,
         coalesced_moves=coalesced_moves,
-    )
-    maybe_check_allocation(result)
-    return result, stats
+    ), stats

@@ -17,13 +17,13 @@ Entry points:
   checks (also re-exported here, loaded lazily);
 * the ``repro check`` CLI subcommand — files and corpora;
 * ``verify=`` on the campaign engine — per-record certification
-  (:mod:`repro.analysis.engine_check`);
-* ``REPRO_DEBUG_CHECKS=1`` — in-pipeline assertions
-  (:mod:`repro.analysis.debug`).
+  (:mod:`repro.analysis.engine_check`).
 
-This ``__init__`` stays lightweight (diagnostics + registry only);
-the checkers are reachable lazily via module ``__getattr__`` so that
-producing modules can import the debug hooks without cycles.
+The package sits on top of the stack: it imports the producing
+layers, and only ``cli``, ``engine`` and ``serve`` import it.  This
+``__init__`` stays lightweight (diagnostics + registry only); the
+checkers are reachable lazily via module ``__getattr__``, so importing
+the diagnostic types does not load every pass and producer.
 """
 
 from __future__ import annotations

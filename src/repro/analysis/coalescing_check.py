@@ -44,6 +44,7 @@ from typing import (
     Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
 )
 
+from ..allocator.spill import is_memory_slot
 from ..graphs.greedy import greedy_elimination_order, is_greedy_k_colorable
 from ..graphs.interference import Coalescing, InterferenceGraph
 from ..ir.interference import interference_rows
@@ -89,8 +90,8 @@ class CoalescingClaim:
 
 def claim_from_result(result: Any, k: int = 0) -> CoalescingClaim:
     """Build a claim from a :class:`~repro.coalescing.base.
-    CoalescingResult` (duck-typed to avoid an import cycle with the
-    strategies, which import the debug hooks of this package)."""
+    CoalescingResult` (duck-typed: any object with ``graph``,
+    ``coalescing``, ``strategy`` and ``coalesced``)."""
     strategy = getattr(result, "strategy", "")
     return CoalescingClaim(
         graph=result.graph,
@@ -287,9 +288,6 @@ def _row_pairs(
 
 def _nonslot_mask(variables: Sequence[Any]) -> int:
     """Bitmask of the interned variables that are not memory slots."""
-    # ``allocator`` imports ``analysis.debug``: no module-level import
-    from ..allocator.spill import is_memory_slot
-
     return sum(
         1 << i for i, v in enumerate(variables) if not is_memory_slot(v)
     )
@@ -363,8 +361,6 @@ def check_allocation_spill(
 ) -> Iterator[Diagnostic]:
     """Spill bookkeeping: spilled variables rewritten away, memory
     slots never in registers."""
-    from ..allocator.spill import is_memory_slot
-
     func = result.function
     ctx.check_budget()
     final_vars = func.variables()

@@ -17,8 +17,8 @@ Severities form a strict order (``error`` > ``warning`` > ``info``):
 * ``info`` — an observation that is useful evidence but not a problem
   (e.g. "graph is chordal, ω = Maxlive = 4").
 
-The default reporting threshold everywhere (CLI, engine hook, debug
-assertions) is ``warning``: a healthy artifact produces *zero*
+The default reporting threshold everywhere (CLI, engine hook) is
+``warning``: a healthy artifact produces *zero*
 diagnostics at the default threshold, while ``--severity info`` turns
 the checker into an explainer.
 """

@@ -2,7 +2,7 @@
 
 Four registered passes of the ``dataflow`` kind, all running on a
 structurally-valid :class:`repro.ir.cfg.Function` and all consuming
-the :mod:`repro.analysis.dataflow` engine (directly or through the
+the :mod:`repro.ir.dataflow` engine (directly or through the
 liveness instance it powers):
 
 * ``unreachable-code`` — ``FLOW001`` (warning): a block no entry path

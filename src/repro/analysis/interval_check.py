@@ -40,6 +40,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterator, List
 
+from ..allocator.spill import is_memory_slot
+from ..intervals import model
+from ..ir.interference import interference_rows
+from ..ir.liveness import maxlive
 from .coalescing_check import _nonslot_mask, _row_pairs
 from .diagnostics import Diagnostic
 from .registry import AnalysisContext, analysis_pass
@@ -61,13 +65,8 @@ def check_interval_allocation(
     """
     if not getattr(result, "interval_variant", ""):
         return
-    from ..allocator.spill import is_memory_slot
-    from ..intervals.model import build_intervals
-    from ..ir.interference import interference_rows
-    from ..ir.liveness import maxlive
-
     func = result.function
-    iset = build_intervals(func)
+    iset = model.build_intervals(func)
     intervals = iset.intervals
     variables, rows = interference_rows(func)
     points = [

@@ -12,7 +12,7 @@ kind      subject passed to the pass
 function  :class:`repro.ir.cfg.Function` (structure + strictness)
 ssa       :class:`repro.ir.cfg.Function` in (claimed) strict SSA
 dataflow  :class:`repro.ir.cfg.Function`, program diagnostics built
-          on the :mod:`repro.analysis.dataflow` framework
+          on the :mod:`repro.ir.dataflow` framework
 graph     ``(Function, InterferenceGraph)`` pair to cross-check
 certificate  :class:`repro.analysis.certificates.Certificate` witness
 coalescing  :class:`repro.analysis.coalescing_check.CoalescingClaim`

@@ -7,8 +7,8 @@ a :exc:`~repro.budget.BudgetExceeded` escape into one deterministic
 ``BUDGET001`` warning (remaining passes of the run are skipped — a
 spent step budget would fail them all identically).
 
-On top of it sit the object-level checkers the CLI, the engine verify
-hook, and the debug assertions share:
+On top of it sit the object-level checkers the CLI and the engine
+verify hook share:
 
 * :func:`check_function` — CFG structure, strictness, SSA invariants
   (auto-detected or forced), then the liveness/interference and

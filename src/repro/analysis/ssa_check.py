@@ -15,10 +15,8 @@ Section 2 leans on:
   value (codes ``SSA001``–``SSA004``) — the strict-SSA invariants
   behind Theorem 1's chordality result.
 
-The SSA pass reimplements :func:`repro.ir.ssa.verify_ssa` at diagnostic
-granularity (per-finding codes, locations, and structured detail)
-rather than wrapping its string messages; the test suite cross-checks
-the two against each other.
+Each invariant has exactly this one checker; the tests pin its codes
+on seeded violations.
 """
 
 from __future__ import annotations
@@ -26,9 +24,9 @@ from __future__ import annotations
 from typing import Dict, Iterator, Tuple
 
 from ..ir.cfg import Function
+from ..ir.dominance import DominatorTree
 from ..ir.instructions import Var
-from ..ir.liveness import check_strict
-from .dataflow import dominator_masks
+from ..ir.liveness import describe_violation, strictness_violations
 from .diagnostics import Diagnostic
 from .registry import AnalysisContext, analysis_pass
 
@@ -92,14 +90,10 @@ def check_strictness(
     ctx.check_budget()
     if func.entry not in func.blocks:
         return  # cfg-structure reports CFG002; dataflow needs an entry
-    for problem in check_strict(func):
-        # check_strict message shapes (see repro.ir.liveness):
-        #   "phi arg V from P in B may be unassigned"
-        #   "use of V in B may be unassigned"
-        code = "STRICT002" if problem.startswith("phi arg") else "STRICT001"
+    for var, block, pred in strictness_violations(func):
         yield Diagnostic(
-            code, "error", problem, obj=func.name,
-            where=problem.rsplit(" in ", 1)[-1].split(" ", 1)[0],
+            "STRICT001" if pred is None else "STRICT002", "error",
+            describe_violation(var, block, pred), where=block, obj=func.name,
         )
 
 
@@ -130,19 +124,8 @@ def looks_like_ssa(func: Function) -> bool:
 def check_ssa_invariants(
     func: Function, ctx: AnalysisContext
 ) -> Iterator[Diagnostic]:
-    """Strict SSA: single defs, dominance of uses, defined φ-args.
-
-    Dominance queries run on the dense dominator bitsets of the
-    generic dataflow framework (:func:`repro.analysis.dataflow.
-    dominator_masks`) — one AND per query instead of a walk up an
-    explicit dominator tree.
-    """
-    blocks, dom_masks = dominator_masks(func, tracer=ctx.tracer)
-    block_bit = {b: 1 << i for i, b in enumerate(blocks)}
-
-    def dominates(a: str, b: str) -> bool:
-        return bool(dom_masks[b] & block_bit[a])
-
+    """Strict SSA: single defs, dominance of uses, defined φ-args."""
+    dominates = DominatorTree(func).dominates
     reachable = func.reachable()
 
     def_site: Dict[Var, Tuple[str, int]] = {}

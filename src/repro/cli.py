@@ -356,6 +356,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_allocate(args: argparse.Namespace) -> int:
     """Register-allocate the IR (or ``.ll``) functions in a file."""
     from .allocator import chaitin_allocate, ssa_allocate
+    from .analysis import filter_diagnostics
+    from .analysis.runner import check_allocation
 
     if args.allocator == "chaitin" and args.coalescing not in DENSE_TESTS:
         print(
@@ -403,8 +405,11 @@ def cmd_allocate(args: argparse.Namespace) -> int:
             print(f"{func.name}: failed ({exc})", file=sys.stderr)
             status = max(status, 1)
             continue
-        problems = result.verify()
-        verdict = "OK" if not problems else f"INVALID ({problems[0]})"
+        problems = filter_diagnostics(check_allocation(result), "error")
+        verdict = (
+            "OK" if not problems
+            else f"INVALID ({problems[0].code}: {problems[0].message})"
+        )
         print(
             f"{func.name}: k={args.k} spilled={len(result.spilled)} "
             f"coalesced={result.coalesced_moves} "

@@ -31,7 +31,6 @@ from typing import Callable
 from ..graphs.dense import DENSE_TESTS, DenseGraph
 from ..graphs.interference import Coalescing, InterferenceGraph
 from ..graphs.greedy import is_greedy_k_colorable
-from ..analysis.debug import maybe_check_coalescing_result
 from ..obs import NULL_TRACER, Tracer
 from .base import CoalescingResult, affinities_by_weight
 
@@ -139,12 +138,10 @@ def conservative_coalesce(
         for u, v, w in graph.affinities()
         if not coalescing.same_class(u, v)
     ]
-    result = CoalescingResult(
+    return CoalescingResult(
         graph=graph,
         coalescing=coalescing,
         strategy=f"conservative-{test}",
         coalesced=coalesced,
         given_up=given_up,
     )
-    maybe_check_coalescing_result(result, k=k)
-    return result

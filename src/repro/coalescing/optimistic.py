@@ -21,7 +21,6 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..analysis.debug import maybe_check_coalescing_result
 from ..graphs.dense import DenseGraph, brute_force_test, greedy_core
 from ..graphs.graph import Vertex
 from ..graphs.greedy import is_greedy_k_colorable
@@ -147,15 +146,13 @@ def optimistic_coalesce(
         for u, v, w in graph.affinities()
         if not coalescing.same_class(u, v)
     ]
-    result = CoalescingResult(
+    return CoalescingResult(
         graph=graph,
         coalescing=coalescing,
         strategy="optimistic",
         coalesced=coalesced,
         given_up=given_up,
     )
-    maybe_check_coalescing_result(result, k=k)
-    return result
 
 
 def decoalesce_minimum(

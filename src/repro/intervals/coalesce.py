@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from ..analysis.debug import maybe_check_coalescing_result
 from ..coalescing.base import CoalescingResult, affinities_by_weight
 from ..graphs.graph import Vertex
 from ..graphs.interference import Coalescing, InterferenceGraph
@@ -128,9 +127,7 @@ def interval_coalesce(
     :class:`~repro.coalescing.base.CoalescingResult` with strategy
     ``"interval"``.
     """
-    result = _coalesce_by_ranges(graph, _graph_spans(graph, tracer), tracer)
-    maybe_check_coalescing_result(result, k=k)
-    return result
+    return _coalesce_by_ranges(graph, _graph_spans(graph, tracer), tracer)
 
 
 def function_interval_coalesce(
@@ -148,6 +145,4 @@ def function_interval_coalesce(
     ranges: Dict[Vertex, Ranges] = {
         var: interval.ranges for var, interval in iset.intervals.items()
     }
-    result = _coalesce_by_ranges(graph, ranges, tracer)
-    maybe_check_coalescing_result(result, k=k)
-    return result
+    return _coalesce_by_ranges(graph, ranges, tracer)

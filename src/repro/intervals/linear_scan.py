@@ -44,7 +44,6 @@ from ..allocator.spill import (
     spill_costs,
     spill_everywhere,
 )
-from ..analysis.debug import maybe_check_allocation
 from ..ir.cfg import Function
 from ..ir.instructions import Var
 from ..ir.interference import set_frequencies_from_loops
@@ -261,7 +260,7 @@ def linear_scan_allocate(
             and assignment[dst] == assignment[src]
         ):
             coalesced += 1
-    result = LinearScanResult(
+    return LinearScanResult(
         function=work,
         assignment=assignment,
         k=k,
@@ -274,5 +273,3 @@ def linear_scan_allocate(
         max_overlap=iset.max_overlap(),
         spill_rounds=spill_rounds,
     )
-    maybe_check_allocation(result)
-    return result

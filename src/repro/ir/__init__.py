@@ -19,7 +19,7 @@ from .liveness import (
     liveness_masks,
     maxlive,
 )
-from .ssa import construct_ssa, is_ssa, verify_ssa
+from .ssa import construct_ssa
 from .out_of_ssa import (
     count_moves,
     eliminate_phis,
@@ -69,8 +69,6 @@ __all__ = [
     "liveness_masks",
     "maxlive",
     "construct_ssa",
-    "is_ssa",
-    "verify_ssa",
     "count_moves",
     "eliminate_phis",
     "isolate_phis",

@@ -33,11 +33,6 @@ them instead of hand-rolled fixpoints:
   φ-conventions (φ-uses live-out of the predecessor, φ-targets defined
   at the join's top); :func:`repro.ir.liveness.liveness_masks` is now a
   thin wrapper over it, proven bit-exact by the fuzz suite;
-* :func:`dominance_problem` / :func:`dominator_masks` — forward/must
-  dominators as bitsets over the *block* domain (``dom(b) = {b} ∪
-  ⋂_{p∈preds} dom(p)``), with :func:`idoms_from_masks` recovering the
-  immediate-dominator tree, cross-checked against
-  :class:`repro.ir.dominance.DominatorTree`;
 * :func:`definite_assignment_problem` — forward/must definitely-assigned
   variables, the strictness property of §2.1 consumed by
   :func:`repro.ir.liveness.check_strict`.
@@ -49,10 +44,10 @@ register a diagnostic pass on top of an analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Set, Tuple
 
 from ..obs import NULL_TRACER, WORDS_MERGED, Tracer
-from ..ir.cfg import Function
+from .cfg import Function
 
 __all__ = [
     "WORD_BITS",
@@ -60,9 +55,6 @@ __all__ = [
     "DataflowResult",
     "solve",
     "liveness_problem",
-    "dominance_problem",
-    "dominator_masks",
-    "idoms_from_masks",
     "definite_assignment_problem",
 ]
 
@@ -315,68 +307,6 @@ def liveness_problem(func: Function) -> DataflowProblem:
         name="liveness", direction="backward", confluence="may",
         domain=domain, gen=gen, kill=kill, extra=extra,
     )
-
-
-def dominance_problem(func: Function) -> DataflowProblem:
-    """Forward/must dominators over the *block* domain.
-
-    ``out(b) = {b} ∪ ⋂_{p ∈ preds(b)} out(p)`` with the entry pinned
-    to ``{entry}`` — the textbook all-paths formulation, run on
-    bitsets so a dominance query is one AND.
-    """
-    domain = tuple(func.reverse_postorder())
-    index = {b: i for i, b in enumerate(domain)}
-    return DataflowProblem(
-        name="dominance", direction="forward", confluence="must",
-        domain=domain,
-        gen={b: 1 << index[b] for b in domain},
-        boundary=0,
-    )
-
-
-def dominator_masks(
-    func: Function, tracer: Tracer = NULL_TRACER
-) -> Tuple[Tuple[str, ...], Dict[str, int]]:
-    """Solve :func:`dominance_problem`; return ``(blocks, dom_masks)``.
-
-    ``dom_masks[b]`` has bit ``i`` set iff ``blocks[i]`` dominates
-    ``b`` (reflexively).  The equivalence suite checks this against
-    :class:`repro.ir.dominance.DominatorTree` on random CFGs and the
-    whole ``examples/llvm`` corpus.
-    """
-    problem = dominance_problem(func)
-    result = solve(func, problem, tracer=tracer)
-    return problem.domain, result.out_masks
-
-
-def idoms_from_masks(
-    blocks: Sequence[str], dom_masks: Mapping[str, int], entry: str
-) -> Dict[str, str]:
-    """Recover immediate dominators from reflexive dominator masks.
-
-    The immediate dominator of ``b`` is its strict dominator with the
-    *largest* dominator set (dominators of one block form a chain, so
-    the deepest strict dominator is the closest).  The entry maps to
-    itself.
-    """
-    index = {b: i for i, b in enumerate(blocks)}
-    idom: Dict[str, str] = {entry: entry}
-    for b in blocks:
-        if b == entry:
-            continue
-        strict = dom_masks[b] & ~(1 << index[b])
-        best = entry
-        best_size = -1
-        mask = strict
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            d = blocks[low.bit_length() - 1]
-            size = dom_masks[d].bit_count()
-            if size > best_size:
-                best, best_size = d, size
-        idom[b] = best
-    return idom
 
 
 def definite_assignment_problem(func: Function) -> DataflowProblem:

@@ -20,10 +20,11 @@ and equals ω(G) under strict SSA (Theorem 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..obs import NULL_TRACER, Tracer
 from .cfg import Function
+from .dataflow import definite_assignment_problem, liveness_problem, solve
 from .instructions import Var
 
 
@@ -35,19 +36,6 @@ class LivenessInfo:
     live_out: Dict[str, Set[Var]] = field(default_factory=dict)
 
 
-def liveness_problem(func: Function) -> "object":
-    """The liveness instance of the generic dataflow framework.
-
-    Thin re-export of :func:`repro.analysis.dataflow.liveness_problem`
-    (imported lazily — the analysis package imports this module's CFG
-    substrate).  Exposed here so IR-level consumers need not know the
-    framework's home.
-    """
-    from ..analysis.dataflow import liveness_problem as _problem
-
-    return _problem(func)
-
-
 def liveness_masks(
     func: Function, tracer: Tracer = NULL_TRACER
 ) -> Tuple[List[Var], Dict[str, int], Dict[str, int]]:
@@ -55,7 +43,7 @@ def liveness_masks(
 
     Interns the function's variables (sorted order, so the mapping is
     reproducible) and runs the backward/may instance of the generic
-    monotone framework (:mod:`repro.analysis.dataflow`) with each live
+    monotone framework (:mod:`repro.ir.dataflow`) with each live
     set held as one ``int`` bitmask — the per-block transfer is a
     handful of word-wise OR/ANDNOT operations instead of per-element
     set algebra.  Returns ``(variables, live_in, live_out)`` where the
@@ -67,11 +55,8 @@ def liveness_masks(
     worklist engine reaches the same sets as a round-robin sweep while
     doing strictly less transfer work.
     """
-    from ..analysis.dataflow import liveness_problem as _problem
-    from ..analysis.dataflow import solve as _solve
-
-    problem = _problem(func)
-    result = _solve(func, problem, tracer=tracer)
+    problem = liveness_problem(func)
+    result = solve(func, problem, tracer=tracer)
     return list(problem.domain), result.in_masks, result.out_masks
 
 
@@ -168,24 +153,22 @@ def dead_code_vars(func: Function) -> Set[Var]:
     return defined - used
 
 
-def check_strict(func: Function) -> List[str]:
-    """Verify strictness: every use is reached by a def on all paths.
+def strictness_violations(
+    func: Function,
+) -> Iterator[Tuple[Var, str, Optional[str]]]:
+    """Uses that some entry path reaches with the variable unassigned.
 
     Forward/must dataflow of definitely-assigned variables, run as the
-    :func:`repro.analysis.dataflow.definite_assignment_problem`
-    instance of the generic framework.  Returns a list of violation
-    descriptions (empty when strict), in a deterministic reverse
-    postorder of the offending blocks.
+    :func:`repro.ir.dataflow.definite_assignment_problem` instance of
+    the generic framework.  Yields ``(var, block, pred)``: ``pred`` is
+    the predecessor of a φ-argument use and ``None`` for an ordinary
+    use in ``block``.  Blocks come in reverse postorder, φs first.
     """
-    from ..analysis.dataflow import definite_assignment_problem, solve
-
     reachable = func.reachable()
     result = solve(func, definite_assignment_problem(func))
     assigned_in: Dict[str, Set[Var]] = {
         b: result.in_set(b) for b in result.in_masks
     }
-
-    problems: List[str] = []
     for b in func.reverse_postorder():
         block = func.blocks[b]
         for phi in block.phis:
@@ -193,13 +176,26 @@ def check_strict(func: Function) -> List[str]:
                 if pred in reachable:
                     avail = assigned_in[pred] | func.blocks[pred].defs()
                     if v not in avail:
-                        problems.append(
-                            f"phi arg {v} from {pred} in {b} may be unassigned"
-                        )
+                        yield v, b, pred
         avail = set(assigned_in[b]) | {phi.target for phi in block.phis}
         for instr in block.instrs:
             for v in instr.uses:
                 if v not in avail:
-                    problems.append(f"use of {v} in {b} may be unassigned")
+                    yield v, b, None
             avail.update(instr.defs)
-    return problems
+
+
+def describe_violation(var: Var, block: str, pred: Optional[str]) -> str:
+    """The message for one :func:`strictness_violations` finding."""
+    if pred is not None:
+        return f"phi arg {var} from {pred} in {block} may be unassigned"
+    return f"use of {var} in {block} may be unassigned"
+
+
+def check_strict(func: Function) -> List[str]:
+    """Verify strictness: every use is reached by a def on all paths.
+
+    Returns one :func:`describe_violation` message per
+    :func:`strictness_violations` finding (empty when strict).
+    """
+    return [describe_violation(*f) for f in strictness_violations(func)]

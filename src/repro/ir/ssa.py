@@ -1,19 +1,18 @@
-"""SSA construction (Cytron et al.) and strict-SSA checking.
+"""SSA construction (Cytron et al.).
 
 φ-placement uses the iterated dominance frontier, pruned with liveness
 (a φ for ``v`` is placed at a join only if ``v`` is live-in there), so
 the resulting program is *strict*: every use is dominated by its unique
 definition.  Renaming walks the dominator tree.
 
-``verify_ssa`` checks the two strict-SSA invariants the paper relies on
-(Section 2, Theorem 1): single textual definition per variable, and
-every use dominated by the definition (φ-uses checked at the end of the
-corresponding predecessor).
+The strict-SSA invariants the paper relies on (Section 2, Theorem 1)
+are checked by the ``ssa-invariants`` pass of
+:mod:`repro.analysis.ssa_check`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set
 
 from .cfg import Function
 from .dominance import DominatorTree, dominance_frontiers
@@ -129,56 +128,3 @@ def _copy_function(func: Function) -> Function:
             out.add_edge(name, s)
     out.frequency = dict(func.frequency)
     return out
-
-
-def verify_ssa(func: Function) -> List[str]:
-    """Check strict-SSA invariants; return violation messages."""
-    problems: List[str] = []
-    tree = DominatorTree(func)
-    reachable = func.reachable()
-
-    # single definition, and remember where it is
-    def_site: Dict[Var, Tuple[str, int]] = {}
-    for name in reachable:
-        block = func.blocks[name]
-        for i, phi in enumerate(block.phis):
-            if phi.target in def_site:
-                problems.append(f"{phi.target} defined more than once")
-            def_site[phi.target] = (name, -1)
-        for i, instr in enumerate(block.instrs):
-            for v in instr.defs:
-                if v in def_site:
-                    problems.append(f"{v} defined more than once")
-                def_site[v] = (name, i)
-
-    def dominates_point(v: Var, use_block: str, use_index: int) -> bool:
-        if v not in def_site:
-            return False
-        db, di = def_site[v]
-        if db != use_block:
-            return tree.dominates(db, use_block)
-        return di < use_index
-
-    for name in reachable:
-        block = func.blocks[name]
-        for phi in block.phis:
-            for pred, v in phi.args.items():
-                if pred not in reachable:
-                    continue
-                # φ-use happens at the end of pred
-                if not dominates_point(v, pred, len(func.blocks[pred].instrs)):
-                    problems.append(
-                        f"phi arg {v} (from {pred}) not dominated by its def"
-                    )
-        for i, instr in enumerate(block.instrs):
-            for v in instr.uses:
-                if not dominates_point(v, name, i):
-                    problems.append(
-                        f"use of {v} at {name}:{i} not dominated by its def"
-                    )
-    return problems
-
-
-def is_ssa(func: Function) -> bool:
-    """True iff the function satisfies strict SSA."""
-    return not verify_ssa(func)

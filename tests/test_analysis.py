@@ -1,8 +1,8 @@
 """Unit tests for the repro.analysis subsystem.
 
 Covers the diagnostic model, the pass registry, each certificate
-verifier, the object-level checkers, budget degradation, the engine
-verify hook, and the opt-in debug assertions.
+verifier, the object-level checkers, budget degradation, and the
+engine verify hook.
 """
 
 import pytest
@@ -22,12 +22,6 @@ from repro.analysis.certificates import (
     verify_coloring_cert,
     verify_elimination_order,
     verify_peo,
-)
-from repro.analysis.debug import (
-    AnalysisAssertionError,
-    _reset_cache,
-    maybe_check_allocation,
-    maybe_check_coalescing_result,
 )
 from repro.analysis.runner import (
     check_allocation,
@@ -193,6 +187,28 @@ def test_check_function_flags_broken_phi():
     assert any(d.code == "CFG003" for d in diagnostics)
 
 
+def test_strictness_codes_and_locations():
+    from repro.ir.builder import FunctionBuilder
+
+    fb = FunctionBuilder()
+    fb.block("entry").op("add", "y", "x").const("c").branch("c")
+    fb.block("left").const("v")
+    fb.block("right").const("w")
+    fb.block("join").phi("z", left="v", right="nope").ret("z", "y")
+    fb.edges(("entry", "left"), ("entry", "right"),
+             ("left", "join"), ("right", "join"))
+    func = fb.finish()
+    found = [
+        (d.code, d.where, d.message)
+        for d in run_passes(func, "function", AnalysisContext())
+        if d.code.startswith("STRICT")
+    ]
+    assert found == [
+        ("STRICT001", "entry", "use of x in entry may be unassigned"),
+        ("STRICT002", "join",
+         "phi arg nope from right in join may be unassigned"),
+    ]
+
 # ---------------------------------------------------------------------------
 # instance / coalescing / allocation checks
 # ---------------------------------------------------------------------------
@@ -270,51 +286,6 @@ def test_budget_exceeded_stops_pass_run():
     diagnostics = run_passes((func, graph), "graph", ctx)
     budget_hits = [d for d in diagnostics if d.code == "BUDGET001"]
     assert len(budget_hits) == 1  # one warning, not one per pass
-
-
-# ---------------------------------------------------------------------------
-# debug hooks
-# ---------------------------------------------------------------------------
-
-def test_debug_hooks_disabled_by_default(monkeypatch):
-    monkeypatch.delenv("REPRO_DEBUG_CHECKS", raising=False)
-    _reset_cache()
-    try:
-        # would raise if enabled: the claim below is corrupt
-        maybe_check_coalescing_result(object())  # never inspected
-    finally:
-        _reset_cache()
-
-
-def test_debug_hooks_raise_on_corruption(monkeypatch):
-    from repro.allocator.chaitin import chaitin_allocate
-
-    monkeypatch.setenv("REPRO_DEBUG_CHECKS", "1")
-    _reset_cache()
-    try:
-        result = chaitin_allocate(rotation_loop(3), 5)
-        graph = chaitin_interference(result.function, weighted=False)
-        u, v = next(
-            (u, v) for u in result.assignment for v in result.assignment
-            if u is not v and graph.has_edge(u, v)
-        )
-        result.assignment[v] = result.assignment[u]
-        with pytest.raises(AnalysisAssertionError):
-            maybe_check_allocation(result)
-    finally:
-        _reset_cache()
-
-
-def test_pipeline_runs_clean_under_debug_checks(monkeypatch):
-    from repro.allocator.ssa_allocator import ssa_allocate
-
-    monkeypatch.setenv("REPRO_DEBUG_CHECKS", "1")
-    _reset_cache()
-    try:
-        result, stats = ssa_allocate(rotation_loop(3), 5)
-        assert result.verify() == []
-    finally:
-        _reset_cache()
 
 
 # ---------------------------------------------------------------------------

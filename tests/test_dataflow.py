@@ -1,12 +1,11 @@
 """Tests for the generic monotone dataflow framework.
 
 Covers the engine itself (validation, determinism, optimistic
-initialization for must-problems, the work accounting) and the three
-shipped instances, proven bit-exact against the independent
-implementations they replaced: the dense liveness and the reference
-liveness of ``tests/reference``, the CHK
-:class:`~repro.ir.dominance.DominatorTree`, and the ad-hoc strictness
-walk — on hand-built CFGs, fuzz-generated programs, and the whole
+initialization for must-problems, the work accounting) and the two
+shipped instances: liveness, proven bit-exact against the dense
+liveness and the reference liveness of ``tests/reference``, and
+definite assignment, which drives the strictness walk — on hand-built
+CFGs, fuzz-generated programs, and the whole
 ``examples``/``examples/llvm`` corpus.
 """
 
@@ -14,18 +13,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.dataflow import (
+from repro.ir.cfg import Function
+from repro.ir.dataflow import (
     DataflowProblem,
     DataflowResult,
     definite_assignment_problem,
-    dominance_problem,
-    dominator_masks,
-    idoms_from_masks,
     liveness_problem,
     solve,
 )
-from repro.ir.cfg import Function
-from repro.ir.dominance import DominatorTree
 from repro.ir.generators import GeneratorConfig, random_function
 from repro.ir.instructions import Instr, Phi
 from repro.ir.liveness import check_strict, compute_liveness
@@ -122,25 +117,16 @@ def test_liveness_around_loop():
     assert result.in_set("exit") == {"i"}
 
 
-def test_dominators_with_backedge_need_optimistic_init():
+def test_definite_assignment_with_backedge_needs_optimistic_init():
     # a pessimistic (all-zero) initialization would leave head's meet
     # permanently empty through the backedge; the optimistic top makes
-    # the must-confluence converge to the true dominator sets
+    # the must-confluence converge to what every entry path assigns
     func = _loop()
-    blocks, masks = dominator_masks(func)
-    bit = {b: 1 << i for i, b in enumerate(blocks)}
-
-    def dom(a, b):
-        return bool(masks[b] & bit[a])
-
-    assert dom("entry", "exit") and dom("head", "exit")
-    assert dom("head", "body")
-    assert not dom("body", "exit")
-    assert not dom("exit", "body")
-    idoms = idoms_from_masks(blocks, masks, func.entry)
-    assert idoms["head"] == "entry"
-    assert idoms["body"] == "head"
-    assert idoms["exit"] == "head"
+    result = solve(func, definite_assignment_problem(func))
+    assert result.in_set("head") == {"i0"}
+    assert result.out_set("head") == {"i0", "i"}  # the φ assigns i
+    assert result.out_set("body") == {"i0", "i", "i1"}
+    assert result.in_set("exit") == {"i0", "i"}  # i1 only on the loop
 
 
 def test_definite_assignment_on_diamond():
@@ -162,10 +148,8 @@ def test_extra_mask_feeds_the_meet():
 def test_unreachable_blocks_excluded():
     func = _diamond()
     func.add_block("island").instrs.append(Instr("ret", (), ()))
-    result = solve(func, liveness_problem(func))
-    assert "island" not in result.in_masks
-    blocks, _ = dominator_masks(func)
-    assert "island" not in blocks
+    for problem in (liveness_problem, definite_assignment_problem):
+        assert "island" not in solve(func, problem(func)).in_masks
 
 
 def test_solve_is_deterministic_and_idempotent():
@@ -201,7 +185,7 @@ def test_worklist_beats_round_robin_on_evaluations():
 
 
 # ---------------------------------------------------------------------------
-# equivalence: engine instances vs the independent implementations
+# equivalence: the liveness instance vs the independent implementations
 # ---------------------------------------------------------------------------
 
 def _assert_liveness_equivalent(func):
@@ -213,24 +197,10 @@ def _assert_liveness_equivalent(func):
         assert result.out_set(b) == dense.live_out[b] == reference.live_out[b]
 
 
-def _assert_dominators_equivalent(func):
-    blocks, masks = dominator_masks(func)
-    tree = DominatorTree(func)
-    bit = {b: 1 << i for i, b in enumerate(blocks)}
-    for a in blocks:
-        for b in blocks:
-            assert bool(masks[b] & bit[a]) == tree.dominates(a, b), (a, b)
-    idoms = idoms_from_masks(blocks, masks, func.entry)
-    for b in blocks:
-        if b != func.entry:
-            assert idoms[b] == tree.idom[b], b
-
-
 @pytest.mark.parametrize("seed", range(40))
 def test_fuzz_equivalence(seed):
     func = random_function(seed, GeneratorConfig(num_vars=6 + seed % 5))
     _assert_liveness_equivalent(func)
-    _assert_dominators_equivalent(func)
     assert check_strict(func) == []
 
 
@@ -248,4 +218,4 @@ def test_corpus_equivalence():
     assert functions, "corpus should not be empty"
     for func in functions:
         _assert_liveness_equivalent(func)
-        _assert_dominators_equivalent(func)
+    

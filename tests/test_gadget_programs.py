@@ -8,17 +8,18 @@ from repro.coalescing import (
     optimistic_coalesce,
 )
 from repro.graphs.greedy import is_greedy_k_colorable
-from repro.ir import chaitin_interference, verify_ssa
+from repro.ir import chaitin_interference
 from repro.ir.gadget_programs import phi_merge_diamond, rotation_loop, swap_loop
 from repro.ir.interference import set_frequencies_from_loops
 from repro.ir.liveness import check_strict, maxlive
+from tests import ssa_findings
 
 
 class TestRotationLoop:
     def test_valid_ssa(self):
         for n in (2, 3, 4):
             f = rotation_loop(n)
-            assert verify_ssa(f) == []
+            assert ssa_findings(f) == []
             assert check_strict(f) == []
 
     def test_rejects_small_n(self):
@@ -72,7 +73,7 @@ class TestPhiMergeDiamond:
     def test_valid_ssa(self):
         for n in (1, 3, 4):
             f = phi_merge_diamond(n)
-            assert verify_ssa(f) == []
+            assert ssa_findings(f) == []
 
     def test_is_permutation_gadget_shape(self):
         n = 4

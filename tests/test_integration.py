@@ -23,6 +23,7 @@ from repro.ir import (
     maxlive,
     random_function,
 )
+from tests import allocation_errors
 
 
 def swap_loop():
@@ -56,7 +57,7 @@ class TestSwapLoopPipeline:
     def test_allocation_succeeds(self):
         out = eliminate_phis(swap_loop())
         res = chaitin_allocate(out, 4)
-        assert res.verify() == []
+        assert allocation_errors(res) == []
         assert res.spilled == []
 
 
@@ -88,13 +89,13 @@ class TestTwoPhaseStory:
             res, stats = ssa_allocate(f, 4, coalescing="brute")
             assert stats.chordal
             assert stats.maxlive_after <= 4
-            assert res.verify() == []
+            assert allocation_errors(res) == []
 
     def test_high_pressure_still_allocates(self):
         for seed in range(4):
             f = random_function(seed, GeneratorConfig(num_vars=14, max_stmts=8))
             res, stats = ssa_allocate(f, 3)
-            assert res.verify() == [], seed
+            assert allocation_errors(res) == [], seed
 
 
 class TestStrategyDominance:
@@ -138,5 +139,5 @@ class TestAllocatorComparison:
             k = 4
             chaitin = chaitin_allocate(phi_free, k)
             two_phase, _ = ssa_allocate(f, k)
-            assert chaitin.verify() == []
-            assert two_phase.verify() == []
+            assert allocation_errors(chaitin) == []
+            assert allocation_errors(two_phase) == []

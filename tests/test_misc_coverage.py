@@ -13,6 +13,7 @@ from repro.coalescing import (
 from repro.graphs.interference import Coalescing, InterferenceGraph
 from repro.ir import FunctionBuilder
 from repro.ir.cfg import Function
+from tests import allocation_errors
 
 
 class TestCoalescingBase:
@@ -61,21 +62,21 @@ class TestAllocationResult:
         fb.block("entry").const("a").const("b").ret("a", "b")
         f = fb.finish()
         bad = AllocationResult(function=f, assignment={"a": 0, "b": 0}, k=2)
-        assert any("interfere" in p for p in bad.verify())
+        assert [d.code for d in allocation_errors(bad)] == ["ALLOC001"]
 
     def test_verify_reports_out_of_range(self):
         fb = FunctionBuilder()
         fb.block("entry").const("a").ret("a")
         f = fb.finish()
         bad = AllocationResult(function=f, assignment={"a": 7}, k=2)
-        assert any("out-of-range" in p for p in bad.verify())
+        assert [d.code for d in allocation_errors(bad)] == ["ALLOC002"]
 
     def test_verify_reports_unassigned(self):
         fb = FunctionBuilder()
         fb.block("entry").const("a").const("b").ret("a", "b")
         f = fb.finish()
         bad = AllocationResult(function=f, assignment={}, k=2)
-        assert bad.verify()
+        assert {d.code for d in allocation_errors(bad)} == {"ALLOC003"}
 
 
 class TestIRCFreezePath:

@@ -1,11 +1,12 @@
-"""Tests for SSA construction and verification."""
+"""Tests for SSA construction, checked by the ``ssa-invariants`` pass."""
 
 import pytest
 
 from repro.ir.builder import FunctionBuilder
 from repro.ir.generators import GeneratorConfig, random_function
 from repro.ir.liveness import check_strict
-from repro.ir.ssa import construct_ssa, is_ssa, verify_ssa
+from repro.ir.ssa import construct_ssa
+from tests import ssa_findings
 
 
 def diamond_redef():
@@ -32,12 +33,12 @@ class TestConstruction:
     def test_diamond_gets_phi(self):
         ssa = construct_ssa(diamond_redef())
         assert len(ssa.blocks["join"].phis) == 1
-        assert is_ssa(ssa)
+        assert ssa_findings(ssa) == []
 
     def test_loop_gets_phi_at_header(self):
         ssa = construct_ssa(loop_counter())
         assert len(ssa.blocks["head"].phis) == 1
-        assert is_ssa(ssa)
+        assert ssa_findings(ssa) == []
 
     def test_single_def_no_phi(self):
         fb = FunctionBuilder()
@@ -77,7 +78,7 @@ class TestConstruction:
             f = random_function(seed, GeneratorConfig(num_vars=6))
             assert check_strict(f) == []
             ssa = construct_ssa(f)
-            assert verify_ssa(ssa) == [], seed
+            assert ssa_findings(ssa) == [], seed
             assert check_strict(ssa) == [], seed
 
 
@@ -85,8 +86,7 @@ class TestVerify:
     def test_double_definition(self):
         fb = FunctionBuilder()
         fb.block("entry").const("x").const("x").ret("x")
-        problems = verify_ssa(fb.finish())
-        assert any("more than once" in p for p in problems)
+        assert ssa_findings(fb.finish()) == [("SSA001", "entry:1")]
 
     def test_use_not_dominated(self):
         fb = FunctionBuilder()
@@ -94,8 +94,7 @@ class TestVerify:
         fb.block("then").const("x")
         fb.block("join").ret("x")
         fb.edges(("entry", "then"), ("entry", "join"), ("then", "join"))
-        problems = verify_ssa(fb.finish())
-        assert any("not dominated" in p for p in problems)
+        assert ssa_findings(fb.finish()) == [("SSA002", "join:0")]
 
     def test_phi_arg_checked_at_pred_end(self):
         fb = FunctionBuilder()
@@ -103,12 +102,15 @@ class TestVerify:
         fb.block("left").const("b")
         fb.block("join").phi("x", entry="b", left="b").ret("x")
         fb.edges(("entry", "left"), ("entry", "join"), ("left", "join"))
-        problems = verify_ssa(fb.finish())
         # b does not dominate the end of entry
-        assert any("phi arg b" in p for p in problems)
+        assert ssa_findings(fb.finish()) == [("SSA003", "join")]
 
     def test_same_block_order(self):
         fb = FunctionBuilder()
         fb.block("entry").op("add", "y", "x").const("x").ret("y")
-        problems = verify_ssa(fb.finish())
-        assert any("use of x" in p for p in problems)
+        assert ssa_findings(fb.finish()) == [("SSA002", "entry:0")]
+
+    def test_use_never_defined(self):
+        fb = FunctionBuilder()
+        fb.block("entry").op("add", "y", "x").ret("y")
+        assert ssa_findings(fb.finish()) == [("SSA004", "entry:0")]
