@@ -13,7 +13,9 @@ produced it:
 * :func:`verify_elimination_order` — the order is a permutation
   (``CERT003``), every eliminated vertex had residual degree < k at
   its turn (``CERT004``), and the graph is fully eliminated
-  (``CERT005``);
+  (``CERT005``).  The last two are the row walk
+  :func:`verify_elimination_rounds`, the one elimination-witness
+  checker, which ``COAL004`` also runs on its quotient's peel rounds;
 * :func:`verify_coloring_cert` — every vertex is colored
   (``CERT006``), colors lie in ``0..k-1`` (``CERT007``), and no edge
   is monochromatic (``CERT008``).
@@ -30,8 +32,9 @@ campaign-time re-certification.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence
+from typing import Iterator, List, Mapping, Optional, Sequence
 
+from ..graphs.dense import DenseGraph
 from ..graphs.graph import Graph, Vertex
 from .diagnostics import Diagnostic
 from .registry import AnalysisContext, analysis_pass
@@ -40,6 +43,7 @@ __all__ = [
     "Certificate",
     "verify_peo",
     "verify_elimination_order",
+    "verify_elimination_rounds",
     "verify_coloring_cert",
 ]
 
@@ -147,46 +151,75 @@ def verify_elimination_order(
     ctx: Optional[AnalysisContext] = None,
 ) -> List[Diagnostic]:
     """Verify a Chaitin elimination order as a greedy-k-colorability
-    witness: simulate the peeling and check every step's degree < k."""
+    witness: a permutation check (``CERT003``), then the peeling is
+    simulated on rows by :func:`verify_elimination_rounds`, one vertex
+    per round."""
     ctx = ctx or AnalysisContext()
-    obj = ctx.obj
-    out: List[Diagnostic] = []
     seen: set = set()
     for v in order:
         if v in seen or v not in graph:
-            out.append(Diagnostic(
+            return [Diagnostic(
                 "CERT003", "error",
                 f"elimination order is not a permutation "
                 f"({v} duplicated or foreign)",
-                where=str(v), obj=obj, detail={"vertex": str(v)},
-            ))
-            return out
+                where=str(v), obj=ctx.obj, detail={"vertex": str(v)},
+            )]
         seen.add(v)
-    degree: Dict[Vertex, int] = {v: graph.degree(v) for v in graph.vertices}
-    removed: set = set()
-    for v in order:
-        ctx.check_budget()
-        if degree[v] >= k:
-            out.append(Diagnostic(
-                "CERT004", "error",
-                f"{v} eliminated with residual degree {degree[v]} >= k={k}",
-                where=str(v), obj=obj,
-                detail={"vertex": str(v), "degree": degree[v], "k": k},
-            ))
-            return out
-        removed.add(v)
-        for u in graph.neighbors_view(v):
-            if u not in removed:
-                degree[u] -= 1
-    leftover = sorted(str(v) for v in graph.vertices if v not in removed)
-    if leftover:
-        out.append(Diagnostic(
+    dense = DenseGraph.from_graph(graph)
+    rounds = [1 << dense.index[v] for v in order]
+    return verify_elimination_rounds(dense, rounds, k, ctx)
+
+
+def verify_elimination_rounds(
+    dense: DenseGraph,
+    rounds: Sequence[int],
+    k: int,
+    ctx: Optional[AnalysisContext] = None,
+) -> List[Diagnostic]:
+    """Verify an elimination witness on the rows of ``dense``.
+
+    ``rounds`` lists bitmasks of distinct live vertices, removed round
+    by round (a sequential order is one vertex per round, a
+    :func:`~repro.graphs.dense.greedy_peel` witness many).  Every vertex
+    of a round must have ``popcount(adj[v] & live) < k`` over the
+    vertices still live when its round begins (``CERT004``), and nothing
+    may be left once the rounds are done (``CERT005``).  Removing a
+    round one vertex at a time only lowers the later members' degrees,
+    so a checked round is a valid stretch of Chaitin's sequential
+    scheme.  One budget step per eliminated vertex.
+    """
+    ctx = ctx or AnalysisContext()
+    obj = ctx.obj
+    adj, names = dense.adj, dense.names
+    live = dense.alive
+    for batch in rounds:
+        rest = batch
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            ctx.check_budget()
+            v = low.bit_length() - 1
+            degree = (adj[v] & live).bit_count()
+            if degree >= k:
+                return [Diagnostic(
+                    "CERT004", "error",
+                    f"{names[v]} eliminated with residual degree {degree} "
+                    f">= k={k}",
+                    where=str(names[v]), obj=obj,
+                    detail={"vertex": str(names[v]), "degree": degree,
+                            "k": k},
+                )]
+        live &= ~batch
+    if live:
+        leftover = sorted(
+            str(v) for i, v in enumerate(names) if live >> i & 1)
+        return [Diagnostic(
             "CERT005", "error",
             f"elimination incomplete: {len(leftover)} vertices remain "
             "(every one of degree >= k, a non-colorability witness)",
             obj=obj, detail={"remaining": leftover[:32], "k": k},
-        ))
-    return out
+        )]
+    return []
 
 
 def verify_coloring_cert(

@@ -19,11 +19,19 @@ Coalescing (kind ``coalescing``, subject :class:`CoalescingClaim`):
   (``COAL005``);
 * ``coalescing-conservative`` — for strategies that claim
   conservativeness, the quotient graph :math:`G_f` is
-  greedy-k-colorable, **re-certified** through an explicit elimination
-  order verified by :func:`repro.analysis.certificates.
-  verify_elimination_order` rather than assumed (``COAL004``).  This
-  is the budget-heavy pass: it threads the context budget so
-  campaign-time verification degrades deterministically.
+  greedy-k-colorable (``COAL004``).  The quotient is built on a copy of
+  the claim graph's dense twin, one ``merge_group`` per multi-member
+  class, and peeled once by :func:`repro.graphs.dense.greedy_peel`; a
+  success is **re-certified** by replaying the peel's rounds on the
+  quotient's rows (:func:`repro.analysis.certificates.
+  verify_elimination_rounds`) rather than assumed.  This is the
+  budget-heavy pass: it threads the context budget so campaign-time
+  verification degrades deterministically.
+
+The coalescing passes share one :meth:`~repro.graphs.dense.DenseGraph.
+from_graph` build of the claim graph and the allocation passes one
+liveness solve and one set of interference rows of the final code,
+through the context's fact memo (:meth:`AnalysisContext.fact`).
 
 Allocation (kind ``allocation``, duck-typed subject with ``function``,
 ``assignment``, ``k``, ``spilled`` attributes — i.e. an
@@ -41,14 +49,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
-    Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+    Any, Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional,
+    Sequence, Tuple,
 )
 
 from ..allocator.spill import is_memory_slot
-from ..graphs.greedy import greedy_elimination_order, is_greedy_k_colorable
+from ..graphs.dense import DenseGraph, greedy_core, greedy_peel
 from ..graphs.interference import Coalescing, InterferenceGraph
+from ..ir.cfg import Function
 from ..ir.interference import interference_rows
-from .certificates import verify_elimination_order
+from ..ir.liveness import LivenessMasks, liveness_masks
+from .certificates import verify_elimination_rounds
 from .diagnostics import Diagnostic
 from .registry import AnalysisContext, analysis_pass
 
@@ -102,6 +113,38 @@ def claim_from_result(result: Any, k: int = 0) -> CoalescingClaim:
     )
 
 
+def _dense(graph: InterferenceGraph, ctx: AnalysisContext) -> DenseGraph:
+    """The claim graph's dense twin, built once per context."""
+    return ctx.fact("dense", graph, DenseGraph.from_graph)
+
+
+def _classes(
+    coalescing: Coalescing, ctx: AnalysisContext
+) -> List[FrozenSet[Any]]:
+    """The partition's classes, listed once per context."""
+    return ctx.fact("classes", coalescing, Coalescing.classes)
+
+
+def _quotient(coalescing: Coalescing, ctx: AnalysisContext) -> DenseGraph:
+    """The quotient :math:`G_f` on a copy of the graph's dense twin.
+
+    One :meth:`~repro.graphs.dense.DenseGraph.merge_group` per
+    multi-member class, representative first, so each class survives in
+    its representative's slot under the name
+    :meth:`~repro.graphs.interference.Coalescing.coalesced_graph` gives
+    it.  Raises ``ValueError`` if a class holds two interfering vertices
+    and ``KeyError`` if it holds a vertex the graph lacks.
+    """
+    quotient = _dense(coalescing.graph, ctx).copy()
+    index = quotient.index
+    for cls in _classes(coalescing, ctx):
+        if len(cls) > 1:
+            rep = coalescing.find(next(iter(cls)))
+            quotient.merge_group(
+                [index[rep]] + [index[v] for v in cls if v != rep])
+    return quotient
+
+
 @analysis_pass(
     "coalescing-validity", "coalescing", codes=("COAL001", "COAL002")
 )
@@ -111,11 +154,11 @@ def check_coalescing_validity(
     """The partition is a valid coalescing: disjoint cover, no class
     with two interfering vertices."""
     graph = claim.graph
-    classes = claim.coalescing.classes()
+    classes = _classes(claim.coalescing, ctx)
     seen: Dict[Any, int] = {}
     for i, cls in enumerate(classes):
+        ctx.check_budget(len(cls))
         for v in cls:
-            ctx.check_budget()
             if v in seen:
                 yield Diagnostic(
                     "COAL002", "error",
@@ -136,21 +179,29 @@ def check_coalescing_validity(
                 f"graph vertex {v} is missing from the partition",
                 where=str(v), obj=ctx.obj, detail={"vertex": str(v)},
             )
+    dense = _dense(graph, ctx)
+    index, adj, names = dense.index, dense.adj, dense.names
     for cls in classes:
-        members = set(cls)
-        for v in cls:
-            ctx.check_budget()
-            clash = graph.neighbors_view(v) & members if v in graph else set()
-            for u in clash:
-                a, b = sorted((str(u), str(v)))
-                if a == str(v):  # report each pair once
-                    yield Diagnostic(
-                        "COAL001", "error",
-                        f"{a} and {b} interfere but share a coalescing "
-                        "class",
-                        where=f"{a}--{b}", obj=ctx.obj,
-                        detail={"edge": [a, b]},
-                    )
+        ctx.check_budget(len(cls))
+        if len(cls) < 2:
+            continue  # a singleton cannot clash: no self-loops
+        members = sorted(index[v] for v in cls if v in index)
+        mask = sum(1 << i for i in members)
+        for i in members:
+            # partners in higher slots only: each pair is reported once
+            clash = adj[i] & mask & ~((1 << (i + 1)) - 1)
+            while clash:
+                low = clash & -clash
+                clash ^= low
+                j = low.bit_length() - 1
+                a, b = sorted((str(names[i]), str(names[j])))
+                yield Diagnostic(
+                    "COAL001", "error",
+                    f"{a} and {b} interfere but share a coalescing "
+                    "class",
+                    where=f"{a}--{b}", obj=ctx.obj,
+                    detail={"edge": [a, b]},
+                )
 
 
 @analysis_pass(
@@ -199,7 +250,7 @@ def check_coalescing_conservative(
     claim: CoalescingClaim, ctx: AnalysisContext
 ) -> Iterator[Diagnostic]:
     """Conservative claims re-certified: G_f greedy-k-colorable, by
-    an explicitly verified elimination order."""
+    a peel witness re-checked on the dense quotient's rows."""
     if not claim.conservative:
         return
     k = claim.k or ctx.k
@@ -208,7 +259,7 @@ def check_coalescing_conservative(
     ctx.check_budget()
     # conservativeness is a *preservation* contract: it only promises a
     # greedy-k-colorable quotient when the input graph was one
-    if not is_greedy_k_colorable(claim.graph, k):
+    if greedy_core(_dense(claim.graph, ctx), k):
         yield Diagnostic(
             "COAL004", "info",
             f"input graph is not greedy-{k}-colorable, so the "
@@ -217,16 +268,15 @@ def check_coalescing_conservative(
         )
         return
     try:
-        quotient = claim.coalescing.coalesced_graph()
-    except ValueError:
-        return  # invalid partition; coalescing-validity reports COAL001
+        quotient = _quotient(claim.coalescing, ctx)
+    except (KeyError, ValueError):
+        return  # invalid partition; coalescing-validity reports it
     ctx.check_budget()
-    order, success = greedy_elimination_order(quotient, k)
-    if not success:
+    rounds, core = greedy_peel(quotient, k)
+    if core:
+        names = quotient.names
         leftover = sorted(
-            str(v) for v in quotient.vertices
-            if v not in set(order)
-        )
+            str(v) for i, v in enumerate(names) if core >> i & 1)
         yield Diagnostic(
             "COAL004", "error",
             f"quotient graph is not greedy-{k}-colorable "
@@ -236,9 +286,9 @@ def check_coalescing_conservative(
             detail={"k": k, "remaining": leftover[:32]},
         )
         return
-    # success claimed by the greedy scheme: re-certify the witness
-    # through the independent verifier instead of trusting it
-    for diag in verify_elimination_order(quotient, order, k, ctx):
+    # the peel claims success: re-check its rounds on the quotient's rows
+    # instead of trusting the kernel
+    for diag in verify_elimination_rounds(quotient, rounds, k, ctx):
         yield Diagnostic(
             "COAL004", "error",
             "elimination-order witness for the quotient failed "
@@ -286,6 +336,25 @@ def _row_pairs(
     return sorted(pairs)
 
 
+def allocation_liveness(func: Function, ctx: AnalysisContext) -> LivenessMasks:
+    """The final code's liveness masks, solved once per context."""
+    return ctx.fact("liveness", func, liveness_masks)
+
+
+def allocation_rows(
+    func: Function, ctx: AnalysisContext
+) -> Tuple[List[Any], List[int]]:
+    """The final code's interference rows, built once per context.
+
+    Built on :func:`allocation_liveness`, so the rows and the interval
+    pass share one liveness solve.
+    """
+    return ctx.fact(
+        "interference-rows", func,
+        lambda f: interference_rows(f, liveness=allocation_liveness(f, ctx)),
+    )
+
+
 def _nonslot_mask(variables: Sequence[Any]) -> int:
     """Bitmask of the interned variables that are not memory slots."""
     return sum(
@@ -310,7 +379,7 @@ def check_allocation_validity(
     func = result.function
     assignment = result.assignment
     k = result.k
-    variables, rows = interference_rows(func)
+    variables, rows = allocation_rows(func, ctx)
     register = [assignment.get(v) for v in variables]
     unassigned = 0
     by_register: Dict[Any, int] = {}

@@ -22,12 +22,14 @@ scratch on the result's final code:
   function's Maxlive, certifying that the interval and set views of
   register pressure coincide on this exact code.
 
-INTV001 walks the rows of :func:`~repro.ir.interference.
-interference_rows` over the non-slot mask, one AND of the two point
-masks per row bit; INTV002 accumulates one point-mask union per
-register and enumerates that register's pairs only when a member meets
-the union.  Both report each offending pair exactly as a per-edge and
-per-pair loop would.
+The pass shares one liveness solve and one set of interference rows
+with ``allocation-validity`` through the context's fact memo
+(:func:`~repro.analysis.coalescing_check.allocation_rows`).  INTV001
+walks the rows of :func:`~repro.ir.interference.interference_rows`
+over the non-slot mask, one AND of the two point masks per row bit;
+INTV002 accumulates one point-mask union per register and enumerates
+that register's pairs only when a member meets the union.  Both report
+each offending pair exactly as a per-edge and per-pair loop would.
 
 The pass guards on the ``interval_variant`` marker of
 :class:`~repro.intervals.linear_scan.LinearScanResult` and skips
@@ -42,9 +44,10 @@ from typing import Any, Dict, Iterator, List
 
 from ..allocator.spill import is_memory_slot
 from ..intervals import model
-from ..ir.interference import interference_rows
 from ..ir.liveness import maxlive
-from .coalescing_check import _nonslot_mask, _row_pairs
+from .coalescing_check import (
+    _nonslot_mask, _row_pairs, allocation_liveness, allocation_rows,
+)
 from .diagnostics import Diagnostic
 from .registry import AnalysisContext, analysis_pass
 
@@ -66,9 +69,10 @@ def check_interval_allocation(
     if not getattr(result, "interval_variant", ""):
         return
     func = result.function
-    iset = model.build_intervals(func)
+    liveness = allocation_liveness(func, ctx)
+    iset = model.build_intervals(func, liveness=liveness)
     intervals = iset.intervals
-    variables, rows = interference_rows(func)
+    variables, rows = allocation_rows(func, ctx)
     points = [
         intervals[v].mask if v in intervals else 0 for v in variables
     ]
@@ -131,7 +135,7 @@ def check_interval_allocation(
                     )
     ctx.check_budget()
     overlap = iset.max_overlap()
-    pressure = maxlive(func)
+    pressure = maxlive(func, liveness=liveness)
     if overlap == pressure:
         yield Diagnostic(
             "INTV003", "info",

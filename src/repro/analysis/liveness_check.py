@@ -29,7 +29,7 @@ from ..graphs.chordal import clique_number_chordal, is_chordal
 from ..graphs.interference import InterferenceGraph
 from ..ir.cfg import Function
 from ..ir.interference import chaitin_interference, intersection_interference
-from ..ir.liveness import check_strict, maxlive
+from ..ir.liveness import maxlive, strictness_violations
 from .diagnostics import Diagnostic
 from .registry import AnalysisContext, analysis_pass
 
@@ -130,7 +130,7 @@ def check_interference_definitions(
     """Strict programs: Chaitin and intersection interference agree."""
     func, _graph = subject
     ctx.check_budget()
-    if check_strict(func):
+    if any(strictness_violations(func)):
         return  # the equivalence only holds for strict programs
     chaitin = chaitin_interference(func, weighted=False)
     ctx.check_budget()

@@ -27,7 +27,10 @@ warning so campaign-time verification degrades instead of stalling.
 The :class:`AnalysisContext` carries the cross-cutting knobs: the
 register count ``k``, the optional :class:`~repro.budget.Budget`, the
 :class:`~repro.obs.Tracer`, and mode flags such as ``expect_chordal``
-(the paper-aware strict-SSA mode of the liveness pass).
+(the paper-aware strict-SSA mode of the liveness pass).  It also
+memoises the facts passes derive from their subject
+(:meth:`AnalysisContext.fact`), so the passes of one run build each
+one once.
 """
 
 from __future__ import annotations
@@ -68,11 +71,34 @@ class AnalysisContext:
     tracer: Tracer = NULL_TRACER
     obj: str = ""
     params: Dict[str, Any] = field(default_factory=dict)
+    #: the memo behind :meth:`fact`, not a knob: no constructor argument
+    facts: Dict[Tuple[str, int], Tuple[Any, Any]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def check_budget(self, steps: int = 1) -> None:
         """Account ``steps`` units of analysis work against the budget."""
         if self.budget is not None:
             self.budget.check(steps)
+
+    def fact(
+        self, name: str, subject: Any, build: Callable[[Any], Any]
+    ) -> Any:
+        """``build(subject)``, computed once per context.
+
+        Keyed by ``name`` and the identity of ``subject``, so every pass
+        of a run that derives the same fact from the same object — the
+        liveness of an allocation's final code, the dense twin of a
+        claim's graph — shares one computation.  The entry holds
+        ``subject``, so its id cannot be reused while the context lives.
+        Passes never mutate their subject or a fact, so an entry stays
+        valid for the whole run.
+        """
+        key = (name, id(subject))
+        entry = self.facts.get(key)
+        if entry is None:
+            entry = self.facts[key] = (subject, build(subject))
+        return entry[1]
 
 
 @dataclass(frozen=True)

@@ -85,17 +85,25 @@ class ResultCache:
         file and the ``os.replace`` calls serialize, last one winning
         with a complete record either way.  The overwrite report is
         best-effort under such races (it reflects whether the entry
-        existed just before this writer's replace).
+        existed just before this writer's replace).  The record is
+        encoded in one ``json.dumps`` call (compact, sorted keys, ASCII)
+        before the temp file opens, and the shard directory is made only
+        when ``mkstemp`` finds it missing.
         """
         path = self.path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=f".{key}.", suffix=".tmp"
-        )
+        text = json.dumps(record, sort_keys=True) + "\n"
+        try:
+            fd, tmp = tempfile.mkstemp(
+                dir=path.parent, prefix=f".{key}.", suffix=".tmp"
+            )
+        except FileNotFoundError:  # first record of this shard
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(
+                dir=path.parent, prefix=f".{key}.", suffix=".tmp"
+            )
         try:
             with os.fdopen(fd, "w") as stream:
-                json.dump(record, stream, indent=2, sort_keys=True)
-                stream.write("\n")
+                stream.write(text)
             existed = path.exists()
             os.replace(tmp, path)
             return existed

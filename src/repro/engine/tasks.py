@@ -279,7 +279,7 @@ def execute_strategy(
     if strategy == "interval":
         from ..intervals.coalesce import interval_coalesce
 
-        return interval_coalesce(graph, k, tracer=tracer)
+        return interval_coalesce(graph, tracer=tracer)
     return conservative_coalesce(graph, k, test=strategy, tracer=tracer)
 
 

@@ -390,26 +390,33 @@ def greedy_elimination_order(
     return order, remaining == 0
 
 
-def greedy_core(dense: DenseGraph, k: int, tracer: Tracer = NULL_TRACER) -> int:
-    """The k-core of the live graph as a bitmask: 0 iff greedy-k-colourable.
+def greedy_peel(
+    dense: DenseGraph, k: int, tracer: Tracer = NULL_TRACER
+) -> Tuple[List[int], int]:
+    """Chaitin's scheme as a round-based peel: ``(rounds, core)``.
 
-    A round-based peel of Chaitin's scheme: each round removes every
-    live vertex of degree < ``k`` at once, then only the survivors next
-    to a removed vertex recount their degree, with one popcount of
-    ``adj[u] & alive``.  The scheme is confluent (Section 2.2), so what
-    is left is exactly what :func:`greedy_elimination_order` leaves, for
-    callers that read only the verdict or the core.  ``WORDS_MERGED``
-    counts each row OR and each recount AND; no adjacency element is
-    visited one at a time, so no ``EDGES_SCANNED``.
+    Each round removes every live vertex of degree < ``k`` at once, then
+    only the survivors next to a removed vertex recount their degree,
+    with one popcount of ``adj[u] & alive``.  ``rounds`` lists each
+    round's removed vertices as a bitmask, in order: an elimination
+    witness in which every vertex of a round had fewer than ``k`` live
+    neighbours when the round began.  ``core`` is the bitmask of what is
+    left, 0 iff greedy-k-colourable.  The scheme is confluent (Section
+    2.2), so the core is exactly what :func:`greedy_elimination_order`
+    leaves.  ``WORDS_MERGED`` counts each row OR and each recount AND;
+    no adjacency element is visited one at a time, so no
+    ``EDGES_SCANNED``.
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
     counting = tracer.enabled
     adj, words = dense.adj, dense.words
     alive = dense.alive
+    rounds: List[int] = []
     # dead slots have degree 0; the alive mask drops them
     low = sum(1 << i for i, d in enumerate(dense.deg) if d < k) & alive
     while low:
+        rounds.append(low)
         alive ^= low
         touched = 0
         removed = low
@@ -423,10 +430,19 @@ def greedy_core(dense: DenseGraph, k: int, tracer: Tracer = NULL_TRACER) -> int:
         low = 0
         while touched:
             bit = touched & -touched
-            if _popcount(adj[bit.bit_length() - 1] & alive) < k:
+            if (adj[bit.bit_length() - 1] & alive).bit_count() < k:
                 low |= bit
             touched ^= bit
-    return alive
+    return rounds, alive
+
+
+def greedy_core(dense: DenseGraph, k: int, tracer: Tracer = NULL_TRACER) -> int:
+    """The k-core of the live graph as a bitmask: 0 iff greedy-k-colourable.
+
+    The core :func:`greedy_peel` leaves, for callers that read only the
+    verdict or the core.
+    """
+    return greedy_peel(dense, k, tracer=tracer)[1]
 
 
 def is_greedy_k_colorable(

@@ -116,14 +116,14 @@ def _coalesce_by_ranges(
 
 
 def interval_coalesce(
-    graph: InterferenceGraph, k: int = 0, tracer: Tracer = NULL_TRACER
+    graph: InterferenceGraph, tracer: Tracer = NULL_TRACER
 ) -> CoalescingResult:
     """Interval coalescing on a bare interference graph.
 
     Synthesizes spans from adjacency (see :func:`_graph_spans`) and
-    merges copy-related classes whose spans are disjoint.  ``k`` is
-    accepted for registry uniformity but, like aggressive coalescing,
-    does not constrain the merge.  Returns a
+    merges copy-related classes whose spans are disjoint.  Like
+    aggressive coalescing, it takes no register count: nothing bounds
+    the merge but interference.  Returns a
     :class:`~repro.coalescing.base.CoalescingResult` with strategy
     ``"interval"``.
     """
@@ -131,7 +131,7 @@ def interval_coalesce(
 
 
 def function_interval_coalesce(
-    func: Function, k: int = 0, tracer: Tracer = NULL_TRACER
+    func: Function, tracer: Tracer = NULL_TRACER
 ) -> CoalescingResult:
     """Interval coalescing of a lowered function's real intervals.
 

@@ -46,12 +46,12 @@ intersection tests of the allocators and checkers are one AND.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..graphs.dense import WORD_BITS
 from ..ir.cfg import Function
 from ..ir.instructions import Var
-from ..ir.liveness import liveness_masks, maxlive
+from ..ir.liveness import LivenessMasks, liveness_masks, maxlive
 from ..obs import NULL_TRACER, RANGES_BUILT, WORDS_MERGED
 from ..obs.tracer import Tracer
 
@@ -266,7 +266,9 @@ def number_points(func: Function) -> ProgramPoints:
 
 
 def build_intervals(
-    func: Function, tracer: Tracer = NULL_TRACER
+    func: Function,
+    tracer: Tracer = NULL_TRACER,
+    liveness: Optional[LivenessMasks] = None,
 ) -> IntervalSet:
     """Build live intervals from the dense liveness masks.
 
@@ -278,8 +280,10 @@ def build_intervals(
     is per range, not per ``(variable, point)``.  ``WORDS_MERGED``
     counts the word-wise mask operations, ``RANGES_BUILT`` the
     ``(variable, point)`` liveness units (each point's popcount).
+    ``liveness`` is the function's ``liveness_masks`` result, if the
+    caller already solved it.
     """
-    variables, _, out_masks = liveness_masks(func, tracer=tracer)
+    variables, _, out_masks = liveness or liveness_masks(func, tracer=tracer)
     points = number_points(func)
     index = {var: i for i, var in enumerate(variables)}
     words = max(1, (len(variables) + WORD_BITS - 1) // WORD_BITS)

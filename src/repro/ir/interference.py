@@ -22,14 +22,14 @@ these are the moves an out-of-SSA translation would insert).
 from __future__ import annotations
 
 from itertools import combinations
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from ..graphs.interference import InterferenceGraph
 from ..obs import EDGES_SCANNED, NULL_TRACER, WORDS_MERGED, Tracer
 from .cfg import Function
 from .dominance import loop_depths
 from .instructions import Var
-from .liveness import live_at_points, liveness_masks
+from .liveness import LivenessMasks, live_at_points, liveness_masks
 
 _WORD_BITS = 64
 
@@ -42,7 +42,9 @@ def set_frequencies_from_loops(func: Function, base: float = 10.0) -> None:
 
 
 def interference_rows(
-    func: Function, tracer: Tracer = NULL_TRACER
+    func: Function,
+    tracer: Tracer = NULL_TRACER,
+    liveness: Optional[LivenessMasks] = None,
 ) -> Tuple[List[Var], List[int]]:
     """Chaitin interference as bitmask rows: ``(variables, rows)``.
 
@@ -52,10 +54,13 @@ def interference_rows(
     The classic backward walk: each definition absorbs the whole
     live-after mask in one word-wise OR, φ-targets the live set at the
     block top.  Rows are asymmetric — only the defining side is OR-ed,
-    so an edge may be set in one row or in both.
+    so an edge may be set in one row or in both.  ``liveness`` is the
+    function's :func:`~repro.ir.liveness.liveness_masks` result, if the
+    caller already solved it.
     """
     counting = tracer.enabled
-    variables, _in_masks, out_masks = liveness_masks(func, tracer=tracer)
+    variables, _in_masks, out_masks = (
+        liveness or liveness_masks(func, tracer=tracer))
     index = {v: i for i, v in enumerate(variables)}
     words = max(1, (len(variables) + _WORD_BITS - 1) // _WORD_BITS)
     adj: List[int] = [0] * len(variables)

@@ -28,6 +28,10 @@ from .dataflow import definite_assignment_problem, liveness_problem, solve
 from .instructions import Var
 
 
+#: What :func:`liveness_masks` returns: ``(variables, live_in, live_out)``.
+LivenessMasks = Tuple[List[Var], Dict[str, int], Dict[str, int]]
+
+
 @dataclass
 class LivenessInfo:
     """Per-block live-in/live-out sets."""
@@ -38,7 +42,7 @@ class LivenessInfo:
 
 def liveness_masks(
     func: Function, tracer: Tracer = NULL_TRACER
-) -> Tuple[List[Var], Dict[str, int], Dict[str, int]]:
+) -> LivenessMasks:
     """Mask-based backward liveness: the dense transfer kernel.
 
     Interns the function's variables (sorted order, so the mapping is
@@ -104,7 +108,7 @@ def live_at_points(func: Function, info: LivenessInfo | None = None) -> Dict[Tup
     return points
 
 
-def maxlive(func: Function) -> int:
+def maxlive(func: Function, liveness: Optional[LivenessMasks] = None) -> int:
     """Maxlive: the register-pressure lower bound of Section 2.1.
 
     A variable is live *at* its definition point (even when never used
@@ -113,10 +117,11 @@ def maxlive(func: Function) -> int:
     the block top, where they are defined in parallel.  With this
     convention ω(G) = Maxlive for strict SSA (Theorem 1).
 
-    Walks the :func:`liveness_masks` output backward, one popcount of
-    ``live | defs`` per instruction.
+    Walks the :func:`liveness_masks` output backward (``liveness``, if
+    the caller already solved it), one popcount of ``live | defs`` per
+    instruction.
     """
-    variables, _, out_masks = liveness_masks(func)
+    variables, _, out_masks = liveness or liveness_masks(func)
     bit = {v: 1 << i for i, v in enumerate(variables)}
     best = 0
     for name, live in out_masks.items():

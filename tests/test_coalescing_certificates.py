@@ -1,0 +1,181 @@
+"""The coalescing and allocation certificates built once per claim.
+
+* ``COAL004`` on the dense quotient gives the verdict and the
+  ``remaining`` list that the reference elimination of
+  ``tests/reference`` gives on :meth:`Coalescing.coalesced_graph`, over
+  random graphs, random valid partitions and several k;
+* the two ``chacha_mix`` failures (``biased`` and ``chordal``) are
+  pinned;
+* one claim costs one ``DenseGraph.from_graph`` (coalescing) or one
+  ``liveness_masks`` solve (allocation).
+"""
+
+import random
+import sys
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.analysis import AnalysisContext, load_all_passes
+from repro.analysis.coalescing_check import CoalescingClaim, _quotient
+from repro.analysis.engine_check import certify_allocation, certify_payload
+from repro.analysis.registry import get_pass
+from repro.engine.tasks import (
+    TaskSpec,
+    _allocation_payload,
+    _coalesce_payload,
+    _generate_instance,
+    _load_task_function,
+    execute_strategy,
+)
+from repro.graphs.dense import DenseGraph
+from repro.graphs.generators import random_graph
+from repro.graphs.greedy import coloring_number
+from repro.graphs.interference import Coalescing, InterferenceGraph
+from repro.intervals.linear_scan import linear_scan_allocate
+from repro.ir import liveness
+from tests import reference as ref
+
+load_all_passes()
+
+
+def _random_claim(seed):
+    """A random graph and a random valid partition of it."""
+    rng = random.Random(seed)
+    base = random_graph(rng.randint(1, 18), rng.uniform(0.05, 0.7), rng)
+    graph = InterferenceGraph()
+    for v in base.vertices:
+        graph.add_vertex(v)
+    for u, v in base.edges():
+        graph.add_edge(u, v)
+    coalescing = Coalescing(graph)
+    names = list(graph.vertices)
+    merges = rng.uniform(0.0, 1.5) * len(names)
+    for _ in range(int(merges)):
+        u, v = rng.sample(names, 2) if len(names) > 1 else (names[0],) * 2
+        if coalescing.can_union(u, v):
+            coalescing.union(u, v)
+    col = coloring_number(base)
+    ks = sorted({1, 2, max(1, col - 1), max(1, col), col + 1})
+    return graph, coalescing, ks
+
+
+def _reference_coal004(graph, coalescing, k):
+    """``(severity, detail)`` of the COAL004 findings, by the reference
+    elimination on the dict quotient."""
+    if not ref.greedy_elimination_order(graph, k)[1]:
+        return [("info", {"k": k})]
+    quotient = coalescing.coalesced_graph()
+    order, success = ref.greedy_elimination_order(quotient, k)
+    if success:
+        return []
+    removed = set(order)
+    leftover = sorted(str(v) for v in quotient.vertices if v not in removed)
+    return [("error", {"k": k, "remaining": leftover[:32]})]
+
+
+def _coal004(graph, coalescing, k):
+    claim = CoalescingClaim(graph=graph, coalescing=coalescing, k=k,
+                            conservative=True)
+    found = get_pass("coalescing-conservative").run(claim, AnalysisContext())
+    return [(d.severity, d.detail) for d in found]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6))
+def test_dense_coal004_matches_reference(seed):
+    graph, coalescing, ks = _random_claim(seed)
+    quotient = _quotient(coalescing, AnalysisContext()).to_graph()
+    expected = coalescing.coalesced_graph()
+    assert set(quotient.vertices) == set(expected.vertices)
+    assert {frozenset(e) for e in quotient.edges()} \
+        == {frozenset(e) for e in expected.edges()}
+    for k in ks:
+        assert _coal004(graph, coalescing, k) \
+            == _reference_coal004(graph, coalescing, k), k
+
+
+def test_random_claims_cover_every_verdict():
+    """The generator behind the property reaches vacuous, certified and
+    broken (non-conservative) partitions."""
+    verdicts = set()
+    for seed in range(200):
+        graph, coalescing, ks = _random_claim(seed)
+        for k in ks:
+            found = _coal004(graph, coalescing, k)
+            verdicts.add(found[0][0] if found else "certified")
+            assert found == _reference_coal004(graph, coalescing, k)
+    assert verdicts == {"info", "error", "certified"}
+
+
+def _chacha(strategy):
+    return TaskSpec(generator="llvm", seed=0, k=0, strategy=strategy,
+                    params={"path": "chacha_block.ll",
+                            "function": "chacha_mix"})
+
+
+@pytest.mark.parametrize("strategy, remain", [("biased", 45),
+                                              ("chordal", 82)])
+def test_chacha_mix_failures_pinned(strategy, remain):
+    """The two known COAL004 failures: the quotient keeps a core of 45
+    (``biased``) or 82 (``chordal``) vertices at k = Maxlive = 35."""
+    spec = _chacha(strategy)
+    instance, _ = _generate_instance(spec)
+    result = execute_strategy(instance.graph, instance.k, strategy)
+    payload = _coalesce_payload(instance, result)
+    found = certify_payload(instance, payload, strategy, instance.k)
+    assert [d.code for d in found] == ["COAL004"]
+    (diag,) = found
+    assert diag.severity == "error"
+    assert f"({remain} vertices of degree >= 35 remain)" in diag.message
+    # the payload's pairs rebuild the partition the checker saw
+    coalescing = Coalescing(instance.graph)
+    for u, v in payload["coalesced_pairs"]:
+        coalescing.union(u, v)
+    assert [("error", diag.detail)] \
+        == _reference_coal004(instance.graph, coalescing, 35)
+    assert len(diag.detail["remaining"]) == 32
+
+
+def test_one_dense_build_per_coalescing_claim(monkeypatch):
+    original = DenseGraph.from_graph.__func__
+    built = []
+
+    def counting(cls, graph):
+        built.append(graph)
+        return original(cls, graph)
+
+    monkeypatch.setattr(DenseGraph, "from_graph", classmethod(counting))
+    for strategy in ("briggs", "aggressive"):
+        spec = _chacha(strategy)
+        instance, _ = _generate_instance(spec)
+        result = execute_strategy(instance.graph, instance.k, strategy)
+        payload = _coalesce_payload(instance, result)
+        built.clear()
+        assert certify_payload(instance, payload, strategy,
+                               instance.k) == []
+        assert built == [instance.graph], strategy
+
+
+def test_one_liveness_solve_per_allocation_claim(monkeypatch):
+    """ALLOC001–003 and INTV001–003 share one solve (four before)."""
+    original = liveness.liveness_masks
+    calls = []
+
+    def counting(func, *args, **kwargs):
+        calls.append(func)
+        return original(func, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") \
+                and getattr(module, "liveness_masks", None) is original:
+            monkeypatch.setattr(module, "liveness_masks", counting)
+    for k in (0, -1):
+        spec = _chacha("linear-scan")
+        func, maxlive_k, _ = _load_task_function(spec)
+        result = linear_scan_allocate(func, maxlive_k + k)
+        payload = _allocation_payload(result)
+        calls.clear()
+        found = certify_allocation(func, result, payload)
+        assert not [d for d in found if d.severity == "error"]
+        assert len(calls) == 1, k

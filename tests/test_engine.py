@@ -216,6 +216,31 @@ class TestResultCache:
         cache.put(key, {"key": "ff" * 8, "status": "ok"})
         assert cache.get(key) is None
 
+    def test_roundtrip_of_floats_lists_and_unicode(self, tmp_path):
+        """put encodes a record in one call and reads back equal, also
+        when its shard directory (and the root) do not exist yet."""
+        cache = ResultCache(tmp_path / "fresh" / "root")
+        records = {}
+        for n, key in enumerate(("a1" * 8, "b2" * 8, "a1" + "c3" * 7)):
+            records[key] = {
+                "key": key,
+                "status": "ok",
+                "payload": {
+                    "residual_weight": 0.1 + 0.2 * n,
+                    "pairs": [["x\u00e9", "\u03c6.1"], [[1, 2.5], []]],
+                    "name": "chacha \u2014 \u00fcber",
+                },
+            }
+            # the third key shares the first one's shard
+            assert cache.path(key).parent.exists() == (n == 2)
+            assert cache.put(key, records[key]) is False
+        for key, record in records.items():
+            assert cache.get(key) == record
+            on_disk = json.loads(cache.path(key).read_text())
+            assert on_disk == record
+        assert cache.put("b2" * 8, records["b2" * 8]) is True
+        assert sorted(cache.keys()) == sorted(records)
+
     def test_concurrent_writers_never_corrupt(self, tmp_path):
         import threading
 

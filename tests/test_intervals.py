@@ -361,7 +361,7 @@ class TestIntervalCoalescing:
         from repro.challenge.generator import pressure_instance
 
         inst = pressure_instance(5, 6, rng=random.Random(3))
-        result = interval_coalesce(inst.graph, k=5)
+        result = interval_coalesce(inst.graph)
         assert result.strategy == "interval"
         errors = [d for d in check_coalescing_result(result, k=5)
                   if d.severity == "error"]
