@@ -20,7 +20,7 @@ beforehand — so the difference is measurable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from ..graphs.graph import Vertex
 from ..graphs.interference import InterferenceGraph
@@ -392,18 +392,7 @@ def irc_coalescing_result(
     coalescing = Coalescing(graph)
     for v, rep in result.alias.items():
         coalescing.union(v, rep)
-    coalesced = [
-        (u, v, w) for u, v, w in graph.affinities()
-        if coalescing.same_class(u, v)
-    ]
-    given_up = [
-        (u, v, w) for u, v, w in graph.affinities()
-        if not coalescing.same_class(u, v)
-    ]
     return CoalescingResult(
-        graph=graph,
-        coalescing=coalescing,
+        graph=graph, coalescing=coalescing,
         strategy="irc-george-any" if george_any else "irc",
-        coalesced=coalesced,
-        given_up=given_up,
     )

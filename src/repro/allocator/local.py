@@ -18,10 +18,10 @@ benches:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..ir.cfg import BasicBlock, Function
+from ..ir.cfg import BasicBlock
 from ..ir.instructions import Instr, Var
 from ..obs import NULL_TRACER, Tracer
 

@@ -15,7 +15,7 @@ and must be filtered out of pressure/interference computations
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set
 
 from ..ir.cfg import Function
 from ..ir.dominance import loop_depths

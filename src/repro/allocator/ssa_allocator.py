@@ -15,19 +15,18 @@ which is exactly the comparison surface of the E1/E2 benchmarks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Set, Tuple
 
 from ..coalescing.base import CoalescingResult
 from ..coalescing.conservative import conservative_coalesce
 from ..coalescing.optimistic import optimistic_coalesce
 from ..graphs.chordal import is_chordal
 from ..graphs.greedy import greedy_k_coloring
-from ..graphs.interference import InterferenceGraph
 from ..ir.cfg import Function
 from ..ir.interference import chaitin_interference, set_frequencies_from_loops
 from ..ir.instructions import Var
-from ..ir.liveness import compute_liveness, maxlive
+from ..ir.liveness import compute_liveness
 from ..ir.ssa import construct_ssa
 from ..obs import NULL_TRACER, Tracer
 from .chaitin import AllocationResult

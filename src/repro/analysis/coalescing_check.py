@@ -15,8 +15,9 @@ Coalescing (kind ``coalescing``, subject :class:`CoalescingClaim`):
 * ``coalescing-ledger`` — the strategy's bookkeeping matches the
   partition: every affinity reported as coalesced really has both
   endpoints in one class (``COAL003``), and externally claimed
-  aggregates (residual weight, coalesced count) match recomputation
-  (``COAL005``);
+  aggregates (residual weight, coalesced weight, coalesced count)
+  match what one walk of the partition's uncoalesced affinities
+  yields (``COAL005``);
 * ``coalescing-conservative`` — for strategies that claim
   conservativeness, the quotient graph :math:`G_f` is
   greedy-k-colorable (``COAL004``).  The quotient is built on a copy of
@@ -224,11 +225,14 @@ def check_coalescing_ledger(
                 detail={"affinity": [str(u), str(v)], "weight": w},
             )
     if claim.expected:
+        # one walk of the affinities, the aggregates derived as
+        # CoalescingResult derives them
+        given_up = coalescing.uncoalesced_affinities()
+        residual = sum(w for _, _, w in given_up)
         recomputed: Dict[str, float] = {
-            "residual_weight": coalescing.uncoalesced_weight(),
-            "coalesced_weight": coalescing.coalesced_weight(),
-            "coalesced": claim.graph.num_affinities()
-            - len(coalescing.uncoalesced_affinities()),
+            "residual_weight": residual,
+            "coalesced_weight": claim.graph.total_affinity_weight() - residual,
+            "coalesced": claim.graph.num_affinities() - len(given_up),
         }
         for name, actual in recomputed.items():
             claimed = claim.expected.get(name)

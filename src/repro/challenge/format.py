@@ -20,8 +20,8 @@ Node lines are optional for endpoints that appear in edges.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, TextIO, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, TextIO
 
 from ..graphs.interference import InterferenceGraph
 

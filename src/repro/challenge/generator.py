@@ -21,7 +21,7 @@ Two generators:
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..graphs.interference import InterferenceGraph
 from .format import ChallengeInstance

@@ -78,7 +78,8 @@ Every command uses the same scheme:
   strategy that errored on an instance);
 * ``2`` — usage or input errors: a file that is missing, empty, or
   malformed, a spec that does not parse, a required ``--k`` that was
-  not given.  Parse errors that carry a source line (IR and ``.ll``
+  not given, a ``--k`` below 1 (``generate``, ``allocate``) or a
+  ``--margin`` outside ``0..k-1``.  Parse errors that carry a source line (IR and ``.ll``
   input) print as ``file:line: message``.
 """
 
@@ -97,7 +98,7 @@ from .challenge.generator import pressure_instance, program_instance
 from .engine.tasks import execute_strategy as _run_strategy
 from .graphs.chordal import is_chordal
 from .graphs.dense import DENSE_TESTS
-from .graphs.greedy import coloring_number, is_greedy_k_colorable
+from .graphs.greedy import coloring_number
 from .graphs.io import read_dimacs, to_dot
 from .obs import NULL_TRACER, Tracer, merged_report
 
@@ -367,6 +368,9 @@ def cmd_allocate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.k < 1:
+        print(f"error: --k must be >= 1, got {args.k}", file=sys.stderr)
+        return 2
     try:
         functions = _load_ir_functions(args.file)
     except _InputError as exc:
@@ -424,6 +428,13 @@ def cmd_allocate(args: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     """Emit challenge-style instances."""
+    if args.k < 1:
+        print(f"error: --k must be >= 1, got {args.k}", file=sys.stderr)
+        return 2
+    if args.kind == "pressure" and not 0 <= args.margin < args.k:
+        print(f"error: --margin must be in 0..{args.k - 1} (below --k), "
+              f"got {args.margin}", file=sys.stderr)
+        return 2
     out = open(args.output, "w") if args.output else sys.stdout
     try:
         for i in range(args.count):
@@ -436,6 +447,10 @@ def cmd_generate(args: argparse.Namespace) -> int:
             else:
                 inst = program_instance(args.seed + i, args.k)
             dump_instance(inst, out)
+    except RuntimeError as exc:
+        # spilling cannot bring a program under a k this small
+        print(f"error: --k {args.k}: {exc}", file=sys.stderr)
+        return 2
     finally:
         if args.output:
             out.close()

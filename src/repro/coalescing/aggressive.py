@@ -15,9 +15,8 @@ the library offers:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
-from ..graphs.graph import Vertex
 from ..graphs.interference import Coalescing, InterferenceGraph
 from ..obs import NULL_TRACER, Tracer
 from .base import CoalescingResult, affinities_by_weight
@@ -28,31 +27,21 @@ def aggressive_coalesce(
 ) -> CoalescingResult:
     """Greedy aggressive coalescing, heaviest affinities first."""
     coalescing = Coalescing(graph)
-    coalesced: List[Tuple[Vertex, Vertex, float]] = []
-    given_up: List[Tuple[Vertex, Vertex, float]] = []
     tracer.count("affinities.total", graph.num_affinities())
     with tracer.span("aggressive"):
-        for u, v, w in affinities_by_weight(graph):
+        for u, v, _ in affinities_by_weight(graph):
             if coalescing.same_class(u, v):
-                coalesced.append((u, v, w))
                 tracer.count("moves.transitive")
                 continue
             tracer.count("moves.attempted")
             tracer.count("queries.interference")
             if coalescing.can_union(u, v):
                 coalescing.union(u, v)
-                coalesced.append((u, v, w))
                 tracer.count("moves.coalesced")
             else:
-                given_up.append((u, v, w))
                 tracer.count("moves.constrained")
     return CoalescingResult(
-        graph=graph,
-        coalescing=coalescing,
-        strategy="aggressive",
-        coalesced=coalesced,
-        given_up=given_up,
-    )
+        graph=graph, coalescing=coalescing, strategy="aggressive")
 
 
 def aggressive_coalesce_exact(
@@ -114,19 +103,8 @@ def aggressive_coalesce_exact(
     for (u, v, _), take in zip(affinities, best_choice[0]):
         if take:
             coalescing.union(u, v)
-    coalesced = [
-        (u, v, w) for u, v, w in affinities if coalescing.same_class(u, v)
-    ]
-    given_up = [
-        (u, v, w) for u, v, w in affinities if not coalescing.same_class(u, v)
-    ]
     return CoalescingResult(
-        graph=graph,
-        coalescing=coalescing,
-        strategy="aggressive-exact",
-        coalesced=coalesced,
-        given_up=given_up,
-    )
+        graph=graph, coalescing=coalescing, strategy="aggressive-exact")
 
 
 def _snapshot(c: Coalescing):

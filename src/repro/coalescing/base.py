@@ -10,7 +10,7 @@ paper's objective "at most K affinities are not coalesced".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from ..graphs.graph import Vertex
 from ..graphs.interference import Coalescing, InterferenceGraph
@@ -18,32 +18,46 @@ from ..graphs.interference import Coalescing, InterferenceGraph
 
 @dataclass
 class CoalescingResult:
-    """Outcome of a coalescing strategy on an interference graph."""
+    """Outcome of a coalescing strategy on an interference graph.
+
+    The ledger depends on the partition alone: one walk of
+    ``graph.affinities()`` at construction splits them into
+    ``coalesced`` and ``given_up`` (both in that order), and the
+    aggregates derive from those lists.
+    """
 
     graph: InterferenceGraph
     coalescing: Coalescing
     strategy: str
-    #: affinities (u, v, w) the strategy coalesced
-    coalesced: List[Tuple[Vertex, Vertex, float]] = field(default_factory=list)
+    #: affinities (u, v, w) whose endpoints share a class
+    coalesced: List[Tuple[Vertex, Vertex, float]] = field(init=False)
     #: affinities (u, v, w) left in the code (residual moves)
-    given_up: List[Tuple[Vertex, Vertex, float]] = field(default_factory=list)
+    given_up: List[Tuple[Vertex, Vertex, float]] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.coalesced, self.given_up = [], []
+        same_class = self.coalescing.same_class
+        for affinity in self.graph.affinities():
+            ledger = (
+                self.coalesced if same_class(affinity[0], affinity[1])
+                else self.given_up
+            )
+            ledger.append(affinity)
 
     @property
     def coalesced_weight(self) -> float:
         """Total weight of removed moves."""
-        return self.coalescing.coalesced_weight()
+        return self.graph.total_affinity_weight() - self.residual_weight
 
     @property
     def residual_weight(self) -> float:
         """Total weight of remaining moves (the paper's K)."""
-        return self.coalescing.uncoalesced_weight()
+        return sum(w for _, _, w in self.given_up)
 
     @property
     def num_coalesced(self) -> int:
         """Number of affinity pairs coalesced."""
-        return self.graph.num_affinities() - len(
-            self.coalescing.uncoalesced_affinities()
-        )
+        return len(self.coalesced)
 
     def coalesced_graph(self) -> InterferenceGraph:
         """The quotient graph :math:`G_f`."""

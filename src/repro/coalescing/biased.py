@@ -92,18 +92,5 @@ def biased_coloring_result(
             tracer.count("moves.coalesced")
         else:
             tracer.count("moves.rejected")
-    coalesced = [
-        (u, v, w) for u, v, w in graph.affinities()
-        if coalescing.same_class(u, v)
-    ]
-    given_up = [
-        (u, v, w) for u, v, w in graph.affinities()
-        if not coalescing.same_class(u, v)
-    ]
     return CoalescingResult(
-        graph=graph,
-        coalescing=coalescing,
-        strategy="biased-coloring",
-        coalesced=coalesced,
-        given_up=given_up,
-    )
+        graph=graph, coalescing=coalescing, strategy="biased-coloring")

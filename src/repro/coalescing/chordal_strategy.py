@@ -102,22 +102,5 @@ def chordal_incremental_coalesce(
             if tree is None:
                 raise AssertionError("witness merge broke chordality")
 
-    # final ledger from the partition itself: witness-chain merges can
-    # union the endpoints of affinities decided earlier
-    coalesced = [
-        (u, v, w)
-        for u, v, w in graph.affinities()
-        if coalescing.same_class(u, v)
-    ]
-    given_up = [
-        (u, v, w)
-        for u, v, w in graph.affinities()
-        if not coalescing.same_class(u, v)
-    ]
     return CoalescingResult(
-        graph=graph,
-        coalescing=coalescing,
-        strategy="chordal-incremental",
-        coalesced=coalesced,
-        given_up=given_up,
-    )
+        graph=graph, coalescing=coalescing, strategy="chordal-incremental")

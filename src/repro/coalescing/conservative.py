@@ -28,27 +28,27 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..graphs.dense import DENSE_TESTS, DenseGraph
+from ..graphs.dense import DENSE_TESTS, DenseGraph, greedy_core
 from ..graphs.interference import Coalescing, InterferenceGraph
-from ..graphs.greedy import is_greedy_k_colorable
 from ..obs import NULL_TRACER, Tracer
 from .base import CoalescingResult, affinities_by_weight
 
 
 def _coalesce_rounds(
     graph: InterferenceGraph,
+    dense: DenseGraph,
     k: int,
     test_fn: Callable[..., bool],
     coalescing: Coalescing,
     tracer: Tracer,
 ) -> None:
-    """The fixed-point worklist on the dense bitset work graph.
+    """The fixed-point worklist on ``dense``, the graph's bitset twin,
+    merged in place.
 
     The degree-≥-k mask ``high`` is maintained incrementally from the
     common-neighbour mask that :meth:`DenseGraph.merge_in_place`
     returns — the only vertices whose degree changed.
     """
-    dense = DenseGraph.from_graph(graph)
     deg = dense.deg
     # map each union-find representative to its slot in `dense`
     rep_idx = {v: dense.index[v] for v in graph.vertices}
@@ -108,7 +108,8 @@ def conservative_coalesce(
     on a colourable graph (the paper's setting: after spilling).
 
     The rounds run on a :class:`~repro.graphs.dense.DenseGraph` work
-    graph with the bitset tests of :data:`repro.graphs.dense.DENSE_TESTS`.
+    graph with the bitset tests of :data:`repro.graphs.dense.DENSE_TESTS`;
+    the input check peels the same work graph before the first round.
 
     ``tracer`` records rounds, merge attempts/accepts/rejections, and
     interference queries (see docs/OBSERVABILITY.md).
@@ -119,29 +120,13 @@ def conservative_coalesce(
         raise ValueError(
             f"unknown test {test!r}; choose from {sorted(DENSE_TESTS)}"
         )
-    if check_input and not is_greedy_k_colorable(graph, k):
+    dense = DenseGraph.from_graph(graph)
+    if check_input and greedy_core(dense, k):
         raise ValueError("input graph is not greedy-k-colorable")
 
     coalescing = Coalescing(graph)
     tracer.count("affinities.total", graph.num_affinities())
     with tracer.span(f"conservative-{test}"):
-        _coalesce_rounds(graph, k, test_fn, coalescing, tracer)
-    # final ledger from the partition itself, so affinities coalesced
-    # transitively (endpoints unioned through other moves) are counted
-    coalesced = [
-        (u, v, w)
-        for u, v, w in graph.affinities()
-        if coalescing.same_class(u, v)
-    ]
-    given_up = [
-        (u, v, w)
-        for u, v, w in graph.affinities()
-        if not coalescing.same_class(u, v)
-    ]
+        _coalesce_rounds(graph, dense, k, test_fn, coalescing, tracer)
     return CoalescingResult(
-        graph=graph,
-        coalescing=coalescing,
-        strategy=f"conservative-{test}",
-        coalesced=coalesced,
-        given_up=given_up,
-    )
+        graph=graph, coalescing=coalescing, strategy=f"conservative-{test}")

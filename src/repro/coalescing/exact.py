@@ -15,11 +15,10 @@ merge whose quotient is already not k-colorable can be pruned for the
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..budget import Budget
 from ..graphs.coloring import is_k_colorable
-from ..graphs.graph import Vertex
 from ..graphs.greedy import is_greedy_k_colorable
 from ..graphs.interference import Coalescing, InterferenceGraph
 from .base import CoalescingResult, affinities_by_weight
@@ -107,21 +106,8 @@ def optimal_conservative_coalescing(
     for (u, v, _), take in zip(affinities, best_sets[0]):
         if take:
             coalescing.union(u, v)
-    coalesced = [
-        (u, v, w) for u, v, w in affinities if coalescing.same_class(u, v)
-    ]
-    given_up = [
-        (u, v, w)
-        for u, v, w in affinities
-        if not coalescing.same_class(u, v)
-    ]
     return CoalescingResult(
-        graph=graph,
-        coalescing=coalescing,
-        strategy=f"exact-{target}",
-        coalesced=coalesced,
-        given_up=given_up,
-    )
+        graph=graph, coalescing=coalescing, strategy=f"exact-{target}")
 
 
 def _snapshot(c: Coalescing):

@@ -20,7 +20,7 @@ merge can help).
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..graphs.graph import Graph, Vertex
 from ..graphs.greedy import dense_subgraph_witness, is_greedy_k_colorable

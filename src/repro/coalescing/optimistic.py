@@ -19,7 +19,7 @@ reduction from vertex cover), so the library provides:
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..graphs.dense import DenseGraph, brute_force_test, greedy_core
 from ..graphs.graph import Vertex
@@ -136,23 +136,8 @@ def optimistic_coalesce(
                     slot[coalescing.find(u)] = su
                     tracer.count("optimistic.recoalesced")
 
-    coalesced = [
-        (u, v, w)
-        for u, v, w in graph.affinities()
-        if coalescing.same_class(u, v)
-    ]
-    given_up = [
-        (u, v, w)
-        for u, v, w in graph.affinities()
-        if not coalescing.same_class(u, v)
-    ]
     return CoalescingResult(
-        graph=graph,
-        coalescing=coalescing,
-        strategy="optimistic",
-        coalesced=coalesced,
-        given_up=given_up,
-    )
+        graph=graph, coalescing=coalescing, strategy="optimistic")
 
 
 def decoalesce_minimum(

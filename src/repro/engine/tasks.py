@@ -40,8 +40,8 @@ import json
 import random
 import threading
 import time
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..budget import Budget, BudgetExceeded
 from ..challenge.format import ChallengeInstance

@@ -124,8 +124,9 @@ def function_from_path(
     ``sha256`` optionally pins the file content: a campaign spec that
     records the digest can never silently run against an edited corpus
     file — the cache key covers only the spec, so the spec must cover
-    the data.  Shared by :func:`instance_from_path` and the engine's
-    ``"llvm"`` generator (which memoises what it builds).
+    the data.  :func:`instance_from_path` loads through it; the
+    engine's ``"llvm"`` generator reads the file itself and lowers the
+    bytes it keyed its build memo by through :func:`_function_from_bytes`.
     """
     return _function_from_bytes(path, Path(path).read_bytes(),
                                 function=function, sha256=sha256)
@@ -161,10 +162,12 @@ def instance_from_path(
     function: Optional[str] = None,
     sha256: Optional[str] = None,
 ) -> ChallengeInstance:
-    """One instance from a ``.ll`` file (the engine's ``"llvm"`` path).
+    """One instance from a ``.ll`` file, as an ``"llvm"`` task builds it.
 
-    Loads via :func:`function_from_path` (same ``function`` selection
-    and ``sha256`` pinning semantics) and wraps the result with
+    The engine's ``"llvm"`` generator builds this instance from the
+    same arguments, and memoises it.  Loads via
+    :func:`function_from_path` (same ``function`` selection and
+    ``sha256`` pinning semantics) and wraps the result with
     :func:`function_instance`.
     """
     func = function_from_path(path, function=function, sha256=sha256)

@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..ir.cfg import Function
 from ..ir.instructions import Instr, Phi
-from .parser import LLBlock, LLFunction, LLInstruction, LLModule, Operand
+from .parser import LLFunction, LLInstruction, LLModule, Operand
 
 __all__ = ["LoweringError", "lower_function", "lower_module"]
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 __all__ = ["FrontendSyntaxError", "Token", "tokenize"]
 
@@ -118,16 +118,3 @@ def tokenize(text: str) -> List[Token]:
             out.append(Token(kind, value, lineno))
     return out
 
-
-def token_lines(tokens: List[Token]) -> Iterator[List[Token]]:
-    """Group a token list by source line (used by tests)."""
-    if not tokens:
-        return
-    line: List[Token] = [tokens[0]]
-    for token in tokens[1:]:
-        if token.line != line[-1].line:
-            yield line
-            line = [token]
-        else:
-            line.append(token)
-    yield line

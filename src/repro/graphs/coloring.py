@@ -9,7 +9,7 @@ order for the exact backtracking solver.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..obs import NULL_TRACER, Tracer
 from .dense import DenseGraph

@@ -30,7 +30,7 @@ do strictly less work than the references (see
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..obs import NULL_TRACER, Tracer
 from ..obs.names import EDGES_SCANNED, WORDS_MERGED

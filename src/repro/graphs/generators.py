@@ -20,9 +20,9 @@ of a random tree, random interval graphs).
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .graph import Graph, Vertex
+from .graph import Graph
 from .interference import InterferenceGraph
 
 

@@ -275,10 +275,6 @@ class Coalescing:
         """Total weight of affinities not coalesced (the paper's cost K)."""
         return sum(w for _, _, w in self.uncoalesced_affinities())
 
-    def coalesced_weight(self) -> float:
-        """Total weight of coalesced affinities (the savings)."""
-        return self.graph.total_affinity_weight() - self.uncoalesced_weight()
-
     # ------------------------------------------------------------------
     # quotient
     # ------------------------------------------------------------------

@@ -16,7 +16,7 @@ executable for the (small) instances the tests use:
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Set
 
 from .coloring import chromatic_number
 from .graph import Graph, Vertex

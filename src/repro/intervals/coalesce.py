@@ -29,7 +29,7 @@ registers as non-conservative for translation validation.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from ..coalescing.base import CoalescingResult, affinities_by_weight
 from ..graphs.graph import Vertex
@@ -82,15 +82,12 @@ def _coalesce_by_ranges(
     class_ranges: Dict[Vertex, Ranges] = {
         v: ranges.get(v, ()) for v in graph.vertices
     }
-    coalesced: List[Tuple[Vertex, Vertex, float]] = []
-    given_up: List[Tuple[Vertex, Vertex, float]] = []
     counting = tracer.enabled
     tracer.count("affinities.total", graph.num_affinities())
     with tracer.span("interval-coalesce"):
-        for u, v, w in affinities_by_weight(graph):
+        for u, v, _ in affinities_by_weight(graph):
             ru, rv = coalescing.find(u), coalescing.find(v)
             if ru == rv:
-                coalesced.append((u, v, w))
                 tracer.count("moves.transitive")
                 continue
             tracer.count("moves.attempted")
@@ -98,21 +95,14 @@ def _coalesce_by_ranges(
             if counting:
                 tracer.count(EDGES_SCANNED, len(a) + len(b))
             if ranges_intersect(a, b):
-                given_up.append((u, v, w))
                 tracer.count("moves.constrained")
                 continue
             coalescing.union(ru, rv)
             root = coalescing.find(ru)
             class_ranges[root] = merge_ranges(a, b)
-            coalesced.append((u, v, w))
             tracer.count("moves.coalesced")
     return CoalescingResult(
-        graph=graph,
-        coalescing=coalescing,
-        strategy="interval",
-        coalesced=coalesced,
-        given_up=given_up,
-    )
+        graph=graph, coalescing=coalescing, strategy="interval")
 
 
 def interval_coalesce(

@@ -15,9 +15,9 @@ hiding the IR::
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .cfg import BasicBlock, Function
+from .cfg import Function
 from .instructions import Instr, Phi, Var
 
 

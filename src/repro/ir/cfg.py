@@ -9,7 +9,7 @@ conditional branches, not for the allocator).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from .instructions import Instr, Phi, Var
 

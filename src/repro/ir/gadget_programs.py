@@ -12,7 +12,6 @@ affinities, the shape local conservative rules give up on
 
 from __future__ import annotations
 
-from typing import List, Tuple
 
 from .builder import FunctionBuilder
 from .cfg import Function

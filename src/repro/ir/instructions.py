@@ -16,7 +16,7 @@ predecessor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Tuple
 
 Var = str
 

@@ -175,10 +175,3 @@ def intersection_interference(
     # so nothing further to do.
     return base
 
-
-def maxlive_lower_bound_holds(func: Function, k: int) -> bool:
-    """Convenience: True iff Maxlive ≤ k (necessary for a k-colouring
-    without spills)."""
-    from .liveness import maxlive
-
-    return maxlive(func) <= k

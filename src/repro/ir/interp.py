@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cfg import Function
-from .instructions import Instr, Var
+from .instructions import Var
 
 MODULUS = 9973  # a small prime keeps values bounded and mixes well
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Set, Tuple
 
 from .cfg import Function
-from .instructions import Instr, Var, move
+from .instructions import Var, move
 from .ssa import _copy_function
 
 _TERMINATOR_OPS = frozenset({"br", "cbr", "jmp", "ret", "switch"})

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict, Mapping
 
 from .cfg import Function
-from .instructions import Instr, Var
+from .instructions import Var
 from .ssa import _copy_function
 
 

@@ -17,7 +17,6 @@ import re
 from typing import (
     Any,
     Dict,
-    Iterable,
     Iterator,
     List,
     Mapping,

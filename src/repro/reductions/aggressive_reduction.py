@@ -23,13 +23,13 @@ move blocks ``x_e = u`` / ``x_e = v`` feeding a common use block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Set, Tuple
 
-from ..graphs.graph import Graph, Vertex
+from ..graphs.graph import Vertex
 from ..graphs.interference import Coalescing, InterferenceGraph
 from ..ir.builder import FunctionBuilder
 from ..ir.cfg import Function
-from .multiway_cut import MultiwayCutInstance, separates
+from .multiway_cut import MultiwayCutInstance
 
 
 @dataclass
@@ -102,24 +102,6 @@ def coalescing_to_cut(
         if broken:
             cut.add(frozenset((u, v)))
     return cut
-
-
-def verify_reduction(
-    reduction: AggressiveReduction, budget: int
-) -> Tuple[bool, bool]:
-    """Exercise both directions of the Theorem 2 equivalence.
-
-    Returns ``(cut_side, coalesce_side)`` decisions computed through
-    the maps — the test suite asserts they agree with the exact oracles.
-    """
-    from ..coalescing.aggressive import aggressive_coalesce_exact
-    from .multiway_cut import min_multiway_cut
-
-    cut = min_multiway_cut(reduction.source)
-    cut_ok = len(cut) <= budget
-    result = aggressive_coalesce_exact(reduction.interference)
-    coalesce_ok = len(result.given_up) <= budget
-    return cut_ok, coalesce_ok
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..graphs.coloring import k_coloring_exact
 from ..graphs.graph import Graph, Vertex

@@ -20,7 +20,7 @@ Two stages, following the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..graphs.coloring import k_coloring_exact
 from ..graphs.graph import Graph, Vertex

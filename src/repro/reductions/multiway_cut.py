@@ -12,9 +12,9 @@ source-side oracle when validating the reduction.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Optional, Set, Tuple
 
 from ..graphs.graph import Graph, Vertex
 

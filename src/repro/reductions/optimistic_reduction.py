@@ -42,7 +42,7 @@ recorded in DESIGN.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from ..graphs.graph import Graph, Vertex
 from ..graphs.greedy import dense_subgraph_witness, is_greedy_k_colorable

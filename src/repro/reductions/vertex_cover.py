@@ -9,7 +9,7 @@ points.
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Set
 
 from ..graphs.graph import Graph, Vertex
 

@@ -271,6 +271,27 @@ class TestExitCodes:
         assert err.startswith(f"error: {path}: ")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["generate", "--k", "0"],
+        ["generate", "--k", "4", "--margin", "4"],
+        ["generate", "--k", "4", "--margin", "-1"],
+        ["generate", "--kind", "program", "--k", "-3"],
+        ["generate", "--kind", "program", "--k", "1"],
+    ])
+    def test_generate_bad_k_or_margin_exit_two(self, capsys, argv):
+        assert main(argv + ["--count", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_allocate_k_zero_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "f.ir"
+        path.write_text("func f\nentry:\n  a = op\n  ret a\n")
+        assert main(["allocate", str(path), "--k", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --k must be >= 1, got 0\n"
+
     def test_closed_stdout_exits_141_quietly(self):
         import subprocess
         from pathlib import Path

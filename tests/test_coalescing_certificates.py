@@ -34,7 +34,7 @@ from repro.graphs.greedy import coloring_number
 from repro.graphs.interference import Coalescing, InterferenceGraph
 from repro.intervals.linear_scan import linear_scan_allocate
 from repro.ir import liveness
-from tests import reference as ref
+from tests import corpus_tasks, reference as ref
 
 load_all_passes()
 
@@ -179,3 +179,50 @@ def test_one_liveness_solve_per_allocation_claim(monkeypatch):
         found = certify_allocation(func, result, payload)
         assert not [d for d in found if d.severity == "error"]
         assert len(calls) == 1, k
+
+
+def test_coalescing_ledger_walks_the_partition_once(monkeypatch):
+    """COAL005's three aggregates come from one list of uncoalesced
+    affinities (three walks before)."""
+    instance, _ = _generate_instance(_chacha("briggs"))
+    result = execute_strategy(instance.graph, instance.k, "briggs")
+    original = Coalescing.uncoalesced_affinities
+    walks = []
+
+    def counting(self):
+        walks.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Coalescing, "uncoalesced_affinities", counting)
+    claim = CoalescingClaim(
+        graph=instance.graph, coalescing=result.coalescing, k=instance.k,
+        coalesced=result.coalesced,
+        expected={"residual_weight": result.residual_weight,
+                  "coalesced_weight": result.coalesced_weight,
+                  "coalesced": result.num_coalesced},
+    )
+    ledger = get_pass("coalescing-ledger")
+    assert list(ledger.fn(claim, AnalysisContext(k=instance.k))) == []
+    assert walks == [result.coalescing]
+
+
+def test_dense_builds_per_verified_corpus_pass(monkeypatch):
+    """A warm verified pass over the corpus task list converts 342
+    graphs to rows (432 while ``conservative_coalesce`` converted its
+    input once more for the input check)."""
+    from repro.engine import run_task
+
+    specs = list(corpus_tasks().values())
+    for spec in specs:
+        run_task(spec)  # warm the build memo, as a served pass finds it
+    original = DenseGraph.from_graph.__func__
+    built = []
+
+    def counting(cls, graph):
+        built.append(graph)
+        return original(cls, graph)
+
+    monkeypatch.setattr(DenseGraph, "from_graph", classmethod(counting))
+    for spec in specs:
+        assert run_task(spec, verify=True)["status"] == "ok"
+    assert len(built) == 342

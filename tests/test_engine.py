@@ -20,6 +20,7 @@ from repro.engine import (
 )
 from repro.engine.campaign import load_campaign
 from repro.obs import Tracer
+from tests import corpus_tasks
 
 
 def boom_task(seed, k, params, tracer, budget):
@@ -621,30 +622,6 @@ class TestVerify:
 # ---------------------------------------------------------------------------
 # verification of what run_task built (``verify_record(..., built=)``)
 # ---------------------------------------------------------------------------
-_E2E_STRATEGIES = (
-    "briggs", "george", "briggs_george", "george_extended", "brute",
-    "aggressive", "optimistic", "biased", "chordal", "irc", "interval",
-)
-
-
-def _corpus_task_list():
-    """Every corpus function with the eleven coalescing strategies at
-    k = Maxlive, plus both allocators at Maxlive and Maxlive - 1."""
-    from repro.frontend.corpus import corpus_functions
-    from repro.ir.liveness import maxlive
-
-    specs = []
-    for path, func in corpus_functions():
-        params = {"path": path.name, "function": func.name}
-        ks = [0] + ([maxlive(func) - 1] if maxlive(func) - 1 >= 2 else [])
-        specs += [TaskSpec(generator="llvm", seed=0, k=0, strategy=s,
-                           params=params) for s in _E2E_STRATEGIES]
-        specs += [TaskSpec(generator="llvm", seed=0, k=k, strategy=s,
-                           params=params)
-                  for s in ("linear-scan", "second-chance") for k in ks]
-    return specs
-
-
 def _handed_allocation(spec):
     """An allocation record plus the ``Built`` run_task would hand over."""
     from dataclasses import replace
@@ -686,7 +663,7 @@ class TestHandedVerification:
         from repro.analysis.engine_check import verify_record
 
         failed = []
-        for spec in _corpus_task_list():
+        for spec in corpus_tasks().values():
             record = run_task(spec, verify=True)
             assert record["status"] == "ok"
             handed = record["verification"]
@@ -1035,7 +1012,7 @@ class TestBuildMemo:
         payload, result_hash and verification."""
         from repro.engine import tasks
 
-        specs = [spec for spec in _corpus_task_list()
+        specs = [spec for spec in corpus_tasks().values()
                  if spec.params_dict()["path"] in ("chacha_block.ll",
                                                    "interp.ll")]
         assert len(specs) > 26

@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.coalescing.base import CoalescingResult
 from repro.graphs.dense import DenseGraph
 from repro.graphs.interference import (
     Coalescing,
@@ -153,8 +154,10 @@ class TestCoalescing:
     def test_weights(self, small):
         c = Coalescing(small)
         c.union("a", "c")
-        assert c.coalesced_weight() == 1.0
         assert c.uncoalesced_weight() == 1.0
+        result = CoalescingResult(graph=small, coalescing=c, strategy="x")
+        assert result.coalesced_weight == 1.0
+        assert result.residual_weight == 1.0
 
     def test_quotient_graph(self, small):
         c = Coalescing(small)

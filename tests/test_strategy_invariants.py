@@ -23,6 +23,7 @@ from repro.coalescing import (
 from repro.coalescing.biased import biased_greedy_coloring
 from repro.graphs.greedy import is_greedy_k_colorable
 from repro.graphs.interference import InterferenceGraph
+from tests import CORPUS_STRATEGIES
 
 CONSERVATIVE = [
     "briggs",
@@ -204,3 +205,70 @@ def test_aggressive_dominates_all(seed):
         r = conservative_coalesce(graph, k, test=test)
         assert r.residual_weight >= floor - 1e-9
     assert optimistic_coalesce(graph, k).residual_weight >= floor - 1e-9
+
+
+def _count_affinity_walks(monkeypatch):
+    """Record every ``InterferenceGraph.affinities()`` walk from now on."""
+    walks = []
+    original = InterferenceGraph.affinities
+
+    def counting(self):
+        walks.append(self)
+        return original(self)
+
+    monkeypatch.setattr(InterferenceGraph, "affinities", counting)
+    return walks
+
+
+def _tree_instance():
+    """A tree (chordal, greedy-2-colourable) whose affinities include an
+    interfering pair, a transitive triangle and a separable pair."""
+    graph = InterferenceGraph()
+    for u, v in [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("b", "f")]:
+        graph.add_edge(u, v)
+    for u, v, w in [("a", "b", 4.0), ("a", "c", 1.0), ("c", "e", 2.0),
+                    ("d", "f", 3.0), ("a", "e", 1.0)]:
+        graph.add_affinity(u, v, w)
+    return graph, 2
+
+
+def _read_ledger(result):
+    return (result.coalesced, result.given_up, result.num_coalesced,
+            result.coalesced_weight, result.residual_weight)
+
+
+@pytest.mark.parametrize(
+    "strategy", CORPUS_STRATEGIES + ("exact", "exact-kcolorable"))
+def test_ledger_is_one_walk_of_the_partition(monkeypatch, strategy):
+    """Every strategy's ledger is what its partition alone yields, in
+    ``graph.affinities()`` order, and building it walks them once."""
+    from repro.coalescing.base import CoalescingResult
+    from repro.engine.tasks import execute_strategy
+
+    graph, k = _tree_instance()
+    result = execute_strategy(graph, k, strategy)
+    walks = _count_affinity_walks(monkeypatch)
+    rebuilt = CoalescingResult(graph=graph, coalescing=result.coalescing,
+                               strategy=result.strategy)
+    assert _read_ledger(rebuilt) == _read_ledger(result)
+    assert walks == [graph]
+
+
+def test_conservative_ledger_is_one_walk_after_its_rounds(monkeypatch):
+    """Once its rounds end, ``conservative_coalesce`` walks the
+    affinities once for the whole ledger (five walks before: two
+    hand-built lists and one per aggregate)."""
+    from repro.coalescing import conservative
+
+    graph, k = _tree_instance()
+    walks = _count_affinity_walks(monkeypatch)
+    after_rounds = []
+    rounds = conservative._coalesce_rounds
+
+    def marked(*args):
+        rounds(*args)
+        after_rounds.append(len(walks))
+
+    monkeypatch.setattr(conservative, "_coalesce_rounds", marked)
+    _read_ledger(conservative.conservative_coalesce(graph, k))
+    assert len(walks) - after_rounds[0] == 1

@@ -15,6 +15,12 @@ and are not descended into):
 * TL004 — public functions and classes carry a docstring (dunder
   methods excluded: their contracts are the language's).
 
+and, per module:
+
+* TL005 — every module-level import binds a name the module reads
+  (names in string annotations count) or lists in ``__all__``; a
+  ``# noqa: F401`` comment on the import exempts a side-effect import.
+
 Exit status: 0 when clean, 1 when any finding, 2 on usage errors —
 the same scheme as the ``repro`` CLI (see docs/ANALYSIS.md).
 
@@ -28,7 +34,7 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
-from typing import Iterator, List, Tuple, Union
+from typing import Iterator, List, Set, Tuple, Union
 
 Finding = Tuple[str, int, str, str]  # path, line, code, message
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
@@ -107,6 +113,73 @@ def _check_body(
                 _check_function(path, node, findings)
 
 
+def _annotations(tree: ast.AST) -> Iterator[ast.expr]:
+    """Every annotation expression in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                and node.returns is not None:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _read_names(tree: ast.AST) -> Set[str]:
+    """Names the module reads, including those of string annotations."""
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    for annotation in _annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    quoted = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                read |= _read_names(quoted)
+    return read
+
+
+def _exported(tree: ast.Module) -> Set[str]:
+    """The string entries of the module's ``__all__``."""
+    names: Set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            if any(isinstance(t, ast.Name) and t.id == "__all__"
+                   for t in targets):
+                names |= {
+                    elt.value for elt in ast.walk(node.value)
+                    if isinstance(elt, ast.Constant)
+                    and isinstance(elt.value, str)
+                }
+    return names
+
+
+def _check_imports(
+    path: Path, tree: ast.Module, lines: List[str], findings: List[Finding]
+) -> None:
+    """Append a TL005 finding for each unused module-level import."""
+    used = _read_names(tree) | _exported(tree)
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) \
+                or getattr(node, "module", None) == "__future__":
+            continue
+        end = node.end_lineno or node.lineno
+        if any("noqa: F401" in line for line in lines[node.lineno - 1:end]):
+            continue
+        for alias in node.names:
+            bound = alias.asname or alias.name.split(".")[0]
+            if alias.name != "*" and bound not in used:
+                findings.append((
+                    str(path), node.lineno, "TL005",
+                    f"{bound!r} is imported but never used",
+                ))
+
+
 def check_module(path: Path) -> List[Finding]:
     """Lint one module; return its findings."""
     source = path.read_text()
@@ -131,6 +204,7 @@ def check_module(path: Path) -> List[Finding]:
             "'from __future__ import annotations'",
         ))
     _check_body(path, tree.body, findings)
+    _check_imports(path, tree, source.splitlines(), findings)
     return findings
 
 
