@@ -17,7 +17,6 @@ from typing import Dict, FrozenSet, List, Set, Tuple
 
 from ..graphs.dense import (
     DENSE_TESTS,
-    DenseGraph,
     briggs_george_test,
     is_greedy_k_colorable,
 )
@@ -134,8 +133,8 @@ def _color_round(
     spill_metric: str = "cost_degree",
     tracer: Tracer = NULL_TRACER,
 ) -> Tuple[Dict[Var, int], int, List[Var]]:
-    """One simplify/coalesce/freeze/spill/select round on one
-    :class:`DenseGraph` work graph, with the tests of
+    """One simplify/coalesce/freeze/spill/select round on a copy of the
+    graph's dense twin, with the tests of
     :data:`~repro.graphs.dense.DENSE_TESTS`.
 
     Vertices are visited in slot order.  A coalesced pair re-enters
@@ -146,9 +145,10 @@ def _color_round(
     coalesced moves, actual spills).
     """
     test_fn = DENSE_TESTS[test]
-    work = DenseGraph.from_graph(graph)
+    build = graph.dense()
+    work = build.copy()
     adj, deg = work.adj, work.deg
-    rows = list(adj)  # the build graph, for select
+    rows = build.adj  # the build graph, for select
     origin = work.index  # variable -> its row in `rows`
     label = [str(v) for v in work.names]
     members: Dict[int, Set[Var]] = {i: {v} for i, v in enumerate(work.names)}

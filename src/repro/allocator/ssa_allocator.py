@@ -178,7 +178,7 @@ def ssa_allocate(
         graph = chaitin_interference(lowered, weighted=True)
         for v in [v for v in graph.vertices if is_memory_slot(v)]:
             graph.remove_vertex(v)
-        stats.chordal = is_chordal(graph.structural_graph())
+        stats.chordal = is_chordal(graph)
 
     if coalescing == "none":
         quotient = graph

@@ -165,7 +165,7 @@ def verify_elimination_order(
                 where=str(v), obj=ctx.obj, detail={"vertex": str(v)},
             )]
         seen.add(v)
-    dense = DenseGraph.from_graph(graph)
+    dense = graph.dense()
     rounds = [1 << dense.index[v] for v in order]
     return verify_elimination_rounds(dense, rounds, k, ctx)
 

@@ -29,10 +29,11 @@ Coalescing (kind ``coalescing``, subject :class:`CoalescingClaim`):
   budget-heavy pass: it threads the context budget so campaign-time
   verification degrades deterministically.
 
-The coalescing passes share one :meth:`~repro.graphs.dense.DenseGraph.
-from_graph` build of the claim graph and the allocation passes one
-liveness solve and one set of interference rows of the final code,
-through the context's fact memo (:meth:`AnalysisContext.fact`).
+The coalescing passes read the claim graph's dense twin
+(:meth:`~repro.graphs.graph.Graph.dense`), built once per graph and
+shared with the strategy that produced the claim; the allocation passes
+share one liveness solve and one set of interference rows of the final
+code through the context's fact memo (:meth:`AnalysisContext.fact`).
 
 Allocation (kind ``allocation``, duck-typed subject with ``function``,
 ``assignment``, ``k``, ``spilled`` attributes — i.e. an
@@ -114,11 +115,6 @@ def claim_from_result(result: Any, k: int = 0) -> CoalescingClaim:
     )
 
 
-def _dense(graph: InterferenceGraph, ctx: AnalysisContext) -> DenseGraph:
-    """The claim graph's dense twin, built once per context."""
-    return ctx.fact("dense", graph, DenseGraph.from_graph)
-
-
 def _classes(
     coalescing: Coalescing, ctx: AnalysisContext
 ) -> List[FrozenSet[Any]]:
@@ -136,7 +132,7 @@ def _quotient(coalescing: Coalescing, ctx: AnalysisContext) -> DenseGraph:
     it.  Raises ``ValueError`` if a class holds two interfering vertices
     and ``KeyError`` if it holds a vertex the graph lacks.
     """
-    quotient = _dense(coalescing.graph, ctx).copy()
+    quotient = coalescing.graph.dense().copy()
     index = quotient.index
     for cls in _classes(coalescing, ctx):
         if len(cls) > 1:
@@ -180,7 +176,7 @@ def check_coalescing_validity(
                 f"graph vertex {v} is missing from the partition",
                 where=str(v), obj=ctx.obj, detail={"vertex": str(v)},
             )
-    dense = _dense(graph, ctx)
+    dense = graph.dense()
     index, adj, names = dense.index, dense.adj, dense.names
     for cls in classes:
         ctx.check_budget(len(cls))
@@ -263,7 +259,7 @@ def check_coalescing_conservative(
     ctx.check_budget()
     # conservativeness is a *preservation* contract: it only promises a
     # greedy-k-colorable quotient when the input graph was one
-    if greedy_core(_dense(claim.graph, ctx), k):
+    if greedy_core(claim.graph.dense(), k):
         yield Diagnostic(
             "COAL004", "info",
             f"input graph is not greedy-{k}-colorable, so the "

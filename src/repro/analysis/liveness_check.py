@@ -94,8 +94,7 @@ def check_chordality(
         return
     func, graph = subject
     ctx.check_budget()
-    structure = graph.structural_graph()
-    if not is_chordal(structure):
+    if not is_chordal(graph):
         yield Diagnostic(
             "LIVE003", "error",
             "interference graph of a strict-SSA function is not chordal "
@@ -104,7 +103,7 @@ def check_chordality(
         )
         return
     ctx.check_budget()
-    omega = clique_number_chordal(structure)
+    omega = clique_number_chordal(graph)
     pressure = maxlive(func)
     if omega != pressure:
         yield Diagnostic(

@@ -88,8 +88,8 @@ class AnalysisContext:
 
         Keyed by ``name`` and the identity of ``subject``, so every pass
         of a run that derives the same fact from the same object — the
-        liveness of an allocation's final code, the dense twin of a
-        claim's graph — shares one computation.  The entry holds
+        liveness of an allocation's final code, the classes of a
+        claim's partition — shares one computation.  The entry holds
         ``subject``, so its id cannot be reused while the context lives.
         Passes never mutate their subject or a fact, so an entry stays
         valid for the whole run.

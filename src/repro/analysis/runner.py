@@ -162,7 +162,7 @@ def check_instance(
                         detail={"affinity": [str(u), str(v)], "weight": w},
                     ))
             ctx.check_budget()
-            chordal = is_chordal(instance.graph.structural_graph())
+            chordal = is_chordal(instance.graph)
             colorable = (
                 is_greedy_k_colorable(instance.graph, instance.k)
                 if instance.k > 0 else False

@@ -47,7 +47,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..challenge.generator import pressure_instance
 from ..coalescing.conservative import conservative_coalesce
 from ..graphs import dense as _dense
-from ..graphs.dense import DenseGraph
 from ..graphs.generators import random_chordal_graph, random_graph
 from ..ir.generators import GeneratorConfig, random_function
 from ..ir.interference import chaitin_interference
@@ -133,11 +132,10 @@ def pinned_suite() -> List[Dict[str, object]]:
         ("chordal-160", random_chordal_graph(160, 24, seed=7)),
     ]
     for name, graph in graphs:
-        dense_graph = DenseGraph.from_graph(graph)
         case("mcs", name, (graph,),
-             lambda t, d=dense_graph: _dense.mcs_order(d, tracer=t))
+             lambda t, d=graph.dense(): _dense.mcs_order(d, tracer=t))
         case("color", name, (graph,),
-             lambda t, d=dense_graph: _dense.greedy_coloring(d, tracer=t))
+             lambda t, d=graph.dense(): _dense.greedy_coloring(d, tracer=t))
 
     # --- live-interval construction (liveness + point walk) ----------
     from ..intervals.model import build_intervals

@@ -232,12 +232,11 @@ def cmd_info(args: argparse.Namespace) -> int:
         header += f" {'maxlive':>8} {'ivals':>6} {'maxovl':>7}"
     print(header)
     for inst in instances:
-        structural = inst.graph.structural_graph()
         row = (
             f"{inst.name:<16} {len(inst.graph):>5} "
             f"{inst.graph.num_edges():>6} {inst.graph.num_affinities():>5} "
-            f"{inst.k:>3} {str(is_chordal(structural)):>8} "
-            f"{coloring_number(structural):>4}"
+            f"{inst.k:>3} {str(is_chordal(inst.graph)):>8} "
+            f"{coloring_number(inst.graph):>4}"
         )
         stats = interval_cols.get(inst.name.rpartition(":")[2])
         if interval_cols:
@@ -252,6 +251,9 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 def cmd_coalesce(args: argparse.Namespace) -> int:
     """Run a coalescing strategy on every instance of a file."""
+    if args.k < 0:
+        print(f"error: --k must be >= 0, got {args.k}", file=sys.stderr)
+        return 2
     try:
         instances = _load(args.file, args.dimacs)
     except _InputError as exc:
@@ -285,6 +287,9 @@ def cmd_coalesce(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Run a strategy under a tracer and emit a structured report."""
+    if args.k < 0:
+        print(f"error: --k must be >= 0, got {args.k}", file=sys.stderr)
+        return 2
     try:
         instances = _load(args.file, args.dimacs)
     except _InputError as exc:

@@ -31,7 +31,6 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..graphs.chordal import dense_clique_tree
-from ..graphs.dense import DenseGraph
 from ..graphs.graph import Vertex
 from ..graphs.interference import Coalescing, InterferenceGraph
 from ..obs import NULL_TRACER, Tracer
@@ -49,13 +48,14 @@ def chordal_incremental_coalesce(
     clique number exceeds ``k``.  The result's quotient is chordal with
     ω ≤ k — hence greedy-k-colorable (Property 1).
 
-    The work graph is one :class:`DenseGraph`: each merged group takes
-    a fresh last slot (:meth:`DenseGraph.add_vertex` then
-    :meth:`DenseGraph.merge_group`), and its clique tree
-    (:func:`dense_clique_tree`) is rebuilt only after a merge, so
-    rejected affinities reuse it.
+    The work graph is a copy of the graph's dense twin
+    (:meth:`~repro.graphs.graph.Graph.dense`): each merged group takes
+    a fresh last slot (:meth:`~repro.graphs.dense.DenseGraph.add_vertex`
+    then :meth:`~repro.graphs.dense.DenseGraph.merge_group`), and its
+    clique tree (:func:`dense_clique_tree`) is rebuilt only after a
+    merge, so rejected affinities reuse it.
     """
-    work = DenseGraph.from_graph(graph)
+    work = graph.dense().copy()
     tree = dense_clique_tree(work)
     if tree is None:
         raise ValueError("input graph must be chordal")

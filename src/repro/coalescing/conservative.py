@@ -107,9 +107,10 @@ def conservative_coalesce(
     raises ``ValueError`` — conservative coalescing is only meaningful
     on a colourable graph (the paper's setting: after spilling).
 
-    The rounds run on a :class:`~repro.graphs.dense.DenseGraph` work
-    graph with the bitset tests of :data:`repro.graphs.dense.DENSE_TESTS`;
-    the input check peels the same work graph before the first round.
+    The rounds run on a copy of the graph's dense twin
+    (:meth:`~repro.graphs.graph.Graph.dense`) with the bitset tests of
+    :data:`repro.graphs.dense.DENSE_TESTS`; the input check peels the
+    same work graph before the first round.
 
     ``tracer`` records rounds, merge attempts/accepts/rejections, and
     interference queries (see docs/OBSERVABILITY.md).
@@ -120,7 +121,7 @@ def conservative_coalesce(
         raise ValueError(
             f"unknown test {test!r}; choose from {sorted(DENSE_TESTS)}"
         )
-    dense = DenseGraph.from_graph(graph)
+    dense = graph.dense().copy()
     if check_input and greedy_core(dense, k):
         raise ValueError("input graph is not greedy-k-colorable")
 

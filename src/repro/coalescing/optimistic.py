@@ -21,7 +21,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..graphs.dense import DenseGraph, brute_force_test, greedy_core
+from ..graphs.dense import brute_force_test, greedy_core
 from ..graphs.graph import Vertex
 from ..graphs.greedy import is_greedy_k_colorable
 from ..graphs.interference import Coalescing, InterferenceGraph
@@ -47,8 +47,9 @@ def optimistic_coalesce(
     refinement that recovers moves the coarse dissolution gave up
     needlessly.
 
-    Everything runs on one :class:`DenseGraph` of ``graph``: each round
-    copies its rows and merges every class into its first member's
+    Everything runs on the graph's dense twin
+    (:meth:`~repro.graphs.graph.Graph.dense`): each round copies its
+    rows and merges every class into its first member's
     slot, so live slots come in :meth:`Coalescing.coalesced_graph`
     vertex order and the witness — the k-core left by the dense
     peel (:func:`~repro.graphs.dense.greedy_core`) — lists blockers in
@@ -59,7 +60,7 @@ def optimistic_coalesce(
     aggressive = aggressive_coalesce(graph, tracer=tracer)
     classes: List[Set[Vertex]] = [set(c) for c in aggressive.coalescing.classes()]
     dissolved_pairs: Set[Tuple[Vertex, Vertex]] = set()
-    base = DenseGraph.from_graph(graph)
+    base = graph.dense()
     index = base.index
     affinities = list(graph.affinities())
 

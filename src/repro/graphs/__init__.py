@@ -40,7 +40,6 @@ from .greedy import (
     greedy_elimination_order,
     greedy_k_coloring,
     is_greedy_k_colorable,
-    smallest_last_order,
 )
 from . import dense, generators, interval, io, perfect
 
@@ -74,7 +73,6 @@ __all__ = [
     "greedy_elimination_order",
     "greedy_k_coloring",
     "is_greedy_k_colorable",
-    "smallest_last_order",
     "dense",
     "generators",
     "interval",

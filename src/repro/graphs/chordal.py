@@ -43,7 +43,7 @@ def maximum_cardinality_search(
     (:func:`repro.graphs.dense.mcs_order`): one bitmask bucket per
     visited-neighbour count, ties going to insertion order.
     """
-    dense = DenseGraph.from_graph(graph)
+    dense = graph.dense()
     return [dense.names[i] for i in _dense_mcs_order(dense, tracer=tracer)]
 
 
@@ -88,7 +88,7 @@ def perfect_elimination_ordering(graph: Graph) -> Optional[List[Vertex]]:
     The PEO is the reverse of the MCS order :func:`dense_clique_tree`
     walked and checked.
     """
-    dense = DenseGraph.from_graph(graph)
+    dense = graph.dense()
     tree = dense_clique_tree(dense)
     if tree is None:
         return None
@@ -97,7 +97,7 @@ def perfect_elimination_ordering(graph: Graph) -> Optional[List[Vertex]]:
 
 def is_chordal(graph: Graph) -> bool:
     """True iff every cycle of length ≥ 4 has a chord."""
-    return dense_clique_tree(DenseGraph.from_graph(graph)) is not None
+    return dense_clique_tree(graph.dense()) is not None
 
 
 def simplicial_vertices(graph: Graph) -> List[Vertex]:
@@ -187,7 +187,7 @@ def dense_clique_tree(dense: DenseGraph) -> Optional[DenseCliqueTree]:
 def _chordal_walk(graph: Graph) -> Tuple[List[Vertex], DenseCliqueTree]:
     """The dense walk of ``graph`` and its interning; ``ValueError`` on
     a non-chordal input."""
-    dense = DenseGraph.from_graph(graph)
+    dense = graph.dense()
     tree = dense_clique_tree(dense)
     if tree is None:
         raise ValueError("graph is not chordal")

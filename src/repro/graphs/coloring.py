@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..obs import NULL_TRACER, Tracer
-from .dense import DenseGraph
 from .dense import greedy_coloring as _dense_greedy_coloring
 from .graph import Graph, Vertex
 
@@ -36,7 +35,7 @@ def greedy_coloring(
     Routed through the dense bitset kernel
     (:func:`repro.graphs.dense.greedy_coloring`).
     """
-    dense = DenseGraph.from_graph(graph)
+    dense = graph.dense()
     idx_order = None if order is None else [dense.index[v] for v in order]
     colors = _dense_greedy_coloring(dense, order=idx_order, tracer=tracer)
     return {dense.names[i]: c for i, c in colors.items()}

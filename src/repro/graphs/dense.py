@@ -18,6 +18,11 @@ verdicts), so the public dict-based API routes through this module
 without changing observable results.  The equivalence is enforced by
 property tests (``tests/test_dense.py``).
 
+Strategies, dict-graph wrappers and verifier passes all read a graph's
+one twin, :meth:`Graph.dense() <repro.graphs.graph.Graph.dense>`, kept
+until the graph is mutated; its rows are tuples, so a kernel that
+merges or removes works on a :meth:`DenseGraph.copy`.
+
 Work accounting: kernels count :data:`~repro.obs.names.EDGES_SCANNED`
 for every adjacency element actually visited and
 :data:`~repro.obs.names.WORDS_MERGED` for every machine word processed
@@ -65,7 +70,8 @@ class DenseGraph:
     popcount of it, and ``alive`` the bitmask of vertices not yet
     removed by a merge (merging never reindexes — the dead slot just
     empties, keeping indices stable for the whole run; a new vertex
-    takes the next slot).
+    takes the next slot).  A graph's shared twin holds ``adj`` and
+    ``deg`` as tuples, so every mutator raises on it.
     """
 
     __slots__ = ("names", "index", "adj", "deg", "alive", "words")
@@ -142,7 +148,7 @@ class DenseGraph:
             self.deg[j] += 1
 
     def copy(self) -> "DenseGraph":
-        """An independent copy sharing the (immutable) interning."""
+        """An independent, mutable copy sharing the (immutable) interning."""
         dup = DenseGraph.__new__(DenseGraph)
         dup.names = self.names
         dup.index = self.index
@@ -217,10 +223,10 @@ class DenseGraph:
         unaffected.
         """
         s = len(self.names)
-        self.names = self.names + [name]
-        self.index = {**self.index, name: s}
         self.adj.append(0)
         self.deg.append(0)
+        self.names = self.names + [name]
+        self.index = {**self.index, name: s}
         self.alive |= 1 << s
         self.words = max(1, (s + WORD_BITS) // WORD_BITS)
         return s

@@ -12,7 +12,10 @@ degree queries, edge tests, and vertex merging.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Hashable, Iterable, Iterator, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Hashable, Iterable, Iterator, Optional, Sequence, Set, Tuple
+
+if TYPE_CHECKING:
+    from .dense import DenseGraph
 
 Vertex = Hashable
 Edge = Tuple[Vertex, Vertex]
@@ -33,6 +36,7 @@ class Graph:
         edges: Iterable[Edge] = (),
     ) -> None:
         self._adj: Dict[Vertex, Set[Vertex]] = {}
+        self._dense: Optional["DenseGraph"] = None
         for v in vertices:
             self.add_vertex(v)
         for u, v in edges:
@@ -45,6 +49,7 @@ class Graph:
         """Add ``v`` if not already present."""
         if v not in self._adj:
             self._adj[v] = set()
+            self._dense = None
 
     def add_edge(self, u: Vertex, v: Vertex) -> None:
         """Add the undirected edge ``(u, v)``, adding endpoints as needed."""
@@ -54,6 +59,7 @@ class Graph:
         self.add_vertex(v)
         self._adj[u].add(v)
         self._adj[v].add(u)
+        self._dense = None
 
     def add_edge_rows(self, names: Sequence[Vertex], rows: Iterable[int]) -> None:
         """Add the edges of bitmask rows over ``names`` in one pass.
@@ -67,6 +73,7 @@ class Graph:
         """
         for v in names:
             self.add_vertex(v)
+        self._dense = None
         sets = [self._adj[v] for v in names]
         for i, row in enumerate(rows):
             vi = names[i]
@@ -83,6 +90,7 @@ class Graph:
         """Remove ``v`` and all incident edges."""
         for u in self._adj.pop(v):
             self._adj[u].discard(v)
+        self._dense = None
 
     def remove_edge(self, u: Vertex, v: Vertex) -> None:
         """Remove the edge ``(u, v)``; raise ``KeyError`` if absent."""
@@ -90,6 +98,7 @@ class Graph:
             raise KeyError(f"no edge ({u!r}, {v!r})")
         self._adj[u].discard(v)
         self._adj[v].discard(u)
+        self._dense = None
 
     # ------------------------------------------------------------------
     # queries
@@ -164,6 +173,21 @@ class Graph:
     # ------------------------------------------------------------------
     # derived graphs
     # ------------------------------------------------------------------
+    def dense(self) -> "DenseGraph":
+        """The graph's :class:`~repro.graphs.dense.DenseGraph` twin, built
+        on first call and kept until a mutator of this graph drops it.
+
+        Its ``adj`` and ``deg`` are tuples, so merging or removing on it
+        raises ``TypeError``; kernels that mutate work on its ``copy()``.
+        """
+        if self._dense is None:
+            from .dense import DenseGraph
+
+            twin = DenseGraph.from_graph(self)
+            twin.adj, twin.deg = tuple(twin.adj), tuple(twin.deg)
+            self._dense = twin
+        return self._dense
+
     def copy(self) -> "Graph":
         """An independent structural copy."""
         g = Graph()

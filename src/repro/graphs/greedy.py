@@ -4,7 +4,7 @@ Section 2.2 of the paper: a graph is *greedy-k-colorable* iff repeatedly
 removing some vertex of degree < k empties the graph.  The removal order
 (in reverse) then yields a k-colouring greedily.  The smallest k for
 which this works is the colouring number col(G) = 1 + max over subgraphs
-of the minimum degree, computed by the smallest-last order.
+of the minimum degree.
 
 These routines are the workhorse of the conservative brute-force test
 ("merge, then check greedy-k-colorability in linear time") and of the
@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..obs import NULL_TRACER, Tracer
 from . import dense as _dense
-from .dense import DenseGraph
 from .graph import Graph, Vertex
 
 
@@ -32,7 +31,7 @@ def greedy_elimination_order(
     confluent — Section 2.2).  Runs on the dense bitset kernel
     (:func:`repro.graphs.dense.greedy_elimination_order`).
     """
-    dg = DenseGraph.from_graph(graph)
+    dg = graph.dense()
     order, success = _dense.greedy_elimination_order(dg, k, tracer=tracer)
     return [dg.names[i] for i in order], success
 
@@ -44,7 +43,7 @@ def is_greedy_k_colorable(
 
     Runs on the dense k-core peel (:func:`repro.graphs.dense.greedy_core`).
     """
-    return _dense.greedy_core(DenseGraph.from_graph(graph), k, tracer=tracer) == 0
+    return _dense.greedy_core(graph.dense(), k, tracer=tracer) == 0
 
 
 def greedy_k_coloring(graph: Graph, k: int) -> Optional[Dict[Vertex, int]]:
@@ -55,60 +54,32 @@ def greedy_k_coloring(graph: Graph, k: int) -> Optional[Dict[Vertex, int]]:
     because each vertex had < k neighbours remaining when removed.
     Both phases run on the dense bitset kernels.
     """
-    dg = DenseGraph.from_graph(graph)
+    dg = graph.dense()
     coloring = _dense.greedy_k_coloring(dg, k)
     if coloring is None:
         return None
     return {dg.names[i]: c for i, c in coloring.items()}
 
 
-def smallest_last_order(graph: Graph) -> List[Vertex]:
-    """A smallest-last ordering x1, ..., xn.
-
-    x_i has minimum degree in the subgraph after removing x1..x_{i-1}.
-    Lazy-heap implementation, O((V+E) log V).
-    """
-    import heapq
-
-    degree: Dict[Vertex, int] = {v: graph.degree(v) for v in graph.vertices}
-    index = {v: i for i, v in enumerate(graph.vertices)}
-    heap = [(d, index[v], v) for v, d in degree.items()]
-    heapq.heapify(heap)
-    removed: Dict[Vertex, bool] = {v: False for v in graph.vertices}
-    order: List[Vertex] = []
-    while heap:
-        d, _, v = heapq.heappop(heap)
-        if removed[v] or d != degree[v]:
-            continue
-        removed[v] = True
-        order.append(v)
-        for u in graph.neighbors_view(v):
-            if not removed[u]:
-                degree[u] -= 1
-                heapq.heappush(heap, (degree[u], index[u], u))
-    return order
-
-
 def coloring_number(graph: Graph) -> int:
-    """col(G) = 1 + max_i of the min degree along a smallest-last order.
+    """col(G): the smallest k for which G is greedy-k-colorable.
 
     By Section 2.2, G is greedy-k-colorable iff k ≥ col(G); equivalently
     col(G) - 1 is the degeneracy: the maximum over subgraphs G' of the
-    minimum degree of G'.  Returns 0 for the empty graph.
+    minimum degree of G'.  Found by binary search over
+    ``0..max_degree + 1`` with the dense peel
+    (:func:`repro.graphs.dense.greedy_core`) of the graph's twin.
+    Returns 0 for the empty graph.
     """
-    if len(graph) == 0:
-        return 0
-    order = smallest_last_order(graph)
-    degree: Dict[Vertex, int] = {v: graph.degree(v) for v in graph.vertices}
-    removed: Dict[Vertex, bool] = {v: False for v in graph.vertices}
-    best = 0
-    for v in order:
-        best = max(best, degree[v])
-        removed[v] = True
-        for u in graph.neighbors_view(v):
-            if not removed[u]:
-                degree[u] -= 1
-    return best + 1
+    dg = graph.dense()
+    lo, hi = 0, graph.max_degree() + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _dense.greedy_core(dg, mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def dense_subgraph_witness(graph: Graph, k: int) -> Optional[List[Vertex]]:
@@ -118,7 +89,7 @@ def dense_subgraph_witness(graph: Graph, k: int) -> Optional[List[Vertex]]:
     subgraph in which every vertex has degree ≥ k (the characterization
     at the end of Section 2.2), in insertion order.
     """
-    dg = DenseGraph.from_graph(graph)
+    dg = graph.dense()
     core = _dense.greedy_core(dg, k)
     if not core:
         return None

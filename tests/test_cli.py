@@ -284,6 +284,18 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["coalesce", "examples/llvm/interp.ll", "--strategy", "briggs",
+         "--k", "-1"],
+        ["report", "examples/llvm/interp.ll", "--strategy", "briggs",
+         "--k", "-1"],
+    ])
+    def test_negative_k_exit_two(self, capsys, argv):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --k must be >= 0, got -1\n"
+
     def test_allocate_k_zero_exit_two(self, tmp_path, capsys):
         path = tmp_path / "f.ir"
         path.write_text("func f\nentry:\n  a = op\n  ret a\n")

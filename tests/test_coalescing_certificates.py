@@ -6,8 +6,9 @@
   random graphs, random valid partitions and several k;
 * the two ``chacha_mix`` failures (``biased`` and ``chordal``) are
   pinned;
-* one claim costs one ``DenseGraph.from_graph`` (coalescing) or one
-  ``liveness_masks`` solve (allocation).
+* a claim reads its graph's dense twin (no ``DenseGraph.from_graph``
+  once the graph has one) and an allocation claim costs one
+  ``liveness_masks`` solve.
 """
 
 import random
@@ -137,7 +138,9 @@ def test_chacha_mix_failures_pinned(strategy, remain):
     assert len(diag.detail["remaining"]) == 32
 
 
-def test_one_dense_build_per_coalescing_claim(monkeypatch):
+def test_coalescing_claim_reads_the_graph_twin(monkeypatch):
+    """The verifier builds no rows of its own: the strategy's (or one
+    ``Graph.dense()`` call's) twin serves every pass."""
     original = DenseGraph.from_graph.__func__
     built = []
 
@@ -151,10 +154,11 @@ def test_one_dense_build_per_coalescing_claim(monkeypatch):
         instance, _ = _generate_instance(spec)
         result = execute_strategy(instance.graph, instance.k, strategy)
         payload = _coalesce_payload(instance, result)
+        instance.graph.dense()
         built.clear()
         assert certify_payload(instance, payload, strategy,
                                instance.k) == []
-        assert built == [instance.graph], strategy
+        assert built == [], strategy
 
 
 def test_one_liveness_solve_per_allocation_claim(monkeypatch):
@@ -207,14 +211,14 @@ def test_coalescing_ledger_walks_the_partition_once(monkeypatch):
 
 
 def test_dense_builds_per_verified_corpus_pass(monkeypatch):
-    """A warm verified pass over the corpus task list converts 342
-    graphs to rows (432 while ``conservative_coalesce`` converted its
-    input once more for the input check)."""
+    """A cold verified pass over the corpus task list converts each of
+    its 18 graphs to rows once, and a warm one converts none (342 on
+    both while every strategy and verifier pass converted its own
+    copy)."""
     from repro.engine import run_task
+    from repro.engine.tasks import _build_memo
 
     specs = list(corpus_tasks().values())
-    for spec in specs:
-        run_task(spec)  # warm the build memo, as a served pass finds it
     original = DenseGraph.from_graph.__func__
     built = []
 
@@ -223,6 +227,11 @@ def test_dense_builds_per_verified_corpus_pass(monkeypatch):
         return original(cls, graph)
 
     monkeypatch.setattr(DenseGraph, "from_graph", classmethod(counting))
+    _build_memo.clear()
     for spec in specs:
         assert run_task(spec, verify=True)["status"] == "ok"
-    assert len(built) == 342
+    assert len(built) == len(set(map(id, built))) == 18
+    built.clear()
+    for spec in specs:
+        assert run_task(spec, verify=True)["status"] == "ok"
+    assert built == []

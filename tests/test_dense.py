@@ -191,6 +191,73 @@ class TestDenseGraph:
             d.merge_group([3, 2])  # c is dead
 
 
+def _twin_graph():
+    g = InterferenceGraph(edges=[("a", "b"), ("b", "c"), ("c", "d")])
+    g.add_affinity("a", "c", 2.0)
+    g.add_affinity("a", "d")
+    return g
+
+
+#: Every Graph mutator, each changing the adjacency of ``_twin_graph()``.
+TWIN_MUTATORS = {
+    "add_vertex": lambda g: g.add_vertex("e"),
+    "add_edge": lambda g: g.add_edge("a", "d"),
+    "add_edge_rows": lambda g: g.add_edge_rows(["a", "e"], [0b10, 0]),
+    "remove_vertex": lambda g: g.remove_vertex("b"),
+    "remove_edge": lambda g: g.remove_edge("b", "c"),
+    "Graph.merge_in_place": lambda g: Graph.merge_in_place(g, "a", "c"),
+    "InterferenceGraph.merge_in_place":
+        lambda g: g.merge_in_place("a", "d"),
+}
+
+
+class TestDenseTwin:
+    """``Graph.dense()``: one frozen twin per graph state."""
+
+    def test_built_once(self, monkeypatch):
+        g = _twin_graph()
+        original = DenseGraph.from_graph.__func__
+        built = []
+
+        def counting(cls, graph):
+            built.append(graph)
+            return original(cls, graph)
+
+        monkeypatch.setattr(DenseGraph, "from_graph", classmethod(counting))
+        assert g.dense() is g.dense()
+        assert built == [g]
+
+    @pytest.mark.parametrize("mutate", TWIN_MUTATORS.values(),
+                             ids=TWIN_MUTATORS.keys())
+    def test_mutator_drops_twin(self, mutate):
+        g = _twin_graph()
+        before = g.dense()
+        mutate(g)
+        twin, fresh = g.dense(), DenseGraph.from_graph(g)
+        assert twin is not before
+        assert twin.names == fresh.names
+        assert list(twin.adj) == fresh.adj
+        assert list(twin.deg) == fresh.deg
+        assert twin.alive == fresh.alive
+
+    @pytest.mark.parametrize("mutate", [
+        lambda d: d.merge_in_place(0, 2),
+        lambda d: d.merge_group([0, 2]),
+        lambda d: d.remove_vertex(1),
+    ], ids=["merge_in_place", "merge_group", "remove_vertex"])
+    def test_twin_is_frozen_and_copy_is_not(self, mutate):
+        g = _twin_graph()
+        twin = g.dense()
+        with pytest.raises(TypeError):
+            mutate(twin)
+        fresh = DenseGraph.from_graph(g)
+        assert (list(twin.adj), twin.alive) == (fresh.adj, fresh.alive)
+        work = twin.copy()
+        mutate(work)
+        assert work.num_alive() == 3
+        assert g.dense() is twin
+
+
 class TestKernelEquivalence:
     def test_mcs_orders_identical(self):
         for g in fuzz_graphs():

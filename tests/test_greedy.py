@@ -20,7 +20,6 @@ from repro.graphs.greedy import (
     greedy_elimination_order,
     greedy_k_coloring,
     is_greedy_k_colorable,
-    smallest_last_order,
 )
 from repro.graphs.graph import Graph
 
@@ -101,11 +100,6 @@ class TestColoringNumber:
             assert is_greedy_k_colorable(g, c)
             if c > 0:
                 assert not is_greedy_k_colorable(g, c - 1)
-
-    def test_smallest_last_is_permutation(self):
-        g = random_graph(10, 0.4, random.Random(1))
-        order = smallest_last_order(g)
-        assert sorted(order) == sorted(g.vertices)
 
 
 class TestWitness:
