@@ -44,9 +44,8 @@ def _scan():
         graph = chaitin_interference(ssa, weighted=False)
         quotient = aggressive_coalesce(graph).coalescing.coalesced_graph()
         if not is_greedy_k_colorable(quotient, k):
-            structural = quotient.structural_graph()
-            chordal = is_chordal(structural)
-            omega = clique_number_chordal(structural) if chordal else None
+            chordal = is_chordal(quotient)
+            omega = clique_number_chordal(quotient) if chordal else None
             aggressive_broken.append((seed, k, chordal, omega))
         safe = conservative_coalesce(graph, k, test="brute")
         if not is_greedy_k_colorable(

@@ -36,7 +36,7 @@ def thm1_task(seed, k, params, tracer, budget):
         max_stmts=int(params.get("max_stmts", CONFIG.max_stmts)),
     )
     ssa = construct_ssa(random_function(seed, config))
-    graph = chaitin_interference(ssa).structural_graph()
+    graph = chaitin_interference(ssa)
     omega = clique_number_chordal(graph) if len(graph) else 0
     return {
         "seed": seed,

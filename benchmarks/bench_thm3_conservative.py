@@ -41,7 +41,7 @@ def _one(seed: int):
         coloring = k_coloring_exact(g, k)
         quotient = coloring_to_coalescing(red, coloring).coalesced_graph()
         row["clique_quotient"] = (
-            is_chordal(quotient.structural_graph())
+            is_chordal(quotient)
             and is_greedy_k_colorable(quotient, k)
         )
     return row

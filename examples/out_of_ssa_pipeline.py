@@ -62,11 +62,10 @@ def main() -> None:
     print()
 
     graph = chaitin_interference(ssa)
-    structural = graph.structural_graph()
     print("== SSA interference graph (Theorem 1) ==")
     print(f"variables: {len(graph)}, interferences: {graph.num_edges()}")
-    print(f"chordal: {is_chordal(structural)}")
-    print(f"omega = {clique_number_chordal(structural)}, Maxlive = {maxlive(ssa)}")
+    print(f"chordal: {is_chordal(graph)}")
+    print(f"omega = {clique_number_chordal(graph)}, Maxlive = {maxlive(ssa)}")
     print(f"phi/copy affinities: {graph.num_affinities()} "
           f"(total weight {graph.total_affinity_weight():g})")
     print()

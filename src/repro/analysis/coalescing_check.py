@@ -31,9 +31,12 @@ Coalescing (kind ``coalescing``, subject :class:`CoalescingClaim`):
 
 The coalescing passes read the claim graph's dense twin
 (:meth:`~repro.graphs.graph.Graph.dense`), built once per graph and
-shared with the strategy that produced the claim; the allocation passes
-share one liveness solve and one set of interference rows of the final
-code through the context's fact memo (:meth:`AnalysisContext.fact`).
+shared with the strategy that produced the claim, and the twin's peel
+per ``k``; the allocation passes share one
+:class:`~repro.intervals.linear_scan.CodeFacts` of the final code —
+one liveness solve, one set of interference rows, one set of live
+intervals — through the context's fact memo
+(:meth:`AnalysisContext.fact`).
 
 Allocation (kind ``allocation``, duck-typed subject with ``function``,
 ``assignment``, ``k``, ``spilled`` attributes — i.e. an
@@ -58,9 +61,8 @@ from typing import (
 from ..allocator.spill import is_memory_slot
 from ..graphs.dense import DenseGraph, greedy_core, greedy_peel
 from ..graphs.interference import Coalescing, InterferenceGraph
+from ..intervals.linear_scan import CodeFacts
 from ..ir.cfg import Function
-from ..ir.interference import interference_rows
-from ..ir.liveness import LivenessMasks, liveness_masks
 from .certificates import verify_elimination_rounds
 from .diagnostics import Diagnostic
 from .registry import AnalysisContext, analysis_pass
@@ -336,23 +338,15 @@ def _row_pairs(
     return sorted(pairs)
 
 
-def allocation_liveness(func: Function, ctx: AnalysisContext) -> LivenessMasks:
-    """The final code's liveness masks, solved once per context."""
-    return ctx.fact("liveness", func, liveness_masks)
-
-
-def allocation_rows(
-    func: Function, ctx: AnalysisContext
-) -> Tuple[List[Any], List[int]]:
-    """The final code's interference rows, built once per context.
-
-    Built on :func:`allocation_liveness`, so the rows and the interval
-    pass share one liveness solve.
-    """
-    return ctx.fact(
-        "interference-rows", func,
-        lambda f: interference_rows(f, liveness=allocation_liveness(f, ctx)),
-    )
+def code_facts(
+    func: Function, ctx: AnalysisContext, known: Optional[CodeFacts] = None
+) -> CodeFacts:
+    """The final code's :class:`~repro.intervals.linear_scan.CodeFacts`,
+    one per context: the allocation passes share its liveness solve,
+    interference rows and intervals.  ``known`` puts facts the caller
+    already holds for ``func`` into the context before any pass runs."""
+    return ctx.fact("code", func,
+                    CodeFacts if known is None else lambda _: known)
 
 
 def _nonslot_mask(variables: Sequence[Any]) -> int:
@@ -379,7 +373,7 @@ def check_allocation_validity(
     func = result.function
     assignment = result.assignment
     k = result.k
-    variables, rows = allocation_rows(func, ctx)
+    variables, rows = code_facts(func, ctx).rows
     register = [assignment.get(v) for v in variables]
     unassigned = 0
     by_register: Dict[Any, int] = {}

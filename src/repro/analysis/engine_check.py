@@ -52,7 +52,9 @@ from typing import Any, Dict, List, Mapping, Optional
 from ..budget import Budget
 from ..graphs.interference import Coalescing
 from ..obs import NULL_TRACER, Tracer
-from .coalescing_check import NON_CONSERVATIVE_STRATEGIES, CoalescingClaim
+from .coalescing_check import (
+    NON_CONSERVATIVE_STRATEGIES, CoalescingClaim, code_facts,
+)
 from .diagnostics import Diagnostic
 from .registry import AnalysisContext
 from .runner import run_passes
@@ -157,6 +159,7 @@ def certify_allocation(
     payload: Mapping[str, Any],
     budget: Optional[Budget] = None,
     tracer: Tracer = NULL_TRACER,
+    facts: Any = None,
 ) -> List[Diagnostic]:
     """Certify an allocation payload from the allocator's decisions.
 
@@ -171,6 +174,11 @@ def certify_allocation(
     ``result`` yields (``ENG001`` per differing field), and the
     ``allocation`` passes (``ALLOC*``/``INTV*``) run on the *payload's*
     assignment and spill list over the rebuilt code.
+
+    ``facts`` is ``func``'s :class:`~repro.intervals.linear_scan.
+    CodeFacts` from the build memo, if the caller has them.  When no
+    spill round ran, the rebuilt code is ``func`` itself and the passes
+    read them instead of deriving liveness, rows and intervals again.
     """
     from ..allocator.spill import spill_everywhere
     from ..engine.tasks import _allocation_payload
@@ -214,6 +222,8 @@ def certify_allocation(
     )
     ctx = AnalysisContext(k=result.k, budget=budget, tracer=tracer,
                           obj=func.name)
+    if facts is not None and rebuilt is func:
+        code_facts(func, ctx, known=facts)
     out.extend(run_passes(claim, "allocation", ctx))
     return out
 
@@ -229,20 +239,20 @@ def certify_allocation_payload(
     The regenerating source for :func:`certify_allocation`: the
     payload carries no per-round spill sets, so the function is loaded
     (through the engine's per-process build memo, as ``run_task`` loads
-    it) and the allocator — deterministic given the spec — is re-run
-    to recover them; the re-run result then goes through the same
-    certificate checks as a handed one.
+    it, with its facts) and the allocator — deterministic given the
+    spec — is re-run to recover them; the re-run result then goes
+    through the same certificate checks as a handed one.
     """
     from ..engine.tasks import _load_task_function
     from ..intervals.linear_scan import linear_scan_allocate
 
-    func, k, _ = _load_task_function(spec)
+    func, k, _, facts = _load_task_function(spec)
     variant = (
         "classic" if spec.strategy == "linear-scan" else "second-chance"
     )
-    result = linear_scan_allocate(func, k, variant=variant)
+    result = linear_scan_allocate(func, k, variant=variant, facts=facts)
     return certify_allocation(func, result, payload, budget=budget,
-                              tracer=tracer)
+                              tracer=tracer, facts=facts)
 
 
 def _certify(
@@ -266,7 +276,8 @@ def _certify(
             return certify_allocation_payload(spec, payload, budget=budget,
                                               tracer=tracer)
         return certify_allocation(built.source, built.result, payload,
-                                  budget=budget, tracer=tracer)
+                                  budget=budget, tracer=tracer,
+                                  facts=built.facts)
     if built is None:
         instance, _ = _generate_instance(spec)
     else:

@@ -4,8 +4,8 @@ The linear-scan family (:mod:`repro.intervals.linear_scan`) colors
 live *intervals*, not the interference graph — so the graph-side
 passes (``ALLOC001``..``ALLOC004``) alone would leave the interval
 abstraction itself unaudited.  The ``allocation-intervals`` pass
-closes that gap with three ``INTV`` diagnostics, all recomputed from
-scratch on the result's final code:
+closes that gap with three ``INTV`` diagnostics, all derived from the
+result's final code, never from the allocator's own intervals:
 
 * ``INTV001`` (error) — *soundness of the abstraction*: two non-slot
   variables interfere in the Chaitin graph but their rebuilt live
@@ -22,14 +22,21 @@ scratch on the result's final code:
   function's Maxlive, certifying that the interval and set views of
   register pressure coincide on this exact code.
 
-The pass shares one liveness solve and one set of interference rows
-with ``allocation-validity`` through the context's fact memo
-(:func:`~repro.analysis.coalescing_check.allocation_rows`).  INTV001
-walks the rows of :func:`~repro.ir.interference.interference_rows`
-over the non-slot mask, one AND of the two point masks per row bit;
-INTV002 accumulates one point-mask union per register and enumerates
-that register's pairs only when a member meets the union.  Both report
-each offending pair exactly as a per-edge and per-pair loop would.
+The pass reads the final code's
+:class:`~repro.intervals.linear_scan.CodeFacts` — one liveness solve,
+and the interference rows, intervals and Maxlive over it — shared with
+``allocation-validity`` through the context's fact memo
+(:func:`~repro.analysis.coalescing_check.code_facts`).  They are
+derived afresh for the context, except when no spill round ran: then
+the final code is the input function, and
+:func:`~repro.analysis.engine_check.certify_allocation` hands in the
+facts the engine's build memo keeps for it, which are derived from the
+unchanged input once per process and frozen.  INTV001 walks the rows
+of :func:`~repro.ir.interference.interference_rows` over the non-slot
+mask, one AND of the two point masks per row bit; INTV002 accumulates
+one point-mask union per register and enumerates that register's pairs
+only when a member meets the union.  Both report each offending pair
+exactly as a per-edge and per-pair loop would.
 
 The pass guards on the ``interval_variant`` marker of
 :class:`~repro.intervals.linear_scan.LinearScanResult` and skips
@@ -43,11 +50,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterator, List
 
 from ..allocator.spill import is_memory_slot
-from ..intervals import model
-from ..ir.liveness import maxlive
-from .coalescing_check import (
-    _nonslot_mask, _row_pairs, allocation_liveness, allocation_rows,
-)
+from .coalescing_check import _nonslot_mask, _row_pairs, code_facts
 from .diagnostics import Diagnostic
 from .registry import AnalysisContext, analysis_pass
 
@@ -69,10 +72,10 @@ def check_interval_allocation(
     if not getattr(result, "interval_variant", ""):
         return
     func = result.function
-    liveness = allocation_liveness(func, ctx)
-    iset = model.build_intervals(func, liveness=liveness)
+    facts = code_facts(func, ctx)
+    iset = facts.intervals
     intervals = iset.intervals
-    variables, rows = allocation_rows(func, ctx)
+    variables, rows = facts.rows
     points = [
         intervals[v].mask if v in intervals else 0 for v in variables
     ]
@@ -135,7 +138,7 @@ def check_interval_allocation(
                     )
     ctx.check_budget()
     overlap = iset.max_overlap()
-    pressure = maxlive(func, liveness=liveness)
+    pressure = facts.maxlive
     if overlap == pressure:
         yield Diagnostic(
             "INTV003", "info",

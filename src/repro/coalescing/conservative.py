@@ -110,7 +110,7 @@ def conservative_coalesce(
     The rounds run on a copy of the graph's dense twin
     (:meth:`~repro.graphs.graph.Graph.dense`) with the bitset tests of
     :data:`repro.graphs.dense.DENSE_TESTS`; the input check peels the
-    same work graph before the first round.
+    twin itself, which keeps the peel for every later check at ``k``.
 
     ``tracer`` records rounds, merge attempts/accepts/rejections, and
     interference queries (see docs/OBSERVABILITY.md).
@@ -121,9 +121,9 @@ def conservative_coalesce(
         raise ValueError(
             f"unknown test {test!r}; choose from {sorted(DENSE_TESTS)}"
         )
-    dense = graph.dense().copy()
-    if check_input and greedy_core(dense, k):
+    if check_input and greedy_core(graph.dense(), k):
         raise ValueError("input graph is not greedy-k-colorable")
+    dense = graph.dense().copy()
 
     coalescing = Coalescing(graph)
     tracer.count("affinities.total", graph.num_affinities())

@@ -325,16 +325,17 @@ def _recall(
     """``(source, fingerprint, extra)`` for ``key``, from the memo when
     it holds the key, else built by ``build()``.
 
-    A hit re-takes the stored source's fingerprint; if it differs from
-    the one taken at build time, some caller mutated the shared source,
-    so the entry is dropped and rebuilt.  ``build()`` returns
-    ``(source, extra)``, which is fingerprinted and stored, evicting the
-    least recently used entry beyond :data:`_BUILD_MEMO_SIZE`.  A
-    ``build()`` that raises stores nothing.
+    A hit checks the stored source against the fingerprint taken at
+    build time (:func:`_unchanged`); if it no longer matches, some
+    caller mutated the shared source, so the entry — and the facts
+    ``extra`` derived from it — is dropped and rebuilt.  ``build()``
+    returns ``(source, extra)``, which is fingerprinted and stored,
+    evicting the least recently used entry beyond
+    :data:`_BUILD_MEMO_SIZE`.  A ``build()`` that raises stores nothing.
     """
     with _build_memo_lock:
         entry = _build_memo.get(key)
-    if entry is not None and _fingerprint(entry[0]) == entry[1]:
+    if entry is not None and _unchanged(entry[0], entry[1]):
         with _build_memo_lock:
             _build_memo[key] = _build_memo.pop(key, entry)
         return entry
@@ -359,18 +360,19 @@ def _llvm_source(params: Mapping[str, Any]) -> Tuple[Any, Tuple[Any, ...]]:
                   params.get("sha256"))
 
 
-def _llvm_function(path: Any, key: Tuple[Any, ...]) -> Tuple[Any, Any, int]:
-    """``(function, fingerprint, maxlive)``: the lowered function with
-    loop-depth block frequencies set, memoised."""
+def _llvm_function(path: Any, key: Tuple[Any, ...]) -> Tuple[Any, Any, Any]:
+    """``(function, fingerprint, facts)``: the lowered function with
+    loop-depth block frequencies set, memoised with its
+    :class:`~repro.intervals.linear_scan.CodeFacts`."""
     from ..frontend.corpus import _function_from_bytes
+    from ..intervals.linear_scan import CodeFacts
     from ..ir.interference import set_frequencies_from_loops
-    from ..ir.liveness import maxlive
 
-    def build() -> Tuple[Any, int]:
+    def build() -> Tuple[Any, Any]:
         func = _function_from_bytes(path, key[1], function=key[2],
                                     sha256=key[3])
         set_frequencies_from_loops(func)
-        return func, maxlive(func)
+        return func, CodeFacts(func)
 
     return _recall(("function",) + key, build)
 
@@ -388,10 +390,11 @@ def _llvm_instance(
     path, key = _llvm_source(params)
 
     def build() -> Tuple[ChallengeInstance, None]:
-        func, _, ml = _llvm_function(path, key)
-        graph = chaitin_interference(func, weighted=True)
+        func, _, facts = _llvm_function(path, key)
+        graph = chaitin_interference(func, weighted=True,
+                                     liveness=facts.liveness)
         name = f"{Path(path).stem}:{func.name}"
-        return ChallengeInstance(name=name, k=k if k > 0 else ml,
+        return ChallengeInstance(name=name, k=k if k > 0 else facts.maxlive,
                                  graph=graph), None
 
     instance, fingerprint, _ = _recall(("instance", k) + key, build)
@@ -403,8 +406,9 @@ def _generate_instance(spec: TaskSpec) -> Tuple[ChallengeInstance, Any]:
 
     ``"llvm"`` instances come from the per-process build memo
     (:func:`_recall`), shared between tasks and so read-only, with the
-    fingerprint its hit check just took; every other generator builds
-    a fresh instance and returns ``None`` for the fingerprint.
+    stored fingerprint its hit check just matched; every other
+    generator builds a fresh instance and returns ``None`` for the
+    fingerprint.
     """
     params = spec.params_dict()
     if spec.generator == "pressure":
@@ -435,17 +439,18 @@ def _generate_instance(spec: TaskSpec) -> Tuple[ChallengeInstance, Any]:
     return instance, None
 
 
-def _load_task_function(spec: TaskSpec) -> Tuple[Any, int, Any]:
+def _load_task_function(spec: TaskSpec) -> Tuple[Any, int, Any, Any]:
     """Resolve the lowered function behind an allocation task.
 
     Allocation strategies need real code, so only the ``"llvm"``
-    generator is accepted.  Returns ``(function, k, fingerprint)`` with
-    loop-depth block frequencies set and ``k`` defaulted to the
-    function's Maxlive when the spec says ``k <= 0`` — the same
+    generator is accepted.  Returns ``(function, k, fingerprint,
+    facts)`` with loop-depth block frequencies set and ``k`` defaulted
+    to the function's Maxlive when the spec says ``k <= 0`` — the same
     convention as :func:`repro.frontend.corpus.function_instance`.  The
-    function comes from the per-process build memo (:func:`_recall`),
-    shared between tasks and so read-only; ``fingerprint`` is the one
-    its hit check just took.
+    function and its :class:`~repro.intervals.linear_scan.CodeFacts`
+    come from the per-process build memo (:func:`_recall`), shared
+    between tasks and so read-only; ``fingerprint`` is the stored one
+    its hit check just matched.
     """
     if spec.generator != "llvm":
         raise ValueError(
@@ -453,8 +458,9 @@ def _load_task_function(spec: TaskSpec) -> Tuple[Any, int, Any]:
             f"'llvm' generator (got {spec.generator!r}): graph "
             "generators carry no code to allocate"
         )
-    func, fingerprint, ml = _llvm_function(*_llvm_source(spec.params_dict()))
-    return func, spec.k if spec.k > 0 else ml, fingerprint
+    func, fingerprint, facts = _llvm_function(
+        *_llvm_source(spec.params_dict()))
+    return func, spec.k if spec.k > 0 else facts.maxlive, fingerprint, facts
 
 
 def _allocation_payload(result: Any) -> Dict[str, Any]:
@@ -504,6 +510,17 @@ def _fingerprint(source: Any) -> Any:
     return source.fingerprint()
 
 
+def _unchanged(source: Any, fingerprint: Any) -> bool:
+    """``_fingerprint(source) == fingerprint``; a graph is compared
+    with the stored snapshot in place
+    (:meth:`~repro.graphs.graph.Graph.matches`), not re-snapshotted."""
+    if isinstance(source, ChallengeInstance):
+        name, k, graph = fingerprint
+        return (source.name == name and source.k == k
+                and source.graph.matches(graph))
+    return source.fingerprint() == fingerprint
+
+
 @dataclass(frozen=True)
 class Built:
     """What :func:`run_task` built for one task, handed to the verifier.
@@ -512,27 +529,33 @@ class Built:
     ran on, or the input :class:`~repro.ir.cfg.Function` an allocator
     ran on; ``result`` is the allocator's
     :class:`~repro.intervals.linear_scan.LinearScanResult` (``None``
-    for coalescing).  ``fingerprint`` is the source's fingerprint taken
-    before the strategy ran: :meth:`intact` re-takes it, so the
-    verifier certifies against the input the strategy saw and never
-    against one the strategy changed.
+    for coalescing), and ``facts`` the input function's
+    :class:`~repro.intervals.linear_scan.CodeFacts` from the build memo
+    (``None`` otherwise).  ``fingerprint`` is the source's fingerprint
+    taken before the strategy ran: :meth:`intact` checks the source
+    against it, so the verifier certifies against the input the
+    strategy saw, and reads ``facts``, only if the strategy left it
+    unchanged.
     """
 
     source: Any
     fingerprint: Any
     result: Any = None
+    facts: Any = None
 
     @classmethod
-    def before(cls, source: Any, fingerprint: Any = None) -> "Built":
+    def before(
+        cls, source: Any, fingerprint: Any = None, facts: Any = None
+    ) -> "Built":
         """Fingerprint ``source`` now, before the strategy runs —
-        unless ``fingerprint`` is one just taken (the build memo's)."""
+        unless ``fingerprint`` is one just matched (the build memo's)."""
         if fingerprint is None:
             fingerprint = _fingerprint(source)
-        return cls(source, fingerprint)
+        return cls(source, fingerprint, facts=facts)
 
     def intact(self) -> bool:
         """True iff the source still has its pre-strategy fingerprint."""
-        return _fingerprint(self.source) == self.fingerprint
+        return _unchanged(self.source, self.fingerprint)
 
 
 def _result_hash(payload: Any) -> str:
@@ -577,9 +600,14 @@ def run_task(
     per-process memo keyed by the file's path and content, the
     function, the ``sha256`` pin and (instances) ``k``: each corpus
     function is lowered, and its interference graph built, once per
-    process.  Every hit re-takes the stored fingerprint and rebuilds on
-    a mismatch, so an input a strategy mutated never reaches a later
-    task; the fingerprint it took is the one ``Built`` starts from.
+    process.  Beside each function the memo keeps its
+    :class:`~repro.intervals.linear_scan.CodeFacts`, which the
+    allocator's first round and the verifier read; each graph keeps its
+    dense twin and the twin's peel per ``k``.  Every hit checks the
+    source against its stored fingerprint and rebuilds on a mismatch,
+    so an input a strategy mutated, and the facts derived from it,
+    never reach a later task; the stored fingerprint is the one
+    ``Built`` starts from.
     """
     key = task_hash(spec)
     tracer = Tracer()
@@ -627,16 +655,16 @@ def run_task(
         elif spec.strategy in ALLOCATION_STRATEGIES:
             from ..intervals.linear_scan import linear_scan_allocate
 
-            func, k, fingerprint = _load_task_function(spec)
+            func, k, fingerprint, facts = _load_task_function(spec)
             variant = (
                 "classic" if spec.strategy == "linear-scan"
                 else "second-chance"
             )
             if verify:
-                built = Built.before(func, fingerprint)
+                built = Built.before(func, fingerprint, facts=facts)
             with tracer.span("engine-task"):
                 alloc = linear_scan_allocate(
-                    func, k, variant=variant, tracer=tracer
+                    func, k, variant=variant, tracer=tracer, facts=facts
                 )
             if built is not None:
                 built = replace(built, result=alloc)

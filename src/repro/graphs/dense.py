@@ -21,7 +21,9 @@ property tests (``tests/test_dense.py``).
 Strategies, dict-graph wrappers and verifier passes all read a graph's
 one twin, :meth:`Graph.dense() <repro.graphs.graph.Graph.dense>`, kept
 until the graph is mutated; its rows are tuples, so a kernel that
-merges or removes works on a :meth:`DenseGraph.copy`.
+merges or removes works on a :meth:`DenseGraph.copy`.  The twin also
+keeps its :func:`greedy_peel` per ``k``: the peel is confluent
+(Section 2.2), so the frozen rows fix it.
 
 Work accounting: kernels count :data:`~repro.obs.names.EDGES_SCANNED`
 for every adjacency element actually visited and
@@ -35,7 +37,8 @@ do strictly less work than the references (see
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..obs import NULL_TRACER, Tracer
 from ..obs.names import EDGES_SCANNED, WORDS_MERGED
@@ -70,11 +73,12 @@ class DenseGraph:
     popcount of it, and ``alive`` the bitmask of vertices not yet
     removed by a merge (merging never reindexes — the dead slot just
     empties, keeping indices stable for the whole run; a new vertex
-    takes the next slot).  A graph's shared twin holds ``adj`` and
-    ``deg`` as tuples, so every mutator raises on it.
+    takes the next slot).  A graph's shared twin (:meth:`freeze`) holds
+    ``adj`` and ``deg`` as tuples, so every mutator raises on it, and
+    keeps its :func:`greedy_peel` results (:attr:`peels`).
     """
 
-    __slots__ = ("names", "index", "adj", "deg", "alive", "words")
+    __slots__ = ("names", "index", "adj", "deg", "alive", "words", "_peels")
 
     def __init__(self, names: Sequence[Vertex] = ()) -> None:
         self.names: List[Vertex] = list(names)
@@ -86,6 +90,7 @@ class DenseGraph:
         self.deg: List[int] = [0] * n
         self.alive: int = (1 << n) - 1
         self.words: int = max(1, (n + WORD_BITS - 1) // WORD_BITS)
+        self._peels: Optional[Dict[int, Tuple[Tuple[int, ...], int]]] = None
 
     # ------------------------------------------------------------------
     # conversion
@@ -107,6 +112,20 @@ class DenseGraph:
             adj[i] = sum(map(bit, nbrs))
             deg[i] = len(nbrs)
         return dense
+
+    def freeze(self) -> "DenseGraph":
+        """Make this graph a shared twin, in place, and return it: ``adj``
+        and ``deg`` become tuples, and :func:`greedy_peel` keeps its
+        result per ``k`` from now on."""
+        self.adj, self.deg = tuple(self.adj), tuple(self.deg)
+        self._peels = {}
+        return self
+
+    @property
+    def peels(self) -> Optional[Mapping[int, Tuple[Tuple[int, ...], int]]]:
+        """A twin's :func:`greedy_peel` results by ``k``, read-only;
+        ``None`` on a mutable graph, which keeps none."""
+        return None if self._peels is None else MappingProxyType(self._peels)
 
     def to_graph(self) -> Graph:
         """Materialize back to a dict-of-set :class:`Graph` (lossless)."""
@@ -156,6 +175,7 @@ class DenseGraph:
         dup.deg = list(self.deg)
         dup.alive = self.alive
         dup.words = self.words
+        dup._peels = None
         return dup
 
     def high_degree_mask(self, k: int) -> int:
@@ -398,7 +418,7 @@ def greedy_elimination_order(
 
 def greedy_peel(
     dense: DenseGraph, k: int, tracer: Tracer = NULL_TRACER
-) -> Tuple[List[int], int]:
+) -> Tuple[Tuple[int, ...], int]:
     """Chaitin's scheme as a round-based peel: ``(rounds, core)``.
 
     Each round removes every live vertex of degree < ``k`` at once, then
@@ -412,9 +432,27 @@ def greedy_peel(
     leaves.  ``WORDS_MERGED`` counts each row OR and each recount AND;
     no adjacency element is visited one at a time, so no
     ``EDGES_SCANNED``.
+
+    A graph's frozen twin (:meth:`~repro.graphs.graph.Graph.dense`)
+    keeps the result per ``k`` (:attr:`DenseGraph.peels`): the first
+    call peels and counts, later ones return the same tuple and count
+    nothing.
     """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
+    peels = dense._peels
+    if peels is not None and k in peels:
+        return peels[k]
+    peel = _peel(dense, k, tracer)
+    if peels is not None:
+        peels[k] = peel
+    return peel
+
+
+def _peel(
+    dense: DenseGraph, k: int, tracer: Tracer
+) -> Tuple[Tuple[int, ...], int]:
+    """The :func:`greedy_peel` computation itself."""
     counting = tracer.enabled
     adj, words = dense.adj, dense.words
     alive = dense.alive
@@ -439,7 +477,7 @@ def greedy_peel(
             if (adj[bit.bit_length() - 1] & alive).bit_count() < k:
                 low |= bit
             touched ^= bit
-    return rounds, alive
+    return tuple(rounds), alive
 
 
 def greedy_core(dense: DenseGraph, k: int, tracer: Tracer = NULL_TRACER) -> int:

@@ -12,6 +12,7 @@ degree queries, edge tests, and vertex merging.
 
 from __future__ import annotations
 
+from operator import eq
 from typing import TYPE_CHECKING, Any, Dict, FrozenSet, Hashable, Iterable, Iterator, Optional, Sequence, Set, Tuple
 
 if TYPE_CHECKING:
@@ -179,13 +180,13 @@ class Graph:
 
         Its ``adj`` and ``deg`` are tuples, so merging or removing on it
         raises ``TypeError``; kernels that mutate work on its ``copy()``.
+        It keeps its :func:`~repro.graphs.dense.greedy_peel` per ``k``
+        (``peels``), dropped with it.
         """
         if self._dense is None:
             from .dense import DenseGraph
 
-            twin = DenseGraph.from_graph(self)
-            twin.adj, twin.deg = tuple(twin.adj), tuple(twin.deg)
-            self._dense = twin
+            self._dense = DenseGraph.from_graph(self).freeze()
         return self._dense
 
     def copy(self) -> "Graph":
@@ -286,6 +287,15 @@ class Graph:
         read it, they prove it was not mutated.
         """
         return tuple(self._adj), tuple(map(frozenset, self._adj.values()))
+
+    def matches(self, fingerprint: Tuple[Any, ...]) -> bool:
+        """``self.fingerprint() == fingerprint``, without taking a second
+        snapshot: the live vertex order and neighbour sets are compared
+        with the stored ones directly, so the check is exactly as strict
+        at a third of the cost."""
+        order, rows = fingerprint
+        adj = self._adj
+        return tuple(adj) == order and all(map(eq, adj.values(), rows))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):

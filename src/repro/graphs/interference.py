@@ -121,6 +121,13 @@ class InterferenceGraph(Graph):
         weights, in insertion order."""
         return (super().fingerprint(), tuple(self._affinities.items()))
 
+    def matches(self, fingerprint: Tuple[Any, ...]) -> bool:
+        """:meth:`Graph.matches` plus the affinities with their weights,
+        in insertion order."""
+        graph, affinities = fingerprint
+        return (super().matches(graph)
+                and tuple(self._affinities.items()) == affinities)
+
     def copy(self) -> "InterferenceGraph":
         """An independent deep copy (adjacency and affinities)."""
         g = InterferenceGraph()
@@ -137,12 +144,6 @@ class InterferenceGraph(Graph):
         g._affinities = {
             key: w for key, w in self._affinities.items() if key <= keep_set
         }
-        return g
-
-    def structural_graph(self) -> Graph:
-        """The interference structure alone, without affinities."""
-        g = Graph()
-        g._adj = {v: set(nbrs) for v, nbrs in self._adj.items()}
         return g
 
     def merge_in_place(self, u: Vertex, v: Vertex, into: Optional[Vertex] = None) -> Vertex:

@@ -18,7 +18,10 @@ by :mod:`repro.intervals.model` and both verified (not trusted) by the
 Spilling reuses :func:`repro.allocator.spill.spill_everywhere`: each
 round scans, collects victims, rewrites the code (fresh ``.rN`` reload
 temporaries, ``slot(...)`` pseudo-variables), and rebuilds intervals
-until a scan completes with no victim.  Reload temporaries are never
+until a scan completes with no victim.  The first round runs on the
+input code, so a caller that keeps the input's :class:`CodeFacts`
+(the engine's build memo) hands them over and the round derives
+nothing.  Reload temporaries are never
 victims — their single-segment ranges are what spilling produces, so
 re-spilling them cannot reduce pressure.
 
@@ -34,8 +37,9 @@ whole LLVM corpus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..allocator.chaitin import AllocationResult
 from ..allocator.spill import (
@@ -46,15 +50,91 @@ from ..allocator.spill import (
 )
 from ..ir.cfg import Function
 from ..ir.instructions import Var
-from ..ir.interference import set_frequencies_from_loops
+from ..ir.interference import interference_rows, set_frequencies_from_loops
+from ..ir.liveness import LivenessMasks, liveness_masks, maxlive
 from ..obs import NULL_TRACER
 from ..obs.tracer import Tracer
-from .model import IntervalSet, LiveInterval, build_intervals
+from . import model
+from .model import IntervalSet, LiveInterval
 
-__all__ = ["VARIANTS", "LinearScanResult", "linear_scan_allocate"]
+__all__ = ["VARIANTS", "CodeFacts", "LinearScanResult", "linear_scan_allocate"]
 
 #: The allocator variants ``linear_scan_allocate`` accepts.
 VARIANTS = ("classic", "second-chance")
+
+
+class CodeFacts:
+    """The read-only facts derived from one function's code.
+
+    ``liveness`` is the :func:`~repro.ir.liveness.liveness_masks` solve;
+    ``intervals`` (:func:`~repro.intervals.model.build_intervals`),
+    ``rows`` (:func:`~repro.ir.interference.interference_rows`) and
+    ``maxlive`` are derived from it, ``costs`` is
+    :func:`~repro.allocator.spill.spill_costs`.  Each is computed on
+    first read, untraced, and then frozen as tuples and
+    :class:`~types.MappingProxyType` views, so a write raises
+    ``TypeError`` and no reader can change what the next one reads.
+
+    The facts describe ``function`` as it was when each was first read.
+    Whoever keeps a ``CodeFacts`` beside a function drops it when the
+    function changes: the engine's build memo keeps one per memoised
+    input function and rebuilds both when its fingerprint check fails.
+    """
+
+    __slots__ = ("function", "_memo")
+
+    def __init__(self, function: Function) -> None:
+        self.function = function
+        self._memo: Dict[str, Any] = {}
+
+    def _fact(self, name: str, build: Callable[[], Any]) -> Any:
+        memo = self._memo
+        if name not in memo:
+            memo.setdefault(name, build())
+        return memo[name]
+
+    @property
+    def liveness(self) -> LivenessMasks:
+        """``(variables, live_in, live_out)``, frozen."""
+        def build() -> Any:
+            variables, live_in, live_out = liveness_masks(self.function)
+            return (tuple(variables), MappingProxyType(live_in),
+                    MappingProxyType(live_out))
+        return self._fact("liveness", build)
+
+    @property
+    def intervals(self) -> IntervalSet:
+        """The live intervals over :attr:`liveness`, frozen."""
+        def build() -> IntervalSet:
+            iset = model.build_intervals(self.function,
+                                         liveness=self.liveness)
+            points = replace(iset.points,
+                             entry=MappingProxyType(iset.points.entry),
+                             sizes=MappingProxyType(iset.points.sizes))
+            return IntervalSet(points=points,
+                               intervals=MappingProxyType(iset.intervals))
+        return self._fact("intervals", build)
+
+    @property
+    def rows(self) -> Tuple[Tuple[Var, ...], Tuple[int, ...]]:
+        """The interference rows over :attr:`liveness`, frozen."""
+        def build() -> Any:
+            variables, rows = interference_rows(self.function,
+                                                liveness=self.liveness)
+            return variables, tuple(rows)
+        return self._fact("rows", build)
+
+    @property
+    def costs(self) -> Mapping[Var, float]:
+        """The static spill cost of every variable, read-only."""
+        return self._fact(
+            "costs", lambda: MappingProxyType(spill_costs(self.function)))
+
+    @property
+    def maxlive(self) -> int:
+        """Maxlive, walked over :attr:`liveness`."""
+        return self._fact(
+            "maxlive", lambda: maxlive(self.function, liveness=self.liveness))
 
 
 @dataclass
@@ -84,7 +164,7 @@ class LinearScanResult(AllocationResult):
 def _scan_classic(
     order: List[LiveInterval],
     k: int,
-    costs: Dict[Var, float],
+    costs: Mapping[Var, float],
     tracer: Tracer,
 ) -> Tuple[Dict[Var, int], List[Var]]:
     """One Poletto scan: envelope-active list, furthest-end spill."""
@@ -138,7 +218,7 @@ def _scan_classic(
 def _scan_second_chance(
     order: List[LiveInterval],
     k: int,
-    costs: Dict[Var, float],
+    costs: Mapping[Var, float],
     tracer: Tracer,
 ) -> Tuple[Dict[Var, int], List[Var]]:
     """One hole-aware scan: range conflicts, cost-based eviction.
@@ -202,6 +282,7 @@ def linear_scan_allocate(
     variant: str = "classic",
     max_rounds: int = 64,
     tracer: Tracer = NULL_TRACER,
+    facts: Optional[CodeFacts] = None,
 ) -> LinearScanResult:
     """Allocate ``k`` registers for ``func`` by linear scan.
 
@@ -213,6 +294,10 @@ def linear_scan_allocate(
     copies whose operands ended up sharing a register.  Raises
     ``ValueError`` on a bad ``variant``/``k`` and ``RuntimeError`` if
     spilling cannot converge.
+
+    ``facts`` is ``func``'s :class:`CodeFacts`, if the caller keeps
+    them: the first round reads their intervals and spill costs
+    instead of deriving (and counting) them again.
     """
     if k <= 0:
         raise ValueError(f"need at least one register, got k={k}")
@@ -232,7 +317,12 @@ def linear_scan_allocate(
                 "spill rounds"
             )
         with tracer.span("linscan/build"):
-            iset: IntervalSet = build_intervals(work, tracer=tracer)
+            if work is func and facts is not None:
+                iset: IntervalSet = facts.intervals
+                costs = facts.costs
+            else:
+                iset = model.build_intervals(work, tracer=tracer)
+                costs = spill_costs(work)
         order = sorted(
             (
                 interval
@@ -241,7 +331,6 @@ def linear_scan_allocate(
             ),
             key=lambda iv: (iv.start, iv.end, str(iv.var)),
         )
-        costs = spill_costs(work)
         with tracer.span("linscan/scan"):
             assignment, victims = scan(order, k, costs, tracer)
         if not victims:

@@ -279,7 +279,8 @@ def build_intervals(
     point, ``prev & ~mask`` closes one at the point before, so the work
     is per range, not per ``(variable, point)``.  ``WORDS_MERGED``
     counts the word-wise mask operations, ``RANGES_BUILT`` the
-    ``(variable, point)`` liveness units (each point's popcount).
+    ``(variable, point)`` liveness units (each point's popcount); both
+    are summed locally and counted once per call.
     ``liveness`` is the function's ``liveness_masks`` result, if the
     caller already solved it.
     """
@@ -288,6 +289,10 @@ def build_intervals(
     index = {var: i for i, var in enumerate(variables)}
     words = max(1, (len(variables) + WORD_BITS - 1) // WORD_BITS)
     counting = tracer.enabled
+    # per instruction: occupancy OR, transfer ANDNOT + OR; per block:
+    # entry OR plus the block-end mask copy.  Summed, counted once.
+    merged = 0
+    units = 0
     starts: List[List[int]] = [[] for _ in variables]
     ends: List[List[int]] = [[] for _ in variables]
     prev = 0
@@ -306,16 +311,11 @@ def build_intervals(
                 use_mask |= 1 << index[var]
             occupancy.append(live | def_mask)
             live = (live & ~def_mask) | use_mask
-            if counting:
-                # occupancy OR, transfer ANDNOT + OR
-                tracer.count(WORDS_MERGED, 3 * words)
         phi_mask = 0
         for phi in block.phis:
             phi_mask |= 1 << index[phi.target]
         occupancy.append(live | phi_mask)
-        if counting:
-            # entry OR plus the block-end mask copy
-            tracer.count(WORDS_MERGED, 2 * words)
+        merged += (3 * len(block.instrs) + 2) * words
         # the block's points, entry to end, are the next ones in order
         point = points.block_entry(name)
         for mask in reversed(occupancy):
@@ -331,9 +331,13 @@ def build_intervals(
                     ends[low.bit_length() - 1].append(point - 1)
                     closed ^= low
                 prev = mask
-            if counting and mask:
-                tracer.count(RANGES_BUILT, mask.bit_count())
+            if counting:
+                units += mask.bit_count()
             point += 1
+    if counting:
+        tracer.count(WORDS_MERGED, merged)
+        if units:
+            tracer.count(RANGES_BUILT, units)
     while prev:
         low = prev & -prev
         ends[low.bit_length() - 1].append(points.total - 1)

@@ -106,6 +106,7 @@ def chaitin_interference(
     phi_affinities: bool = True,
     weighted: bool = True,
     tracer: Tracer = NULL_TRACER,
+    liveness: Optional[LivenessMasks] = None,
 ) -> InterferenceGraph:
     """The interference graph under Chaitin's definition.
 
@@ -121,9 +122,12 @@ def chaitin_interference(
     :meth:`~repro.graphs.graph.Graph.add_edge_rows` puts each set bit
     straight into both neighbour sets, with no per-edge ``add_edge``
     call.  Affinities come from a second walk in the same block and
-    instruction order.
+    instruction order.  ``liveness`` is the function's
+    :func:`~repro.ir.liveness.liveness_masks` result, if the caller
+    already solved it.
     """
-    variables, adj = interference_rows(func, tracer=tracer)
+    variables, adj = interference_rows(func, tracer=tracer,
+                                       liveness=liveness)
     g = InterferenceGraph(vertices=variables)
     reachable = func.reachable()
     # insertion-order walk: affinity insertion (and float weight

@@ -146,12 +146,11 @@ def test_cert_dispatch_catches_shuffled_peo():
     from repro.graphs.chordal import perfect_elimination_ordering
 
     _, graph = _func_and_graph()
-    structural = graph.structural_graph()
-    order = perfect_elimination_ordering(structural)
+    order = perfect_elimination_ordering(graph)
     assert order is not None
     bad = list(reversed(order))
     ctx = AnalysisContext()
-    cert = Certificate(kind="peo", graph=structural, order=bad)
+    cert = Certificate(kind="peo", graph=graph, order=bad)
     diagnostics = run_passes(cert, "certificate", ctx)
     # a reversed PEO of a non-complete chordal graph is typically broken;
     # if it happens to stay a PEO, there is nothing to catch — guard it

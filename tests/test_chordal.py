@@ -235,7 +235,7 @@ def _corpus_graphs():
     from repro.ir.interference import chaitin_interference
 
     return [
-        pytest.param(chaitin_interference(func).structural_graph(),
+        pytest.param(chaitin_interference(func),
                      id=f"{path.stem}:{func.name}")
         for path, func in corpus_functions()
     ]

@@ -8,7 +8,9 @@
   pinned;
 * a claim reads its graph's dense twin (no ``DenseGraph.from_graph``
   once the graph has one) and an allocation claim costs one
-  ``liveness_masks`` solve.
+  ``liveness_masks`` solve;
+* the build memo derives each input's facts once per process: one
+  liveness solve per input function, one peel per twin and k.
 """
 
 import random
@@ -176,13 +178,70 @@ def test_one_liveness_solve_per_allocation_claim(monkeypatch):
             monkeypatch.setattr(module, "liveness_masks", counting)
     for k in (0, -1):
         spec = _chacha("linear-scan")
-        func, maxlive_k, _ = _load_task_function(spec)
+        func, maxlive_k, _, _ = _load_task_function(spec)
         result = linear_scan_allocate(func, maxlive_k + k)
         payload = _allocation_payload(result)
         calls.clear()
         found = certify_allocation(func, result, payload)
         assert not [d for d in found if d.severity == "error"]
         assert len(calls) == 1, k
+
+
+def test_facts_derived_once_per_verified_corpus_pass(monkeypatch):
+    """A cold verified pass over the corpus task list solves liveness
+    once per memoised input function and peels each dense twin once per
+    k; a warm pass does neither (each allocation task re-solved its
+    input's liveness, and each twin was peeled 14 times per pass)."""
+    import repro.graphs.dense as dense
+    from repro.engine import run_task
+    from repro.engine.tasks import _build_memo
+
+    specs = list(corpus_tasks().values())
+    original = liveness.liveness_masks
+    solved = []
+
+    def counting(func, *args, **kwargs):
+        solved.append(func)
+        return original(func, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") \
+                and getattr(module, "liveness_masks", None) is original:
+            monkeypatch.setattr(module, "liveness_masks", counting)
+    real_peel = dense._peel
+    peeled = []
+
+    def peeling(graph, k, tracer):
+        peeled.append((graph, k))
+        return real_peel(graph, k, tracer)
+
+    monkeypatch.setattr(dense, "_peel", peeling)
+
+    def inputs():
+        return {id(entry[0]) for key, entry in _build_memo.items()
+                if key[0] == "function"}
+
+    def twin_peels():
+        return [(id(graph), k) for graph, k in peeled
+                if graph.peels is not None]
+
+    _build_memo.clear()
+    for spec in specs:
+        assert run_task(spec, verify=True)["status"] == "ok"
+    functions = inputs()
+    assert len(functions) == 18
+    assert sorted(id(f) for f in solved if id(f) in functions) \
+        == sorted(functions)
+    twins = twin_peels()
+    assert len(twins) == len(set(twins))
+    assert len({graph for graph, _ in twins}) == 18
+    solved.clear()
+    peeled.clear()
+    for spec in specs:
+        assert run_task(spec, verify=True)["status"] == "ok"
+    assert inputs() == functions
+    assert [f for f in solved if id(f) in functions] == []
+    assert twin_peels() == []
 
 
 def test_coalescing_ledger_walks_the_partition_once(monkeypatch):

@@ -633,7 +633,7 @@ def _handed_allocation(spec):
     )
     from repro.intervals.linear_scan import linear_scan_allocate
 
-    func, k, fingerprint = _load_task_function(spec)
+    func, k, fingerprint, _ = _load_task_function(spec)
     built = Built.before(func, fingerprint)
     variant = "classic" if spec.strategy == "linear-scan" else "second-chance"
     result = linear_scan_allocate(func, k, variant=variant)
@@ -830,7 +830,7 @@ class TestBuildMemo:
 
         spec = _llvm_spec()
         instance, _ = _generate_instance(spec)
-        func, _, _ = _load_task_function(_llvm_spec("linear-scan"))
+        func, _, _, _ = _load_task_function(_llvm_spec("linear-scan"))
         assert build_calls == {"lower": 1, "interference": 1}
         assert _generate_instance(spec)[0] is instance
         assert _load_task_function(_llvm_spec("linear-scan"))[0] is func
@@ -926,6 +926,7 @@ class TestBuildMemo:
         assert record["verification"]["status"] == "certified"
         rebuilt, _ = tasks._generate_instance(spec)
         assert rebuilt is not shared
+        assert list(rebuilt.graph.dense().peels) == [rebuilt.k]
         fresh = instance_from_path(corpus_dir() / "chacha_block.ll",
                                    function="chacha_mix")
         assert rebuilt.graph.fingerprint() == fresh.graph.fingerprint()
@@ -937,7 +938,7 @@ class TestBuildMemo:
         from repro.ir.instructions import Instr
 
         spec = _chacha_allocation()
-        shared, _, _ = _load_task_function(spec)
+        shared, _, _, shared_facts = _load_task_function(spec)
         original = linear_scan.linear_scan_allocate
 
         def mutating(func, k, **kwargs):
@@ -951,7 +952,71 @@ class TestBuildMemo:
         monkeypatch.setattr(linear_scan, "linear_scan_allocate", original)
         assert run_task(spec, verify=True)["verification"]["status"] \
             == "certified"
-        assert _load_task_function(spec)[0] is not shared
+        rebuilt, _, _, facts = _load_task_function(spec)
+        assert rebuilt is not shared and facts is not shared_facts
+
+    def test_facts_follow_their_entry(self):
+        """A memoised function or graph changed between two tasks, even
+        behind its mutators' back, misses the memo: the next task gets a
+        fresh entry with fresh facts and the same record."""
+        import repro.engine.tasks as tasks
+
+        spec = _llvm_spec("linear-scan", k=2)
+        first = run_task(spec, verify=True)
+        func, _, _, facts = tasks._load_task_function(spec)
+        assert facts.function is func and facts.maxlive >= 2
+        func.frequency[func.entry] += 1.0
+        second = run_task(spec, verify=True)
+        again, _, _, fresh = tasks._load_task_function(spec)
+        assert again is not func and fresh is not facts
+        assert fresh.function is again
+        assert (second["result_hash"], second["verification"]) \
+            == (first["result_hash"], first["verification"])
+
+        spec = _llvm_spec("briggs")
+        first = run_task(spec, verify=True)
+        instance, _ = tasks._generate_instance(spec)
+        twin = instance.graph.dense()
+        assert instance.k in twin.peels
+        u, v = next(instance.graph.edges())
+        instance.graph.neighbors_view(u).discard(v)
+        instance.graph.neighbors_view(v).discard(u)
+        assert instance.graph.dense() is twin  # no mutator ran
+        second = run_task(spec, verify=True)
+        rebuilt, _ = tasks._generate_instance(spec)
+        assert rebuilt is not instance
+        assert rebuilt.graph.dense() is not twin
+        assert (second["result_hash"], second["verification"]) \
+            == (first["result_hash"], first["verification"])
+
+    def test_cached_facts_reject_writes(self):
+        import repro.engine.tasks as tasks
+
+        spec = _llvm_spec("linear-scan")
+        assert run_task(spec, verify=True)["verification"]["status"] \
+            == "certified"
+        func, _, _, facts = tasks._load_task_function(spec)
+        variables, live_in, live_out = facts.liveness
+        iset = facts.intervals
+        names, rows = facts.rows
+        var, block = variables[0], func.entry
+        instance, _ = tasks._generate_instance(_llvm_spec("briggs"))
+        assert run_task(_llvm_spec("briggs"), verify=True)["status"] == "ok"
+        twin = instance.graph.dense()
+        rounds, _ = twin.peels[instance.k]
+        writes = [
+            (variables, 0, var), (live_in, block, 0), (live_out, block, 0),
+            (iset.intervals, var, iset[var]), (iset.points.entry, block, 0),
+            (iset.points.sizes, block, 0), (names, 0, var), (rows, 0, 0),
+            (facts.costs, var, 0.0), (rounds, 0, 0),
+            (twin.peels[instance.k], 1, 0),
+            (twin.peels, instance.k, (rounds, 0)),
+        ]
+        for container, key, value in writes:
+            with pytest.raises(TypeError):
+                container[key] = value
+        with pytest.raises(AttributeError):
+            facts.maxlive = 0
 
     def test_memo_is_bounded(self, monkeypatch):
         from repro.engine import tasks

@@ -209,13 +209,12 @@ class TestCliqueTreeVerdicts:
 
         for _path, func in corpus_functions():
             ig = chaitin_interference(func)
-            g = ig.structural_graph()
-            pairs = non_adjacent_pairs(g)
+            pairs = non_adjacent_pairs(ig)
             if len(pairs) > 1000:
                 sample = random.Random(0).sample(pairs, 300)
                 pairs = sample + [(u, v) for u, v, _w in ig.affinities()
-                                  if not g.has_edge(u, v)]
-            assert_same_verdicts(monkeypatch, g, pairs)
+                                  if not ig.has_edge(u, v)]
+            assert_same_verdicts(monkeypatch, ig, pairs)
 
     def test_chacha_mix_chordal_outcome(self):
         """The ``chordal`` task on chacha_mix at k = Maxlive, as the

@@ -82,11 +82,6 @@ class TestAffinities:
         assert s.has_affinity("a", "c")
         assert s.num_affinities() == 1
 
-    def test_structural_graph_strips_affinities(self, small):
-        s = small.structural_graph()
-        assert s.num_edges() == 2
-        assert not hasattr(s, "affinities") or isinstance(s, type(s))
-
 
 class TestMergeWithAffinities:
     def test_merge_folds_affinity(self, small):

@@ -127,7 +127,7 @@ class TestTheorem1:
     def test_on_random_programs(self):
         for seed in range(40):
             ssa = construct_ssa(random_function(seed))
-            g = chaitin_interference(ssa).structural_graph()
+            g = chaitin_interference(ssa)
             assert is_chordal(g), seed
             if len(g):
                 assert clique_number_chordal(g) == maxlive(ssa), seed
@@ -166,7 +166,7 @@ def test_property_ssa_interference_chordal(seed):
         move_fraction=0.1 + (seed % 5) / 10.0,
     )
     ssa = construct_ssa(random_function(seed, config))
-    g = chaitin_interference(ssa).structural_graph()
+    g = chaitin_interference(ssa)
     assert is_chordal(g)
     if len(g):
         assert clique_number_chordal(g) == maxlive(ssa)

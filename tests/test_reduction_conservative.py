@@ -89,7 +89,7 @@ class TestColoringToCoalescing:
         # vertices is a clique of ≤ k vertices (chordal AND greedy-k)
         original_reps = {co.find(v) for v in g.vertices}
         assert len(original_reps) <= 2
-        assert is_chordal(quotient.structural_graph())
+        assert is_chordal(quotient)
         assert is_greedy_k_colorable(quotient, 2)
 
     def test_every_edge_gadget_coalesced(self):
