@@ -394,5 +394,5 @@ def irc_coalescing_result(
         coalescing.union(v, rep)
     return CoalescingResult(
         graph=graph, coalescing=coalescing,
-        strategy="irc-george-any" if george_any else "irc",
+        strategy="irc",
     )

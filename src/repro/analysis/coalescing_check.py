@@ -68,20 +68,19 @@ from .diagnostics import Diagnostic
 from .registry import AnalysisContext, analysis_pass
 
 __all__ = [
-    "NON_CONSERVATIVE_STRATEGIES",
     "CoalescingClaim",
     "claim_from_result",
+    "is_greedy_contract",
 ]
 
-#: Strategies whose contract does NOT promise a greedy-k-colorable
-#: quotient: aggressive coalescing ignores colorability entirely, the
-#: ``kcolorable`` exact target optimizes against plain k-colorability
-#: (strictly weaker than greedy-k-colorability, §2.2), and interval
-#: coalescing (:mod:`repro.intervals.coalesce`) merges on interval
-#: disjointness alone, like aggressive with a coarser oracle.
-NON_CONSERVATIVE_STRATEGIES = frozenset(
-    {"aggressive", "exact-kcolorable", "interval"}
-)
+
+def is_greedy_contract(strategy: str) -> bool:
+    """True iff ``strategy``'s :data:`repro.engine.tasks.STRATEGY_TABLE`
+    row promises a greedy-k-colorable quotient (``COAL004``); an
+    unknown name raises ``KeyError``, never defaults."""
+    from ..engine.tasks import GREEDY, STRATEGY_TABLE
+
+    return STRATEGY_TABLE[strategy].contract == GREEDY
 
 
 @dataclass
@@ -89,8 +88,8 @@ class CoalescingClaim:
     """What a coalescing strategy claims, packaged for validation.
 
     ``conservative`` marks strategies whose contract includes keeping
-    the quotient greedy-k-colorable (everything except aggressive
-    coalescing); ``coalesced`` is the strategy's own list of coalesced
+    the quotient greedy-k-colorable (:func:`is_greedy_contract`);
+    ``coalesced`` is the strategy's own list of coalesced
     affinities; ``expected`` optionally carries externally recorded
     aggregates (e.g. a cached task payload) to cross-check.
     """
@@ -106,13 +105,14 @@ class CoalescingClaim:
 def claim_from_result(result: Any, k: int = 0) -> CoalescingClaim:
     """Build a claim from a :class:`~repro.coalescing.base.
     CoalescingResult` (duck-typed: any object with ``graph``,
-    ``coalescing``, ``strategy`` and ``coalesced``)."""
-    strategy = getattr(result, "strategy", "")
+    ``coalescing``, ``strategy`` and ``coalesced``).  The result's
+    ``strategy`` label is the table name it runs under, so its contract
+    is a lookup (:func:`is_greedy_contract`)."""
     return CoalescingClaim(
         graph=result.graph,
         coalescing=result.coalescing,
         k=k,
-        conservative=strategy not in NON_CONSERVATIVE_STRATEGIES,
+        conservative=is_greedy_contract(result.strategy),
         coalesced=list(getattr(result, "coalesced", ())),
     )
 

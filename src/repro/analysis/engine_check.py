@@ -1,32 +1,29 @@
 """Campaign-time verification: certify engine task records.
 
 :func:`verify_record` is the bridge between the campaign engine and
-the analysis passes.  The subject of a record — the instance a
-coalescing strategy ran on, or the input function and the allocation
-of an allocator — comes from one of two sources:
+the analysis passes.  Its subject — the instance a coalescing strategy
+ran on, or an allocator's input function and allocation — is a
+:class:`repro.engine.tasks.Built` from the one builder,
+:func:`repro.engine.tasks.build`: :func:`~repro.engine.tasks.run_task`
+hands over the one it ran (``built=``); without one the builder is
+called here, and an allocation is re-run by the same table runner.  If
+the input no longer matches the fingerprint taken before the strategy
+ran, the strategy mutated it: ``ENG002``, and the record is not
+certified.
 
-* **handed** — :func:`repro.engine.tasks.run_task` passes what it
-  built (``built=``, a :class:`repro.engine.tasks.Built`).  Its input
-  was fingerprinted before the strategy ran; if the fingerprint has
-  changed the strategy mutated its input, which is ``ENG002`` and the
-  record is not certified;
-* **regenerated** — without ``built=`` (cache-hit verification
-  upgrades, replays) the instance is regenerated **from the spec**
-  through the same loaders as the worker (an ``"llvm"`` input comes
-  from the engine's per-process build memo) and an allocation is
-  re-run, as the worker did.
-
-Either way the same routines certify it.  A coalescing payload's
-partition is rebuilt from its ``coalesced_pairs`` and
-translation-validated (:func:`certify_payload`): merged classes never
-interfere (``COAL001``/``COAL002``), the recorded aggregates match the
-partition (``COAL005``), and — for conservative strategies — the
-quotient is greedy-k-colorable, re-certified through an explicit
-elimination-order witness (``COAL004``).  An allocation's final code is
-rebuilt from its input and its per-round spill decisions and the
-payload's assignment is checked over it (:func:`certify_allocation`).
-A payload that cannot be reconciled with its subject at all (unknown
-vertices, wrong sizes, differing fields) is ``ENG001``.
+A coalescing payload's partition is rebuilt from its
+``coalesced_pairs`` and translation-validated
+(:func:`certify_payload`): merged classes never interfere
+(``COAL001``/``COAL002``), the recorded aggregates match the partition
+(``COAL005``), and — for a strategy whose
+:data:`~repro.engine.tasks.STRATEGY_TABLE` contract is a
+greedy-k-colorable quotient — the quotient is greedy-k-colorable,
+re-certified through an explicit elimination-order witness
+(``COAL004``).  An allocation's final code is rebuilt from its input
+and its per-round spill decisions and the payload's assignment is
+checked over it (:func:`certify_allocation`).  A payload that cannot be
+reconciled with its subject at all (unknown vertices, wrong sizes,
+differing fields) is ``ENG001``.
 
 Verification runs under a deterministic step :class:`~repro.budget.
 Budget` (:data:`VERIFY_MAX_STEPS`), so a pathological instance degrades
@@ -47,14 +44,13 @@ metadata about a record, not part of the task's semantic outcome.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict, List, Mapping, Optional
 
 from ..budget import Budget
 from ..graphs.interference import Coalescing
 from ..obs import NULL_TRACER, Tracer
-from .coalescing_check import (
-    NON_CONSERVATIVE_STRATEGIES, CoalescingClaim, code_facts,
-)
+from .coalescing_check import CoalescingClaim, code_facts, is_greedy_contract
 from .diagnostics import Diagnostic
 from .registry import AnalysisContext
 from .runner import run_passes
@@ -64,7 +60,6 @@ __all__ = [
     "verify_record",
     "certify_payload",
     "certify_allocation",
-    "certify_allocation_payload",
 ]
 
 #: Step budget for one record's verification — deterministic (a step
@@ -140,7 +135,7 @@ def certify_payload(
         graph=graph,
         coalescing=coalescing,
         k=k,
-        conservative=strategy not in NON_CONSERVATIVE_STRATEGIES,
+        conservative=is_greedy_contract(strategy),
         expected={
             key: payload[key]
             for key in ("residual_weight", "coalesced_weight", "coalesced")
@@ -228,33 +223,6 @@ def certify_allocation(
     return out
 
 
-def certify_allocation_payload(
-    spec: Any,
-    payload: Mapping[str, Any],
-    budget: Optional[Budget] = None,
-    tracer: Tracer = NULL_TRACER,
-) -> List[Diagnostic]:
-    """Certify an allocation payload (linear-scan family) from its spec.
-
-    The regenerating source for :func:`certify_allocation`: the
-    payload carries no per-round spill sets, so the function is loaded
-    (through the engine's per-process build memo, as ``run_task`` loads
-    it, with its facts) and the allocator — deterministic given the
-    spec — is re-run to recover them; the re-run result then goes
-    through the same certificate checks as a handed one.
-    """
-    from ..engine.tasks import _load_task_function
-    from ..intervals.linear_scan import linear_scan_allocate
-
-    func, k, _, facts = _load_task_function(spec)
-    variant = (
-        "classic" if spec.strategy == "linear-scan" else "second-chance"
-    )
-    result = linear_scan_allocate(func, k, variant=variant, facts=facts)
-    return certify_allocation(func, result, payload, budget=budget,
-                              tracer=tracer, facts=facts)
-
-
 def _certify(
     spec: Any,
     payload: Mapping[str, Any],
@@ -262,30 +230,27 @@ def _certify(
     tracer: Tracer,
     built: Any,
 ) -> List[Diagnostic]:
-    from ..engine.tasks import ALLOCATION_STRATEGIES, _generate_instance
+    from ..engine.tasks import STRATEGY_TABLE, build
 
-    if built is not None and not built.intact():
+    entry = STRATEGY_TABLE[spec.strategy]
+    if built is None:
+        built = build(spec)
+        if entry.variant is not None:
+            built = replace(built, result=entry.run(
+                built.subject, built.k, facts=built.facts))
+    if not built.intact():
         return [Diagnostic(
             "ENG002", "error",
             f"strategy {spec.strategy!r} mutated its input instance: the "
             "graph or function it was handed changed while it ran",
             detail={"strategy": spec.strategy},
         )]
-    if spec.strategy in ALLOCATION_STRATEGIES:
-        if built is None:
-            return certify_allocation_payload(spec, payload, budget=budget,
-                                              tracer=tracer)
+    if entry.variant is not None:
         return certify_allocation(built.source, built.result, payload,
                                   budget=budget, tracer=tracer,
                                   facts=built.facts)
-    if built is None:
-        instance, _ = _generate_instance(spec)
-    else:
-        instance = built.source
-    return certify_payload(
-        instance, payload, spec.strategy, spec.k or instance.k,
-        budget=budget, tracer=tracer,
-    )
+    return certify_payload(built.source, payload, spec.strategy, built.k,
+                           budget=budget, tracer=tracer)
 
 
 def verify_record(
@@ -300,13 +265,14 @@ def verify_record(
 
     Fault-injection tasks, custom ``call`` tasks (opaque payloads), and
     records without an ``ok`` status are skipped, not failed.
-    ``built`` is what :func:`repro.engine.tasks.run_task` built for the
-    record (a :class:`repro.engine.tasks.Built`); without it the
-    subject is regenerated from the spec.  Allocation tasks then route
-    through :func:`certify_allocation`; everything else is a coalescing
-    task and routes through :func:`certify_payload`.
+    ``built`` is what :func:`repro.engine.tasks.run_task` built and ran
+    for the record (a :class:`repro.engine.tasks.Built`); without it
+    the subject comes from :func:`repro.engine.tasks.build`, and an
+    allocation is re-run by its table runner.  Allocation tasks then
+    route through :func:`certify_allocation`; everything else is a
+    coalescing task and routes through :func:`certify_payload`.
     """
-    from ..engine.tasks import FAULT_GENERATORS
+    from ..engine.tasks import FAULT_GENERATORS, STRATEGY_TABLE
 
     status = record.get("status")
     if status != "ok":
@@ -317,7 +283,7 @@ def verify_record(
         return {"status": "skipped",
                 "reason": "fault-injection task",
                 "diagnostics": []}
-    if spec.strategy == "call":
+    if STRATEGY_TABLE[spec.strategy].run is None:
         return {"status": "skipped",
                 "reason": "custom call task has an opaque payload",
                 "diagnostics": []}

@@ -204,7 +204,7 @@ def check_coalescing_result(
         claim.expected = expected
     ctx = AnalysisContext(
         k=k, budget=budget, tracer=tracer,
-        obj=getattr(result, "strategy", "") or "coalescing",
+        obj=result.strategy,
     )
     return sort_diagnostics(run_passes(claim, "coalescing", ctx))
 

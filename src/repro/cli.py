@@ -95,16 +95,20 @@ from typing import List, Optional
 
 from .challenge.format import dump_instance, load_instances
 from .challenge.generator import pressure_instance, program_instance
-from .engine.tasks import execute_strategy as _run_strategy
+from .engine.tasks import (
+    ALLOCATION_STRATEGIES, COALESCING_STRATEGIES, STRATEGY_TABLE,
+    execute_strategy as _run_strategy,
+)
 from .graphs.chordal import is_chordal
 from .graphs.dense import DENSE_TESTS
 from .graphs.greedy import coloring_number
 from .graphs.io import read_dimacs, to_dot
 from .obs import NULL_TRACER, Tracer, merged_report
 
-STRATEGIES = sorted(DENSE_TESTS) + [
-    "aggressive", "optimistic", "biased", "chordal", "irc", "interval",
-]
+#: The coalescing strategies ``coalesce``, ``report`` and ``solve`` run
+#: without a budget: the table's light ones.
+_COALESCE_CHOICES = [name for name in COALESCING_STRATEGIES
+                     if not STRATEGY_TABLE[name].heavy]
 
 
 def _print_trace(report: dict, out=None) -> None:
@@ -391,15 +395,9 @@ def cmd_allocate(args: argparse.Namespace) -> int:
                     func, args.k, coalesce_test=args.coalescing, tracer=tracer
                 )
                 extra = ""
-            elif args.allocator in ("linear-scan", "second-chance"):
-                from .intervals import linear_scan_allocate
-
-                variant = (
-                    "classic" if args.allocator == "linear-scan"
-                    else "second-chance"
-                )
-                result = linear_scan_allocate(
-                    func, args.k, variant=variant, tracer=tracer
+            elif args.allocator in ALLOCATION_STRATEGIES:
+                result = STRATEGY_TABLE[args.allocator].run(
+                    func, args.k, tracer=tracer
                 )
                 extra = (
                     f", rounds={result.rounds} "
@@ -1098,7 +1096,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coalesce", help="run a coalescing strategy")
     p.add_argument("file")
-    p.add_argument("--strategy", choices=STRATEGIES, default="brute")
+    p.add_argument("--strategy", choices=_COALESCE_CHOICES, default="brute")
     p.add_argument("--k", type=int, default=0, help="override register count")
     p.add_argument("--dimacs", action="store_true")
     p.add_argument("--trace", action="store_true",
@@ -1110,7 +1108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument(
         "--allocator",
-        choices=["chaitin", "ssa", "linear-scan", "second-chance"],
+        choices=["chaitin", "ssa", *ALLOCATION_STRATEGIES],
         default="ssa",
     )
     p.add_argument("--coalescing", default="brute")
@@ -1122,7 +1120,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report", help="run a strategy under a tracer, emit statistics"
     )
     p.add_argument("file")
-    p.add_argument("--strategy", choices=STRATEGIES, default="brute")
+    p.add_argument("--strategy", choices=_COALESCE_CHOICES, default="brute")
     p.add_argument("--k", type=int, default=0, help="override register count")
     p.add_argument("--dimacs", action="store_true")
     fmt = p.add_mutually_exclusive_group()
@@ -1145,7 +1143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="emit solutions for challenge instances")
     p.add_argument("file")
-    p.add_argument("--strategy", choices=STRATEGIES, default="brute")
+    p.add_argument("--strategy", choices=_COALESCE_CHOICES, default="brute")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_solve)
 
@@ -1304,7 +1302,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="open-loop arrival rate (requests/second)")
     p.add_argument("--generator", default="pressure")
     p.add_argument("--strategy", default="brute",
-                   choices=STRATEGIES + ["exact", "exact-kcolorable"])
+                   choices=COALESCING_STRATEGIES)
     p.add_argument("--k", type=int, default=6)
     p.add_argument("--param", action="append", default=[],
                    metavar="KEY=VALUE",

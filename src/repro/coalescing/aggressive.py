@@ -104,7 +104,7 @@ def aggressive_coalesce_exact(
         if take:
             coalescing.union(u, v)
     return CoalescingResult(
-        graph=graph, coalescing=coalescing, strategy="aggressive-exact")
+        graph=graph, coalescing=coalescing, strategy="aggressive")
 
 
 def _snapshot(c: Coalescing):

@@ -23,7 +23,9 @@ class CoalescingResult:
     The ledger depends on the partition alone: one walk of
     ``graph.affinities()`` at construction splits them into
     ``coalesced`` and ``given_up`` (both in that order), and the
-    aggregates derive from those lists.
+    aggregates derive from those lists.  ``strategy`` is the engine's
+    name for the producer, a key of :data:`repro.engine.tasks.
+    STRATEGY_TABLE`, where the verifier looks up its contract.
     """
 
     graph: InterferenceGraph

@@ -93,4 +93,4 @@ def biased_coloring_result(
         else:
             tracer.count("moves.rejected")
     return CoalescingResult(
-        graph=graph, coalescing=coalescing, strategy="biased-coloring")
+        graph=graph, coalescing=coalescing, strategy="biased")

@@ -103,4 +103,4 @@ def chordal_incremental_coalesce(
                 raise AssertionError("witness merge broke chordality")
 
     return CoalescingResult(
-        graph=graph, coalescing=coalescing, strategy="chordal-incremental")
+        graph=graph, coalescing=coalescing, strategy="chordal")

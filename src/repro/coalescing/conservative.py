@@ -130,4 +130,4 @@ def conservative_coalesce(
     with tracer.span(f"conservative-{test}"):
         _coalesce_rounds(graph, dense, k, test_fn, coalescing, tracer)
     return CoalescingResult(
-        graph=graph, coalescing=coalescing, strategy=f"conservative-{test}")
+        graph=graph, coalescing=coalescing, strategy=test)

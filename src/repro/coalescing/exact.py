@@ -107,7 +107,8 @@ def optimal_conservative_coalescing(
         if take:
             coalescing.union(u, v)
     return CoalescingResult(
-        graph=graph, coalescing=coalescing, strategy=f"exact-{target}")
+        graph=graph, coalescing=coalescing,
+        strategy="exact" if target == "greedy" else "exact-kcolorable")
 
 
 def _snapshot(c: Coalescing):

@@ -26,8 +26,11 @@ Three generator families:
   docs to demonstrate that the pool contains hangs and crashes as
   single failed tasks.
 
-:func:`run_task` executes one spec in the current process and returns
-the *task record* (see ``docs/ENGINE.md`` for the schema).  Timeouts
+:data:`STRATEGY_TABLE` names every strategy: how it runs and what it
+promises.  :func:`build` turns a spec into the input its strategy runs
+on (a :class:`Built`), and :func:`run_task` executes one spec in the
+current process on that input and returns the *task record* (see
+``docs/ENGINE.md`` for the schema).  Timeouts
 that require killing a process live in :mod:`repro.engine.pool`; this
 module only handles the cooperative :class:`repro.budget.Budget`.
 """
@@ -37,12 +40,15 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
+import os
 import random
 import threading
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
+from ..allocator.irc import irc_coalescing_result
 from ..budget import Budget, BudgetExceeded
 from ..challenge.format import ChallengeInstance
 from ..challenge.generator import pressure_instance, program_instance
@@ -53,6 +59,8 @@ from ..coalescing.biased import biased_coloring_result
 from ..coalescing.chordal_strategy import chordal_incremental_coalesce
 from ..coalescing.exact import optimal_conservative_coalescing
 from ..graphs.dense import DENSE_TESTS
+from ..intervals import linear_scan
+from ..intervals.coalesce import interval_coalesce
 from ..obs import NULL_TRACER, Tracer
 
 __all__ = [
@@ -62,40 +70,113 @@ __all__ = [
     "expand_grid",
     "execute_strategy",
     "run_task",
+    "build",
     "Built",
+    "Strategy",
+    "STRATEGY_TABLE",
+    "GREEDY",
+    "VALID",
     "INSTANCE_GENERATORS",
     "FAULT_GENERATORS",
     "STRATEGIES",
     "ALLOCATION_STRATEGIES",
+    "COALESCING_STRATEGIES",
 ]
 
 #: Code-version tag mixed into every task hash.  Bump it whenever task
 #: execution semantics change, so stale cached results are never reused.
 ENGINE_VERSION = "3"
 
-#: Built-in instance generators (see :func:`_generate_instance`).
+#: Built-in instance generators (see :func:`build`).
 INSTANCE_GENERATORS = ("pressure", "program", "llvm")
 
 #: Fault-injection generators for exercising the pool's containment.
 FAULT_GENERATORS = ("sleep", "crash")
 
-#: Strategies the executor understands, beyond the conservative tests
-#: of :data:`repro.graphs.dense.DENSE_TESTS`.  ``"call"`` marks a
-#: custom task whose generator is a dotted callable returning the
-#: payload directly.
-EXTRA_STRATEGIES = (
-    "aggressive", "optimistic", "biased", "chordal", "irc",
-    "exact", "exact-kcolorable", "interval",
-    "linear-scan", "second-chance", "call",
-)
+#: The quotient contracts of a coalescing strategy (§2.2): ``GREEDY``,
+#: a greedy-k-colorable quotient (the conservative target, Section 4,
+#: re-certified by ``COAL004``), or ``VALID``, only a valid coalescing
+#: (aggressive coalescing, Section 3, and the k-colorable exact target).
+GREEDY = "greedy-k-colorable"
+VALID = "valid"
 
-#: Strategies that run a register *allocator* over real code instead
-#: of a coalescing strategy over a graph; they require the ``"llvm"``
-#: generator (graph-only generators carry no code to allocate) and
-#: produce an allocation payload (see :func:`_allocation_payload`).
-ALLOCATION_STRATEGIES = ("linear-scan", "second-chance")
 
-STRATEGIES = tuple(sorted(DENSE_TESTS)) + EXTRA_STRATEGIES
+@dataclass(frozen=True)
+class Strategy:
+    """One row of :data:`STRATEGY_TABLE`.
+
+    ``run(subject, k, tracer=, budget=, facts=)`` runs the strategy on
+    :attr:`Built.subject`: a graph, giving a ``CoalescingResult``
+    labelled with the table name, or for an allocator (``variant``, its
+    :func:`~repro.intervals.linear_scan.linear_scan_allocate` variant)
+    the lowered function, giving a ``LinearScanResult``.  It is ``None``
+    for ``"call"``, whose dotted generator computes the payload.
+    ``contract`` is :data:`GREEDY` or :data:`VALID` for a coalescing
+    strategy and ``None`` otherwise; ``heavy`` marks exponential or
+    opaque work, admitted under serving's heavy class.
+    """
+
+    run: Optional[Callable[..., Any]]
+    contract: Optional[str] = None
+    variant: Optional[str] = None
+    heavy: bool = False
+
+
+def _coalescing(fn: Callable[..., Any], contract: str) -> Strategy:
+    """A polynomial heuristic, called as ``fn(graph, k, tracer=)``."""
+    return Strategy(
+        lambda graph, k, tracer=NULL_TRACER, **_: fn(graph, k, tracer=tracer),
+        contract)
+
+
+def _ignoring_k(fn: Callable[..., Any]) -> Callable[..., Any]:
+    return lambda graph, k, tracer: fn(graph, tracer=tracer)
+
+
+def _exact(target: str, contract: str) -> Strategy:
+    return Strategy(
+        lambda graph, k, budget=None, **_: optimal_conservative_coalescing(
+            graph, k, target=target, budget=budget),
+        contract, heavy=True)
+
+
+def _allocator(variant: str) -> Strategy:
+    return Strategy(
+        lambda func, k, tracer=NULL_TRACER, facts=None, **_:
+        linear_scan.linear_scan_allocate(func, k, variant=variant,
+                                         tracer=tracer, facts=facts),
+        variant=variant)
+
+
+#: Every strategy the engine runs, by name, and the one place that says
+#: how each runs and what it promises: the name lists below, the CLI's
+#: choices, serving's admission classes and the verifier's contracts
+#: are read from it.
+STRATEGY_TABLE: Dict[str, Strategy] = {
+    **{test: _coalescing(partial(conservative_coalesce, test=test), GREEDY)
+       for test in sorted(DENSE_TESTS)},
+    "aggressive": _coalescing(_ignoring_k(aggressive_coalesce), VALID),
+    "optimistic": _coalescing(optimistic_coalesce, GREEDY),
+    "biased": _coalescing(biased_coloring_result, GREEDY),
+    "chordal": _coalescing(chordal_incremental_coalesce, GREEDY),
+    "irc": _coalescing(irc_coalescing_result, GREEDY),
+    "exact": _exact("greedy", GREEDY),
+    "exact-kcolorable": _exact("kcolorable", VALID),
+    "interval": _coalescing(_ignoring_k(interval_coalesce), VALID),
+    "linear-scan": _allocator("classic"),
+    "second-chance": _allocator("second-chance"),
+    "call": Strategy(None, heavy=True),
+}
+
+STRATEGIES = tuple(STRATEGY_TABLE)
+
+#: Allocators: they need the ``"llvm"`` generator's code and produce an
+#: allocation payload (:func:`_allocation_payload`).
+ALLOCATION_STRATEGIES = tuple(
+    name for name, entry in STRATEGY_TABLE.items() if entry.variant)
+
+COALESCING_STRATEGIES = tuple(
+    name for name, entry in STRATEGY_TABLE.items() if entry.contract)
 
 
 @dataclass(frozen=True)
@@ -143,7 +224,13 @@ class TaskSpec:
                 f"(builtin: {INSTANCE_GENERATORS + FAULT_GENERATORS}; "
                 "custom generators use a dotted 'module:function' path)"
             )
-        if self.strategy not in STRATEGIES:
+        if not isinstance(self.k, int) or isinstance(self.k, bool) \
+                or self.k < 0:
+            raise ValueError(
+                f"TaskSpec k must be an int >= 0 (0: the instance's k, "
+                f"or Maxlive for llvm), got {self.k!r}"
+            )
+        if self.strategy not in STRATEGY_TABLE:
             raise ValueError(
                 f"unknown strategy {self.strategy!r} (one of {STRATEGIES})"
             )
@@ -170,9 +257,7 @@ class TaskSpec:
         entry).  Unknown keys are rejected to catch typos early."""
         data = dict(data)
         params = dict(data.pop("params", {}))
-        fields = {"generator", "seed", "k", "strategy",
-                  "max_steps", "max_seconds"}
-        unknown = set(data) - fields
+        unknown = set(data) - set(_SPEC_FIELDS)
         if unknown:
             raise ValueError(f"unknown TaskSpec fields: {sorted(unknown)}")
         if "seed" not in data:
@@ -253,34 +338,18 @@ def execute_strategy(
     tracer: Tracer = NULL_TRACER,
     budget: Optional[Budget] = None,
 ) -> CoalescingResult:
-    """Run one named coalescing strategy (the CLI shares this dispatch).
+    """Run one named coalescing strategy of :data:`STRATEGY_TABLE` on
+    ``graph`` (the CLI shares this dispatch).
 
     ``budget`` only reaches the strategies that support cooperative
     budgets (the exact solvers); the heuristics are polynomial and rely
     on the pool's wall-clock timeout instead.
     """
-    if strategy == "aggressive":
-        return aggressive_coalesce(graph, tracer=tracer)
-    if strategy == "optimistic":
-        return optimistic_coalesce(graph, k, tracer=tracer)
-    if strategy == "biased":
-        return biased_coloring_result(graph, k, tracer=tracer)
-    if strategy == "chordal":
-        return chordal_incremental_coalesce(graph, k, tracer=tracer)
-    if strategy == "irc":
-        from ..allocator.irc import irc_coalescing_result
-
-        return irc_coalescing_result(graph, k, tracer=tracer)
-    if strategy in ("exact", "exact-kcolorable"):
-        target = "greedy" if strategy == "exact" else "kcolorable"
-        return optimal_conservative_coalescing(
-            graph, k, target=target, budget=budget
-        )
-    if strategy == "interval":
-        from ..intervals.coalesce import interval_coalesce
-
-        return interval_coalesce(graph, tracer=tracer)
-    return conservative_coalesce(graph, k, test=strategy, tracer=tracer)
+    if strategy not in COALESCING_STRATEGIES:
+        raise ValueError(f"unknown coalescing strategy {strategy!r} "
+                         f"(one of {COALESCING_STRATEGIES})")
+    return STRATEGY_TABLE[strategy].run(graph, k, tracer=tracer,
+                                        budget=budget)
 
 
 def _resolve_dotted(path: str) -> Callable:
@@ -294,8 +363,6 @@ def _resolve_dotted(path: str) -> Callable:
 
 def _corpus_path(params: Mapping[str, Any]) -> Any:
     """The ``.ll`` file an ``"llvm"`` spec names in ``params["path"]``."""
-    import os
-
     from ..frontend.corpus import corpus_dir
 
     path = params.get("path")
@@ -320,26 +387,27 @@ _build_memo_lock = threading.Lock()
 
 
 def _recall(
-    key: Tuple[Any, ...], build: Callable[[], Tuple[Any, Any]]
+    key: Tuple[Any, ...], make: Callable[[], Tuple[Any, Any]]
 ) -> Tuple[Any, Any, Any]:
     """``(source, fingerprint, extra)`` for ``key``, from the memo when
-    it holds the key, else built by ``build()``.
+    it holds the key, else built by ``make()``.
 
     A hit checks the stored source against the fingerprint taken at
     build time (:func:`_unchanged`); if it no longer matches, some
     caller mutated the shared source, so the entry — and the facts
-    ``extra`` derived from it — is dropped and rebuilt.  ``build()``
+    ``extra`` derived from it — is dropped and rebuilt.  ``make()``
     returns ``(source, extra)``, which is fingerprinted and stored,
     evicting the least recently used entry beyond
-    :data:`_BUILD_MEMO_SIZE`.  A ``build()`` that raises stores nothing.
+    :data:`_BUILD_MEMO_SIZE`.  A ``make()`` that raises stores nothing.
     """
     with _build_memo_lock:
         entry = _build_memo.get(key)
     if entry is not None and _unchanged(entry[0], entry[1]):
         with _build_memo_lock:
-            _build_memo[key] = _build_memo.pop(key, entry)
+            if _build_memo.get(key) is entry:  # not evicted meanwhile
+                _build_memo[key] = _build_memo.pop(key)
         return entry
-    source, extra = build()
+    source, extra = make()
     entry = (source, _fingerprint(source), extra)
     with _build_memo_lock:
         _build_memo.pop(key, None)
@@ -368,13 +436,13 @@ def _llvm_function(path: Any, key: Tuple[Any, ...]) -> Tuple[Any, Any, Any]:
     from ..intervals.linear_scan import CodeFacts
     from ..ir.interference import set_frequencies_from_loops
 
-    def build() -> Tuple[Any, Any]:
+    def make() -> Tuple[Any, Any]:
         func = _function_from_bytes(path, key[1], function=key[2],
                                     sha256=key[3])
         set_frequencies_from_loops(func)
         return func, CodeFacts(func)
 
-    return _recall(("function",) + key, build)
+    return _recall(("function",) + key, make)
 
 
 def _llvm_instance(
@@ -389,7 +457,7 @@ def _llvm_instance(
 
     path, key = _llvm_source(params)
 
-    def build() -> Tuple[ChallengeInstance, None]:
+    def make() -> Tuple[ChallengeInstance, None]:
         func, _, facts = _llvm_function(path, key)
         graph = chaitin_interference(func, weighted=True,
                                      liveness=facts.liveness)
@@ -397,70 +465,8 @@ def _llvm_instance(
         return ChallengeInstance(name=name, k=k if k > 0 else facts.maxlive,
                                  graph=graph), None
 
-    instance, fingerprint, _ = _recall(("instance", k) + key, build)
+    instance, fingerprint, _ = _recall(("instance", k) + key, make)
     return instance, fingerprint
-
-
-def _generate_instance(spec: TaskSpec) -> Tuple[ChallengeInstance, Any]:
-    """``(instance, fingerprint)`` of a coalescing task's input.
-
-    ``"llvm"`` instances come from the per-process build memo
-    (:func:`_recall`), shared between tasks and so read-only, with the
-    stored fingerprint its hit check just matched; every other
-    generator builds a fresh instance and returns ``None`` for the
-    fingerprint.
-    """
-    params = spec.params_dict()
-    if spec.generator == "pressure":
-        return pressure_instance(
-            spec.k,
-            int(params.get("rounds", 9)),
-            margin=int(params.get("margin", 0)),
-            copy_fraction=float(params.get("copy_fraction", 0.8)),
-            rng=random.Random(spec.seed),
-            name=f"pressure-s{spec.seed}",
-        ), None
-    if spec.generator == "program":
-        return program_instance(
-            spec.seed,
-            spec.k,
-            num_vars=int(params.get("num_vars", 12)),
-            name=f"program-s{spec.seed}",
-        ), None
-    if spec.generator == "llvm":
-        return _llvm_instance(params, spec.k)
-    fn = _resolve_dotted(spec.generator)
-    instance = fn(seed=spec.seed, k=spec.k, **params)
-    if not isinstance(instance, ChallengeInstance):
-        raise TypeError(
-            f"{spec.generator} returned {type(instance).__name__}, "
-            "expected ChallengeInstance"
-        )
-    return instance, None
-
-
-def _load_task_function(spec: TaskSpec) -> Tuple[Any, int, Any, Any]:
-    """Resolve the lowered function behind an allocation task.
-
-    Allocation strategies need real code, so only the ``"llvm"``
-    generator is accepted.  Returns ``(function, k, fingerprint,
-    facts)`` with loop-depth block frequencies set and ``k`` defaulted
-    to the function's Maxlive when the spec says ``k <= 0`` — the same
-    convention as :func:`repro.frontend.corpus.function_instance`.  The
-    function and its :class:`~repro.intervals.linear_scan.CodeFacts`
-    come from the per-process build memo (:func:`_recall`), shared
-    between tasks and so read-only; ``fingerprint`` is the stored one
-    its hit check just matched.
-    """
-    if spec.generator != "llvm":
-        raise ValueError(
-            f"allocation strategy {spec.strategy!r} requires the "
-            f"'llvm' generator (got {spec.generator!r}): graph "
-            "generators carry no code to allocate"
-        )
-    func, fingerprint, facts = _llvm_function(
-        *_llvm_source(spec.params_dict()))
-    return func, spec.k if spec.k > 0 else facts.maxlive, fingerprint, facts
 
 
 def _allocation_payload(result: Any) -> Dict[str, Any]:
@@ -523,39 +529,89 @@ def _unchanged(source: Any, fingerprint: Any) -> bool:
 
 @dataclass(frozen=True)
 class Built:
-    """What :func:`run_task` built for one task, handed to the verifier.
-
-    ``source`` is the :class:`ChallengeInstance` a coalescing strategy
-    ran on, or the input :class:`~repro.ir.cfg.Function` an allocator
-    ran on; ``result`` is the allocator's
-    :class:`~repro.intervals.linear_scan.LinearScanResult` (``None``
-    for coalescing), and ``facts`` the input function's
-    :class:`~repro.intervals.linear_scan.CodeFacts` from the build memo
-    (``None`` otherwise).  ``fingerprint`` is the source's fingerprint
-    taken before the strategy ran: :meth:`intact` checks the source
-    against it, so the verifier certifies against the input the
-    strategy saw, and reads ``facts``, only if the strategy left it
-    unchanged.
-    """
+    """What :func:`build` built for one spec: ``source``, the
+    :class:`ChallengeInstance` or input :class:`~repro.ir.cfg.Function`
+    the strategy runs on, at ``k`` registers (the spec's, or the
+    instance's k / the function's Maxlive when it says 0), with its
+    ``fingerprint`` from before any strategy ran (:meth:`intact`), the
+    function's memoised ``facts``, and — once :func:`run_task` ran the
+    strategy — its ``result``."""
 
     source: Any
+    k: int
     fingerprint: Any
-    result: Any = None
     facts: Any = None
+    result: Any = None
 
-    @classmethod
-    def before(
-        cls, source: Any, fingerprint: Any = None, facts: Any = None
-    ) -> "Built":
-        """Fingerprint ``source`` now, before the strategy runs —
-        unless ``fingerprint`` is one just matched (the build memo's)."""
-        if fingerprint is None:
-            fingerprint = _fingerprint(source)
-        return cls(source, fingerprint, facts=facts)
+    @property
+    def subject(self) -> Any:
+        """The instance's graph, or the function."""
+        if isinstance(self.source, ChallengeInstance):
+            return self.source.graph
+        return self.source
 
     def intact(self) -> bool:
         """True iff the source still has its pre-strategy fingerprint."""
         return _unchanged(self.source, self.fingerprint)
+
+
+def build(spec: TaskSpec) -> Built:
+    """The input of ``spec``'s strategy: the one path from a spec to
+    what :func:`run_task` runs and the verifier certifies.
+
+    An allocator needs real code, so only the ``"llvm"`` generator is
+    accepted.  An ``"llvm"`` spec's lowered function (with loop-depth
+    block frequencies set) and instance come from a per-process memo
+    (:func:`_recall`) keyed by the file's path and content, the
+    function, the ``sha256`` pin and (instances) ``k``, so each corpus
+    function is lowered, and its interference graph built, once per
+    process.  Beside each function the memo keeps its
+    :class:`~repro.intervals.linear_scan.CodeFacts`, which the
+    allocator's first round and the verifier read; each graph keeps its
+    dense twin and the twin's peel per ``k``.  Memoised sources are
+    shared and so read-only: every hit checks the source against its
+    stored fingerprint and rebuilds on a mismatch, so an input a
+    strategy mutated never reaches a later task.  Every other generator
+    builds a fresh instance, fingerprinted here.
+    """
+    params = spec.params_dict()
+    if STRATEGY_TABLE[spec.strategy].variant is not None:
+        if spec.generator != "llvm":
+            raise ValueError(
+                f"allocation strategy {spec.strategy!r} requires the "
+                f"'llvm' generator (got {spec.generator!r}): graph "
+                "generators carry no code to allocate"
+            )
+        func, fingerprint, facts = _llvm_function(*_llvm_source(params))
+        return Built(func, spec.k or facts.maxlive, fingerprint, facts)
+    if spec.generator == "llvm":
+        instance, fingerprint = _llvm_instance(params, spec.k)
+        return Built(instance, spec.k or instance.k, fingerprint)
+    if spec.generator == "pressure":
+        instance = pressure_instance(
+            spec.k,
+            int(params.get("rounds", 9)),
+            margin=int(params.get("margin", 0)),
+            copy_fraction=float(params.get("copy_fraction", 0.8)),
+            rng=random.Random(spec.seed),
+            name=f"pressure-s{spec.seed}",
+        )
+    elif spec.generator == "program":
+        instance = program_instance(
+            spec.seed,
+            spec.k,
+            num_vars=int(params.get("num_vars", 12)),
+            name=f"program-s{spec.seed}",
+        )
+    else:
+        instance = _resolve_dotted(spec.generator)(seed=spec.seed, k=spec.k,
+                                                   **params)
+        if not isinstance(instance, ChallengeInstance):
+            raise TypeError(
+                f"{spec.generator} returned {type(instance).__name__}, "
+                "expected ChallengeInstance"
+            )
+    return Built(instance, spec.k or instance.k, _fingerprint(instance))
 
 
 def _result_hash(payload: Any) -> str:
@@ -587,27 +643,15 @@ def run_task(
     (never timings), so identical specs hash identically no matter how
     many workers ran the campaign.
 
-    With ``verify=True`` an ``ok`` record is certified through
+    The strategy's input comes from :func:`build`, and the strategy is
+    its :data:`STRATEGY_TABLE` row's ``run``.  With ``verify=True`` the
+    record is certified through
     :func:`repro.analysis.engine_check.verify_record` and the
     verification dict is attached under ``record["verification"]``
-    (metadata only — it never enters ``result_hash``).  The verifier
-    gets what this run built (:class:`Built`: the instance, or the
-    input function and the allocation) instead of rebuilding it from
-    the spec; the input is fingerprinted before the strategy runs, so
-    a strategy that mutates it fails verification with ``ENG002``.
-
-    An ``"llvm"`` spec's lowered function and instance come from a
-    per-process memo keyed by the file's path and content, the
-    function, the ``sha256`` pin and (instances) ``k``: each corpus
-    function is lowered, and its interference graph built, once per
-    process.  Beside each function the memo keeps its
-    :class:`~repro.intervals.linear_scan.CodeFacts`, which the
-    allocator's first round and the verifier read; each graph keeps its
-    dense twin and the twin's peel per ``k``.  Every hit checks the
-    source against its stored fingerprint and rebuilds on a mismatch,
-    so an input a strategy mutated, and the facts derived from it,
-    never reach a later task; the stored fingerprint is the one
-    ``Built`` starts from.
+    (metadata only — it never enters ``result_hash``).  The verifier is
+    handed this run's :class:`Built`, the strategy's result included;
+    its fingerprint predates the strategy, so a strategy that mutates
+    its input fails verification with ``ENG002``.
     """
     key = task_hash(spec)
     tracer = Tracer()
@@ -642,63 +686,36 @@ def run_task(
                                           max_steps=spec.max_steps)
         elif spec.max_steps is not None:
             budget = Budget(max_steps=spec.max_steps)
+        entry = STRATEGY_TABLE[spec.strategy]
         if spec.generator == "sleep":
             time.sleep(float(spec.params_dict().get("seconds", 60.0)))
             payload: Any = {"slept": float(spec.params_dict().get("seconds", 60.0))}
         elif spec.generator == "crash":
-            import os
-
             os._exit(int(spec.params_dict().get("exitcode", 1)))
-        elif spec.strategy == "call":
+        elif entry.run is None:
             fn = _resolve_dotted(spec.generator)
             payload = fn(spec.seed, spec.k, spec.params_dict(), tracer, budget)
-        elif spec.strategy in ALLOCATION_STRATEGIES:
-            from ..intervals.linear_scan import linear_scan_allocate
-
-            func, k, fingerprint, facts = _load_task_function(spec)
-            variant = (
-                "classic" if spec.strategy == "linear-scan"
-                else "second-chance"
-            )
-            if verify:
-                built = Built.before(func, fingerprint, facts=facts)
-            with tracer.span("engine-task"):
-                alloc = linear_scan_allocate(
-                    func, k, variant=variant, tracer=tracer, facts=facts
-                )
-            if built is not None:
-                built = replace(built, result=alloc)
-            payload = _allocation_payload(alloc)
         else:
-            instance, fingerprint = _generate_instance(spec)
-            if verify:
-                built = Built.before(instance, fingerprint)
+            built = build(spec)
             with tracer.span("engine-task"):
-                result = execute_strategy(
-                    instance.graph, spec.k or instance.k, spec.strategy,
-                    tracer=tracer, budget=budget,
-                )
-            payload = _coalesce_payload(instance, result)
+                result = entry.run(built.subject, built.k, tracer=tracer,
+                                   budget=budget, facts=built.facts)
+            built = replace(built, result=result)
+            if entry.variant is not None:
+                payload = _allocation_payload(result)
+            else:
+                payload = _coalesce_payload(built.source, result)
     except BudgetExceeded as exc:
         record.update(
             status="budget_exceeded",
             payload={"reason": exc.reason, "steps": exc.steps},
             result_hash=None,
             error=str(exc),
-            seconds=time.perf_counter() - t0,
         )
-        if verify:
-            from ..analysis.engine_check import verify_record
-
-            record["verification"] = verify_record(spec, record, tracer=tracer)
-        record["trace"] = tracer.report()
-        return record
-    record.update(
-        status="ok",
-        payload=payload,
-        result_hash=_result_hash(payload),
-        seconds=time.perf_counter() - t0,
-    )
+    else:
+        record.update(status="ok", payload=payload,
+                      result_hash=_result_hash(payload))
+    record["seconds"] = time.perf_counter() - t0
     if verify:
         from ..analysis.engine_check import verify_record
 

@@ -179,18 +179,22 @@ def instance_from_path(
 # ----------------------------------------------------------------------
 # the checked-in corpus
 # ----------------------------------------------------------------------
+#: The checkout's ``examples/llvm``, resolved once at import.
+_CHECKOUT_CORPUS = Path(__file__).resolve().parents[3] / "examples" / "llvm"
+
+
 def corpus_dir() -> Path:
     """The ``examples/llvm`` corpus directory.
 
     Resolved relative to the repository checkout; the
-    ``REPRO_LLVM_CORPUS`` environment variable overrides it (useful
-    for installed packages and for pointing the stack at an external
-    function corpus).
+    ``REPRO_LLVM_CORPUS`` environment variable, read on every call,
+    overrides it (useful for installed packages and for pointing the
+    stack at an external function corpus).
     """
     override = os.environ.get("REPRO_LLVM_CORPUS")
     if override:
         return Path(override)
-    return Path(__file__).resolve().parents[3] / "examples" / "llvm"
+    return _CHECKOUT_CORPUS
 
 
 def corpus_paths() -> List[Path]:

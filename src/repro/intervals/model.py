@@ -214,7 +214,8 @@ def merge_ranges(a: Ranges, b: Ranges) -> Ranges:
 
 @dataclass(frozen=True)
 class IntervalSet:
-    """All live intervals of one function plus its point numbering."""
+    """All live intervals of one function plus its point numbering;
+    never changed once built, so :meth:`max_overlap` sweeps once."""
 
     points: ProgramPoints
     intervals: Dict[Var, LiveInterval]
@@ -235,21 +236,29 @@ class IntervalSet:
     def max_overlap(self) -> int:
         """Maximum number of intervals live at any single point.
 
-        Event sweep over range endpoints; by the occupancy convention
-        this equals :func:`repro.ir.liveness.maxlive` exactly.
+        Event sweep over range endpoints (:func:`_sweep`), run at most
+        once per set; by the occupancy convention this equals
+        :func:`repro.ir.liveness.maxlive` exactly.
         """
-        events: List[Tuple[int, int]] = []
-        for interval in self.intervals.values():
-            for start, end in interval.ranges:
-                events.append((start, 1))
-                events.append((end + 1, -1))
-        events.sort()
-        best = depth = 0
-        for _, delta in events:
-            depth += delta
-            if depth > best:
-                best = depth
-        return best
+        if "_max_overlap" not in self.__dict__:
+            object.__setattr__(self, "_max_overlap", _sweep(self))
+        return self.__dict__["_max_overlap"]
+
+
+def _sweep(iset: IntervalSet) -> int:
+    """Maximum number of ``iset``'s intervals live at any single point."""
+    events: List[Tuple[int, int]] = []
+    for interval in iset.intervals.values():
+        for start, end in interval.ranges:
+            events.append((start, 1))
+            events.append((end + 1, -1))
+    events.sort()
+    best = depth = 0
+    for _, delta in events:
+        depth += delta
+        if depth > best:
+            best = depth
+    return best
 
 
 def number_points(func: Function) -> ProgramPoints:

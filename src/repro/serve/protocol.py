@@ -33,7 +33,9 @@ import json
 from dataclasses import dataclass
 from typing import Any, Mapping, Optional
 
-from ..engine.tasks import TaskSpec, task_hash
+from ..engine.tasks import (
+    FAULT_GENERATORS, STRATEGY_TABLE, TaskSpec, task_hash,
+)
 from .http import HttpError
 
 __all__ = [
@@ -41,7 +43,6 @@ __all__ = [
     "parse_task_request",
     "request_class",
     "CACHE_MODES",
-    "HEAVY_STRATEGIES",
     "LIGHT",
     "HEAVY",
 ]
@@ -52,10 +53,6 @@ CACHE_MODES = ("use", "bypass", "refresh")
 #: Admission class names.
 LIGHT = "light"
 HEAVY = "heavy"
-
-#: Strategies whose worst case is exponential (budget-bounded search)
-#: or opaque (custom calls) — admitted under the ``heavy`` class.
-HEAVY_STRATEGIES = frozenset({"exact", "exact-kcolorable", "call"})
 
 
 @dataclass
@@ -76,11 +73,11 @@ class TaskRequest:
 
 def request_class(spec: TaskSpec) -> str:
     """Admission class of a spec: ``"heavy"`` for exponential/opaque
-    work (exact solvers, custom calls, fault injection), else
-    ``"light"``."""
-    if spec.strategy in HEAVY_STRATEGIES:
-        return HEAVY
-    if spec.generator in ("sleep", "crash"):
+    work (a :data:`~repro.engine.tasks.STRATEGY_TABLE` row marked
+    ``heavy`` — the exact solvers and custom calls — and fault
+    injection), else ``"light"``."""
+    if STRATEGY_TABLE[spec.strategy].heavy \
+            or spec.generator in FAULT_GENERATORS:
         return HEAVY
     return LIGHT
 

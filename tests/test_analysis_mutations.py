@@ -420,17 +420,12 @@ def test_eng001_vertex_count_mismatch():
 def _verify_both_ways(field, tamper):
     """Tamper one payload field; verify it regenerated and handed."""
     from repro.analysis.engine_check import verify_record
-    from repro.engine.tasks import (
-        Built,
-        _coalesce_payload,
-        _generate_instance,
-        execute_strategy,
-    )
+    from repro.engine.tasks import _coalesce_payload, build, execute_strategy
 
     spec, record = _ok_record()
     record["payload"][field] = tamper(record["payload"][field])
-    instance, _ = _generate_instance(spec)
-    built = Built.before(instance)
+    built = build(spec)
+    instance = built.source
     result = execute_strategy(instance.graph, spec.k, spec.strategy)
     handed = {"status": "ok", "payload": _coalesce_payload(instance, result)}
     handed["payload"][field] = record["payload"][field]

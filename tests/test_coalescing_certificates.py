@@ -27,8 +27,7 @@ from repro.engine.tasks import (
     TaskSpec,
     _allocation_payload,
     _coalesce_payload,
-    _generate_instance,
-    _load_task_function,
+    build,
     execute_strategy,
 )
 from repro.graphs.dense import DenseGraph
@@ -123,7 +122,7 @@ def test_chacha_mix_failures_pinned(strategy, remain):
     """The two known COAL004 failures: the quotient keeps a core of 45
     (``biased``) or 82 (``chordal``) vertices at k = Maxlive = 35."""
     spec = _chacha(strategy)
-    instance, _ = _generate_instance(spec)
+    instance = build(spec).source
     result = execute_strategy(instance.graph, instance.k, strategy)
     payload = _coalesce_payload(instance, result)
     found = certify_payload(instance, payload, strategy, instance.k)
@@ -153,7 +152,7 @@ def test_coalescing_claim_reads_the_graph_twin(monkeypatch):
     monkeypatch.setattr(DenseGraph, "from_graph", classmethod(counting))
     for strategy in ("briggs", "aggressive"):
         spec = _chacha(strategy)
-        instance, _ = _generate_instance(spec)
+        instance = build(spec).source
         result = execute_strategy(instance.graph, instance.k, strategy)
         payload = _coalesce_payload(instance, result)
         instance.graph.dense()
@@ -178,7 +177,8 @@ def test_one_liveness_solve_per_allocation_claim(monkeypatch):
             monkeypatch.setattr(module, "liveness_masks", counting)
     for k in (0, -1):
         spec = _chacha("linear-scan")
-        func, maxlive_k, _, _ = _load_task_function(spec)
+        built = build(spec)
+        func, maxlive_k = built.source, built.k
         result = linear_scan_allocate(func, maxlive_k + k)
         payload = _allocation_payload(result)
         calls.clear()
@@ -247,7 +247,7 @@ def test_facts_derived_once_per_verified_corpus_pass(monkeypatch):
 def test_coalescing_ledger_walks_the_partition_once(monkeypatch):
     """COAL005's three aggregates come from one list of uncoalesced
     affinities (three walks before)."""
-    instance, _ = _generate_instance(_chacha("briggs"))
+    instance = build(_chacha("briggs")).source
     result = execute_strategy(instance.graph, instance.k, "briggs")
     original = Coalescing.uncoalesced_affinities
     walks = []

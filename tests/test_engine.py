@@ -66,6 +66,29 @@ class TestTaskSpec:
         with pytest.raises(ValueError):
             TaskSpec.from_dict({"generator": "pressure", "k": 6})
 
+    @pytest.mark.parametrize("k", [-1, "3", True, 2.0, None])
+    def test_k_is_an_int_at_least_zero(self, k, tmp_path):
+        """0 means the instance's k (Maxlive for llvm); anything that is
+        not an int >= 0 is rejected where the spec is made."""
+        with pytest.raises(ValueError, match="k must be"):
+            TaskSpec(generator="llvm", seed=0, k=k, strategy="linear-scan",
+                     params={"path": "loops.ll", "function": "gcd"})
+        spec_file = tmp_path / "c.json"
+        spec_file.write_text(json.dumps({
+            "name": "bad-k",
+            "tasks": [{"generator": "pressure", "seed": 0, "k": k,
+                       "strategy": "briggs"}],
+        }))
+        with pytest.raises(ValueError, match="k must be"):
+            load_campaign(str(spec_file))
+
+    def test_k_zero_runs_at_maxlive(self):
+        spec = TaskSpec(generator="llvm", seed=0, strategy="linear-scan",
+                        params={"path": "loops.ll", "function": "gcd"})
+        record = run_task(spec, verify=True)
+        assert record["verification"]["status"] == "certified"
+        assert record["payload"]["k"] == record["payload"]["max_overlap"]
+
     def test_unknown_generator_and_strategy(self):
         with pytest.raises(ValueError):
             TaskSpec(generator="nope", seed=0)
@@ -627,16 +650,13 @@ def _handed_allocation(spec):
     from dataclasses import replace
 
     from repro.engine.tasks import (
-        Built,
+        STRATEGY_TABLE,
         _allocation_payload,
-        _load_task_function,
+        build,
     )
-    from repro.intervals.linear_scan import linear_scan_allocate
 
-    func, k, fingerprint, _ = _load_task_function(spec)
-    built = Built.before(func, fingerprint)
-    variant = "classic" if spec.strategy == "linear-scan" else "second-chance"
-    result = linear_scan_allocate(func, k, variant=variant)
+    built = build(spec)
+    result = STRATEGY_TABLE[spec.strategy].run(built.subject, built.k)
     record = {"status": "ok", "payload": _allocation_payload(result)}
     return record, replace(built, result=result)
 
@@ -690,18 +710,21 @@ class TestHandedVerification:
         assert "spill_rounds" not in record["payload"]
 
     def test_strategy_mutating_its_input_is_eng002(self, monkeypatch):
-        import repro.engine.tasks as tasks
+        from dataclasses import replace
 
-        original = tasks.execute_strategy
+        from repro.engine.tasks import STRATEGY_TABLE
 
-        def mutating(graph, k, strategy, **kwargs):
+        original = STRATEGY_TABLE["brute"]
+
+        def mutating(graph, k, **kwargs):
             u = next(iter(graph.vertices))
             v = next(x for x in graph.vertices
                      if x != u and not graph.has_edge(u, x))
             graph.add_edge(u, v)
-            return original(graph, k, strategy, **kwargs)
+            return original.run(graph, k, **kwargs)
 
-        monkeypatch.setattr(tasks, "execute_strategy", mutating)
+        monkeypatch.setitem(STRATEGY_TABLE, "brute",
+                            replace(original, run=mutating))
         spec = TaskSpec(generator="pressure", seed=11, k=5, strategy="brute")
         record = run_task(spec, verify=True)
         assert record["status"] == "ok"
@@ -826,76 +849,74 @@ class TestBuildMemo:
         return calls
 
     def test_warm_hit_builds_nothing(self, build_calls):
-        from repro.engine.tasks import _generate_instance, _load_task_function
+        from repro.engine.tasks import build
 
         spec = _llvm_spec()
-        instance, _ = _generate_instance(spec)
-        func, _, _, _ = _load_task_function(_llvm_spec("linear-scan"))
+        instance = build(spec).source
+        func = build(_llvm_spec("linear-scan")).source
         assert build_calls == {"lower": 1, "interference": 1}
-        assert _generate_instance(spec)[0] is instance
-        assert _load_task_function(_llvm_spec("linear-scan"))[0] is func
+        assert build(spec).source is instance
+        assert build(_llvm_spec("linear-scan")).source is func
         for strategy in ("briggs", "george", "linear-scan"):
             record = run_task(_llvm_spec(strategy), verify=True)
             assert record["verification"]["status"] == "certified"
         assert build_calls == {"lower": 1, "interference": 1}
 
     def test_memo_keys_on_k(self, build_calls):
-        from repro.engine.tasks import _generate_instance
+        from repro.engine.tasks import build
 
-        at_maxlive, _ = _generate_instance(_llvm_spec())
-        wider, _ = _generate_instance(_llvm_spec(k=at_maxlive.k + 1))
+        at_maxlive = build(_llvm_spec()).source
+        wider = build(_llvm_spec(k=at_maxlive.k + 1)).source
         assert wider.k == at_maxlive.k + 1
         assert wider.graph is not at_maxlive.graph
         assert build_calls == {"lower": 1, "interference": 2}
 
     def test_rewritten_file_misses(self, tmp_path):
-        from repro.engine.tasks import _generate_instance
+        from repro.engine.tasks import build
         from repro.frontend.corpus import corpus_dir
 
         path = tmp_path / "f.ll"
         text = (corpus_dir() / "loops.ll").read_text()
         path.write_text(text)
         spec = _llvm_spec(path=str(path))
-        first, _ = _generate_instance(spec)
-        assert _generate_instance(spec)[0] is first
+        first = build(spec).source
+        assert build(spec).source is first
         path.write_text(text.replace("@gcd", "@gcd2"))
         with pytest.raises(KeyError):
-            _generate_instance(spec)  # no function gcd any more
-        renamed, _ = _generate_instance(_llvm_spec(path=str(path),
-                                                   function="gcd2"))
+            build(spec)  # no function gcd any more
+        renamed = build(_llvm_spec(path=str(path), function="gcd2")).source
         assert renamed.name == "f:gcd2"
         path.write_text(text + "\n; edited\n")
-        edited, _ = _generate_instance(spec)
+        edited = build(spec).source
         assert edited is not first
         assert edited.graph.fingerprint() == first.graph.fingerprint()
 
     def test_wrong_sha256_raises_when_warm(self):
         import hashlib
 
-        from repro.engine.tasks import _generate_instance, _load_task_function
+        from repro.engine.tasks import build
         from repro.frontend.corpus import corpus_dir
 
         digest = hashlib.sha256(
             (corpus_dir() / "loops.ll").read_bytes()).hexdigest()
         for sha in (None, digest):
-            _generate_instance(_llvm_spec(sha256=sha))
-            _load_task_function(_llvm_spec("linear-scan", sha256=sha))
+            build(_llvm_spec(sha256=sha))
+            build(_llvm_spec("linear-scan", sha256=sha))
         for _ in range(2):
             with pytest.raises(ValueError, match="sha256"):
-                _generate_instance(_llvm_spec(sha256="0" * 64))
+                build(_llvm_spec(sha256="0" * 64))
             with pytest.raises(ValueError, match="sha256"):
-                _load_task_function(_llvm_spec("linear-scan",
-                                               sha256="0" * 64))
+                build(_llvm_spec("linear-scan", sha256="0" * 64))
 
     def test_errors_are_not_cached(self, tmp_path):
-        from repro.engine.tasks import _build_memo, _generate_instance
+        from repro.engine.tasks import _build_memo, build
         from repro.frontend import FrontendSyntaxError
 
         path = tmp_path / "bad.ll"
         path.write_text("define i32 @f( {\n")
         for _ in range(2):
             with pytest.raises(FrontendSyntaxError):
-                _generate_instance(_llvm_spec(path=str(path), function="f"))
+                build(_llvm_spec(path=str(path), function="f"))
         assert _build_memo == {}
 
     @pytest.mark.parametrize("verify", [True, False])
@@ -906,25 +927,28 @@ class TestBuildMemo:
 
         spec = _llvm_spec("brute", path="chacha_block.ll",
                           function="chacha_mix")
-        shared, _ = tasks._generate_instance(spec)
-        original = tasks.execute_strategy
+        from dataclasses import replace
 
-        def mutating(graph, k, strategy, **kwargs):
+        shared = tasks.build(spec).source
+        original = tasks.STRATEGY_TABLE["brute"]
+
+        def mutating(graph, k, **kwargs):
             u = next(iter(graph.vertices))
             v = next(x for x in graph.vertices
                      if x != u and not graph.has_edge(u, x))
             graph.add_edge(u, v)
-            return original(graph, k, strategy, **kwargs)
+            return original.run(graph, k, **kwargs)
 
-        monkeypatch.setattr(tasks, "execute_strategy", mutating)
+        monkeypatch.setitem(tasks.STRATEGY_TABLE, "brute",
+                            replace(original, run=mutating))
         poisoned = run_task(spec, verify=verify)
         if verify:
             assert [d["code"] for d in
                     poisoned["verification"]["diagnostics"]] == ["ENG002"]
-        monkeypatch.setattr(tasks, "execute_strategy", original)
+        monkeypatch.setitem(tasks.STRATEGY_TABLE, "brute", original)
         record = run_task(spec, verify=True)
         assert record["verification"]["status"] == "certified"
-        rebuilt, _ = tasks._generate_instance(spec)
+        rebuilt = tasks.build(spec).source
         assert rebuilt is not shared
         assert list(rebuilt.graph.dense().peels) == [rebuilt.k]
         fresh = instance_from_path(corpus_dir() / "chacha_block.ll",
@@ -934,11 +958,11 @@ class TestBuildMemo:
 
     def test_mutated_function_is_rebuilt(self, monkeypatch):
         import repro.intervals.linear_scan as linear_scan
-        from repro.engine.tasks import _load_task_function
+        from repro.engine.tasks import build
         from repro.ir.instructions import Instr
 
         spec = _chacha_allocation()
-        shared, _, _, shared_facts = _load_task_function(spec)
+        shared, shared_facts = build(spec).source, build(spec).facts
         original = linear_scan.linear_scan_allocate
 
         def mutating(func, k, **kwargs):
@@ -952,8 +976,9 @@ class TestBuildMemo:
         monkeypatch.setattr(linear_scan, "linear_scan_allocate", original)
         assert run_task(spec, verify=True)["verification"]["status"] \
             == "certified"
-        rebuilt, _, _, facts = _load_task_function(spec)
-        assert rebuilt is not shared and facts is not shared_facts
+        rebuilt = build(spec)
+        assert rebuilt.source is not shared
+        assert rebuilt.facts is not shared_facts
 
     def test_facts_follow_their_entry(self):
         """A memoised function or graph changed between two tasks, even
@@ -963,11 +988,11 @@ class TestBuildMemo:
 
         spec = _llvm_spec("linear-scan", k=2)
         first = run_task(spec, verify=True)
-        func, _, _, facts = tasks._load_task_function(spec)
+        func, facts = tasks.build(spec).source, tasks.build(spec).facts
         assert facts.function is func and facts.maxlive >= 2
         func.frequency[func.entry] += 1.0
         second = run_task(spec, verify=True)
-        again, _, _, fresh = tasks._load_task_function(spec)
+        again, fresh = tasks.build(spec).source, tasks.build(spec).facts
         assert again is not func and fresh is not facts
         assert fresh.function is again
         assert (second["result_hash"], second["verification"]) \
@@ -975,7 +1000,7 @@ class TestBuildMemo:
 
         spec = _llvm_spec("briggs")
         first = run_task(spec, verify=True)
-        instance, _ = tasks._generate_instance(spec)
+        instance = tasks.build(spec).source
         twin = instance.graph.dense()
         assert instance.k in twin.peels
         u, v = next(instance.graph.edges())
@@ -983,7 +1008,7 @@ class TestBuildMemo:
         instance.graph.neighbors_view(v).discard(u)
         assert instance.graph.dense() is twin  # no mutator ran
         second = run_task(spec, verify=True)
-        rebuilt, _ = tasks._generate_instance(spec)
+        rebuilt = tasks.build(spec).source
         assert rebuilt is not instance
         assert rebuilt.graph.dense() is not twin
         assert (second["result_hash"], second["verification"]) \
@@ -995,12 +1020,13 @@ class TestBuildMemo:
         spec = _llvm_spec("linear-scan")
         assert run_task(spec, verify=True)["verification"]["status"] \
             == "certified"
-        func, _, _, facts = tasks._load_task_function(spec)
+        built = tasks.build(spec)
+        func, facts = built.source, built.facts
         variables, live_in, live_out = facts.liveness
         iset = facts.intervals
         names, rows = facts.rows
         var, block = variables[0], func.entry
-        instance, _ = tasks._generate_instance(_llvm_spec("briggs"))
+        instance = tasks.build(_llvm_spec("briggs")).source
         assert run_task(_llvm_spec("briggs"), verify=True)["status"] == "ok"
         twin = instance.graph.dense()
         rounds, _ = twin.peels[instance.k]
@@ -1023,7 +1049,7 @@ class TestBuildMemo:
 
         monkeypatch.setattr(tasks, "_BUILD_MEMO_SIZE", 3)
         for name in ("gcd", "sum_squares", "popcount"):
-            tasks._generate_instance(_llvm_spec(function=name))
+            tasks.build(_llvm_spec(function=name))
         assert [(key[0], key[-2]) for key in tasks._build_memo] == [
             ("instance", "sum_squares"),
             ("function", "popcount"),
@@ -1042,7 +1068,7 @@ class TestBuildMemo:
         monkeypatch.setattr(tasks, "_BUILD_MEMO_SIZE", 2)
         specs = [_llvm_spec(function=name)
                  for name in ("gcd", "sum_squares", "popcount")]
-        expected = [tasks._fingerprint(tasks._generate_instance(spec)[0])
+        expected = [tasks._fingerprint(tasks.build(spec).source)
                     for spec in specs]
         errors = []
 
@@ -1050,8 +1076,9 @@ class TestBuildMemo:
             try:
                 for i in range(30):
                     n = (offset + i) % len(specs)
-                    instance, fingerprint = tasks._generate_instance(specs[n])
-                    assert fingerprint == expected[n]
+                    built = tasks.build(specs[n])
+                    instance = built.source
+                    assert built.fingerprint == expected[n]
                     assert tasks._fingerprint(instance) == expected[n]
             except Exception as exc:  # threads cannot raise into the test
                 errors.append(exc)

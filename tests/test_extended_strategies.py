@@ -183,7 +183,7 @@ class TestBiasedColoring:
         g.add_affinity("a", "c", 5.0)
         r = biased_coloring_result(g, 2)
         assert r.num_coalesced == 1
-        assert r.strategy == "biased-coloring"
+        assert r.strategy == "biased"
 
     def test_result_rejects_uncolorable(self):
         g = InterferenceGraph()

@@ -509,3 +509,39 @@ def test_interval_counters_per_corpus_function():
             row += counters(tracer)
         seen[f"{path.name}:{func.name}"] = row
     assert seen == CORPUS_INTERVAL_COUNTERS
+
+
+def test_max_overlap_sweeps_once_per_frozen_facts(monkeypatch):
+    """Two verified passes over every corpus allocation task sweep each
+    memoised input's frozen ``CodeFacts.intervals`` once in all (the
+    allocator's ``max_overlap`` field and INTV003 both read it, and each
+    read used to sweep), and every payload keeps its pinned hash."""
+    import json
+    from pathlib import Path
+
+    from repro.engine.tasks import ALLOCATION_STRATEGIES, _build_memo
+    from repro.intervals import model
+    from tests import corpus_tasks
+
+    pinned = json.loads((Path(__file__).parent / "data"
+                         / "result_hashes.json").read_text())["hashes"]
+    real = model._sweep
+    swept = []
+
+    def counting(iset):
+        swept.append(iset)
+        return real(iset)
+
+    monkeypatch.setattr(model, "_sweep", counting)
+    _build_memo.clear()
+    tasks = {key: spec for key, spec in corpus_tasks().items()
+             if spec.strategy in ALLOCATION_STRATEGIES}
+    for _ in range(2):
+        for key, spec in tasks.items():
+            record = run_task(spec, verify=True)
+            assert record["verification"]["status"] == "certified", key
+            assert record["result_hash"] == pinned[key], key
+    frozen = [entry[2].intervals for key, entry in _build_memo.items()
+              if key[0] == "function"]
+    assert len(frozen) == 18
+    assert [sum(s is iset for s in swept) for iset in frozen] == [1] * 18

@@ -282,11 +282,19 @@ class TestProtocol:
         _task_doc(deadline=-2.0),
         _task_doc(deadline=True),
         _task_doc(cache="maybe"),
+        # k must be an int >= 0: not a traceback from the worker (500),
+        # a silent k = 1 (true) or a silent Maxlive (-1)
+        *[{"task": {"generator": "llvm", "seed": 0, "k": k,
+                    "strategy": strategy,
+                    "params": {"path": "loops.ll", "function": "gcd"}}}
+          for k in (-1, "3", True, None)
+          for strategy in ("briggs", "linear-scan")],
     ])
     def test_rejects_bad_documents(self, document):
         with pytest.raises(HttpError) as exc:
             parse_task_request(document)
         assert exc.value.status == 400
+
 
     def test_request_class(self):
         light = TaskSpec(generator="pressure", seed=1, k=5,
@@ -370,6 +378,12 @@ class TestServiceEndToEnd:
                 )
                 assert response.status == 400
                 assert "unknown request fields" in response.json()["error"]
+                negative_k = _task_doc()
+                negative_k["task"]["k"] = -1
+                response = await request_once(url, "POST", "/v1/task",
+                                              negative_k)
+                assert response.status == 400
+                assert "k must be" in response.json()["error"]
             finally:
                 await service.stop()
         run(body())

@@ -12,6 +12,7 @@ from repro.allocator.spill import (
 )
 from repro.ir.builder import FunctionBuilder
 from repro.ir.generators import random_function
+from repro.ir.interp import Stuck, equivalent
 from repro.ir.liveness import check_strict, compute_liveness
 from repro.ir.ssa import construct_ssa
 
@@ -142,3 +143,12 @@ class TestSpillEverywhere:
         fb.block("entry").const("a").mov("b", "a").ret("b")
         out = spill_everywhere(fb.finish(), {"a"})
         assert any(i.is_move for b in out.blocks.values() for i in b.instrs)
+
+    @pytest.mark.xfail(strict=True, raises=Stuck, reason=(
+        "φ-web slot sharing is not transitive: v3.0 feeds two φ-webs "
+        "and stores only to slot(v3.1), so body11's load of slot(v3.3) "
+        "is undefined on the then7 path"))
+    def test_value_feeding_two_phi_webs_keeps_its_behaviour(self):
+        ssa = construct_ssa(random_function(193))
+        (victim,) = [v for v in ssa.variables() if str(v) == "v3.0"]
+        assert equivalent(ssa, spill_everywhere(ssa, {victim}))
