@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import threading
 from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -53,22 +53,33 @@ from ..obs import (
 
 __all__ = ["ResultCache", "MemoryCache", "TieredCache", "compact_cache"]
 
+#: how :meth:`ResultCache.put` opens its temp file: create it, or fail
+#: when a file of that name exists
+_TMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+
 
 class ResultCache:
     """A directory of JSON task records addressed by task hash."""
 
     def __init__(self, root: "Path | str") -> None:
         self.root = Path(root)
+        # get/put run on the service's event loop: plain string joins
+        # keep pathlib out of each call
+        self._root = str(self.root)
 
     def path(self, key: str) -> Path:
         """Where the record for ``key`` lives (may not exist yet)."""
-        return self.root / key[:2] / f"{key}.json"
+        return Path(self._file(key))
+
+    def _file(self, key: str) -> str:
+        """:meth:`path` as a plain string."""
+        return f"{self._root}/{key[:2]}/{key}.json"
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The cached record, or None on miss *or* corrupt entry."""
         try:
-            with open(self.path(key)) as stream:
-                record = json.load(stream)
+            with open(self._file(key), "rb") as stream:
+                record = json.loads(stream.read())
         except (OSError, ValueError):
             return None
         if not isinstance(record, dict) or record.get("key") != key:
@@ -79,32 +90,36 @@ class ResultCache:
         """Atomically write the record for ``key``; True iff an entry
         already existed (i.e. this put overwrote rather than inserted).
 
-        The temp file name is unique per writer (``tempfile.mkstemp``
-        in the destination directory), so concurrent processes writing
-        the same key never interleave bytes: each finishes its own temp
-        file and the ``os.replace`` calls serialize, last one winning
-        with a complete record either way.  The overwrite report is
+        The temp file name is unique per writer — ``.KEY.PID.TID.tmp``
+        in the destination directory, opened with ``O_EXCL`` — so
+        concurrent processes and threads writing the same key never
+        interleave bytes: each finishes its own temp file and the
+        ``os.replace`` calls serialize, last one winning with a complete
+        record either way.  A temp file that already carries this
+        writer's name was left by a dead writer (a reused pid), so it
+        is unlinked and the open retried.  The overwrite report is
         best-effort under such races (it reflects whether the entry
         existed just before this writer's replace).  The record is
         encoded in one ``json.dumps`` call (compact, sorted keys, ASCII)
         before the temp file opens, and the shard directory is made only
-        when ``mkstemp`` finds it missing.
+        when the open finds it missing.
         """
-        path = self.path(key)
-        text = json.dumps(record, sort_keys=True) + "\n"
+        shard = f"{self._root}/{key[:2]}"
+        path = f"{shard}/{key}.json"
+        tmp = f"{shard}/.{key}.{os.getpid()}.{threading.get_ident()}.tmp"
+        data = (json.dumps(record, sort_keys=True) + "\n").encode()
         try:
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=f".{key}.", suffix=".tmp"
-            )
+            fd = os.open(tmp, _TMP_FLAGS, 0o600)
         except FileNotFoundError:  # first record of this shard
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=f".{key}.", suffix=".tmp"
-            )
+            os.makedirs(shard, exist_ok=True)
+            fd = os.open(tmp, _TMP_FLAGS, 0o600)
+        except FileExistsError:  # left behind by a dead writer
+            os.unlink(tmp)
+            fd = os.open(tmp, _TMP_FLAGS, 0o600)
         try:
-            with os.fdopen(fd, "w") as stream:
-                stream.write(text)
-            existed = path.exists()
+            with open(fd, "wb") as stream:
+                stream.write(data)
+            existed = os.path.exists(path)
             os.replace(tmp, path)
             return existed
         except BaseException:
@@ -117,7 +132,7 @@ class ResultCache:
     def delete(self, key: str) -> bool:
         """Drop one record; True iff it existed."""
         try:
-            os.unlink(self.path(key))
+            os.unlink(self._file(key))
             return True
         except OSError:
             return False

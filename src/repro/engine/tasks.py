@@ -234,6 +234,24 @@ class TaskSpec:
             raise ValueError(
                 f"unknown strategy {self.strategy!r} (one of {STRATEGIES})"
             )
+        steps = self.max_steps
+        if steps is not None and (
+            not isinstance(steps, int) or isinstance(steps, bool)
+            or steps < 1
+        ):
+            raise ValueError(
+                f"TaskSpec max_steps must be an int >= 1 or null, "
+                f"got {steps!r}"
+            )
+        seconds = self.max_seconds
+        if seconds is not None and (
+            not isinstance(seconds, (int, float))
+            or isinstance(seconds, bool) or not seconds > 0
+        ):
+            raise ValueError(
+                f"TaskSpec max_seconds must be a number > 0 or null, "
+                f"got {seconds!r}"
+            )
 
     def params_dict(self) -> Dict[str, Any]:
         """The generator parameters as a plain dict."""

@@ -14,15 +14,19 @@ Request lifecycle (``POST /v1/task``):
 2. **cache probe** — the task's content address
    (:func:`repro.engine.tasks.task_hash`) is looked up in the tiered
    result store (:class:`~repro.engine.cache.TieredCache`): the
-   in-memory LRU tier answers synchronously on the event loop, a file
-   hit pays one thread hop and is promoted into memory; a reusable
+   in-memory LRU tier answers first and the file tier backs it, both
+   probed inline on the event loop; a file hit is promoted into
+   memory; a reusable
    record answers immediately (``serve.cache_hit``), optionally
    upgraded with a verification certificate when the request asks for
    one the record lacks; ``cache: "bypass"/"refresh"`` opt out;
 3. **admission** — bounded per-class queues reject overload with 429
    and drain with 503 (:mod:`repro.serve.admission`);
 4. **dispatch** — the request takes a dispatch slot of its class and
-   runs as one pool dispatch under its remaining request deadline;
+   runs as one pool dispatch under its remaining request deadline,
+   awaited on the event loop (:meth:`PersistentPool.run
+   <repro.engine.pool.PersistentPool.run>`; only ``workers=0`` runs
+   the task in a thread, off the loop);
 5. the record is written back to the cache (``ok`` always;
    ``budget_exceeded`` only when no request deadline tightened the
    task's own budget, so a deadline can never poison the cache for
@@ -260,13 +264,9 @@ class Service(HttpServer):
         """
         if self.cache is None or task_request.cache_mode != "use":
             return None
-        # the memory tier is a dict lookup — probe it on the event
-        # loop; only a miss pays the thread hop to the file tier
-        record = self.cache.get_memory(task_request.key)
-        if record is None:
-            record = await asyncio.to_thread(
-                self.cache.get_file, task_request.key
-            )
+        # both tiers are probed on the event loop: a file read is
+        # cheaper than the thread hop that would wrap it
+        record = self.cache.get(task_request.key)
         if record is None or record.get("status") not in REUSABLE_STATUSES:
             return None
         if task_request.verify and "verification" not in record:
@@ -277,9 +277,7 @@ class Service(HttpServer):
                 tracer=self.tracer,
             )
             self.tracer.count("serve.verify_upgrades")
-            await asyncio.to_thread(
-                self.cache.put, task_request.key, record
-            )
+            self.cache.put(task_request.key, record)
         return record
 
     def _cache_write(
@@ -306,10 +304,16 @@ class Service(HttpServer):
             if deadline is not None:
                 deadline -= time.monotonic() - entered_at
             with self.tracer.span("serve/dispatch"):
-                record = await asyncio.to_thread(
-                    self.pool.submit, task_request.spec, deadline,
-                    task_request.verify, self.config.task_timeout,
-                )
+                if self.pool.workers:
+                    record = await self.pool.run(
+                        task_request.spec, deadline,
+                        task_request.verify, self.config.task_timeout,
+                    )
+                else:  # inline compute would stall the loop
+                    record = await asyncio.to_thread(
+                        self.pool.run_inline, task_request.spec,
+                        deadline, task_request.verify,
+                    )
         if record.get("trace"):
             self.tracer.absorb(record["trace"])
         try:

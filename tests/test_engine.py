@@ -2,6 +2,7 @@
 hashes, the result cache, pool fault tolerance (timeout/retry/crash),
 and campaign semantics (cache hits, resume, determinism)."""
 
+import asyncio
 import json
 import random
 
@@ -114,6 +115,36 @@ class TestTaskSpec:
         with pytest.raises(ValueError):
             TaskSpec.from_dict({"generator": "pressure", "seed": 0,
                                 "typo_field": 1})
+
+    @pytest.mark.parametrize("budget", [
+        {"max_steps": "3"}, {"max_steps": True}, {"max_steps": 2.5},
+        {"max_steps": 0}, {"max_steps": -1},
+        {"max_seconds": "2"}, {"max_seconds": True}, {"max_seconds": 0},
+        {"max_seconds": -1.0}, {"max_seconds": float("nan")},
+    ])
+    def test_rejects_bad_budgets(self, budget):
+        # not a TypeError inside run_task, and not a 1-step budget
+        with pytest.raises(ValueError, match="max_s"):
+            TaskSpec.from_dict({"generator": "pressure", "seed": 0,
+                                **budget})
+
+    def test_accepts_good_budgets(self):
+        spec = TaskSpec(generator="pressure", seed=0, max_steps=1,
+                        max_seconds=2)
+        assert (spec.max_steps, spec.max_seconds) == (1, 2)
+
+    def test_campaign_spec_with_bad_budget_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        spec_file = tmp_path / "bad.json"
+        spec_file.write_text(json.dumps({
+            "name": "bad",
+            "tasks": [{"generator": "pressure", "seed": 0, "k": 6,
+                       "strategy": "briggs", "max_steps": "3"}],
+        }))
+        assert main(["campaign", "run", str(spec_file), "--cache-dir",
+                     str(tmp_path / "c")]) == 2
+        assert "max_steps" in capsys.readouterr().err
 
     def test_hash_sensitivity(self):
         base = TaskSpec(generator="pressure", seed=0, k=6, strategy="briggs")
@@ -298,9 +329,26 @@ class TestResultCache:
             w.join()
         assert seen_bad == []
         assert cache.get(key) in payloads
-        leftovers = [p for p in tmp_path.iterdir()
-                     if p.suffix == ".tmp"]
-        assert leftovers == []
+        # temp files are written beside their record, in the shard
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+
+    def test_leftover_temp_file_of_a_dead_writer(self, tmp_path):
+        import os
+        import threading
+
+        cache = ResultCache(tmp_path)
+        key = "fa" * 8
+        shard = tmp_path / key[:2]
+        shard.mkdir()
+        # a writer that died mid-put, whose pid and thread id this
+        # writer now carries
+        stale = shard / f".{key}.{os.getpid()}.{threading.get_ident()}.tmp"
+        stale.write_text("{torn")
+        record = {"key": key, "status": "ok"}
+        assert cache.put(key, record) is False
+        assert cache.get(key) == record
+        assert [p.name for p in shard.iterdir()] == [f"{key}.json"]
 
 
 # ----------------------------------------------------------------------
@@ -374,7 +422,8 @@ class TestPersistentPool:
         from repro.engine import PersistentPool
 
         with PersistentPool(workers=0) as pool:
-            records = [pool.submit(self._spec(s)) for s in range(4)]
+            records = [asyncio.run(pool.run(self._spec(s)))
+                       for s in range(4)]
         assert [r["status"] for r in records] == ["ok"] * 4
         assert [r["task"]["seed"] for r in records] == list(range(4))
 
@@ -382,8 +431,8 @@ class TestPersistentPool:
         from repro.engine import PersistentPool
 
         with PersistentPool(workers=1) as pool:
-            first = pool.submit(self._spec(0), timeout=60)
-            second = pool.submit(self._spec(1), timeout=60)
+            first = asyncio.run(pool.run(self._spec(0), timeout=60))
+            second = asyncio.run(pool.run(self._spec(1), timeout=60))
         assert [first["status"], second["status"]] == ["ok", "ok"]
         assert second["task"]["seed"] == 1
 
@@ -391,8 +440,10 @@ class TestPersistentPool:
         from repro.engine import PersistentPool
 
         with PersistentPool(workers=1) as pool:
-            plain = pool.submit(self._spec(), timeout=60)
-            verified = pool.submit(self._spec(), verify=True, timeout=60)
+            plain = asyncio.run(pool.run(self._spec(), timeout=60))
+            verified = asyncio.run(
+                pool.run(self._spec(), verify=True, timeout=60)
+            )
         assert "verification" not in plain
         assert verified["verification"]["status"] == "certified"
 
@@ -400,11 +451,39 @@ class TestPersistentPool:
         from repro.engine import PersistentPool
 
         with PersistentPool(workers=1) as pool:
-            record = pool.submit(TaskSpec(generator="crash", seed=0),
-                                 timeout=30)
+            record = asyncio.run(
+                pool.run(TaskSpec(generator="crash", seed=0), timeout=30)
+            )
             assert record["status"] == "crashed"
             # the dead worker was replaced; the pool still serves
-            assert pool.submit(self._spec(), timeout=60)["status"] == "ok"
+            again = asyncio.run(pool.run(self._spec(), timeout=60))
+            assert again["status"] == "ok"
+
+    def test_crash_hands_the_replacement_to_a_waiter(self):
+        from repro.engine import PersistentPool
+
+        pid = TaskSpec(generator="tests.test_engine:pid_task",
+                       strategy="call", seed=0)
+
+        async def body(pool):
+            first = await pool.run(pid, timeout=60)
+            # the crash takes the only worker; the second dispatch
+            # waits on the loop for it
+            crashed, waited = await asyncio.gather(
+                pool.run(TaskSpec(generator="crash", seed=0), timeout=30),
+                pool.run(pid, timeout=60),
+            )
+            return first, crashed, waited
+
+        tracer = Tracer()
+        with PersistentPool(workers=1, tracer=tracer) as pool:
+            first, crashed, waited = asyncio.run(
+                asyncio.wait_for(body(pool), 60)
+            )
+        assert crashed["status"] == "crashed"
+        assert waited["status"] == "ok"
+        assert waited["payload"]["pid"] != first["payload"]["pid"]
+        assert tracer.counters["engine.crashes"] == 1
 
     def test_timeout_kills_and_respawns(self):
         from repro.engine import PersistentPool
@@ -413,10 +492,62 @@ class TestPersistentPool:
                          params={"seconds": 30.0})
         tracer = Tracer()
         with PersistentPool(workers=1, tracer=tracer) as pool:
-            record = pool.submit(sleep, timeout=0.3)
+            record = asyncio.run(pool.run(sleep, timeout=0.3))
             assert record["status"] == "timeout"
             assert tracer.counters["engine.timeouts"] == 1
-            assert pool.submit(self._spec(), timeout=60)["status"] == "ok"
+            again = asyncio.run(pool.run(self._spec(), timeout=60))
+            assert again["status"] == "ok"
+
+    def test_cancelled_dispatch_leaves_no_stale_record(self):
+        from repro.engine import PersistentPool
+
+        nap = TaskSpec(generator="sleep", seed=0, params={"seconds": 0.2})
+
+        async def body(pool):
+            dispatch = asyncio.ensure_future(pool.run(nap, timeout=60))
+            await asyncio.sleep(0.05)
+            dispatch.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await dispatch
+            # the nap's record would be in the pipe by now had its
+            # worker been returned to the pool
+            await asyncio.sleep(0.3)
+            return await pool.run(self._spec(1), timeout=60)
+
+        with PersistentPool(workers=1) as pool:
+            record = asyncio.run(asyncio.wait_for(body(pool), 60))
+        assert record["status"] == "ok"
+        assert record["key"] == task_hash(self._spec(1))
+
+    def test_concurrent_dispatches_and_cancels_keep_capacity(self):
+        from repro.engine import PersistentPool
+
+        # more workers than cores, more dispatches than workers, and
+        # some cancelled mid-flight or while waiting for a worker
+        specs = [TaskSpec(generator="tests.test_engine:row_task",
+                          strategy="call", seed=s) for s in range(24)]
+
+        async def body(pool):
+            runs = [asyncio.ensure_future(pool.run(spec, timeout=60))
+                    for spec in specs]
+            await asyncio.sleep(0)
+            for dispatch in runs[1::5]:
+                dispatch.cancel()
+            await asyncio.gather(*runs, return_exceptions=True)
+            return runs
+
+        with PersistentPool(workers=3) as pool:
+            runs = asyncio.run(asyncio.wait_for(body(pool), 60))
+            again = asyncio.run(pool.run(specs[0], timeout=60))
+            idle = len(pool._idle)
+        finished = [(spec, run.result()) for spec, run in zip(specs, runs)
+                    if not run.cancelled()]
+        assert len(finished) == len(specs) - len(runs[1::5])
+        for spec, record in finished:
+            assert record["key"] == task_hash(spec)
+            assert record["payload"]["seed"] == spec.seed
+        assert again["key"] == task_hash(specs[0])
+        assert idle == 3
 
     def test_deadlines_feed_cooperative_budgets(self):
         from repro.engine import PersistentPool
@@ -424,7 +555,7 @@ class TestPersistentPool:
         sleep = TaskSpec(generator="sleep", seed=0,
                          params={"seconds": 30.0})
         with PersistentPool(workers=0) as pool:
-            record = pool.submit(sleep, deadline=-1.0)
+            record = asyncio.run(pool.run(sleep, deadline=-1.0))
         assert record["status"] == "budget_exceeded"
         assert record["payload"]["reason"] == "deadline"
 
@@ -434,7 +565,9 @@ class TestPersistentPool:
         pool = PersistentPool(workers=0)
         pool.close()
         with pytest.raises(RuntimeError):
-            pool.submit(self._spec())
+            asyncio.run(pool.run(self._spec()))
+        with pytest.raises(RuntimeError):
+            pool.run_inline(self._spec())
 
 
 # ----------------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from repro.cli import main
 from repro.engine.cache import ResultCache
 from repro.engine.tasks import TaskSpec, task_hash
+from repro.obs.names import CACHE_FILE_HITS, CACHE_MEMORY_HITS
 from repro.serve import (
     AdmissionController,
     ClassLimit,
@@ -289,6 +290,11 @@ class TestProtocol:
                     "params": {"path": "loops.ll", "function": "gcd"}}}
           for k in (-1, "3", True, None)
           for strategy in ("briggs", "linear-scan")],
+        # budgets must be numbers: not a TypeError in the worker (500)
+        # or a silent 1-step budget (true)
+        *[{"task": {**_task_doc()["task"], **budget}}
+          for budget in ({"max_steps": "3"}, {"max_steps": True},
+                         {"max_seconds": "2"}, {"max_seconds": True})],
     ])
     def test_rejects_bad_documents(self, document):
         with pytest.raises(HttpError) as exc:
@@ -568,6 +574,103 @@ class TestServiceEndToEnd:
         run(body())
 
 
+    def test_bad_budget_is_400(self):
+        async def body():
+            service, url = await _start(workers=1)
+            try:
+                for budget in ({"max_steps": "3"}, {"max_seconds": "2"}):
+                    doc = _task_doc()
+                    doc["task"].update(budget)
+                    response = await request_once(url, "POST", "/v1/task",
+                                                  doc)
+                    assert response.status == 400, response.json()
+                    assert "max_s" in response.json()["error"]
+            finally:
+                await service.stop()
+        run(body())
+
+
+# ----------------------------------------------------------------------
+# the request path stays on the event loop
+# ----------------------------------------------------------------------
+class TestLoopDispatch:
+    def test_request_path_takes_no_thread(self, tmp_path, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("the request path left the event loop")
+
+        async def body():
+            service, url = await _start(workers=1,
+                                        cache_dir=str(tmp_path / "c"))
+            try:
+                await wait_healthy(url, timeout=5.0)
+                monkeypatch.setattr(asyncio, "to_thread", no_thread)
+                monkeypatch.setattr(asyncio.get_running_loop(),
+                                    "run_in_executor", no_thread)
+                cold = await request_once(url, "POST", "/v1/task",
+                                          _task_doc())
+                memory = await request_once(url, "POST", "/v1/task",
+                                            _task_doc())
+                service.cache.memory.clear()
+                file = await request_once(url, "POST", "/v1/task",
+                                          _task_doc())
+                monkeypatch.undo()
+                assert [r.status for r in (cold, memory, file)] \
+                    == [200] * 3
+                assert [r.json()["served"]["cache"]
+                        for r in (cold, memory, file)] \
+                    == ["miss", "hit", "hit"]
+                counters = service.tracer.counters
+                assert counters[CACHE_MEMORY_HITS] == 1
+                assert counters[CACHE_FILE_HITS] == 1
+            finally:
+                monkeypatch.undo()
+                await service.stop()
+        run(body())
+
+    def test_crash_while_a_request_waits_for_the_worker(self):
+        async def body():
+            service, url = await _start(workers=1)
+            try:
+                crash = asyncio.ensure_future(request_once(
+                    url, "POST", "/v1/task",
+                    {"task": {"generator": "crash", "seed": 0}},
+                ))
+                waiter = asyncio.ensure_future(request_once(
+                    url, "POST", "/v1/task", _task_doc()
+                ))
+                crashed, served = await asyncio.gather(crash, waiter)
+                assert crashed.status == 500
+                assert crashed.json()["record"]["status"] == "crashed"
+                assert served.status == 200
+                assert service.tracer.counters["engine.crashes"] == 1
+                # the replacement keeps serving
+                again = await request_once(url, "POST", "/v1/task",
+                                           _task_doc(seed=2))
+                assert again.status == 200
+            finally:
+                await service.stop()
+        run(body())
+
+    def test_timeout_is_504_and_the_next_request_is_served(self):
+        async def body():
+            service, url = await _start(workers=1, task_timeout=0.3)
+            try:
+                doc = {"task": {"generator": "sleep", "seed": 0,
+                                "params": {"seconds": 30.0}}}
+                response = await request_once(url, "POST", "/v1/task", doc)
+                assert response.status == 504
+                assert response.json()["record"]["status"] == "timeout"
+                response = await request_once(url, "POST", "/v1/task",
+                                              _task_doc())
+                assert response.status == 200
+                assert response.json()["record"]["key"] == task_hash(
+                    parse_task_request(_task_doc()).spec
+                )
+            finally:
+                await service.stop()
+        run(body())
+
+
 # ----------------------------------------------------------------------
 # load generator
 # ----------------------------------------------------------------------
@@ -649,7 +752,6 @@ class TestServeCacheIntegrity:
         cache = ResultCache(tmp_path)
         key = "ab" * 8
         cache.put(key, {"key": key, "status": "ok"})
-        leftovers = [p for p in tmp_path.iterdir()
-                     if p.suffix == ".tmp"]
-        assert leftovers == []
+        # temp files are written beside their record, in the shard
+        assert list(tmp_path.rglob("*.tmp")) == []
         assert cache.get(key)["status"] == "ok"
