@@ -12,18 +12,20 @@ import pytest
 
 from conftest import emit
 from repro.allocator import chaitin_allocate, ssa_allocate
+from repro.engine.tasks import STRATEGY_TABLE
 from repro.ir import GeneratorConfig, construct_ssa, eliminate_phis, random_function
 
 CONFIG = GeneratorConfig(num_vars=10, max_stmts=7, move_fraction=0.3)
 SEEDS = list(range(8))
 K = 4
+BRUTE = STRATEGY_TABLE["brute"].run
 
 
 def _compare(seed: int):
     f = random_function(seed, CONFIG)
     phi_free = eliminate_phis(construct_ssa(f))
     chaitin = chaitin_allocate(phi_free, K)
-    two_phase, stats = ssa_allocate(f, K, coalescing="brute")
+    two_phase, stats = ssa_allocate(f, K, BRUTE)
     return {
         "seed": seed,
         "chaitin_spills": len(chaitin.spilled),
@@ -41,7 +43,7 @@ def _compare(seed: int):
 def test_allocator_comparison(benchmark):
     rows = [_compare(seed) for seed in SEEDS]
     f = random_function(SEEDS[0], CONFIG)
-    benchmark(ssa_allocate, f, K)
+    benchmark(ssa_allocate, f, K, BRUTE)
     emit(
         benchmark,
         f"E3: Chaitin-Briggs vs two-phase SSA allocator (k = {K})",

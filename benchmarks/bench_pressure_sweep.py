@@ -19,6 +19,7 @@ import pytest
 
 from conftest import attach_tracer, emit
 from repro.engine import TaskSpec, expand_grid, run_tasks
+from repro.engine.tasks import STRATEGY_TABLE
 from repro.coalescing.conservative import conservative_coalesce
 from repro.challenge.generator import pressure_instance
 from repro.allocator import spill_costs, ssa_allocate
@@ -129,7 +130,7 @@ def test_joint_spill_coalesce(benchmark):
                 costs = spill_costs(func)
                 if variant is None:
                     result, _ = ssa_allocate(
-                        func, k, coalescing=label.split("/")[1]
+                        func, k, STRATEGY_TABLE[label.split("/")[1]].run
                     )
                 else:
                     result = linear_scan_allocate(func, k, variant=variant)

@@ -17,15 +17,15 @@ from conftest import emit
 from repro.allocator import chaitin_allocate
 from repro.analysis import filter_diagnostics
 from repro.analysis.runner import check_allocation
-from repro.allocator.local import (
+from repro.ir import GeneratorConfig, construct_ssa, eliminate_phis, random_function
+from repro.ir.cfg import BasicBlock
+from repro.ir.instructions import Instr
+from tests.reference.local import (
     belady_local_allocate,
     block_intervals,
     color_intervals,
     max_overlap,
 )
-from repro.ir import GeneratorConfig, construct_ssa, eliminate_phis, random_function
-from repro.ir.cfg import BasicBlock
-from repro.ir.instructions import Instr
 
 METRICS = ["cost_degree", "cost", "degree"]
 

@@ -25,12 +25,12 @@ MODULES = [
     "repro.graphs.graph", "repro.graphs.interference", "repro.graphs.dense",
     "repro.graphs.chordal",
     "repro.graphs.coloring", "repro.graphs.greedy", "repro.graphs.generators",
-    "repro.graphs.perfect", "repro.graphs.interval", "repro.graphs.io",
+    "repro.graphs.io",
     "repro.ir.instructions", "repro.ir.cfg", "repro.ir.builder",
     "repro.ir.dominance", "repro.ir.dataflow", "repro.ir.liveness",
     "repro.ir.ssa",
     "repro.ir.out_of_ssa", "repro.ir.interference", "repro.ir.generators",
-    "repro.ir.gadget_programs", "repro.ir.parser", "repro.ir.interp",
+    "repro.ir.parser", "repro.ir.interp",
     "repro.ir.rename",
     "repro.frontend.tokens", "repro.frontend.parser",
     "repro.frontend.lower", "repro.frontend.corpus",
@@ -38,9 +38,8 @@ MODULES = [
     "repro.coalescing.conservative", "repro.coalescing.incremental",
     "repro.coalescing.optimistic", "repro.coalescing.exact",
     "repro.coalescing.chordal_strategy", "repro.coalescing.biased",
-    "repro.coalescing.node_merging",
     "repro.allocator.spill", "repro.allocator.chaitin", "repro.allocator.irc",
-    "repro.allocator.ssa_allocator", "repro.allocator.local",
+    "repro.allocator.ssa_allocator",
     "repro.intervals.model", "repro.intervals.linear_scan",
     "repro.intervals.coalesce",
     "repro.obs.tracer", "repro.obs.export", "repro.obs.names",

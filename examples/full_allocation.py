@@ -10,6 +10,7 @@ import sys
 from repro.allocator import chaitin_allocate, ssa_allocate
 from repro.analysis import filter_diagnostics
 from repro.analysis.runner import check_allocation
+from repro.engine.tasks import STRATEGY_TABLE
 from repro.ir import (
     GeneratorConfig,
     construct_ssa,
@@ -40,7 +41,7 @@ def main(k: int = 4) -> None:
 
     print("== two-phase SSA allocator (spill first, then colour+coalesce) ==")
     for strategy in ("briggs", "brute", "optimistic"):
-        result, stats = ssa_allocate(func, k, coalescing=strategy)
+        result, stats = ssa_allocate(func, k, STRATEGY_TABLE[strategy].run)
         assert filter_diagnostics(check_allocation(result), "error") == []
         residual = (
             stats.coalescing.residual_weight if stats.coalescing else 0.0

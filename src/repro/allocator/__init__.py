@@ -7,7 +7,9 @@ Two designs from the paper's Section 1:
   after actual spills);
 * :func:`ssa_allocate` — the decoupled two-phase allocator: spill to
   Maxlive ≤ k on strict SSA, then colour the (chordal) graph while
-  coalescing with any strategy.
+  coalescing with any strategy whose quotient is greedy-k-colourable,
+  handed in as a callable (a ``run`` of
+  :data:`repro.engine.tasks.STRATEGY_TABLE`).
 
 A third family lives in :mod:`repro.intervals`:
 :func:`repro.intervals.linear_scan_allocate` colours live *intervals*
@@ -16,10 +18,7 @@ variants), reusing this package's :func:`spill_everywhere` cost model
 and rewriting.  It is deliberately not re-exported here — the interval
 subsystem builds on :class:`AllocationResult`, so an eager re-export
 would cycle — reach it via ``repro.intervals`` or ``repro allocate
---allocator linear-scan|second-chance``.  (The unrelated ``Interval``
-/ ``block_intervals`` / ``max_overlap`` names below are the older
-single-block local-allocation machinery of :mod:`repro.allocator
-.local`; :mod:`repro.intervals` is the whole-function model.)
+--allocator linear-scan|second-chance``.
 """
 
 from .spill import (
@@ -31,13 +30,6 @@ from .spill import (
 )
 from .chaitin import AllocationResult, chaitin_allocate
 from .irc import IRCResult, irc_allocate, irc_coalescing_result
-from .local import (
-    Interval,
-    belady_local_allocate,
-    block_intervals,
-    color_intervals,
-    max_overlap,
-)
 from .ssa_allocator import (
     SSAAllocationStats,
     spill_to_pressure,
@@ -55,11 +47,6 @@ __all__ = [
     "SSAAllocationStats",
     "spill_to_pressure",
     "ssa_allocate",
-    "Interval",
-    "belady_local_allocate",
-    "block_intervals",
-    "color_intervals",
-    "max_overlap",
     "IRCResult",
     "irc_allocate",
     "irc_coalescing_result",

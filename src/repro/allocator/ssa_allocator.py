@@ -8,21 +8,21 @@ then *colour and coalesce* in one final phase on a greedy-k-colorable
 graph (Property 1 guarantees the Chaitin elimination machinery still
 applies).
 
-The coalescing phase is pluggable: any conservative test from
-:mod:`repro.coalescing.conservative`, or the optimistic strategy —
-which is exactly the comparison surface of the E1/E2 benchmarks.
+The coalescing phase is pluggable: any strategy whose quotient is
+greedy-k-colourable (the conservative tests, optimistic, biased,
+chordal, IRC) is handed in as a callable — which is exactly the
+comparison surface of the E1/E2 benchmarks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..coalescing.base import CoalescingResult
-from ..coalescing.conservative import conservative_coalesce
-from ..coalescing.optimistic import optimistic_coalesce
 from ..graphs.chordal import is_chordal
 from ..graphs.greedy import greedy_k_coloring
+from ..graphs.graph import Vertex
 from ..ir.cfg import Function
 from ..ir.interference import chaitin_interference, set_frequencies_from_loops
 from ..ir.instructions import Var
@@ -145,14 +145,17 @@ def spill_to_pressure(
 def ssa_allocate(
     func: Function,
     k: int,
-    coalescing: str = "brute",
+    coalesce: Optional[Callable[..., CoalescingResult]],
     tracer: Tracer = NULL_TRACER,
 ) -> Tuple[AllocationResult, SSAAllocationStats]:
     """Run the full two-phase allocator.
 
-    ``coalescing`` is one of the conservative test names
-    ("briggs", "george", "briggs_george", "brute") or "optimistic" or
-    "none".  ``tracer`` records per-phase wall time (construct / spill /
+    ``coalesce(graph, k, tracer=)`` is the phase-2 coalescing strategy,
+    a ``run`` of :data:`repro.engine.tasks.STRATEGY_TABLE` whose
+    contract is greedy-k-colourable, or ``None`` for no coalescing.
+    The quotient of its partition is greedy-coloured, unless the result
+    carries its own ``coloring`` (biased colouring), which is used as
+    is.  ``tracer`` records per-phase wall time (construct / spill /
     build / coalesce / colour) and the phase counters.
     """
     if k <= 0:
@@ -180,60 +183,29 @@ def ssa_allocate(
             graph.remove_vertex(v)
         stats.chordal = is_chordal(graph)
 
-    if coalescing == "none":
-        quotient = graph
-        mapping = {v: v for v in graph.vertices}
-        coalesced_moves = 0
-    elif coalescing == "biased":
-        # no merging at all: steer the colour selection instead
-        from ..coalescing.biased import biased_greedy_coloring
-
+    coloring: Optional[Dict[Vertex, int]] = None
+    quotient, mapping = graph, {v: v for v in graph.vertices}
+    coalesced_moves = 0
+    if coalesce is not None:
         with tracer.span("ssa/coalesce"):
-            coloring = biased_greedy_coloring(graph, k, tracer=tracer)
+            result = coalesce(graph, k, tracer=tracer)
+        stats.coalescing = result
+        coalesced_moves = result.num_coalesced
+        coloring = result.coloring
         if coloring is None:
+            quotient = result.coalesced_graph()
+            mapping = result.coalescing.as_mapping()
+    if coloring is None:
+        with tracer.span("ssa/color"):
+            colors = greedy_k_coloring(quotient, k)
+        if colors is None:
             raise AssertionError(
                 "phase-2 graph not greedy-k-colorable despite Maxlive ≤ k"
             )
-        return AllocationResult(
-            function=lowered,
-            assignment=dict(coloring),
-            k=k,
-            spilled=spilled,
-            coalesced_moves=sum(
-                1
-                for u, v, _ in graph.affinities()
-                if coloring[u] == coloring[v]
-            ),
-        ), stats
-    else:
-        with tracer.span("ssa/coalesce"):
-            if coalescing == "optimistic":
-                result = optimistic_coalesce(graph, k, tracer=tracer)
-            elif coalescing == "chordal":
-                from ..coalescing.chordal_strategy import (
-                    chordal_incremental_coalesce,
-                )
-
-                result = chordal_incremental_coalesce(graph, k, tracer=tracer)
-            else:
-                result = conservative_coalesce(
-                    graph, k, test=coalescing, tracer=tracer
-                )
-        stats.coalescing = result
-        quotient = result.coalescing.coalesced_graph()
-        mapping = result.coalescing.as_mapping()
-        coalesced_moves = result.num_coalesced
-
-    with tracer.span("ssa/color"):
-        coloring = greedy_k_coloring(quotient, k)
-    if coloring is None:
-        raise AssertionError(
-            "phase-2 graph not greedy-k-colorable despite Maxlive ≤ k"
-        )
-    assignment = {v: coloring[mapping[v]] for v in graph.vertices}
+        coloring = {v: colors[mapping[v]] for v in graph.vertices}
     return AllocationResult(
         function=lowered,
-        assignment=assignment,
+        assignment=dict(coloring),
         k=k,
         spilled=spilled,
         coalesced_moves=coalesced_moves,

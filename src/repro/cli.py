@@ -96,7 +96,7 @@ from typing import List, Optional
 from .challenge.format import dump_instance, load_instances
 from .challenge.generator import pressure_instance, program_instance
 from .engine.tasks import (
-    ALLOCATION_STRATEGIES, COALESCING_STRATEGIES, STRATEGY_TABLE,
+    ALLOCATION_STRATEGIES, COALESCING_STRATEGIES, GREEDY, STRATEGY_TABLE,
     execute_strategy as _run_strategy,
 )
 from .graphs.chordal import is_chordal
@@ -109,6 +109,12 @@ from .obs import NULL_TRACER, Tracer, merged_report
 #: without a budget: the table's light ones.
 _COALESCE_CHOICES = [name for name in COALESCING_STRATEGIES
                      if not STRATEGY_TABLE[name].heavy]
+
+#: ``allocate --coalescing``: ``none`` and the light strategies whose
+#: quotient is greedy-k-colourable, the one target an allocator that
+#: spills first can colour without further spills.
+_ALLOCATE_COALESCING = ["none", *(name for name in _COALESCE_CHOICES
+                                  if STRATEGY_TABLE[name].contract == GREEDY)]
 
 
 def _print_trace(report: dict, out=None) -> None:
@@ -369,6 +375,13 @@ def cmd_allocate(args: argparse.Namespace) -> int:
     from .analysis import filter_diagnostics
     from .analysis.runner import check_allocation
 
+    if args.coalescing not in _ALLOCATE_COALESCING:
+        print(
+            f"error: --coalescing {args.coalescing!r} is not one of "
+            f"{', '.join(_ALLOCATE_COALESCING)}",
+            file=sys.stderr,
+        )
+        return 2
     if args.allocator == "chaitin" and args.coalescing not in DENSE_TESTS:
         print(
             f"error: --allocator chaitin coalesces with a conservative "
@@ -404,9 +417,10 @@ def cmd_allocate(args: argparse.Namespace) -> int:
                     f"max_overlap={result.max_overlap}"
                 )
             else:
-                result, stats = ssa_allocate(
-                    func, args.k, coalescing=args.coalescing, tracer=tracer
-                )
+                coalesce = (None if args.coalescing == "none"
+                            else STRATEGY_TABLE[args.coalescing].run)
+                result, stats = ssa_allocate(func, args.k, coalesce,
+                                             tracer=tracer)
                 extra = f", phase-2 chordal={stats.chordal}"
         except (ValueError, RuntimeError) as exc:
             print(f"{func.name}: failed ({exc})", file=sys.stderr)
@@ -1111,7 +1125,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["chaitin", "ssa", *ALLOCATION_STRATEGIES],
         default="ssa",
     )
-    p.add_argument("--coalescing", default="brute")
+    p.add_argument("--coalescing", default="brute",
+                   help="one of " + ", ".join(_ALLOCATE_COALESCING))
     p.add_argument("--trace", action="store_true",
                    help="print tracer counters and span timings per function")
     p.set_defaults(func=cmd_allocate)

@@ -33,7 +33,6 @@ from .optimistic import decoalesce_minimum, optimistic_coalesce
 from .exact import optimal_conservative_coalescing
 from .chordal_strategy import chordal_incremental_coalesce
 from .biased import biased_coloring_result, biased_greedy_coloring
-from .node_merging import merge_to_make_greedy_colorable, merging_helps
 
 __all__ = [
     "CoalescingResult",
@@ -52,6 +51,4 @@ __all__ = [
     "chordal_incremental_coalesce",
     "biased_coloring_result",
     "biased_greedy_coloring",
-    "merge_to_make_greedy_colorable",
-    "merging_helps",
 ]

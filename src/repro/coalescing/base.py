@@ -10,7 +10,7 @@ paper's objective "at most K affinities are not coalesced".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..graphs.graph import Vertex
 from ..graphs.interference import Coalescing, InterferenceGraph
@@ -26,11 +26,15 @@ class CoalescingResult:
     aggregates derive from those lists.  ``strategy`` is the engine's
     name for the producer, a key of :data:`repro.engine.tasks.
     STRATEGY_TABLE`, where the verifier looks up its contract.
+    ``coloring`` is a k-colouring of ``graph`` that the strategy found
+    itself (biased colouring steers colours rather than merging); an
+    allocator uses it as is instead of colouring the quotient afresh.
     """
 
     graph: InterferenceGraph
     coalescing: Coalescing
     strategy: str
+    coloring: Optional[Dict[Vertex, int]] = None
     #: affinities (u, v, w) whose endpoints share a class
     coalesced: List[Tuple[Vertex, Vertex, float]] = field(init=False)
     #: affinities (u, v, w) left in the code (residual moves)

@@ -74,7 +74,9 @@ def biased_coloring_result(
     Two affinity endpoints count as coalesced when the biased colouring
     gives them the same colour.  (The partition groups same-coloured
     affinity-connected vertices, which is a valid coalescing since they
-    never interfere.)
+    never interfere.)  The colouring itself rides along as the result's
+    ``coloring``: greedy-colouring the quotient afresh would lose the
+    bias, and can fail where the biased colouring succeeded.
     """
     coloring = biased_greedy_coloring(graph, k, tracer=tracer)
     if coloring is None:
@@ -93,4 +95,5 @@ def biased_coloring_result(
         else:
             tracer.count("moves.rejected")
     return CoalescingResult(
-        graph=graph, coalescing=coalescing, strategy="biased")
+        graph=graph, coalescing=coalescing, strategy="biased",
+        coloring=coloring)

@@ -18,13 +18,11 @@ from .chordal import (
     clique_number_chordal,
     clique_tree,
     is_chordal,
-    is_perfect_elimination_ordering,
     make_chordal,
     maximal_cliques_chordal,
     maximum_cardinality_search,
     perfect_elimination_ordering,
     simplicial_vertices,
-    verify_clique_tree,
 )
 from .coloring import (
     chromatic_number,
@@ -41,7 +39,7 @@ from .greedy import (
     greedy_k_coloring,
     is_greedy_k_colorable,
 )
-from . import dense, generators, interval, io, perfect
+from . import dense, generators, io
 
 __all__ = [
     "Graph",
@@ -55,13 +53,11 @@ __all__ = [
     "clique_number_chordal",
     "clique_tree",
     "is_chordal",
-    "is_perfect_elimination_ordering",
     "make_chordal",
     "maximal_cliques_chordal",
     "maximum_cardinality_search",
     "perfect_elimination_ordering",
     "simplicial_vertices",
-    "verify_clique_tree",
     "chromatic_number",
     "dsatur_coloring",
     "greedy_coloring",
@@ -75,7 +71,5 @@ __all__ = [
     "is_greedy_k_colorable",
     "dense",
     "generators",
-    "interval",
     "io",
-    "perfect",
 ]

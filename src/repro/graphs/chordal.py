@@ -47,41 +47,6 @@ def maximum_cardinality_search(
     return [dense.names[i] for i in _dense_mcs_order(dense, tracer=tracer)]
 
 
-def is_perfect_elimination_ordering(graph: Graph, order: Sequence[Vertex]) -> bool:
-    """Check that ``order`` is a perfect elimination ordering.
-
-    ``order`` is read as an *elimination* order: for each vertex v, its
-    neighbours occurring later in the order must form a clique.  Uses the
-    classic follower trick (Golumbic) for an O(V+E) check instead of the
-    quadratic direct definition.
-
-    ``order`` must be a *permutation* of the vertex set: an order that
-    omits, duplicates, or invents vertices is rejected (a partial order
-    could otherwise pass the clique condition vacuously).
-    """
-    if len(order) != len(graph):
-        return False
-    position = {v: i for i, v in enumerate(order)}
-    if len(position) != len(order):
-        return False  # duplicated vertex
-    for v in graph.vertices:
-        if v not in position:
-            return False
-    for v in position:
-        if v not in graph:
-            return False
-    for v in order:
-        later = [u for u in graph.neighbors_view(v) if position[u] > position[v]]
-        if not later:
-            continue
-        # the earliest later-neighbour must be adjacent to all the others
-        first = min(later, key=position.__getitem__)
-        rest = set(later) - {first}
-        if not rest <= graph.neighbors_view(first):
-            return False
-    return True
-
-
 def perfect_elimination_ordering(graph: Graph) -> Optional[List[Vertex]]:
     """A PEO of ``graph``, or None if the graph is not chordal.
 
@@ -313,30 +278,6 @@ def clique_tree(graph: Graph) -> CliqueTree:
     """
     names, tree = _chordal_walk(graph)
     return CliqueTree(cliques=_clique_sets(names, tree.cliques), edges=tree.edges)
-
-
-def verify_clique_tree(graph: Graph, tree: CliqueTree) -> bool:
-    """Check the induced-subtree property: for every vertex, the cliques
-    containing it form a connected subtree.  Used by tests."""
-    adj = tree.adjacency()
-    for v, nodes in tree.subtree.items():
-        if v not in graph:
-            return False
-        nodes = set(nodes)
-        if not nodes:
-            return False
-        start = next(iter(nodes))
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y in nodes and y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if seen != nodes:
-            return False
-    return True
 
 
 def make_chordal(graph: Graph) -> Graph:

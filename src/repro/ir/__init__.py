@@ -33,7 +33,6 @@ from .interference import (
     set_frequencies_from_loops,
 )
 from .generators import GeneratorConfig, random_function
-from .gadget_programs import phi_merge_diamond, rotation_loop, swap_loop
 from .interp import (
     Stuck,
     Trace,
@@ -79,9 +78,6 @@ __all__ = [
     "set_frequencies_from_loops",
     "GeneratorConfig",
     "random_function",
-    "phi_merge_diamond",
-    "rotation_loop",
-    "swap_loop",
     "Stuck",
     "Trace",
     "apply_assignment",

@@ -9,11 +9,14 @@ One task request (``POST /v1/task``) is a JSON document::
      "deadline": 1.5,          # wall-clock seconds granted (optional)
      "cache": "use"}           # "use" | "bypass" | "refresh" (optional)
 
-``task`` is exactly a :class:`repro.engine.tasks.TaskSpec` in its
-``as_dict`` form, so anything a campaign can express, the service can
-serve — and the content address (:func:`repro.engine.tasks.task_hash`)
-is shared between both, which is what makes the result cache a common
-substrate.
+``task`` is a :class:`repro.engine.tasks.TaskSpec` in its ``as_dict``
+form, and the content address (:func:`repro.engine.tasks.task_hash`)
+is shared with campaigns, which is what makes the result cache a common
+substrate.  The service serves the built-in generators only: an
+``"llvm"`` task's ``params.path`` must be the bare name of a file in
+:func:`repro.frontend.corpus.corpus_dir`, and a dotted
+``"module:function"`` generator or a ``"call"`` task is refused, so a
+request can neither open a file outside the corpus nor import code.
 
 :func:`parse_task_request` validates the document into a
 :class:`TaskRequest`; validation failures raise
@@ -22,7 +25,7 @@ the offending field.
 
 Admission classes: :func:`request_class` maps a spec onto ``"light"``
 (polynomial heuristics) or ``"heavy"`` (exponential exact solvers and
-opaque custom calls), which the admission controller budgets
+fault injection), which the admission controller budgets
 separately so one queue of slow solver calls cannot starve cheap
 heuristic traffic.
 """
@@ -30,8 +33,9 @@ heuristic traffic.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping, Optional, Set, Tuple
 
 from ..engine.tasks import (
     FAULT_GENERATORS, STRATEGY_TABLE, TaskSpec, task_hash,
@@ -72,14 +76,48 @@ class TaskRequest:
 
 
 def request_class(spec: TaskSpec) -> str:
-    """Admission class of a spec: ``"heavy"`` for exponential/opaque
-    work (a :data:`~repro.engine.tasks.STRATEGY_TABLE` row marked
-    ``heavy`` — the exact solvers and custom calls — and fault
-    injection), else ``"light"``."""
+    """Admission class of a spec: ``"heavy"`` for exponential work (a
+    :data:`~repro.engine.tasks.STRATEGY_TABLE` row marked ``heavy``) and
+    fault injection, else ``"light"``."""
     if STRATEGY_TABLE[spec.strategy].heavy \
             or spec.generator in FAULT_GENERATORS:
         return HEAVY
     return LIGHT
+
+
+#: ``(REPRO_LLVM_CORPUS, file name)`` pairs found to be corpus files
+#: (the variable picks :func:`corpus_dir`), so a request for one costs
+#: no ``stat`` after the first.
+_corpus_files: Set[Tuple[Optional[str], str]] = set()
+
+
+def _in_corpus(path: Any) -> bool:
+    """True iff ``path`` is the bare name of a file in the corpus."""
+    if not isinstance(path, str) or os.path.basename(path) != path:
+        return False
+    key = (os.environ.get("REPRO_LLVM_CORPUS"), path)
+    if key not in _corpus_files:
+        # imported on a miss only: the service process need not load
+        # the frontend (its pool workers parse)
+        from ..frontend.corpus import corpus_dir
+
+        if not (corpus_dir() / path).is_file():
+            return False
+        _corpus_files.add(key)
+    return True
+
+
+def _check_served(spec: TaskSpec) -> None:
+    """Refuse (400) a spec that would import code or read a file
+    outside the served corpus."""
+    if ":" in spec.generator or spec.strategy == "call":
+        raise HttpError(400, "the service runs no dotted generator or "
+                             "custom 'call' task; run those in a campaign")
+    if spec.generator == "llvm":
+        path = spec.params_dict().get("path")
+        if not _in_corpus(path):
+            raise HttpError(400, "'params.path' must name a file of the "
+                                 f"served corpus, got {path!r}")
 
 
 def parse_task_request(document: Any) -> TaskRequest:
@@ -100,6 +138,7 @@ def parse_task_request(document: Any) -> TaskRequest:
         spec = TaskSpec.from_dict(task)
     except (TypeError, ValueError) as exc:
         raise HttpError(400, f"invalid task: {exc}") from exc
+    _check_served(spec)
     verify = document.get("verify", False)
     if not isinstance(verify, bool):
         raise HttpError(400, "'verify' must be a boolean")

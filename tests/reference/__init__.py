@@ -6,7 +6,8 @@ strictly less traced work (counted as in :mod:`repro.obs.names`).
 :func:`maximal_cliques_chordal` (the Blair–Peyton containment test) and
 :func:`clique_tree` (the Kruskal maximum-weight spanning tree on those
 cliques) are what the O(V+E) clique-tree walk of
-:mod:`repro.graphs.chordal` is checked against, and
+:mod:`repro.graphs.chordal` is checked against,
+:func:`verify_clique_tree` checks a tree's induced-subtree property, and
 :func:`coalesced_graph` (one ``add_edge`` per edge) is the oracle for
 the row-wise quotient build.  :func:`optimistic_coalesce` is the
 de-coalescing loop on dict quotients that the single-DenseGraph
@@ -182,6 +183,30 @@ def clique_tree(graph: Graph) -> CliqueTree:
             parent[ri] = rj
             edges.append((i, j))
     return CliqueTree(cliques=cliques, edges=edges)
+
+
+def verify_clique_tree(graph: Graph, tree: CliqueTree) -> bool:
+    """Check the induced-subtree property: for every vertex, the cliques
+    containing it form a connected subtree."""
+    adj = tree.adjacency()
+    for v, nodes in tree.subtree.items():
+        if v not in graph:
+            return False
+        nodes = set(nodes)
+        if not nodes:
+            return False
+        start = next(iter(nodes))
+        seen = {start}
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y in nodes and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        if seen != nodes:
+            return False
+    return True
 
 
 def compute_liveness(

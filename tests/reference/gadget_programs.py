@@ -12,9 +12,8 @@ affinities, the shape local conservative rules give up on
 
 from __future__ import annotations
 
-
-from .builder import FunctionBuilder
-from .cfg import Function
+from repro.ir.builder import FunctionBuilder
+from repro.ir.cfg import Function
 
 
 def rotation_loop(n: int, rounds_prefix: str = "") -> Function:

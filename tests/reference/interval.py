@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from .chordal import clique_tree, is_chordal
-from .graph import Graph, Vertex
+from repro.graphs.chordal import clique_tree, is_chordal
+from repro.graphs.graph import Graph, Vertex
 
 
 def _reachable_avoiding(

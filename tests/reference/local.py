@@ -4,16 +4,19 @@ The paper's decoupled view of register allocation cites Liberatore,
 Farach-Colton and Kremer's evaluation of *local* register allocation
 [25]: on straight-line code the interference graph is an interval graph
 and the spilling problem has clean offline solutions.  This module
-provides the classical algorithms on our IR, used both as a substrate
-for interval-graph experiments and as a baseline in the allocator
-benches:
+provides the classical algorithms on our IR, as the unit-cost spill
+oracle of the tests and the A6 baseline of
+``benchmarks/bench_spill_and_local.py``:
 
 * :func:`belady_local_allocate` — furthest-next-use eviction (Belady's
   MIN adapted to registers), optimal for the number of *reloads* under
   unit costs;
-* :func:`linear_scan_intervals` — the interval view of a block: live
-  intervals, their maximal overlap (= Maxlive = ω of the interval
-  graph), and an optimal colouring by the greedy sweep.
+* :func:`block_intervals`, :func:`max_overlap` and
+  :func:`color_intervals` — the interval view of a block: live
+  intervals from first definition to last use (no holes, unlike the
+  whole-function model of :mod:`repro.intervals`), their maximal
+  overlap (= Maxlive = ω of the interval graph), and an optimal
+  colouring by the greedy sweep.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from ..ir.cfg import BasicBlock
-from ..ir.instructions import Instr, Var
-from ..obs import NULL_TRACER, Tracer
+from repro.ir.cfg import BasicBlock
+from repro.ir.instructions import Instr, Var
+from repro.obs import NULL_TRACER, Tracer
 
 
 @dataclass

@@ -22,9 +22,9 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, Optional, Tuple
 
-from ..graphs.graph import Graph, Vertex
-from ..graphs.greedy import dense_subgraph_witness, is_greedy_k_colorable
-from ..graphs.interference import Coalescing, InterferenceGraph
+from repro.graphs.graph import Graph, Vertex
+from repro.graphs.greedy import dense_subgraph_witness, is_greedy_k_colorable
+from repro.graphs.interference import Coalescing, InterferenceGraph
 
 
 def merge_to_make_greedy_colorable(

@@ -1,61 +1,53 @@
-"""Perfect-graph utilities (Section 2.2).
+"""Perfect-graph oracles (Section 2.2).
 
 The paper motivates chordal graphs through perfect graphs: "G is
 perfect if each induced subgraph G' satisfies χ(G') = ω(G')"; interval,
 path, and chordal graphs are perfect, and perfect graphs can be
 coloured in polynomial time.  These routines make the definitions
-executable for the (small) instances the tests use:
+executable for the (small) graphs the tests use:
 
+* :func:`all_maximal_cliques` — Bron–Kerbosch with pivoting, the one
+  exact clique search of the tests (the clique-tree walk of
+  :mod:`repro.graphs.chordal` must find exactly its cliques on chordal
+  graphs) and :func:`max_clique_exact` on top of it;
 * :func:`is_perfect_brute` — the literal definition, exponential;
 * :func:`odd_holes` / :func:`is_berge` — the strong perfect graph
   theorem's characterization (no odd hole in G or its complement),
-  giving an independent check for small graphs;
-* :func:`max_clique_exact` / :func:`chromatic_equals_clique` helpers.
+  giving an independent check for small graphs.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, List, Set
+from typing import FrozenSet, Iterator, List, Set
 
-from .coloring import chromatic_number
-from .graph import Graph, Vertex
+from repro.graphs.coloring import chromatic_number
+from repro.graphs.graph import Graph, Vertex
 
 
-def max_clique_exact(graph: Graph) -> Set[Vertex]:
-    """A maximum clique by branch and bound (small graphs only)."""
-    best: List[Set[Vertex]] = [set()]
-    order = sorted(graph.vertices, key=graph.degree, reverse=True)
+def all_maximal_cliques(graph: Graph) -> Set[FrozenSet[Vertex]]:
+    """Every maximal clique of ``graph`` by Bron–Kerbosch with pivoting
+    (the empty graph has one, the empty clique)."""
+    found: Set[FrozenSet[Vertex]] = set()
 
-    def expand(clique: Set[Vertex], candidates: List[Vertex]) -> None:
-        if len(clique) + len(candidates) <= len(best[0]):
+    def expand(r: Set[Vertex], p: Set[Vertex], x: Set[Vertex]) -> None:
+        if not p and not x:
+            found.add(frozenset(r))
             return
-        if not candidates:
-            if len(clique) > len(best[0]):
-                best[0] = set(clique)
-            return
-        v = candidates[0]
-        rest = candidates[1:]
-        # branch: include v
-        expand(
-            clique | {v},
-            [u for u in rest if graph.has_edge(u, v)],
-        )
-        # branch: exclude v
-        expand(clique, rest)
+        pivot = max(p | x, key=lambda u: len(p & graph.neighbors_view(u)))
+        for v in list(p - graph.neighbors_view(pivot)):
+            nb = graph.neighbors_view(v)
+            expand(r | {v}, p & nb, x & nb)
+            p = p - {v}
+            x = x | {v}
 
-    expand(set(), order)
-    return best[0]
+    expand(set(), set(graph.vertices), set())
+    return found
 
 
-def clique_number_exact(graph: Graph) -> int:
-    """ω(G) by exact search."""
-    return len(max_clique_exact(graph))
-
-
-def chromatic_equals_clique(graph: Graph) -> bool:
-    """χ(G) == ω(G)?  (Both computed exactly.)"""
-    return chromatic_number(graph) == clique_number_exact(graph)
+def max_clique_exact(graph: Graph) -> FrozenSet[Vertex]:
+    """A maximum clique: the largest of :func:`all_maximal_cliques`."""
+    return max(all_maximal_cliques(graph), key=len)
 
 
 def is_perfect_brute(graph: Graph, max_vertices: int = 10) -> bool:
@@ -71,7 +63,7 @@ def is_perfect_brute(graph: Graph, max_vertices: int = 10) -> bool:
     for r in range(1, len(vertices) + 1):
         for subset in combinations(vertices, r):
             sub = graph.subgraph(subset)
-            if not chromatic_equals_clique(sub):
+            if chromatic_number(sub) != len(max_clique_exact(sub)):
                 return False
     return True
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.allocator import chaitin, chaitin_allocate, ssa_allocate
 from repro.allocator.ssa_allocator import _pressure_maxlive, spill_to_pressure
+from repro.engine.tasks import STRATEGY_TABLE
 from repro.frontend import corpus_functions
 from repro.frontend.corpus import function_from_path
 from repro.graphs.dense import DENSE_TESTS
@@ -153,7 +154,7 @@ class TestSpillToPressure:
         func = function_from_path(
             GADGETS.parent / "llvm" / "chacha_block.ll", "chacha_mix"
         )
-        res, stats = ssa_allocate(func, 10)
+        res, stats = ssa_allocate(func, 10, STRATEGY_TABLE["brute"].run)
         assert stats.spill_rounds == len(res.spilled) > 64
         assert allocation_errors(res) == []
 
@@ -163,28 +164,43 @@ class TestSSAAllocator:
         fb = FunctionBuilder()
         fb.block("entry").const("a").ret("a")
         with pytest.raises(ValueError):
-            ssa_allocate(fb.finish(), 0)
+            ssa_allocate(fb.finish(), 0, STRATEGY_TABLE["brute"].run)
 
     def test_valid_on_random_programs(self):
         for seed in range(12):
             f = random_function(seed, GeneratorConfig(num_vars=8))
-            res, stats = ssa_allocate(f, 4)
+            res, stats = ssa_allocate(f, 4, STRATEGY_TABLE["brute"].run)
             assert allocation_errors(res) == [], seed
             assert stats.maxlive_after <= 4
             assert stats.chordal, seed
 
     @pytest.mark.parametrize(
-        "strategy", ["none", "briggs", "george", "briggs_george", "brute", "optimistic"]
+        "strategy", ["none", "briggs", "george", "briggs_george", "brute",
+                     "optimistic", "george_extended", "biased", "chordal",
+                     "irc"]
     )
     def test_all_coalescing_strategies(self, strategy):
         f = random_function(4, GeneratorConfig(num_vars=8, move_fraction=0.4))
-        res, stats = ssa_allocate(f, 4, coalescing=strategy)
+        coalesce = None if strategy == "none" else STRATEGY_TABLE[strategy].run
+        res, stats = ssa_allocate(f, 4, coalesce)
+        assert allocation_errors(res) == []
+
+    @pytest.mark.parametrize("k", range(31, 36))
+    def test_biased_allocates_from_its_own_coloring(self, k):
+        # the quotient of biased colouring's partition need not be
+        # greedy-k-colourable (on chacha_mix at k = 31..35 it is not):
+        # the allocation must use the biased colouring itself
+        func = function_from_path(
+            GADGETS.parent / "llvm" / "chacha_block.ll", "chacha_mix"
+        )
+        res, stats = ssa_allocate(func, k, STRATEGY_TABLE["biased"].run)
+        assert stats.coalescing.coloring == res.assignment
         assert allocation_errors(res) == []
 
     def test_phase2_is_chordal_theorem1(self):
         for seed in range(10):
             f = random_function(seed)
-            _, stats = ssa_allocate(f, 3)
+            _, stats = ssa_allocate(f, 3, STRATEGY_TABLE["brute"].run)
             assert stats.chordal, seed
 
     def test_better_coalescing_fewer_residual_moves(self):
@@ -192,8 +208,8 @@ class TestSSAAllocator:
         # as Briggs on the same phase-2 graph
         for seed in range(8):
             f = random_function(seed, GeneratorConfig(num_vars=9, move_fraction=0.4))
-            _, s_briggs = ssa_allocate(f, 3, coalescing="briggs")
-            _, s_brute = ssa_allocate(f, 3, coalescing="brute")
+            _, s_briggs = ssa_allocate(f, 3, STRATEGY_TABLE["briggs"].run)
+            _, s_brute = ssa_allocate(f, 3, STRATEGY_TABLE["brute"].run)
             if s_briggs.coalescing and s_brute.coalescing:
                 assert (
                     s_brute.coalescing.residual_weight

@@ -36,7 +36,7 @@ from repro.coalescing.conservative import conservative_coalesce
 from repro.graphs.generators import cycle_graph
 from repro.graphs.graph import Graph
 from repro.graphs.interference import InterferenceGraph
-from repro.ir.gadget_programs import phi_merge_diamond, rotation_loop, swap_loop
+from tests.reference.gadget_programs import phi_merge_diamond, rotation_loop, swap_loop
 from repro.ir.interference import chaitin_interference
 
 import random

@@ -25,7 +25,7 @@ from repro.challenge.generator import pressure_instance
 from repro.coalescing.conservative import conservative_coalesce
 from repro.graphs.interference import Coalescing, InterferenceGraph
 from repro.ir.cfg import Function
-from repro.ir.gadget_programs import phi_merge_diamond, rotation_loop
+from tests.reference.gadget_programs import phi_merge_diamond, rotation_loop
 from repro.ir.instructions import Instr
 from repro.ir.interference import chaitin_interference
 from tests import reference as ref

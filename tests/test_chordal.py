@@ -9,6 +9,7 @@ from repro.coalescing.incremental import (
     chordal_incremental_coalescible,
     dense_incremental_coalescible,
 )
+from repro.analysis.certificates import verify_peo
 from repro.graphs.chordal import (
     CliqueTree,
     chordal_coloring,
@@ -16,13 +17,11 @@ from repro.graphs.chordal import (
     clique_tree,
     dense_clique_tree,
     is_chordal,
-    is_perfect_elimination_ordering,
     make_chordal,
     maximal_cliques_chordal,
     maximum_cardinality_search,
     perfect_elimination_ordering,
     simplicial_vertices,
-    verify_clique_tree,
 )
 from repro.graphs.coloring import verify_coloring
 from repro.graphs.dense import DenseGraph
@@ -35,6 +34,7 @@ from repro.graphs.generators import (
 )
 from repro.graphs.graph import Graph
 from tests import reference as ref
+from tests.reference.perfect import all_maximal_cliques
 
 
 class TestChordalityKnownGraphs:
@@ -88,7 +88,7 @@ class TestPEO:
         g = random_chordal_graph(15, 4, seed=0)
         order = perfect_elimination_ordering(g)
         assert order is not None
-        assert is_perfect_elimination_ordering(g, order)
+        assert not verify_peo(g, order)
 
     def test_peo_of_cycle_is_none(self):
         assert perfect_elimination_ordering(cycle_graph(5)) is None
@@ -96,11 +96,11 @@ class TestPEO:
     def test_is_peo_rejects_bad_order(self):
         # eliminating the chord endpoint of a fan first is not a PEO
         g = Graph(edges=[("m", "a"), ("m", "b"), ("m", "c"), ("a", "b"), ("b", "c")])
-        assert not is_perfect_elimination_ordering(g, ["m", "a", "b", "c"])
+        assert verify_peo(g, ["m", "a", "b", "c"])
 
     def test_is_peo_wrong_vertex_set(self):
         g = complete_graph(3)
-        assert not is_perfect_elimination_ordering(g, ["k0", "k1"])
+        assert verify_peo(g, ["k0", "k1"])
 
 
 class TestSimplicial:
@@ -114,25 +114,6 @@ class TestSimplicial:
 
     def test_cycle_has_none(self):
         assert simplicial_vertices(cycle_graph(5)) == []
-
-
-def all_maximal_cliques(g):
-    """Every maximal clique of ``g`` by Bron–Kerbosch with pivoting."""
-    found = set()
-
-    def expand(r, p, x):
-        if not p and not x:
-            found.add(frozenset(r))
-            return
-        pivot = max(p | x, key=lambda u: len(p & g.neighbors_view(u)))
-        for v in list(p - g.neighbors_view(pivot)):
-            nb = g.neighbors_view(v)
-            expand(r | {v}, p & nb, x & nb)
-            p = p - {v}
-            x = x | {v}
-
-    expand(set(), set(g.vertices), set())
-    return found
 
 
 class TestMaximalCliques:
@@ -181,7 +162,7 @@ class TestCliqueTree:
         for seed in range(10):
             g = random_chordal_graph(16, 4, random.Random(seed))
             t = clique_tree(g)
-            assert verify_clique_tree(g, t)
+            assert ref.verify_clique_tree(g, t)
 
     def test_tree_edge_count(self):
         # a connected chordal graph's clique tree is a tree
@@ -221,7 +202,7 @@ def assert_clique_tree_matches_reference(g):
     is a maximum-weight spanning tree like the Kruskal reference."""
     tree = clique_tree(g)
     kruskal = ref.clique_tree(g)
-    assert verify_clique_tree(g, tree)
+    assert ref.verify_clique_tree(g, tree)
     assert tree.cliques == maximal_cliques_chordal(g)
     assert tree.cliques == ref.maximal_cliques_chordal(g) == kruskal.cliques
     components = sum(1 for _ in g.connected_components())
@@ -340,8 +321,7 @@ class TestDenseCliqueTree:
             g = random_graph(rng.randint(2, 14), rng.uniform(0.1, 0.6), rng)
             walk = dense_clique_tree(DenseGraph.from_graph(g))
             peo = list(reversed(ref.maximum_cardinality_search(g)))
-            assert (walk is not None) == \
-                is_perfect_elimination_ordering(g, peo)
+            assert (walk is not None) == (verify_peo(g, peo) == [])
 
     def test_order_is_mcs_and_cliques_are_the_walk(self):
         for seed in range(30):
@@ -371,7 +351,7 @@ class TestDenseCliqueTree:
             for _step in range(6):
                 walk, tree, h = _walk_as_tree(dense)
                 assert tree.cliques == ref.maximal_cliques_chordal(h)
-                assert verify_clique_tree(h, tree)
+                assert ref.verify_clique_tree(h, tree)
                 assert tree_weight(tree) == tree_weight(ref.clique_tree(h))
                 assert walk.clique_number() <= k
                 live = [i for i in range(dense.n) if dense.alive >> i & 1]

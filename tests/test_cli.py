@@ -11,6 +11,13 @@ from repro.challenge.generator import pressure_instance
 from repro.graphs.io import dumps_dimacs
 from repro.ir import format_function
 
+#: ``repro allocate --coalescing`` choices: no coalescing, then the light
+#: STRATEGY_TABLE rows whose quotient is greedy-k-colourable.
+ALLOCATE_COALESCING = (
+    "none", "briggs", "briggs_george", "brute", "george", "george_extended",
+    "optimistic", "biased", "chordal", "irc",
+)
+
 
 @pytest.fixture
 def challenge_file(tmp_path):
@@ -122,12 +129,20 @@ class TestAllocate:
         ) == 0
         assert "OK" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("strategy", ["bogus", "aggressive"])
+    # chaitin takes only a conservative test; a name outside the
+    # allocate choices exits 2 with the whole list, for either allocator
+    @pytest.mark.parametrize("allocator,strategy", [
+        pytest.param("chaitin", "bogus", id="bogus"),
+        pytest.param("chaitin", "aggressive", id="aggressive"),
+        pytest.param("chaitin", "optimistic", id="optimistic"),
+        pytest.param("ssa", "bogus", id="ssa-bogus"),
+        pytest.param("ssa", "aggressive", id="ssa-aggressive"),
+    ])
     def test_chaitin_rejects_non_conservative_coalescing(
-        self, ir_file, capsys, strategy
+        self, ir_file, capsys, allocator, strategy
     ):
         assert main(
-            ["allocate", ir_file, "--k", "4", "--allocator", "chaitin",
+            ["allocate", ir_file, "--k", "4", "--allocator", allocator,
              "--coalescing", strategy]
         ) == 2
         captured = capsys.readouterr()
@@ -135,12 +150,15 @@ class TestAllocate:
         assert "briggs, briggs_george, brute, george, george_extended" in (
             captured.err
         )
+        if strategy != "optimistic":
+            assert ", ".join(ALLOCATE_COALESCING) in captured.err
 
     def test_ssa_allocator_accepts_any_coalescing(self, ir_file, capsys):
-        assert main(
-            ["allocate", ir_file, "--k", "4", "--coalescing", "optimistic"]
-        ) == 0
-        assert capsys.readouterr().out.count("OK") == 2
+        for strategy in ALLOCATE_COALESCING:
+            assert main(
+                ["allocate", ir_file, "--k", "4", "--coalescing", strategy]
+            ) == 0, strategy
+            assert capsys.readouterr().out.count("OK") == 2, strategy
 
 
 class TestGenerate:
@@ -225,7 +243,7 @@ class TestCheck:
         assert len(report["files"]) == 1
 
     def test_info_severity_shows_certifications(self, tmp_path, capsys):
-        from repro.ir.gadget_programs import rotation_loop
+        from tests.reference.gadget_programs import rotation_loop
 
         path = tmp_path / "gadget.ir"
         path.write_text(format_function(rotation_loop(2)))

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.allocator import ssa_allocate
+from repro.engine.tasks import STRATEGY_TABLE
 from repro.challenge.generator import pressure_instance, program_instance
 from repro.coalescing import (
     biased_coloring_result,
@@ -151,7 +152,7 @@ class TestChordalStrategy:
 
     def test_allocator_integration(self):
         f = random_function(3, GeneratorConfig(num_vars=8, move_fraction=0.4))
-        res, stats = ssa_allocate(f, 4, coalescing="chordal")
+        res, stats = ssa_allocate(f, 4, STRATEGY_TABLE["chordal"].run)
         assert allocation_errors(res) == []
 
 
@@ -207,6 +208,6 @@ class TestBiasedColoring:
 
     def test_allocator_integration(self):
         f = random_function(5, GeneratorConfig(num_vars=8, move_fraction=0.4))
-        res, stats = ssa_allocate(f, 4, coalescing="biased")
+        res, stats = ssa_allocate(f, 4, STRATEGY_TABLE["biased"].run)
         assert allocation_errors(res) == []
         assert res.coalesced_moves >= 0

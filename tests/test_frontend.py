@@ -244,9 +244,10 @@ class TestLowering:
 
     def test_full_stack_allocates(self):
         from repro.allocator import ssa_allocate
+        from repro.engine.tasks import STRATEGY_TABLE
 
         func = lower_module(_parse(GCD))[0]
-        result, stats = ssa_allocate(func, 4)
+        result, stats = ssa_allocate(func, 4, STRATEGY_TABLE["brute"].run)
         assert allocation_errors(result) == []
         assert stats.chordal
 

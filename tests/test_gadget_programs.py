@@ -9,7 +9,7 @@ from repro.coalescing import (
 )
 from repro.graphs.greedy import is_greedy_k_colorable
 from repro.ir import chaitin_interference
-from repro.ir.gadget_programs import phi_merge_diamond, rotation_loop, swap_loop
+from tests.reference.gadget_programs import phi_merge_diamond, rotation_loop, swap_loop
 from repro.ir.interference import set_frequencies_from_loops
 from repro.ir.liveness import check_strict, maxlive
 from tests import ssa_findings

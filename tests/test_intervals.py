@@ -15,7 +15,7 @@ independent implementation:
   (``ALLOC*`` + ``INTV*``) with zero errors.
 
 (The unrelated ``tests/test_interval.py`` covers interval *graphs* in
-``repro.graphs.interval``.)
+``tests/reference/interval.py``.)
 """
 
 import pytest

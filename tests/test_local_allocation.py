@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.allocator.local import (
+from tests.reference.local import (
     Interval,
     belady_local_allocate,
     block_intervals,

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.coalescing.node_merging import (
+from tests.reference.node_merging import (
     merge_to_make_greedy_colorable,
     merging_helps,
 )

@@ -257,11 +257,12 @@ def test_tracing_does_not_change_results():
 
 def test_allocator_tracing_smoke():
     from repro.allocator.ssa_allocator import ssa_allocate
+    from repro.engine.tasks import STRATEGY_TABLE
     from repro.ir.generators import random_function
 
     func = random_function(seed=3)
     t = Tracer()
-    result, _ = ssa_allocate(func, 4, tracer=t)
+    result, _ = ssa_allocate(func, 4, STRATEGY_TABLE["brute"].run, tracer=t)
     assert not allocation_errors(result)
     assert "ssa.maxlive_before" in t.counters
     assert {"ssa/construct", "ssa/spill", "ssa/build", "ssa/color"} <= set(

@@ -25,7 +25,6 @@ from repro.graphs.dense import DenseGraph, greedy_core
 from repro.graphs.generators import random_graph
 from repro.graphs.graph import Graph
 from repro.graphs.greedy import dense_subgraph_witness, is_greedy_k_colorable
-from repro.graphs.perfect import max_clique_exact
 from repro.intervals.linear_scan import linear_scan_allocate
 from repro.ir.generators import random_function
 from repro.ir.interference import chaitin_interference, interference_rows
@@ -33,6 +32,7 @@ from repro.ir.liveness import maxlive
 from repro.ir.ssa import construct_ssa
 from repro.obs import EDGES_SCANNED, WORDS_MERGED, Tracer
 from tests import reference as ref
+from tests.reference.perfect import max_clique_exact
 
 load_all_passes()
 

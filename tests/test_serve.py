@@ -12,6 +12,7 @@ import pytest
 from repro.cli import main
 from repro.engine.cache import ResultCache
 from repro.engine.tasks import TaskSpec, task_hash
+from repro.frontend.corpus import corpus_paths
 from repro.obs.names import CACHE_FILE_HITS, CACHE_MEMORY_HITS
 from repro.serve import (
     AdmissionController,
@@ -295,11 +296,30 @@ class TestProtocol:
         *[{"task": {**_task_doc()["task"], **budget}}
           for budget in ({"max_steps": "3"}, {"max_steps": True},
                          {"max_seconds": "2"}, {"max_seconds": True})],
+        # the service reads only the corpus and imports nothing: an llvm
+        # path that is not a corpus file name, a dotted generator and a
+        # custom call are refused before anything is opened or imported
+        *[{"task": {"generator": "llvm", "seed": 0, "params": params}}
+          for params in ({"path": "/etc/hostname"},
+                         {"path": "../llvm/loops.ll"}, {"path": "missing.ll"},
+                         {"path": ""}, {"path": 3}, {})],
+        {"task": {"generator": "builtins:dict", "seed": 0,
+                  "strategy": "call"}},
+        {"task": {"generator": "repro.challenge.generator:pressure_instance",
+                  "seed": 0}},
+        {"task": {"generator": "pressure", "seed": 0, "strategy": "call"}},
     ])
     def test_rejects_bad_documents(self, document):
         with pytest.raises(HttpError) as exc:
             parse_task_request(document)
         assert exc.value.status == 400
+
+    def test_serves_corpus_file_names(self):
+        for path in corpus_paths():
+            request = parse_task_request({"task": {
+                "generator": "llvm", "seed": 0, "strategy": "linear-scan",
+                "params": {"path": path.name}}})
+            assert request.spec.params_dict()["path"] == path.name
 
 
     def test_request_class(self):
