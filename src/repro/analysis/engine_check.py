@@ -171,13 +171,16 @@ def certify_allocation(
     assignment and spill list over the rebuilt code.
 
     ``facts`` is ``func``'s :class:`~repro.intervals.linear_scan.
-    CodeFacts` from the build memo, if the caller has them.  When no
-    spill round ran, the rebuilt code is ``func`` itself and the passes
-    read them instead of deriving liveness, rows and intervals again.
+    CodeFacts` from the build memo, if the caller has them.  The replay
+    walks their :meth:`~repro.intervals.linear_scan.CodeFacts.spilled`
+    chain, the one the allocator walked, so the rebuilt code is
+    usually the allocator's own final code (then the comparison is an
+    identity check) and the passes read its memoised liveness, rows
+    and intervals.  Without ``facts`` the chain starts from fresh facts
+    of ``func`` and lives for this call only.
     """
-    from ..allocator.spill import spill_everywhere
     from ..engine.tasks import _allocation_payload
-    from ..intervals.linear_scan import LinearScanResult
+    from ..intervals.linear_scan import CodeFacts, LinearScanResult
 
     out: List[Diagnostic] = []
     expected = _allocation_payload(result)
@@ -191,9 +194,10 @@ def certify_allocation(
                 obj=func.name,
                 detail={"field": key},
             ))
-    rebuilt = func
+    link = CodeFacts(func) if facts is None else facts
     for victims in result.spill_rounds:
-        rebuilt = spill_everywhere(rebuilt, set(victims))
+        link = link.spilled(victims)
+    rebuilt = link.function
     if rebuilt is not result.function \
             and rebuilt.fingerprint() != result.function.fingerprint():
         out.append(Diagnostic(
@@ -217,8 +221,7 @@ def certify_allocation(
     )
     ctx = AnalysisContext(k=result.k, budget=budget, tracer=tracer,
                           obj=func.name)
-    if facts is not None and rebuilt is func:
-        code_facts(func, ctx, known=facts)
+    code_facts(rebuilt, ctx, known=link)
     out.extend(run_passes(claim, "allocation", ctx))
     return out
 

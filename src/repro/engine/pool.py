@@ -38,6 +38,7 @@ Progress counters are threaded through a :class:`repro.obs.Tracer`:
 from __future__ import annotations
 
 import multiprocessing
+import sys
 import threading
 import traceback
 from collections import deque
@@ -76,14 +77,22 @@ def _guarded_run(
     deadline: Optional[float] = None,
 ) -> Dict[str, Any]:
     """Run one task, converting task-raised exceptions into ``error``
-    records (deterministic failures; never retried)."""
+    records (deterministic failures; never retried).
+
+    The record's ``error`` is one line, ``ExcType: message``, since
+    the service returns it to clients; the traceback goes to this
+    process's stderr, the service's log.
+    """
     try:
         return run_task(spec, verify=verify, deadline=deadline)
     except BudgetExceeded:  # run_task already handles this; belt+braces
         raise
-    except Exception:
+    except Exception as exc:
+        print(f"task {task_hash(spec)} raised:", file=sys.stderr)
+        traceback.print_exc(limit=20, file=sys.stderr)
+        message = " ".join(str(exc).splitlines())
         return _failure_record(
-            spec, "error", error=traceback.format_exc(limit=20)
+            spec, "error", error=f"{type(exc).__name__}: {message}"
         )
 
 

@@ -379,20 +379,31 @@ def _resolve_dotted(path: str) -> Callable:
     return getattr(module, attr)
 
 
-def _corpus_path(params: Mapping[str, Any]) -> Any:
-    """The ``.ll`` file an ``"llvm"`` spec names in ``params["path"]``."""
+def _corpus_file(path: Any) -> Any:
+    """``corpus_dir() / path`` if ``path`` is the bare name of a file
+    of the corpus, else ``None``."""
+    # imported here: the service's admission check calls this, and its
+    # process need not load the frontend (its pool workers parse)
     from ..frontend.corpus import corpus_dir
 
+    if not isinstance(path, str) or os.path.basename(path) != path:
+        return None
+    candidate = corpus_dir() / path
+    return candidate if candidate.is_file() else None
+
+
+def _corpus_path(params: Mapping[str, Any]) -> Any:
+    """The ``.ll`` file an ``"llvm"`` spec names in ``params["path"]``.
+
+    A bare name of a corpus file resolves in the corpus, whatever the
+    working directory holds, so one spec (one :func:`task_hash`) reads
+    the same file everywhere; any other path, ``./loops.ll`` included,
+    is taken as given.
+    """
     path = params.get("path")
     if path is None:
         raise ValueError("the llvm generator requires params['path']")
-    if not os.path.exists(path):
-        # bare file names resolve against the checked-in corpus, so
-        # campaign specs stay portable across working directories
-        candidate = corpus_dir() / path
-        if candidate.exists():
-            return candidate
-    return path
+    return _corpus_file(path) or path
 
 
 #: How many built ``"llvm"`` inputs — lowered functions and instances —

@@ -18,10 +18,11 @@ by :mod:`repro.intervals.model` and both verified (not trusted) by the
 Spilling reuses :func:`repro.allocator.spill.spill_everywhere`: each
 round scans, collects victims, rewrites the code (fresh ``.rN`` reload
 temporaries, ``slot(...)`` pseudo-variables), and rebuilds intervals
-until a scan completes with no victim.  The first round runs on the
-input code, so a caller that keeps the input's :class:`CodeFacts`
-(the engine's build memo) hands them over and the round derives
-nothing.  Reload temporaries are never
+until a scan completes with no victim.  A caller that keeps the
+input's :class:`CodeFacts` (the engine's build memo) hands them over;
+every round then reads its intervals and costs, and every rewrite,
+from the chain of :meth:`CodeFacts.spilled`, so a warm allocation
+derives nothing.  Reload temporaries are never
 victims — their single-segment ranges are what spilling produces, so
 re-spilling them cannot reduce pressure.
 
@@ -37,9 +38,12 @@ whole LLVM corpus.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple,
+)
 
 from ..allocator.chaitin import AllocationResult
 from ..allocator.spill import (
@@ -57,10 +61,25 @@ from ..obs.tracer import Tracer
 from . import model
 from .model import IntervalSet, LiveInterval
 
-__all__ = ["VARIANTS", "CodeFacts", "LinearScanResult", "linear_scan_allocate"]
+__all__ = [
+    "VARIANTS",
+    "SPILLED_MEMO_SIZE",
+    "CodeFacts",
+    "LinearScanResult",
+    "linear_scan_allocate",
+]
 
 #: The allocator variants ``linear_scan_allocate`` accepts.
 VARIANTS = ("classic", "second-chance")
+
+#: How many spill rewrites (:meth:`CodeFacts.spilled`, at any depth of
+#: the chain) one input's facts keep, least recently used first.
+SPILLED_MEMO_SIZE = 8
+
+#: ``path -> (facts, fingerprint)`` of the spill rewrites one input
+#: keeps; a path is the victim set of each round, in order.
+_Links = Dict[Tuple[FrozenSet[Var], ...], Tuple["CodeFacts", Any]]
+_links_lock = threading.Lock()
 
 
 class CodeFacts:
@@ -79,13 +98,17 @@ class CodeFacts:
     Whoever keeps a ``CodeFacts`` beside a function drops it when the
     function changes: the engine's build memo keeps one per memoised
     input function and rebuilds both when its fingerprint check fails.
+    The spill rewrites of the input (:meth:`spilled`) live on its facts,
+    so they go with them.
     """
 
-    __slots__ = ("function", "_memo")
+    __slots__ = ("function", "_memo", "_links", "_path")
 
     def __init__(self, function: Function) -> None:
         self.function = function
         self._memo: Dict[str, Any] = {}
+        self._links: _Links = {}
+        self._path: Tuple[FrozenSet[Var], ...] = ()
 
     def _fact(self, name: str, build: Callable[[], Any]) -> Any:
         memo = self._memo
@@ -135,6 +158,35 @@ class CodeFacts:
         """Maxlive, walked over :attr:`liveness`."""
         return self._fact(
             "maxlive", lambda: maxlive(self.function, liveness=self.liveness))
+
+    def spilled(self, victims: Iterable[Var]) -> "CodeFacts":
+        """The facts of ``spill_everywhere(self.function, victims)``.
+
+        The rewrite is built untraced and kept with the input's facts,
+        keyed by the victims of every round from the input on, so a
+        chain of calls (one per spill round) is rewritten once per
+        process.  Each hit checks the stored function against the
+        fingerprint taken when it was built and rebuilds it on a
+        mismatch, as the engine's build memo does; at most
+        :data:`SPILLED_MEMO_SIZE` rewrites are kept per input.
+        """
+        path = self._path + (frozenset(victims),)
+        links = self._links
+        with _links_lock:
+            entry = links.pop(path, None)
+            if entry is not None:
+                links[path] = entry
+        if entry is not None and entry[0].function.fingerprint() == entry[1]:
+            return entry[0]
+        link = CodeFacts(spill_everywhere(self.function, set(path[-1])))
+        link._links, link._path = links, path
+        entry = (link, link.function.fingerprint())
+        with _links_lock:
+            links.pop(path, None)
+            links[path] = entry
+            while len(links) > SPILLED_MEMO_SIZE:
+                del links[next(iter(links))]
+        return link
 
 
 @dataclass
@@ -296,8 +348,9 @@ def linear_scan_allocate(
     spilling cannot converge.
 
     ``facts`` is ``func``'s :class:`CodeFacts`, if the caller keeps
-    them: the first round reads their intervals and spill costs
-    instead of deriving (and counting) them again.
+    them: each round reads its intervals and spill costs, and each
+    spill rewrite, from ``facts`` and its :meth:`CodeFacts.spilled`
+    chain instead of deriving (and counting) them again.
     """
     if k <= 0:
         raise ValueError(f"need at least one register, got k={k}")
@@ -307,6 +360,7 @@ def linear_scan_allocate(
     if not func.frequency:
         set_frequencies_from_loops(func)
     work = func
+    link = facts
     spill_rounds: List[List[Var]] = []
     rounds = 0
     while True:
@@ -317,9 +371,9 @@ def linear_scan_allocate(
                 "spill rounds"
             )
         with tracer.span("linscan/build"):
-            if work is func and facts is not None:
-                iset: IntervalSet = facts.intervals
-                costs = facts.costs
+            if link is not None:
+                iset: IntervalSet = link.intervals
+                costs = link.costs
             else:
                 iset = model.build_intervals(work, tracer=tracer)
                 costs = spill_costs(work)
@@ -339,7 +393,11 @@ def linear_scan_allocate(
         tracer.count("linscan.spill_rounds")
         tracer.count("linscan.spilled_intervals", len(victims))
         with tracer.span("linscan/spill-rewrite"):
-            work = spill_everywhere(work, set(victims), tracer=tracer)
+            if link is not None:
+                link = link.spilled(victims)
+                work = link.function
+            else:
+                work = spill_everywhere(work, set(victims), tracer=tracer)
     coalesced = 0
     for _, _, instr in work.moves():
         dst, src = instr.defs[0], instr.uses[0]

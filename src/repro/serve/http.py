@@ -305,6 +305,10 @@ class HttpServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._started_at = time.monotonic()
         self._drain_done = asyncio.Event()
+        #: every open connection's handler task, with its writer while
+        #: it waits for the next request and ``None`` while it serves one
+        self._connections: Dict[
+            "asyncio.Task[None]", Optional[asyncio.StreamWriter]] = {}
 
     async def start(self) -> int:
         """Bind and start accepting; returns the actual port (ephemeral
@@ -321,9 +325,21 @@ class HttpServer:
         await self._drain_done.wait()
 
     async def stop(self) -> None:
-        """Close the listener, then :meth:`_close` (idempotent)."""
+        """Close the listener and every idle keep-alive connection,
+        then :meth:`_close` (idempotent).
+
+        An idle connection's handler sees a clean end of stream and
+        returns, so no handler is left for the loop's shutdown to
+        cancel (which logs a ``CancelledError`` traceback).
+        """
         if self._server is not None:
             self._server.close()
+            idle = {task: writer for task, writer
+                    in self._connections.items() if writer is not None}
+            for writer in idle.values():
+                writer.close()
+            if idle:
+                await asyncio.wait(list(idle), timeout=5.0)
             await self._server.wait_closed()
             self._server = None
         await self._close()
@@ -363,8 +379,11 @@ class HttpServer:
         writer: asyncio.StreamWriter,
     ) -> None:
         """Serve one keep-alive connection until close or error."""
+        task = asyncio.current_task()
+        assert task is not None
         try:
             while True:
+                self._connections[task] = writer
                 try:
                     request = await read_request(
                         reader, max_body=self._max_body
@@ -377,6 +396,7 @@ class HttpServer:
                     return
                 if request is None:
                     return
+                self._connections[task] = None
                 self.tracer.count(f"{self._counter_prefix}.http_requests")
                 writer.write(await self._route(request))
                 await writer.drain()
@@ -385,6 +405,7 @@ class HttpServer:
         except (ConnectionResetError, BrokenPipeError):
             pass
         finally:
+            del self._connections[task]
             writer.close()
             try:
                 await writer.wait_closed()

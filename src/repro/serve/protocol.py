@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping, Optional, Set, Tuple
 
 from ..engine.tasks import (
-    FAULT_GENERATORS, STRATEGY_TABLE, TaskSpec, task_hash,
+    FAULT_GENERATORS, STRATEGY_TABLE, TaskSpec, _corpus_file, task_hash,
 )
 from .http import HttpError
 
@@ -93,15 +93,11 @@ _corpus_files: Set[Tuple[Optional[str], str]] = set()
 
 def _in_corpus(path: Any) -> bool:
     """True iff ``path`` is the bare name of a file in the corpus."""
-    if not isinstance(path, str) or os.path.basename(path) != path:
+    if not isinstance(path, str):
         return False
     key = (os.environ.get("REPRO_LLVM_CORPUS"), path)
     if key not in _corpus_files:
-        # imported on a miss only: the service process need not load
-        # the frontend (its pool workers parse)
-        from ..frontend.corpus import corpus_dir
-
-        if not (corpus_dir() / path).is_file():
+        if _corpus_file(path) is None:
             return False
         _corpus_files.add(key)
     return True

@@ -10,7 +10,8 @@
   once the graph has one) and an allocation claim costs one
   ``liveness_masks`` solve;
 * the build memo derives each input's facts once per process: one
-  liveness solve per input function, one peel per twin and k.
+  liveness solve per input function, one peel per twin and k, one
+  spill rewrite per link of an allocation's chain.
 """
 
 import random
@@ -242,6 +243,53 @@ def test_facts_derived_once_per_verified_corpus_pass(monkeypatch):
     assert inputs() == functions
     assert [f for f in solved if id(f) in functions] == []
     assert twin_peels() == []
+
+
+def test_spill_rewrites_once_per_verified_corpus_pass(monkeypatch):
+    """A cold verified pass over the corpus allocation tasks rewrites
+    each chain link once (43 links: a spilling allocation and its
+    verifier's replay walk the same ``CodeFacts.spilled`` chain); a
+    warm pass rewrites nothing and builds no intervals."""
+    from repro.allocator.spill import spill_everywhere
+    from repro.engine import run_task
+    from repro.engine.tasks import ALLOCATION_STRATEGIES, _build_memo
+    from repro.intervals import model
+
+    specs = [spec for spec in corpus_tasks().values()
+             if spec.strategy in ALLOCATION_STRATEGIES]
+    assert len(specs) == 62
+    calls = {"spill": [], "intervals": []}
+
+    def counting(name, original):
+        def wrapper(func, *args, **kwargs):
+            calls[name].append(func)
+            return original(func, *args, **kwargs)
+        return wrapper
+
+    for name, original in (("spill", spill_everywhere),
+                           ("intervals", model.build_intervals)):
+        attr = original.__name__
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("repro") \
+                    and getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, counting(name, original))
+
+    def links():
+        return [path for key, entry in _build_memo.items()
+                if key[0] == "function" for path in entry[2]._links]
+
+    _build_memo.clear()
+    for spec in specs:
+        assert run_task(spec, verify=True)["verification"]["status"] \
+            == "certified"
+    assert len(calls["spill"]) == len(links()) == 43
+    calls["spill"].clear()
+    calls["intervals"].clear()
+    for spec in specs:
+        assert run_task(spec, verify=True)["verification"]["status"] \
+            == "certified"
+    assert calls == {"spill": [], "intervals": []}
+    assert len(links()) == 43
 
 
 def test_coalescing_ledger_walks_the_partition_once(monkeypatch):

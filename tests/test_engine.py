@@ -5,6 +5,7 @@ and campaign semantics (cache hits, resume, determinism)."""
 import asyncio
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -363,6 +364,16 @@ class TestPool:
         assert record["status"] == "error"
         assert "boom 1" in record["error"]
         assert tracer.counters["engine.errors"] == 1
+
+    def test_error_record_is_one_line(self, capfd):
+        spec = TaskSpec(generator="tests.test_engine:boom_task",
+                        strategy="call", seed=1)
+        [record] = run_tasks([spec], workers=0)
+        assert record["error"] == "ValueError: boom 1"
+        # the traceback goes to the worker's stderr instead
+        err = capfd.readouterr().err
+        assert f"task {task_hash(spec)} raised" in err
+        assert "Traceback" in err and "boom_task" in err
 
     def test_timeout_retry_failed_accounting(self):
         spec = TaskSpec(generator="sleep", seed=0,
@@ -924,6 +935,34 @@ class TestHandedVerification:
         assert {"field": "function"} in [
             d["detail"] for d in outcome["diagnostics"] if d["code"] == "ENG001"]
 
+    def test_tampered_memoised_final_code_is_eng001(self):
+        """The final code of an allocator handed the memoised facts is
+        the memo's own rewrite; tampering with it is caught too."""
+        from dataclasses import replace
+
+        from repro.analysis.engine_check import verify_record
+        from repro.engine.tasks import (
+            STRATEGY_TABLE,
+            _allocation_payload,
+            build,
+        )
+        from repro.ir.instructions import Instr
+
+        spec = _chacha_allocation()
+        built = build(spec)
+        result = STRATEGY_TABLE[spec.strategy].run(
+            built.subject, built.k, facts=built.facts)
+        record = {"status": "ok", "payload": _allocation_payload(result)}
+        final = result.function
+        assert final is built.facts.spilled(result.spill_rounds[0]).spilled(
+            result.spill_rounds[1]).function
+        final.blocks[final.entry].instrs.insert(0, Instr("nop"))
+        outcome = verify_record(spec, record,
+                                built=replace(built, result=result))
+        assert outcome["status"] == "failed"
+        assert {"field": "function"} in [
+            d["detail"] for d in outcome["diagnostics"] if d["code"] == "ENG001"]
+
     def test_unreadable_assignment_is_eng001(self):
         from repro.analysis.engine_check import verify_record
 
@@ -1176,6 +1215,84 @@ class TestBuildMemo:
                 container[key] = value
         with pytest.raises(AttributeError):
             facts.maxlive = 0
+
+    def test_mutated_spill_rewrite_is_rebuilt(self):
+        """A memoised spill rewrite changed between two tasks is
+        rebuilt, and the next record is the same."""
+        import repro.engine.tasks as tasks
+        from repro.ir.instructions import Instr
+
+        def comparable(record):
+            return json.dumps({key: value for key, value in record.items()
+                               if key not in ("seconds", "trace")},
+                              sort_keys=True)
+
+        spec = _llvm_spec("linear-scan", k=2)
+        first = run_task(spec, verify=True)
+        assert first["verification"]["status"] == "certified"
+        facts = tasks.build(spec).facts
+        stale = {path: link for path, (link, _) in facts._links.items()}
+        assert stale
+        for link in stale.values():
+            link.function.blocks[link.function.entry].instrs.insert(
+                0, Instr("nop"))
+        second = run_task(spec, verify=True)
+        assert comparable(second) == comparable(first)
+        assert tasks.build(spec).facts is facts
+        for path, (link, fingerprint) in facts._links.items():
+            assert link is not stale[path]
+            assert link.function.fingerprint() == fingerprint
+
+    def test_spill_rewrites_are_bounded(self, monkeypatch):
+        """Allocating one function at every k from 2 to Maxlive with
+        both variants keeps at most ``SPILLED_MEMO_SIZE`` rewrites, and
+        evicting them changes no record."""
+        import repro.engine.tasks as tasks
+        from repro.intervals import linear_scan
+
+        def sweep():
+            hashes, seen = [], set()
+            maxlive = tasks.build(_llvm_spec(
+                "linear-scan", path="calls.ll", function="dot3")).k
+            for k in range(2, maxlive + 1):
+                for strategy in ("linear-scan", "second-chance"):
+                    spec = _llvm_spec(strategy, k=k, path="calls.ll",
+                                      function="dot3")
+                    record = run_task(spec, verify=True)
+                    assert record["verification"]["status"] \
+                        == "certified", (k, strategy)
+                    hashes.append(record["result_hash"])
+                    links = tasks.build(spec).facts._links
+                    assert len(links) <= linear_scan.SPILLED_MEMO_SIZE
+                    seen.update(links)
+            return hashes, seen
+
+        hashes, seen = sweep()
+        assert len(seen) > linear_scan.SPILLED_MEMO_SIZE
+        tasks._build_memo.clear()
+        monkeypatch.setattr(linear_scan, "SPILLED_MEMO_SIZE", 1)
+        assert sweep()[0] == hashes
+
+    def test_bare_name_reads_the_corpus_whatever_the_cwd(
+            self, tmp_path, monkeypatch):
+        """One spec reads one file: a bare corpus file name resolves in
+        the corpus even when the working directory holds a file of that
+        name; ``./loops.ll`` names the local one."""
+        pinned = json.loads((Path(__file__).parent / "data"
+                             / "result_hashes.json").read_text())["hashes"]
+        (tmp_path / "loops.ll").write_text(
+            "define i32 @gcd(i32 %a, i32 %b) {\n"
+            "entry:\n"
+            "  %s = add i32 %a, %b\n"
+            "  ret i32 %s\n"
+            "}\n")
+        monkeypatch.chdir(tmp_path)
+        record = run_task(_llvm_spec("linear-scan"), verify=True)
+        assert record["result_hash"] == pinned["loops.ll:gcd:linear-scan:k=0"]
+        local = run_task(_llvm_spec("linear-scan", path="./loops.ll"),
+                         verify=True)
+        assert local["verification"]["status"] == "certified"
+        assert local["result_hash"] != record["result_hash"]
 
     def test_memo_is_bounded(self, monkeypatch):
         from repro.engine import tasks

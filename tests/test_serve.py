@@ -594,6 +594,62 @@ class TestServiceEndToEnd:
         run(body())
 
 
+    def test_error_record_is_one_line(self):
+        async def body():
+            service, url = await _start()
+            try:
+                # no register bound below k = 0 exists: the task raises
+                doc = {"task": {"generator": "program", "seed": 0, "k": 0,
+                                "strategy": "briggs"}}
+                response = await request_once(url, "POST", "/v1/task", doc)
+                assert response.status == 500
+                error = response.json()["record"]["error"]
+                assert error.startswith("RuntimeError: register pressure")
+                assert "\n" not in error and "Traceback" not in error
+            finally:
+                await service.stop()
+        run(body())
+
+    def test_drain_with_an_idle_keep_alive_connection_is_quiet(self):
+        """``POST /drain`` while a client keeps an idle connection open
+        logs no ``CancelledError`` traceback of that connection's
+        handler."""
+        import http.client
+        import os
+        import re
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--workers", "1", "--cache-dir", ""],
+            cwd=root, env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, start_new_session=True,
+        )
+        try:
+            port = int(re.search(r"http://[^\s]+:(\d+)",
+                                 proc.stdout.readline()).group(1))
+            idle = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+            idle.request("GET", "/healthz")
+            assert idle.getresponse().read()
+            drain = http.client.HTTPConnection("127.0.0.1", port,
+                                               timeout=30)
+            drain.request("POST", "/drain", body=b"{}")
+            assert json.loads(drain.getresponse().read())["drained"]
+            drain.close()
+            _, err = proc.communicate(timeout=30)
+            idle.close()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 0
+        assert "Traceback" not in err, err
+        assert "Exception in callback" not in err, err
+
     def test_bad_budget_is_400(self):
         async def body():
             service, url = await _start(workers=1)
