@@ -7,7 +7,10 @@ and times the dense runner and the twin on the same input, in one
 process, as the minimum over ``REPEATS`` untraced runs.  The dense
 column is what ``repro bench snapshot`` records as ``wall_ms``; the
 reference column is the same-session yardstick that the snapshot no
-longer stores.  Usage, from the root of a checkout::
+longer stores.  A last row, outside the pinned suite, times iterated
+register coalescing (``irc_allocate``) against ``tests/reference/irc.py``
+on the corpus's slowest IRC task, ``chacha_block.ll:chacha_mix`` at
+k = Maxlive.  Usage, from the root of a checkout::
 
     python benchmarks/reference_walls.py
 """
@@ -19,9 +22,12 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
+from repro.allocator.irc import irc_allocate  # noqa: E402
 from repro.bench import pinned_suite  # noqa: E402
+from repro.engine.tasks import TaskSpec, build  # noqa: E402
 from repro.obs import NULL_TRACER  # noqa: E402
 from tests import reference as ref  # noqa: E402
+from tests.reference import irc as ref_irc  # noqa: E402
 
 REPEATS = 20
 
@@ -43,6 +49,12 @@ def best_ms(run):
     return best * 1e3
 
 
+def row(label, dense_run, reference_run):
+    dense = best_ms(dense_run)
+    slow = best_ms(reference_run)
+    print(f"| {label} | {dense:.2f} | {slow:.2f} | {dense / slow:.2f} |")
+
+
 def main():
     print("| kernel / instance | dense ms | reference ms | ratio |")
     print("| --- | ---: | ---: | ---: |")
@@ -50,10 +62,14 @@ def main():
         twin = TWINS.get(case["kernel"])
         if twin is None:
             continue
-        dense = best_ms(lambda: case["run"](NULL_TRACER))
-        slow = best_ms(lambda: twin(*case["args"]))
-        print(f"| {case['kernel']} / {case['instance']} | {dense:.2f} "
-              f"| {slow:.2f} | {dense / slow:.2f} |")
+        row(f"{case['kernel']} / {case['instance']}",
+            lambda: case["run"](NULL_TRACER), lambda: twin(*case["args"]))
+    built = build(TaskSpec(generator="llvm", seed=0, strategy="irc",
+                           params={"path": "chacha_block.ll",
+                                   "function": "chacha_mix"}))
+    graph, k = built.subject, built.k
+    row(f"irc / chacha_mix k={k}", lambda: irc_allocate(graph, k),
+        lambda: ref_irc.irc_allocate(graph, k))
 
 
 if __name__ == "__main__":

@@ -8,11 +8,27 @@ the asymmetric usage the paper highlights ("George's rule is used in
 [19] only to merge a vertex u with a precolored vertex v ... because
 such a vertex never leads to a spill").
 
-This is a faithful graph-level implementation of the published
-pseudocode (worklists, move sets, alias chains), operating on an
-:class:`~repro.graphs.InterferenceGraph`; spill code rewriting is the
-caller's business (see :func:`repro.allocator.chaitin_allocate` for a
-full loop).  A ``george_any`` switch applies George's test between any
+Every rule of the published pseudocode is kept — worklists, move sets,
+alias chains, and DecrementDegree's trigger when Combine's AddEdge
+lifts a neighbour of degree k−1 to k and takes it back down — but the
+round runs on a mutable list copy of the graph's dense twin
+(:meth:`Graph.dense() <repro.graphs.graph.Graph.dense>`): worklists and
+move sets are bitmasks, a degree is ``popcount(adj & live)``, Briggs'
+and George's tests are one mask expression each, and colouring keeps
+one mask per colour class.  The choices the pseudocode leaves open are
+fixed, so a result never depends on the interpreter's hash seed:
+simplify and freeze take the node with the smallest ``str``, coalesce
+the move whose ``sorted(map(str, move))`` is smallest, a coalesced
+move's endpoint with the smaller ``str`` survives unless the other is
+precoloured, and coalesced nodes are coloured in ``str`` order.  The
+dict-of-set transcription in ``tests/reference/irc.py`` is the oracle
+the tests hold this round to.
+
+Spill code rewriting is the caller's business (see
+:func:`repro.allocator.chaitin_allocate` for a full loop).  A
+precolouring must be in range and proper (no two adjacent vertices
+pinned to one register); :func:`irc_allocate` raises ``ValueError``
+otherwise.  A ``george_any`` switch applies George's test between any
 two nodes — the paper's suggested strengthening when spilling was done
 beforehand — so the difference is measurable.
 """
@@ -20,8 +36,10 @@ beforehand — so the difference is measurable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set
+from heapq import heapify, heappop, heappush
+from typing import Dict, List, Optional
 
+from ..graphs.dense import _iter_bits
 from ..graphs.graph import Vertex
 from ..graphs.interference import InterferenceGraph
 from ..obs import NULL_TRACER, Tracer
@@ -45,6 +63,16 @@ class IRCResult:
 
 
 class _IRC:
+    """One round's state over the twin's vertex indices.
+
+    ``live`` holds the nodes neither on the select stack nor coalesced,
+    ``high`` the live, non-precoloured nodes of degree ≥ k (kept exact: a
+    degree only falls when a neighbour leaves ``live`` and only rises
+    in Combine), and move ``m`` is bit ``m`` of every move set, moves
+    numbered in ``sorted(map(str, move))`` order so the lowest set bit
+    is the move to try next.
+    """
+
     def __init__(
         self,
         graph: InterferenceGraph,
@@ -54,264 +82,306 @@ class _IRC:
         george_any: bool,
         tracer: Tracer = NULL_TRACER,
     ) -> None:
+        twin = graph.dense()
+        names, index = twin.names, twin.index
+        n = len(names)
+        self.names = names
         self.k = k
         self.george_any = george_any
         self.tracer = tracer
         self.costs = costs
-        self.precolored: Set[Vertex] = set(precolored)
-        self.color: Dict[Vertex, int] = dict(precolored)
+        self.adj: List[int] = list(twin.adj)
+        self.order = sorted(range(n), key=lambda i: str(names[i]))
+        self.rank = [0] * n
+        for r, i in enumerate(self.order):
+            self.rank[i] = r
 
-        self.adj: Dict[Vertex, Set[Vertex]] = {
-            v: set() for v in graph.vertices
-        }
-        self.degree: Dict[Vertex, int] = {v: 0 for v in graph.vertices}
-        for u, v in graph.edges():
-            self._add_edge(u, v)
+        self.color: Dict[int, int] = {}
+        pre = 0
+        for v, c in precolored.items():
+            i = index[v]
+            self.color[i] = c
+            pre |= 1 << i
+        self.pre = pre
 
-        # move sets, keyed by the unordered pair
-        self.worklist_moves: Set[FrozenSet[Vertex]] = set()
-        self.active_moves: Set[FrozenSet[Vertex]] = set()
-        self.coalesced_moves: Set[FrozenSet[Vertex]] = set()
-        self.constrained_moves: Set[FrozenSet[Vertex]] = set()
-        self.frozen_moves: Set[FrozenSet[Vertex]] = set()
-        self.move_list: Dict[Vertex, Set[FrozenSet[Vertex]]] = {
-            v: set() for v in graph.vertices
-        }
-        for u, v, _ in graph.affinities():
-            if u == v or graph.has_edge(u, v):
+        moves = sorted(
+            (str(u), str(v), index[u], index[v])
+            for u, v, _ in graph.affinities()
+            if not twin.adj[index[u]] >> index[v] & 1
+        )
+        self.move_x = [m[2] for m in moves]
+        self.move_y = [m[3] for m in moves]
+        self.move_list = [0] * n
+        for m, (_, _, x, y) in enumerate(moves):
+            self.move_list[x] |= 1 << m
+            self.move_list[y] |= 1 << m
+        self.worklist_moves = (1 << len(moves)) - 1
+        self.active_moves = 0
+        self.coalesced_moves = 0
+        self.frozen_moves = 0
+
+        self.live = twin.alive
+        self.coalesced_nodes = 0
+        self.alias = list(range(n))
+        self.select_stack: List[int] = []
+        self.spilled_nodes: List[int] = []
+
+        self.high = self.simplify_worklist = self.freeze_worklist = 0
+        self.spill_worklist = 0
+        for i, d in enumerate(twin.deg):
+            bit = 1 << i
+            if pre & bit:
                 continue
-            move = frozenset((u, v))
-            self.worklist_moves.add(move)
-            self.move_list[u].add(move)
-            self.move_list[v].add(move)
-
-        self.alias: Dict[Vertex, Vertex] = {}
-        self.coalesced_nodes: Set[Vertex] = set()
-        self.select_stack: List[Vertex] = []
-        self.on_stack: Set[Vertex] = set()
-        self.spilled_nodes: List[Vertex] = []
-
-        self.simplify_worklist: Set[Vertex] = set()
-        self.freeze_worklist: Set[Vertex] = set()
-        self.spill_worklist: Set[Vertex] = set()
-        for v in graph.vertices:
-            if v in self.precolored:
-                continue
-            if self.degree[v] >= k:
-                self.spill_worklist.add(v)
-            elif self._move_related(v):
-                self.freeze_worklist.add(v)
+            if d >= k:
+                self.high |= bit
+                self.spill_worklist |= bit
+            elif self.move_list[i]:
+                self.freeze_worklist |= bit
             else:
-                self.simplify_worklist.add(v)
+                self.simplify_worklist |= bit
+        # lazy min-heaps of str ranks: every member of a worklist has an
+        # entry; an entry whose node has left the worklist is stale
+        self.simplify_heap, self.freeze_heap = (
+            [self.rank[i] for i in _iter_bits(mask)]
+            for mask in (self.simplify_worklist, self.freeze_worklist))
+        heapify(self.simplify_heap)
+        heapify(self.freeze_heap)
 
     # ------------------------------------------------------------------
-    def _add_edge(self, u: Vertex, v: Vertex) -> None:
-        if u == v or v in self.adj[u]:
-            return
-        self.adj[u].add(v)
-        self.adj[v].add(u)
-        # precolored nodes have conceptually infinite degree
-        if u not in self.precolored:
-            self.degree[u] += 1
-        if v not in self.precolored:
-            self.degree[v] += 1
+    def _pop_min(self, heap: List[int], worklist: int) -> int:
+        """The member of ``worklist`` with the smallest ``str`` rank,
+        its entry (and any stale ones before it) popped from ``heap``."""
+        v = self.order[heappop(heap)]
+        while not worklist >> v & 1:
+            v = self.order[heappop(heap)]
+        return v
 
-    def _node_moves(self, v: Vertex) -> Set[FrozenSet[Vertex]]:
-        return self.move_list[v] & (self.active_moves | self.worklist_moves)
+    def _push_simplify(self, v: int) -> None:
+        if not self.simplify_worklist >> v & 1:
+            self.simplify_worklist |= 1 << v
+            heappush(self.simplify_heap, self.rank[v])
 
-    def _move_related(self, v: Vertex) -> bool:
-        return bool(self._node_moves(v))
+    def _push_freeze(self, v: int) -> None:
+        if not self.freeze_worklist >> v & 1:
+            self.freeze_worklist |= 1 << v
+            heappush(self.freeze_heap, self.rank[v])
 
-    def _adjacent(self, v: Vertex) -> List[Vertex]:
-        return [
-            u
-            for u in self.adj[v]
-            if u not in self.on_stack and u not in self.coalesced_nodes
-        ]
+    def _move_related(self, v: int) -> bool:
+        return bool(
+            self.move_list[v] & (self.active_moves | self.worklist_moves)
+        )
 
-    def _enable_moves(self, nodes) -> None:
-        for n in nodes:
-            for move in list(self._node_moves(n) & self.active_moves):
-                self.active_moves.discard(move)
-                self.worklist_moves.add(move)
+    def _lowered(self, v: int) -> None:
+        """DecrementDegree's transition: ``v``'s degree fell from k to
+        k − 1, so its moves and its neighbours' moves are enabled and
+        it leaves the spill worklist."""
+        if self.active_moves:
+            move_list = self.move_list
+            moves = move_list[v]
+            nbrs = self.adj[v] & self.live
+            while nbrs:
+                low = nbrs & -nbrs
+                moves |= move_list[low.bit_length() - 1]
+                nbrs ^= low
+            moves &= self.active_moves
+            self.active_moves ^= moves
+            self.worklist_moves |= moves
+        self.spill_worklist &= ~(1 << v)
+        if self._move_related(v):
+            self._push_freeze(v)
+        else:
+            self._push_simplify(v)
 
-    def _decrement_degree(self, v: Vertex) -> None:
-        if v in self.precolored:
-            return
-        d = self.degree[v]
-        self.degree[v] = d - 1
-        if d == self.k:
-            self._enable_moves([v] + self._adjacent(v))
-            self.spill_worklist.discard(v)
-            if self._move_related(v):
-                self.freeze_worklist.add(v)
-            else:
-                self.simplify_worklist.add(v)
+    def _recount(self, mask: int) -> None:
+        """Drop from ``high`` the nodes of ``mask`` ∩ ``high`` whose
+        degree fell below k, each through :meth:`_lowered`."""
+        adj, live, k = self.adj, self.live, self.k
+        mask &= self.high
+        while mask:
+            low = mask & -mask
+            t = low.bit_length() - 1
+            mask ^= low
+            if (adj[t] & live).bit_count() < k:
+                self.high ^= low
+                self._lowered(t)
 
     # ------------------------------------------------------------------
     def simplify(self) -> None:
         """Remove one low-degree, move-unrelated node onto the stack."""
-        v = min(self.simplify_worklist, key=str)
-        self.simplify_worklist.discard(v)
+        v = self._pop_min(self.simplify_heap, self.simplify_worklist)
+        bit = 1 << v
+        self.simplify_worklist ^= bit
         self.select_stack.append(v)
-        self.on_stack.add(v)
+        self.live &= ~bit
         self.tracer.count("irc.simplified")
-        for u in self._adjacent(v):
-            self._decrement_degree(u)
+        self._recount(self.adj[v] & self.live)
 
     # ------------------------------------------------------------------
-    def _get_alias(self, v: Vertex) -> Vertex:
-        while v in self.coalesced_nodes:
+    def _get_alias(self, v: int) -> int:
+        while self.coalesced_nodes >> v & 1:
             v = self.alias[v]
         return v
 
-    def _add_worklist(self, v: Vertex) -> None:
-        if (
-            v not in self.precolored
-            and not self._move_related(v)
-            and self.degree[v] < self.k
-        ):
-            self.freeze_worklist.discard(v)
-            self.simplify_worklist.add(v)
-
-    def _ok(self, t: Vertex, r: Vertex) -> bool:
-        """George's per-neighbour condition for merging into r."""
-        return (
-            self.degree[t] < self.k
-            or t in self.precolored
-            or t in self.adj[r]
-        )
-
-    def _conservative(self, nodes) -> bool:
-        """Briggs' test over the combined neighbourhood."""
-        significant = 0
-        for n in nodes:
-            if n in self.precolored or self.degree[n] >= self.k:
-                significant += 1
-        return significant < self.k
+    def _add_worklist(self, v: int) -> None:
+        bit = 1 << v
+        if not (self.pre | self.high) & bit and not self._move_related(v):
+            self.freeze_worklist &= ~bit
+            self._push_simplify(v)
 
     def coalesce(self) -> None:
         """Try one move with the George, then Briggs, conservative test."""
-        move = min(self.worklist_moves, key=lambda m: sorted(map(str, m)))
-        self.worklist_moves.discard(move)
-        x, y = move
-        x, y = self._get_alias(x), self._get_alias(y)
-        if y in self.precolored:
+        tracer = self.tracer
+        move = self.worklist_moves & -self.worklist_moves
+        self.worklist_moves ^= move
+        m = move.bit_length() - 1
+        x = self._get_alias(self.move_x[m])
+        y = self._get_alias(self.move_y[m])
+        pre = self.pre
+        if pre >> y & 1:
             x, y = y, x
         u, v = x, y  # u may be precolored; v never is (unless both)
         if u == v:
-            self.coalesced_moves.add(move)
+            self.coalesced_moves |= move
             self._add_worklist(u)
-            self.tracer.count("moves.transitive")
+            tracer.count("moves.transitive")
             return
-        self.tracer.count("queries.interference")
-        if v in self.precolored or v in self.adj[u]:
-            self.constrained_moves.add(move)
+        tracer.count("queries.interference")
+        adj = self.adj
+        if pre >> v & 1 or adj[u] >> v & 1:
+            # constrained: the move leaves the worklists for good
             self._add_worklist(u)
             self._add_worklist(v)
-            self.tracer.count("moves.constrained")
+            tracer.count("moves.constrained")
             return
-        self.tracer.count("moves.attempted")
-        george_applicable = u in self.precolored or self.george_any
-        george_ok = george_applicable and all(
-            self._ok(t, u) for t in self._adjacent(v)
+        tracer.count("moves.attempted")
+        live, high = self.live, self.high
+        u_pre = pre >> u & 1
+        george_ok = (u_pre or self.george_any) and not (
+            adj[v] & live & high & ~adj[u]
         )
-        briggs_ok = u not in self.precolored and self._conservative(
-            set(self._adjacent(u)) | set(self._adjacent(v))
-        )
+        briggs_ok = not u_pre and (
+            (adj[u] | adj[v]) & live & (high | pre)
+        ).bit_count() < self.k
         if george_ok or briggs_ok:
-            self.coalesced_moves.add(move)
+            self.coalesced_moves |= move
             self._combine(u, v)
             self._add_worklist(u)
-            self.tracer.count("moves.coalesced")
-            self.tracer.count(
+            tracer.count("moves.coalesced")
+            tracer.count(
                 "irc.coalesced_by_george" if george_ok else "irc.coalesced_by_briggs"
             )
         else:
             # deferred, not refused for good: the move may re-enable
-            self.active_moves.add(move)
-            self.tracer.count("moves.rejected")
+            self.active_moves |= move
+            tracer.count("moves.rejected")
 
-    def _combine(self, u: Vertex, v: Vertex) -> None:
-        self.freeze_worklist.discard(v)
-        self.spill_worklist.discard(v)
-        self.coalesced_nodes.add(v)
+    def _combine(self, u: int, v: int) -> None:
+        bv, bu = 1 << v, 1 << u
+        self.freeze_worklist &= ~bv
+        self.spill_worklist &= ~bv
+        self.coalesced_nodes |= bv
+        self.live &= ~bv
         self.alias[v] = u
-        self.move_list[u] |= self.move_list[v]
-        self._enable_moves([v])
-        for t in self._adjacent(v):
-            self._add_edge(t, u)
-            self._decrement_degree(t)
-        if (
-            u not in self.precolored
-            and self.degree[u] >= self.k
-            and u in self.freeze_worklist
-        ):
-            self.freeze_worklist.discard(u)
-            self.spill_worklist.add(u)
+        move_list = self.move_list
+        move_list[u] |= move_list[v]
+        enabled = move_list[v] & self.active_moves
+        self.active_moves ^= enabled
+        self.worklist_moves |= enabled
+        adj, live = self.adj, self.live
+        nbrs = adj[v] & live
+        common = nbrs & adj[u]
+        new = nbrs ^ common
+        adj[u] |= new
+        for t in _iter_bits(new):
+            adj[t] |= bu
+        # a common neighbour loses v: one of degree k falls to k − 1
+        self._recount(common)
+        # AddEdge lifts a new neighbour of degree k − 1 to k and
+        # DecrementDegree takes it back down, enabling its moves
+        for t in _iter_bits(new & ~(self.high | self.pre)):
+            if (adj[t] & live).bit_count() == self.k - 1:
+                self._lowered(t)
+        if not self.pre & bu and (adj[u] & live).bit_count() >= self.k:
+            self.high |= bu
+            if self.freeze_worklist & bu:
+                self.freeze_worklist ^= bu
+                self.spill_worklist |= bu
 
     # ------------------------------------------------------------------
     def freeze(self) -> None:
         """Give up the moves of one low-degree node so it can simplify."""
-        v = min(self.freeze_worklist, key=str)
-        self.freeze_worklist.discard(v)
-        self.simplify_worklist.add(v)
+        v = self._pop_min(self.freeze_heap, self.freeze_worklist)
+        self.freeze_worklist ^= 1 << v
+        self._push_simplify(v)
         self.tracer.count("irc.freezes")
         self._freeze_moves(v)
 
-    def _freeze_moves(self, v: Vertex) -> None:
-        for move in list(self._node_moves(v)):
-            self.active_moves.discard(move)
-            self.worklist_moves.discard(move)
-            self.frozen_moves.add(move)
-            (a, b) = move
-            other = self._get_alias(b) if self._get_alias(a) == self._get_alias(v) else self._get_alias(a)
-            if (
-                other not in self.precolored
-                and not self._move_related(other)
-                and self.degree[other] < self.k
-            ):
-                self.spill_worklist.discard(other)
-                self.freeze_worklist.discard(other)
-                self.simplify_worklist.add(other)
+    def _freeze_moves(self, v: int) -> None:
+        moves = self.move_list[v] & (self.active_moves | self.worklist_moves)
+        while moves:
+            move = moves & -moves
+            moves ^= move
+            self.active_moves &= ~move
+            self.worklist_moves &= ~move
+            self.frozen_moves |= move
+            m = move.bit_length() - 1
+            a = self._get_alias(self.move_x[m])
+            other = self._get_alias(self.move_y[m]) if a == v else a
+            bit = 1 << other
+            if not (self.pre | self.high) & bit \
+                    and not self._move_related(other):
+                self.spill_worklist &= ~bit
+                self.freeze_worklist &= ~bit
+                self._push_simplify(other)
 
     # ------------------------------------------------------------------
     def select_spill(self) -> None:
         """Optimistically push the cheapest spill candidate."""
+        adj, live, names, rank = self.adj, self.live, self.names, self.rank
         v = min(
-            self.spill_worklist,
-            key=lambda x: (
-                self.costs.get(x, 1.0) / max(1, self.degree[x]),
-                str(x),
+            _iter_bits(self.spill_worklist),
+            key=lambda i: (
+                self.costs.get(names[i], 1.0)
+                / max(1, (adj[i] & live).bit_count()),
+                rank[i],
             ),
         )
-        self.spill_worklist.discard(v)
-        self.simplify_worklist.add(v)
+        self.spill_worklist ^= 1 << v
+        self._push_simplify(v)
         self.tracer.count("irc.spill_candidates")
         self._freeze_moves(v)
 
     # ------------------------------------------------------------------
     def assign_colors(self) -> None:
         """Pop the stack, colouring each node (or marking it spilled)."""
+        k, adj, color = self.k, self.adj, self.color
+        classes = [0] * k
+        for i, c in color.items():
+            classes[c] |= 1 << i
+        coalesced = self.coalesced_nodes
         while self.select_stack:
             v = self.select_stack.pop()
-            self.on_stack.discard(v)
-            forbidden = set()
-            for t in self.adj[v]:
-                t = self._get_alias(t)
-                if t in self.color:
-                    forbidden.add(self.color[t])
-            available = [c for c in range(self.k) if c not in forbidden]
-            if not available:
-                self.spilled_nodes.append(v)
+            merged = adj[v] & coalesced
+            nbrs = adj[v] ^ merged
+            for t in _iter_bits(merged):
+                nbrs |= 1 << self._get_alias(t)
+            for c in range(k):
+                if not nbrs & classes[c]:
+                    color[v] = c
+                    classes[c] |= 1 << v
+                    break
             else:
-                self.color[v] = available[0]
-        for v in self.coalesced_nodes:
+                self.spilled_nodes.append(v)
+        for v in self._coalesced_in_rank_order():
             rep = self._get_alias(v)
-            if rep in self.color:
-                self.color[v] = self.color[rep]
+            if rep in color:
+                color[v] = color[rep]
             else:
                 self.spilled_nodes.append(v)
+
+    def _coalesced_in_rank_order(self) -> List[int]:
+        return sorted(_iter_bits(self.coalesced_nodes),
+                      key=self.rank.__getitem__)
 
     # ------------------------------------------------------------------
     def run(self) -> IRCResult:
@@ -334,12 +404,16 @@ class _IRC:
         with self.tracer.span("irc/select"):
             self.assign_colors()
         self.tracer.count("irc.actual_spills", len(self.spilled_nodes))
+        names = self.names
         return IRCResult(
-            colors=dict(self.color),
-            spilled=list(self.spilled_nodes),
-            coalesced_moves=len(self.coalesced_moves),
-            frozen_moves=len(self.frozen_moves),
-            alias={v: self._get_alias(v) for v in self.coalesced_nodes},
+            colors={names[i]: c for i, c in self.color.items()},
+            spilled=[names[i] for i in self.spilled_nodes],
+            coalesced_moves=self.coalesced_moves.bit_count(),
+            frozen_moves=self.frozen_moves.bit_count(),
+            alias={
+                names[v]: names[self._get_alias(v)]
+                for v in self._coalesced_in_rank_order()
+            },
         )
 
 
@@ -355,7 +429,8 @@ def irc_allocate(
     graph.
 
     ``precolored`` pins machine registers (infinite degree, never
-    simplified or spilled); ``george_any`` extends George's test from
+    simplified or spilled); it must be in range and proper, or
+    ``ValueError`` is raised.  ``george_any`` extends George's test from
     precolored-only (the published algorithm) to any pair (the paper's
     §4 suggestion for post-spilling use).  Returns colours, potential
     spills that became actual (uncolourable) and move statistics.
@@ -368,6 +443,12 @@ def irc_allocate(
             raise ValueError(f"precoloured register {c} out of range")
         if v not in graph:
             raise ValueError(f"precoloured vertex {v!r} not in graph")
+    for v, c in precolored.items():
+        for t in graph.neighbors_view(v):
+            if precolored.get(t) == c:
+                raise ValueError(
+                    f"precoloured vertices {v!r} and {t!r} interfere "
+                    f"but share register {c}")
     return _IRC(
         graph, k, precolored, dict(costs or {}), george_any, tracer=tracer
     ).run()

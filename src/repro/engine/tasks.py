@@ -85,7 +85,7 @@ __all__ = [
 
 #: Code-version tag mixed into every task hash.  Bump it whenever task
 #: execution semantics change, so stale cached results are never reused.
-ENGINE_VERSION = "3"
+ENGINE_VERSION = "4"
 
 #: Built-in instance generators (see :func:`build`).
 INSTANCE_GENERATORS = ("pressure", "program", "llvm")
