@@ -7,10 +7,14 @@ and times the dense runner and the twin on the same input, in one
 process, as the minimum over ``REPEATS`` untraced runs.  The dense
 column is what ``repro bench snapshot`` records as ``wall_ms``; the
 reference column is the same-session yardstick that the snapshot no
-longer stores.  A last row, outside the pinned suite, times iterated
-register coalescing (``irc_allocate``) against ``tests/reference/irc.py``
-on the corpus's slowest IRC task, ``chacha_block.ll:chacha_mix`` at
-k = Maxlive.  Usage, from the root of a checkout::
+longer stores.  Three last rows, outside the pinned suite, time
+strategies on the corpus's slowest coalescing function,
+``chacha_block.ll:chacha_mix`` at k = Maxlive, against their
+``tests/reference`` twins: iterated register coalescing
+(``irc_allocate`` against ``tests/reference/irc.py``), the brute-force
+conservative worklist (kept k-cores against a whole-graph re-check per
+test) and optimistic coalescing (in-place de-coalescing against a
+rebuilt dict quotient per round).  Usage, from the root of a checkout::
 
     python benchmarks/reference_walls.py
 """
@@ -24,6 +28,8 @@ sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
 
 from repro.allocator.irc import irc_allocate  # noqa: E402
 from repro.bench import pinned_suite  # noqa: E402
+from repro.coalescing.conservative import conservative_coalesce  # noqa: E402
+from repro.coalescing.optimistic import optimistic_coalesce  # noqa: E402
 from repro.engine.tasks import TaskSpec, build  # noqa: E402
 from repro.obs import NULL_TRACER  # noqa: E402
 from tests import reference as ref  # noqa: E402
@@ -70,6 +76,12 @@ def main():
     graph, k = built.subject, built.k
     row(f"irc / chacha_mix k={k}", lambda: irc_allocate(graph, k),
         lambda: ref_irc.irc_allocate(graph, k))
+    row(f"brute / chacha_mix k={k}",
+        lambda: conservative_coalesce(graph, k, test="brute"),
+        lambda: ref.conservative_coalesce(graph, k, test="brute"))
+    row(f"optimistic / chacha_mix k={k}",
+        lambda: optimistic_coalesce(graph, k),
+        lambda: ref.optimistic_coalesce(graph, k))
 
 
 if __name__ == "__main__":

@@ -21,13 +21,14 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..graphs.dense import brute_force_test, greedy_core
+from ..graphs.dense import greedy_core
 from ..graphs.graph import Vertex
 from ..graphs.greedy import is_greedy_k_colorable
 from ..graphs.interference import Coalescing, InterferenceGraph
 from ..obs import NULL_TRACER, Tracer
 from .aggressive import aggressive_coalesce
 from .base import CoalescingResult, affinities_by_weight
+from .conservative import BruteWitnesses
 
 
 def optimistic_coalesce(
@@ -47,36 +48,54 @@ def optimistic_coalesce(
     refinement that recovers moves the coarse dissolution gave up
     needlessly.
 
-    Everything runs on the graph's dense twin
-    (:meth:`~repro.graphs.graph.Graph.dense`): each round copies its
-    rows and merges every class into its first member's
-    slot, so live slots come in :meth:`Coalescing.coalesced_graph`
-    vertex order and the witness — the k-core left by the dense
-    peel (:func:`~repro.graphs.dense.greedy_core`) — lists blockers in
-    the same order.  Re-coalescing
-    uses the dense brute-force test, whose verdicts equal the dict
+    Everything runs on one copy of the graph's dense twin
+    (:meth:`~repro.graphs.graph.Graph.dense`): the quotient is built
+    once, each class merged into its first member's slot, so live slots
+    come in :meth:`Coalescing.coalesced_graph` vertex order and the
+    witness — the k-core left by the dense peel
+    (:func:`~repro.graphs.dense.greedy_core`) — lists blockers in the
+    same order.  A dissolved class is split in place
+    (:meth:`~repro.graphs.dense.DenseGraph.split_group`): its slot is
+    detached and each member re-attached with its input row projected
+    through the live classes, which gives the rows a rebuild would.
+    Re-coalescing uses the witness-keeping brute-force test
+    (:class:`~repro.coalescing.conservative.BruteWitnesses`) on that
+    quotient, greedy-k-colorable by then; its verdicts equal the dict
     test's because greedy success does not depend on elimination order.
     """
     aggressive = aggressive_coalesce(graph, tracer=tracer)
-    classes: List[Set[Vertex]] = [set(c) for c in aggressive.coalescing.classes()]
     dissolved_pairs: Set[Tuple[Vertex, Vertex]] = set()
     base = graph.dense()
     index = base.index
     affinities = list(graph.affinities())
+    quotient = base.copy()
+    # each merged class at its first slot; each other member slot's class
+    class_at: Dict[int, Set[Vertex]] = {}
+    owner: Dict[int, int] = {}
+    for group in aggressive.coalescing.classes():
+        if len(group) > 1:
+            slots = sorted(index[v] for v in group)
+            quotient.merge_group(slots)
+            class_at[slots[0]] = set(group)
+            owner.update(dict.fromkeys(slots[1:], slots[0]))
 
     def internal_weight(group: Set[Vertex]) -> float:
         return sum(w for u, v, w in affinities if u in group and v in group)
 
+    def projected(row: int) -> int:
+        """An input row over the quotient's live slots."""
+        live = quotient.alive
+        folded = row & ~live
+        row &= live
+        while folded:
+            low = folded & -folded
+            row |= 1 << owner[low.bit_length() - 1]
+            folded ^= low
+        return row
+
     with tracer.span("optimistic/decoalesce"):
         while True:
             tracer.count("optimistic.witness_checks")
-            quotient = base.copy()
-            class_at: Dict[int, Set[Vertex]] = {}
-            for group in classes:
-                if len(group) > 1:
-                    slots = sorted(index[v] for v in group)
-                    quotient.merge_group(slots)
-                    class_at[slots[0]] = group
             core = greedy_core(quotient, k)
             if not core:
                 break
@@ -95,9 +114,13 @@ def optimistic_coalesce(
                     "coalescing cannot fix spills"
                 )
             cheapest = min(blockers, key=internal_weight)
-            classes.remove(cheapest)
-            for v in cheapest:
-                classes.append({v})
+            slots = sorted(index[v] for v in cheapest)
+            del class_at[slots[0]]
+            for s in slots[1:]:
+                del owner[s]
+            # members are pairwise non-adjacent: no row names another
+            quotient.split_group(
+                slots, [projected(base.adj[s]) for s in slots])
             dissolved = [
                 (u, v) for u, v, _ in affinities if u in cheapest and v in cheapest
             ]
@@ -111,17 +134,18 @@ def optimistic_coalesce(
             )
 
     coalescing = Coalescing(graph)
-    for group in classes:
+    for group in class_at.values():
         members = sorted(group, key=str)
         for other in members[1:]:
             coalescing.union(members[0], other)
     if recoalesce and dissolved_pairs:
         with tracer.span("optimistic/recoalesce"):
-            # `quotient` is the last round's, the greedy-k-colorable one;
-            # map each class representative to its slot
+            # the quotient is greedy-k-colorable now; map each class
+            # representative to its slot
             slot = {coalescing.find(v): i for v, i in index.items()
                     if quotient.alive >> i & 1}
-            for u, v, _ in affinities_by_weight(graph):
+            brute = BruteWitnesses(quotient, k, True, tracer)
+            for pos, (u, v, _) in enumerate(affinities_by_weight(graph)):
                 if (u, v) not in dissolved_pairs and (v, u) not in dissolved_pairs:
                     continue
                 su, sv = slot[coalescing.find(u)], slot[coalescing.find(v)]
@@ -131,8 +155,9 @@ def optimistic_coalesce(
                 if quotient.has_edge(su, sv):
                     continue
                 tracer.count("optimistic.recoalesce_attempted")
-                if brute_force_test(quotient, su, sv, k):
+                if brute.test(pos, su, sv):
                     quotient.merge_in_place(su, sv)
+                    brute.merged(su, sv)
                     coalescing.union(u, v)
                     slot[coalescing.find(u)] = su
                     tracer.count("optimistic.recoalesced")
@@ -154,14 +179,15 @@ def decoalesce_minimum(
     coalesced), find a minimum-cardinality set of affinities to give up
     so that the de-coalesced quotient is greedy-k-colorable.
 
-    De-coalescing is monotone — splitting a class of a
-    greedy-k-colorable quotient distributes the merged vertex's edges
-    over non-adjacent parts, which keeps the elimination going — so
-    iterative deepening over the give-up set size is exact: the first
-    size that succeeds equals the optimum residual move count.  Exponential: reduction-sized instances only.  Returns the
-    affinity pairs to give up, or None if even full de-coalescing (the
-    original graph) is not greedy-k-colorable or the deepening limit
-    ``max_give_up`` is exhausted.
+    Iterative deepening over the give-up set size tries every set of
+    each size before the next, so the first size that succeeds is the
+    optimum residual move count.  De-coalescing is not monotone: giving
+    up everything can fail where a merge succeeds (the 4-cycle a–w–b–x
+    at k = 2 is not greedy-2-colorable, merging a and b leaves a tree),
+    so the input graph's own colorability decides nothing and the
+    search always runs.  Exponential: reduction-sized instances only.
+    Returns the affinity pairs to give up, or None if no give-up set
+    within the deepening limit ``max_give_up`` works.
     """
     affinities = [(u, v) for u, v, _ in affinities_by_weight(graph)]
     if full is None:
@@ -172,8 +198,6 @@ def decoalesce_minimum(
                     "not all affinities can be coalesced aggressively"
                 )
             full.union(u, v)
-    if not is_greedy_k_colorable(graph, k):
-        return None
     limit = len(affinities) if max_give_up is None else max_give_up
 
     def quotient_ok(give_up: Set[int]) -> bool:

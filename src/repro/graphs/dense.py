@@ -286,6 +286,41 @@ class DenseGraph:
         deg[members[0]] = _popcount(row)
         self.alive &= ~absorbed
 
+    def split_group(self, members: Sequence[int], rows: Sequence[int]) -> None:
+        """Undo a :meth:`merge_group` into ``members[0]``: that slot
+        loses its edges, then each member comes back live with its row
+        of ``rows`` (over live slots and no member), mirrored into its
+        neighbours' rows, so every degree stays exact.
+        """
+        adj, deg = self.adj, self.deg
+        keep = 1 << members[0]
+        group = 0
+        for m in members:
+            group |= 1 << m
+        if not self.alive & keep or group & self.alive & ~keep:
+            raise KeyError("members[0] must be the only live member")
+        if any(row & (group | ~self.alive) for row in rows):
+            raise ValueError("a row must hold live non-members only")
+        rest = adj[members[0]]
+        while rest:
+            low = rest & -rest
+            w = low.bit_length() - 1
+            adj[w] ^= keep
+            deg[w] -= 1
+            rest ^= low
+        self.alive |= group
+        for m, row in zip(members, rows):
+            bit = 1 << m
+            adj[m] = row
+            deg[m] = _popcount(row)
+            rest = row
+            while rest:
+                low = rest & -rest
+                w = low.bit_length() - 1
+                adj[w] |= bit
+                deg[w] += 1
+                rest ^= low
+
 
 # ----------------------------------------------------------------------
 # kernels
@@ -668,6 +703,47 @@ def briggs_george_test(
     )
 
 
+def merged_core(
+    dense: DenseGraph,
+    i: int,
+    j: int,
+    k: int,
+    within: Optional[int] = None,
+    tracer: Tracer = NULL_TRACER,
+) -> int:
+    """The k-core of ``dense`` with ``j`` merged into ``i``; 0 accepts.
+
+    The core is a bitmask over the merged graph's slots, ``i`` standing
+    for the pair; it is 0 iff the merge keeps the graph
+    greedy-k-colorable.
+
+    With ``within``, only the subgraph those slots induce is peeled.  A
+    vertex of an induced subgraph's k-core has k neighbours inside it,
+    so that core lies inside the whole graph's: a non-zero answer
+    refuses the merge exactly, while 0 decides nothing.  The merge runs
+    on a flat list clone of the rows, with no per-vertex set copies.
+    """
+    if tracer.enabled:
+        tracer.count(WORDS_MERGED, dense.n * dense.words)
+    merged = dense.copy()
+    merged.merge_in_place(i, j)
+    if within is not None:
+        # the induced subgraph: its slots stay alive, degrees count
+        # their neighbours inside it
+        alive = merged.alive & within
+        if tracer.enabled:
+            tracer.count(WORDS_MERGED, dense.words * _popcount(alive))
+        adj, deg = merged.adj, merged.deg
+        rest = alive
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            deg[v] = (adj[v] & alive).bit_count()
+            rest ^= low
+        merged.alive = alive
+    return _peel(merged, k, tracer)[1]
+
+
 def brute_force_test(
     dense: DenseGraph,
     i: int,
@@ -678,17 +754,17 @@ def brute_force_test(
 ) -> bool:
     """Merge on a copy and re-check greedy-k-colorability.
 
-    The dense copy is a flat list clone — no per-vertex set copies —
-    which is what makes the paper's "merge then re-check in linear
-    time" suggestion actually cheap enough to iterate.
+    The verdict of one whole-graph :func:`merged_core`.
+
+    This is the stateless form, for a caller testing pairs of a graph
+    that changes between tests in other ways than merges (Chaitin's
+    rounds remove vertices too).  A worklist that only merges keeps
+    each refusal's core instead
+    (:class:`~repro.coalescing.conservative.BruteWitnesses`).
     """
     if dense.adj[i] >> j & 1:
         return False
-    if tracer.enabled:
-        tracer.count(WORDS_MERGED, dense.n * dense.words)
-    merged = dense.copy()
-    merged.merge_in_place(i, j)
-    return is_greedy_k_colorable(merged, k, tracer=tracer)
+    return not merged_core(dense, i, j, k, tracer=tracer)
 
 
 #: The conservative tests by name: the one table behind

@@ -179,3 +179,99 @@ class TestConservativeCoalesce:
         r = conservative_coalesce(g, 6, test="brute")
         assert r.coalesced_weight == 3.0
         assert r.residual_weight == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the witness-keeping brute-force test against the whole-graph re-check
+# ---------------------------------------------------------------------------
+
+_LEDGER = ("conservative.rounds", "moves.attempted", "moves.coalesced",
+           "moves.rejected", "moves.constrained", "queries.interference")
+
+
+def _same_as_reference(graph, k, check_input=True):
+    """The brute worklist gives the reference's partition, given-up
+    list and ledger counters; returns its tracer."""
+    from repro.obs import Tracer
+    from tests.reference import conservative_coalesce as ref_coalesce
+
+    expected_tracer, tracer = Tracer(), Tracer()
+    expected = ref_coalesce(graph, k, test="brute", tracer=expected_tracer)
+    result = conservative_coalesce(graph, k, test="brute",
+                                   check_input=check_input, tracer=tracer)
+    assert result.coalescing.as_mapping() == expected.as_mapping()
+    assert result.given_up == expected.uncoalesced_affinities()
+    for counter in _LEDGER:
+        assert (tracer.counters.get(counter, 0)
+                == expected_tracer.counters.get(counter, 0)), counter
+    return tracer
+
+
+class TestBruteWitnesses:
+    def test_local_accept_needs_a_colorable_graph(self):
+        """Briggs and George accept a merge of two isolated vertices next
+        to a K4, but at k = 3 the merged graph keeps the K4 as its
+        3-core: brute refuses, so its Briggs/George accept path must not
+        run on a graph not known to be greedy-3-colorable."""
+        g = InterferenceGraph()
+        for u, v in complete_graph(4).edges():
+            g.add_edge(u, v)
+        g.add_vertex("a")
+        g.add_vertex("b")
+        g.add_affinity("a", "b")
+        for test in ("briggs", "george"):
+            r = conservative_coalesce(g, 3, test=test, check_input=False)
+            assert r.num_coalesced == 1, test
+        r = conservative_coalesce(g, 3, test="brute", check_input=False)
+        assert r.num_coalesced == 0
+        _same_as_reference(g, 3, check_input=False)
+
+    def test_corpus_at_maxlive(self):
+        from repro.frontend import corpus_functions
+        from repro.frontend.corpus import function_instance
+
+        for _path, func in corpus_functions():
+            inst = function_instance(func)
+            _same_as_reference(inst.graph, inst.k)
+
+    def test_random_graphs_at_their_coloring_number(self):
+        """Random graphs with random affinities at their colouring
+        number, where merges often fold two members of a kept core: a
+        witness kept past such a merge refuses a pair the whole-graph
+        re-check accepts."""
+        from repro.graphs.greedy import coloring_number
+
+        refused_again = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            n = rng.randint(8, 30)
+            names = [f"v{i}" if i % 3 else i for i in range(n)]
+            rng.shuffle(names)
+            g = InterferenceGraph(vertices=names)
+            p = rng.uniform(0.1, 0.4)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < p:
+                        g.add_edge(names[i], names[j])
+            for _ in range(rng.randint(n // 2, 2 * n)):
+                a, b = rng.sample(names, 2)
+                if not g.has_edge(a, b):
+                    g.add_affinity(a, b, rng.choice([0.5, 1.0, 2.0, 3.0]))
+            tracer = _same_as_reference(g, coloring_number(g))
+            refused_again += tracer.counters.get(
+                "brute.witness_refusals", 0) > 0
+        assert refused_again >= 20
+
+    def test_chacha_mix_peels(self):
+        """chacha_mix at k = Maxlive: 32 brute tests, 28 of them
+        refusals of 14 pairs; kept cores and the local accept path leave
+        at most 18 whole-graph peels (one per test without them)."""
+        from repro.engine.tasks import TaskSpec, build
+        from repro.obs import Tracer
+
+        built = build(TaskSpec(generator="llvm", seed=0, strategy="brute",
+                               params={"path": "chacha_block.ll",
+                                       "function": "chacha_mix"}))
+        tracer = _same_as_reference(built.subject, built.k)
+        assert tracer.counters["moves.attempted"] == 32
+        assert tracer.counters["brute.peels"] <= 18

@@ -249,7 +249,7 @@ def test_fuzz_conservative_backends_agree(seed):
     rng = random.Random(seed)
     inst = pressure_instance(rng.randint(3, 6), rng.randint(3, 6),
                              rng=rng, name=f"fuzz-{seed}")
-    test = rng.choice(["briggs", "george", "briggs_george"])
+    test = rng.choice(["briggs", "george", "briggs_george", "brute"])
     r_dict = ref.conservative_coalesce(inst.graph, inst.k, test=test)
     r_dense = conservative_coalesce(inst.graph, inst.k, test=test)
     assert r_dict.as_mapping() == r_dense.coalescing.as_mapping()

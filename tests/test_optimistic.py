@@ -99,6 +99,16 @@ class TestDecoalesceMinimum:
         g.add_affinity("k0", "ext")
         assert decoalesce_minimum(g, 3) is None
 
+    def test_merge_can_make_an_uncolorable_graph_colorable(self):
+        """De-coalescing is not monotone: the 4-cycle a-w-b-x is not
+        greedy-2-colorable, but merging a and b leaves a tree."""
+        g = InterferenceGraph(
+            edges=[("a", "w"), ("w", "b"), ("b", "x"), ("x", "a")],
+            affinities=[("a", "b")])
+        assert not is_greedy_k_colorable(g, 2)
+        assert decoalesce_minimum(g, 2) == []
+        assert optimistic_coalesce(g, 2).num_coalesced == 1
+
     def test_conflicting_affinities_rejected(self):
         g = InterferenceGraph(edges=[("a", "b")], affinities=[("a", "b")])
         with pytest.raises(ValueError):
