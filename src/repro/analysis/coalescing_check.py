@@ -36,7 +36,12 @@ per ``k``; the allocation passes share one
 :class:`~repro.intervals.linear_scan.CodeFacts` of the final code —
 one liveness solve, one set of interference rows, one set of live
 intervals — through the context's fact memo
-(:meth:`AnalysisContext.fact`).
+(:meth:`AnalysisContext.fact`).  What they read of the code alone —
+the non-slot mask (``CodeFacts.nonslot``) and the variable set
+ALLOC004 checks spills against (``CodeFacts.variable_set``) — lives on
+those facts, so the engine's memoised facts of a final code derive it
+once per process; only the walks that read the assignment run per
+result.
 
 Allocation (kind ``allocation``, duck-typed subject with ``function``,
 ``assignment``, ``k``, ``spilled`` attributes — i.e. an
@@ -305,13 +310,13 @@ def check_coalescing_conservative(
 def _row_pairs(
     rows: Sequence[int],
     nonslot: int,
-    ctx: AnalysisContext,
+    charge: Callable[[int], None],
     offending: Callable[[int, int], int],
 ) -> List[Tuple[int, int]]:
     """Walk the interference rows of the non-slot variables.
 
-    Charges one budget step per row bit (in one bulk charge per row)
-    and asks ``offending(i, row)`` for the bits of ``row`` (already
+    Calls ``charge`` with each row's bit count (one budget step per row
+    bit) and asks ``offending(i, row)`` for the bits of ``row`` (already
     restricted to ``nonslot``) that clash with variable ``i``.  Returns
     the clashing pairs as ``(lower, higher)`` interned indices, each
     once and in ascending order — the order
@@ -328,7 +333,7 @@ def _row_pairs(
         row = rows[i] & nonslot
         if not row:
             continue
-        ctx.check_budget(row.bit_count())
+        charge(row.bit_count())
         bad = offending(i, row)
         while bad:
             bit = bad & -bad
@@ -349,13 +354,6 @@ def code_facts(
                     CodeFacts if known is None else lambda _: known)
 
 
-def _nonslot_mask(variables: Sequence[Any]) -> int:
-    """Bitmask of the interned variables that are not memory slots."""
-    return sum(
-        1 << i for i, v in enumerate(variables) if not is_memory_slot(v)
-    )
-
-
 @analysis_pass(
     "allocation-validity", "allocation",
     codes=("ALLOC001", "ALLOC002", "ALLOC003"),
@@ -373,7 +371,8 @@ def check_allocation_validity(
     func = result.function
     assignment = result.assignment
     k = result.k
-    variables, rows = code_facts(func, ctx).rows
+    facts = code_facts(func, ctx)
+    variables, rows = facts.rows
     register = [assignment.get(v) for v in variables]
     unassigned = 0
     by_register: Dict[Any, int] = {}
@@ -389,7 +388,8 @@ def check_allocation_validity(
             return row
         return row & (unassigned | by_register[c])
 
-    for lo, hi in _row_pairs(rows, _nonslot_mask(variables), ctx, offending):
+    for lo, hi in _row_pairs(rows, facts.nonslot, ctx.check_budget,
+                             offending):
         u, v = variables[lo], variables[hi]
         cu = register[lo]
         if cu is None or register[hi] is None:
@@ -426,7 +426,7 @@ def check_allocation_spill(
     slots never in registers."""
     func = result.function
     ctx.check_budget()
-    final_vars = func.variables()
+    final_vars = code_facts(func, ctx).variable_set
     for v in getattr(result, "spilled", ()):
         if v in final_vars:
             yield Diagnostic(

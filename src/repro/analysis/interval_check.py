@@ -26,17 +26,26 @@ The pass reads the final code's
 :class:`~repro.intervals.linear_scan.CodeFacts` — one liveness solve,
 and the interference rows, intervals and Maxlive over it — shared with
 ``allocation-validity`` through the context's fact memo
-(:func:`~repro.analysis.coalescing_check.code_facts`).  They are
-derived afresh for the context, except when no spill round ran: then
-the final code is the input function, and
+(:func:`~repro.analysis.coalescing_check.code_facts`).
 :func:`~repro.analysis.engine_check.certify_allocation` hands in the
-facts the engine's build memo keeps for it, which are derived from the
-unchanged input once per process and frozen.  INTV001 walks the rows
-of :func:`~repro.ir.interference.interference_rows` over the non-slot
-mask, one AND of the two point masks per row bit; INTV002 accumulates
-one point-mask union per register and enumerates that register's pairs
-only when a member meets the union.  Both report each offending pair
-exactly as a per-edge and per-pair loop would.
+facts the engine's build memo keeps: the input's, or a link of their
+:meth:`~repro.intervals.linear_scan.CodeFacts.spilled` chain, each
+derived once per process and frozen;
+:func:`~repro.analysis.engine_check.verify_record` without a handed
+build (e2ebench's replay, a cache-hit upgrade) gets them from the same
+memo.  Without them (``repro check``, ``certify_allocation`` without
+``facts=``) the facts are fresh for the context.
+
+INTV001 reads no part of the allocation, so its walk lives on those
+facts (:meth:`~repro.intervals.linear_scan.CodeFacts.derived`) and runs
+once per final code, not once per task: it walks the rows of
+:func:`~repro.ir.interference.interference_rows` over the facts'
+non-slot mask, one AND of the two point masks per row bit, and keeps
+the missed pairs and the row bits walked.  The pass charges those
+steps to the budget at once, before any INTV001 finding.  INTV002
+accumulates one point-mask union per register and enumerates that
+register's pairs only when a member meets the union.  Both report each
+offending pair exactly as a per-edge and per-pair loop would.
 
 The pass guards on the ``interval_variant`` marker of
 :class:`~repro.intervals.linear_scan.LinearScanResult` and skips
@@ -47,34 +56,29 @@ uniformly.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List
+from typing import Any, Dict, Iterator, List, Tuple
 
 from ..allocator.spill import is_memory_slot
-from .coalescing_check import _nonslot_mask, _row_pairs, code_facts
+from ..intervals.linear_scan import CodeFacts
+from .coalescing_check import _row_pairs, code_facts
 from .diagnostics import Diagnostic
 from .registry import AnalysisContext, analysis_pass
 
 __all__ = ["check_interval_allocation"]
 
 
-@analysis_pass(
-    "allocation-intervals", "allocation",
-    codes=("INTV001", "INTV002", "INTV003"),
-)
-def check_interval_allocation(
-    result: Any, ctx: AnalysisContext
-) -> Iterator[Diagnostic]:
-    """Interval-derived assignments are interference-valid.
+def _interval_misses(
+    facts: CodeFacts,
+) -> Tuple[Tuple[Tuple[str, str], ...], int]:
+    """INTV001's walk of the code: ``(misses, steps)``.
 
-    One budget step per row bit walked and per same-register pair,
-    charged in bulk per row and per register.
+    ``misses`` are the non-slot variable pairs that interfere although
+    their live intervals do not intersect, as sorted name pairs in
+    :func:`~repro.analysis.coalescing_check._row_pairs` order; ``steps``
+    counts the row bits walked.  It reads no allocation, so it is kept
+    on the facts (:meth:`~repro.intervals.linear_scan.CodeFacts.derived`).
     """
-    if not getattr(result, "interval_variant", ""):
-        return
-    func = result.function
-    facts = code_facts(func, ctx)
-    iset = facts.intervals
-    intervals = iset.intervals
+    intervals = facts.intervals.intervals
     variables, rows = facts.rows
     points = [
         intervals[v].mask if v in intervals else 0 for v in variables
@@ -92,8 +96,37 @@ def check_interval_allocation(
                 bad |= bit
         return bad
 
-    for lo, hi in _row_pairs(rows, _nonslot_mask(variables), ctx, offending):
+    walked: List[int] = []
+    pairs = _row_pairs(rows, facts.nonslot, walked.append, offending)
+    misses = []
+    for lo, hi in pairs:
         a, b = sorted((str(variables[lo]), str(variables[hi])))
+        misses.append((a, b))
+    return tuple(misses), sum(walked)
+
+
+@analysis_pass(
+    "allocation-intervals", "allocation",
+    codes=("INTV001", "INTV002", "INTV003"),
+)
+def check_interval_allocation(
+    result: Any, ctx: AnalysisContext
+) -> Iterator[Diagnostic]:
+    """Interval-derived assignments are interference-valid.
+
+    One budget step per row bit walked, charged at once before any
+    INTV001 finding, and one per same-register pair, charged in bulk
+    per register.
+    """
+    if not getattr(result, "interval_variant", ""):
+        return
+    func = result.function
+    facts = code_facts(func, ctx)
+    iset = facts.intervals
+    intervals = iset.intervals
+    misses, steps = facts.derived(_interval_misses)
+    ctx.check_budget(steps)
+    for a, b in misses:
         yield Diagnostic(
             "INTV001", "error",
             f"{a} and {b} interfere but their live intervals do "

@@ -53,10 +53,13 @@ def chordal_incremental_coalesce(
     a fresh last slot (:meth:`~repro.graphs.dense.DenseGraph.add_vertex`
     then :meth:`~repro.graphs.dense.DenseGraph.merge_group`), and its
     clique tree (:func:`dense_clique_tree`) is rebuilt only after a
-    merge, so rejected affinities reuse it.
+    merge, so rejected affinities reuse it.  Until the first merge the
+    tree is the twin's own, which the twin keeps: the copy has the
+    twin's rows, so it is the tree a walk of the copy would build.
     """
-    work = graph.dense().copy()
-    tree = dense_clique_tree(work)
+    twin = graph.dense()
+    tree = dense_clique_tree(twin)
+    work = twin.copy()
     if tree is None:
         raise ValueError("input graph must be chordal")
     if len(graph) and tree.clique_number() > k:

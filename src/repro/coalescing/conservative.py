@@ -136,6 +136,29 @@ class BruteWitnesses:
         self._kept = kept
 
 
+def high_after_merge(
+    dense: DenseGraph, high: int, common: int, i: int, j: int, k: int
+) -> int:
+    """The degree-≥-k mask after a merge, carried over from before it.
+
+    ``high`` is ``dense``'s mask before it merged ``j`` into ``i``, the
+    merge that returned ``common`` (:meth:`DenseGraph.merge_in_place`):
+    the common neighbours lost one degree, ``i`` changed and ``j`` died,
+    and no other degree moved.
+    """
+    deg = dense.deg
+    drop = common & high
+    while drop:
+        low = drop & -drop
+        if deg[low.bit_length() - 1] < k:
+            high &= ~low
+        drop ^= low
+    high &= ~(1 << j)
+    if deg[i] >= k:
+        return high | 1 << i
+    return high & ~(1 << i)
+
+
 def _coalesce_rounds(
     graph: InterferenceGraph,
     dense: DenseGraph,
@@ -150,10 +173,10 @@ def _coalesce_rounds(
 
     The degree-≥-k mask ``high`` is maintained incrementally from the
     common-neighbour mask that :meth:`DenseGraph.merge_in_place`
-    returns — the only vertices whose degree changed.  The brute-force
-    test keys its witnesses by affinity position.
+    returns — the only vertices whose degree changed
+    (:func:`high_after_merge`).  The brute-force test keys its witnesses
+    by affinity position.
     """
-    deg = dense.deg
     test_fn = DENSE_TESTS[test]
     brute = (
         BruteWitnesses(dense, k, colorable, tracer) if test == "brute" else None
@@ -183,18 +206,7 @@ def _coalesce_rounds(
                 common = dense.merge_in_place(i, j)
                 if brute is not None:
                     brute.merged(i, j)
-                # common neighbours lost one degree; i changed; j died
-                drop = common & high
-                while drop:
-                    low = drop & -drop
-                    if deg[low.bit_length() - 1] < k:
-                        high &= ~low
-                    drop ^= low
-                high &= ~(1 << j)
-                if deg[i] >= k:
-                    high |= 1 << i
-                else:
-                    high &= ~(1 << i)
+                high = high_after_merge(dense, high, common, i, j, k)
                 coalescing.union(u, v)
                 rep_idx[coalescing.find(u)] = i
                 progress = True

@@ -28,7 +28,7 @@ from ..graphs.interference import Coalescing, InterferenceGraph
 from ..obs import NULL_TRACER, Tracer
 from .aggressive import aggressive_coalesce
 from .base import CoalescingResult, affinities_by_weight
-from .conservative import BruteWitnesses
+from .conservative import BruteWitnesses, high_after_merge
 
 
 def optimistic_coalesce(
@@ -60,8 +60,11 @@ def optimistic_coalesce(
     through the live classes, which gives the rows a rebuild would.
     Re-coalescing uses the witness-keeping brute-force test
     (:class:`~repro.coalescing.conservative.BruteWitnesses`) on that
-    quotient, greedy-k-colorable by then; its verdicts equal the dict
-    test's because greedy success does not depend on elimination order.
+    quotient, greedy-k-colorable by then, with the degree-≥-k mask built
+    once and carried over each accepted merge
+    (:func:`~repro.coalescing.conservative.high_after_merge`); its
+    verdicts equal the dict test's because greedy success does not
+    depend on elimination order.
     """
     aggressive = aggressive_coalesce(graph, tracer=tracer)
     dissolved_pairs: Set[Tuple[Vertex, Vertex]] = set()
@@ -145,6 +148,8 @@ def optimistic_coalesce(
             slot = {coalescing.find(v): i for v, i in index.items()
                     if quotient.alive >> i & 1}
             brute = BruteWitnesses(quotient, k, True, tracer)
+            # the degree-≥-k mask, carried over each accepted merge
+            high = quotient.high_degree_mask(k)
             for pos, (u, v, _) in enumerate(affinities_by_weight(graph)):
                 if (u, v) not in dissolved_pairs and (v, u) not in dissolved_pairs:
                     continue
@@ -155,9 +160,10 @@ def optimistic_coalesce(
                 if quotient.has_edge(su, sv):
                     continue
                 tracer.count("optimistic.recoalesce_attempted")
-                if brute.test(pos, su, sv):
-                    quotient.merge_in_place(su, sv)
+                if brute.test(pos, su, sv, high):
+                    common = quotient.merge_in_place(su, sv)
                     brute.merged(su, sv)
+                    high = high_after_merge(quotient, high, common, su, sv, k)
                     coalescing.union(u, v)
                     slot[coalescing.find(u)] = su
                     tracer.count("optimistic.recoalesced")

@@ -379,17 +379,39 @@ def _resolve_dotted(path: str) -> Callable:
     return getattr(module, attr)
 
 
+#: ``(REPRO_LLVM_CORPUS, name) -> corpus_dir() / name`` for each bare
+#: name found to be a corpus file (the variable picks
+#: :func:`~repro.frontend.corpus.corpus_dir`).  Only finds are kept, so
+#: a file added to the corpus later resolves on its first request.
+_corpus_names: Dict[Tuple[Optional[str], str], Any] = {}
+
+
 def _corpus_file(path: Any) -> Any:
     """``corpus_dir() / path`` if ``path`` is the bare name of a file
-    of the corpus, else ``None``."""
-    # imported here: the service's admission check calls this, and its
-    # process need not load the frontend (its pool workers parse)
-    from ..frontend.corpus import corpus_dir
+    of the corpus, else ``None``.
 
-    if not isinstance(path, str) or os.path.basename(path) != path:
+    A find is remembered (:data:`_corpus_names`), so a name costs one
+    ``stat`` per process: :func:`run_task` and the service's admission
+    check share the memo.  A remembered file that was deleted since
+    still resolves here, and opening it fails; a bare name never falls
+    back to the working directory.
+    """
+    if not isinstance(path, str):
         return None
-    candidate = corpus_dir() / path
-    return candidate if candidate.is_file() else None
+    key = (os.environ.get("REPRO_LLVM_CORPUS"), path)
+    found = _corpus_names.get(key)
+    if found is None:
+        # imported here: the service's admission check calls this, and
+        # its process need not load the frontend (its pool workers parse)
+        from ..frontend.corpus import corpus_dir
+
+        if os.path.basename(path) != path:
+            return None
+        candidate = corpus_dir() / path
+        if not candidate.is_file():
+            return None
+        found = _corpus_names[key] = candidate
+    return found
 
 
 def _corpus_path(params: Mapping[str, Any]) -> Any:

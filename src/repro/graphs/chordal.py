@@ -74,7 +74,7 @@ def simplicial_vertices(graph: Graph) -> List[Vertex]:
     return [v for v in graph.vertices if graph.is_clique(graph.neighbors_view(v))]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenseCliqueTree:
     """The clique tree of a chordal :class:`DenseGraph`, as bitmasks.
 
@@ -82,12 +82,14 @@ class DenseCliqueTree:
     PEO); ``cliques[i]`` is the i-th maximal clique as a bitmask over
     dense indices, listed in PEO order of each clique's earliest member
     (the :func:`maximal_cliques_chordal` order); ``edges`` are the tree
-    edges over clique indices, in :func:`clique_tree` order.
+    edges over clique indices, in :func:`clique_tree` order.  All three
+    are tuples and the tree is frozen: a graph's twin shares its tree
+    with every reader.
     """
 
-    order: List[int]
-    cliques: List[int]
-    edges: List[Tuple[int, int]]
+    order: Tuple[int, ...]
+    cliques: Tuple[int, ...]
+    edges: Tuple[Tuple[int, int], ...]
 
     def clique_number(self) -> int:
         """ω of the graph: the largest clique's size (0 when empty)."""
@@ -109,7 +111,17 @@ def dense_clique_tree(dense: DenseGraph) -> Optional[DenseCliqueTree]:
     order); otherwise it joins the current clique.  A new clique hangs
     off the clique of ``p``, which holds all of ``later(v)``.  Cliques
     come out last-to-first and are reversed.  Dead slots are skipped.
+
+    A graph's frozen twin (:meth:`~repro.graphs.graph.Graph.dense`)
+    keeps its tree (:meth:`DenseGraph.kept`), so the chordality checks,
+    the PEO and the chordal strategy's input tree walk each graph once;
+    a mutable graph is walked on every call.
     """
+    return dense.kept("clique_tree", _clique_tree_walk)
+
+
+def _clique_tree_walk(dense: DenseGraph) -> Optional[DenseCliqueTree]:
+    """The :func:`dense_clique_tree` computation itself."""
     order = _dense_mcs_order(dense)
     adj = dense.adj
     prefix = [0]
@@ -145,8 +157,10 @@ def dense_clique_tree(dense: DenseGraph) -> Optional[DenseCliqueTree]:
         prev_card = card
     last = len(walked) - 1
     walked.reverse()
-    edges = [(last - s, last - p) for s, p in enumerate(parents) if p >= 0]
-    return DenseCliqueTree(order=order, cliques=walked, edges=edges)
+    edges = tuple((last - s, last - p)
+                  for s, p in enumerate(parents) if p >= 0)
+    return DenseCliqueTree(order=tuple(order), cliques=tuple(walked),
+                           edges=edges)
 
 
 def _chordal_walk(graph: Graph) -> Tuple[List[Vertex], DenseCliqueTree]:
@@ -277,7 +291,8 @@ def clique_tree(graph: Graph) -> CliqueTree:
     non-chordal input.
     """
     names, tree = _chordal_walk(graph)
-    return CliqueTree(cliques=_clique_sets(names, tree.cliques), edges=tree.edges)
+    return CliqueTree(cliques=_clique_sets(names, tree.cliques),
+                      edges=list(tree.edges))
 
 
 def make_chordal(graph: Graph) -> Graph:

@@ -23,7 +23,9 @@ one twin, :meth:`Graph.dense() <repro.graphs.graph.Graph.dense>`, kept
 until the graph is mutated; its rows are tuples, so a kernel that
 merges or removes works on a :meth:`DenseGraph.copy`.  The twin also
 keeps its :func:`greedy_peel` per ``k``: the peel is confluent
-(Section 2.2), so the frozen rows fix it.
+(Section 2.2), so the frozen rows fix it.  So do they fix its clique
+tree, with the MCS order it walks, which :meth:`DenseGraph.kept` holds
+for :func:`~repro.graphs.chordal.dense_clique_tree`.
 
 Work accounting: kernels count :data:`~repro.obs.names.EDGES_SCANNED`
 for every adjacency element actually visited and
@@ -38,7 +40,9 @@ do strictly less work than the references (see
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from ..obs import NULL_TRACER, Tracer
 from ..obs.names import EDGES_SCANNED, WORDS_MERGED
@@ -75,10 +79,12 @@ class DenseGraph:
     empties, keeping indices stable for the whole run; a new vertex
     takes the next slot).  A graph's shared twin (:meth:`freeze`) holds
     ``adj`` and ``deg`` as tuples, so every mutator raises on it, and
-    keeps its :func:`greedy_peel` results (:attr:`peels`).
+    keeps its :func:`greedy_peel` results (:attr:`peels`) and the other
+    facts its rows fix (:meth:`kept`).
     """
 
-    __slots__ = ("names", "index", "adj", "deg", "alive", "words", "_peels")
+    __slots__ = ("names", "index", "adj", "deg", "alive", "words", "_peels",
+                 "_kept")
 
     def __init__(self, names: Sequence[Vertex] = ()) -> None:
         self.names: List[Vertex] = list(names)
@@ -91,6 +97,7 @@ class DenseGraph:
         self.alive: int = (1 << n) - 1
         self.words: int = max(1, (n + WORD_BITS - 1) // WORD_BITS)
         self._peels: Optional[Dict[int, Tuple[Tuple[int, ...], int]]] = None
+        self._kept: Optional[Dict[str, Any]] = None
 
     # ------------------------------------------------------------------
     # conversion
@@ -116,10 +123,23 @@ class DenseGraph:
     def freeze(self) -> "DenseGraph":
         """Make this graph a shared twin, in place, and return it: ``adj``
         and ``deg`` become tuples, and :func:`greedy_peel` keeps its
-        result per ``k`` from now on."""
+        result per ``k`` from now on, :meth:`kept` its facts."""
         self.adj, self.deg = tuple(self.adj), tuple(self.deg)
         self._peels = {}
+        self._kept = {}
         return self
+
+    def kept(self, name: str, build: Callable[["DenseGraph"], Any]) -> Any:
+        """``build(self)``, kept under ``name`` on a twin, whose frozen
+        rows fix it (:func:`~repro.graphs.chordal.dense_clique_tree`
+        keeps the clique tree so).  A mutable graph keeps nothing and
+        calls ``build`` every time.  The result must be read-only."""
+        kept = self._kept
+        if kept is None:
+            return build(self)
+        if name not in kept:
+            kept.setdefault(name, build(self))
+        return kept[name]
 
     @property
     def peels(self) -> Optional[Mapping[int, Tuple[Tuple[int, ...], int]]]:
@@ -176,6 +196,7 @@ class DenseGraph:
         dup.alive = self.alive
         dup.words = self.words
         dup._peels = None
+        dup._kept = None
         return dup
 
     def high_degree_mask(self, k: int) -> int:
@@ -328,48 +349,46 @@ class DenseGraph:
 def mcs_order(dense: DenseGraph, tracer: Tracer = NULL_TRACER) -> List[int]:
     """Maximum-cardinality search over the dense graph.
 
-    One bitmask bucket per visited-neighbour count: the next vertex is
-    the lowest set bit of the highest non-empty bucket.  That is the
-    dict-of-set reference's tie-break (max count, then smallest
-    interned index), so the two produce *identical* orders.  Each visit
-    scans only the still-unvisited neighbours (``adj[v] & ~visited``),
-    so every edge is walked once instead of twice, and promotes them
-    one bucket up with a mask operation per occupied bucket.
+    The visited-neighbour counts are kept bit-sliced: ``planes[b]`` is
+    the mask of the vertices whose count has bit ``b`` set.  A visit
+    adds 1 to its unvisited neighbours (``adj[v] & unvisited``) by a
+    ripple carry across the planes, so every edge is walked once
+    instead of twice.  The next vertex filters the unvisited mask from
+    the top plane down, keeping the vertices that have each bit when
+    any does, and takes the lowest set bit of what is left: the
+    highest count, then the smallest interned index.  That is the
+    dict-of-set reference's tie-break, so the two produce *identical*
+    orders.
     """
     counting = tracer.enabled
-    buckets = [0] * (dense.n + 1)  # a count never exceeds n - 1
-    buckets[0] = dense.alive
-    top = 0
-    visited = 0
+    planes: List[int] = []
+    unvisited = dense.alive
     order: List[int] = []
     adj = dense.adj
     words = dense.words
-    while top >= 0:
-        bucket = buckets[top]
-        if not bucket:
-            top -= 1
-            continue
-        low = bucket & -bucket
-        buckets[top] = bucket ^ low
+    while unvisited:
+        best = unvisited
+        for plane in reversed(planes):
+            top = best & plane
+            if top:
+                best = top
+        low = best & -best
+        unvisited ^= low
         v = low.bit_length() - 1
-        visited |= low
         order.append(v)
-        fresh = adj[v] & ~visited
+        carry = adj[v] & unvisited
         if counting:
             tracer.count(WORDS_MERGED, 2 * words)
-            tracer.count(EDGES_SCANNED, _popcount(fresh))
-        # promote fresh neighbours one bucket up, highest bucket first so
-        # nothing moves twice
-        w = top
-        while fresh:
-            moved = buckets[w] & fresh
-            if moved:
-                buckets[w] ^= moved
-                buckets[w + 1] |= moved
-                fresh ^= moved
-            w -= 1
-        if buckets[top + 1]:
-            top += 1
+            tracer.count(EDGES_SCANNED, _popcount(carry))
+        b = 0
+        while carry:
+            if b == len(planes):
+                planes.append(carry)
+                break
+            plane = planes[b]
+            planes[b] = plane ^ carry
+            carry &= plane
+            b += 1
     return order
 
 

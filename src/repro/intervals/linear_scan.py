@@ -89,10 +89,14 @@ class CodeFacts:
     ``intervals`` (:func:`~repro.intervals.model.build_intervals`),
     ``rows`` (:func:`~repro.ir.interference.interference_rows`) and
     ``maxlive`` are derived from it, ``costs`` is
-    :func:`~repro.allocator.spill.spill_costs`.  Each is computed on
-    first read, untraced, and then frozen as tuples and
+    :func:`~repro.allocator.spill.spill_costs`, and ``nonslot`` and
+    ``variable_set`` are what the allocation verifier reads of the code
+    whatever the assignment.  Each is computed on first read, untraced,
+    and then frozen as tuples, frozensets and
     :class:`~types.MappingProxyType` views, so a write raises
     ``TypeError`` and no reader can change what the next one reads.
+    :meth:`derived` keeps a reader's own facts of the code beside them
+    (the verifier's INTV001 walk).
 
     The facts describe ``function`` as it was when each was first read.
     Whoever keeps a ``CodeFacts`` beside a function drops it when the
@@ -106,11 +110,11 @@ class CodeFacts:
 
     def __init__(self, function: Function) -> None:
         self.function = function
-        self._memo: Dict[str, Any] = {}
+        self._memo: Dict[Any, Any] = {}
         self._links: _Links = {}
         self._path: Tuple[FrozenSet[Var], ...] = ()
 
-    def _fact(self, name: str, build: Callable[[], Any]) -> Any:
+    def _fact(self, name: Any, build: Callable[[], Any]) -> Any:
         memo = self._memo
         if name not in memo:
             memo.setdefault(name, build())
@@ -158,6 +162,31 @@ class CodeFacts:
         """Maxlive, walked over :attr:`liveness`."""
         return self._fact(
             "maxlive", lambda: maxlive(self.function, liveness=self.liveness))
+
+    @property
+    def nonslot(self) -> int:
+        """Bitmask, over the interning of :attr:`rows`, of the variables
+        that are not memory slots."""
+        def build() -> int:
+            variables = self.rows[0]
+            return sum(1 << i for i, v in enumerate(variables)
+                       if not is_memory_slot(v))
+        return self._fact("nonslot", build)
+
+    @property
+    def variable_set(self) -> FrozenSet[Var]:
+        """Every variable the code names (``function.variables()``),
+        frozen."""
+        return self._fact(
+            "variable_set", lambda: frozenset(self.function.variables()))
+
+    def derived(self, build: Callable[["CodeFacts"], Any]) -> Any:
+        """``build(self)``, computed once per facts object and kept
+        beside the facts it reads: a reader's own fact of the code,
+        such as a verifier's walk over :attr:`rows`, shares their
+        lifetime.  Keyed by ``build`` itself, so pass a module-level
+        function; the result must be read-only."""
+        return self._fact(build, lambda: build(self))
 
     def spilled(self, victims: Iterable[Var]) -> "CodeFacts":
         """The facts of ``spill_everywhere(self.function, victims)``.

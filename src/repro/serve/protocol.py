@@ -33,9 +33,8 @@ heuristic traffic.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
-from typing import Any, Mapping, Optional, Set, Tuple
+from typing import Any, Mapping, Optional
 
 from ..engine.tasks import (
     FAULT_GENERATORS, STRATEGY_TABLE, TaskSpec, _corpus_file, task_hash,
@@ -85,24 +84,6 @@ def request_class(spec: TaskSpec) -> str:
     return LIGHT
 
 
-#: ``(REPRO_LLVM_CORPUS, file name)`` pairs found to be corpus files
-#: (the variable picks :func:`corpus_dir`), so a request for one costs
-#: no ``stat`` after the first.
-_corpus_files: Set[Tuple[Optional[str], str]] = set()
-
-
-def _in_corpus(path: Any) -> bool:
-    """True iff ``path`` is the bare name of a file in the corpus."""
-    if not isinstance(path, str):
-        return False
-    key = (os.environ.get("REPRO_LLVM_CORPUS"), path)
-    if key not in _corpus_files:
-        if _corpus_file(path) is None:
-            return False
-        _corpus_files.add(key)
-    return True
-
-
 def _check_served(spec: TaskSpec) -> None:
     """Refuse (400) a spec that would import code or read a file
     outside the served corpus."""
@@ -111,7 +92,7 @@ def _check_served(spec: TaskSpec) -> None:
                              "custom 'call' task; run those in a campaign")
     if spec.generator == "llvm":
         path = spec.params_dict().get("path")
-        if not _in_corpus(path):
+        if _corpus_file(path) is None:
             raise HttpError(400, "'params.path' must name a file of the "
                                  f"served corpus, got {path!r}")
 

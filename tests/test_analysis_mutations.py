@@ -363,6 +363,54 @@ def test_intv001_interval_missing_an_interference(monkeypatch):
     assert hits and all(u in d.detail["edge"] for d in hits)
 
 
+def test_intv001_steps_are_charged_once_before_its_findings(monkeypatch):
+    """INTV001's walk is a fact of the code: its steps, one per non-slot
+    row bit, reach the budget in one charge, before any finding, and
+    the same charge comes from a second context over the same facts."""
+    import repro.intervals.model as model
+    from repro.allocator.spill import is_memory_slot
+    from repro.analysis.coalescing_check import code_facts
+    from repro.analysis.interval_check import check_interval_allocation
+    from repro.budget import Budget
+    from repro.intervals.linear_scan import CodeFacts
+    from repro.intervals.model import IntervalSet, LiveInterval
+    from repro.ir.interference import interference_rows
+
+    result = _linear_scan(-1)  # memory slots among the rows
+    u, _ = _interfering_pair(result)
+    real = model.build_intervals
+
+    def emptied(func, *args, **kwargs):
+        iset = real(func, *args, **kwargs)
+        intervals = dict(iset.intervals)
+        intervals[u] = LiveInterval(var=u, ranges=())
+        return IntervalSet(points=iset.points, intervals=intervals)
+
+    monkeypatch.setattr(model, "build_intervals", emptied)
+    variables, rows = interference_rows(result.function)
+    nonslot = sum(1 << i for i, v in enumerate(variables)
+                  if not is_memory_slot(v))
+    walked = sum((rows[i] & nonslot).bit_count()
+                 for i in range(len(rows)) if nonslot >> i & 1)
+    assert walked and nonslot != (1 << len(variables)) - 1
+
+    class Recording(Budget):
+        def check(self, steps=1):
+            events.append(("charge", steps))
+            super().check(steps)
+
+    facts = CodeFacts(result.function)
+    for _ in range(2):
+        events = []
+        ctx = AnalysisContext(k=result.k, budget=Recording())
+        code_facts(result.function, ctx, known=facts)
+        for diag in check_interval_allocation(result, ctx):
+            events.append((diag.code,))
+        hits = [i for i, event in enumerate(events) if event == ("INTV001",)]
+        assert hits and hits == list(range(1, len(hits) + 1))
+        assert events[0] == ("charge", walked)
+
+
 def test_memory_slots_skipped_by_validity_and_flagged_in_registers():
     from repro.allocator.spill import is_memory_slot
 

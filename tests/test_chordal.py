@@ -371,3 +371,36 @@ class TestDenseCliqueTree:
                     dense.merge_group([merged, i, *witness.chain, j])
                     merges += 1
         assert merges > 40
+
+    def test_twin_keeps_the_walk_of_a_copy(self):
+        """A graph's frozen twin keeps one tree: the tree a fresh walk
+        of a mutable copy builds, frozen, shared by the chordality
+        checks and the PEO; a non-chordal twin keeps its ``None``."""
+        import dataclasses
+
+        graphs = [param.values[0] for param in _corpus_graphs()]
+        for seed in range(20):
+            rng = random.Random(seed)
+            graphs.append(random_chordal_graph(rng.randint(1, 40),
+                                               rng.randint(1, 8), rng))
+        for g in graphs:
+            twin = g.dense()
+            tree = dense_clique_tree(twin)
+            assert tree == dense_clique_tree(twin.copy())
+            assert is_chordal(g) and g.dense() is twin
+            assert perfect_elimination_ordering(g) == [
+                twin.names[i] for i in reversed(tree.order)]
+            assert dense_clique_tree(twin) is tree
+            for part in (tree.order, tree.cliques, tree.edges):
+                assert isinstance(part, tuple)
+            with pytest.raises(TypeError):
+                tree.cliques[0] = 0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                tree.cliques = ()
+        square = cycle_graph(4)
+        assert dense_clique_tree(square.dense()) is None
+        assert square.dense().kept("clique_tree", lambda _: 1) is None
+        assert not is_chordal(square)
+        a, _, c, _ = square.vertices
+        square.add_edge(a, c)
+        assert is_chordal(square)  # a mutator drops the twin and its tree

@@ -324,6 +324,34 @@ class TestKernelEquivalence:
             assert (maximum_cardinality_search(g)
                     == ref.maximum_cardinality_search(g))
 
+    def test_mcs_corpus_and_wide_counts(self):
+        """Bit-sliced MCS visits in the reference's order on every
+        corpus function's graph, and on random graphs dense enough that
+        the counts carry across many planes, before and after merges
+        that leave dead slots."""
+        from repro.frontend import corpus_functions
+        from repro.frontend.corpus import function_instance
+
+        graphs = [function_instance(func).graph
+                  for _path, func in corpus_functions()]
+        assert len(graphs) == 18
+        for seed in range(40):
+            rng = random.Random(seed)
+            graphs.append(random_graph(rng.randint(30, 90),
+                                       rng.uniform(0.3, 0.95), rng))
+        rng = random.Random(9)
+        for g in graphs:
+            assert (maximum_cardinality_search(g)
+                    == ref.maximum_cardinality_search(g))
+            d = g.dense().copy()
+            for _ in range(d.n // 4):
+                i, j = rng.sample(range(d.n), 2)
+                if (d.alive >> i & 1 and d.alive >> j & 1
+                        and not d.has_edge(i, j)):
+                    d.merge_in_place(i, j)
+            assert ([d.names[i] for i in dn.mcs_order(d)]
+                    == ref.maximum_cardinality_search(d.to_graph()))
+
     def test_greedy_coloring_identical(self):
         rng = random.Random(1)
         for g in fuzz_graphs() + [random_chordal_graph(40, 8, seed=3)]:

@@ -1371,3 +1371,184 @@ class TestBuildMemo:
         tasks._build_memo.clear()
         warm = [outcome(spec) for spec in specs + specs]
         assert warm == cold + cold
+
+    @pytest.fixture
+    def intv001_walks(self, monkeypatch):
+        """The INTV001 row walks, one entry per walk (the allocation
+        passes' ``_row_pairs`` as ``interval_check`` calls it)."""
+        import repro.analysis.interval_check as interval_check
+
+        walks = []
+        original = interval_check._row_pairs
+
+        def counting(*args):
+            walks.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(interval_check, "_row_pairs", counting)
+        return walks
+
+    def test_warm_verify_walks_no_intv001_rows(self, intv001_walks):
+        """INTV001 reads only the final code, so its walk lives on the
+        final code's memoised facts: a second verified pass over the
+        allocation tasks walks no rows for it."""
+        from repro.engine.tasks import ALLOCATION_STRATEGIES
+
+        specs = [spec for spec in corpus_tasks().values()
+                 if spec.strategy in ALLOCATION_STRATEGIES]
+        assert len(specs) == 62
+        first = [run_task(spec, verify=True)["verification"]
+                 for spec in specs]
+        assert 0 < len(intv001_walks) <= len(specs)
+        intv001_walks.clear()
+        second = [run_task(spec, verify=True)["verification"]
+                  for spec in specs]
+        assert intv001_walks == []
+        assert second == first
+
+    def test_mutated_function_derives_intv001_again(self, intv001_walks):
+        """A memoised input changed between two tasks gets fresh facts,
+        and INTV001 is walked again on them, with the same verdict."""
+        import repro.engine.tasks as tasks
+
+        spec = _llvm_spec("linear-scan")
+        first = run_task(spec, verify=True)
+        run_task(spec, verify=True)
+        assert len(intv001_walks) == 1
+        func, facts = tasks.build(spec).source, tasks.build(spec).facts
+        func.frequency[func.entry] += 1.0
+        second = run_task(spec, verify=True)
+        assert tasks.build(spec).facts is not facts
+        assert len(intv001_walks) == 2
+        assert second["verification"] == first["verification"] \
+            == {"status": "certified", "diagnostics": []}
+
+    #: sha256 of every corpus task's verification, as the test below
+    #: lists it: the record's dict, every diagnostic the passes yield
+    #: (``info`` included) and the verify budget's steps.  Taken when
+    #: every pass derived its facts per context, under several
+    #: ``PYTHONHASHSEED`` values.
+    VERIFY_OUTCOMES = (
+        "1f55f8bc071cbbc4a6fd4e7857f1af722b55136ca8c4fa55010d0fc423c927c2")
+
+    def test_cold_and_warm_verification_match_the_pinned_outcome(
+            self, monkeypatch):
+        """Facts kept beside the input change no verdict, diagnostic or
+        step count: a cold pass and a warm pass over the corpus tasks
+        give the pinned outcome."""
+        import hashlib
+
+        from repro.analysis import engine_check
+
+        seen = []
+        original = engine_check._certify
+
+        def recording(spec, payload, budget, tracer, built):
+            diagnostics = original(spec, payload, budget, tracer, built)
+            seen.append(([d.as_dict() for d in diagnostics], budget.steps))
+            return diagnostics
+
+        monkeypatch.setattr(engine_check, "_certify", recording)
+
+        def one_pass():
+            out = []
+            for name, spec in sorted(corpus_tasks().items()):
+                seen.clear()
+                record = run_task(spec, verify=True)
+                ((diagnostics, steps),) = seen
+                out.append([name, record["verification"], diagnostics,
+                            steps])
+            return out
+
+        cold = one_pass()
+        warm = one_pass()
+        assert len(cold) == 260 and warm == cold
+        digest = hashlib.sha256(
+            json.dumps(cold, sort_keys=True).encode()).hexdigest()
+        assert digest == self.VERIFY_OUTCOMES
+
+
+class TestCorpusNames:
+    """``_corpus_file``: the one corpus-name memo of ``run_task`` and
+    the service's admission check."""
+
+    @pytest.fixture
+    def corpus(self, tmp_path, monkeypatch):
+        directory = tmp_path / "corpus"
+        directory.mkdir()
+        monkeypatch.setenv("REPRO_LLVM_CORPUS", str(directory))
+        return directory
+
+    def test_a_name_added_after_a_miss_resolves(self, corpus):
+        from repro.engine.tasks import _corpus_file
+
+        assert _corpus_file("late.ll") is None
+        (corpus / "late.ll").write_text("")
+        assert _corpus_file("late.ll") == corpus / "late.ll"
+
+    def test_the_variable_picks_the_directory(self, corpus, tmp_path,
+                                              monkeypatch):
+        from repro.engine.tasks import _corpus_file
+
+        other = tmp_path / "other"
+        other.mkdir()
+        for directory in (corpus, other):
+            (directory / "f.ll").write_text("")
+        assert _corpus_file("f.ll") == corpus / "f.ll"
+        monkeypatch.setenv("REPRO_LLVM_CORPUS", str(other))
+        assert _corpus_file("f.ll") == other / "f.ll"
+        monkeypatch.setenv("REPRO_LLVM_CORPUS", str(corpus))
+        assert _corpus_file("f.ll") == corpus / "f.ll"
+
+    def test_a_directory_is_not_a_corpus_file(self, corpus):
+        from repro.engine.tasks import _corpus_file
+
+        (corpus / "d.ll").mkdir()
+        assert _corpus_file("d.ll") is None
+        assert _corpus_file("../corpus") is None
+
+    def test_a_deleted_corpus_file_is_an_error_not_a_local_file(
+            self, corpus, tmp_path, monkeypatch):
+        """A remembered name whose file was deleted fails to open in
+        the corpus: a one-line ``FileNotFoundError`` record, even when
+        the working directory holds a file of that name."""
+        from repro.engine.pool import _guarded_run
+        from repro.frontend.corpus import _CHECKOUT_CORPUS
+
+        text = (_CHECKOUT_CORPUS / "loops.ll").read_text()
+        (corpus / "mine.ll").write_text(text)
+        spec = _llvm_spec("linear-scan", path="mine.ll")
+        assert _guarded_run(spec, verify=True)["status"] == "ok"
+        (corpus / "mine.ll").unlink()
+        local = tmp_path / "cwd"
+        local.mkdir()
+        (local / "mine.ll").write_text(text)
+        monkeypatch.chdir(local)
+        record = _guarded_run(spec, verify=True)
+        assert record["status"] == "error"
+        assert record["error"].startswith("FileNotFoundError: ")
+        assert str(corpus / "mine.ll") in record["error"]
+        assert "\n" not in record["error"]
+
+    def test_admission_and_run_task_share_the_memo(self, corpus,
+                                                   monkeypatch):
+        """A name the admission check found costs ``run_task`` no
+        ``stat``."""
+        from repro.frontend.corpus import _CHECKOUT_CORPUS
+        from repro.serve.protocol import parse_task_request
+
+        (corpus / "shared.ll").write_text(
+            (_CHECKOUT_CORPUS / "loops.ll").read_text())
+        request = parse_task_request({"task": {
+            "generator": "llvm", "seed": 0, "strategy": "linear-scan",
+            "params": {"path": "shared.ll", "function": "gcd"}}})
+        stats = []
+        original = Path.is_file
+
+        def counting(path):
+            stats.append(path)
+            return original(path)
+
+        monkeypatch.setattr(Path, "is_file", counting)
+        assert run_task(request.spec)["status"] == "ok"
+        assert stats == []

@@ -233,3 +233,39 @@ class TestAgainstReference:
             result = optimistic_coalesce(inst.graph, inst.k,
                                          recoalesce=False)
             assert result.coalescing.as_mapping() == expected.as_mapping()
+
+    def test_chacha_mix_keeps_its_degree_mask(self, monkeypatch):
+        """Re-coalescing chacha_mix at k = Maxlive builds the degree-≥-k
+        mask once and carries it over each accepted merge: at most one
+        ``high_degree_mask`` call per merge, plus one, with the
+        reference's partition and the counters of a per-test rebuild."""
+        from repro.engine.tasks import TaskSpec, build
+        from repro.graphs.dense import DenseGraph
+        from repro.obs import Tracer
+
+        built = build(TaskSpec(generator="llvm", seed=0,
+                               strategy="optimistic",
+                               params={"path": "chacha_block.ll",
+                                       "function": "chacha_mix"}))
+        calls = []
+        original = DenseGraph.high_degree_mask
+
+        def counting(dense, k):
+            calls.append(k)
+            return original(dense, k)
+
+        monkeypatch.setattr(DenseGraph, "high_degree_mask", counting)
+        tracer = Tracer()
+        result = optimistic_coalesce(built.subject, built.k, tracer=tracer)
+        counters = {name: count for name, count in tracer.counters.items()
+                    if name.startswith(("brute.", "optimistic."))}
+        assert counters == {
+            "brute.peels": 3, "brute.region_peels": 13,
+            "optimistic.dissolved_classes": 15,
+            "optimistic.dissolved_pairs": 15,
+            "optimistic.recoalesce_attempted": 15,
+            "optimistic.recoalesced": 1, "optimistic.witness_checks": 16,
+        }
+        assert 0 < len(calls) <= counters["optimistic.recoalesced"] + 1
+        expected = ref.optimistic_coalesce(built.subject, built.k)
+        assert result.coalescing.as_mapping() == expected.as_mapping()

@@ -321,6 +321,25 @@ class TestProtocol:
                 "params": {"path": path.name}}})
             assert request.spec.params_dict()["path"] == path.name
 
+    def test_a_warm_name_memo_admits_nothing_else(self):
+        """Admission reads the corpus-name memo ``run_task`` fills; with
+        every corpus name in it, a path outside the corpus is still a
+        400 and adds nothing to it."""
+        from repro.engine import tasks
+        from repro.serve.protocol import _check_served
+
+        names = {path.name for path in corpus_paths()}
+        for name in names:
+            assert tasks._corpus_file(name) is not None
+        before = dict(tasks._corpus_names)
+        assert {name for _, name in before} >= names
+        for path in ("/etc/hostname", "../llvm/loops.ll", "missing.ll"):
+            with pytest.raises(HttpError) as exc:
+                _check_served(TaskSpec(generator="llvm", seed=0,
+                                       params={"path": path}))
+            assert exc.value.status == 400
+        assert tasks._corpus_names == before
+
 
     def test_request_class(self):
         light = TaskSpec(generator="pressure", seed=1, k=5,
