@@ -22,7 +22,8 @@ Coalescing (kind ``coalescing``, subject :class:`CoalescingClaim`):
   conservativeness, the quotient graph :math:`G_f` is
   greedy-k-colorable (``COAL004``).  The quotient is built on a copy of
   the claim graph's dense twin, one ``merge_group`` per multi-member
-  class, and peeled once by :func:`repro.graphs.dense.greedy_peel`; a
+  class, and peeled once by :func:`repro.graphs.dense.greedy_peel` (a
+  partition that merges nothing reads the twin and the peel it keeps); a
   success is **re-certified** by replaying the peel's rounds on the
   quotient's rows (:func:`repro.analysis.certificates.
   verify_elimination_rounds`) rather than assumed.  This is the
@@ -137,15 +138,20 @@ def _quotient(coalescing: Coalescing, ctx: AnalysisContext) -> DenseGraph:
     its representative's slot under the name
     :meth:`~repro.graphs.interference.Coalescing.coalesced_graph` gives
     it.  Raises ``ValueError`` if a class holds two interfering vertices
-    and ``KeyError`` if it holds a vertex the graph lacks.
+    and ``KeyError`` if it holds a vertex the graph lacks.  When no
+    class merges, the quotient is the graph itself: the frozen twin is
+    returned, with the peel it keeps per ``k``.
     """
-    quotient = coalescing.graph.dense().copy()
+    twin = coalescing.graph.dense()
+    merged = [cls for cls in _classes(coalescing, ctx) if len(cls) > 1]
+    if not merged:
+        return twin
+    quotient = twin.copy()
     index = quotient.index
-    for cls in _classes(coalescing, ctx):
-        if len(cls) > 1:
-            rep = coalescing.find(next(iter(cls)))
-            quotient.merge_group(
-                [index[rep]] + [index[v] for v in cls if v != rep])
+    for cls in merged:
+        rep = coalescing.find(next(iter(cls)))
+        quotient.merge_group(
+            [index[rep]] + [index[v] for v in cls if v != rep])
     return quotient
 
 
@@ -159,9 +165,11 @@ def check_coalescing_validity(
     with two interfering vertices."""
     graph = claim.graph
     classes = _classes(claim.coalescing, ctx)
+    # one step per class member in each walk, charged once per walk
+    steps = sum(map(len, classes))
+    ctx.check_budget(steps)
     seen: Dict[Any, int] = {}
     for i, cls in enumerate(classes):
-        ctx.check_budget(len(cls))
         for v in cls:
             if v in seen:
                 yield Diagnostic(
@@ -185,8 +193,8 @@ def check_coalescing_validity(
             )
     dense = graph.dense()
     index, adj, names = dense.index, dense.adj, dense.names
+    ctx.check_budget(steps)
     for cls in classes:
-        ctx.check_budget(len(cls))
         if len(cls) < 2:
             continue  # a singleton cannot clash: no self-loops
         members = sorted(index[v] for v in cls if v in index)

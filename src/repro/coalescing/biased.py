@@ -13,13 +13,20 @@ The ablation bench compares it against the merging strategies.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
+from ..graphs.dense import DenseGraph, greedy_elimination_order
 from ..graphs.graph import Vertex
-from ..graphs.greedy import greedy_elimination_order
 from ..graphs.interference import Coalescing, InterferenceGraph
 from ..obs import NULL_TRACER, Tracer
 from .base import CoalescingResult
+
+
+def _elimination(dense: DenseGraph, k: int) -> Tuple[Tuple[int, ...], bool]:
+    """Chaitin's elimination order of ``dense`` at ``k``, frozen."""
+    order, success = greedy_elimination_order(dense, k)
+    return tuple(order), success
 
 
 def biased_greedy_coloring(
@@ -32,38 +39,52 @@ def biased_greedy_coloring(
     Vertices are coloured in reverse elimination order; each vertex
     takes the allowed colour with the highest total affinity weight to
     already-coloured partners, falling back to the smallest allowed
-    colour.
+    colour.  Runs on the graph's dense twin: one bitmask per colour
+    class, so colour ``c`` is allowed iff ``classes[c] & adj[v]`` is 0,
+    and the elimination order is the twin's, kept per ``k``
+    (:meth:`~repro.graphs.dense.DenseGraph.kept`).
     """
     with tracer.span("biased-coloring"):
-        order, success = greedy_elimination_order(graph, k)
+        dense = graph.dense()
+        order, success = dense.kept(f"elimination-order/{k}",
+                                    partial(_elimination, k=k))
         if not success:
             return None
-        partner_weights: Dict[Vertex, List[Tuple[Vertex, float]]] = {
-            v: [] for v in graph.vertices
-        }
+        index, adj = dense.index, dense.adj
+        partners: List[List[Tuple[int, float]]] = [[] for _ in dense.names]
         for u, v, w in graph.affinities():
-            partner_weights[u].append((v, w))
-            partner_weights[v].append((u, w))
-        coloring: Dict[Vertex, int] = {}
+            i, j = index[u], index[v]
+            partners[i].append((j, w))
+            partners[j].append((i, w))
+        color = [-1] * dense.n
+        classes: List[int] = []
+        preferred = 0
         for v in reversed(order):
-            forbidden = {
-                coloring[u] for u in graph.neighbors_view(v) if u in coloring
-            }
+            av = adj[v]
             preference: Dict[int, float] = {}
-            for partner, w in partner_weights[v]:
-                c = coloring.get(partner)
-                if c is not None and c not in forbidden:
+            for partner, w in partners[v]:
+                c = color[partner]
+                if c >= 0 and not classes[c] & av:
                     preference[c] = preference.get(c, 0.0) + w
             if preference:
-                coloring[v] = max(sorted(preference), key=preference.__getitem__)
-                tracer.count("biased.preferred")
-                continue
-            c = 0
-            while c in forbidden:
-                c += 1
-            coloring[v] = c
-            tracer.count("biased.fallback")
-    return coloring
+                c = max(sorted(preference), key=preference.__getitem__)
+                preferred += 1
+            else:
+                c = 0
+                for cls in classes:
+                    if not cls & av:
+                        break
+                    c += 1
+            if c == len(classes):
+                classes.append(0)
+            classes[c] |= 1 << v
+            color[v] = c
+        if preferred:
+            tracer.count("biased.preferred", preferred)
+        if preferred < len(order):
+            tracer.count("biased.fallback", len(order) - preferred)
+        names = dense.names
+        return {names[v]: color[v] for v in reversed(order)}
 
 
 def biased_coloring_result(

@@ -432,40 +432,88 @@ def _corpus_path(params: Mapping[str, Any]) -> Any:
 #: :func:`_recall` keeps per process.
 _BUILD_MEMO_SIZE = 64
 
-#: ``key -> (source, fingerprint, extra)``, least recently used first.
-_build_memo: Dict[Tuple[Any, ...], Tuple[Any, Any, Any]] = {}
+
+class _Entry:
+    """One memoised input: ``source`` with the ``fingerprint`` taken
+    when it was built and the facts ``extra`` derived from it.
+
+    ``lent`` counts the lends :func:`run_task` has out; each comes back
+    through :func:`_settle` with its comparison.  ``trusted`` holds
+    until :func:`build` hands the source to an outside caller, who
+    may keep it; from then on every hit compares.
+    """
+
+    __slots__ = ("key", "source", "fingerprint", "extra", "lent", "trusted")
+
+    def __init__(self, key: Tuple[Any, ...], source: Any, extra: Any) -> None:
+        self.key, self.source, self.extra = key, source, extra
+        self.fingerprint = _fingerprint(source)
+        self.lent = 0
+        self.trusted = True
+
+
+#: ``key -> entry``, least recently used first.
+_build_memo: Dict[Tuple[Any, ...], _Entry] = {}
 _build_memo_lock = threading.Lock()
 
 
-def _recall(
-    key: Tuple[Any, ...], make: Callable[[], Tuple[Any, Any]]
-) -> Tuple[Any, Any, Any]:
-    """``(source, fingerprint, extra)`` for ``key``, from the memo when
-    it holds the key, else built by ``make()``.
+def _take(entry: _Entry, lend: bool) -> None:
+    """Hand ``entry`` out (lock held): a lend, or an outside caller."""
+    _build_memo[entry.key] = _build_memo.pop(entry.key)
+    if lend:
+        entry.lent += 1
+    else:
+        entry.trusted = False
 
-    A hit checks the stored source against the fingerprint taken at
-    build time (:func:`_unchanged`); if it no longer matches, some
+
+def _recall(
+    key: Tuple[Any, ...], make: Callable[[], Tuple[Any, Any]], lend: bool
+) -> _Entry:
+    """The memo entry for ``key``, built by ``make()`` on a miss.
+
+    A hit skips comparing the stored source with its fingerprint
+    (:func:`_unchanged`) only while the entry is trusted and no lend is
+    out: every lend since the last comparison came back intact through
+    :func:`_settle`.  Otherwise it compares, and a mismatch means some
     caller mutated the shared source, so the entry — and the facts
     ``extra`` derived from it — is dropped and rebuilt.  ``make()``
     returns ``(source, extra)``, which is fingerprinted and stored,
     evicting the least recently used entry beyond
     :data:`_BUILD_MEMO_SIZE`.  A ``make()`` that raises stores nothing.
+
+    ``lend=True`` is :func:`run_task`'s lend, to be settled; otherwise
+    the source goes to an outside caller for good.
     """
     with _build_memo_lock:
         entry = _build_memo.get(key)
-    if entry is not None and _unchanged(entry[0], entry[1]):
+        if entry is not None and entry.trusted and not entry.lent:
+            _take(entry, lend)
+            return entry
+    if entry is not None and _unchanged(entry.source, entry.fingerprint):
         with _build_memo_lock:
             if _build_memo.get(key) is entry:  # not evicted meanwhile
-                _build_memo[key] = _build_memo.pop(key)
-        return entry
+                _take(entry, lend)
+                return entry
     source, extra = make()
-    entry = (source, _fingerprint(source), extra)
+    entry = _Entry(key, source, extra)
     with _build_memo_lock:
         _build_memo.pop(key, None)
         _build_memo[key] = entry
+        _take(entry, lend)
         while len(_build_memo) > _BUILD_MEMO_SIZE:
             del _build_memo[next(iter(_build_memo))]
     return entry
+
+
+def _settle(entry: Optional[_Entry], intact: bool) -> None:
+    """Return a lend of ``entry`` (``None``: nothing was lent) with the
+    comparison its borrower made; a failed one drops the entry."""
+    if entry is None:
+        return
+    with _build_memo_lock:
+        entry.lent -= 1
+        if not intact and _build_memo.get(entry.key) is entry:
+            del _build_memo[entry.key]
 
 
 def _llvm_source(params: Mapping[str, Any]) -> Tuple[Any, Tuple[Any, ...]]:
@@ -479,9 +527,9 @@ def _llvm_source(params: Mapping[str, Any]) -> Tuple[Any, Tuple[Any, ...]]:
                   params.get("sha256"))
 
 
-def _llvm_function(path: Any, key: Tuple[Any, ...]) -> Tuple[Any, Any, Any]:
-    """``(function, fingerprint, facts)``: the lowered function with
-    loop-depth block frequencies set, memoised with its
+def _llvm_function(path: Any, key: Tuple[Any, ...], lend: bool) -> _Entry:
+    """The memo entry of the lowered function with loop-depth block
+    frequencies set; its ``extra`` is the function's
     :class:`~repro.intervals.linear_scan.CodeFacts`."""
     from ..frontend.corpus import _function_from_bytes
     from ..intervals.linear_scan import CodeFacts
@@ -493,15 +541,14 @@ def _llvm_function(path: Any, key: Tuple[Any, ...]) -> Tuple[Any, Any, Any]:
         set_frequencies_from_loops(func)
         return func, CodeFacts(func)
 
-    return _recall(("function",) + key, make)
+    return _recall(("function",) + key, make, lend)
 
 
 def _llvm_instance(
-    params: Mapping[str, Any], k: int
-) -> Tuple[ChallengeInstance, Any]:
-    """``(instance, fingerprint)``, memoised and built from the memoised
-    function, as :func:`repro.frontend.corpus.instance_from_path`
-    builds it."""
+    params: Mapping[str, Any], k: int, lend: bool
+) -> _Entry:
+    """The memo entry of the instance, built from the memoised function
+    as :func:`repro.frontend.corpus.instance_from_path` builds it."""
     from pathlib import Path
 
     from ..ir.interference import chaitin_interference
@@ -509,15 +556,18 @@ def _llvm_instance(
     path, key = _llvm_source(params)
 
     def make() -> Tuple[ChallengeInstance, None]:
-        func, _, facts = _llvm_function(path, key)
-        graph = chaitin_interference(func, weighted=True,
-                                     liveness=facts.liveness)
+        entry = _llvm_function(path, key, lend=True)
+        func, facts = entry.source, entry.extra
+        try:
+            graph = chaitin_interference(func, weighted=True,
+                                         liveness=facts.liveness)
+        finally:
+            _settle(entry, True)  # the interference build only reads it
         name = f"{Path(path).stem}:{func.name}"
         return ChallengeInstance(name=name, k=k if k > 0 else facts.maxlive,
                                  graph=graph), None
 
-    instance, fingerprint, _ = _recall(("instance", k) + key, make)
-    return instance, fingerprint
+    return _recall(("instance", k) + key, make, lend)
 
 
 def _allocation_payload(result: Any) -> Dict[str, Any]:
@@ -586,13 +636,15 @@ class Built:
     instance's k / the function's Maxlive when it says 0), with its
     ``fingerprint`` from before any strategy ran (:meth:`intact`), the
     function's memoised ``facts``, and — once :func:`run_task` ran the
-    strategy — its ``result``."""
+    strategy — its ``result`` and ``checked``, the comparison with the
+    fingerprint it made after the strategy."""
 
     source: Any
     k: int
     fingerprint: Any
     facts: Any = None
     result: Any = None
+    checked: Optional[bool] = None
 
     @property
     def subject(self) -> Any:
@@ -602,7 +654,11 @@ class Built:
         return self.source
 
     def intact(self) -> bool:
-        """True iff the source still has its pre-strategy fingerprint."""
+        """True iff the source still has its pre-strategy fingerprint:
+        :attr:`checked` once :func:`run_task` compared, else compared
+        now."""
+        if self.checked is not None:
+            return self.checked
         return _unchanged(self.source, self.fingerprint)
 
 
@@ -620,11 +676,20 @@ def build(spec: TaskSpec) -> Built:
     :class:`~repro.intervals.linear_scan.CodeFacts`, which the
     allocator's first round and the verifier read; each graph keeps its
     dense twin and the twin's peel per ``k``.  Memoised sources are
-    shared and so read-only: every hit checks the source against its
-    stored fingerprint and rebuilds on a mismatch, so an input a
-    strategy mutated never reaches a later task.  Every other generator
-    builds a fresh instance, fingerprinted here.
+    shared and so read-only.  :func:`run_task` borrows its input and
+    compares it with the fingerprint once, after the strategy; a hit
+    skips the comparison while every such lend came back intact.  A
+    source handed out here may be kept and changed by its caller at any
+    time, so from then on every hit compares, and a mismatch rebuilds:
+    an input someone mutated never reaches a later task.  Every other
+    generator builds a fresh instance, fingerprinted here.
     """
+    return _build(spec, lend=False)[0]
+
+
+def _build(spec: TaskSpec, lend: bool) -> Tuple[Built, Optional[_Entry]]:
+    """:func:`build`, and the memo entry lent (``lend=True``) for
+    :func:`_settle`, ``None`` when the input is not memoised."""
     params = spec.params_dict()
     if STRATEGY_TABLE[spec.strategy].variant is not None:
         if spec.generator != "llvm":
@@ -633,11 +698,15 @@ def build(spec: TaskSpec) -> Built:
                 f"'llvm' generator (got {spec.generator!r}): graph "
                 "generators carry no code to allocate"
             )
-        func, fingerprint, facts = _llvm_function(*_llvm_source(params))
-        return Built(func, spec.k or facts.maxlive, fingerprint, facts)
+        entry = _llvm_function(*_llvm_source(params), lend=lend)
+        built = Built(entry.source, spec.k or entry.extra.maxlive,
+                      entry.fingerprint, entry.extra)
+        return built, entry if lend else None
     if spec.generator == "llvm":
-        instance, fingerprint = _llvm_instance(params, spec.k)
-        return Built(instance, spec.k or instance.k, fingerprint)
+        entry = _llvm_instance(params, spec.k, lend)
+        built = Built(entry.source, spec.k or entry.source.k,
+                      entry.fingerprint)
+        return built, entry if lend else None
     if spec.generator == "pressure":
         instance = pressure_instance(
             spec.k,
@@ -662,7 +731,7 @@ def build(spec: TaskSpec) -> Built:
                 f"{spec.generator} returned {type(instance).__name__}, "
                 "expected ChallengeInstance"
             )
-    return Built(instance, spec.k or instance.k, _fingerprint(instance))
+    return Built(instance, spec.k or instance.k, _fingerprint(instance)), None
 
 
 def _result_hash(payload: Any) -> str:
@@ -700,9 +769,12 @@ def run_task(
     :func:`repro.analysis.engine_check.verify_record` and the
     verification dict is attached under ``record["verification"]``
     (metadata only — it never enters ``result_hash``).  The verifier is
-    handed this run's :class:`Built`, the strategy's result included;
-    its fingerprint predates the strategy, so a strategy that mutates
-    its input fails verification with ``ENG002``.
+    handed this run's :class:`Built`, the strategy's result included.
+    Its fingerprint predates the strategy, and the one comparison with
+    it, made after the strategy whether or not the task is verified,
+    rides along (:attr:`Built.checked`): a strategy that mutates its
+    input fails verification with ``ENG002``, and the memoised input is
+    rebuilt for the next task.
     """
     key = task_hash(spec)
     tracer = Tracer()
@@ -747,11 +819,16 @@ def run_task(
             fn = _resolve_dotted(spec.generator)
             payload = fn(spec.seed, spec.k, spec.params_dict(), tracer, budget)
         else:
-            built = build(spec)
-            with tracer.span("engine-task"):
-                result = entry.run(built.subject, built.k, tracer=tracer,
-                                   budget=budget, facts=built.facts)
-            built = replace(built, result=result)
+            built, lent = _build(spec, lend=True)
+            try:
+                with tracer.span("engine-task"):
+                    result = entry.run(built.subject, built.k,
+                                       tracer=tracer, budget=budget,
+                                       facts=built.facts)
+            finally:
+                checked = built.intact()
+                _settle(lent, checked)
+            built = replace(built, result=result, checked=checked)
             if entry.variant is not None:
                 payload = _allocation_payload(result)
             else:

@@ -100,17 +100,18 @@ def dense_clique_tree(dense: DenseGraph) -> Optional[DenseCliqueTree]:
     """PEO check, maximal cliques and clique tree in one bitmask walk.
 
     Follows the MCS order (Blair & Peyton 1993); None if ``dense`` is
-    not chordal.  With ``prefix[t]`` the mask of the first ``t`` MCS vertices,
-    ``later(v)`` — v's neighbours after it in the PEO — is
-    ``adj[v] & prefix[t]``.  Its earliest PEO member ``p`` (the last of
-    them MCS visited) comes from a binary search for the shortest
-    prefix holding all of ``later(v)``; the order is a PEO iff every
-    ``later(v) \\ {p}`` lies inside ``adj[p]``, one mask test per
-    vertex.  Vertex v starts a new clique exactly when ``|later(v)|``
-    does not grow over its predecessor's (this holds only for an MCS
-    order); otherwise it joins the current clique.  A new clique hangs
-    off the clique of ``p``, which holds all of ``later(v)``.  Cliques
-    come out last-to-first and are reversed.  Dead slots are skipped.
+    not chordal.  ``later(v)`` — v's neighbours after it in the PEO —
+    is ``adj[v]`` masked to the vertices MCS visited before v.  Its
+    earliest PEO member ``p`` (the last of them MCS visited) comes from
+    one backward sweep over the MCS order, in which each vertex claims
+    its neighbours visited after it that no vertex claimed yet; the
+    order is a PEO iff every ``later(v) \\ {p}`` lies inside
+    ``adj[p]``, one mask test per vertex.  Vertex v starts a new
+    clique exactly when ``|later(v)|`` does not grow over its
+    predecessor's (this holds only for an MCS order); otherwise it
+    joins the current clique.  A new clique hangs off the clique of
+    ``p``, which holds all of ``later(v)``.  Cliques come out
+    last-to-first and are reversed.  Dead slots are skipped.
 
     A graph's frozen twin (:meth:`~repro.graphs.graph.Graph.dense`)
     keeps its tree (:meth:`DenseGraph.kept`), so the chordality checks,
@@ -124,38 +125,40 @@ def _clique_tree_walk(dense: DenseGraph) -> Optional[DenseCliqueTree]:
     """The :func:`dense_clique_tree` computation itself."""
     order = _dense_mcs_order(dense)
     adj = dense.adj
-    prefix = [0]
-    seen = 0
-    for v in order:
-        seen |= 1 << v
-        prefix.append(seen)
+    # one backward sweep: latest[v] is v's last-visited earlier
+    # neighbour, the earliest PEO member of later(v) (-1 if none)
+    latest = [-1] * dense.n
+    waiting = 0  # visited after the current vertex, latest not found yet
+    for u in reversed(order):
+        found = adj[u] & waiting
+        waiting ^= found
+        while found:
+            low = found & -found
+            latest[low.bit_length() - 1] = u
+            found ^= low
+        waiting |= 1 << u
     clique_of = [-1] * dense.n
     walked: List[int] = []  # per walked clique, {v} ∪ later(v) of its latest joiner
     parents: List[int] = []
+    last = -1  # the current clique's index in walked
     prev_card = 0
-    for t, v in enumerate(order):
-        lv = adj[v] & prefix[t]
+    seen = 0
+    for v in order:
+        bit = 1 << v
+        lv = adj[v] & seen
+        seen |= bit
         card = lv.bit_count()
-        p = -1
-        if lv:
-            lo, hi = 1, t  # smallest s with later(v) ⊆ prefix[s]
-            while lo < hi:
-                mid = (lo + hi) >> 1
-                if lv & ~prefix[mid]:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            p = order[lo - 1]
-            if lv & ~adj[p] & ~(1 << p):
-                return None
+        p = latest[v]
+        if p >= 0 and lv & ~(adj[p] | 1 << p):
+            return None
         if card <= prev_card:  # always true for the first vertex
             parents.append(clique_of[p] if p >= 0 else -1)
-            walked.append(lv | 1 << v)
+            walked.append(lv | bit)
+            last += 1
         else:
-            walked[-1] = lv | 1 << v
-        clique_of[v] = len(walked) - 1
+            walked[last] = lv | bit
+        clique_of[v] = last
         prev_card = card
-    last = len(walked) - 1
     walked.reverse()
     edges = tuple((last - s, last - p)
                   for s, p in enumerate(parents) if p >= 0)

@@ -5,9 +5,10 @@ by :mod:`repro.intervals.model` and both verified (not trusted) by the
 ``allocation-intervals`` analysis pass:
 
 * ``"classic"`` — Poletto–Sarkar linear scan.  Intervals are treated
-  as their envelopes ``[start, end]``; the scan keeps an active list,
-  expires intervals whose envelope ended, and on register exhaustion
-  spills the interval with the *furthest end* (the classic heuristic).
+  as their envelopes ``[start, end]``; the scan keeps the active
+  intervals in a heap by end, expires those whose envelope ended, and
+  on register exhaustion spills the interval with the *furthest end*
+  (the classic heuristic).
 * ``"second-chance"`` — hole-aware binpacking in the spirit of
   Traub's second-chance allocation: each register holds a set of
   intervals whose *ranges* do not pairwise intersect, so lifetime
@@ -38,11 +39,14 @@ whole LLVM corpus.
 
 from __future__ import annotations
 
+import heapq
 import threading
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from types import MappingProxyType
 from typing import (
-    Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple,
+    Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional,
+    Sequence, Tuple,
 )
 
 from ..allocator.chaitin import AllocationResult
@@ -242,62 +246,87 @@ class LinearScanResult(AllocationResult):
     spill_rounds: List[List[Var]] = field(default_factory=list)
 
 
+def _scan_order(iset: IntervalSet) -> Tuple[LiveInterval, ...]:
+    """The non-slot intervals of ``iset`` in ``(start, end, name)``
+    order, the order both scans visit them in."""
+    return tuple(sorted(
+        (interval for var, interval in iset.intervals.items()
+         if not is_memory_slot(var)),
+        key=lambda iv: (iv.start, iv.end, str(iv.var)),
+    ))
+
+
+def _facts_scan_order(facts: CodeFacts) -> Tuple[LiveInterval, ...]:
+    """:func:`_scan_order` of the facts' intervals, kept on the facts
+    (:meth:`CodeFacts.derived`)."""
+    return _scan_order(facts.intervals)
+
+
+#: The eviction key of an active classic-scan entry: ``(end, var)``.
+_furthest = itemgetter(0, 3)
+
+
 def _scan_classic(
-    order: List[LiveInterval],
+    order: Sequence[LiveInterval],
     k: int,
     costs: Mapping[Var, float],
     tracer: Tracer,
 ) -> Tuple[Dict[Var, int], List[Var]]:
-    """One Poletto scan: envelope-active list, furthest-end spill."""
+    """One Poletto scan: envelope-active intervals, furthest-end spill.
+
+    The active intervals sit in a heap ordered by envelope end and the
+    free registers in a min-heap, so expiring and handing out ``r0``
+    first cost a pop each.  ``holder[r]`` is the active entry holding
+    register ``r``: an evicted interval's entry stays in the heap and
+    is skipped when it expires, since its register has another holder.
+    At a pressure event every register is held, so the holders are the
+    whole active set the furthest end is chosen from.
+    """
     assignment: Dict[Var, int] = {}
     victims: List[Var] = []
-    free = list(range(k - 1, -1, -1))  # pop() hands out r0 first
-    active: List[Tuple[int, int, Var]] = []  # (end, register, var)
-    for interval in order:
+    free = list(range(k))
+    # (end, position, register, var); positions are distinct, so
+    # entries never compare further
+    active: List[Tuple[int, int, int, Var]] = []
+    holder: List[Any] = [None] * k
+    for position, interval in enumerate(order):
         start = interval.start
-        still: List[Tuple[int, int, Var]] = []
-        for end, register, var in active:
-            if end < start:
-                free.append(register)
-            else:
-                still.append((end, register, var))
-        active = still
-        free.sort(reverse=True)
+        while active and active[0][0] < start:
+            entry = heapq.heappop(active)
+            if holder[entry[2]] is entry:
+                holder[entry[2]] = None
+                heapq.heappush(free, entry[2])
+        var, end = interval.var, interval.end
         if free:
-            register = free.pop()
-            assignment[interval.var] = register
-            active.append((interval.end, register, interval.var))
-            continue
-        tracer.count("linscan.pressure_events")
-        spillable = [t for t in active if not is_spill_temp(t[2])]
-        furthest = (
-            max(spillable, key=lambda t: (t[0], str(t[2])))
-            if spillable
-            else None
-        )
-        if furthest is not None and (
-            furthest[0] > interval.end or is_spill_temp(interval.var)
-        ):
-            # evict the active interval, hand its register to this one
-            end, register, var = furthest
-            active.remove(furthest)
-            del assignment[var]
-            victims.append(var)
-            assignment[interval.var] = register
-            active.append((interval.end, register, interval.var))
-        elif is_spill_temp(interval.var):
-            raise RuntimeError(
-                "register pressure cannot be reduced below "
-                f"k={k}: more than k reload temporaries are "
-                "simultaneously live"
-            )
+            register = heapq.heappop(free)
         else:
-            victims.append(interval.var)
+            tracer.count("linscan.pressure_events")
+            spillable = [e for e in holder if not is_spill_temp(e[3])]
+            furthest = max(spillable, key=_furthest) if spillable else None
+            if furthest is not None and (
+                furthest[0] > end or is_spill_temp(var)
+            ):
+                # evict the active interval, hand its register to this one
+                register = assignment.pop(furthest[3])
+                victims.append(furthest[3])
+            elif is_spill_temp(var):
+                raise RuntimeError(
+                    "register pressure cannot be reduced below "
+                    f"k={k}: more than k reload temporaries are "
+                    "simultaneously live"
+                )
+            else:
+                victims.append(var)
+                continue
+        entry = (end, position, register, var)
+        heapq.heappush(active, entry)
+        holder[register] = entry
+        assignment[var] = register
     return assignment, victims
 
 
 def _scan_second_chance(
-    order: List[LiveInterval],
+    order: Sequence[LiveInterval],
     k: int,
     costs: Mapping[Var, float],
     tracer: Tracer,
@@ -377,9 +406,10 @@ def linear_scan_allocate(
     spilling cannot converge.
 
     ``facts`` is ``func``'s :class:`CodeFacts`, if the caller keeps
-    them: each round reads its intervals and spill costs, and each
-    spill rewrite, from ``facts`` and its :meth:`CodeFacts.spilled`
-    chain instead of deriving (and counting) them again.
+    them: each round reads its intervals, their scan order and spill
+    costs, and each spill rewrite, from ``facts`` and its
+    :meth:`CodeFacts.spilled` chain instead of deriving (and counting)
+    them again.
     """
     if k <= 0:
         raise ValueError(f"need at least one register, got k={k}")
@@ -403,17 +433,11 @@ def linear_scan_allocate(
             if link is not None:
                 iset: IntervalSet = link.intervals
                 costs = link.costs
+                order = link.derived(_facts_scan_order)
             else:
                 iset = model.build_intervals(work, tracer=tracer)
                 costs = spill_costs(work)
-        order = sorted(
-            (
-                interval
-                for var, interval in iset.intervals.items()
-                if not is_memory_slot(var)
-            ),
-            key=lambda iv: (iv.start, iv.end, str(iv.var)),
-        )
+                order = _scan_order(iset)
         with tracer.span("linscan/scan"):
             assignment, victims = scan(order, k, costs, tracer)
         if not victims:

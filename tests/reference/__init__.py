@@ -12,9 +12,15 @@ cliques) are what the O(V+E) clique-tree walk of
 the row-wise quotient build.  :func:`optimistic_coalesce` is the
 de-coalescing loop on dict quotients that the single-DenseGraph
 :func:`repro.coalescing.optimistic.optimistic_coalesce` must match
-partition for partition, and :func:`scan_second_chance` (resident
+partition for partition, :func:`scan_second_chance` (resident
 lists, two-pointer range tests) the oracle for the occupancy-mask
-second-chance scan.  :func:`check_allocation_validity` and
+second-chance scan, and :func:`scan_classic` (an active list rebuilt
+and the free registers re-sorted at every interval) the oracle for the
+two-heap classic scan.  :func:`biased_greedy_coloring` (forbidden
+colours as a set per vertex) is the oracle for the colour-class masks
+of :mod:`repro.coalescing.biased`, and :func:`clique_tree_walk` (a
+binary search of the MCS prefixes per vertex) for the one-sweep
+:func:`repro.graphs.chordal.dense_clique_tree`.  :func:`check_allocation_validity` and
 :func:`check_interval_allocation` are the per-edge and per-pair loops
 the row-mask allocation certificates must match diagnostic for
 diagnostic, and :func:`maxlive` the set-based pressure walk.
@@ -33,9 +39,15 @@ from typing import Any, Callable, Dict, FrozenSet, Iterator, List, Optional, Seq
 
 from repro.coalescing.aggressive import aggressive_coalesce
 from repro.coalescing.base import affinities_by_weight
-from repro.graphs.chordal import CliqueTree, perfect_elimination_ordering
+from repro.graphs.chordal import (
+    CliqueTree,
+    DenseCliqueTree,
+    perfect_elimination_ordering,
+)
+from repro.graphs.dense import DenseGraph, mcs_order
 from repro.graphs.graph import Graph, Vertex
 from repro.graphs.greedy import dense_subgraph_witness, is_greedy_k_colorable
+from repro.graphs import greedy as repro_greedy
 from repro.graphs.interference import Coalescing, InterferenceGraph
 from repro.allocator.spill import is_memory_slot, is_spill_temp
 from repro.analysis.diagnostics import Diagnostic
@@ -183,6 +195,51 @@ def clique_tree(graph: Graph) -> CliqueTree:
             parent[ri] = rj
             edges.append((i, j))
     return CliqueTree(cliques=cliques, edges=edges)
+
+
+def clique_tree_walk(dense: DenseGraph) -> Optional[DenseCliqueTree]:
+    """The clique-tree walk with a binary search per vertex: the
+    earliest PEO member of ``later(v)`` is the last vertex of the
+    shortest MCS prefix holding all of ``later(v)``."""
+    order = mcs_order(dense)
+    adj = dense.adj
+    prefix = [0]
+    seen = 0
+    for v in order:
+        seen |= 1 << v
+        prefix.append(seen)
+    clique_of = [-1] * dense.n
+    walked: List[int] = []
+    parents: List[int] = []
+    prev_card = 0
+    for t, v in enumerate(order):
+        lv = adj[v] & prefix[t]
+        card = lv.bit_count()
+        p = -1
+        if lv:
+            lo, hi = 1, t  # smallest s with later(v) ⊆ prefix[s]
+            while lo < hi:
+                mid = (lo + hi) >> 1
+                if lv & ~prefix[mid]:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            p = order[lo - 1]
+            if lv & ~adj[p] & ~(1 << p):
+                return None
+        if card <= prev_card:
+            parents.append(clique_of[p] if p >= 0 else -1)
+            walked.append(lv | 1 << v)
+        else:
+            walked[-1] = lv | 1 << v
+        clique_of[v] = len(walked) - 1
+        prev_card = card
+    last = len(walked) - 1
+    walked.reverse()
+    edges = tuple((last - s, last - p)
+                  for s, p in enumerate(parents) if p >= 0)
+    return DenseCliqueTree(order=tuple(order), cliques=tuple(walked),
+                           edges=edges)
 
 
 def verify_clique_tree(graph: Graph, tree: CliqueTree) -> bool:
@@ -727,6 +784,95 @@ def scan_second_chance(
         else:
             raise RuntimeError("reload temporaries conflict in every register")
     return assignment, victims
+
+
+def scan_classic(
+    order: Sequence[LiveInterval], k: int, costs: Dict[Var, float],
+    tracer: Tracer = NULL_TRACER,
+) -> Tuple[Dict[Var, int], List[Var]]:
+    """The Poletto scan with an active list rebuilt and the free
+    registers re-sorted at every interval (the oracle for the two-heap
+    classic scan of :mod:`repro.intervals.linear_scan`)."""
+    assignment: Dict[Var, int] = {}
+    victims: List[Var] = []
+    free = list(range(k - 1, -1, -1))  # pop() hands out r0 first
+    active: List[Tuple[int, int, Var]] = []  # (end, register, var)
+    for interval in order:
+        start = interval.start
+        still: List[Tuple[int, int, Var]] = []
+        for end, register, var in active:
+            if end < start:
+                free.append(register)
+            else:
+                still.append((end, register, var))
+        active = still
+        free.sort(reverse=True)
+        if free:
+            register = free.pop()
+            assignment[interval.var] = register
+            active.append((interval.end, register, interval.var))
+            continue
+        tracer.count("linscan.pressure_events")
+        spillable = [t for t in active if not is_spill_temp(t[2])]
+        furthest = (max(spillable, key=lambda t: (t[0], str(t[2])))
+                    if spillable else None)
+        if furthest is not None and (
+            furthest[0] > interval.end or is_spill_temp(interval.var)
+        ):
+            end, register, var = furthest
+            active.remove(furthest)
+            del assignment[var]
+            victims.append(var)
+            assignment[interval.var] = register
+            active.append((interval.end, register, interval.var))
+        elif is_spill_temp(interval.var):
+            raise RuntimeError(
+                "register pressure cannot be reduced below "
+                f"k={k}: more than k reload temporaries are "
+                "simultaneously live"
+            )
+        else:
+            victims.append(interval.var)
+    return assignment, victims
+
+
+def biased_greedy_coloring(
+    graph: InterferenceGraph, k: int, tracer: Tracer = NULL_TRACER
+) -> Optional[Dict[Vertex, int]]:
+    """Biased colouring over dict sets: a forbidden-colour set per
+    vertex from ``neighbors_view``, partners keyed by name, and the
+    elimination order derived afresh on every call."""
+    with tracer.span("biased-coloring"):
+        order, success = repro_greedy.greedy_elimination_order(graph, k)
+        if not success:
+            return None
+        partner_weights: Dict[Vertex, List[Tuple[Vertex, float]]] = {
+            v: [] for v in graph.vertices
+        }
+        for u, v, w in graph.affinities():
+            partner_weights[u].append((v, w))
+            partner_weights[v].append((u, w))
+        coloring: Dict[Vertex, int] = {}
+        for v in reversed(order):
+            forbidden = {
+                coloring[u] for u in graph.neighbors_view(v) if u in coloring
+            }
+            preference: Dict[int, float] = {}
+            for partner, w in partner_weights[v]:
+                c = coloring.get(partner)
+                if c is not None and c not in forbidden:
+                    preference[c] = preference.get(c, 0.0) + w
+            if preference:
+                coloring[v] = max(sorted(preference),
+                                  key=preference.__getitem__)
+                tracer.count("biased.preferred")
+                continue
+            c = 0
+            while c in forbidden:
+                c += 1
+            coloring[v] = c
+            tracer.count("biased.fallback")
+    return coloring
 
 
 def maxlive(func: Function) -> int:

@@ -404,3 +404,36 @@ class TestDenseCliqueTree:
         a, _, c, _ = square.vertices
         square.add_edge(a, c)
         assert is_chordal(square)  # a mutator drops the twin and its tree
+
+    def test_sweep_matches_binary_search_walk(self):
+        """The one-sweep walk builds the tree the binary-search walk of
+        ``tests/reference`` builds — order, cliques and edges — on the
+        corpus, on random chordal graphs, on merged work graphs with
+        dead slots, and says ``None`` wherever it does on random graphs
+        (most of them not chordal)."""
+        graphs = [param.values[0] for param in _corpus_graphs()]
+        for seed in range(60):
+            rng = random.Random(seed)
+            graphs.append(random_chordal_graph(rng.randint(1, 40),
+                                               rng.randint(1, 8), rng))
+        for g in graphs:
+            tree = dense_clique_tree(DenseGraph.from_graph(g))
+            assert tree is not None
+            assert tree == ref.clique_tree_walk(DenseGraph.from_graph(g))
+        others = []
+        for seed in range(40):
+            rng = random.Random(seed)
+            merged = DenseGraph.from_graph(random_chordal_graph(
+                rng.randint(6, 30), rng.randint(2, 6), rng))
+            for i in range(0, merged.n - 1, 3):
+                if not merged.has_edge(i, i + 1):
+                    merged.merge_in_place(i, i + 1)
+            others.append(merged)
+            others.append(DenseGraph.from_graph(random_graph(
+                rng.randint(2, 24), rng.uniform(0.1, 0.6), rng)))
+        rejected = 0
+        for d in others:
+            tree = dense_clique_tree(d)
+            assert tree == ref.clique_tree_walk(d)
+            rejected += tree is None
+        assert 20 < rejected < len(others) - 20

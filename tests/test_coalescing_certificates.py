@@ -219,7 +219,7 @@ def test_facts_derived_once_per_verified_corpus_pass(monkeypatch):
     monkeypatch.setattr(dense, "_peel", peeling)
 
     def inputs():
-        return {id(entry[0]) for key, entry in _build_memo.items()
+        return {id(entry.source) for key, entry in _build_memo.items()
                 if key[0] == "function"}
 
     def twin_peels():
@@ -276,7 +276,7 @@ def test_spill_rewrites_once_per_verified_corpus_pass(monkeypatch):
 
     def links():
         return [path for key, entry in _build_memo.items()
-                if key[0] == "function" for path in entry[2]._links]
+                if key[0] == "function" for path in entry.extra._links]
 
     _build_memo.clear()
     for spec in specs:
@@ -342,3 +342,72 @@ def test_dense_builds_per_verified_corpus_pass(monkeypatch):
     for spec in specs:
         assert run_task(spec, verify=True)["status"] == "ok"
     assert built == []
+
+
+def test_unmerged_partition_reads_the_twin_peel(monkeypatch):
+    """``briggs`` coalesces nothing on ``chacha_mix``: COAL004 reads the
+    input twin and the peel it keeps, with no copy and no new peel, and
+    still re-certifies the rounds on the twin's rows; a partition that
+    merges a pair peels its own quotient."""
+    import repro.analysis.coalescing_check as coalescing_check
+    import repro.graphs.dense as dense
+
+    instance = build(_chacha("briggs")).source
+    result = execute_strategy(instance.graph, instance.k, "briggs")
+    assert result.num_coalesced == 0
+    twin = instance.graph.dense()
+    assert instance.k in twin.peels
+    peeled, copied, witnessed = [], [], []
+    real_peel, real_copy = dense._peel, DenseGraph.copy
+    real_witness = coalescing_check.verify_elimination_rounds
+
+    def peeling(graph, k, tracer):
+        peeled.append(graph)
+        return real_peel(graph, k, tracer)
+
+    def copying(graph):
+        copied.append(graph)
+        return real_copy(graph)
+
+    def witnessing(graph, rounds, k, ctx):
+        witnessed.append((graph, rounds))
+        return real_witness(graph, rounds, k, ctx)
+
+    monkeypatch.setattr(dense, "_peel", peeling)
+    monkeypatch.setattr(DenseGraph, "copy", copying)
+    monkeypatch.setattr(coalescing_check, "verify_elimination_rounds",
+                        witnessing)
+    payload = _coalesce_payload(instance, result)
+    assert certify_payload(instance, payload, "briggs", instance.k) == []
+    assert peeled == [] and copied == []
+    assert witnessed == [(twin, twin.peels[instance.k][0])]
+
+    coalescing = Coalescing(instance.graph)
+    u, v, _ = next(a for a in instance.graph.affinities()
+                   if not instance.graph.has_edge(a[0], a[1]))
+    coalescing.union(u, v)
+    witnessed.clear()
+    assert _coal004(instance.graph, coalescing, instance.k) \
+        == _reference_coal004(instance.graph, coalescing, instance.k)
+    assert len(peeled) == len(copied) == 1 and peeled[0] is not twin
+
+
+def test_validity_charges_the_budget_once_per_walk(monkeypatch):
+    """The validity pass charges each of its two walks' step totals at
+    once: two calls per claim (one per class and walk before), the
+    same steps."""
+    instance = build(_chacha("aggressive")).source
+    result = execute_strategy(instance.graph, instance.k, "aggressive")
+    charges = []
+    original = AnalysisContext.check_budget
+
+    def charging(self, steps=1):
+        charges.append(steps)
+        return original(self, steps)
+
+    monkeypatch.setattr(AnalysisContext, "check_budget", charging)
+    claim = CoalescingClaim(graph=instance.graph,
+                            coalescing=result.coalescing, k=instance.k)
+    validity = get_pass("coalescing-validity")
+    assert list(validity.fn(claim, AnalysisContext(k=instance.k))) == []
+    assert charges == [len(instance.graph)] * 2

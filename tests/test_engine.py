@@ -1128,6 +1128,116 @@ class TestBuildMemo:
         assert rebuilt.graph.fingerprint() == fresh.graph.fingerprint()
         assert record["payload"]["edges"] == fresh.graph.num_edges()
 
+    @pytest.fixture
+    def comparisons(self, monkeypatch):
+        """The memoised-input comparisons, one entry per call."""
+        import repro.engine.tasks as tasks
+
+        calls = []
+        original = tasks._unchanged
+
+        def counting(source, fingerprint):
+            calls.append(source)
+            return original(source, fingerprint)
+
+        monkeypatch.setattr(tasks, "_unchanged", counting)
+        return calls
+
+    @pytest.mark.parametrize("verify", [True, False])
+    def test_one_comparison_per_task(self, comparisons, verify):
+        """A warm pass over the corpus task list compares each input with
+        its fingerprint once per task, after the strategy, verified or
+        not (twice per verified task while every hit compared)."""
+        specs = list(corpus_tasks().values())
+        assert len(specs) == 260
+        for spec in specs:
+            assert run_task(spec, verify=verify)["status"] == "ok"
+        comparisons.clear()
+        for spec in specs:
+            record = run_task(spec, verify=verify)
+            assert record["status"] == "ok"
+            if verify:
+                assert record["verification"]["status"] in (
+                    "certified", "failed")
+        assert len(comparisons) == len(specs)
+
+    def test_a_lend_still_out_makes_a_hit_compare(self, comparisons):
+        import repro.engine.tasks as tasks
+
+        spec = _llvm_spec()
+        run_task(spec)
+        comparisons.clear()
+        first, lent = tasks._build(spec, lend=True)
+        assert comparisons == []
+        second, other = tasks._build(spec, lend=True)
+        assert other is lent and second.source is first.source
+        assert len(comparisons) == 1
+        tasks._settle(other, True)
+        tasks._settle(lent, True)
+        tasks._build(spec, lend=True)
+        assert len(comparisons) == 1
+
+    def test_outside_holder_that_mutates_gets_a_rebuild(self, comparisons):
+        """A source handed out by ``build`` may change at any time: every
+        later hit compares, so a mutation made after tasks ran on the
+        shared input still never reaches a task."""
+        import repro.engine.tasks as tasks
+
+        spec = _llvm_spec()
+        first = run_task(spec, verify=True)
+        held = tasks.build(spec).source
+        comparisons.clear()
+        for _ in range(2):
+            assert run_task(spec, verify=True)["verification"] \
+                == first["verification"]
+        assert len(comparisons) == 4  # at each hit and after each run
+        u, v = next(held.graph.edges())
+        held.graph.neighbors_view(u).discard(v)
+        held.graph.neighbors_view(v).discard(u)
+        second = run_task(spec, verify=True)
+        rebuilt = tasks.build(spec).source
+        assert rebuilt is not held
+        assert (second["result_hash"], second["verification"]) \
+            == (first["result_hash"], first["verification"])
+
+    @pytest.mark.parametrize("verify", [True, False])
+    def test_mutating_strategy_on_a_trusted_input(self, monkeypatch,
+                                                  comparisons, verify):
+        """No outside caller ever held the input, so hits compare
+        nothing; a strategy that mutates it still fails with ENG002, and
+        the next task gets a rebuilt input."""
+        from dataclasses import replace
+
+        import repro.engine.tasks as tasks
+
+        spec = _llvm_spec("briggs", path="chacha_block.ll",
+                          function="chacha_mix")
+        clean = run_task(spec, verify=True)
+        original = tasks.STRATEGY_TABLE["briggs"]
+        seen = []
+
+        def mutating(graph, k, **kwargs):
+            seen.append(graph)
+            u = next(iter(graph.vertices))
+            v = next(x for x in graph.vertices
+                     if x != u and not graph.has_edge(u, x))
+            graph.add_edge(u, v)
+            return original.run(graph, k, **kwargs)
+
+        monkeypatch.setitem(tasks.STRATEGY_TABLE, "briggs",
+                            replace(original, run=mutating))
+        comparisons.clear()
+        poisoned = run_task(spec, verify=verify)
+        assert len(comparisons) == 1
+        if verify:
+            assert [d["code"] for d in
+                    poisoned["verification"]["diagnostics"]] == ["ENG002"]
+        monkeypatch.setitem(tasks.STRATEGY_TABLE, "briggs", original)
+        again = run_task(spec, verify=True)
+        assert (again["result_hash"], again["verification"]) \
+            == (clean["result_hash"], clean["verification"])
+        assert tasks.build(spec).source.graph is not seen[0]
+
     def test_mutated_function_is_rebuilt(self, monkeypatch):
         import repro.intervals.linear_scan as linear_scan
         from repro.engine.tasks import build

@@ -25,6 +25,8 @@ from repro.graphs.generators import (
 from repro.graphs.greedy import is_greedy_k_colorable
 from repro.graphs.interference import InterferenceGraph
 from repro.ir import GeneratorConfig, random_function
+from repro.obs import Tracer
+from tests import reference as ref
 from tests.reference import (
     george_extended_test,
     george_extended_test_both,
@@ -156,7 +158,86 @@ class TestChordalStrategy:
         assert allocation_errors(res) == []
 
 
+def _biased_outcome(graph, k):
+    """Colouring (in order), partition, coalesced list and counters of
+    one biased run, on a fresh tracer."""
+    tracer = Tracer()
+    result = biased_coloring_result(graph, k, tracer=tracer)
+    classes = sorted(sorted(map(str, cls))
+                     for cls in result.coalescing.classes())
+    return (list(result.coloring.items()), classes, result.coalesced,
+            tracer.counters)
+
+
+def _biased_as_reference(graph, k, monkeypatch):
+    """The twin-mask colouring gives what the dict-set loop of
+    ``tests/reference`` gives, and return the outcome."""
+    import repro.coalescing.biased as biased
+
+    got = _biased_outcome(graph, k)
+    with monkeypatch.context() as patch:
+        patch.setattr(biased, "biased_greedy_coloring",
+                      ref.biased_greedy_coloring)
+        expected = _biased_outcome(graph, k)
+    assert got == expected
+    return got
+
+
 class TestBiasedColoring:
+    def test_corpus_matches_dict_coloring(self, monkeypatch):
+        from repro.frontend import corpus_functions
+        from repro.frontend.corpus import function_instance
+
+        preferred = 0
+        for _path, func in corpus_functions():
+            inst = function_instance(func)
+            counters = _biased_as_reference(inst.graph, inst.k,
+                                            monkeypatch)[3]
+            preferred += counters.get("biased.preferred", 0)
+        assert preferred > 0
+
+    def test_random_graphs_match_dict_coloring(self, monkeypatch):
+        """Random graphs with random affinities at their colouring
+        number, vertex names mixing ints and strings."""
+        from repro.graphs.greedy import coloring_number
+
+        preferred = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            n = rng.randint(8, 30)
+            names = [f"v{i}" if i % 3 else i for i in range(n)]
+            rng.shuffle(names)
+            g = InterferenceGraph(vertices=names)
+            p = rng.uniform(0.1, 0.4)
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < p:
+                        g.add_edge(names[i], names[j])
+            for _ in range(rng.randint(n // 2, 2 * n)):
+                a, b = rng.sample(names, 2)
+                g.add_affinity(a, b, rng.choice([0.5, 1.0, 2.0, 3.0]))
+            counters = _biased_as_reference(g, coloring_number(g),
+                                            monkeypatch)[3]
+            preferred += counters.get("biased.preferred", 0)
+        assert preferred > 60
+
+    def test_elimination_order_kept_per_k(self):
+        """The twin keeps its elimination order per k; a mutated graph
+        gets a new twin and a new order."""
+        g = InterferenceGraph()
+        g.add_edge("a", "b")
+        g.add_edge("b", "c")
+        g.add_affinity("a", "c", 2.0)
+        twin = g.dense()
+        first = biased_greedy_coloring(g, 2)
+        assert biased_greedy_coloring(g, 2) == first
+        assert biased_greedy_coloring(g, 1) is None
+        assert set(twin._kept) == {"elimination-order/2",
+                                   "elimination-order/1"}
+        g.add_edge("a", "c")
+        assert biased_greedy_coloring(g, 2) is None
+        assert g.dense() is not twin
+
     def test_valid_coloring(self):
         for seed in range(10):
             inst = pressure_instance(5, 7, margin=1, rng=random.Random(seed))

@@ -297,6 +297,41 @@ class TestLinearScan:
                 victims += len(got[1])
         assert victims > 50
 
+    def test_classic_scan_matches_list_scan(self, monkeypatch):
+        """Whole allocations, spill rounds included, on the corpus at
+        every k from max(2, Maxlive - 4) to Maxlive and on generated
+        programs down to k = 2: the two-heap classic scan gives the
+        assignment, spill rounds and round count (or the error) that the
+        list-rebuilding scan of ``tests/reference`` gives, with and
+        without the input's ``CodeFacts``."""
+        from repro.intervals import linear_scan
+        from repro.intervals.linear_scan import CodeFacts
+
+        def outcome(func, k, facts):
+            try:
+                result = linear_scan_allocate(func, k, facts=facts)
+            except RuntimeError as exc:
+                return str(exc)
+            return result.assignment, result.spill_rounds, result.rounds
+
+        functions = list(_corpus_functions()) + [
+            (f"fuzz{seed}", _fuzz_func(seed, num_vars=14))
+            for seed in range(12)]
+        spilled = 0
+        for name, func in functions:
+            top = maxlive(func)
+            low = 2 if name.startswith("fuzz") else top - 4
+            for k in range(max(2, low), top + 1):
+                for facts in (None, CodeFacts(func)):
+                    got = outcome(func, k, facts)
+                    with monkeypatch.context() as patch:
+                        patch.setattr(linear_scan, "_scan_classic",
+                                      ref.scan_classic)
+                        expected = outcome(func, k, None)
+                    assert got == expected, (name, k)
+                    spilled += not isinstance(got, str) and got[2] > 1
+        assert spilled > 50
+
     def test_second_chance_needs_no_spill_at_maxlive(self):
         # the classic envelope can spill even at k = Maxlive; the
         # hole-aware variant must not, anywhere on the corpus
@@ -541,7 +576,7 @@ def test_max_overlap_sweeps_once_per_frozen_facts(monkeypatch):
             record = run_task(spec, verify=True)
             assert record["verification"]["status"] == "certified", key
             assert record["result_hash"] == pinned[key], key
-    frozen = [entry[2].intervals for key, entry in _build_memo.items()
+    frozen = [entry.extra.intervals for key, entry in _build_memo.items()
               if key[0] == "function"]
     assert len(frozen) == 18
     assert [sum(s is iset for s in swept) for iset in frozen] == [1] * 18
