@@ -15,7 +15,7 @@ import pytest
 
 from conftest import attach_tracer, emit
 from repro.coalescing.conservative import conservative_coalesce
-from repro.coalescing.exact import optimal_conservative_coalescing
+from repro.coalescing.exact import optimal_coalescing
 from repro.coalescing.optimistic import optimistic_coalesce
 from repro.graphs.generators import (
     incremental_trap_gadget,
@@ -74,7 +74,7 @@ def test_figure3_incremental_trap(benchmark):
     one_at_a_time = conservative_coalesce(
         g, 3, test="brute", tracer=tracer
     ).num_coalesced
-    simultaneous = optimal_conservative_coalescing(g, 3).num_coalesced
+    simultaneous = optimal_coalescing(g, 3).num_coalesced
     optimistic = optimistic_coalesce(g, 3, tracer=tracer).num_coalesced
     benchmark(optimistic_coalesce, g, 3)
     attach_tracer(benchmark, tracer)

@@ -12,10 +12,8 @@ import random
 import pytest
 
 from conftest import emit
-from repro.coalescing.aggressive import (
-    aggressive_coalesce,
-    aggressive_coalesce_exact,
-)
+from repro.coalescing.aggressive import aggressive_coalesce
+from repro.coalescing.exact import optimal_coalescing
 from repro.reductions.aggressive_reduction import (
     program_matches_reduction,
     reduce_multiway_cut,
@@ -28,7 +26,7 @@ def _one(seed: int):
     inst = random_instance(rng.randint(4, 7), 0.4, 3, rng)
     red = reduce_multiway_cut(inst)
     cut = min_multiway_cut(inst)
-    exact = aggressive_coalesce_exact(red.interference)
+    exact = optimal_coalescing(red.interference, 0, "valid")
     greedy = aggressive_coalesce(red.interference)
     return {
         "seed": seed,

@@ -11,7 +11,11 @@ longer stores.  The last rows, outside the pinned suite, time
 strategies on the corpus's slowest coalescing function,
 ``chacha_block.ll:chacha_mix`` at k = Maxlive, against their
 ``tests/reference`` twins: iterated register coalescing
-(``irc_allocate`` against ``tests/reference/irc.py``), the brute-force
+(``irc_allocate`` against ``tests/reference/irc.py``), the exact
+conservative optimum, on ``interp.ll:interp_run`` instead, where it
+finishes (the branch and bound on the dense twin against
+``tests/reference/exact.py``'s union-find copy and dict quotient per
+node), the brute-force
 conservative worklist (kept k-cores against a whole-graph re-check per
 test), optimistic coalescing (in-place de-coalescing against a
 rebuilt dict quotient per round), biased colouring (colour-class masks
@@ -36,12 +40,14 @@ from repro.allocator.irc import irc_allocate  # noqa: E402
 from repro.bench import pinned_suite  # noqa: E402
 from repro.coalescing.biased import biased_greedy_coloring  # noqa: E402
 from repro.coalescing.conservative import conservative_coalesce  # noqa: E402
+from repro.coalescing.exact import optimal_coalescing  # noqa: E402
 from repro.coalescing.optimistic import optimistic_coalesce  # noqa: E402
 from repro.engine.tasks import TaskSpec, build  # noqa: E402
 from repro.graphs.chordal import _clique_tree_walk  # noqa: E402
 from repro.intervals import linear_scan  # noqa: E402
 from repro.obs import NULL_TRACER  # noqa: E402
 from tests import reference as ref  # noqa: E402
+from tests.reference import exact as ref_exact  # noqa: E402
 from tests.reference import irc as ref_irc  # noqa: E402
 
 REPEATS = 20
@@ -101,6 +107,13 @@ def main():
     graph, k = built.subject, built.k
     row(f"irc / chacha_mix k={k}", lambda: irc_allocate(graph, k),
         lambda: ref_irc.irc_allocate(graph, k))
+    interp = build(TaskSpec(generator="llvm", seed=0, strategy="exact",
+                            params={"path": "interp.ll",
+                                    "function": "interp_run"}))
+    row(f"exact / interp_run k={interp.k}",
+        lambda: optimal_coalescing(interp.subject, interp.k),
+        lambda: ref_exact.optimal_conservative_coalescing(interp.subject,
+                                                          interp.k))
     row(f"brute / chacha_mix k={k}",
         lambda: conservative_coalesce(graph, k, test="brute"),
         lambda: ref.conservative_coalesce(graph, k, test="brute"))

@@ -9,10 +9,9 @@ import itertools
 import random
 
 from repro.coalescing import (
-    aggressive_coalesce_exact,
     decoalesce_minimum,
     incremental_coalescible_exact,
-    optimal_conservative_coalescing,
+    optimal_coalescing,
 )
 from repro.graphs.graph import Graph
 from repro.reductions import (
@@ -39,7 +38,7 @@ def theorem2() -> None:
     inst = MultiwayCutInstance(graph=g, terminals=("s1", "s2", "s3"))
     red = reduce_multiway_cut(inst)
     cut = min_multiway_cut(inst)
-    result = aggressive_coalesce_exact(red.interference)
+    result = optimal_coalescing(red.interference, 0, "valid")
     print(f"source graph: |V|={len(g)}, |E|={g.num_edges()}, 3 terminals")
     print(f"minimum multiway cut: {len(cut)} edges -> "
           f"{sorted(tuple(sorted(e)) for e in cut)}")

@@ -8,7 +8,7 @@ Run:  python examples/quickstart.py
 from repro.coalescing import (
     aggressive_coalesce,
     conservative_coalesce,
-    optimal_conservative_coalescing,
+    optimal_coalescing,
     optimistic_coalesce,
 )
 from repro.graphs import InterferenceGraph
@@ -64,7 +64,7 @@ def main() -> None:
     print()
 
     print("-- exact optimum (branch and bound) --")
-    result = optimal_conservative_coalescing(graph, k)
+    result = optimal_coalescing(graph, k)
     print(result.summary())
     for u, v, w in result.coalesced:
         print(f"  coalesced ({u}, {v}) saving weight {w:g}")

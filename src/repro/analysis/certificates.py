@@ -186,18 +186,19 @@ def verify_elimination_rounds(
     may be left once the rounds are done (``CERT005``).  Removing a
     round one vertex at a time only lowers the later members' degrees,
     so a checked round is a valid stretch of Chaitin's sequential
-    scheme.  One budget step per eliminated vertex.
+    scheme.  One budget step per eliminated vertex, charged once per
+    round.
     """
     ctx = ctx or AnalysisContext()
     obj = ctx.obj
     adj, names = dense.adj, dense.names
     live = dense.alive
     for batch in rounds:
+        ctx.check_budget(batch.bit_count())
         rest = batch
         while rest:
             low = rest & -rest
             rest ^= low
-            ctx.check_budget()
             v = low.bit_length() - 1
             degree = (adj[v] & live).bit_count()
             if degree >= k:

@@ -5,11 +5,13 @@ the analysis passes.  Its subject — the instance a coalescing strategy
 ran on, or an allocator's input function and allocation — is a
 :class:`repro.engine.tasks.Built` from the one builder,
 :func:`repro.engine.tasks.build`: :func:`~repro.engine.tasks.run_task`
-hands over the one it ran (``built=``); without one the builder is
-called here, and an allocation is re-run by the same table runner.  If
-the input no longer matches the fingerprint taken before the strategy
-ran, the strategy mutated it: ``ENG002``, and the record is not
-certified.
+hands over the one it ran (``built=``); without one the input is
+borrowed from the builder here, as ``run_task`` borrows it, and an
+allocation is re-run by the same table runner.  If the input no longer
+matches the fingerprint taken before the strategy ran, the strategy
+mutated it: ``ENG002``, and the record is not certified.  That
+comparison settles the borrow, so a verification without ``built=``
+leaves the build memo's entry trusted.
 
 A coalescing payload's partition is rebuilt from its
 ``coalesced_pairs`` and translation-validated
@@ -233,27 +235,37 @@ def _certify(
     tracer: Tracer,
     built: Any,
 ) -> List[Diagnostic]:
-    from ..engine.tasks import STRATEGY_TABLE, build
+    from ..engine.tasks import STRATEGY_TABLE, _build, _settle
 
     entry = STRATEGY_TABLE[spec.strategy]
-    if built is None:
-        built = build(spec)
-        if entry.variant is not None:
+    handed = built is not None
+    lent = checked = None
+    if not handed:
+        # borrowed as run_task borrows its input: the ENG002 comparison
+        # below settles the lend, so a memoised input stays trusted
+        built, lent = _build(spec, lend=True)
+    try:
+        if not handed and entry.variant is not None:
             built = replace(built, result=entry.run(
                 built.subject, built.k, facts=built.facts))
-    if not built.intact():
-        return [Diagnostic(
-            "ENG002", "error",
-            f"strategy {spec.strategy!r} mutated its input instance: the "
-            "graph or function it was handed changed while it ran",
-            detail={"strategy": spec.strategy},
-        )]
-    if entry.variant is not None:
-        return certify_allocation(built.source, built.result, payload,
-                                  budget=budget, tracer=tracer,
-                                  facts=built.facts)
-    return certify_payload(built.source, payload, spec.strategy, built.k,
-                           budget=budget, tracer=tracer)
+        checked = built.intact()
+        if not checked:
+            return [Diagnostic(
+                "ENG002", "error",
+                f"strategy {spec.strategy!r} mutated its input instance: "
+                "the graph or function it was handed changed while it ran",
+                detail={"strategy": spec.strategy},
+            )]
+        if entry.variant is not None:
+            return certify_allocation(built.source, built.result, payload,
+                                      budget=budget, tracer=tracer,
+                                      facts=built.facts)
+        return certify_payload(built.source, payload, spec.strategy,
+                               built.k, budget=budget, tracer=tracer)
+    finally:
+        if checked is None:
+            checked = built.intact()
+        _settle(lent, checked)
 
 
 def verify_record(

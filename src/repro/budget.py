@@ -22,7 +22,7 @@ Usage::
 
     budget = Budget(max_steps=100_000, max_seconds=2.0)
     try:
-        result = optimal_conservative_coalescing(g, k, budget=budget)
+        result = optimal_coalescing(g, k, budget=budget)
     except BudgetExceeded as exc:
         ...  # exc.reason is "steps" or "deadline"
 """

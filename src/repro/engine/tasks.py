@@ -57,7 +57,7 @@ from ..coalescing.aggressive import aggressive_coalesce
 from ..coalescing.base import CoalescingResult
 from ..coalescing.biased import biased_coloring_result
 from ..coalescing.chordal_strategy import chordal_incremental_coalesce
-from ..coalescing.exact import optimal_conservative_coalescing
+from ..coalescing.exact import optimal_coalescing
 from ..graphs.dense import DENSE_TESTS
 from ..intervals import linear_scan
 from ..intervals.coalesce import interval_coalesce
@@ -135,7 +135,7 @@ def _ignoring_k(fn: Callable[..., Any]) -> Callable[..., Any]:
 
 def _exact(target: str, contract: str) -> Strategy:
     return Strategy(
-        lambda graph, k, budget=None, **_: optimal_conservative_coalescing(
+        lambda graph, k, budget=None, **_: optimal_coalescing(
             graph, k, target=target, budget=budget),
         contract, heavy=True)
 

@@ -4,10 +4,8 @@ import random
 
 import pytest
 
-from repro.coalescing.aggressive import (
-    aggressive_coalesce,
-    aggressive_coalesce_exact,
-)
+from repro.coalescing.aggressive import aggressive_coalesce
+from repro.coalescing.exact import optimal_coalescing
 from repro.graphs.generators import permutation_gadget
 from repro.graphs.interference import InterferenceGraph
 
@@ -80,7 +78,7 @@ class TestGreedy:
 class TestExact:
     def test_matches_greedy_on_easy(self):
         g = InterferenceGraph(affinities=[("a", "b"), ("c", "d")])
-        assert aggressive_coalesce_exact(g).residual_weight == 0.0
+        assert optimal_coalescing(g, 0, "valid").residual_weight == 0.0
 
     def test_beats_greedy_when_order_matters(self):
         # greedy (by weight, ties by name) may pick (a,b) then lose both
@@ -90,7 +88,7 @@ class TestExact:
         g.add_affinity("b", "c", 1.0)
         g.add_affinity("b", "d", 1.0)
         greedy = aggressive_coalesce(g)
-        exact = aggressive_coalesce_exact(g)
+        exact = optimal_coalescing(g, 0, "valid")
         assert greedy.residual_weight == 2.0
         assert exact.residual_weight == 1.5
         assert exact.coalescing.same_class("b", "c")
@@ -111,7 +109,7 @@ class TestExact:
                 if not g.has_affinity(u, v):
                     g.add_affinity(u, v, rng.choice([1.0, 2.0]))
             greedy = aggressive_coalesce(g)
-            exact = aggressive_coalesce_exact(g)
+            exact = optimal_coalescing(g, 0, "valid")
             assert exact.residual_weight <= greedy.residual_weight + 1e-9
 
     def test_node_limit(self):
@@ -119,4 +117,4 @@ class TestExact:
             affinities=[(f"a{i}", f"b{i}") for i in range(10)]
         )
         with pytest.raises(RuntimeError):
-            aggressive_coalesce_exact(g, node_limit=3)
+            optimal_coalescing(g, 0, "valid", node_limit=3)

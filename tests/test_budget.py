@@ -9,7 +9,7 @@ import pytest
 
 from repro.budget import Budget, BudgetExceeded
 from repro.challenge.generator import pressure_instance
-from repro.coalescing.exact import optimal_conservative_coalescing
+from repro.coalescing.exact import optimal_coalescing
 from repro.reductions.sat import CNF, is_satisfiable, solve_dpll
 
 
@@ -159,14 +159,14 @@ class TestSolverHooks:
     def test_exact_coalescing_budget(self):
         inst = pressure_instance(5, 7, rng=random.Random(3))
         with pytest.raises(BudgetExceeded):
-            optimal_conservative_coalescing(
+            optimal_coalescing(
                 inst.graph, inst.k, budget=Budget(max_steps=5)
             )
 
     def test_exact_coalescing_generous_budget_matches(self):
         inst = pressure_instance(4, 4, rng=random.Random(1))
-        free = optimal_conservative_coalescing(inst.graph, inst.k)
-        bounded = optimal_conservative_coalescing(
+        free = optimal_coalescing(inst.graph, inst.k)
+        bounded = optimal_coalescing(
             inst.graph, inst.k, budget=Budget(max_steps=10_000_000)
         )
         assert free.residual_weight == bounded.residual_weight

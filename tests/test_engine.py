@@ -1161,6 +1161,28 @@ class TestBuildMemo:
                     "certified", "failed")
         assert len(comparisons) == len(specs)
 
+    def test_a_payload_only_verification_keeps_inputs_trusted(
+            self, comparisons):
+        """A ``verify_record`` without ``built=`` (a cache-hit upgrade,
+        a traced replay) borrows the memoised input and settles the
+        lend with its own ENG002 comparison: the next warm pass still
+        compares each input once per task."""
+        import repro.engine.tasks as tasks
+        from repro.analysis.engine_check import verify_record
+
+        specs = list(corpus_tasks().values())
+        for spec in specs:
+            record = run_task(spec)
+            verification = verify_record(
+                spec, {"status": "ok", "payload": record["payload"]})
+            assert verification["status"] in ("certified", "failed")
+        kept = dict(tasks._build_memo)
+        comparisons.clear()
+        for spec in specs:
+            assert run_task(spec)["status"] == "ok"
+        assert len(comparisons) == len(specs) == 260
+        assert dict(tasks._build_memo) == kept  # nothing was rebuilt
+
     def test_a_lend_still_out_makes_a_hit_compare(self, comparisons):
         import repro.engine.tasks as tasks
 

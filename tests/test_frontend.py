@@ -426,7 +426,7 @@ class TestEngine:
         generators = {spec.generator for spec in campaign.tasks}
         assert generators == {"llvm", "program"}
         llvm = [s for s in campaign.tasks if s.generator == "llvm"]
-        assert len(llvm) == 6 * len(corpus_functions())
+        assert len(llvm) == 7 * len(corpus_functions())
 
     def test_task_shapes_independent_of_hash_seed(self):
         """Every e2ebench task shape (eleven strategies, both allocators

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from repro.coalescing.aggressive import aggressive_coalesce_exact
+from repro.coalescing.exact import optimal_coalescing
 from repro.graphs.graph import Graph
 from repro.reductions.aggressive_reduction import (
     build_program,
@@ -93,7 +93,7 @@ class TestReduction:
     def test_backward_map_separates(self):
         inst = small_instance()
         red = reduce_multiway_cut(inst)
-        result = aggressive_coalesce_exact(red.interference)
+        result = optimal_coalescing(red.interference, 0, "valid")
         cut = coalescing_to_cut(red, result.coalescing)
         assert separates(inst, cut)
         assert len(cut) <= len(result.given_up)
@@ -105,14 +105,14 @@ class TestReduction:
             inst = random_instance(rng.randint(4, 6), 0.45, 3, rng)
             red = reduce_multiway_cut(inst)
             cut = min_multiway_cut(inst)
-            result = aggressive_coalesce_exact(red.interference)
+            result = optimal_coalescing(red.interference, 0, "valid")
             assert len(result.given_up) == len(cut), seed
 
     def test_two_terminals(self):
         g = Graph(edges=[("s1", "a"), ("a", "s2")])
         inst = MultiwayCutInstance(graph=g, terminals=("s1", "s2"))
         red = reduce_multiway_cut(inst)
-        result = aggressive_coalesce_exact(red.interference)
+        result = optimal_coalescing(red.interference, 0, "valid")
         assert len(result.given_up) == 1
 
 

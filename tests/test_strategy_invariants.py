@@ -15,9 +15,9 @@ from repro.allocator.irc import irc_coalescing_result
 from repro.challenge.generator import pressure_instance
 from repro.coalescing import (
     aggressive_coalesce,
-    aggressive_coalesce_exact,
     biased_coloring_result,
     conservative_coalesce,
+    optimal_coalescing,
     optimistic_coalesce,
 )
 from repro.coalescing.biased import biased_greedy_coloring
@@ -200,7 +200,7 @@ def test_aggressive_dominates_all(seed):
     graph, k = random_instance(seed)
     if not is_greedy_k_colorable(graph, k):
         return
-    floor = aggressive_coalesce_exact(graph).residual_weight
+    floor = optimal_coalescing(graph, k, "valid").residual_weight
     for test in ("briggs", "brute"):
         r = conservative_coalesce(graph, k, test=test)
         assert r.residual_weight >= floor - 1e-9

@@ -17,7 +17,7 @@ import pytest
 from repro.analysis.engine_check import verify_record
 from repro.analysis.runner import check_coalescing_result
 from repro.cli import build_parser
-from repro.coalescing.aggressive import aggressive_coalesce_exact
+from repro.coalescing.exact import optimal_coalescing
 from repro.engine.tasks import (
     ALLOCATION_STRATEGIES,
     COALESCING_STRATEGIES,
@@ -53,7 +53,7 @@ def test_exact_aggressive_gets_the_validity_contract():
     under its old label it was checked as conservative, a false COAL004
     on 14 of these 200 graphs (seed 2 among them)."""
     for seed in range(200):
-        result = aggressive_coalesce_exact(_seeded_graph(seed))
+        result = optimal_coalescing(_seeded_graph(seed), 2, "valid")
         found = check_coalescing_result(result, k=2)
         assert "COAL004" not in {d.code for d in found}, seed
 
@@ -77,7 +77,7 @@ def test_producers_outside_the_table_use_table_labels():
     from repro.allocator.irc import irc_coalescing_result
 
     graph = _small_graph()
-    assert aggressive_coalesce_exact(graph).strategy == "aggressive"
+    assert optimal_coalescing(graph, 2, "valid").strategy == "aggressive"
     assert irc_coalescing_result(graph, 2, george_any=True).strategy \
         == "irc"
 
@@ -85,7 +85,7 @@ def test_producers_outside_the_table_use_table_labels():
 def test_derived_views():
     """Every view of the table agrees with the table, and the contract,
     admission class and CLI choices are what they were before the table
-    (only ``aggressive_coalesce_exact``'s contract moved)."""
+    (only exact aggressive coalescing's contract moved)."""
     assert STRATEGIES == tuple(STRATEGY_TABLE)
     assert ALLOCATION_STRATEGIES == ("linear-scan", "second-chance")
     assert {STRATEGY_TABLE[n].variant for n in ALLOCATION_STRATEGIES} \
