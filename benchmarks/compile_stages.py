@@ -6,11 +6,15 @@ end-to-end benchmark's ``compile`` workload serves) through
 ``run_task(spec, verify=True)`` once to warm the per-process build
 memo, then ``PASSES`` more times.  Each record's own spans split its
 wall time into the strategy or allocator (``engine-task``), the
-verifier (``analysis/verify-record``) and the rest of ``run_task``
-(memo lookup and its fingerprint check, hashing, payload encoding,
-tracer).  Prints the median milliseconds per pass of each stage, for
-coalescing and allocation tasks apart, with the quartiles.  Usage,
-from the root of a checkout (pin it to one core for stable numbers)::
+verifier's pass bodies (the ``analysis/verify-record/analysis/*``
+spans), the rest of the verifier (``analysis/verify-record`` less its
+passes: rebuilding the partition or the final code, the pass runner,
+the verification dict) and the rest of ``run_task`` (memo lookup and
+its fingerprint check, hashing, payload encoding, tracer).  Prints the
+median milliseconds per pass of each stage, for coalescing and
+allocation tasks apart, with the quartiles (one pass: its value).
+Usage, from the root of a checkout (pin it to one core for stable
+numbers)::
 
     taskset -c 0 python benchmarks/compile_stages.py [PASSES]
 """
@@ -29,6 +33,9 @@ from tests import corpus_tasks  # noqa: E402
 
 PASSES = 9
 
+#: The spans of the verifier's passes inside a record's verification.
+PASS_SPANS = "analysis/verify-record/analysis/"
+
 
 def one_pass(specs):
     """``{stage: seconds}`` summed over one pass of ``specs``."""
@@ -42,8 +49,11 @@ def one_pass(specs):
         spans = {s["name"]: s["seconds"] for s in record["trace"]["spans"]}
         strategy = spans.get("engine-task", 0.0)
         verify = spans.get("analysis/verify-record", 0.0)
+        passes = sum(seconds for name, seconds in spans.items()
+                     if name.startswith(PASS_SPANS))
         for stage, seconds in ((f"{kind} strategy", strategy),
-                               (f"{kind} verify", verify),
+                               (f"{kind} verify passes", passes),
+                               (f"{kind} verify rest", verify - passes),
                                (f"{kind} run_task rest",
                                 wall - strategy - verify),
                                ("pass total", wall)):
@@ -63,7 +73,9 @@ def main(passes):
     print("| --- | ---: | ---: |")
     for stage in sorted(samples):
         values = samples[stage]
-        q1, _, q3 = statistics.quantiles(values, n=4)
+        # one pass has no spread: its quartiles are its value
+        q1, _, q3 = (statistics.quantiles(values, n=4) if len(values) > 1
+                     else values * 3)
         print(f"| {stage} | {statistics.median(values):.1f} "
               f"| {q1:.1f}–{q3:.1f} |")
 

@@ -33,7 +33,10 @@ Coalescing (kind ``coalescing``, subject :class:`CoalescingClaim`):
 The coalescing passes read the claim graph's dense twin
 (:meth:`~repro.graphs.graph.Graph.dense`), built once per graph and
 shared with the strategy that produced the claim, and the twin's peel
-per ``k``; the allocation passes share one
+per ``k``, and they read the partition as one :class:`SlotPartition`
+of the twin's slots: the verifier builds the payload's so, and a claim
+holding a :class:`~repro.graphs.interference.Coalescing` is read into
+one once per run; the allocation passes share one
 :class:`~repro.intervals.linear_scan.CodeFacts` of the final code —
 one liveness solve, one set of interference rows, one set of live
 intervals — through the context's fact memo
@@ -60,11 +63,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
-    Any, Callable, Dict, FrozenSet, Iterator, List, Mapping, Optional,
-    Sequence, Tuple,
+    Any, Callable, Dict, Iterator, List, Mapping, Optional,
+    Sequence, Set, Tuple,
 )
 
 from ..allocator.spill import is_memory_slot
+from ..engine.tasks import GREEDY, STRATEGY_TABLE
 from ..graphs.dense import DenseGraph, greedy_core, greedy_peel
 from ..graphs.interference import Coalescing, InterferenceGraph
 from ..intervals.linear_scan import CodeFacts
@@ -75,6 +79,7 @@ from .registry import AnalysisContext, analysis_pass
 
 __all__ = [
     "CoalescingClaim",
+    "SlotPartition",
     "claim_from_result",
     "is_greedy_contract",
 ]
@@ -84,15 +89,125 @@ def is_greedy_contract(strategy: str) -> bool:
     """True iff ``strategy``'s :data:`repro.engine.tasks.STRATEGY_TABLE`
     row promises a greedy-k-colorable quotient (``COAL004``); an
     unknown name raises ``KeyError``, never defaults."""
-    from ..engine.tasks import GREEDY, STRATEGY_TABLE
-
     return STRATEGY_TABLE[strategy].contract == GREEDY
+
+
+class SlotPartition:
+    """A partition of a graph's vertices on its dense twin's slots.
+
+    The twin is :meth:`Graph.dense() <repro.graphs.graph.Graph.dense>`.
+    ``rep[i]`` is the representative slot of slot ``i``'s class and
+    ``groups`` maps the representative of every class of two or more
+    members to the bitmask of its members.  ``size`` counts the class
+    members (one budget step each in the validity walks) and
+    ``problems`` holds the ``COAL002`` findings of a partition that does
+    not cover the vertex set exactly once; only
+    :meth:`from_coalescing` finds any.
+
+    A new partition is all singletons.  :meth:`union` merges like
+    :meth:`Coalescing.union <repro.graphs.interference.Coalescing.union>`
+    — union by rank, the first argument's representative winning a tie —
+    so a partition built from the same pairs has the same
+    representatives, and the quotient keeps each class in the same slot
+    under the same name.
+    """
+
+    __slots__ = ("twin", "rep", "groups", "size", "problems", "_rank",
+                 "_rows")
+
+    def __init__(self, twin: DenseGraph) -> None:
+        self.twin = twin
+        self.rep: List[int] = list(range(twin.n))
+        self.groups: Dict[int, int] = {}
+        self.size = twin.n
+        self.problems: List[Diagnostic] = []
+        self._rank: Dict[int, int] = {}
+        self._rows: Dict[int, int] = {}
+
+    def union(self, i: int, j: int) -> bool:
+        """Merge the classes of slots ``i`` and ``j``; False, merging
+        nothing, if that would put two interfering vertices in one."""
+        rep = self.rep
+        ri, rj = rep[i], rep[j]
+        if ri == rj:
+            return True
+        groups, rows, adj = self.groups, self._rows, self.twin.adj
+        if rows.get(ri, adj[ri]) & groups.get(rj, 1 << rj):
+            return False
+        rank = self._rank
+        rank_i, rank_j = rank.get(ri, 0), rank.get(rj, 0)
+        if rank_i < rank_j:
+            ri, rj = rj, ri
+        elif rank_i == rank_j:
+            rank[ri] = rank_i + 1
+        moved = groups.pop(rj, 1 << rj)
+        groups[ri] = groups.get(ri, 1 << ri) | moved
+        rows[ri] = rows.get(ri, adj[ri]) | rows.pop(rj, adj[rj])
+        while moved:
+            low = moved & -moved
+            moved ^= low
+            rep[low.bit_length() - 1] = ri
+        return True
+
+    @classmethod
+    def from_coalescing(
+        cls, graph: InterferenceGraph, coalescing: Coalescing, obj: str
+    ) -> "SlotPartition":
+        """The partition a :class:`~repro.graphs.interference.Coalescing`
+        claims for ``graph``, read from its classes: members that are no
+        vertex of ``graph``, vertices in two classes and vertices in
+        none become ``problems``; a class is represented by the slot of
+        its ``find``."""
+        twin = graph.dense()
+        index = twin.index
+        partition = cls(twin)
+        classes = coalescing.classes()
+        partition.size = sum(map(len, classes))
+        problems = partition.problems
+        seen: Set[Any] = set()
+        for members in classes:
+            for v in members:
+                if v in seen:
+                    problems.append(Diagnostic(
+                        "COAL002", "error",
+                        f"{v} appears in more than one coalescing class",
+                        where=str(v), obj=obj, detail={"vertex": str(v)},
+                    ))
+                seen.add(v)
+                if v not in index:
+                    problems.append(Diagnostic(
+                        "COAL002", "error",
+                        f"coalescing class contains {v}, not a graph vertex",
+                        where=str(v), obj=obj, detail={"vertex": str(v)},
+                    ))
+        for v in twin.names:
+            if v not in seen:
+                problems.append(Diagnostic(
+                    "COAL002", "error",
+                    f"graph vertex {v} is missing from the partition",
+                    where=str(v), obj=obj, detail={"vertex": str(v)},
+                ))
+        groups, rep = partition.groups, partition.rep
+        for members in classes:
+            slots = [index[v] for v in members if v in index]
+            if len(slots) < 2:
+                continue
+            r = index.get(coalescing.find(twin.names[slots[0]]), slots[0])
+            mask = 0
+            for i in slots:
+                mask |= 1 << i
+                rep[i] = r
+            groups[r] = groups.get(r, 0) | mask
+        return partition
 
 
 @dataclass
 class CoalescingClaim:
     """What a coalescing strategy claims, packaged for validation.
 
+    The partition is ``coalescing``, or ``partition`` when the verifier
+    rebuilt it on the graph's dense twin itself
+    (:func:`repro.analysis.engine_check.certify_payload`).
     ``conservative`` marks strategies whose contract includes keeping
     the quotient greedy-k-colorable (:func:`is_greedy_contract`);
     ``coalesced`` is the strategy's own list of coalesced
@@ -101,11 +216,12 @@ class CoalescingClaim:
     """
 
     graph: InterferenceGraph
-    coalescing: Coalescing
+    coalescing: Optional[Coalescing] = None
     k: int = 0
     conservative: bool = False
     coalesced: Sequence[Tuple[Any, Any, float]] = field(default_factory=list)
     expected: Optional[Mapping[str, Any]] = None
+    partition: Optional[SlotPartition] = None
 
 
 def claim_from_result(result: Any, k: int = 0) -> CoalescingClaim:
@@ -123,14 +239,18 @@ def claim_from_result(result: Any, k: int = 0) -> CoalescingClaim:
     )
 
 
-def _classes(
-    coalescing: Coalescing, ctx: AnalysisContext
-) -> List[FrozenSet[Any]]:
-    """The partition's classes, listed once per context."""
-    return ctx.fact("classes", coalescing, Coalescing.classes)
+def _partition(claim: CoalescingClaim, ctx: AnalysisContext) -> SlotPartition:
+    """The claim's partition on the twin's slots, read once per context."""
+    if claim.partition is not None:
+        return claim.partition
+
+    def read(c: CoalescingClaim) -> SlotPartition:
+        return SlotPartition.from_coalescing(c.graph, c.coalescing, ctx.obj)
+
+    return ctx.fact("partition", claim, read)
 
 
-def _quotient(coalescing: Coalescing, ctx: AnalysisContext) -> DenseGraph:
+def _quotient(partition: SlotPartition) -> DenseGraph:
     """The quotient :math:`G_f` on a copy of the graph's dense twin.
 
     One :meth:`~repro.graphs.dense.DenseGraph.merge_group` per
@@ -138,20 +258,22 @@ def _quotient(coalescing: Coalescing, ctx: AnalysisContext) -> DenseGraph:
     its representative's slot under the name
     :meth:`~repro.graphs.interference.Coalescing.coalesced_graph` gives
     it.  Raises ``ValueError`` if a class holds two interfering vertices
-    and ``KeyError`` if it holds a vertex the graph lacks.  When no
-    class merges, the quotient is the graph itself: the frozen twin is
+    and ``KeyError`` if two classes share a vertex.  When no class
+    merges, the quotient is the graph itself: the frozen twin is
     returned, with the peel it keeps per ``k``.
     """
-    twin = coalescing.graph.dense()
-    merged = [cls for cls in _classes(coalescing, ctx) if len(cls) > 1]
-    if not merged:
+    twin = partition.twin
+    if not partition.groups:
         return twin
     quotient = twin.copy()
-    index = quotient.index
-    for cls in merged:
-        rep = coalescing.find(next(iter(cls)))
-        quotient.merge_group(
-            [index[rep]] + [index[v] for v in cls if v != rep])
+    for rep, mask in partition.groups.items():
+        members = [rep]
+        rest = mask & ~(1 << rep)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            members.append(low.bit_length() - 1)
+        quotient.merge_group(members)
     return quotient
 
 
@@ -163,49 +285,25 @@ def check_coalescing_validity(
 ) -> Iterator[Diagnostic]:
     """The partition is a valid coalescing: disjoint cover, no class
     with two interfering vertices."""
-    graph = claim.graph
-    classes = _classes(claim.coalescing, ctx)
+    partition = _partition(claim, ctx)
     # one step per class member in each walk, charged once per walk
-    steps = sum(map(len, classes))
-    ctx.check_budget(steps)
-    seen: Dict[Any, int] = {}
-    for i, cls in enumerate(classes):
-        for v in cls:
-            if v in seen:
-                yield Diagnostic(
-                    "COAL002", "error",
-                    f"{v} appears in more than one coalescing class",
-                    where=str(v), obj=ctx.obj, detail={"vertex": str(v)},
-                )
-            seen[v] = i
-            if v not in graph:
-                yield Diagnostic(
-                    "COAL002", "error",
-                    f"coalescing class contains {v}, not a graph vertex",
-                    where=str(v), obj=ctx.obj, detail={"vertex": str(v)},
-                )
-    for v in graph.vertices:
-        if v not in seen:
-            yield Diagnostic(
-                "COAL002", "error",
-                f"graph vertex {v} is missing from the partition",
-                where=str(v), obj=ctx.obj, detail={"vertex": str(v)},
-            )
-    dense = graph.dense()
-    index, adj, names = dense.index, dense.adj, dense.names
-    ctx.check_budget(steps)
-    for cls in classes:
-        if len(cls) < 2:
-            continue  # a singleton cannot clash: no self-loops
-        members = sorted(index[v] for v in cls if v in index)
-        mask = sum(1 << i for i in members)
-        for i in members:
+    ctx.check_budget(partition.size)
+    yield from partition.problems
+    twin = partition.twin
+    adj, names = twin.adj, twin.names
+    ctx.check_budget(partition.size)
+    for mask in partition.groups.values():
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            i = low.bit_length() - 1
             # partners in higher slots only: each pair is reported once
-            clash = adj[i] & mask & ~((1 << (i + 1)) - 1)
+            clash = adj[i] & mask & -(low << 1)
             while clash:
-                low = clash & -clash
-                clash ^= low
-                j = low.bit_length() - 1
+                bit = clash & -clash
+                clash ^= bit
+                j = bit.bit_length() - 1
                 a, b = sorted((str(names[i]), str(names[j])))
                 yield Diagnostic(
                     "COAL001", "error",
@@ -223,11 +321,12 @@ def check_coalescing_ledger(
     claim: CoalescingClaim, ctx: AnalysisContext
 ) -> Iterator[Diagnostic]:
     """Bookkeeping matches the partition: coalesced list and aggregates."""
-    coalescing = claim.coalescing
+    partition = _partition(claim, ctx)
+    index, rep = partition.twin.index, partition.rep
     for u, v, w in claim.coalesced:
         ctx.check_budget()
-        if u not in claim.graph or v not in claim.graph \
-                or not coalescing.same_class(u, v):
+        if u not in index or v not in index \
+                or rep[index[u]] != rep[index[v]]:
             yield Diagnostic(
                 "COAL003", "error",
                 f"affinity ({u}, {v}) reported coalesced but the "
@@ -238,12 +337,18 @@ def check_coalescing_ledger(
     if claim.expected:
         # one walk of the affinities, the aggregates derived as
         # CoalescingResult derives them
-        given_up = coalescing.uncoalesced_affinities()
-        residual = sum(w for _, _, w in given_up)
+        graph = claim.graph
+        residual = 0.0
+        given_up = 0
+        for ends, w in graph.affinity_items():
+            u, v = ends
+            if rep[index[u]] != rep[index[v]]:
+                residual += w
+                given_up += 1
         recomputed: Dict[str, float] = {
             "residual_weight": residual,
-            "coalesced_weight": claim.graph.total_affinity_weight() - residual,
-            "coalesced": claim.graph.num_affinities() - len(given_up),
+            "coalesced_weight": graph.total_affinity_weight() - residual,
+            "coalesced": graph.num_affinities() - given_up,
         }
         for name, actual in recomputed.items():
             claimed = claim.expected.get(name)
@@ -282,8 +387,11 @@ def check_coalescing_conservative(
             obj=ctx.obj, detail={"k": k},
         )
         return
+    partition = _partition(claim, ctx)
+    if partition.problems:
+        return  # not a partition; coalescing-validity reports it
     try:
-        quotient = _quotient(claim.coalescing, ctx)
+        quotient = _quotient(partition)
     except (KeyError, ValueError):
         return  # invalid partition; coalescing-validity reports it
     ctx.check_budget()
@@ -318,21 +426,21 @@ def check_coalescing_conservative(
 def _row_pairs(
     rows: Sequence[int],
     nonslot: int,
-    charge: Callable[[int], None],
     offending: Callable[[int, int], int],
-) -> List[Tuple[int, int]]:
+) -> Tuple[List[Tuple[int, int]], int]:
     """Walk the interference rows of the non-slot variables.
 
-    Calls ``charge`` with each row's bit count (one budget step per row
-    bit) and asks ``offending(i, row)`` for the bits of ``row`` (already
+    Asks ``offending(i, row)`` for the bits of ``row`` (already
     restricted to ``nonslot``) that clash with variable ``i``.  Returns
     the clashing pairs as ``(lower, higher)`` interned indices, each
     once and in ascending order — the order
     :meth:`~repro.graphs.graph.Graph.edges` visits them in, since the
     rows of :func:`~repro.ir.interference.interference_rows` may hold an
-    edge on one side or on both.
+    edge on one side or on both — and the number of row bits walked,
+    one budget step each, for the caller to charge at once.
     """
     pairs = set()
+    steps = 0
     rest = nonslot
     while rest:
         low = rest & -rest
@@ -341,14 +449,14 @@ def _row_pairs(
         row = rows[i] & nonslot
         if not row:
             continue
-        charge(row.bit_count())
+        steps += row.bit_count()
         bad = offending(i, row)
         while bad:
             bit = bad & -bad
             bad ^= bit
             j = bit.bit_length() - 1
             pairs.add((i, j) if i < j else (j, i))
-    return sorted(pairs)
+    return sorted(pairs), steps
 
 
 def code_facts(
@@ -396,8 +504,9 @@ def check_allocation_validity(
             return row
         return row & (unassigned | by_register[c])
 
-    for lo, hi in _row_pairs(rows, facts.nonslot, ctx.check_budget,
-                             offending):
+    pairs, steps = _row_pairs(rows, facts.nonslot, offending)
+    ctx.check_budget(steps)
+    for lo, hi in pairs:
         u, v = variables[lo], variables[hi]
         cu = register[lo]
         if cu is None or register[hi] is None:

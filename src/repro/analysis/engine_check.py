@@ -50,9 +50,15 @@ from dataclasses import replace
 from typing import Any, Dict, List, Mapping, Optional
 
 from ..budget import Budget
-from ..graphs.interference import Coalescing
+from ..engine.tasks import (
+    FAULT_GENERATORS, STRATEGY_TABLE, _allocation_payload, _build, _settle,
+)
+from ..graphs.dense import DenseGraph
+from ..intervals.linear_scan import CodeFacts, LinearScanResult
 from ..obs import NULL_TRACER, Tracer
-from .coalescing_check import CoalescingClaim, code_facts, is_greedy_contract
+from .coalescing_check import (
+    CoalescingClaim, SlotPartition, code_facts, is_greedy_contract,
+)
 from .diagnostics import Diagnostic
 from .registry import AnalysisContext
 from .runner import run_passes
@@ -74,6 +80,13 @@ def _diag_dicts(diagnostics: List[Diagnostic]) -> List[Dict[str, Any]]:
     return [d.as_dict() for d in diagnostics]
 
 
+def _slot_of_name(twin: DenseGraph) -> Dict[str, int]:
+    """``str(vertex) -> slot`` over a twin's vertices (the last vertex
+    wins a shared name), kept on the twin (:meth:`~repro.graphs.dense.
+    DenseGraph.kept`) and read by every payload certified on it."""
+    return {str(v): i for i, v in enumerate(twin.names)}
+
+
 def certify_payload(
     instance: Any,
     payload: Mapping[str, Any],
@@ -87,7 +100,10 @@ def certify_payload(
     Checks the payload's instance-shape fields (``instance``,
     ``vertices``, ``edges``, ``affinities``) against ``instance``
     (``ENG001``), rebuilds the partition implied by
-    ``payload["coalesced_pairs"]``, and runs the ``coalescing`` passes
+    ``payload["coalesced_pairs"]`` on the slots of the graph's dense
+    twin (a :class:`~repro.analysis.coalescing_check.SlotPartition`,
+    merged pair by pair as :class:`~repro.graphs.interference.
+    Coalescing` would merge them), and runs the ``coalescing`` passes
     on it with the payload's aggregates as the claimed ledger.
     """
     graph = instance.graph
@@ -108,11 +124,12 @@ def certify_payload(
                 detail={"field": key, "claimed": payload[key],
                         "actual": actual},
             ))
-    by_name = {str(v): v for v in graph.vertices}
-    coalescing = Coalescing(graph)
+    twin = graph.dense()
+    slot_of = twin.kept("slot-of-name", _slot_of_name)
+    partition = SlotPartition(twin)
     for pair in payload.get("coalesced_pairs", ()):
         u_name, v_name = str(pair[0]), str(pair[1])
-        u, v = by_name.get(u_name), by_name.get(v_name)
+        u, v = slot_of.get(u_name), slot_of.get(v_name)
         if u is None or v is None:
             missing = u_name if u is None else v_name
             out.append(Diagnostic(
@@ -123,9 +140,7 @@ def certify_payload(
                 detail={"vertex": missing, "pair": [u_name, v_name]},
             ))
             continue
-        try:
-            coalescing.union(u, v)
-        except ValueError:
+        if not partition.union(u, v):
             out.append(Diagnostic(
                 "COAL001", "error",
                 f"payload coalesces {u_name} and {v_name}, but that "
@@ -135,7 +150,7 @@ def certify_payload(
             ))
     claim = CoalescingClaim(
         graph=graph,
-        coalescing=coalescing,
+        partition=partition,
         k=k,
         conservative=is_greedy_contract(strategy),
         expected={
@@ -181,9 +196,6 @@ def certify_allocation(
     and intervals.  Without ``facts`` the chain starts from fresh facts
     of ``func`` and lives for this call only.
     """
-    from ..engine.tasks import _allocation_payload
-    from ..intervals.linear_scan import CodeFacts, LinearScanResult
-
     out: List[Diagnostic] = []
     expected = _allocation_payload(result)
     for key in sorted(set(expected) | set(payload)):
@@ -235,8 +247,6 @@ def _certify(
     tracer: Tracer,
     built: Any,
 ) -> List[Diagnostic]:
-    from ..engine.tasks import STRATEGY_TABLE, _build, _settle
-
     entry = STRATEGY_TABLE[spec.strategy]
     handed = built is not None
     lent = checked = None
@@ -287,8 +297,6 @@ def verify_record(
     route through :func:`certify_allocation`; everything else is a
     coalescing task and routes through :func:`certify_payload`.
     """
-    from ..engine.tasks import FAULT_GENERATORS, STRATEGY_TABLE
-
     status = record.get("status")
     if status != "ok":
         return {"status": "skipped",

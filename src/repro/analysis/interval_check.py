@@ -96,13 +96,12 @@ def _interval_misses(
                 bad |= bit
         return bad
 
-    walked: List[int] = []
-    pairs = _row_pairs(rows, facts.nonslot, walked.append, offending)
+    pairs, steps = _row_pairs(rows, facts.nonslot, offending)
     misses = []
     for lo, hi in pairs:
         a, b = sorted((str(variables[lo]), str(variables[hi])))
         misses.append((a, b))
-    return tuple(misses), sum(walked)
+    return tuple(misses), steps
 
 
 @analysis_pass(

@@ -125,6 +125,10 @@ class AnalysisPass:
 
 _REGISTRY: Dict[str, AnalysisPass] = {}
 
+#: ``kind -> passes``, filled by :func:`passes_for` and emptied by every
+#: registration.
+_BY_KIND: Dict[str, Tuple[AnalysisPass, ...]] = {}
+
 
 def analysis_pass(
     name: str, kind: str, codes: Iterable[str] = ()
@@ -141,6 +145,7 @@ def analysis_pass(
     def register(fn: PassFn) -> PassFn:
         if name in _REGISTRY:
             raise ValueError(f"analysis pass {name!r} already registered")
+        _BY_KIND.clear()
         _REGISTRY[name] = AnalysisPass(
             name=name,
             kind=kind,
@@ -158,11 +163,19 @@ def get_pass(name: str) -> AnalysisPass:
     return _REGISTRY[name]
 
 
-def passes_for(kind: str) -> List[AnalysisPass]:
-    """All registered passes of one kind, in registration order."""
-    if kind not in PASS_KINDS:
-        raise ValueError(f"unknown pass kind {kind!r} (one of {PASS_KINDS})")
-    return [p for p in _REGISTRY.values() if p.kind == kind]
+def passes_for(kind: str) -> Tuple[AnalysisPass, ...]:
+    """All registered passes of one kind, in registration order.
+
+    The registry is filtered once per kind until the next registration.
+    """
+    found = _BY_KIND.get(kind)
+    if found is None:
+        if kind not in PASS_KINDS:
+            raise ValueError(
+                f"unknown pass kind {kind!r} (one of {PASS_KINDS})")
+        found = _BY_KIND[kind] = tuple(
+            p for p in _REGISTRY.values() if p.kind == kind)
+    return found
 
 
 def all_passes() -> List[AnalysisPass]:

@@ -2,10 +2,10 @@
 
 :func:`run_passes` executes every registered pass of one kind on a
 subject, wrapping each pass in an obs span (``analysis/<pass>``),
-counting ``analysis.passes`` / ``analysis.diagnostics``, and converting
-a :exc:`~repro.budget.BudgetExceeded` escape into one deterministic
-``BUDGET001`` warning (remaining passes of the run are skipped — a
-spent step budget would fail them all identically).
+counting ``analysis.passes`` / ``analysis.diagnostics`` once per run,
+and converting a :exc:`~repro.budget.BudgetExceeded` escape into one
+deterministic ``BUDGET001`` warning (remaining passes of the run are
+skipped — a spent step budget would fail them all identically).
 
 On top of it sit the object-level checkers the CLI and the engine
 verify hook share:
@@ -49,26 +49,40 @@ __all__ = [
 def run_passes(
     subject: Any, kind: str, ctx: AnalysisContext
 ) -> List[Diagnostic]:
-    """Run every registered pass of ``kind`` on ``subject``."""
+    """Run every registered pass of ``kind`` on ``subject``.
+
+    ``analysis.passes`` counts the passes entered and
+    ``analysis.diagnostics`` the findings of the passes that finished,
+    each counted once per run.
+    """
     tracer = ctx.tracer
     out: List[Diagnostic] = []
-    for p in passes_for(kind):
-        tracer.count("analysis.passes")
-        with tracer.span(f"analysis/{p.name}"):
-            try:
-                found = p.run(subject, ctx)
-            except BudgetExceeded as exc:
-                tracer.count("analysis.budget_exceeded")
-                out.append(Diagnostic(
-                    "BUDGET001", "warning",
-                    f"verification budget exceeded ({exc.reason}) in "
-                    f"pass {p.name!r}; remaining {kind} passes skipped",
-                    obj=ctx.obj, passname=p.name,
-                    detail={"reason": exc.reason, "steps": exc.steps},
-                ))
-                break
-        tracer.count("analysis.diagnostics", len(found))
-        out.extend(found)
+    entered = finished = 0
+    budget_hit: Optional[Diagnostic] = None
+    try:
+        for p in passes_for(kind):
+            entered += 1
+            with tracer.span(f"analysis/{p.name}"):
+                try:
+                    out += p.run(subject, ctx)
+                except BudgetExceeded as exc:
+                    tracer.count("analysis.budget_exceeded")
+                    budget_hit = Diagnostic(
+                        "BUDGET001", "warning",
+                        f"verification budget exceeded ({exc.reason}) in "
+                        f"pass {p.name!r}; remaining {kind} passes skipped",
+                        obj=ctx.obj, passname=p.name,
+                        detail={"reason": exc.reason, "steps": exc.steps},
+                    )
+                    break
+            finished += 1
+    finally:
+        if entered:
+            tracer.count("analysis.passes", entered)
+        if finished:
+            tracer.count("analysis.diagnostics", len(out))
+    if budget_hit is not None:
+        out.append(budget_hit)
     return out
 
 

@@ -44,7 +44,7 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -283,6 +283,16 @@ class TaskSpec:
         return cls(params=tuple(sorted(params.items())), **data)
 
 
+#: ``json.dumps(obj, sort_keys=True, separators=(",", ":"))``, made once.
+_canonical_json = json.JSONEncoder(sort_keys=True,
+                                   separators=(",", ":")).encode
+
+
+def _digest(obj: Any) -> str:
+    """16 hex chars of SHA-256 over the canonical JSON form of ``obj``."""
+    return hashlib.sha256(_canonical_json(obj).encode()).hexdigest()[:16]
+
+
 def task_hash(spec: TaskSpec) -> str:
     """Stable content address of a task: spec + engine code version.
 
@@ -290,12 +300,7 @@ def task_hash(spec: TaskSpec) -> str:
     spec field — or bumping :data:`ENGINE_VERSION` — changes the hash,
     so the result cache can never serve a stale or mismatched record.
     """
-    canonical = json.dumps(
-        {"engine": ENGINE_VERSION, **spec.as_dict()},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    return _digest({"engine": ENGINE_VERSION, **spec.as_dict()})
 
 
 _SPEC_FIELDS = ("generator", "seed", "k", "strategy",
@@ -521,8 +526,8 @@ def _llvm_source(params: Mapping[str, Any]) -> Tuple[Any, Tuple[Any, ...]]:
     ``(path, content, function, sha256)``.  The content is read on every
     call, so an edited file misses."""
     path = _corpus_path(params)
-    with open(path, "rb") as stream:
-        data = stream.read()
+    with open(path, "rb", buffering=0) as stream:  # unbuffered: one read
+        data = stream.readall()
     return path, (str(path), data, params.get("function"),
                   params.get("sha256"))
 
@@ -531,11 +536,12 @@ def _llvm_function(path: Any, key: Tuple[Any, ...], lend: bool) -> _Entry:
     """The memo entry of the lowered function with loop-depth block
     frequencies set; its ``extra`` is the function's
     :class:`~repro.intervals.linear_scan.CodeFacts`."""
-    from ..frontend.corpus import _function_from_bytes
-    from ..intervals.linear_scan import CodeFacts
-    from ..ir.interference import set_frequencies_from_loops
 
     def make() -> Tuple[Any, Any]:
+        from ..frontend.corpus import _function_from_bytes
+        from ..intervals.linear_scan import CodeFacts
+        from ..ir.interference import set_frequencies_from_loops
+
         func = _function_from_bytes(path, key[1], function=key[2],
                                     sha256=key[3])
         set_frequencies_from_loops(func)
@@ -549,13 +555,13 @@ def _llvm_instance(
 ) -> _Entry:
     """The memo entry of the instance, built from the memoised function
     as :func:`repro.frontend.corpus.instance_from_path` builds it."""
-    from pathlib import Path
-
-    from ..ir.interference import chaitin_interference
-
     path, key = _llvm_source(params)
 
     def make() -> Tuple[ChallengeInstance, None]:
+        from pathlib import Path
+
+        from ..ir.interference import chaitin_interference
+
         entry = _llvm_function(path, key, lend=True)
         func, facts = entry.source, entry.extra
         try:
@@ -687,10 +693,14 @@ def build(spec: TaskSpec) -> Built:
     return _build(spec, lend=False)[0]
 
 
-def _build(spec: TaskSpec, lend: bool) -> Tuple[Built, Optional[_Entry]]:
+def _build(
+    spec: TaskSpec, lend: bool, params: Optional[Mapping[str, Any]] = None
+) -> Tuple[Built, Optional[_Entry]]:
     """:func:`build`, and the memo entry lent (``lend=True``) for
-    :func:`_settle`, ``None`` when the input is not memoised."""
-    params = spec.params_dict()
+    :func:`_settle`, ``None`` when the input is not memoised.
+    ``params`` is ``spec.params_dict()``, if the caller made it."""
+    if params is None:
+        params = spec.params_dict()
     if STRATEGY_TABLE[spec.strategy].variant is not None:
         if spec.generator != "llvm":
             raise ValueError(
@@ -734,11 +744,6 @@ def _build(spec: TaskSpec, lend: bool) -> Tuple[Built, Optional[_Entry]]:
     return Built(instance, spec.k or instance.k, _fingerprint(instance)), None
 
 
-def _result_hash(payload: Any) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-
 def run_task(
     spec: TaskSpec,
     verify: bool = False,
@@ -776,7 +781,9 @@ def run_task(
     input fails verification with ``ENG002``, and the memoised input is
     rebuilt for the next task.
     """
-    key = task_hash(spec)
+    task = spec.as_dict()
+    params = task["params"]
+    key = _digest({"engine": ENGINE_VERSION, **task})
     tracer = Tracer()
     tracer.meta.update(
         task=key, generator=spec.generator, strategy=spec.strategy,
@@ -787,7 +794,7 @@ def run_task(
         "schema": 1,
         "engine": ENGINE_VERSION,
         "key": key,
-        "task": spec.as_dict(),
+        "task": task,
         "attempts": 1,
         "error": None,
     }
@@ -811,15 +818,16 @@ def run_task(
             budget = Budget(max_steps=spec.max_steps)
         entry = STRATEGY_TABLE[spec.strategy]
         if spec.generator == "sleep":
-            time.sleep(float(spec.params_dict().get("seconds", 60.0)))
-            payload: Any = {"slept": float(spec.params_dict().get("seconds", 60.0))}
+            seconds = float(params.get("seconds", 60.0))
+            time.sleep(seconds)
+            payload: Any = {"slept": seconds}
         elif spec.generator == "crash":
-            os._exit(int(spec.params_dict().get("exitcode", 1)))
+            os._exit(int(params.get("exitcode", 1)))
         elif entry.run is None:
             fn = _resolve_dotted(spec.generator)
-            payload = fn(spec.seed, spec.k, spec.params_dict(), tracer, budget)
+            payload = fn(spec.seed, spec.k, dict(params), tracer, budget)
         else:
-            built, lent = _build(spec, lend=True)
+            built, lent = _build(spec, lend=True, params=params)
             try:
                 with tracer.span("engine-task"):
                     result = entry.run(built.subject, built.k,
@@ -828,7 +836,8 @@ def run_task(
             finally:
                 checked = built.intact()
                 _settle(lent, checked)
-            built = replace(built, result=result, checked=checked)
+            built = Built(built.source, built.k, built.fingerprint,
+                          built.facts, result, checked)
             if entry.variant is not None:
                 payload = _allocation_payload(result)
             else:
@@ -842,7 +851,7 @@ def run_task(
         )
     else:
         record.update(status="ok", payload=payload,
-                      result_hash=_result_hash(payload))
+                      result_hash=_digest(payload))
     record["seconds"] = time.perf_counter() - t0
     if verify:
         from ..analysis.engine_check import verify_record

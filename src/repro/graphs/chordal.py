@@ -160,8 +160,10 @@ def _clique_tree_walk(dense: DenseGraph) -> Optional[DenseCliqueTree]:
         clique_of[v] = last
         prev_card = card
     walked.reverse()
-    edges = tuple((last - s, last - p)
-                  for s, p in enumerate(parents) if p >= 0)
+    # a list first: tuple() of a generator is resized from 10 slots,
+    # stranding a tuple in CPython's free list on every tree
+    edges = tuple([(last - s, last - p)
+                   for s, p in enumerate(parents) if p >= 0])
     return DenseCliqueTree(order=tuple(order), cliques=tuple(walked),
                            edges=edges)
 

@@ -120,7 +120,7 @@ class Graph:
 
     def num_edges(self) -> int:
         """Number of (undirected) edges."""
-        return sum(len(nbrs) for nbrs in self._adj.values()) // 2
+        return sum(map(len, self._adj.values())) // 2
 
     def edges(self) -> Iterator[Edge]:
         """Iterate over each edge exactly once.

@@ -14,7 +14,7 @@ vertices.  ``coalesced_graph`` builds :math:`G_f`.
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Hashable, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, FrozenSet, Hashable, ItemsView, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from .graph import Graph, Vertex
 
@@ -82,6 +82,12 @@ class InterferenceGraph(Graph):
         for key, w in self._affinities.items():
             u, v = sorted(key, key=str)
             yield (u, v, w)
+
+    def affinity_items(self) -> ItemsView[FrozenSet[Vertex], float]:
+        """The affinities as ``(frozenset((u, v)), weight)`` items, in
+        insertion order: :meth:`affinities` without ordering each
+        pair's endpoints, for walks that treat a pair as unordered."""
+        return self._affinities.items()
 
     def num_affinities(self) -> int:
         """Number of distinct affinity pairs."""

@@ -128,21 +128,25 @@ class Function:
         code; source lines are provenance and stay out, as they stay
         out of instruction equality.
         """
+        # tuple() of lists, not of generators: a tuple built from a
+        # generator starts at 10 slots and is resized, which strands one
+        # tuple in CPython's free list of its final size until the next
+        # full collection; each verified allocation task calls this once
         return (
             self.name,
             self.entry,
-            tuple(
+            tuple([
                 (
                     name,
-                    tuple(
+                    tuple([
                         (phi.target, tuple(sorted(phi.args.items())))
                         for phi in block.phis
-                    ),
-                    tuple((i.op, i.defs, i.uses) for i in block.instrs),
+                    ]),
+                    tuple([(i.op, i.defs, i.uses) for i in block.instrs]),
                     tuple(self._succs[name]),
                 )
                 for name, block in self.blocks.items()
-            ),
+            ]),
             tuple(sorted(self.frequency.items())),
         )
 

@@ -411,6 +411,46 @@ def test_intv001_steps_are_charged_once_before_its_findings(monkeypatch):
         assert events[0] == ("charge", walked)
 
 
+def test_allocation_validity_charges_its_row_walk_once():
+    """ALLOC001-003 charge the walk of the non-slot rows, one step per
+    row bit, in one budget call before any finding (one call per
+    non-empty row before), with the same step count."""
+    from dataclasses import replace
+
+    from repro.allocator.spill import is_memory_slot
+    from repro.analysis.coalescing_check import check_allocation_validity
+    from repro.budget import Budget
+    from repro.ir.interference import interference_rows
+
+    result = _linear_scan(-1)  # memory slots among the rows
+    u, v = _interfering_pair(result)
+    assignment = dict(result.assignment)
+    assignment[v] = assignment[u]
+    clashing = replace(result, assignment=assignment)
+    variables, rows = interference_rows(result.function)
+    nonslot = sum(1 << i for i, var in enumerate(variables)
+                  if not is_memory_slot(var))
+    walked = sum((rows[i] & nonslot).bit_count()
+                 for i in range(len(rows)) if nonslot >> i & 1)
+    nonempty = sum(1 for i in range(len(rows))
+                   if nonslot >> i & 1 and rows[i] & nonslot)
+    assert nonempty > 1
+
+    class Recording(Budget):
+        def check(self, steps=1):
+            events.append(("charge", steps))
+            super().check(steps)
+
+    for subject in (result, clashing):
+        events = []
+        ctx = AnalysisContext(k=result.k, budget=Recording())
+        for diag in check_allocation_validity(subject, ctx):
+            events.append((diag.code,))
+        assert events[0] == ("charge", walked)
+        assert [e for e in events if e[0] == "charge"] == [events[0]]
+    assert ("ALLOC001",) in events
+
+
 def test_memory_slots_skipped_by_validity_and_flagged_in_registers():
     from repro.allocator.spill import is_memory_slot
 

@@ -21,7 +21,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import AnalysisContext, load_all_passes
-from repro.analysis.coalescing_check import CoalescingClaim, _quotient
+from repro.analysis.coalescing_check import (
+    CoalescingClaim, SlotPartition, _quotient,
+)
 from repro.analysis.engine_check import certify_allocation, certify_payload
 from repro.analysis.registry import get_pass
 from repro.engine.tasks import (
@@ -88,7 +90,8 @@ def _coal004(graph, coalescing, k):
 @given(st.integers(0, 10**6))
 def test_dense_coal004_matches_reference(seed):
     graph, coalescing, ks = _random_claim(seed)
-    quotient = _quotient(coalescing, AnalysisContext()).to_graph()
+    quotient = _quotient(
+        SlotPartition.from_coalescing(graph, coalescing, "")).to_graph()
     expected = coalescing.coalesced_graph()
     assert set(quotient.vertices) == set(expected.vertices)
     assert {frozenset(e) for e in quotient.edges()} \
@@ -96,6 +99,33 @@ def test_dense_coal004_matches_reference(seed):
     for k in ks:
         assert _coal004(graph, coalescing, k) \
             == _reference_coal004(graph, coalescing, k), k
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6))
+def test_slot_partition_merges_as_coalescing_does(seed):
+    """Pair by pair, ``SlotPartition.union`` accepts and refuses what
+    ``Coalescing.union`` does and picks the same representatives, so
+    the payload's partition names each quotient vertex the same."""
+    rng = random.Random(seed)
+    graph, _, _ = _random_claim(seed)
+    names = list(graph.vertices)
+    twin = graph.dense()
+    slots = SlotPartition(twin)
+    coalescing = Coalescing(graph)
+    for _ in range(rng.randint(0, 3 * len(names))):
+        u, v = rng.choice(names), rng.choice(names)
+        merged = slots.union(twin.index[u], twin.index[v])
+        try:
+            coalescing.union(u, v)
+        except ValueError:
+            assert not merged
+        else:
+            assert merged
+    assert [twin.names[r] for r in slots.rep] \
+        == [coalescing.find(v) for v in names]
+    expected = SlotPartition.from_coalescing(graph, coalescing, "")
+    assert slots.groups == expected.groups and not expected.problems
 
 
 def test_random_claims_cover_every_verdict():
@@ -293,18 +323,20 @@ def test_spill_rewrites_once_per_verified_corpus_pass(monkeypatch):
 
 
 def test_coalescing_ledger_walks_the_partition_once(monkeypatch):
-    """COAL005's three aggregates come from one list of uncoalesced
-    affinities (three walks before)."""
+    """COAL005's three aggregates come from one walk of the graph's
+    affinities over the slot partition (three walks of
+    ``Coalescing.uncoalesced_affinities`` once, then one)."""
     instance = build(_chacha("briggs")).source
     result = execute_strategy(instance.graph, instance.k, "briggs")
-    original = Coalescing.uncoalesced_affinities
+    original = InterferenceGraph.affinity_items
     walks = []
 
     def counting(self):
         walks.append(self)
         return original(self)
 
-    monkeypatch.setattr(Coalescing, "uncoalesced_affinities", counting)
+    monkeypatch.setattr(InterferenceGraph, "affinity_items", counting)
+    monkeypatch.setattr(Coalescing, "uncoalesced_affinities", None)
     claim = CoalescingClaim(
         graph=instance.graph, coalescing=result.coalescing, k=instance.k,
         coalesced=result.coalesced,
@@ -314,7 +346,7 @@ def test_coalescing_ledger_walks_the_partition_once(monkeypatch):
     )
     ledger = get_pass("coalescing-ledger")
     assert list(ledger.fn(claim, AnalysisContext(k=instance.k))) == []
-    assert walks == [result.coalescing]
+    assert walks == [instance.graph]
 
 
 def test_dense_builds_per_verified_corpus_pass(monkeypatch):
@@ -342,6 +374,55 @@ def test_dense_builds_per_verified_corpus_pass(monkeypatch):
     for spec in specs:
         assert run_task(spec, verify=True)["status"] == "ok"
     assert built == []
+
+
+def test_verified_pass_has_no_per_record_partition_setup(monkeypatch):
+    """The verifier's fixed work per record stays gone: certifying the
+    corpus coalescing records constructs no ``Coalescing`` (the
+    partition is rebuilt on the twin's slots), reads each twin's
+    name-to-slot map from the twin, and a verified pass filters the
+    pass registry once per kind."""
+    import repro.analysis.registry as registry
+    from repro.analysis.engine_check import verify_record
+    from repro.engine import run_task
+    from repro.engine.tasks import COALESCING_STRATEGIES
+
+    specs = list(corpus_tasks().values())
+    coalescing = [s for s in specs if s.strategy in COALESCING_STRATEGIES]
+    records = [run_task(spec) for spec in coalescing]
+    made, kept = [], []
+    real_init, real_kept = Coalescing.__init__, DenseGraph.kept
+
+    def constructing(self, graph):
+        made.append(graph)
+        real_init(self, graph)
+
+    def keeping(self, name, build):
+        kept.append((self, name))
+        return real_kept(self, name, build)
+
+    monkeypatch.setattr(Coalescing, "__init__", constructing)
+    monkeypatch.setattr(DenseGraph, "kept", keeping)
+    for spec, record in zip(coalescing, records):
+        assert verify_record(spec, record)["status"] in (
+            "certified", "failed")
+    assert made == []
+    slot_maps = [twin for twin, name in kept if name == "slot-of-name"]
+    assert len(slot_maps) == len(coalescing)
+    assert len(set(map(id, slot_maps))) == 18
+
+    filtered = []
+
+    class Registry(dict):
+        def values(self):
+            filtered.append(1)
+            return super().values()
+
+    monkeypatch.setattr(registry, "_REGISTRY", Registry(registry._REGISTRY))
+    monkeypatch.setattr(registry, "_BY_KIND", {})
+    for spec in specs:
+        assert run_task(spec, verify=True)["status"] == "ok"
+    assert len(filtered) == 2  # the coalescing and allocation kinds
 
 
 def test_unmerged_partition_reads_the_twin_peel(monkeypatch):

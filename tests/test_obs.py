@@ -136,6 +136,45 @@ def test_concurrent_counts_are_not_lost():
     )
 
 
+def test_counts_and_spans_survive_a_short_switch_interval():
+    """With a thread switch between almost every bytecode, counts,
+    span calls and absorbed reports from more threads than cores all
+    land: each thread writes only its own accumulators."""
+    import sys
+    import threading
+
+    t = Tracer()
+    donor = Tracer()
+    donor.count("absorbed", 2)
+    report = donor.report()
+    threads, per_thread = 8, 3_000
+    barrier = threading.Barrier(threads)
+
+    def hammer():
+        barrier.wait(timeout=30)
+        for i in range(per_thread):
+            t.count("hits")
+            with t.span("work"):
+                pass
+            if i % 100 == 0:
+                t.absorb(report)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=hammer) for _ in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(w.is_alive() for w in workers)
+    assert t.counters == {"hits": threads * per_thread,
+                          "absorbed": threads * per_thread // 100 * 2}
+    assert t.spans()["work"]["calls"] == threads * per_thread
+
+
 def test_span_stacks_are_per_thread():
     import threading
 
@@ -188,6 +227,56 @@ def test_concurrent_absorb_merges_all_reports():
     for w in workers:
         w.join()
     assert t.counters["c"] == threads * per_thread
+
+
+def test_overlapping_coroutines_keep_their_own_span_paths():
+    """Spans nest per asyncio task: two coroutines whose ``outer`` spans
+    overlap on one event loop each record ``outer`` once, and neither
+    nests inside the other."""
+    import asyncio
+
+    t = Tracer()
+
+    async def request(started, other_started):
+        with t.span("outer"):
+            started.set()
+            await other_started.wait()
+            with t.span("inner"):
+                await asyncio.sleep(0)
+
+    async def main():
+        a, b = asyncio.Event(), asyncio.Event()
+        await asyncio.gather(request(a, b), request(b, a))
+
+    asyncio.run(main())
+    spans = t.spans()
+    assert spans["outer"]["calls"] == 2
+    assert spans["outer/inner"]["calls"] == 2
+    assert not any("outer/outer" in name for name in spans)
+
+
+def test_a_thread_from_to_thread_nests_under_its_caller():
+    """``asyncio.to_thread`` copies the caller's context, so a span the
+    thread opens nests under the caller's open span."""
+    import asyncio
+    import threading
+
+    t = Tracer()
+    threads = []
+
+    def work():
+        threads.append(threading.get_ident())
+        with t.span("work"):
+            t.count("worked")
+
+    async def main():
+        with t.span("dispatch"):
+            await asyncio.to_thread(work)
+
+    asyncio.run(main())
+    assert threads and threads[0] != threading.get_ident()
+    assert set(t.spans()) == {"dispatch", "dispatch/work"}
+    assert t.counters == {"worked": 1}
 
 
 # ------------------------------------------------------------------- export
