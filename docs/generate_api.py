@@ -48,7 +48,7 @@ MODULES = [
     "repro.engine.tasks", "repro.engine.pool", "repro.engine.cache",
     "repro.engine.campaign",
     "repro.serve.http", "repro.serve.protocol", "repro.serve.admission",
-    "repro.serve.service", "repro.serve.router", "repro.serve.client",
+    "repro.serve.service", "repro.serve.client",
     "repro.reductions.sat", "repro.reductions.multiway_cut",
     "repro.reductions.vertex_cover", "repro.reductions.kcolor",
     "repro.reductions.aggressive_reduction",

@@ -780,7 +780,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ("--heavy-queue", args.heavy_queue, 1),
         ("--heavy-concurrency", args.heavy_concurrency, 1),
         ("--mem-entries", args.mem_entries, 1),
-        ("--shards", args.shards, 0),
     ):
         if value < low:
             print(f"error: {flag} must be >= {low}, got {value}",
@@ -790,22 +789,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(f"error: --timeout must be > 0, got {args.timeout:g}",
               file=sys.stderr)
         return 2
-
-    if args.shards:
-        from .serve.router import serve_sharded
-
-        if args.port == 0:
-            print("--shards needs a fixed --port (shards listen on "
-                  "port+1..port+N)", file=sys.stderr)
-            return 2
-        try:
-            asyncio.run(serve_sharded(args))
-        except KeyboardInterrupt:
-            print("interrupted; shutting down", file=sys.stderr)
-        except TimeoutError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        return 0
 
     config = ServeConfig(
         host=args.host,
@@ -1187,9 +1170,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="certify every result through the analysis passes")
     p.add_argument("--remote", metavar="URL",
                    help="dispatch the grid through a running service "
-                   "(single shard or 'serve --shards' router) instead "
-                   "of a local pool; with --remote, --timeout becomes "
-                   "the per-request deadline")
+                   "('repro serve') instead of a local pool; with "
+                   "--remote, --timeout becomes the per-request deadline")
     p.add_argument("-o", "--output", help="also write the summary here")
     p.set_defaults(func=cmd_campaign)
 
@@ -1279,10 +1261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mem-entries", type=int, default=1024,
                    help="in-memory LRU cache tier capacity in records "
                    "(>= 1)")
-    p.add_argument("--shards", type=int, default=0,
-                   help="spawn N worker services on port+1..port+N and "
-                   "consistent-hash-route tasks across them from the "
-                   "main port (0 = single process)")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(

@@ -312,9 +312,8 @@ def run_campaign_remote(
     local pool (``repro campaign run --remote URL``).
 
     Up to ``workers`` dispatches are in flight at once, over one
-    keep-alive :class:`~repro.serve.client.HttpClient` to the service (a
-    single shard or a :mod:`repro.serve.router` front end); they POST
-    the campaign's tasks to ``/v1/task`` in task order.
+    keep-alive :class:`~repro.serve.client.HttpClient` to the service;
+    they POST the campaign's tasks to ``/v1/task`` in task order.
     Caching, admission control, and verification upgrades
     all happen **server-side**; this client only aggregates what the
     service reports.  ``campaign.retries`` bounds re-sends after

@@ -19,8 +19,8 @@ Each request is a task from a deterministic seed cycle
 command against a warm cache demonstrates content-addressed serving:
 the second pass reports ``cache_hits == requests``.
 
-Every request here — the load loops, the router's forwarding and a
-remote campaign's dispatches — goes through one keep-alive client,
+Every request here — the load loops and a remote campaign's
+dispatches — goes through one keep-alive client,
 :class:`HttpClient`, over the same minimal HTTP codec as the server
 (:mod:`repro.serve.http`); there is no third-party client stack.
 """
@@ -38,7 +38,6 @@ from .http import HttpError, Response, read_response, render_request
 
 __all__ = [
     "HttpClient",
-    "ShardClient",
     "LoadConfig",
     "run_load",
     "request_once",
@@ -198,10 +197,6 @@ class HttpClient:
                 await writer.wait_closed()
             except OSError:
                 pass
-
-
-#: The router's per-shard pool is the same client.
-ShardClient = HttpClient
 
 
 async def request_once(

@@ -18,7 +18,7 @@ service speaks to sends ``Content-Length``.
 :class:`HttpServer` is the one server loop over the codec: the
 keep-alive read → route → write cycle, the listener lifecycle and the
 404/405/500 mapping, driven by a ``{(method, path): handler}`` table.
-The shard service and the router each supply only their table.
+:class:`repro.serve.service.Service` supplies its table.
 """
 
 from __future__ import annotations
@@ -280,9 +280,9 @@ class HttpServer:
     or sends ``Connection: close``; a known path under another method
     answers 405, an unknown path 404, a handler's :class:`HttpError`
     its status, and any other handler exception 500 (counted as
-    ``{counter_prefix}.errors``; every parsed request counts as
-    ``{counter_prefix}.http_requests``).  :meth:`serve_until_drained`
-    returns once a handler sets ``_drain_done`` and the listener and
+    ``serve.errors``; every parsed request counts as
+    ``serve.http_requests``).  :meth:`serve_until_drained` returns
+    once a handler sets ``_drain_done`` and the listener and
     :meth:`_close`'s resources are shut.
     """
 
@@ -293,7 +293,6 @@ class HttpServer:
         max_body: int,
         tracer: Tracer,
         routes: Mapping[Tuple[str, str], Handler],
-        counter_prefix: str,
     ) -> None:
         self.tracer = tracer
         self.port: Optional[int] = None
@@ -301,7 +300,6 @@ class HttpServer:
         self._max_body = max_body
         self._routes = dict(routes)
         self._paths = {path for _, path in self._routes}
-        self._counter_prefix = counter_prefix
         self._server: Optional[asyncio.AbstractServer] = None
         self._started_at = time.monotonic()
         self._drain_done = asyncio.Event()
@@ -363,7 +361,7 @@ class HttpServer:
     ) -> bytes:
         """``GET /metrics``: the tracer plus ``gauges`` and the uptime,
         as Prometheus text."""
-        gauges[f"{self._counter_prefix}_uptime_seconds"] = (
+        gauges["serve_uptime_seconds"] = (
             time.monotonic() - self._started_at
         )
         body = to_prometheus(self.tracer, gauges=gauges).encode()
@@ -397,7 +395,7 @@ class HttpServer:
                 if request is None:
                     return
                 self._connections[task] = None
-                self.tracer.count(f"{self._counter_prefix}.http_requests")
+                self.tracer.count("serve.http_requests")
                 writer.write(await self._route(request))
                 await writer.drain()
                 if not request.keep_alive:
@@ -434,7 +432,7 @@ class HttpServer:
                 exc.status, {"error": str(exc)}, keep_alive=keep
             )
         except Exception as exc:  # a handler bug must not kill the server
-            self.tracer.count(f"{self._counter_prefix}.errors")
+            self.tracer.count("serve.errors")
             return json_response(
                 500, {"error": f"internal error: {exc}"}, keep_alive=keep
             )

@@ -110,7 +110,6 @@ class Service(HttpServer):
                 ("GET", "/metrics"): self._handle_metrics,
                 ("POST", "/drain"): self._handle_drain,
             },
-            counter_prefix="serve",
         )
         self.config = config
         # Two-tier result store: a synchronous in-memory LRU answers

@@ -1,17 +1,21 @@
 """Tests for repro.serve: HTTP codec, admission control, request
 schema, the load-generator helpers, ``repro serve`` flag validation,
-and end-to-end service behaviour on an ephemeral port (single
-requests, concurrent bursts, cache-hit replay, backpressure,
-deadlines, drain)."""
+end-to-end service behaviour on an ephemeral port (single requests,
+concurrent bursts, cache-hit replay, backpressure, deadlines, drain,
+the in-memory cache tier), remote campaign dispatch, and fault
+injection on the served path (truncated cache entries, malformed or
+cut-off replies)."""
 
 import asyncio
 import json
+import threading
 
 import pytest
 
 from repro.cli import main
+from repro.engine import Campaign, run_campaign, run_campaign_remote
 from repro.engine.cache import ResultCache
-from repro.engine.tasks import TaskSpec, task_hash
+from repro.engine.tasks import TaskSpec, run_task, task_hash
 from repro.frontend.corpus import corpus_paths
 from repro.obs.names import CACHE_FILE_HITS, CACHE_MEMORY_HITS
 from repro.serve import (
@@ -23,9 +27,10 @@ from repro.serve import (
     parse_task_request,
     run_load,
 )
-from repro.serve.client import percentile, request_once, wait_healthy
+from repro.serve.client import drain, percentile, request_once, wait_healthy
 from repro.serve.http import (
     HttpError,
+    json_response,
     read_request,
     read_response,
     render_request,
@@ -34,7 +39,10 @@ from repro.serve.http import (
 from repro.serve.protocol import HEAVY, LIGHT, request_class
 
 
-def run(coro, timeout=60.0):
+TIMEOUT = 60.0
+
+
+def run(coro, timeout=TIMEOUT):
     """Drive one async test body with a hang backstop."""
     return asyncio.run(asyncio.wait_for(coro, timeout))
 
@@ -362,18 +370,15 @@ class TestProtocol:
     ["--mem-entries", "0"],
     ["--mem-entries", "-1"],
     ["--timeout", "0"],
-    ["--shards", "2", "--workers", "-1"],
 ])
 def test_serve_rejects_bad_numeric_flags(flags, monkeypatch, capsys):
     import repro.serve
-    import repro.serve.router
 
     def never(*args, **kwargs):
         raise AssertionError("repro serve started despite a bad flag")
 
-    # validation must come before anything binds or spawns, sharded or not
+    # validation must come before anything binds or spawns
     monkeypatch.setattr(repro.serve, "Service", never)
-    monkeypatch.setattr(repro.serve.router, "serve_sharded", never)
     assert main(["serve", "--port", "8080", "--cache-dir", "", *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flags[-2] in err, err
@@ -850,3 +855,272 @@ class TestServeCacheIntegrity:
         # temp files are written beside their record, in the shard
         assert list(tmp_path.rglob("*.tmp")) == []
         assert cache.get(key)["status"] == "ok"
+
+
+# ----------------------------------------------------------------------
+# service memory tier
+# ----------------------------------------------------------------------
+def _task_document(seed, generator="pressure", strategy="briggs"):
+    return {"task": {"generator": generator, "seed": seed, "k": 4,
+                     "strategy": strategy, "params": {"rounds": 3}}}
+
+
+class TestServiceMemoryTier:
+    def test_second_pass_hits_memory_tier(self, tmp_path):
+        async def body():
+            service = Service(ServeConfig(
+                port=0, workers=0,
+                cache_dir=str(tmp_path), mem_entries=32,
+            ))
+            port = await service.start()
+            url = f"http://127.0.0.1:{port}"
+            try:
+                first = (await request_once(
+                    url, "POST", "/v1/task", _task_document(0))).json()
+                assert first["served"]["cache"] == "miss"
+                second = (await request_once(
+                    url, "POST", "/v1/task", _task_document(0))).json()
+                assert second["served"]["cache"] == "hit"
+                counters = service.tracer.counters
+                # the repeat was answered by the memory tier: the file
+                # tier was never probed for it (write-through put the
+                # record in memory on the first pass)
+                assert counters[CACHE_MEMORY_HITS] == 1
+                assert counters.get(CACHE_FILE_HITS, 0) == 0
+                health = (await request_once(
+                    url, "GET", "/healthz")).json()
+                assert health["cache"]["tiers"] == ["memory", "file"]
+                assert health["cache"]["memory_entries"] == 1
+            finally:
+                await service.stop()
+        run(body())
+
+    def test_cold_memory_tier_promotes_file_hit(self, tmp_path):
+        async def body():
+            # a restarted service finds the record on disk, serves it,
+            # and promotes it so the next repeat is a memory hit
+            spec = TaskSpec.from_dict(_task_document(3)["task"])
+            warm = Service(ServeConfig(
+                port=0, workers=0,
+                cache_dir=str(tmp_path),
+            ))
+            port = await warm.start()
+            url = f"http://127.0.0.1:{port}"
+            try:
+                await request_once(url, "POST", "/v1/task",
+                                   _task_document(3))
+            finally:
+                await warm.stop()
+
+            cold = Service(ServeConfig(
+                port=0, workers=0,
+                cache_dir=str(tmp_path),
+            ))
+            port = await cold.start()
+            url = f"http://127.0.0.1:{port}"
+            try:
+                hit = (await request_once(
+                    url, "POST", "/v1/task", _task_document(3))).json()
+                assert hit["served"]["cache"] == "hit"
+                counters = cold.tracer.counters
+                assert counters[CACHE_FILE_HITS] == 1
+                assert cold.cache.get_memory(task_hash(spec)) is not None
+            finally:
+                await cold.stop()
+        run(body())
+
+
+# ----------------------------------------------------------------------
+# remote campaign dispatch
+# ----------------------------------------------------------------------
+def _serve_in_thread(config):
+    """Run a service's event loop in a daemon thread; returns (url,
+    thread).  The thread exits when the service is drained."""
+    box = {}
+    started = threading.Event()
+
+    def runner():
+        async def main():
+            service = Service(config)
+            box["port"] = await service.start()
+            started.set()
+            await service.serve_until_drained()
+        asyncio.run(main())
+
+    thread = threading.Thread(target=runner, daemon=True)
+    thread.start()
+    assert started.wait(TIMEOUT), "service failed to start"
+    return f"http://127.0.0.1:{box['port']}", thread
+
+
+class TestRemoteCampaign:
+    def _campaign(self):
+        tasks = [
+            TaskSpec(generator="pressure", seed=seed, k=4,
+                     strategy=strategy, params=(("rounds", 3),))
+            for seed in range(4)
+            for strategy in ("briggs", "brute")
+        ]
+        return Campaign(name="remote-e2e", tasks=tasks, workers=2,
+                        retries=1, backoff=0.01)
+
+    def test_remote_matches_local_result_hash(self, tmp_path):
+        campaign = self._campaign()
+        local = run_campaign(
+            campaign, ResultCache(str(tmp_path / "local")), workers=0,
+        )
+        url, thread = _serve_in_thread(ServeConfig(
+            port=0, workers=0,
+            cache_dir=str(tmp_path / "remote"),
+        ))
+        try:
+            first = run_campaign_remote(campaign, url, workers=2)
+            second = run_campaign_remote(campaign, url, workers=2)
+        finally:
+            run(drain(url), timeout=10.0)
+            thread.join(timeout=10.0)
+        assert first["failed_tasks"] == []
+        assert first["by_status"] == {"ok": len(campaign.tasks)}
+        # byte-identical outcome to the in-process engine
+        assert first["result_hash"] == local["result_hash"]
+        # the replay is served entirely from the service's cache tiers
+        assert second["cache_hits"] == len(campaign.tasks)
+        assert second["served"] == {"hit": len(campaign.tasks)}
+        assert second["result_hash"] == local["result_hash"]
+
+    def test_unreachable_service_fails_tasks(self):
+        campaign = self._campaign()
+        campaign.retries = 0
+        with pytest.raises(TimeoutError):
+            run_campaign_remote(
+                campaign, "http://127.0.0.1:9", workers=1, wait=0.2,
+            )
+
+
+# ----------------------------------------------------------------------
+# fault injection on the served path
+# ----------------------------------------------------------------------
+def _fake_in_thread(answer):
+    """Serve ``answer(request)`` — response bytes, or None to close the
+    connection unanswered — on a loopback port from a daemon thread;
+    returns (url, stop)."""
+    box = {}
+    started = threading.Event()
+
+    async def handle(reader, writer):
+        try:
+            while True:
+                request = await read_request(reader)
+                reply = None if request is None else answer(request)
+                if reply is None:
+                    return
+                writer.write(reply)
+                await writer.drain()
+        finally:
+            writer.close()
+
+    async def main():
+        server = await asyncio.start_server(handle, "127.0.0.1", 0)
+        box["port"] = server.sockets[0].getsockname()[1]
+        box["loop"] = asyncio.get_running_loop()
+        box["stop"] = asyncio.Event()
+        started.set()
+        async with server:
+            await box["stop"].wait()
+
+    thread = threading.Thread(target=lambda: asyncio.run(main()),
+                              daemon=True)
+    thread.start()
+    assert started.wait(TIMEOUT), "fake server failed to start"
+
+    def stop():
+        box["loop"].call_soon_threadsafe(box["stop"].set)
+        thread.join(TIMEOUT)
+
+    return f"http://127.0.0.1:{box['port']}", stop
+
+
+def _computed(request):
+    """A well-formed ``/v1/task`` reply computed in-process."""
+    record = run_task(TaskSpec.from_dict(request.json()["task"]))
+    return json_response(200, {"record": record,
+                               "served": {"cache": "miss"}})
+
+
+class TestServedFaults:
+    def test_truncated_file_entry_is_recomputed(self, tmp_path):
+        async def body():
+            service = Service(ServeConfig(
+                port=0, workers=0, cache_dir=str(tmp_path), mem_entries=1,
+            ))
+            url = f"http://127.0.0.1:{await service.start()}"
+            try:
+                document = _task_document(0)
+                key = task_hash(TaskSpec.from_dict(document["task"]))
+                first = (await request_once(
+                    url, "POST", "/v1/task", document)).json()
+                # a second key pushes the first out of the memory tier
+                await request_once(url, "POST", "/v1/task",
+                                   _task_document(1))
+                assert key not in service.cache.memory
+                entry = service.cache.file.path(key)
+                entry.write_bytes(entry.read_bytes()[:40])
+
+                response = await request_once(
+                    url, "POST", "/v1/task", document)
+                assert response.status == 200
+                again = response.json()
+                assert again["served"]["cache"] == "miss"
+                assert again["record"]["result_hash"] == (
+                    first["record"]["result_hash"])
+                rewritten = ResultCache(str(tmp_path)).get(key)
+                assert rewritten["result_hash"] == (
+                    first["record"]["result_hash"])
+            finally:
+                await service.stop()
+        run(body())
+
+    def test_non_json_reply_fails_only_its_task(self):
+        tasks = [TaskSpec(generator="pressure", seed=seed, k=4,
+                          strategy="briggs", params=(("rounds", 3),))
+                 for seed in range(4)]
+        bad = task_hash(tasks[1])
+
+        def answer(request):
+            if request.path == "/healthz":
+                return json_response(200, {"status": "ok"})
+            if task_hash(TaskSpec.from_dict(request.json()["task"])) == bad:
+                return render_response(502, b"<html>bad gateway</html>",
+                                       content_type="text/html")
+            return _computed(request)
+
+        url, stop = _fake_in_thread(answer)
+        try:
+            summary = run_campaign_remote(
+                Campaign(name="html", tasks=tasks, workers=2, retries=0),
+                url,
+            )
+        finally:
+            stop()
+        assert summary["by_status"] == {"error": 1, "ok": 3}
+        assert summary["failed_tasks"] == [bad]
+
+    def test_client_drain_cut_off_exits_2(self, capsys):
+        from repro.cli import main
+
+        def answer(request):
+            if request.path == "/healthz":
+                return json_response(200, {"status": "ok"})
+            if request.path == "/drain":
+                return None
+            return _computed(request)
+
+        url, stop = _fake_in_thread(answer)
+        try:
+            code = main(["client", "--url", url, "--requests", "2",
+                         "--concurrency", "1", "--strategy", "briggs",
+                         "--k", "4", "--drain"])
+        finally:
+            stop()
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
