@@ -962,7 +962,8 @@ def cmd_cache(args: argparse.Namespace) -> int:
             sys.stdout.write("\n")
         else:
             print(f"cache {args.cache_dir}: {report['entries']} entries, "
-                  f"{report['bytes']} bytes")
+                  f"{report['bytes']} bytes in a {report['log_bytes']}-byte "
+                  f"log")
             tiers = report.get("tiers")
             if tiers:
                 for tier in ("memory", "file"):
@@ -1277,7 +1278,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="compact: keep at most this many records "
                    "(oldest-written evicted first)")
     p.add_argument("--max-bytes", type=int, default=None,
-                   help="compact: shrink the store below this many bytes")
+                   help="compact: keep at most this many record bytes "
+                   "(dead log lines are always dropped)")
     p.add_argument("--json", action="store_true",
                    help="emit the report as JSON")
     p.set_defaults(func=cmd_cache)

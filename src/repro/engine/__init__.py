@@ -12,11 +12,11 @@ The pieces (one module each):
   parameters + strategy + solver budget) with deterministic per-task
   seeds and stable content hashes, plus the in-process executor;
 * :mod:`repro.engine.pool` — the worker pool (:func:`run_tasks`);
-* :mod:`repro.engine.cache` — the JSON result store
-  (:class:`ResultCache`) plus its scaling companions: the in-memory
-  LRU tier (:class:`MemoryCache`), the serving composition
-  (:class:`TieredCache`), and mtime-ordered compaction
-  (:func:`compact_cache`);
+* :mod:`repro.engine.cache` — the JSON result store, one append-only
+  record log per directory (:class:`ResultCache`), plus its scaling
+  companions: the in-memory LRU tier (:class:`MemoryCache`), the
+  serving composition (:class:`TieredCache`), and log compaction that
+  evicts least-recently-written records first (:func:`compact_cache`);
 * :mod:`repro.engine.campaign` — orchestration, tracer-report merging,
   and the summary artifact (:func:`run_campaign`).
 

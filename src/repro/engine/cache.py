@@ -6,18 +6,29 @@ Records are the JSON dicts produced by :func:`repro.engine.tasks.run_task`
 engine code version, so a version bump naturally invalidates every
 entry without any explicit migration.
 
-Layout (two-level fan-out keeps directories small)::
+Layout: one append-only record log per directory, in the manner of
+Bitcask (Sheehy & Smith, 2010)::
 
     <root>/
-      ab/abcdef0123456789.json      # one record per task key
+      records.log                   # "\\n<key>\\t<json>" per write
+      records.lock                  # flock: puts shared, compaction exclusive
       <name>.summary.json           # campaign summary artifacts
 
-Writes are atomic (a *uniquely named* temp file + ``os.replace``) and
-safe under **concurrent writers**: any number of campaign workers and
-:mod:`repro.serve` request handlers may share one cache directory, each
-write lands whole or not at all, and the last replace wins.  An
-interrupted run never leaves a half-written record; corrupt or
-unreadable entries read back as misses and are simply re-executed.
+A put appends one framed line with a single ``os.write`` on an
+``O_APPEND`` descriptor that stays open, so a served cache miss creates
+no file, and any number of campaign workers and :mod:`repro.serve`
+processes may share one directory: each append lands whole, after every
+earlier one.  The leading newline of a line isolates a torn tail (a
+writer that died mid-write), so a torn line never hides a later one.
+The last line for a key wins; an empty body is a delete.  Each instance
+keeps a key directory in memory (key to offset and length of its last
+line), built by one scan on first use and extended by scanning only the
+bytes it has not seen; a get re-stats the log, reads the line with
+``os.pread`` and checks that it decodes to a JSON object whose ``key``
+is the key, so a torn or corrupt line reads back as a miss and is
+simply re-executed.  Per-file entries of the earlier layout
+(``??/<key>.json``) are not read: they are content-addressed, so they
+recompute.
 
 Three companions scale the store up and out:
 
@@ -28,18 +39,21 @@ Three companions scale the store up and out:
   the file store, promoting file hits into memory so repeats skip the
   filesystem entirely;
 * :func:`compact_cache` — **eviction and compaction** of the file
-  store (``repro cache compact``), least-recently-written first by
-  file mtime, so a content-addressed directory stays bounded.
+  store (``repro cache compact``): it rewrites the log without dead
+  lines, least-recently-written records evicted first, under an
+  exclusive ``flock`` that keeps every completed put.
 """
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
+import tempfile
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional
 
 from ..obs import (
     CACHE_FILE_HITS,
@@ -53,123 +67,223 @@ from ..obs import (
 
 __all__ = ["ResultCache", "MemoryCache", "TieredCache", "compact_cache"]
 
-#: how :meth:`ResultCache.put` opens its temp file: create it, or fail
-#: when a file of that name exists
-_TMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+#: a key directory value packs a body's offset above its length
+_SHIFT = 32
+_LENGTH = (1 << _SHIFT) - 1
+
+#: how many log bytes one scan step reads
+_CHUNK = 1 << 20
+
+_LOG_FLAGS = os.O_RDWR | os.O_APPEND | os.O_CLOEXEC
+
+
+def _open_lock(path: str) -> int:
+    """A descriptor on the lock file at ``path``, made if missing."""
+    return os.open(path, os.O_RDWR | os.O_CREAT | os.O_CLOEXEC, 0o644)
+
+
+def _index_lines(data: bytes, base: int, index: Dict[str, int]) -> None:
+    """Enter the framed lines of ``data`` (log bytes from offset
+    ``base``) into ``index``, later lines winning.  Bytes before the
+    first newline, and a line without a tab, are skipped."""
+    lines = data.split(b"\n")
+    offset = base + len(lines[0]) + 1
+    for line in lines[1:]:
+        tab = line.find(b"\t")
+        if tab >= 0:
+            key = line[:tab].decode(errors="replace")
+            length = len(line) - tab - 1
+            if length:
+                index[key] = (offset + tab + 1) << _SHIFT | length
+            else:
+                index.pop(key, None)
+        offset += len(line) + 1
+
+
+def _scan(fd: int, start: int, end: int, index: Dict[str, int]) -> int:
+    """Index the log lines in bytes ``[start, end)`` of ``fd``, reading
+    in chunks; return the offset where the last line starts.  That line
+    may still be growing under a concurrent writer, so the next scan
+    starts there again."""
+    tail = b""
+    base = start
+    while start < end:
+        chunk = os.pread(fd, min(_CHUNK, end - start), start)
+        if not chunk:  # truncated under the scan
+            break
+        start += len(chunk)
+        data = tail + chunk
+        cut = data.rfind(b"\n")
+        if cut > 0:
+            _index_lines(data[:cut], base, index)
+            base += cut
+            data = data[cut:]
+        tail = data
+    _index_lines(tail, base, index)
+    return base
 
 
 class ResultCache:
-    """A directory of JSON task records addressed by task hash."""
+    """JSON task records addressed by task hash, in one append-only log.
+
+    An in-memory key directory maps each key to its last line.
+    Thread-safe: the key directory and the descriptors are guarded by
+    one lock.  Constructing an instance touches no file; the log is
+    scanned on first use.
+    """
 
     def __init__(self, root: "Path | str") -> None:
         self.root = Path(root)
-        # get/put run on the service's event loop: plain string joins
-        # keep pathlib out of each call
-        self._root = str(self.root)
+        #: the record log (may not exist yet)
+        self.log_path = self.root / "records.log"
+        self._log = str(self.log_path)
+        self._lock_path = str(self.root / "records.lock")
+        self._mutex = threading.Lock()
+        self._index: Dict[str, int] = {}
+        self._fd = -1  # the log, read with pread and appended to
+        self._lock_fd = -1
+        self._ino = -1
+        self._size = 0  # log bytes the index reflects
+        self._scanned = 0  # where the next scan starts
 
-    def path(self, key: str) -> Path:
-        """Where the record for ``key`` lives (may not exist yet)."""
-        return Path(self._file(key))
+    def __del__(self) -> None:
+        for fd in (self._fd, self._lock_fd):
+            if fd >= 0:
+                os.close(fd)
 
-    def _file(self, key: str) -> str:
-        """:meth:`path` as a plain string."""
-        return f"{self._root}/{key[:2]}/{key}.json"
+    def _refresh(self) -> None:
+        """Bring the key directory up to the log on disk: rebuild it
+        when the log was replaced or shrank, else scan what it has not
+        seen.  Caller holds the mutex."""
+        try:
+            size = os.stat(self._log)
+        except FileNotFoundError:
+            if self._fd >= 0:
+                os.close(self._fd)
+                self._fd, self._ino = -1, -1
+            self._index.clear()
+            self._size = self._scanned = 0
+            return
+        replaced = size.st_ino != self._ino
+        if replaced:
+            if self._fd >= 0:
+                os.close(self._fd)
+            try:
+                self._fd = os.open(self._log, _LOG_FLAGS)
+            except PermissionError:  # a log only its writer may append to
+                self._fd = os.open(self._log, os.O_RDONLY | os.O_CLOEXEC)
+            size = os.fstat(self._fd)
+            self._ino = size.st_ino
+        if replaced or size.st_size < self._size:
+            self._index.clear()
+            self._size = self._scanned = 0
+        if size.st_size != self._size:
+            self._scanned = _scan(self._fd, self._scanned, size.st_size,
+                                  self._index)
+            self._size = size.st_size
+
+    def _append(self, key: str, body: bytes) -> bool:
+        """Append ``key``'s line under the shared lock (an empty body
+        deletes) and enter it in the key directory; True iff the key had
+        an entry before."""
+        head = f"\n{key}\t".encode()
+        with self._mutex:
+            if self._lock_fd < 0:
+                os.makedirs(self.root, exist_ok=True)
+                self._lock_fd = _open_lock(self._lock_path)
+            fcntl.flock(self._lock_fd, fcntl.LOCK_SH)
+            try:
+                self._refresh()
+                existed = key in self._index
+                if self._fd < 0:
+                    self._fd = os.open(self._log, _LOG_FLAGS | os.O_CREAT,
+                                       0o644)
+                    self._ino = os.fstat(self._fd).st_ino
+                data = head + body
+                if os.write(self._fd, data) != len(data):
+                    raise OSError(f"short append to {self._log}")
+                end = os.lseek(self._fd, 0, os.SEEK_CUR)
+            finally:
+                fcntl.flock(self._lock_fd, fcntl.LOCK_UN)
+            start = end - len(data)
+            if body:
+                self._index[key] = (start + len(head)) << _SHIFT | len(body)
+            else:
+                self._index.pop(key, None)
+            if start == self._size:  # nobody else appended in between
+                self._size, self._scanned = end, start
+            return existed
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The cached record, or None on miss *or* corrupt entry."""
+        with self._mutex:
+            try:
+                self._refresh()
+                packed = self._index.get(key)
+                if packed is None:
+                    return None
+                data = os.pread(self._fd, packed & _LENGTH, packed >> _SHIFT)
+            except OSError:
+                return None
         try:
-            with open(self._file(key), "rb") as stream:
-                record = json.loads(stream.read())
-        except (OSError, ValueError):
+            record = json.loads(data)
+        except ValueError:
             return None
         if not isinstance(record, dict) or record.get("key") != key:
             return None
         return record
 
     def put(self, key: str, record: Dict[str, Any]) -> bool:
-        """Atomically write the record for ``key``; True iff an entry
-        already existed (i.e. this put overwrote rather than inserted).
+        """Append the record for ``key``; True iff an entry already
+        existed (i.e. this put overwrote rather than inserted).
 
-        The temp file name is unique per writer — ``.KEY.PID.TID.tmp``
-        in the destination directory, opened with ``O_EXCL`` — so
-        concurrent processes and threads writing the same key never
-        interleave bytes: each finishes its own temp file and the
-        ``os.replace`` calls serialize, last one winning with a complete
-        record either way.  A temp file that already carries this
-        writer's name was left by a dead writer (a reused pid), so it
-        is unlinked and the open retried.  The overwrite report is
-        best-effort under such races (it reflects whether the entry
-        existed just before this writer's replace).  The record is
-        encoded in one ``json.dumps`` call (compact, sorted keys, ASCII)
-        before the temp file opens, and the shard directory is made only
-        when the open finds it missing.
+        The record is encoded in one ``json.dumps`` call (compact,
+        sorted keys, ASCII) and appended as one line with one
+        ``os.write``: no temp file, no rename, no directory.  The
+        directory is made by the first put.  The overwrite report is
+        best-effort under concurrent writers (it reflects the log as
+        this instance last read it).
         """
-        shard = f"{self._root}/{key[:2]}"
-        path = f"{shard}/{key}.json"
-        tmp = f"{shard}/.{key}.{os.getpid()}.{threading.get_ident()}.tmp"
-        data = (json.dumps(record, sort_keys=True) + "\n").encode()
-        try:
-            fd = os.open(tmp, _TMP_FLAGS, 0o600)
-        except FileNotFoundError:  # first record of this shard
-            os.makedirs(shard, exist_ok=True)
-            fd = os.open(tmp, _TMP_FLAGS, 0o600)
-        except FileExistsError:  # left behind by a dead writer
-            os.unlink(tmp)
-            fd = os.open(tmp, _TMP_FLAGS, 0o600)
-        try:
-            with open(fd, "wb") as stream:
-                stream.write(data)
-            existed = os.path.exists(path)
-            os.replace(tmp, path)
-            return existed
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        return self._append(key, json.dumps(record, sort_keys=True).encode())
 
     def delete(self, key: str) -> bool:
-        """Drop one record; True iff it existed."""
-        try:
-            os.unlink(self._file(key))
-            return True
-        except OSError:
-            return False
+        """Drop one record (an empty line for its key); True iff it
+        existed."""
+        with self._mutex:
+            self._refresh()
+            if key not in self._index:
+                return False
+        self._append(key, b"")
+        return True
 
     def keys(self) -> Iterator[str]:
         """All task keys currently stored, in key order."""
-        for key, _path in self.entry_files():
-            yield key
+        with self._mutex:
+            self._refresh()
+            keys = sorted(self._index)
+        return iter(keys)
 
     def __len__(self) -> int:
-        return sum(1 for _ in self.keys())
+        with self._mutex:
+            self._refresh()
+            return len(self._index)
 
     def summary_path(self, name: str) -> Path:
         """Where a campaign's summary artifact is written."""
         return self.root / f"{name}.summary.json"
 
-    def entry_files(self) -> Iterator[Tuple[str, Path]]:
-        """``(key, path)`` for every stored record, in key order."""
-        if not self.root.is_dir():
-            return
-        for shard in sorted(self.root.iterdir()):
-            if not (shard.is_dir() and len(shard.name) == 2):
-                continue
-            for entry in sorted(shard.glob("*.json")):
-                yield entry.stem, entry
-
     def stats(self) -> Dict[str, Any]:
-        """Entry count and total stored bytes (one directory scan)."""
-        entries = 0
-        total = 0
-        for _key, path in self.entry_files():
-            try:
-                total += path.stat().st_size
-            except OSError:
-                continue
-            entries += 1
-        return {"entries": entries, "bytes": total}
+        """Entry count, the bytes of the live records, and the size of
+        the log with its dead lines (``log_bytes``): a log far larger
+        than its records is worth compacting."""
+        with self._mutex:
+            self._refresh()
+            return {
+                "entries": len(self._index),
+                "bytes": sum(packed & _LENGTH
+                             for packed in self._index.values()),
+                "log_bytes": self._size,
+            }
 
 
 class MemoryCache:
@@ -289,41 +403,75 @@ def compact_cache(
     max_entries: Optional[int] = None,
     max_bytes: Optional[int] = None,
 ) -> Dict[str, Any]:
-    """Evict least-recently-written records until both bounds hold.
+    """Evict least-recently-written records and drop dead log lines.
 
-    Records are ordered by file mtime, key breaking ties, so the order
-    needs no state beyond the directory itself: a rewritten record is
-    young again, and records written by any process (pool workers,
-    other shards) are ordered alike.  Deletes go through the cache, so
-    a racing reader simply misses.  Returns what happened.
+    Records are evicted, oldest first, until both bounds hold (sizes
+    are record bytes, as ``stats()["bytes"]``).  Age is the log
+    position of each key's last write, so a rewritten record is young
+    again and records from any process are ordered alike.  The
+    survivors, in that order, go to a temp log that replaces
+    ``records.log`` while this call holds the exclusive ``flock`` on
+    ``records.lock``; a put holds the shared lock while it checks the
+    log's inode and appends, so a put that completed before the
+    compaction is kept and one that follows lands in the new log.
+    Returns what happened.
     """
-    order: List[Tuple[float, str, int]] = []
-    for key, path in cache.entry_files():
-        try:
-            stat = path.stat()
-        except OSError:
-            continue
-        order.append((stat.st_mtime, key, stat.st_size))
-    order.sort()
-    before = len(order)
-    before_bytes = sum(size for _mtime, _key, size in order)
+    index: Dict[str, int] = {}
     evicted: List[str] = []
-    remaining = before
-    remaining_bytes = before_bytes
-    for _mtime, key, size in order:
-        over_entries = max_entries is not None and remaining > max_entries
-        over_bytes = max_bytes is not None and remaining_bytes > max_bytes
-        if not (over_entries or over_bytes):
-            break
-        cache.delete(key)
-        remaining -= 1
-        remaining_bytes -= size
-        evicted.append(key)
+    if cache.root.is_dir():
+        lock = _open_lock(cache._lock_path)
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            _compact_log(cache, index, evicted, max_entries, max_bytes)
+        finally:
+            os.close(lock)  # releases the flock
+    before = len(index)
+    before_bytes = sum(packed & _LENGTH for packed in index.values())
+    evicted_bytes = sum(index[key] & _LENGTH for key in evicted)
     return {
         "entries_before": before,
-        "entries_after": remaining,
+        "entries_after": before - len(evicted),
         "bytes_before": before_bytes,
-        "bytes_after": remaining_bytes,
+        "bytes_after": before_bytes - evicted_bytes,
         "evicted": len(evicted),
         "evicted_keys": evicted,
     }
+
+
+def _compact_log(cache: ResultCache, index: Dict[str, int],
+                 evicted: List[str], max_entries: Optional[int],
+                 max_bytes: Optional[int]) -> None:
+    """The body of :func:`compact_cache`, run under the exclusive lock:
+    fill ``index`` from the whole log, append the evicted keys to
+    ``evicted`` and replace the log with the survivors."""
+    try:
+        fd = os.open(cache._log, os.O_RDONLY | os.O_CLOEXEC)
+    except FileNotFoundError:
+        return
+    try:
+        _scan(fd, 0, os.fstat(fd).st_size, index)
+        order = sorted(index.items(), key=lambda item: item[1])
+        remaining = len(order)
+        remaining_bytes = sum(packed & _LENGTH for _key, packed in order)
+        for key, packed in order:
+            over_entries = max_entries is not None and remaining > max_entries
+            over_bytes = max_bytes is not None and remaining_bytes > max_bytes
+            if not (over_entries or over_bytes):
+                break
+            evicted.append(key)
+            remaining -= 1
+            remaining_bytes -= packed & _LENGTH
+        out, tmp = tempfile.mkstemp(prefix=".records.", suffix=".tmp",
+                                    dir=cache.root)
+        try:
+            with open(out, "wb") as stream:
+                for key, packed in order[len(evicted):]:
+                    stream.write(f"\n{key}\t".encode())
+                    stream.write(os.pread(fd, packed & _LENGTH,
+                                          packed >> _SHIFT))
+            os.replace(tmp, cache._log)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    finally:
+        os.close(fd)

@@ -1,10 +1,9 @@
 """Tests for the result cache tiers: the in-memory LRU tier (eviction
 order, counter exactness), the tiered cache (write-through,
-promotion), file-store overwrites, compaction, and the ``repro cache``
-command."""
+promotion), file-store overwrites, the record log under torn tails and
+concurrent writers, compaction, and the ``repro cache`` command."""
 
 import json
-import os
 
 import pytest
 
@@ -120,18 +119,17 @@ class TestResultCacheOverwrite:
         assert cache.put("other", {"status": "ok"}) is False
 
 
-def _put_aged(cache, key, mtime, **fields):
-    """Write one record and stamp its file with ``mtime``."""
+def _put(cache, key, **fields):
+    """Write one record; the log order is the write order."""
     cache.put(key, {"key": key, "status": "ok", **fields})
-    os.utime(cache.path(key), (mtime, mtime))
 
 
 class TestCacheCompaction:
     def test_compaction_evicts_oldest_write_first(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         for i in range(6):
-            _put_aged(cache, f"key-{i}", 1000.0 + i)
-        os.utime(cache.path("key-0"), (2000.0, 2000.0))  # newest now
+            _put(cache, f"key-{i}")
+        _put(cache, "key-0")  # newest now
         report = compact_cache(cache, max_entries=3)
         assert report["entries_after"] == 3
         assert report["evicted_keys"] == ["key-1", "key-2", "key-3"]
@@ -142,7 +140,7 @@ class TestCacheCompaction:
     def test_compaction_by_bytes(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         for i in range(8):
-            _put_aged(cache, f"key-{i}", 1000.0 + i, pad="x" * 64)
+            _put(cache, f"key-{i}", pad="x" * 64)
         total = cache.stats()["bytes"]
         report = compact_cache(cache, max_bytes=total // 2)
         assert report["bytes_before"] == total
@@ -158,7 +156,7 @@ class TestCacheCompaction:
 
         cache = ResultCache(str(tmp_path))
         for i in range(4):
-            _put_aged(cache, f"k{i}", 1000.0 + i)
+            _put(cache, f"k{i}")
         argv = ["cache", "compact", "--cache-dir", str(tmp_path), "--json"]
         assert main(argv + ["--max-entries", "4"]) == 0
         assert json.loads(capsys.readouterr().out)["evicted"] == 0
@@ -168,6 +166,155 @@ class TestCacheCompaction:
         assert report["evicted_keys"] == ["k1"]
         assert cache.get("k0")["v"] == 2
         assert sorted(cache.keys()) == ["k0", "k2", "k3"]
+
+    def test_compaction_drops_dead_lines(self, tmp_path):
+        cache = ResultCache(str(tmp_path))
+        for i in range(3):
+            _put(cache, "k", v=i)
+        _put(cache, "gone")
+        cache.delete("gone")
+        stats = cache.stats()
+        assert stats["entries"] == 1
+        assert stats["log_bytes"] > stats["bytes"]
+        report = compact_cache(cache)
+        assert report["evicted"] == 0
+        assert report["bytes_after"] == stats["bytes"]
+        assert cache.get("k")["v"] == 2
+        live = cache.stats()
+        # what is left is the one record and its "\nk\t" framing
+        assert live["log_bytes"] == live["bytes"] + len("\nk\t")
+
+    def test_compaction_beside_a_writer_loses_no_put(self, tmp_path):
+        import threading
+
+        cache = ResultCache(str(tmp_path))
+        done = []
+
+        def writer():
+            for i in range(300):
+                _put(cache, f"w{i}", i=i)
+                done.append(f"w{i}")
+
+        thread = threading.Thread(target=writer)
+        thread.start()
+        compactions = 0
+        while thread.is_alive() or compactions == 0:
+            compact_cache(ResultCache(str(tmp_path)), max_entries=10**6)
+            compactions += 1
+        thread.join()
+        fresh = ResultCache(str(tmp_path))
+        assert len(done) == 300
+        assert sorted(fresh.keys()) == sorted(done)
+        for key in done:
+            assert fresh.get(key)["i"] == int(key[1:])
+
+
+def _append_records(root, writer, count):
+    """One process's share of a concurrent-append run."""
+    cache = ResultCache(root)
+    for i in range(count):
+        cache.put(f"p{writer}-{i}", {"key": f"p{writer}-{i}",
+                                     "status": "ok", "pad": "y" * i})
+
+
+class TestRecordLog:
+    def test_truncated_record_is_a_miss_and_later_appends_read(self,
+                                                              tmp_path):
+        cache = ResultCache(str(tmp_path))
+        _put(cache, "a")
+        _put(cache, "b", pad="z" * 40)
+        log = cache.log_path.read_bytes()
+        cache.log_path.write_bytes(log[:-20])  # cut inside b's record
+        fresh = ResultCache(str(tmp_path))
+        assert fresh.get("b") is None
+        assert fresh.get("a") == {"key": "a", "status": "ok"}
+        _put(ResultCache(str(tmp_path)), "c", pad="w" * 10)
+        reader = ResultCache(str(tmp_path))
+        assert reader.get("c") == {"key": "c", "status": "ok",
+                                   "pad": "w" * 10}
+        assert reader.get("b") is None
+        # the instance that read the truncated log sees the append too
+        assert fresh.get("c")["pad"] == "w" * 10
+
+    def test_scan_carries_records_across_chunks(self, tmp_path,
+                                                monkeypatch):
+        import repro.engine.cache as cache_module
+
+        writer = ResultCache(str(tmp_path))
+        for i in range(40):
+            _put(writer, f"k{i % 25}", pad="v" * (i * 3 % 50))
+        writer.delete("k3")
+        monkeypatch.setattr(cache_module, "_CHUNK", 16)
+        fresh = ResultCache(str(tmp_path))
+        assert sorted(fresh.keys()) == sorted(writer.keys())
+        for key in writer.keys():
+            assert fresh.get(key) == writer.get(key)
+        assert fresh.get("k3") is None
+
+    def test_concurrent_processes_append_whole_records(self, tmp_path):
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        writers = [ctx.Process(target=_append_records,
+                               args=(str(tmp_path), w, 100))
+                   for w in range(4)]
+        for process in writers:
+            process.start()
+        for process in writers:
+            process.join()
+        assert [p.exitcode for p in writers] == [0] * 4
+        fresh = ResultCache(str(tmp_path))
+        assert len(fresh) == 400
+        for w in range(4):
+            for i in range(100):
+                assert fresh.get(f"p{w}-{i}") == {
+                    "key": f"p{w}-{i}", "status": "ok", "pad": "y" * i}
+
+    def test_verification_upgrade_is_what_another_instance_reads(
+            self, tmp_path):
+        writer = ResultCache(str(tmp_path))
+        reader = ResultCache(str(tmp_path))
+        record = {"key": "k", "status": "ok", "payload": {"w": 3}}
+        writer.put("k", record)
+        assert reader.get("k") == record
+        upgraded = {**record, "verification": {"status": "certified"}}
+        assert writer.put("k", upgraded) is True
+        assert reader.get("k") == upgraded
+        assert ResultCache(str(tmp_path)).get("k") == upgraded
+
+    def test_delete_is_seen_by_another_instance(self, tmp_path):
+        writer = ResultCache(str(tmp_path))
+        reader = ResultCache(str(tmp_path))
+        _put(writer, "k")
+        _put(writer, "other")
+        assert reader.get("k") is not None
+        assert writer.delete("k")
+        assert reader.get("k") is None
+        assert sorted(reader.keys()) == ["other"]
+        assert ResultCache(str(tmp_path)).get("k") is None
+        assert not reader.delete("k")
+
+    def test_key_directory_costs_under_130_bytes_per_key(self, tmp_path):
+        import tracemalloc
+
+        writer = ResultCache(str(tmp_path))
+        for i in range(5000):
+            _put(writer, f"{i * 7919:016x}")
+        tracemalloc.start()
+        try:
+            fresh = ResultCache(str(tmp_path))
+            assert len(fresh) == 5000  # the first use scans the log
+            held, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held / 5000 <= 130
+
+    def test_opening_an_instance_touches_no_file(self, tmp_path):
+        cache = ResultCache(str(tmp_path / "absent"))
+        assert cache.get("k") is None and len(cache) == 0
+        assert not (tmp_path / "absent").exists()
+        assert compact_cache(cache)["entries_before"] == 0
+        assert not (tmp_path / "absent").exists()
 
 
 # ----------------------------------------------------------------------
@@ -184,6 +331,7 @@ class TestCacheCli:
                      "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["entries"] == 10
+        assert report["log_bytes"] > report["bytes"] > 0
 
         assert main(["cache", "compact", "--cache-dir", str(tmp_path),
                      "--max-entries", "4", "--json"]) == 0

@@ -266,7 +266,9 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         key = "cd" * 8
         cache.put(key, {"key": key, "status": "ok"})
-        cache.path(key).write_text("{not json")
+        # corrupt the key's last line: its body is no longer JSON
+        log = cache.log_path.read_bytes()
+        cache.log_path.write_bytes(log[:log.rindex(b"\t") + 1] + b"{not json")
         assert cache.get(key) is None
         # and a record whose key field disagrees is also a miss
         cache.put(key, {"key": "ff" * 8, "status": "ok"})
@@ -274,7 +276,8 @@ class TestResultCache:
 
     def test_roundtrip_of_floats_lists_and_unicode(self, tmp_path):
         """put encodes a record in one call and reads back equal, also
-        when its shard directory (and the root) do not exist yet."""
+        when the root does not exist yet; the logged line decodes to
+        the record."""
         cache = ResultCache(tmp_path / "fresh" / "root")
         records = {}
         for n, key in enumerate(("a1" * 8, "b2" * 8, "a1" + "c3" * 7)):
@@ -287,13 +290,16 @@ class TestResultCache:
                     "name": "chacha \u2014 \u00fcber",
                 },
             }
-            # the third key shares the first one's shard
-            assert cache.path(key).parent.exists() == (n == 2)
+            # the first put makes the root
+            assert cache.root.exists() == (n > 0)
             assert cache.put(key, records[key]) is False
-        for key, record in records.items():
+        lines = cache.log_path.read_bytes().split(b"\n")
+        assert lines[0] == b"" and len(lines) == 1 + len(records)
+        for line, (key, record) in zip(lines[1:], records.items()):
+            logged_key, body = line.decode().split("\t")
+            assert logged_key == key
+            assert json.loads(body) == record
             assert cache.get(key) == record
-            on_disk = json.loads(cache.path(key).read_text())
-            assert on_disk == record
         assert cache.put("b2" * 8, records["b2" * 8]) is True
         assert sorted(cache.keys()) == sorted(records)
 
@@ -330,26 +336,27 @@ class TestResultCache:
             w.join()
         assert seen_bad == []
         assert cache.get(key) in payloads
-        # temp files are written beside their record, in the shard
-        assert list(tmp_path.rglob("*.tmp")) == []
+        # every put is one whole line of the log, and nothing else
+        # (no temp file, no shard) is left in the directory
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "records.lock", "records.log"]
+        lines = cache.log_path.read_bytes().split(b"\n")[1:]
+        assert len(lines) == threads * per_thread
+        for line in lines:
+            logged_key, body = line.decode().split("\t")
+            assert logged_key == key and json.loads(body) in payloads
 
-
-    def test_leftover_temp_file_of_a_dead_writer(self, tmp_path):
-        import os
-        import threading
-
+    def test_torn_tail_of_a_dead_writer(self, tmp_path):
         cache = ResultCache(tmp_path)
-        key = "fa" * 8
-        shard = tmp_path / key[:2]
-        shard.mkdir()
-        # a writer that died mid-put, whose pid and thread id this
-        # writer now carries
-        stale = shard / f".{key}.{os.getpid()}.{threading.get_ident()}.tmp"
-        stale.write_text("{torn")
+        key, torn = "fa" * 8, "fb" * 8
+        # a writer that died mid-append left half a line
+        cache.log_path.write_bytes(f'\n{torn}\t{{"key": "{torn}", "st'
+                                   .encode())
         record = {"key": key, "status": "ok"}
         assert cache.put(key, record) is False
         assert cache.get(key) == record
-        assert [p.name for p in shard.iterdir()] == [f"{key}.json"]
+        assert cache.get(torn) is None
+        assert ResultCache(tmp_path).get(key) == record
 
 
 # ----------------------------------------------------------------------
@@ -613,7 +620,8 @@ class TestCampaign:
         keys = campaign.keys()
         cache.delete(keys[0])
         cache.delete(keys[3])
-        cache.path(keys[5]).write_text("truncated")
+        with open(cache.log_path, "a") as log:  # a torn last line
+            log.write(f'\n{keys[5]}\t{{"key": "{keys[5]}", "trunc')
         status = campaign_status(campaign, cache)
         assert status["missing"] == 3  # corrupt reads as missing
         assert status["would_run"] == 3

@@ -852,8 +852,9 @@ class TestServeCacheIntegrity:
         cache = ResultCache(tmp_path)
         key = "ab" * 8
         cache.put(key, {"key": key, "status": "ok"})
-        # temp files are written beside their record, in the shard
-        assert list(tmp_path.rglob("*.tmp")) == []
+        # a put appends to the log: no temp file, no shard directory
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "records.lock", "records.log"]
         assert cache.get(key)["status"] == "ok"
 
 
@@ -1063,8 +1064,13 @@ class TestServedFaults:
                 await request_once(url, "POST", "/v1/task",
                                    _task_document(1))
                 assert key not in service.cache.memory
-                entry = service.cache.file.path(key)
-                entry.write_bytes(entry.read_bytes()[:40])
+                # tear the first key's line in place, keeping the
+                # second key's line after it
+                log = service.cache.file.log_path
+                data = log.read_bytes()
+                start = data.index(f"\n{key}\t".encode())
+                end = data.index(b"\n", start + 1)
+                log.write_bytes(data[:start + 40] + data[end:])
 
                 response = await request_once(
                     url, "POST", "/v1/task", document)
