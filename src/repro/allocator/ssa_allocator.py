@@ -26,7 +26,7 @@ from ..graphs.graph import Vertex
 from ..ir.cfg import Function
 from ..ir.interference import chaitin_interference, set_frequencies_from_loops
 from ..ir.instructions import Var
-from ..ir.liveness import compute_liveness
+from ..ir.liveness import compute_liveness, maxlive
 from ..ir.ssa import construct_ssa
 from ..obs import NULL_TRACER, Tracer
 from .chaitin import AllocationResult
@@ -44,26 +44,6 @@ class SSAAllocationStats:
     coalescing: Optional[CoalescingResult] = None
 
 
-def _pressure_maxlive(func: Function) -> int:
-    """Maxlive ignoring memory-slot pseudo-variables."""
-    info = compute_liveness(func)
-    best = 0
-    for name in func.reachable():
-        block = func.blocks[name]
-        live = {v for v in info.live_out[name] if not is_memory_slot(v)}
-        best = max(best, len(live))
-        for instr in reversed(block.instrs):
-            defs = {d for d in instr.defs if not is_memory_slot(d)}
-            best = max(best, len(live | defs))
-            live -= set(instr.defs)
-            live |= {u for u in instr.uses if not is_memory_slot(u)}
-        phi_targets = {
-            p.target for p in block.phis if not is_memory_slot(p.target)
-        }
-        best = max(best, len(live | phi_targets))
-    return best
-
-
 def spill_to_pressure(
     func: Function,
     k: int,
@@ -71,10 +51,12 @@ def spill_to_pressure(
 ) -> Tuple[Function, List[Var], int]:
     """Phase 1: spill everywhere until Maxlive ≤ k.
 
-    Candidate order: highest spill benefit first — cost-to-degree is
-    approximated by (live-range pressure contribution) / (def+use
-    cost).  Simple and effective for the study; the paper's companion
-    work treats optimal spilling separately.
+    Maxlive counts no memory slot.  Each round spills the cheapest
+    variable (least :func:`~repro.allocator.spill.spill_costs`, ties
+    by name) live at the first point of maximum pressure, walking the
+    reachable blocks in order and each block bottom-up to its φ point.
+    The choice is not optimal: the paper's companion work treats
+    optimal spilling separately.
 
     Each round spills a distinct variable of ``func`` (never a reload
     temporary, and :func:`spill_everywhere` rewrites the victim away),
@@ -86,7 +68,7 @@ def spill_to_pressure(
     spilled: List[Var] = []
     rounds = 0
     limit = len(func.variables())
-    while _pressure_maxlive(work) > k:
+    while maxlive(work, skip=is_memory_slot) > k:
         rounds += 1
         if rounds > limit:
             raise RuntimeError("pressure spilling did not converge")
@@ -164,14 +146,15 @@ def ssa_allocate(
         set_frequencies_from_loops(func)
     with tracer.span("ssa/construct"):
         ssa = construct_ssa(func)
-    stats = SSAAllocationStats(maxlive_before=_pressure_maxlive(ssa))
+    stats = SSAAllocationStats(
+        maxlive_before=maxlive(ssa, skip=is_memory_slot))
     tracer.count("ssa.maxlive_before", stats.maxlive_before)
 
     # phase 1: spill
     with tracer.span("ssa/spill"):
         lowered, spilled, rounds = spill_to_pressure(ssa, k, tracer=tracer)
     stats.spill_rounds = rounds
-    stats.maxlive_after = _pressure_maxlive(lowered)
+    stats.maxlive_after = maxlive(lowered, skip=is_memory_slot)
     tracer.count("ssa.spill_rounds", rounds)
     tracer.count("ssa.spilled", len(spilled))
     tracer.count("ssa.maxlive_after", stats.maxlive_after)

@@ -33,10 +33,11 @@ Coalescing (kind ``coalescing``, subject :class:`CoalescingClaim`):
 The coalescing passes read the claim graph's dense twin
 (:meth:`~repro.graphs.graph.Graph.dense`), built once per graph and
 shared with the strategy that produced the claim, and the twin's peel
-per ``k``, and they read the partition as one :class:`SlotPartition`
-of the twin's slots: the verifier builds the payload's so, and a claim
-holding a :class:`~repro.graphs.interference.Coalescing` is read into
-one once per run; the allocation passes share one
+per ``k``, and they read the partition as one
+:class:`~repro.graphs.interference.Coalescing`, which lives on the
+twin's slots: the verifier builds the payload's itself, and a claim's
+own is re-read from its classes into a fresh one once per run; the
+allocation passes share one
 :class:`~repro.intervals.linear_scan.CodeFacts` of the final code —
 one liveness solve, one set of interference rows, one set of live
 intervals — through the context's fact memo
@@ -79,7 +80,6 @@ from .registry import AnalysisContext, analysis_pass
 
 __all__ = [
     "CoalescingClaim",
-    "SlotPartition",
     "claim_from_result",
     "is_greedy_contract",
 ]
@@ -92,121 +92,12 @@ def is_greedy_contract(strategy: str) -> bool:
     return STRATEGY_TABLE[strategy].contract == GREEDY
 
 
-class SlotPartition:
-    """A partition of a graph's vertices on its dense twin's slots.
-
-    The twin is :meth:`Graph.dense() <repro.graphs.graph.Graph.dense>`.
-    ``rep[i]`` is the representative slot of slot ``i``'s class and
-    ``groups`` maps the representative of every class of two or more
-    members to the bitmask of its members.  ``size`` counts the class
-    members (one budget step each in the validity walks) and
-    ``problems`` holds the ``COAL002`` findings of a partition that does
-    not cover the vertex set exactly once; only
-    :meth:`from_coalescing` finds any.
-
-    A new partition is all singletons.  :meth:`union` merges like
-    :meth:`Coalescing.union <repro.graphs.interference.Coalescing.union>`
-    — union by rank, the first argument's representative winning a tie —
-    so a partition built from the same pairs has the same
-    representatives, and the quotient keeps each class in the same slot
-    under the same name.
-    """
-
-    __slots__ = ("twin", "rep", "groups", "size", "problems", "_rank",
-                 "_rows")
-
-    def __init__(self, twin: DenseGraph) -> None:
-        self.twin = twin
-        self.rep: List[int] = list(range(twin.n))
-        self.groups: Dict[int, int] = {}
-        self.size = twin.n
-        self.problems: List[Diagnostic] = []
-        self._rank: Dict[int, int] = {}
-        self._rows: Dict[int, int] = {}
-
-    def union(self, i: int, j: int) -> bool:
-        """Merge the classes of slots ``i`` and ``j``; False, merging
-        nothing, if that would put two interfering vertices in one."""
-        rep = self.rep
-        ri, rj = rep[i], rep[j]
-        if ri == rj:
-            return True
-        groups, rows, adj = self.groups, self._rows, self.twin.adj
-        if rows.get(ri, adj[ri]) & groups.get(rj, 1 << rj):
-            return False
-        rank = self._rank
-        rank_i, rank_j = rank.get(ri, 0), rank.get(rj, 0)
-        if rank_i < rank_j:
-            ri, rj = rj, ri
-        elif rank_i == rank_j:
-            rank[ri] = rank_i + 1
-        moved = groups.pop(rj, 1 << rj)
-        groups[ri] = groups.get(ri, 1 << ri) | moved
-        rows[ri] = rows.get(ri, adj[ri]) | rows.pop(rj, adj[rj])
-        while moved:
-            low = moved & -moved
-            moved ^= low
-            rep[low.bit_length() - 1] = ri
-        return True
-
-    @classmethod
-    def from_coalescing(
-        cls, graph: InterferenceGraph, coalescing: Coalescing, obj: str
-    ) -> "SlotPartition":
-        """The partition a :class:`~repro.graphs.interference.Coalescing`
-        claims for ``graph``, read from its classes: members that are no
-        vertex of ``graph``, vertices in two classes and vertices in
-        none become ``problems``; a class is represented by the slot of
-        its ``find``."""
-        twin = graph.dense()
-        index = twin.index
-        partition = cls(twin)
-        classes = coalescing.classes()
-        partition.size = sum(map(len, classes))
-        problems = partition.problems
-        seen: Set[Any] = set()
-        for members in classes:
-            for v in members:
-                if v in seen:
-                    problems.append(Diagnostic(
-                        "COAL002", "error",
-                        f"{v} appears in more than one coalescing class",
-                        where=str(v), obj=obj, detail={"vertex": str(v)},
-                    ))
-                seen.add(v)
-                if v not in index:
-                    problems.append(Diagnostic(
-                        "COAL002", "error",
-                        f"coalescing class contains {v}, not a graph vertex",
-                        where=str(v), obj=obj, detail={"vertex": str(v)},
-                    ))
-        for v in twin.names:
-            if v not in seen:
-                problems.append(Diagnostic(
-                    "COAL002", "error",
-                    f"graph vertex {v} is missing from the partition",
-                    where=str(v), obj=obj, detail={"vertex": str(v)},
-                ))
-        groups, rep = partition.groups, partition.rep
-        for members in classes:
-            slots = [index[v] for v in members if v in index]
-            if len(slots) < 2:
-                continue
-            r = index.get(coalescing.find(twin.names[slots[0]]), slots[0])
-            mask = 0
-            for i in slots:
-                mask |= 1 << i
-                rep[i] = r
-            groups[r] = groups.get(r, 0) | mask
-        return partition
-
-
 @dataclass
 class CoalescingClaim:
     """What a coalescing strategy claims, packaged for validation.
 
-    The partition is ``coalescing``, or ``partition`` when the verifier
-    rebuilt it on the graph's dense twin itself
+    The partition is ``coalescing``, re-read from its classes before it
+    is checked, or ``partition`` when the verifier built it itself
     (:func:`repro.analysis.engine_check.certify_payload`).
     ``conservative`` marks strategies whose contract includes keeping
     the quotient greedy-k-colorable (:func:`is_greedy_contract`);
@@ -221,7 +112,7 @@ class CoalescingClaim:
     conservative: bool = False
     coalesced: Sequence[Tuple[Any, Any, float]] = field(default_factory=list)
     expected: Optional[Mapping[str, Any]] = None
-    partition: Optional[SlotPartition] = None
+    partition: Optional[Coalescing] = None
 
 
 def claim_from_result(result: Any, k: int = 0) -> CoalescingClaim:
@@ -239,18 +130,77 @@ def claim_from_result(result: Any, k: int = 0) -> CoalescingClaim:
     )
 
 
-def _partition(claim: CoalescingClaim, ctx: AnalysisContext) -> SlotPartition:
+#: What :func:`_partition` reads of a claim: the partition, the
+#: ``COAL002`` findings of a claimed cover that is not the vertex set
+#: exactly once, and the number of class members (one budget step each
+#: in the validity walks).
+_Read = Tuple[Coalescing, List[Diagnostic], int]
+
+
+def _read_classes(
+    graph: InterferenceGraph, coalescing: Coalescing, obj: str
+) -> _Read:
+    """The partition ``coalescing`` claims for ``graph``, read from its
+    :meth:`~repro.graphs.interference.Coalescing.classes` into a fresh
+    :class:`~repro.graphs.interference.Coalescing` with no union check,
+    so an interfering class stays for ``COAL001`` to find.  Members that
+    are no vertex of ``graph``, vertices in two classes and vertices in
+    none become ``COAL002`` findings; a class is represented by the slot
+    of its ``find``."""
+    partition = Coalescing(graph)
+    twin = partition.twin
+    index, adj = twin.index, twin.adj
+    classes = coalescing.classes()
+    problems: List[Diagnostic] = []
+    seen: Set[Any] = set()
+    for members in classes:
+        for v in members:
+            if v in seen:
+                problems.append(Diagnostic(
+                    "COAL002", "error",
+                    f"{v} appears in more than one coalescing class",
+                    where=str(v), obj=obj, detail={"vertex": str(v)},
+                ))
+            seen.add(v)
+            if v not in index:
+                problems.append(Diagnostic(
+                    "COAL002", "error",
+                    f"coalescing class contains {v}, not a graph vertex",
+                    where=str(v), obj=obj, detail={"vertex": str(v)},
+                ))
+    for v in twin.names:
+        if v not in seen:
+            problems.append(Diagnostic(
+                "COAL002", "error",
+                f"graph vertex {v} is missing from the partition",
+                where=str(v), obj=obj, detail={"vertex": str(v)},
+            ))
+    groups, rows, rep = partition.groups, partition.rows, partition.rep
+    for members in classes:
+        slots = [index[v] for v in members if v in index]
+        if len(slots) < 2:
+            continue
+        r = index.get(coalescing.find(twin.names[slots[0]]), slots[0])
+        mask = row = 0
+        for i in slots:
+            mask |= 1 << i
+            row |= adj[i]
+            rep[i] = r
+        groups[r] = groups.get(r, 0) | mask
+        rows[r] = rows.get(r, 0) | row
+    return partition, problems, sum(map(len, classes))
+
+
+def _partition(claim: CoalescingClaim, ctx: AnalysisContext) -> _Read:
     """The claim's partition on the twin's slots, read once per context."""
     if claim.partition is not None:
-        return claim.partition
-
-    def read(c: CoalescingClaim) -> SlotPartition:
-        return SlotPartition.from_coalescing(c.graph, c.coalescing, ctx.obj)
-
-    return ctx.fact("partition", claim, read)
+        return claim.partition, [], claim.partition.twin.n
+    return ctx.fact(
+        "partition", claim,
+        lambda c: _read_classes(c.graph, c.coalescing, ctx.obj))
 
 
-def _quotient(partition: SlotPartition) -> DenseGraph:
+def _quotient(partition: Coalescing) -> DenseGraph:
     """The quotient :math:`G_f` on a copy of the graph's dense twin.
 
     One :meth:`~repro.graphs.dense.DenseGraph.merge_group` per
@@ -285,13 +235,13 @@ def check_coalescing_validity(
 ) -> Iterator[Diagnostic]:
     """The partition is a valid coalescing: disjoint cover, no class
     with two interfering vertices."""
-    partition = _partition(claim, ctx)
+    partition, problems, size = _partition(claim, ctx)
     # one step per class member in each walk, charged once per walk
-    ctx.check_budget(partition.size)
-    yield from partition.problems
+    ctx.check_budget(size)
+    yield from problems
     twin = partition.twin
     adj, names = twin.adj, twin.names
-    ctx.check_budget(partition.size)
+    ctx.check_budget(size)
     for mask in partition.groups.values():
         rest = mask
         while rest:
@@ -321,7 +271,7 @@ def check_coalescing_ledger(
     claim: CoalescingClaim, ctx: AnalysisContext
 ) -> Iterator[Diagnostic]:
     """Bookkeeping matches the partition: coalesced list and aggregates."""
-    partition = _partition(claim, ctx)
+    partition = _partition(claim, ctx)[0]
     index, rep = partition.twin.index, partition.rep
     for u, v, w in claim.coalesced:
         ctx.check_budget()
@@ -387,8 +337,8 @@ def check_coalescing_conservative(
             obj=ctx.obj, detail={"k": k},
         )
         return
-    partition = _partition(claim, ctx)
-    if partition.problems:
+    partition, problems, _ = _partition(claim, ctx)
+    if problems:
         return  # not a partition; coalescing-validity reports it
     try:
         quotient = _quotient(partition)

@@ -54,10 +54,11 @@ from ..engine.tasks import (
     FAULT_GENERATORS, STRATEGY_TABLE, _allocation_payload, _build, _settle,
 )
 from ..graphs.dense import DenseGraph
+from ..graphs.interference import Coalescing
 from ..intervals.linear_scan import CodeFacts, LinearScanResult
 from ..obs import NULL_TRACER, Tracer
 from .coalescing_check import (
-    CoalescingClaim, SlotPartition, code_facts, is_greedy_contract,
+    CoalescingClaim, code_facts, is_greedy_contract,
 )
 from .diagnostics import Diagnostic
 from .registry import AnalysisContext
@@ -100,11 +101,12 @@ def certify_payload(
     Checks the payload's instance-shape fields (``instance``,
     ``vertices``, ``edges``, ``affinities``) against ``instance``
     (``ENG001``), rebuilds the partition implied by
-    ``payload["coalesced_pairs"]`` on the slots of the graph's dense
-    twin (a :class:`~repro.analysis.coalescing_check.SlotPartition`,
-    merged pair by pair as :class:`~repro.graphs.interference.
-    Coalescing` would merge them), and runs the ``coalescing`` passes
-    on it with the payload's aggregates as the claimed ledger.
+    ``payload["coalesced_pairs"]`` as a :class:`~repro.graphs.
+    interference.Coalescing` of the graph, merged pair by pair on the
+    slots of its dense twin (a pair that would merge interfering
+    vertices is ``COAL001`` and merges nothing), and runs the
+    ``coalescing`` passes on it with the payload's aggregates as the
+    claimed ledger.
     """
     graph = instance.graph
     out: List[Diagnostic] = []
@@ -124,9 +126,8 @@ def certify_payload(
                 detail={"field": key, "claimed": payload[key],
                         "actual": actual},
             ))
-    twin = graph.dense()
-    slot_of = twin.kept("slot-of-name", _slot_of_name)
-    partition = SlotPartition(twin)
+    partition = Coalescing(graph)
+    slot_of = partition.twin.kept("slot-of-name", _slot_of_name)
     for pair in payload.get("coalesced_pairs", ()):
         u_name, v_name = str(pair[0]), str(pair[1])
         u, v = slot_of.get(u_name), slot_of.get(v_name)
@@ -140,7 +141,7 @@ def certify_payload(
                 detail={"vertex": missing, "pair": [u_name, v_name]},
             ))
             continue
-        if not partition.union(u, v):
+        if not partition.union_slots(u, v):
             out.append(Diagnostic(
                 "COAL001", "error",
                 f"payload coalesces {u_name} and {v_name}, but that "

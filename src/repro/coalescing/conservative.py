@@ -168,8 +168,8 @@ def _coalesce_rounds(
     coalescing: Coalescing,
     tracer: Tracer,
 ) -> None:
-    """The fixed-point worklist on ``dense``, the graph's bitset twin,
-    merged in place.
+    """The fixed-point worklist on ``dense``, a copy of the graph's
+    bitset twin, merged in place.
 
     The degree-≥-k mask ``high`` is maintained incrementally from the
     common-neighbour mask that :meth:`DenseGraph.merge_in_place`
@@ -181,8 +181,11 @@ def _coalesce_rounds(
     brute = (
         BruteWitnesses(dense, k, colorable, tracer) if test == "brute" else None
     )
-    # map each union-find representative to its slot in `dense`
-    rep_idx = {v: dense.index[v] for v in graph.vertices}
+    index, rep = dense.index, coalescing.rep
+    # the slot of `dense` each class lives in, by its representative
+    # slot: a merge keeps the first endpoint's slot, which need not win
+    # the union, and the extended George test walks blockers in slot order
+    at = list(range(dense.n))
     high = dense.high_degree_mask(k)
     affinities = affinities_by_weight(graph)
     progress = True
@@ -190,10 +193,10 @@ def _coalesce_rounds(
         progress = False
         tracer.count("conservative.rounds")
         for pos, (u, v, _) in enumerate(affinities):
-            i = rep_idx[coalescing.find(u)]
-            j = rep_idx[coalescing.find(v)]
-            if i == j:
+            ru, rv = rep[index[u]], rep[index[v]]
+            if ru == rv:
                 continue
+            i, j = at[ru], at[rv]
             tracer.count("queries.interference")
             if dense.has_edge(i, j):
                 tracer.count("moves.constrained")
@@ -207,8 +210,8 @@ def _coalesce_rounds(
                 if brute is not None:
                     brute.merged(i, j)
                 high = high_after_merge(dense, high, common, i, j, k)
-                coalescing.union(u, v)
-                rep_idx[coalescing.find(u)] = i
+                coalescing.union_slots(ru, rv)
+                at[rep[ru]] = i
                 progress = True
                 tracer.count("moves.coalesced")
             else:

@@ -143,17 +143,22 @@ def optimistic_coalesce(
             coalescing.union(members[0], other)
     if recoalesce and dissolved_pairs:
         with tracer.span("optimistic/recoalesce"):
-            # the quotient is greedy-k-colorable now; map each class
-            # representative to its slot
-            slot = {coalescing.find(v): i for v, i in index.items()
-                    if quotient.alive >> i & 1}
+            # the quotient is greedy-k-colorable now; it keeps each class
+            # at its first slot, the lowest bit of its member mask
+            rep, groups = coalescing.rep, coalescing.groups
+
+            def first(v: Vertex) -> int:
+                r = rep[index[v]]
+                members = groups.get(r, 1 << r)
+                return (members & -members).bit_length() - 1
+
             brute = BruteWitnesses(quotient, k, True, tracer)
             # the degree-≥-k mask, carried over each accepted merge
             high = quotient.high_degree_mask(k)
             for pos, (u, v, _) in enumerate(affinities_by_weight(graph)):
                 if (u, v) not in dissolved_pairs and (v, u) not in dissolved_pairs:
                     continue
-                su, sv = slot[coalescing.find(u)], slot[coalescing.find(v)]
+                su, sv = first(u), first(v)
                 if su == sv:
                     continue
                 tracer.count("queries.interference")
@@ -161,11 +166,12 @@ def optimistic_coalesce(
                     continue
                 tracer.count("optimistic.recoalesce_attempted")
                 if brute.test(pos, su, sv, high):
+                    if sv < su:
+                        su, sv = sv, su
                     common = quotient.merge_in_place(su, sv)
                     brute.merged(su, sv)
                     high = high_after_merge(quotient, high, common, su, sv, k)
                     coalescing.union(u, v)
-                    slot[coalescing.find(u)] = su
                     tracer.count("optimistic.recoalesced")
 
     return CoalescingResult(

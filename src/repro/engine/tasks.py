@@ -234,6 +234,13 @@ class TaskSpec:
             raise ValueError(
                 f"unknown strategy {self.strategy!r} (one of {STRATEGIES})"
             )
+        if STRATEGY_TABLE[self.strategy].variant is not None \
+                and self.generator != "llvm":
+            raise ValueError(
+                f"allocation strategy {self.strategy!r} requires the "
+                f"'llvm' generator (got {self.generator!r}): graph "
+                "generators carry no code to allocate"
+            )
         steps = self.max_steps
         if steps is not None and (
             not isinstance(steps, int) or isinstance(steps, bool)
@@ -702,12 +709,6 @@ def _build(
     if params is None:
         params = spec.params_dict()
     if STRATEGY_TABLE[spec.strategy].variant is not None:
-        if spec.generator != "llvm":
-            raise ValueError(
-                f"allocation strategy {spec.strategy!r} requires the "
-                f"'llvm' generator (got {spec.generator!r}): graph "
-                "generators carry no code to allocate"
-            )
         entry = _llvm_function(*_llvm_source(params), lend=lend)
         built = Built(entry.source, spec.k or entry.extra.maxlive,
                       entry.fingerprint, entry.extra)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, FrozenSet, Hashable, ItemsView, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
+from .dense import _iter_bits
 from .graph import Graph, Vertex
 
 Affinity = Tuple[Vertex, Vertex]
@@ -195,47 +196,81 @@ class InterferenceGraph(Graph):
 class Coalescing:
     """A coalescing ``f`` of an interference graph (Section 2.1).
 
-    Represented as a partition of the vertex set via union-find.  The
-    invariant enforced at every union is that no class contains two
-    interfering vertices — i.e. ``f`` is a valid colouring with an
-    unbounded palette.
+    A partition of the vertex set in which no class contains two
+    interfering vertices, i.e. ``f`` is a valid colouring with an
+    unbounded palette; every union checks it.  The partition lives on
+    the slots of the graph's dense twin (:meth:`Graph.dense()
+    <repro.graphs.graph.Graph.dense>`, taken when the coalescing is
+    made): ``rep[i]`` is the representative slot of slot ``i``'s class,
+    and ``groups`` and ``rows`` map the representative of every class of
+    two or more members to the bitmask of its members and to the union
+    of their interference rows, so a union is legal iff one row and one
+    member mask share no bit.  Unions go by rank, the first argument's
+    representative winning a tie; :meth:`find` names a class by its
+    representative's vertex.
     """
+
+    __slots__ = ("graph", "twin", "rep", "groups", "rows", "_rank")
 
     def __init__(self, graph: InterferenceGraph) -> None:
         self.graph = graph
-        self._parent: Dict[Vertex, Vertex] = {v: v for v in graph.vertices}
-        self._rank: Dict[Vertex, int] = {v: 0 for v in graph.vertices}
-        # members of each class, keyed by representative
-        self._members: Dict[Vertex, Set[Vertex]] = {v: {v} for v in graph.vertices}
+        self.twin = graph.dense()
+        self.rep: List[int] = list(range(self.twin.n))
+        self.groups: Dict[int, int] = {}
+        self.rows: Dict[int, int] = {}
+        self._rank: Dict[int, int] = {}
 
     def find(self, v: Vertex) -> Vertex:
-        """Representative of the class of ``v`` (path-halving)."""
-        parent = self._parent
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
+        """Representative of the class of ``v``."""
+        twin = self.twin
+        return twin.names[self.rep[twin.index[v]]]
 
     def same_class(self, u: Vertex, v: Vertex) -> bool:
         """True iff ``u`` and ``v`` are coalesced together."""
-        return self.find(u) == self.find(v)
+        index, rep = self.twin.index, self.rep
+        return rep[index[u]] == rep[index[v]]
+
+    def _names(self, r: int) -> FrozenSet[Vertex]:
+        """The vertices of the class represented by slot ``r``."""
+        names = self.twin.names
+        return frozenset([names[i] for i in _iter_bits(self.groups.get(r, 1 << r))])
 
     def members(self, v: Vertex) -> FrozenSet[Vertex]:
         """All vertices in the class of ``v``."""
-        return frozenset(self._members[self.find(v)])
+        return self._names(self.rep[self.twin.index[v]])
 
     def can_union(self, u: Vertex, v: Vertex) -> bool:
         """True iff merging the classes of ``u`` and ``v`` is legal."""
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
+        index, rep = self.twin.index, self.rep
+        ri, rj = rep[index[u]], rep[index[v]]
+        return ri == rj or not (
+            self.rows.get(ri, self.twin.adj[ri]) & self.groups.get(rj, 1 << rj))
+
+    def union_slots(self, i: int, j: int) -> bool:
+        """Merge the classes of slots ``i`` and ``j``; False, merging
+        nothing, if that would put two interfering vertices in one
+        class.  True when they already share one."""
+        rep = self.rep
+        ri, rj = rep[i], rep[j]
+        if ri == rj:
             return True
-        graph = self.graph
-        small, large = self._members[ru], self._members[rv]
-        if len(small) > len(large):
-            small, large = large, small
-        return not any(
-            (graph.neighbors_view(x) & large) for x in small
-        )
+        groups, rows, adj = self.groups, self.rows, self.twin.adj
+        if rows.get(ri, adj[ri]) & groups.get(rj, 1 << rj):
+            return False
+        rank = self._rank
+        rank_i, rank_j = rank.get(ri, 0), rank.get(rj, 0)
+        if rank_i < rank_j:
+            ri, rj = rj, ri
+        elif rank_i == rank_j:
+            rank[ri] = rank_i + 1
+        moved = groups.pop(rj, 1 << rj)
+        groups[ri] = groups.get(ri, 1 << ri) | moved
+        rows[ri] = rows.get(ri, adj[ri]) | rows.pop(rj, adj[rj])
+        while moved:
+            low = moved & -moved
+            moved ^= low
+            rep[low.bit_length() - 1] = ri
+        return True
 
     def union(self, u: Vertex, v: Vertex) -> bool:
         """Merge the classes of ``u`` and ``v``.
@@ -244,28 +279,22 @@ class Coalescing:
         put two interfering vertices in the same class.  Returns True
         silently when already in the same class.
         """
-        ru, rv = self.find(u), self.find(v)
-        if ru == rv:
-            return True
-        if not self.can_union(ru, rv):
+        index = self.twin.index
+        if not self.union_slots(index[u], index[v]):
             raise ValueError(
                 f"classes of {u!r} and {v!r} contain interfering vertices"
             )
-        if self._rank[ru] < self._rank[rv]:
-            ru, rv = rv, ru
-        self._parent[rv] = ru
-        if self._rank[ru] == self._rank[rv]:
-            self._rank[ru] += 1
-        self._members[ru] |= self._members.pop(rv)
         return True
 
     def classes(self) -> List[FrozenSet[Vertex]]:
-        """All classes of the partition."""
-        return [frozenset(s) for s in self._members.values()]
+        """All classes of the partition, by representative in vertex
+        order."""
+        return [self._names(i) for i, r in enumerate(self.rep) if i == r]
 
     def as_mapping(self) -> Dict[Vertex, Vertex]:
         """Map each vertex to its class representative."""
-        return {v: self.find(v) for v in self.graph.vertices}
+        names = self.twin.names
+        return {v: names[r] for v, r in zip(names, self.rep)}
 
     # ------------------------------------------------------------------
     # objective

@@ -20,7 +20,7 @@ and equals ω(G) under strict SSA (Theorem 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..obs import NULL_TRACER, Tracer
 from .cfg import Function
@@ -108,7 +108,12 @@ def live_at_points(func: Function, info: LivenessInfo | None = None) -> Dict[Tup
     return points
 
 
-def maxlive(func: Function, liveness: Optional[LivenessMasks] = None) -> int:
+def maxlive(
+    func: Function,
+    liveness: Optional[LivenessMasks] = None,
+    *,
+    skip: Optional[Callable[[Var], bool]] = None,
+) -> int:
     """Maxlive: the register-pressure lower bound of Section 2.1.
 
     A variable is live *at* its definition point (even when never used
@@ -119,19 +124,22 @@ def maxlive(func: Function, liveness: Optional[LivenessMasks] = None) -> int:
 
     Walks the :func:`liveness_masks` output backward (``liveness``, if
     the caller already solved it), one popcount of ``live | defs`` per
-    instruction.
+    instruction.  The variables for which ``skip`` holds (memory slots,
+    for the two-phase allocator's pressure) are masked out of every
+    count.
     """
     variables, _, out_masks = liveness or liveness_masks(func)
     bit = {v: 1 << i for i, v in enumerate(variables)}
+    counted = ~sum(b for v, b in bit.items() if skip(v)) if skip else -1
     best = 0
     for name, live in out_masks.items():
         block = func.blocks[name]
-        best = max(best, live.bit_count())
+        best = max(best, (live & counted).bit_count())
         for instr in reversed(block.instrs):
             defs = 0
             for d in instr.defs:
                 defs |= bit[d]
-            pressure = (live | defs).bit_count()
+            pressure = ((live | defs) & counted).bit_count()
             if pressure > best:
                 best = pressure
             live &= ~defs
@@ -140,7 +148,7 @@ def maxlive(func: Function, liveness: Optional[LivenessMasks] = None) -> int:
         targets = 0
         for phi in block.phis:
             targets |= bit[phi.target]
-        best = max(best, (live | targets).bit_count())
+        best = max(best, ((live | targets) & counted).bit_count())
     return best
 
 

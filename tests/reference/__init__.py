@@ -23,7 +23,8 @@ binary search of the MCS prefixes per vertex) for the one-sweep
 :func:`repro.graphs.chordal.dense_clique_tree`.  :func:`check_allocation_validity` and
 :func:`check_interval_allocation` are the per-edge and per-pair loops
 the row-mask allocation certificates must match diagnostic for
-diagnostic, and :func:`maxlive` the set-based pressure walk.
+diagnostic, and :func:`maxlive` the set-based pressure walk
+(:func:`pressure_maxlive` the same walk without memory slots).
 :data:`TESTS` holds the dict conservative tests that
 :data:`repro.graphs.dense.DENSE_TESTS` must match verdict for verdict,
 and :func:`chaitin_color_round` the Chaitin round on a copied dict
@@ -889,6 +890,29 @@ def maxlive(func: Function) -> int:
             live -= set(instr.defs)
             live |= set(instr.uses)
         phi_targets = {phi.target for phi in block.phis}
+        best = max(best, len(live | phi_targets))
+    return best
+
+
+def pressure_maxlive(func: Function) -> int:
+    """Maxlive ignoring memory-slot pseudo-variables, on Python sets
+    (the oracle for :func:`repro.ir.liveness.maxlive` with
+    ``skip=is_memory_slot``, the pressure the two-phase allocator
+    spills down to)."""
+    info = compute_liveness(func)
+    best = 0
+    for name in func.reachable():
+        block = func.blocks[name]
+        live = {v for v in info.live_out[name] if not is_memory_slot(v)}
+        best = max(best, len(live))
+        for instr in reversed(block.instrs):
+            defs = {d for d in instr.defs if not is_memory_slot(d)}
+            best = max(best, len(live | defs))
+            live -= set(instr.defs)
+            live |= {u for u in instr.uses if not is_memory_slot(u)}
+        phi_targets = {
+            p.target for p in block.phis if not is_memory_slot(p.target)
+        }
         best = max(best, len(live | phi_targets))
     return best
 

@@ -3,10 +3,10 @@
 
 :func:`aggressive_coalesce_exact` (Theorem 2) and
 :func:`optimal_conservative_coalescing` (Theorem 3) walk the affinities
-in :func:`~repro.coalescing.base.affinities_by_weight` order on a
-:class:`~repro.graphs.interference.Coalescing`, copy the whole
-union-find at every merge branch and, for the conservative targets,
-build the dict quotient at every node.  The dense search must return
+in :func:`~repro.coalescing.base.affinities_by_weight` order on the
+dict union-find :class:`~tests.reference.partition.DictCoalescing`,
+copy the whole union-find at every merge branch and, for the
+conservative targets, build the dict quotient at every node.  The dense search must return
 the same partition and label and visit the same number of nodes.
 """
 
@@ -19,6 +19,8 @@ from repro.coalescing.base import CoalescingResult, affinities_by_weight
 from repro.graphs.coloring import is_k_colorable
 from repro.graphs.greedy import is_greedy_k_colorable
 from repro.graphs.interference import Coalescing, InterferenceGraph
+
+from .partition import DictCoalescing
 
 
 def aggressive_coalesce_exact(
@@ -41,7 +43,7 @@ def aggressive_coalesce_exact(
 
     choice: List[bool] = []
 
-    def recurse(i: int, coalescing: Coalescing, given_up: float) -> None:
+    def recurse(i: int, coalescing: DictCoalescing, given_up: float) -> None:
         nodes[0] += 1
         if nodes[0] > node_limit:
             raise RuntimeError("aggressive_coalesce_exact: node limit hit")
@@ -69,7 +71,7 @@ def aggressive_coalesce_exact(
         recurse(i + 1, coalescing, given_up + w)
         choice.pop()
 
-    recurse(0, Coalescing(graph), 0.0)
+    recurse(0, DictCoalescing(graph), 0.0)
 
     # replay the best choice to build the result; affinities that ended
     # up in the same class transitively count as coalesced even if the
@@ -119,10 +121,10 @@ def optimal_conservative_coalescing(
     nodes = [0]
     choice: List[bool] = []
 
-    def quotient(c: Coalescing) -> InterferenceGraph:
+    def quotient(c: DictCoalescing) -> InterferenceGraph:
         return c.coalesced_graph()
 
-    def recurse(i: int, coalescing: Coalescing, cost: float) -> None:
+    def recurse(i: int, coalescing: DictCoalescing, cost: float) -> None:
         nodes[0] += 1
         if nodes[0] > node_limit:
             raise RuntimeError("optimal_conservative_coalescing: node limit")
@@ -155,7 +157,7 @@ def optimal_conservative_coalescing(
         recurse(i + 1, coalescing, cost + w)
         choice.pop()
 
-    recurse(0, Coalescing(graph), 0.0)
+    recurse(0, DictCoalescing(graph), 0.0)
     if best_sets[0] is None:
         raise ValueError(
             f"graph admits no {target} quotient at all with k={k} "
@@ -171,7 +173,7 @@ def optimal_conservative_coalescing(
         strategy="exact" if target == "greedy" else "exact-kcolorable")
 
 
-def _snapshot(c: Coalescing):
+def _snapshot(c: DictCoalescing):
     return (
         dict(c._parent),
         dict(c._rank),
@@ -179,7 +181,7 @@ def _snapshot(c: Coalescing):
     )
 
 
-def _restore(c: Coalescing, snap) -> None:
+def _restore(c: DictCoalescing, snap) -> None:
     parent, rank, members = snap
     c._parent = dict(parent)
     c._rank = dict(rank)

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.allocator import chaitin, chaitin_allocate, ssa_allocate
-from repro.allocator.ssa_allocator import _pressure_maxlive, spill_to_pressure
+from repro.allocator import ssa_allocator
+from repro.allocator.spill import is_memory_slot
+from repro.allocator.ssa_allocator import spill_to_pressure
 from repro.engine.tasks import STRATEGY_TABLE
 from repro.frontend import corpus_functions
 from repro.frontend.corpus import function_from_path
@@ -140,7 +142,34 @@ class TestSpillToPressure:
             ssa = construct_ssa(random_function(seed, GeneratorConfig(num_vars=10)))
             k = 3
             lowered, spilled, rounds = spill_to_pressure(ssa, k)
-            assert _pressure_maxlive(lowered) <= k, seed
+            assert maxlive(lowered, skip=is_memory_slot) <= k, seed
+
+    def test_pressure_matches_set_oracle_every_round(self, monkeypatch):
+        """The pressure phase 1 reads, ``maxlive`` with memory slots
+        skipped, equals the set-based walk on every function it is asked
+        about: each corpus function and generated program, before the
+        first spill round and after each one."""
+        checked = []
+
+        def compared(func, *args, **kwargs):
+            value = maxlive(func, *args, **kwargs)
+            assert value == ref.pressure_maxlive(func), func.name
+            checked.append(any(map(is_memory_slot, func.variables())))
+            return value
+
+        monkeypatch.setattr(ssa_allocator, "maxlive", compared)
+        cells = [(construct_ssa(func), k)
+                 for _, func in corpus_functions()
+                 for k in range(max(2, maxlive(func) - 3), maxlive(func))]
+        config = GeneratorConfig(num_vars=10)
+        cells += [(construct_ssa(random_function(seed, config)), k)
+                  for seed in range(10) for k in (2, 3)]
+        for ssa, k in cells:
+            try:
+                spill_to_pressure(ssa, k)
+            except RuntimeError:
+                pass  # a k below one instruction's reload temporaries
+        assert sum(checked) > 100 and not all(checked)
 
     def test_no_spill_when_fits(self):
         fb = FunctionBuilder()

@@ -240,10 +240,10 @@ def test_check_coalescing_catches_interfering_merge():
     from repro.graphs.interference import Coalescing
 
     forced = Coalescing(g)
-    # bypass the guarded union to fake a buggy strategy's output
-    forced._parent["y"] = "x"
-    forced._members["x"] = {"x", "y"}
-    del forced._members["y"]
+    # bypass the guarded union to fake a buggy strategy's output: y's
+    # slot joins x's class
+    forced.rep[g.dense().index["y"]] = 0
+    forced.groups[0] = 0b11
     claim = CoalescingClaim(graph=g, coalescing=forced, k=2)
     ctx = AnalysisContext(k=2)
     diagnostics = run_passes(claim, "coalescing", ctx)

@@ -173,9 +173,9 @@ def test_coal001_interfering_class():
     g.add_edge("x", "y")
     g.add_affinity("x", "y", 2.0)
     forced = Coalescing(g)
-    forced._parent["y"] = "x"
-    forced._members["x"] = {"x", "y"}
-    del forced._members["y"]
+    # bypass the guarded union: y's slot joins x's class
+    forced.rep[g.dense().index["y"]] = 0
+    forced.groups[0] = 0b11
     claim = CoalescingClaim(graph=g, coalescing=forced, k=2)
     diagnostics = run_passes(claim, "coalescing", AnalysisContext(k=2))
     assert "COAL001" in _codes(diagnostics)
@@ -184,9 +184,15 @@ def test_coal001_interfering_class():
 def test_coal002_partition_broken():
     g = InterferenceGraph()
     g.add_edge("x", "y")
-    c = Coalescing(g)
-    c._members["x"] = {"x", "ghost"}  # member that is not a vertex
-    claim = CoalescingClaim(graph=g, coalescing=c, k=2)
+
+    class Ghostly(Coalescing):
+        __slots__ = ()
+
+        def classes(self):
+            # a member that is not a vertex
+            return [frozenset({"x", "ghost"}), frozenset({"y"})]
+
+    claim = CoalescingClaim(graph=g, coalescing=Ghostly(g), k=2)
     diagnostics = run_passes(claim, "coalescing", AnalysisContext(k=2))
     assert "COAL002" in _codes(diagnostics)
 

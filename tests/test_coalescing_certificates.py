@@ -21,9 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import AnalysisContext, load_all_passes
-from repro.analysis.coalescing_check import (
-    CoalescingClaim, SlotPartition, _quotient,
-)
+from repro.analysis.coalescing_check import CoalescingClaim, _quotient
 from repro.analysis.engine_check import certify_allocation, certify_payload
 from repro.analysis.registry import get_pass
 from repro.engine.tasks import (
@@ -90,8 +88,7 @@ def _coal004(graph, coalescing, k):
 @given(st.integers(0, 10**6))
 def test_dense_coal004_matches_reference(seed):
     graph, coalescing, ks = _random_claim(seed)
-    quotient = _quotient(
-        SlotPartition.from_coalescing(graph, coalescing, "")).to_graph()
+    quotient = _quotient(coalescing).to_graph()
     expected = coalescing.coalesced_graph()
     assert set(quotient.vertices) == set(expected.vertices)
     assert {frozenset(e) for e in quotient.edges()} \
@@ -99,33 +96,6 @@ def test_dense_coal004_matches_reference(seed):
     for k in ks:
         assert _coal004(graph, coalescing, k) \
             == _reference_coal004(graph, coalescing, k), k
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 10**6))
-def test_slot_partition_merges_as_coalescing_does(seed):
-    """Pair by pair, ``SlotPartition.union`` accepts and refuses what
-    ``Coalescing.union`` does and picks the same representatives, so
-    the payload's partition names each quotient vertex the same."""
-    rng = random.Random(seed)
-    graph, _, _ = _random_claim(seed)
-    names = list(graph.vertices)
-    twin = graph.dense()
-    slots = SlotPartition(twin)
-    coalescing = Coalescing(graph)
-    for _ in range(rng.randint(0, 3 * len(names))):
-        u, v = rng.choice(names), rng.choice(names)
-        merged = slots.union(twin.index[u], twin.index[v])
-        try:
-            coalescing.union(u, v)
-        except ValueError:
-            assert not merged
-        else:
-            assert merged
-    assert [twin.names[r] for r in slots.rep] \
-        == [coalescing.find(v) for v in names]
-    expected = SlotPartition.from_coalescing(graph, coalescing, "")
-    assert slots.groups == expected.groups and not expected.problems
 
 
 def test_random_claims_cover_every_verdict():
@@ -378,8 +348,8 @@ def test_dense_builds_per_verified_corpus_pass(monkeypatch):
 
 def test_verified_pass_has_no_per_record_partition_setup(monkeypatch):
     """The verifier's fixed work per record stays gone: certifying the
-    corpus coalescing records constructs no ``Coalescing`` (the
-    partition is rebuilt on the twin's slots), reads each twin's
+    corpus coalescing records constructs one ``Coalescing`` each, on
+    the twin's slots (the payload's partition), reads each twin's
     name-to-slot map from the twin, and a verified pass filters the
     pass registry once per kind."""
     import repro.analysis.registry as registry
@@ -406,7 +376,7 @@ def test_verified_pass_has_no_per_record_partition_setup(monkeypatch):
     for spec, record in zip(coalescing, records):
         assert verify_record(spec, record)["status"] in (
             "certified", "failed")
-    assert made == []
+    assert len(made) == len(coalescing)
     slot_maps = [twin for twin, name in kept if name == "slot-of-name"]
     assert len(slot_maps) == len(coalescing)
     assert len(set(map(id, slot_maps))) == 18

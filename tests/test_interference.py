@@ -14,6 +14,7 @@ from repro.graphs.interference import (
     coalescing_from_mapping,
 )
 from tests import reference as ref
+from tests.reference.partition import DictCoalescing
 
 
 @pytest.fixture
@@ -221,6 +222,50 @@ def _random_coalesced_instance(seed):
         if c.can_union(u, v):
             c.union(u, v)
     return rng, g, c
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_coalescing_merges_as_dict_oracle_does(seed):
+    """Union by union, the slot-backed ``Coalescing`` accepts and
+    refuses what the dict union-find accepts and refuses, interfering
+    merges included, and ends with the same representatives, classes
+    in the same order, mapping and quotient."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 14)
+    names = [f"v{i}" if i % 3 else i for i in range(n)]
+    rng.shuffle(names)
+    g = InterferenceGraph(vertices=names)
+    p = rng.uniform(0.05, 0.7)
+    for u, v in combinations(names, 2):
+        if rng.random() < p:
+            g.add_edge(u, v)
+    for _ in range(rng.randint(0, 2 * n) if n > 1 else 0):
+        u, v = rng.sample(names, 2)
+        g.add_affinity(u, v, rng.choice((1.0, 0.5, 10.0, 3.25)))
+    got, want = Coalescing(g), DictCoalescing(g)
+    for _ in range(rng.randint(0, 3 * n)):
+        u, v = rng.choice(names), rng.choice(names)
+        assert got.can_union(u, v) == want.can_union(u, v)
+        try:
+            want.union(u, v)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                got.union(u, v)
+            assert str(raised.value) == str(exc)
+        else:
+            assert got.union(u, v)
+    assert [got.find(v) for v in names] == [want.find(v) for v in names]
+    assert [got.members(v) for v in names] \
+        == [want.members(v) for v in names]
+    assert got.classes() == want.classes()
+    assert got.as_mapping() == want.as_mapping()
+    assert list(got.as_mapping()) == list(want.as_mapping())
+    assert got.uncoalesced_affinities() == want.uncoalesced_affinities()
+    q_got, q_want = got.coalesced_graph(), want.coalesced_graph()
+    assert list(q_got.vertices) == list(q_want.vertices)
+    assert list(q_got.edges()) == list(q_want.edges())
+    assert list(q_got.affinities()) == list(q_want.affinities())
 
 
 def _assert_dense_interning(graph):

@@ -440,11 +440,9 @@ class TestEngineIntegration:
         assert record["payload"]["spilled"]
 
     def test_allocation_requires_llvm_generator(self):
-        spec = TaskSpec(
-            generator="pressure", seed=0, k=4, strategy="linear-scan"
-        )
         with pytest.raises(ValueError, match="llvm"):
-            run_task(spec)
+            TaskSpec(generator="pressure", seed=0, k=4,
+                     strategy="linear-scan")
 
     def test_interval_strategy_task(self):
         spec = TaskSpec(generator="pressure", seed=1, k=5,

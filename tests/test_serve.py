@@ -316,6 +316,9 @@ class TestProtocol:
         {"task": {"generator": "repro.challenge.generator:pressure_instance",
                   "seed": 0}},
         {"task": {"generator": "pressure", "seed": 0, "strategy": "call"}},
+        # an allocator needs code: not a ValueError in the worker (500)
+        {"task": {"generator": "program", "seed": 0,
+                  "strategy": "linear-scan"}},
     ])
     def test_rejects_bad_documents(self, document):
         with pytest.raises(HttpError) as exc:

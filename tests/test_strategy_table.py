@@ -95,9 +95,11 @@ def test_derived_views():
         == {"aggressive", "exact-kcolorable", "interval"}
     assert all(STRATEGY_TABLE[n].contract in (GREEDY, VALID)
                for n in COALESCING_STRATEGIES)
+    # an allocator needs code, so its spec takes the llvm generator
     heavy = {n for n in STRATEGIES
-             if request_class(TaskSpec(generator="pressure", seed=0,
-                                       strategy=n)) == HEAVY}
+             if request_class(TaskSpec(
+                 generator="llvm" if n in ALLOCATION_STRATEGIES
+                 else "pressure", seed=0, strategy=n)) == HEAVY}
     assert heavy == {"exact", "exact-kcolorable", "call"}
     assert request_class(TaskSpec(generator="sleep", seed=0)) == HEAVY
     assert request_class(TaskSpec(generator="pressure", seed=0)) == LIGHT
